@@ -6,7 +6,7 @@ GO ?= go
 # samples to test significance on (benchstat wants >= 10 for tight CIs).
 COUNT ?= 10
 
-.PHONY: build test race lint bench bench-smoke bench-engine bench-scale fuzz-smoke load-smoke
+.PHONY: build test race lint bench bench-smoke bench-engine bench-scale bench-check bench-flood fuzz-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,17 @@ bench-smoke:
 bench-scale:
 	$(GO) test -run TestMacroFloodBoundedMemory -v ./internal/experiments/
 	$(GO) test -run '^$$' -bench BenchmarkMacroFlood -benchtime=3x .
+
+# bench/ (the repository's benchmark, see BENCHMARK.json) is a module of
+# its own that `go build ./...` and `go test ./...` never reach, yet it
+# compiles against this module's packages: vet and test it explicitly.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
+
+# One paper-shaped connection-flood cell through the benchmark harness.
+bench-flood:
+	bash bench/run.sh --workload flood_cell --seed 1
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzChallengeRoundTrip -fuzztime=10s ./tcpopt

@@ -113,6 +113,9 @@ func (f *AdaptiveFlood) OnSynAck(ctx BotCtx, sa SynAck) {
 	f.arms[arm].OnSynAck(ctx, sa)
 }
 
+// OnSolved implements Strategy: only the connection-flood arm solves.
+func (*AdaptiveFlood) OnSolved(ctx BotCtx, sa SynAck) { connFlood{}.OnSolved(ctx, sa) }
+
 // pick maps one uniform draw to an arm index by walking the share CDF.
 func (f *AdaptiveFlood) pick(u float64) int {
 	var cum float64

@@ -1,8 +1,9 @@
 // Package attack is the flood-strategy plugin API: the attacker half of
 // the open registry behind the paper's comparison surface. A Strategy
-// drives one bot through two hooks — Tick fires one attack action at the
+// drives one bot through three hooks — Tick fires one attack action at the
 // configured rate, OnSynAck reacts to a SYN-ACK matching one of the bot's
-// own handshakes — against a narrow BotCtx facade over the bot simulator
+// own handshakes, OnSolved to the bot's CPU finishing a solve the strategy
+// queued — against a narrow BotCtx facade over the bot simulator
 // (deterministic RNG, CPU model, handshake bookkeeping, send primitives
 // with attack-rate accounting).
 //
@@ -56,6 +57,13 @@ func NewMetrics(bucket time.Duration) *Metrics {
 }
 
 // BotCtx is the narrow facade a Strategy sees of one attacking machine.
+//
+// For plugin authors: a BotCtx is only valid during the hook call it was
+// passed to, and it offers no general timer. Deferred work has one shape —
+// a solve on the bot's CPU — and goes through Solve, which keeps what it
+// needs as a plain record and calls the strategy's OnSolved hook with it
+// later. Strategies therefore hold no closures over a BotCtx; anything
+// else a completion step needs lives in the strategy's own fields.
 type BotCtx interface {
 	// Now is the bot's event-engine clock.
 	Now() time.Duration
@@ -96,13 +104,13 @@ type BotCtx interface {
 	// accounts AcksSent and BelievedEstablished, then transmits the ACK.
 	SendHandshakeAck(port uint16, isn, serverISN uint32, opts []byte)
 
-	// ChargeCPU runs hash work on the bot CPU model and returns the
-	// absolute completion time.
-	ChargeCPU(hashes float64) time.Duration
+	// Solve queues the brute force of sa's challenge, costing hashes, on
+	// the bot's CPU model — a FIFO server, so solves complete in the order
+	// queued — and hands sa to the strategy's OnSolved when the CPU gets
+	// there. sa.Challenge must have passed tcpopt.ParseChallenge.
+	Solve(hashes float64, sa SynAck)
 	// CPUBacklog reports how far into the future the CPU is committed.
 	CPUBacklog() time.Duration
-	// ScheduleAt queues fn at an absolute simulation time.
-	ScheduleAt(at time.Duration, fn func())
 
 	// Metrics is the bot's measurement state.
 	Metrics() *Metrics
@@ -142,6 +150,9 @@ type Strategy interface {
 	Tick(ctx BotCtx)
 	// OnSynAck reacts to a SYN-ACK matching a registered handshake.
 	OnSynAck(ctx BotCtx, sa SynAck)
+	// OnSolved is the completion step of ctx.Solve(hashes, sa): the bot's
+	// CPU has finished that solve.
+	OnSolved(ctx BotCtx, sa SynAck)
 }
 
 // Factory builds a strategy instance for one bot.

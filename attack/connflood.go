@@ -36,13 +36,8 @@ func (connFlood) OnSynAck(ctx BotCtx, sa SynAck) {
 		ctx.SendHandshakeAck(sa.Port, sa.ISN, sa.ServerISN, nil)
 		return
 	}
-	solveAndAck(ctx, sa)
-}
-
-// solveAndAck runs the patched-kernel path: honour the bot's solve-backlog
-// bound, charge the brute force to the CPU model, and complete the
-// handshake with the solution once the CPU gets there.
-func solveAndAck(ctx BotCtx, sa SynAck) {
+	// The patched-kernel path: honour the bot's solve-backlog bound and
+	// queue the brute force on the CPU model.
 	blk, err := tcpopt.ParseChallenge(sa.Challenge)
 	if err != nil {
 		return
@@ -51,15 +46,12 @@ func solveAndAck(ctx BotCtx, sa SynAck) {
 		ctx.Metrics().ChallengesDiscarded++
 		return
 	}
-	hashes := sampleSolveHashes(ctx, blk)
-	done := ctx.ChargeCPU(float64(hashes))
-	ctx.ScheduleAt(done, func() {
-		ctx.Metrics().SolvesCompleted++
-		sol := solveChallenge(ctx, blk)
-		raw, err := encodeSolutionOptions(sol)
-		if err != nil {
-			return
-		}
+	ctx.Solve(float64(sampleSolveHashes(ctx, blk)), sa)
+}
+
+// OnSolved implements Strategy: complete the handshake with the solution.
+func (connFlood) OnSolved(ctx BotCtx, sa SynAck) {
+	if raw, ok := solvedOptions(ctx, sa); ok {
 		ctx.SendHandshakeAck(sa.Port, sa.ISN, sa.ServerISN, raw)
-	})
+	}
 }

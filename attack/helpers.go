@@ -57,6 +57,26 @@ func solveChallenge(ctx BotCtx, blk tcpopt.ChallengeBlock) puzzle.Solution {
 	return s
 }
 
+// noSolves is embedded by strategies that never call BotCtx.Solve.
+type noSolves struct{}
+
+// OnSolved implements Strategy.
+func (noSolves) OnSolved(BotCtx, SynAck) {}
+
+// solvedOptions is the completion step the solving strategies share:
+// account the solve, recover the challenge from the SYN-ACK that carried
+// it (validated before it was queued) and marshal its solution into ACK
+// options.
+func solvedOptions(ctx BotCtx, sa SynAck) ([]byte, bool) {
+	blk, err := tcpopt.ParseChallenge(sa.Challenge)
+	if err != nil {
+		return nil, false
+	}
+	ctx.Metrics().SolvesCompleted++
+	raw, err := encodeSolutionOptions(solveChallenge(ctx, blk))
+	return raw, err == nil
+}
+
 // encodeSolutionOptions marshals a solved challenge into ACK options.
 func encodeSolutionOptions(sol puzzle.Solution) ([]byte, error) {
 	opt, err := tcpopt.EncodeSolution(tcpopt.SolutionBlock{

@@ -19,7 +19,7 @@ const (
 // "on" quarter of each period it behaves exactly like synflood; during
 // the "off" phase the bot stays silent (ticks continue but emit nothing,
 // so the measured attack rate shows the bursts).
-type pulseFlood struct{}
+type pulseFlood struct{ noSolves }
 
 var pulseFloodInfo = Info{
 	Name:        sweep.AttackPulseFlood,

@@ -55,24 +55,24 @@ func (r *replayFlood) OnSynAck(ctx BotCtx, sa SynAck) {
 		r.capturePend = false
 		return
 	}
-	hashes := sampleSolveHashes(ctx, blk)
-	done := ctx.ChargeCPU(float64(hashes))
-	ctx.ScheduleAt(done, func() {
-		ctx.Metrics().SolvesCompleted++
-		sol := solveChallenge(ctx, blk)
-		raw, err := encodeSolutionOptions(sol)
-		if err != nil {
-			r.capturePend = false
-			return
-		}
-		seg := tcpkit.Segment{
-			Src: ctx.Addr(), Dst: ctx.ServerAddr(),
-			SrcPort: sa.Port, DstPort: ctx.ServerPort(),
-			Seq: sa.ISN + 1, Ack: sa.ServerISN + 1,
-			Flags:   tcpkit.FlagACK,
-			Options: raw,
-		}
-		r.captured = &seg
-		ctx.EmitAttack(seg)
-	})
+	ctx.Solve(float64(sampleSolveHashes(ctx, blk)), sa)
+}
+
+// OnSolved implements Strategy: capture the solved ACK and send it for
+// the first time.
+func (r *replayFlood) OnSolved(ctx BotCtx, sa SynAck) {
+	raw, ok := solvedOptions(ctx, sa)
+	if !ok {
+		r.capturePend = false
+		return
+	}
+	seg := tcpkit.Segment{
+		Src: ctx.Addr(), Dst: ctx.ServerAddr(),
+		SrcPort: sa.Port, DstPort: ctx.ServerPort(),
+		Seq: sa.ISN + 1, Ack: sa.ServerISN + 1,
+		Flags:   tcpkit.FlagACK,
+		Options: raw,
+	}
+	r.captured = &seg
+	ctx.EmitAttack(seg)
 }

@@ -7,7 +7,7 @@ import (
 
 // solutionFlood sends ACKs carrying structurally valid but worthless
 // solutions to burn server verification cycles (§7).
-type solutionFlood struct{}
+type solutionFlood struct{ noSolves }
 
 var solutionFloodInfo = Info{
 	Name:    sweep.AttackSolutionFlood,

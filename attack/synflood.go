@@ -4,7 +4,7 @@ import "github.com/tcppuzzles/tcppuzzles/sweep"
 
 // synFlood sends spoofed SYNs (hping3-style) and never completes
 // handshakes, targeting the listen queue.
-type synFlood struct{}
+type synFlood struct{ noSolves }
 
 var synFloodInfo = Info{
 	Name:    sweep.AttackSYNFlood,

@@ -70,14 +70,12 @@ func (hybridDefense) OnSYN(ctx ServerCtx, syn tcpkit.Segment, mss uint16, wscale
 
 // OnACK implements Defense: solutions redeem via the puzzle path, all
 // other unmatched ACKs (including unparsable options) via the cookie
-// path. Options are parsed once; the located solution option feeds the
+// path. Options are scanned once; the located solution option feeds the
 // verification tail directly.
 func (hybridDefense) OnACK(ctx ServerCtx, ack tcpkit.Segment) bool {
-	if opts, err := tcpopt.ParseOptions(ack.Options); err == nil {
-		if solOpt, ok := tcpopt.FindOption(opts, tcpopt.KindSolution); ok {
-			completeSolution(ctx, ack, solOpt)
-			return true
-		}
+	if solOpt, ok, _ := tcpopt.Lookup(ack.Options, tcpopt.KindSolution); ok {
+		completeSolution(ctx, ack, solOpt)
+		return true
 	}
 	completeCookie(ctx, ack)
 	return true

@@ -19,14 +19,9 @@ func sendChallenge(ctx ServerCtx, syn tcpkit.Segment) {
 	flow := syn.Flow()
 	ch := ctx.Puzzles().Issue(flow)
 	ctx.ChargeHashes(ch.Params.GenerateHashes())
-	opt, err := tcpopt.EncodeChallenge(ch, true)
+	opts, err := tcpopt.MarshalChallenge(ch, true)
 	if err != nil {
 		// Difficulty misconfiguration; account and drop.
-		ctx.Metrics().EncodeFailures++
-		return
-	}
-	opts, err := tcpopt.MarshalOptions([]tcpopt.Option{opt})
-	if err != nil {
 		ctx.Metrics().EncodeFailures++
 		return
 	}
@@ -72,12 +67,11 @@ func completeCookie(ctx ServerCtx, ack tcpkit.Segment) {
 // *before* any verification work, deceiving non-compliant senders; a
 // later data packet from such a peer draws an RST.
 func completePuzzle(ctx ServerCtx, ack tcpkit.Segment) {
-	opts, err := tcpopt.ParseOptions(ack.Options)
+	solOpt, ok, err := tcpopt.Lookup(ack.Options, tcpopt.KindSolution)
 	if err != nil {
 		ctx.Metrics().SolutionMalformed++
 		return
 	}
-	solOpt, ok := tcpopt.FindOption(opts, tcpopt.KindSolution)
 	if !ok {
 		// Bare ACK without solution while protection is active: the peer
 		// either ignored the challenge (unpatched) or this is stray; it is

@@ -103,7 +103,24 @@ type Bot struct {
 	nextPort uint32
 	awaiting map[uint16]uint32 // port → client ISN for in-flight handshakes
 
+	// solves holds the challenges queued on the CPU model; only its head
+	// is an engine event. tickFn and solvedFn are b.tick and b.solved bound
+	// once, so re-arming them allocates no method value per event.
+	solves netsim.RunQueue[solveJob]
+	//tcpz:allow snapfields — bound once in New to the bot's own methods and never reassigned; they capture only the bot, which is the snapshot root
+	tickFn, solvedFn func()
+
 	metrics *Metrics
+}
+
+// solveJob is one queued solve: the SYN-ACK that carried the challenge,
+// flattened so the queue's chunks hold no pointers — nothing for the
+// collector to scan and one flat region per chunk for CaptureState.
+type solveJob struct {
+	port           uint16
+	isn, serverISN uint32
+	n              uint8 // bytes of challenge in use
+	challenge      [tcpopt.MaxOptionsLen - 2]byte
 }
 
 // New builds a bot, resolves its attack strategy from the registry, and
@@ -132,13 +149,14 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		return nil, fmt.Errorf("attacksim: %w", err)
 	}
 	b.strategy = strategy
+	b.tickFn, b.solvedFn = b.tick, b.solved
 	if err := network.Attach(b, link); err != nil {
 		return nil, fmt.Errorf("attacksim: %w", err)
 	}
 	if cfg.Rate > 0 {
 		// Jitter the start so bots don't tick in lockstep.
 		jitter := time.Duration(b.rnd.Int63n(int64(time.Second / 4)))
-		eng.ScheduleAt(cfg.StartAt+jitter, b.tick)
+		eng.ScheduleAt(cfg.StartAt+jitter, b.tickFn)
 	}
 	return b, nil
 }
@@ -163,6 +181,10 @@ func (b *Bot) CPU() *cpumodel.CPU { return b.cpu }
 // Strategy exposes the instantiated attack behaviour.
 func (b *Bot) Strategy() attack.Strategy { return b.strategy }
 
+// QueuedSolves is the number of challenges waiting on the bot's CPU, the
+// one being solved included.
+func (b *Bot) QueuedSolves() int { return b.solves.Len() }
+
 // tick drives the strategy at the configured constant rate.
 func (b *Bot) tick() {
 	now := b.eng.Now()
@@ -170,7 +192,18 @@ func (b *Bot) tick() {
 		return
 	}
 	b.strategy.Tick(botCtx{b})
-	b.eng.Schedule(time.Duration(float64(time.Second)/b.cfg.Rate), b.tick)
+	b.eng.Schedule(time.Duration(float64(time.Second)/b.cfg.Rate), b.tickFn)
+}
+
+// solved fires when the CPU finishes the solve at the head of the queue:
+// it hands the SYN-ACK back to the strategy that queued it.
+func (b *Bot) solved() {
+	job := b.solves.Pop(b.eng, b.solvedFn)
+	b.strategy.OnSolved(botCtx{b}, attack.SynAck{
+		Port: job.port, ISN: job.isn, ServerISN: job.serverISN,
+		Challenge:  tcpopt.Option{Kind: tcpopt.KindChallenge, Data: job.challenge[:job.n]},
+		Challenged: true,
+	})
 }
 
 // Handle implements netsim.Node: filter server traffic, account deception
@@ -193,11 +226,7 @@ func (b *Bot) Handle(seg tcpkit.Segment) {
 	}
 	delete(b.awaiting, seg.DstPort)
 
-	opts, err := tcpopt.ParseOptions(seg.Options)
-	if err != nil {
-		opts = nil
-	}
-	chOpt, challenged := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	chOpt, challenged, _ := tcpopt.Lookup(seg.Options, tcpopt.KindChallenge)
 	b.strategy.OnSynAck(botCtx{b}, attack.SynAck{
 		Port: seg.DstPort, ISN: isn, ServerISN: seg.Seq,
 		Challenge: chOpt, Challenged: challenged,

@@ -84,16 +84,17 @@ func (c botCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []byte
 	})
 }
 
-// ChargeCPU implements attack.BotCtx.
-func (c botCtx) ChargeCPU(hashes float64) time.Duration {
-	return c.b.cpu.Charge(c.b.eng.Now(), hashes)
+// Solve implements attack.BotCtx: charge the CPU model and queue the
+// SYN-ACK behind the solves already on it.
+func (c botCtx) Solve(hashes float64, sa attack.SynAck) {
+	b := c.b
+	job := solveJob{port: sa.Port, isn: sa.ISN, serverISN: sa.ServerISN}
+	job.n = uint8(copy(job.challenge[:], sa.Challenge.Data))
+	b.solves.Push(b.eng, b.cpu.Charge(b.eng.Now(), hashes), job, b.solvedFn)
 }
 
 // CPUBacklog implements attack.BotCtx.
 func (c botCtx) CPUBacklog() time.Duration { return c.b.cpu.Backlog(c.b.eng.Now()) }
-
-// ScheduleAt implements attack.BotCtx.
-func (c botCtx) ScheduleAt(at time.Duration, fn func()) { c.b.eng.ScheduleAt(at, fn) }
 
 // Metrics implements attack.BotCtx.
 func (c botCtx) Metrics() *attack.Metrics { return c.b.metrics }

@@ -303,11 +303,7 @@ func (f *MacroFleet) handle(slot int32, seg tcpkit.Segment) {
 	}
 	delete(f.awaiting, key)
 
-	opts, err := tcpopt.ParseOptions(seg.Options)
-	if err != nil {
-		opts = nil
-	}
-	chOpt, challenged := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	chOpt, challenged, _ := tcpopt.Lookup(seg.Options, tcpopt.KindChallenge)
 	ctx := macroCtx{f: f, slot: slot, vt: f.eng.Now()}
 	f.strategyFor(slot, ctx).OnSynAck(ctx, attack.SynAck{
 		Port: seg.DstPort, ISN: isn, ServerISN: seg.Seq,
@@ -497,9 +493,11 @@ func (c macroCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []by
 	})
 }
 
-// ChargeCPU implements attack.BotCtx: cpumodel.CPU.Charge over a flat
-// per-slot free-at array, with busy time accumulated fleet-wide.
-func (c macroCtx) ChargeCPU(hashes float64) time.Duration {
+// Solve implements attack.BotCtx: cpumodel.CPU.Charge over a flat per-slot
+// free-at array, with busy time accumulated fleet-wide. Completion times
+// ascend per slot but not across the fleet, so each solve is scheduled
+// directly instead of through one netsim.RunQueue.
+func (c macroCtx) Solve(hashes float64, sa attack.SynAck) {
 	f := c.f
 	if f.cpuFreeAt == nil {
 		f.cpuFreeAt = make([]time.Duration, f.cfg.Sources)
@@ -514,7 +512,7 @@ func (c macroCtx) ChargeCPU(hashes float64) time.Duration {
 	done := start + dur
 	f.cpuBusy.AddSpan(start, done, dur.Seconds())
 	f.cpuFreeAt[c.slot] = done
-	return done
+	f.eng.ScheduleAt(done, func() { f.strategyFor(c.slot, c).OnSolved(c, sa) })
 }
 
 // CPUBacklog implements attack.BotCtx.
@@ -528,9 +526,6 @@ func (c macroCtx) CPUBacklog() time.Duration {
 	}
 	return 0
 }
-
-// ScheduleAt implements attack.BotCtx.
-func (c macroCtx) ScheduleAt(at time.Duration, fn func()) { c.f.eng.ScheduleAt(at, fn) }
 
 // Metrics implements attack.BotCtx.
 func (c macroCtx) Metrics() *attack.Metrics { return c.f.metrics }

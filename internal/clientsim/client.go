@@ -170,7 +170,22 @@ type Client struct {
 	nextPort uint32
 	conns    map[uint16]*cconn
 
+	// solves holds the challenges queued on the CPU model; only its head
+	// is an engine event. arrivalFn and solvedFn are c.arrival and c.solved
+	// bound once, so re-arming them allocates no method value per event.
+	solves netsim.RunQueue[solveJob]
+	//tcpz:allow snapfields — bound once in New to the client's own methods and never reassigned; they capture only the client, which is the snapshot root
+	arrivalFn, solvedFn func()
+
 	metrics *Metrics
+}
+
+// solveJob is one queued solve: the connection waiting on it and what its
+// final ACK needs.
+type solveJob struct {
+	cc        *cconn
+	serverISN uint32
+	challenge puzzle.Challenge
 }
 
 // New builds a client and attaches it to the network.
@@ -192,6 +207,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 			Failures:  stats.NewSeries(cfg.MetricBucket),
 		},
 	}
+	c.arrivalFn, c.solvedFn = c.arrival, c.solved
 	if cfg.SketchConnTimes {
 		c.metrics.ConnSketch = stats.NewSummarySketch(0.10, 0.50, 0.90)
 	}
@@ -199,7 +215,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		return nil, fmt.Errorf("clientsim: %w", err)
 	}
 	if cfg.Rate > 0 {
-		c.eng.ScheduleAt(cfg.StartAt, c.arrival)
+		c.eng.ScheduleAt(cfg.StartAt, c.arrivalFn)
 	}
 	return c, nil
 }
@@ -235,7 +251,7 @@ func (c *Client) arrival() {
 		c.Connect()
 	}
 	delay := time.Duration(c.rnd.ExpFloat64() / c.cfg.Rate * float64(time.Second))
-	c.eng.Schedule(delay, c.arrival)
+	c.eng.Schedule(delay, c.arrivalFn)
 }
 
 // Connect opens one connection attempt.
@@ -325,11 +341,7 @@ func (c *Client) onSynAck(cc *cconn, seg tcpkit.Segment) {
 	cc.rtoEv.Cancel()
 	cc.rtoEv = netsim.Timer{}
 	serverISN := seg.Seq
-	opts, err := tcpopt.ParseOptions(seg.Options)
-	if err != nil {
-		opts = nil
-	}
-	chOpt, challenged := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	chOpt, challenged, _ := tcpopt.Lookup(seg.Options, tcpopt.KindChallenge)
 	if challenged && c.cfg.Solves {
 		blk, err := tcpopt.ParseChallenge(chOpt)
 		if err != nil {
@@ -345,18 +357,23 @@ func (c *Client) onSynAck(cc *cconn, seg tcpkit.Segment) {
 		c.metrics.SolvesStarted++
 		hashes := puzzle.SampleSolveHashes(c.rnd, blk.Challenge.Params)
 		done := c.cpu.Charge(c.eng.Now(), float64(hashes))
-		c.eng.ScheduleAt(done, func() {
-			if cc.state != stateSolving {
-				return
-			}
-			cc.solved = true
-			c.finishHandshake(cc, serverISN, &blk.Challenge)
-		})
+		c.solves.Push(c.eng, done, solveJob{cc, serverISN, blk.Challenge}, c.solvedFn)
 		return
 	}
 	// Plain SYN-ACK, or a challenge the unpatched client cannot read: ACK
 	// immediately. (Unpatched stacks ignore unknown options.)
 	c.finishHandshake(cc, serverISN, nil)
+}
+
+// solved fires when the CPU finishes the solve at the head of the queue;
+// a connection that failed meanwhile (RST) gets no ACK.
+func (c *Client) solved() {
+	job := c.solves.Pop(c.eng, c.solvedFn)
+	if job.cc.state != stateSolving {
+		return
+	}
+	job.cc.solved = true
+	c.finishHandshake(job.cc, job.serverISN, &job.challenge)
 }
 
 // finishHandshake sends the final ACK (with a solution block when ch is

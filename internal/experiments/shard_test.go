@@ -18,9 +18,13 @@ func shardMatrixGrid() sweep.Grid {
 	return sweep.Grid{
 		Base: Scenario{ClientsSolve: true, BotsSolve: true},
 		Axes: []sweep.Axis{sweep.Variants("cell",
+			// Greedy solving bots: every challenge is queued, so each
+			// bot's solve run-queue grows to thousands of jobs behind one
+			// armed engine event.
 			sweep.Point{Label: "puzzles-conn", Set: func(sc *Scenario) {
 				sc.Defense = DefensePuzzles
 				sc.Attack = AttackConnFlood
+				sc.BotMaxSolveBacklog = 0
 			}},
 			sweep.Point{Label: "cookies-syn", Set: func(sc *Scenario) {
 				sc.Defense = DefenseCookies
@@ -298,5 +302,45 @@ func TestSpeculativeExcludedFromCacheHash(t *testing.T) {
 	sc.Shards = 8
 	if got := sweep.Hash("exp", sc); got != plain {
 		t.Error("Speculative+Shards changed the cache hash")
+	}
+}
+
+// TestSpeculativeOracleDifferentialSolvingBots is the rollback fixture for
+// the solve run-queues: greedy solving bots queue challenges far faster
+// than they solve them, so from the first challenge on every snapshot a
+// speculative round takes holds non-empty queues, and every rollback must
+// rewind them together with the armed head event in the engine.
+func TestSpeculativeOracleDifferentialSolvingBots(t *testing.T) {
+	base := tinyScale().Apply(Scenario{
+		Label: "oracle-solving", ClientsSolve: true, BotsSolve: true,
+		Defense: DefensePuzzles, Attack: AttackConnFlood,
+	})
+	oracle, err := RunFlood(base)
+	if err != nil {
+		t.Fatalf("RunFlood(oracle): %v", err)
+	}
+	spec := base
+	spec.Shards = 4
+	spec.Speculative = true
+	run, err := RunFlood(spec)
+	if err != nil {
+		t.Fatalf("RunFlood(speculative): %v", err)
+	}
+	wantMetrics, wantSeries := StandardMetrics(oracle)
+	gotMetrics, gotSeries := StandardMetrics(run)
+	if !reflect.DeepEqual(gotMetrics, wantMetrics) {
+		t.Errorf("speculative metrics diverged from oracle:\n got: %+v\nwant: %+v", gotMetrics, wantMetrics)
+	}
+	if !reflect.DeepEqual(gotSeries, wantSeries) {
+		t.Error("speculative series diverged from oracle")
+	}
+	if st := run.Net.ShardStats(); st.Rollbacks == 0 {
+		t.Error("Rollbacks = 0: the fixture no longer provokes mis-speculation")
+	}
+	for i, bot := range run.Botnet.Bots {
+		got, want := bot.QueuedSolves(), oracle.Botnet.Bots[i].QueuedSolves()
+		if got != want || got < 100 {
+			t.Errorf("bot %d ends with %d solves queued, oracle %d; want equal and a backlog of hundreds", i, got, want)
+		}
 	}
 }

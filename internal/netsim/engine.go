@@ -238,13 +238,21 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) Timer {
 	if at < e.now {
 		at = e.now
 	}
+	ev := e.scheduleSeq(at, e.seq, fn)
+	e.seq++
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// scheduleSeq queues fn at an absolute time under a sequence number the
+// caller took from e.seq — now (ScheduleAt) or earlier (RunQueue, which
+// defers the insertion but not the place in the firing order).
+func (e *Engine) scheduleSeq(at time.Duration, seq uint64, fn func()) *Event {
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
-	e.seq++
 	e.push(ev)
-	return Timer{ev: ev, gen: ev.gen}
+	return ev
 }
 
 // scheduleArrival queues the downlink leg of a packet delivery. At equal

@@ -41,23 +41,41 @@ type SolutionBlock struct {
 // true the issue timestamp is carried inside the block; otherwise the caller
 // is expected to transport it in the standard timestamps option.
 func EncodeChallenge(ch puzzle.Challenge, embedTS bool) (Option, error) {
-	if err := ch.Params.Validate(); err != nil {
+	raw, err := MarshalChallenge(ch, embedTS)
+	if err != nil {
 		return Option{}, err
 	}
+	return Option{Kind: KindChallenge, Data: raw[2:raw[1]]}, nil
+}
+
+// MarshalChallenge encodes a challenge as a complete options area holding
+// only the 0xfc option — EncodeChallenge then MarshalOptions, in one
+// allocation.
+func MarshalChallenge(ch puzzle.Challenge, embedTS bool) ([]byte, error) {
+	if err := ch.Params.Validate(); err != nil {
+		return nil, err
+	}
 	if len(ch.Preimage) != ch.Params.SolutionBytes() {
-		return Option{}, fmt.Errorf("tcpopt: preimage %d bytes, want %d: %w",
+		return nil, fmt.Errorf("tcpopt: preimage %d bytes, want %d: %w",
 			len(ch.Preimage), ch.Params.SolutionBytes(), ErrChallengeMalformed)
 	}
-	data := make([]byte, 0, 3+len(ch.Preimage)+4)
-	data = append(data, ch.Params.K, ch.Params.M, ch.Params.L)
-	data = append(data, ch.Preimage...)
+	n := 2 + 3 + len(ch.Preimage)
 	if embedTS {
-		data = binary.BigEndian.AppendUint32(data, ch.Timestamp)
+		n += 4
 	}
-	if 2+len(data) > MaxOptionsLen {
-		return Option{}, fmt.Errorf("tcpopt: challenge block %d bytes: %w", 2+len(data), ErrTooLarge)
+	if n > MaxOptionsLen {
+		return nil, fmt.Errorf("tcpopt: challenge block %d bytes: %w", n, ErrTooLarge)
 	}
-	return Option{Kind: KindChallenge, Data: data}, nil
+	out := make([]byte, 0, align4(n))
+	out = append(out, KindChallenge, uint8(n), ch.Params.K, ch.Params.M, ch.Params.L)
+	out = append(out, ch.Preimage...)
+	if embedTS {
+		out = binary.BigEndian.AppendUint32(out, ch.Timestamp)
+	}
+	for len(out)%4 != 0 {
+		out = append(out, KindNOP)
+	}
+	return out, nil
 }
 
 // ParseChallenge decodes a 0xfc option.

@@ -192,6 +192,21 @@ func TestEncodeRejectsOversizeBlocks(t *testing.T) {
 	}
 }
 
+// MarshalChallenge must fail exactly where EncodeChallenge does.
+func TestMarshalChallengeRejectsWhatEncodeRejects(t *testing.T) {
+	for _, ch := range []puzzle.Challenge{
+		{Params: puzzle.Params{K: 0, M: 8, L: 32}, Preimage: make([]byte, 4)},
+		{Params: puzzle.Params{K: 2, M: 8, L: 30}, Preimage: make([]byte, 4)},
+		{Params: puzzle.Params{K: 2, M: 8, L: 32}, Preimage: make([]byte, 3)},
+	} {
+		_, want := EncodeChallenge(ch, true)
+		raw, err := MarshalChallenge(ch, true)
+		if want == nil || err == nil || err.Error() != want.Error() || raw != nil {
+			t.Errorf("MarshalChallenge(%+v) = %x, %v; EncodeChallenge error %v", ch.Params, raw, err, want)
+		}
+	}
+}
+
 func TestWireSizes(t *testing.T) {
 	tests := []struct {
 		p          puzzle.Params

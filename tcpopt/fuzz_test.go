@@ -10,7 +10,8 @@ import (
 // FuzzChallengeRoundTrip fuzzes the challenge codec constructively: every
 // valid (k, m, l) challenge must survive the full wire path — Encode →
 // MarshalOptions → ParseOptions → FindOption → ParseChallenge —
-// bit-for-bit, with and without an embedded timestamp. This is the
+// bit-for-bit, with and without an embedded timestamp, and the one-step
+// MarshalChallenge and Lookup must agree with the paths they shorten. This is the
 // encode/decode contract the simulated kernels and the puzzlenet preamble
 // both build on; FuzzParseChallenge covers the adversarial direction.
 func FuzzChallengeRoundTrip(f *testing.F) {
@@ -34,6 +35,9 @@ func FuzzChallengeRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("MarshalOptions: %v", err)
 		}
+		if direct, err := MarshalChallenge(ch, embedTS); err != nil || !bytes.Equal(direct, raw) {
+			t.Fatalf("MarshalChallenge = %x, %v; want %x", direct, err, raw)
+		}
 		opts, err := ParseOptions(raw)
 		if err != nil {
 			t.Fatalf("ParseOptions: %v", err)
@@ -41,6 +45,9 @@ func FuzzChallengeRoundTrip(f *testing.F) {
 		got, ok := FindOption(opts, KindChallenge)
 		if !ok {
 			t.Fatal("challenge option lost in marshal round-trip")
+		}
+		if found, ok, err := Lookup(raw, KindChallenge); err != nil || !ok || !bytes.Equal(found.Data, got.Data) {
+			t.Fatalf("Lookup = %+v, %v, %v; want %+v", found, ok, err, got)
 		}
 		dec, err := ParseChallenge(got)
 		if err != nil {
@@ -62,16 +69,29 @@ func FuzzChallengeRoundTrip(f *testing.F) {
 }
 
 // FuzzParseOptions exercises the options parser on arbitrary bytes: it must
-// never panic, and anything it parses must re-marshal and re-parse to the
-// same structure.
+// never panic, Lookup must answer exactly as ParseOptions then FindOption
+// (errors included), and anything it parses must re-marshal and re-parse
+// to the same structure.
 func FuzzParseOptions(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{KindNOP, KindNOP, KindEOL})
 	f.Add([]byte{KindMSS, 4, 0x05, 0xb4})
 	f.Add([]byte{KindChallenge, 3, 0xff})
 	f.Add([]byte{KindSolution, 2})
+	f.Add([]byte{KindNOP, KindSolution, 3, 1, KindSolution, 3, 2, KindMSS, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts, err := ParseOptions(data)
+		for _, kind := range append([]uint8{KindChallenge, KindSolution, KindMSS}, data...) {
+			want, wantOK := FindOption(opts, kind)
+			got, ok, lookupErr := Lookup(data, kind)
+			if (lookupErr != nil) != (err != nil) || ok != wantOK || got.Kind != want.Kind || !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("Lookup(%x, 0x%02x) = %+v, %v, %v; ParseOptions+FindOption = %+v, %v, %v",
+					data, kind, got, ok, lookupErr, want, wantOK, err)
+			}
+			if err != nil && lookupErr.Error() != err.Error() {
+				t.Fatalf("Lookup error %q, ParseOptions error %q", lookupErr, err)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -46,35 +46,65 @@ type Option struct {
 // stops at EOL, per RFC 793.
 func ParseOptions(b []byte) ([]Option, error) {
 	var opts []Option
+	// KindEOL ends the walk before it can match: collect only.
+	if _, _, err := scan(b, KindEOL, &opts); err != nil {
+		return nil, err
+	}
+	return opts, nil
+}
+
+// Lookup returns the first option of the given kind in a raw options
+// area without building the option list: ParseOptions then FindOption,
+// including the error for an area malformed anywhere before its end.
+func Lookup(b []byte, kind uint8) (Option, bool, error) {
+	return scan(b, kind, nil)
+}
+
+// scan walks an options area to its end, appending every option to *all
+// (when non-nil) and returning the first one of the given kind.
+func scan(b []byte, want uint8, all *[]Option) (found Option, ok bool, err error) {
 	i := 0
 	for i < len(b) {
 		kind := b[i]
 		switch kind {
 		case KindEOL:
-			return opts, nil
+			return found, ok, nil
 		case KindNOP:
 			i++
 			continue
 		}
 		if i+1 >= len(b) {
-			return nil, fmt.Errorf("tcpopt: option 0x%02x truncated at length byte: %w",
+			return Option{}, false, fmt.Errorf("tcpopt: option 0x%02x truncated at length byte: %w",
 				kind, ErrOptionsMalformed)
 		}
 		length := int(b[i+1])
 		if length < 2 || i+length > len(b) {
-			return nil, fmt.Errorf("tcpopt: option 0x%02x has bad length %d: %w",
+			return Option{}, false, fmt.Errorf("tcpopt: option 0x%02x has bad length %d: %w",
 				kind, length, ErrOptionsMalformed)
 		}
-		opts = append(opts, Option{Kind: kind, Data: b[i+2 : i+length]})
+		o := Option{Kind: kind, Data: b[i+2 : i+length]}
+		if all != nil {
+			*all = append(*all, o)
+		}
+		if !ok && kind == want {
+			found, ok = o, true
+		}
 		i += length
 	}
-	return opts, nil
+	return found, ok, nil
 }
 
 // MarshalOptions encodes options back-to-back and pads the area with NOPs to
 // a 32-bit boundary. It fails if the result would not fit the TCP header.
 func MarshalOptions(opts []Option) ([]byte, error) {
+	n := 0
+	for _, o := range opts {
+		n += 2 + len(o.Data)
+	}
 	var out []byte
+	if n > 0 {
+		out = make([]byte, 0, min(align4(n), MaxOptionsLen))
+	}
 	for _, o := range opts {
 		if len(o.Data) > 253 {
 			return nil, fmt.Errorf("tcpopt: option 0x%02x data %d bytes: %w",
