@@ -14,8 +14,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line is the window barrier's own tests, repeated: a broken
+# hand-off shows as a hang, hence the short timeout.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 -timeout 120s -run 'TestBarrier' ./internal/netsim
 
 # The determinism-contract analyzers (internal/lint: nodeterm, maporder,
 # hashfield, snapfields, allowcheck) driven through the standard vet

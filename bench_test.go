@@ -155,10 +155,10 @@ func shardCounts() []int {
 // large flood across cores (the complement of BenchmarkRunnerParallel,
 // which scales *across* independent scenarios). Results are byte-identical
 // at every shard count (TestShardDeterminismMatrix); shards only divide
-// wall-clock time. As with the runner bench, the observable speedup is
-// capped by the cores the container actually grants — a single-core
-// machine shows ~1x minus barrier overhead. The measured curve for this
-// repository's reference container is recorded in BENCH_shards.json.
+// wall-clock time. The speedup is capped by the cores the container
+// actually grants and by the busiest shard's share of the events (1.33x
+// at two shards on this cell); run with -cpu 1,2. The two-core numbers
+// are recorded in BENCH_shards.json.
 func BenchmarkShardedFlood(b *testing.B) {
 	for _, shards := range shardCounts() {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -170,6 +170,31 @@ func BenchmarkShardedFlood(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(res.EffectiveAttackRate, "attacker-cps")
+			}
+		})
+	}
+}
+
+// BenchmarkShardedGrid is the oversubscription probe: the tiny fig13 grid
+// (four cells) through sim.RunSweep at two runner workers, serially and at
+// four shards per cell — eight goroutines that may all be polling a window
+// barrier at once, on however many Ps -cpu grants. The barrier's waiters
+// yield between polls, so the sharded grid must cost no more than the
+// windows themselves over the serial one (docs/PERFORMANCE.md "Window
+// barrier"); -workers alone remains the first answer for grids.
+func BenchmarkShardedGrid(b *testing.B) {
+	grid := experiments.Fig13Grid([]float64{100, 400, 700, 1000})
+	grid.Base = experiments.TinyScale().Apply(grid.Base)
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=2/shards=%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				results, err := sim.RunSweep(grid, sim.WithWorkers(2), sim.WithShards(shards))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(results) != 4 {
+					b.Fatalf("got %d results, want 4", len(results))
+				}
 			}
 		})
 	}

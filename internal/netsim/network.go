@@ -179,16 +179,13 @@ type Network struct {
 	minDown []time.Duration
 	hasPort []bool
 
-	// globalLookaheadOnly collapses the per-pair lookaheads back to the
-	// pre-adaptive global minimum — kept for A/B tests proving the
-	// per-pair windows barrier strictly less often with identical bytes.
-	globalLookaheadOnly bool
-
 	// Shard load-balance observability (see ShardStats): the window count,
 	// per-shard cumulative barrier wait, and the min/sum/max of the
 	// per-shard window widths actually applied. Written only by the window
-	// coordinator between barriers.
+	// coordinator between barriers. releases (worker hand-offs, see
+	// windowBarrier) is read only by the barrier tests.
 	windows     int
+	releases    uint64
 	barrierWait []time.Duration
 	lookMin     time.Duration
 	lookMax     time.Duration

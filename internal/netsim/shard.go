@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"sync"
 	"time"
 )
 
@@ -59,34 +58,9 @@ func (n *Network) Run(until time.Duration) {
 // lookaheads returns each shard's incoming lookahead — how far past the
 // window's opening instant shard j may safely run — and whether windowed
 // execution is possible at all (false when any shard's bound is zero).
-// With globalLookaheadOnly set, every shard gets the legacy global
-// minimum (smallest uplink plus smallest downlink latency over all
-// ports), the width the pre-adaptive scheduler used.
 func (n *Network) lookaheads() ([]time.Duration, bool) {
 	ns := len(n.shards)
 	la := make([]time.Duration, ns)
-	if n.globalLookaheadOnly {
-		g := noLookahead
-		minUp, minDown := noLookahead, noLookahead
-		for i := 0; i < ns; i++ {
-			if !n.hasPort[i] {
-				continue
-			}
-			if n.minUp[i] < minUp {
-				minUp = n.minUp[i]
-			}
-			if n.minDown[i] < minDown {
-				minDown = n.minDown[i]
-			}
-		}
-		if minUp != noLookahead {
-			g = minUp + minDown
-		}
-		for j := range la {
-			la[j] = g
-		}
-		return la, g != 0
-	}
 	ok := true
 	for j := 0; j < ns; j++ {
 		// The tightest sender elsewhere bounds what can land here.
@@ -141,69 +115,44 @@ func (n *Network) minNext() (time.Duration, bool) {
 	return m, found
 }
 
-// runWindows is the parallel path: persistent per-shard workers fire the
-// events of one window concurrently, then a barrier exchanges cross-shard
-// packets before the next window opens. Windows start at the earliest
-// pending event, so idle stretches cost one barrier, not many; each shard
-// runs to its own end — the window start plus its incoming lookahead —
-// so shards behind slow links burn through more events per barrier.
+// runWindows is the parallel path: the shards fire the events of one
+// window concurrently on the window barrier's workers (see barrier.go),
+// then the coordinator exchanges cross-shard packets before the next
+// window opens. Windows start at the earliest pending event, so idle
+// stretches cost one barrier, not many; each shard runs to its own end —
+// the window start plus its incoming lookahead — so shards behind slow
+// links burn through more events per barrier.
 func (n *Network) runWindows(until time.Duration, la []time.Duration) {
 	if n.barrierWait == nil {
 		n.barrierWait = make([]time.Duration, len(n.shards))
 	}
-	starts := make([]chan time.Duration, len(n.shards))
-	// finish[i] is shard i's wall-clock completion of the current window;
-	// written by the shard worker, read by the coordinator after the
-	// barrier (ordered by wg), and folded into barrierWait as the gap to
-	// the window's slowest shard.
-	finish := make([]time.Time, len(n.shards))
-	var wg sync.WaitGroup
-	for i, s := range n.shards {
-		starts[i] = make(chan time.Duration, 1)
-		//tcpz:allow nodeterm — shard workers advance in lock-step windows; the wg barrier fully orders cross-shard state, pinned by TestShardDeterminismMatrix
-		go func(i int, s *netShard, start <-chan time.Duration) {
-			for end := range start {
-				s.eng.RunBefore(end)
-				//tcpz:allow nodeterm — wall clock feeds only ShardStats barrier-wait observability, never simulation state or sink bytes
-				finish[i] = time.Now()
-				wg.Done()
-			}
-		}(i, s, starts[i])
-	}
+	b := newWindowBarrier(n.shards)
+	defer func() {
+		b.close()
+		n.releases += b.releases
+	}()
+	ends := make([]time.Duration, len(n.shards))
 	for {
 		n.exchange()
 		m, ok := n.minNext()
 		if !ok || m >= until {
-			break
+			return
 		}
-		wg.Add(len(n.shards))
-		for j, start := range starts {
-			end := until
+		for j := range ends {
+			ends[j] = until
 			if la[j] != noLookahead {
 				if la[j] < until-m {
-					end = m + la[j]
+					ends[j] = m + la[j]
 				}
 				// Only bounded shards feed the lookahead stats: an
 				// unreachable shard's horizon-wide window says nothing
 				// about the adaptive widening.
-				n.observeLookahead(end - m)
+				n.observeLookahead(ends[j] - m)
 			}
-			start <- end
 		}
-		wg.Wait()
+		b.run(ends)
 		n.windows++
-		var last time.Time
-		for _, at := range finish {
-			if at.After(last) {
-				last = at
-			}
-		}
-		for i, at := range finish {
-			n.barrierWait[i] += last.Sub(at)
-		}
-	}
-	for _, start := range starts {
-		close(start)
+		b.addWaits(n.barrierWait)
 	}
 }
 

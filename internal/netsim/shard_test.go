@@ -219,21 +219,19 @@ func TestShardedRunMatchesEngineRunBoundary(t *testing.T) {
 	}
 }
 
-// hetFingerprint runs a two-class mesh — one fast-link node pinned to
-// shard 0, slow-link nodes pinned to shard 1 — and returns its state
-// fingerprint plus the window count. globalOnly collapses the per-pair
-// lookaheads back to the legacy global minimum for the A/B comparison.
-func hetFingerprint(t *testing.T, globalOnly bool) (string, int) {
+// hetFingerprint runs a two-class mesh — one fast-link node on shard 0,
+// slow-link nodes on shard 1 (everything on the one shard of a serial
+// run) — and returns its state fingerprint plus the window count.
+func hetFingerprint(t *testing.T, shards int) (string, int) {
 	t.Helper()
 	fast := LinkConfig{RateBps: 1e9, Latency: 2 * time.Millisecond, MaxBacklog: 100 * time.Millisecond}
 	slow := LinkConfig{RateBps: 10e6, Latency: 20 * time.Millisecond, MaxBacklog: 100 * time.Millisecond}
-	net := NewSharded(2)
-	net.globalLookaheadOnly = globalOnly
+	net := NewSharded(shards)
 	const nodes = 5
 	addrs := make([]Addr, nodes)
 	for i := range addrs {
 		addrs[i] = Addr{10, 0, 0, byte(1 + i)}
-		shard := 1
+		shard := shards - 1
 		if i == 0 {
 			shard = 0
 		}
@@ -265,34 +263,35 @@ func hetFingerprint(t *testing.T, globalOnly bool) (string, int) {
 	}
 	net.Run(3 * time.Second)
 
+	return echoSummary(ens), net.ShardStats().Windows
+}
+
+// echoSummary is the per-node state line of a finished echo mesh.
+func echoSummary(ens []*echoNode) string {
 	out := ""
 	for i, n := range ens {
 		out += fmt.Sprintf("node%d sent=%d recvd=%d echoed=%d bytes=%d last=%v\n",
 			i, n.sent, n.recvd, n.echoed, n.sumSize, n.lastAt)
 	}
-	return out, net.ShardStats().Windows
+	return out
 }
 
 // TestPerPairLookaheadFewerWindows is the adaptive-widening contract on a
 // heterogeneous topology: one fast 2 ms link (the server class) pinned to
-// shard 0 and slow 20 ms links on shard 1. The legacy global lookahead is
-// 4 ms — the fast link throttles everyone — while the per-pair bounds are
-// 22 ms in both directions, so the same simulation must barrier strictly
-// less often with byte-identical results.
+// shard 0 and slow 20 ms links on shard 1. A global minimum lookahead
+// would be 4 ms — the fast link throttling everyone, 682 windows when the
+// scheduler still had that mode — while the per-pair bounds are 22 ms in
+// both directions: the run must take exactly the pinned 135 windows, with
+// bytes identical to the serial engine's.
 func TestPerPairLookaheadFewerWindows(t *testing.T) {
-	wantFP, globalWindows := hetFingerprint(t, true)
-	gotFP, pairWindows := hetFingerprint(t, false)
+	wantFP, _ := hetFingerprint(t, 1)
+	gotFP, windows := hetFingerprint(t, 2)
 	if gotFP != wantFP {
-		t.Errorf("per-pair lookahead changed results:\n got:\n%s\nwant:\n%s", gotFP, wantFP)
+		t.Errorf("per-pair windows diverged from the serial run:\n got:\n%s\nwant:\n%s", gotFP, wantFP)
 	}
-	if globalWindows == 0 || pairWindows == 0 {
-		t.Fatalf("degenerate run: windows global=%d perpair=%d", globalWindows, pairWindows)
+	if windows != 135 {
+		t.Errorf("per-pair lookahead ran %d windows, want 135", windows)
 	}
-	if pairWindows >= globalWindows {
-		t.Errorf("per-pair lookahead ran %d windows, global minimum %d; want strictly fewer",
-			pairWindows, globalWindows)
-	}
-	t.Logf("windows: global=%d per-pair=%d", globalWindows, pairWindows)
 }
 
 // TestLookaheadStatsObserved: windowed runs must report the applied

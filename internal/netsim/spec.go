@@ -26,7 +26,6 @@ package netsim
 import (
 	"bytes"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
@@ -244,23 +243,9 @@ func (n *Network) runSpeculative(until time.Duration) {
 	n.initSpec()
 
 	ns := len(n.shards)
-	starts := make([]chan time.Duration, ns)
-	var wg sync.WaitGroup
-	for i, s := range n.shards {
-		starts[i] = make(chan time.Duration, 1)
-		//tcpz:allow nodeterm — speculative rounds run shard quanta concurrently; rollback + re-execution to the fixed point restores the conservative order, pinned by the oracle differentials
-		go func(s *netShard, start <-chan time.Duration) {
-			for end := range start {
-				s.eng.RunBefore(end)
-				wg.Done()
-			}
-		}(s, starts[i])
-	}
-	defer func() {
-		for _, start := range starts {
-			close(start)
-		}
-	}()
+	b := newWindowBarrier(n.shards)
+	defer b.close()
+	ends := make([]time.Duration, ns) // per-round barrier ends; zero leaves a shard out
 
 	snaps := make([]*shardSnap, ns)
 	inputs := make([][]message, ns) // last injected set per at-risk shard
@@ -294,11 +279,10 @@ func (n *Network) runSpeculative(until time.Duration) {
 		if anyRisk {
 			n.specWindows++
 		}
-		wg.Add(ns)
-		for _, start := range starts {
-			start <- end
+		for j := range ends {
+			ends[j] = end
 		}
-		wg.Wait()
+		b.run(ends)
 		n.windows++
 
 		committed := true
@@ -307,7 +291,9 @@ func (n *Network) runSpeculative(until time.Duration) {
 			changed := 0
 			for j := 0; j < ns; j++ {
 				rerun[j] = atRisk[j] && !sameMessages(pending[j], inputs[j])
+				ends[j] = 0
 				if rerun[j] {
+					ends[j] = end
 					changed++
 				}
 			}
@@ -330,13 +316,7 @@ func (n *Network) runSpeculative(until time.Duration) {
 					eng.scheduleArrival(inputs[j][i])
 				}
 			}
-			wg.Add(changed)
-			for j, start := range starts {
-				if rerun[j] {
-					start <- end
-				}
-			}
-			wg.Wait()
+			b.run(ends)
 		}
 
 		if committed {

@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/tcppuzzles/tcppuzzles/internal/experiments"
+	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 func tinyScenario() Scenario {
@@ -196,5 +201,31 @@ func TestRunExperimentUnknown(t *testing.T) {
 	}
 	if _, err := RunExperiment("fig8", "mega"); err == nil {
 		t.Error("unknown scale accepted")
+	}
+}
+
+// TestRunSweepOversubscribedShards: two runner workers each driving a
+// four-shard cell is eight goroutines that can all be polling a window
+// barrier at once; on two Ps the sweep must still complete, with sink
+// bytes equal to the serial run's.
+func TestRunSweepOversubscribedShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	grid := experiments.Fig13Grid([]float64{100, 400, 700, 1000})
+	grid.Base = experiments.TinyScale().Apply(grid.Base)
+	run := func(workers, shards int) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		results, err := RunSweep(grid, WithWorkers(workers), WithShards(shards), WithSinks(sweep.NewNDJSON(&buf)))
+		if err != nil {
+			t.Fatalf("RunSweep(workers=%d, shards=%d): %v", workers, shards, err)
+		}
+		if len(results) != 4 {
+			t.Fatalf("RunSweep(workers=%d, shards=%d): %d results, want 4", workers, shards, len(results))
+		}
+		return buf.Bytes()
+	}
+	want := run(1, 1)
+	if got := run(2, 4); !bytes.Equal(got, want) {
+		t.Errorf("workers=2 × shards=4 NDJSON differs from the serial run:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
