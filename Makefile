@@ -6,7 +6,7 @@ GO ?= go
 # samples to test significance on (benchstat wants >= 10 for tight CIs).
 COUNT ?= 10
 
-.PHONY: build test race lint bench bench-smoke bench-engine bench-scale bench-check bench-flood fuzz-smoke load-smoke
+.PHONY: build test race lint bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid fuzz-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -35,9 +35,11 @@ lint:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(COUNT) ./...
 
-# The event-engine hot path only (the BENCH_engine.json numbers).
+# The event-engine hot path only (the BENCH_engine.json numbers, and the
+# hold model at 150-2,400 pending events that shows what the queue costs
+# at the length a flood cell keeps it).
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineScheduling|BenchmarkPacketPath' -benchmem -count $(COUNT) ./internal/netsim/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineScheduling|BenchmarkPacketPath|BenchmarkEngineHold' -benchmem -count $(COUNT) ./internal/netsim/
 
 # One iteration of every benchmark — the CI rot guard.
 bench-smoke:
@@ -61,6 +63,11 @@ bench-check:
 # One paper-shaped connection-flood cell through the benchmark harness.
 bench-flood:
 	bash bench/run.sh --workload flood_cell --seed 1
+
+# One 48-cell figure grid into an empty cache: the simulator-dominated
+# path every figure regeneration takes.
+bench-grid:
+	bash bench/run.sh --workload fig_grid_cold --seed 1
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzChallengeRoundTrip -fuzztime=10s ./tcpopt

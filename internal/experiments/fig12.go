@@ -28,11 +28,7 @@ func (c *Fig12Config) fill() {
 		c.Ms = []uint8{12, 15, 16, 17, 18, 20}
 	}
 	if c.Scale.Duration == 0 {
-		exec := c.Scale
-		c.Scale = PaperScale()
-		c.Scale.Parallelism = exec.Parallelism
-		c.Scale.Sinks = exec.Sinks
-		c.Scale.Cache = exec.Cache
+		c.Scale = PaperScale().WithExec(c.Scale)
 	}
 }
 

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/tcppuzzles/tcppuzzles/internal/netsim"
+	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 // TestGreedyBotBacklogStaysOutOfEventHeap pins the run-queue's effect on
@@ -32,5 +36,52 @@ func TestGreedyBotBacklogStaysOutOfEventHeap(t *testing.T) {
 	}
 	if pending := run.Eng.Pending(); pending > 2000 {
 		t.Errorf("event heap ends with %d pending events, want ≤ 2000 (bots hold %d queued solves)", pending, queued)
+	}
+}
+
+// TestEngineStatsPinned pins the queue counters of one tiny-scale cell at
+// two shard counts. What fired, by kind, is the simulation's and the same
+// however it is sharded; how many deliver legs fired in place, how many
+// cancelled timers had come to the front of a queue by the end and how
+// long each heap got depend on the window bounds and the placement, and
+// are deterministic for each.
+func TestEngineStatsPinned(t *testing.T) {
+	base := tinyScale().Apply(Scenario{Label: "stats", ClientsSolve: true, BotsSolve: true})
+	want := map[int]netsim.EngineStats{
+		1: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23650, Discarded: 2833, PeakTimers: 487, PeakPackets: 245},
+		2: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23671, Discarded: 2836, PeakTimers: 404, PeakPackets: 210},
+	}
+	for _, shards := range []int{1, 2} {
+		sc := base
+		sc.Shards = shards
+		run, err := RunFlood(sc)
+		if err != nil {
+			t.Fatalf("RunFlood(shards=%d): %v", shards, err)
+		}
+		got := run.Net.EngineStats()
+		if got != want[shards] {
+			t.Errorf("shards=%d: EngineStats = %+v, want %+v", shards, got, want[shards])
+		}
+		var fired uint64
+		for _, n := range run.Net.ShardStats().Events {
+			fired += n
+		}
+		if got.TimersFired+got.PacketLegsFired != fired || got.InPlace > got.PacketLegsFired/2 {
+			t.Errorf("shards=%d: %+v does not add up to the %d events fired", shards, got, fired)
+		}
+	}
+
+	// The -verbose line carries them; the sinks never do.
+	var debug, out strings.Builder
+	scale := Scale{Debug: &debug, Sinks: []sweep.Sink{sweep.NewNDJSON(&out)}}
+	if _, _, err := runFloodCells(scale, "stats", "", []Scenario{base}, StandardMetrics); err != nil {
+		t.Fatalf("runFloodCells: %v", err)
+	}
+	const line = "timers=13259 packet-legs=199012 in-place=23650 cancelled=2833 peak-timers=487 peak-packets=245"
+	if !strings.Contains(debug.String(), line) {
+		t.Errorf("debug output lacks %q:\n%s", line, debug.String())
+	}
+	if out.Len() == 0 || strings.Contains(out.String(), "in-place") {
+		t.Errorf("sink output is empty or carries queue counters:\n%s", out.String())
 	}
 }

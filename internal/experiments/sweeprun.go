@@ -147,11 +147,15 @@ func runFloodCells(scale Scale, experiment, cacheNS string, cells []Scenario,
 			// skew, barrier waits show which shards idled at windows, and
 			// the min/mean/max applied window widths make the adaptive
 			// per-pair lookahead observable (mean above min = widening).
-			st := run.Net.ShardStats()
+			// The queue counters say what those events were and what the
+			// two heaps held: timers fired, packet legs fired and how many
+			// of them in place, cancelled timers discarded, peak lengths.
+			st, q := run.Net.ShardStats(), run.Net.EngineStats()
 			debugMu.Lock()
-			fmt.Fprintf(scale.Debug, "[%s] cell %q: shards=%d events=%v windows=%d barrier-wait=%v lookahead=%v/%v/%v\n",
+			fmt.Fprintf(scale.Debug, "[%s] cell %q: shards=%d events=%v windows=%d barrier-wait=%v lookahead=%v/%v/%v timers=%d packet-legs=%d in-place=%d cancelled=%d peak-timers=%d peak-packets=%d\n",
 				experiment, sc.Label, run.Net.Shards(), st.Events, st.Windows, st.BarrierWait,
-				st.LookaheadMin, st.LookaheadMean, st.LookaheadMax)
+				st.LookaheadMin, st.LookaheadMean, st.LookaheadMax,
+				q.TimersFired, q.PacketLegsFired, q.InPlace, q.Discarded, q.PeakTimers, q.PeakPackets)
 			if sc.Speculative {
 				// Speculation health: how often shards ran past their
 				// lookahead bound, how many rollbacks that cost, and how

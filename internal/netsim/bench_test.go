@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -80,5 +81,92 @@ func BenchmarkPacketPath(b *testing.B) {
 	b.StopTimer()
 	if dst.got < b.N {
 		b.Fatalf("delivered %d of %d packets", dst.got, b.N)
+	}
+}
+
+// holdNode is one station of BenchmarkEngineHold: every packet it is
+// handed goes straight back out to a pseudo-randomly chosen peer, so the
+// number of packets in flight never changes.
+type holdNode struct {
+	addr  Addr
+	net   *Network
+	peers []Addr
+	rnd   uint32
+	got   int
+}
+
+func (n *holdNode) Addr() Addr { return n.addr }
+
+func (n *holdNode) Handle(seg tcpkit.Segment) {
+	n.got++
+	n.rnd = n.rnd*1664525 + 1013904223
+	seg.Src, seg.Dst = n.addr, n.peers[n.rnd>>16%uint32(len(n.peers))]
+	n.net.Send(seg)
+}
+
+// BenchmarkEngineHold is the classic hold model — pop one event, schedule
+// one — at a fixed number of pending events, which BenchmarkEngineScheduling
+// and BenchmarkPacketPath (one or two pending) cannot show. The live
+// population is packets bouncing between eight nodes whose link latencies
+// differ, so flight times spread over 0.5–4 ms; one op is one packet hop
+// (arrival leg, deliver leg, resend). With cancelled=80 four fifths of the
+// pending events are instead cancelled timers set 200 ms ahead — what a
+// flood cell's queue really holds (SYN RTOs, response timeouts and idle
+// timers, cancelled within milliseconds) — kept at strength by a ticker
+// that sets and cancels one every 200 ms / population.
+func BenchmarkEngineHold(b *testing.B) {
+	const farAhead = 200 * time.Millisecond
+	for _, pending := range []int{150, 600, 2400} {
+		for _, cancelledPct := range []int{0, 80} {
+			b.Run(fmt.Sprintf("pending=%d/cancelled=%d", pending, cancelledPct), func(b *testing.B) {
+				eng := NewEngine()
+				net := NewNetwork(eng)
+				nodes := make([]*holdNode, 8)
+				var addrs []Addr
+				for i := range nodes {
+					nodes[i] = &holdNode{addr: Addr{10, 0, 0, byte(1 + i)}, net: net, rnd: uint32(i)}
+					addrs = append(addrs, nodes[i].addr)
+					// Fat and deep: nothing drops, serialisation is a few ns.
+					link := LinkConfig{RateBps: 1e12, Latency: time.Duration(1+i) * 250 * time.Microsecond, MaxBacklog: time.Hour}
+					if err := net.Attach(nodes[i], link); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, n := range nodes {
+					n.peers = addrs
+				}
+				dead := pending * cancelledPct / 100
+				for i := 0; i < pending-dead; i++ {
+					nodes[i%len(nodes)].Handle(tcpkit.Segment{SrcPort: 1234, DstPort: 80, Flags: tcpkit.FlagACK})
+				}
+				if dead > 0 {
+					var refill func()
+					refill = func() {
+						eng.Schedule(farAhead, func() { b.Error("cancelled timer fired") }).Cancel()
+						eng.Schedule(farAhead/time.Duration(dead), refill)
+					}
+					refill()
+					eng.Run(farAhead) // fill the far-ahead span once
+				}
+				delivered := func() (n int) {
+					for _, nd := range nodes {
+						n += nd.got
+					}
+					return n
+				}
+				if got := eng.Pending(); got < pending*9/10 || got > pending*11/10 {
+					b.Fatalf("holding %d pending events, want %d ± 10%%", got, pending)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for target := delivered() + b.N; delivered() < target; {
+					eng.Run(eng.Now() + time.Millisecond)
+				}
+				b.StopTimer()
+				if got := eng.Pending(); got < pending*9/10 || got > pending*11/10 {
+					b.Fatalf("ended with %d pending events, want %d ± 10%%", got, pending)
+				}
+			})
+		}
 	}
 }

@@ -4,7 +4,7 @@
 // bandwidth, propagation latency, and drop-tail queues. Packet taps play the
 // role of tcpdump.
 //
-// The engine can run as a single event heap or sharded: a Network built
+// The engine can run serially or sharded: a Network built
 // with NewSharded partitions its nodes across several engines that execute
 // concurrently in conservative lock-step time windows (see Network.Run).
 // Results are byte-identical at every shard count because all cross-node
@@ -13,10 +13,19 @@
 //
 // The scheduling hot path is allocation-free in steady state: events are
 // plain structs recycled through a per-engine free-list, the pending queue
-// is a monomorphic 4-ary min-heap specialised for *Event (no interface
-// boxing, no container/heap indirection), and packet deliveries carry
-// their payload as a typed message on the event itself — dispatched by a
-// small fixed set of event kinds — instead of a per-packet closure.
+// is two monomorphic 4-ary min-heaps specialised for *Event (no interface
+// boxing, no container/heap indirection) — timers in one, packet legs in
+// the other, popped as one queue by comparing their heads — and packet
+// deliveries carry their payload as a typed message on the event itself —
+// dispatched by a small fixed set of event kinds — instead of a per-packet
+// closure.
+//
+// The split exists because of what a flood cell keeps pending: two thirds
+// to five sixths of it is cancelled timers (SYN RTOs, response timeouts and
+// idle timers are set seconds ahead and cancelled within milliseconds, and
+// cancellation is lazy), which in one heap sit under every packet leg's
+// sift. In a heap of their own they cost the ~60–100 live packet legs
+// nothing. See docs/PERFORMANCE.md "Timer heap and in-place delivery".
 package netsim
 
 import (
@@ -95,8 +104,9 @@ func (t Timer) At() (time.Duration, bool) {
 // less is the canonical firing order: time, then locally scheduled events
 // before packet arrivals at the same instant, arrivals among themselves by
 // the shard-independent (src, srcSeq) key, and engine scheduling order
-// last. It is a strict total order (seq is unique per engine), so the
-// heap's internal layout can never influence pop order.
+// last. It is a strict total order (seq is unique per engine), so neither
+// a heap's internal layout nor which of the two heaps an event waits in
+// can influence pop order.
 func less(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -120,12 +130,21 @@ func less(a, b *Event) bool {
 // events at equal times fire in scheduling order (arrival events are the
 // exception — see the less doc).
 type Engine struct {
-	now   time.Duration
-	pq    []*Event // monomorphic 4-ary min-heap ordered by less
-	seq   uint64
-	fired uint64
+	now time.Duration
+	// The pending queue: kindFunc events wait in timers, kindArrival and
+	// kindDeliver events in packets, and the next event to fire is the
+	// smaller of the two heads under less.
+	timers  eventHeap
+	packets eventHeap
+	seq     uint64
+	fired   uint64
+	// limit is the exclusive time bound of the Run or RunBefore in
+	// progress, zero outside one: the licence runArrival needs to fire a
+	// deliver leg in place.
+	limit time.Duration
+	stats EngineStats
 	// free is the event pool. Steady-state simulation cycles events
-	// between pq and free without touching the allocator.
+	// between the heaps and free without touching the allocator.
 	free []*Event
 	// net dispatches kindArrival/kindDeliver events; set when the engine
 	// is owned by a Network. A standalone engine only sees kindFunc.
@@ -168,32 +187,36 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
+// eventHeap is a monomorphic 4-ary min-heap of events ordered by less.
+type eventHeap []*Event
+
 // push appends ev and restores the heap: a 4-ary sift-up. The shallow
 // 4-ary shape trades one extra comparison per level for half the levels —
 // a clear win when every node is a hot *Event comparison instead of a
 // heap.Interface call.
-func (e *Engine) push(ev *Event) {
-	e.pq = append(e.pq, ev)
-	i := len(e.pq) - 1
+func (hp *eventHeap) push(ev *Event) {
+	h := append(*hp, ev)
+	*hp = h
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !less(e.pq[i], e.pq[parent]) {
+		if !less(h[i], h[parent]) {
 			break
 		}
-		e.pq[i], e.pq[parent] = e.pq[parent], e.pq[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
 // pop removes and returns the minimum event (heap must be non-empty).
-func (e *Engine) pop() *Event {
-	h := e.pq
+func (hp *eventHeap) pop() *Event {
+	h := *hp
 	root := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
 	h = h[:n]
-	e.pq = h
+	*hp = h
 	if n == 0 {
 		return root
 	}
@@ -224,6 +247,24 @@ func (e *Engine) pop() *Event {
 	return root
 }
 
+// pushTimer queues a kindFunc event.
+func (e *Engine) pushTimer(ev *Event) {
+	e.timers.push(ev)
+	e.stats.PeakTimers = max(e.stats.PeakTimers, len(e.timers))
+}
+
+// pushPacket queues a kindArrival or kindDeliver event.
+func (e *Engine) pushPacket(ev *Event) {
+	e.packets.push(ev)
+	e.stats.PeakPackets = max(e.stats.PeakPackets, len(e.packets))
+}
+
+// before reports whether ev orders ahead of every pending event.
+func (e *Engine) before(ev *Event) bool {
+	return (len(e.timers) == 0 || less(ev, e.timers[0])) &&
+		(len(e.packets) == 0 || less(ev, e.packets[0]))
+}
+
 // Schedule queues fn to run after delay (clamped at zero) and returns a
 // cancellable handle.
 func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
@@ -251,7 +292,7 @@ func (e *Engine) scheduleSeq(at time.Duration, seq uint64, fn func()) *Event {
 	ev.at = at
 	ev.seq = seq
 	ev.fn = fn
-	e.push(ev)
+	e.pushTimer(ev)
 	return ev
 }
 
@@ -274,30 +315,34 @@ func (e *Engine) scheduleArrival(m message) {
 	ev.srcSeq = m.seq
 	ev.msg = m
 	e.seq++
-	e.push(ev)
+	e.pushPacket(ev)
 }
 
-// grow pre-extends the heap's capacity by n slots — one reallocation for
-// a whole batch of cross-shard arrivals instead of log-many appends.
+// grow pre-extends the packet heap's capacity by n slots — one
+// reallocation for a whole batch of cross-shard arrivals instead of
+// log-many appends.
 func (e *Engine) grow(n int) {
-	if need := len(e.pq) + n; need > cap(e.pq) {
-		pq := make([]*Event, len(e.pq), need+need/2)
-		copy(pq, e.pq)
-		e.pq = pq
+	if need := len(e.packets) + n; need > cap(e.packets) {
+		pq := make(eventHeap, len(e.packets), need+need/2)
+		copy(pq, e.packets)
+		e.packets = pq
 	}
 }
 
-// fire dispatches one live event and recycles it (directly, or after its
-// follow-up leg for arrivals).
+// fire advances the clock to one live event, dispatches it and recycles
+// it (directly, or after its follow-up leg for arrivals).
 func (e *Engine) fire(ev *Event) {
+	e.now = ev.at
+	e.fired++
 	switch ev.kind {
 	case kindFunc:
+		e.stats.TimersFired++
 		fn := ev.fn
 		e.recycle(ev)
 		fn()
 	case kindArrival:
-		// The network either recycles ev (drop) or re-queues it as
-		// kindDeliver, reusing the struct for the second leg.
+		// The network either recycles ev (drop) or re-stamps it as the
+		// kindDeliver leg, reusing the struct.
 		e.net.runArrival(e, ev)
 	case kindDeliver:
 		m := ev.msg
@@ -306,20 +351,35 @@ func (e *Engine) fire(ev *Event) {
 	}
 }
 
+// live discards cancelled events off the front of the queue and returns
+// the heap whose head — the smaller of the two heads under less — is the
+// earliest live event, or nil when none is pending. Cancellation is lazy:
+// a cancelled timer waits in its heap until its time comes and is dropped
+// here.
+func (e *Engine) live() *eventHeap {
+	for {
+		h := &e.packets
+		if len(e.timers) > 0 && (len(e.packets) == 0 || less(e.timers[0], e.packets[0])) {
+			h = &e.timers
+		} else if len(e.packets) == 0 {
+			return nil
+		}
+		if !(*h)[0].cancelled {
+			return h
+		}
+		e.stats.Discarded++
+		e.recycle(h.pop())
+	}
+}
+
 // Step fires the next pending event and reports whether one existed.
 func (e *Engine) Step() bool {
-	for len(e.pq) > 0 {
-		ev := e.pop()
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		e.fire(ev)
-		return true
+	h := e.live()
+	if h == nil {
+		return false
 	}
-	return false
+	e.fire(h.pop())
+	return true
 }
 
 // Fired returns how many events this engine has executed — the per-shard
@@ -327,19 +387,13 @@ func (e *Engine) Step() bool {
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Run fires all events scheduled at or before until and then advances the
-// clock to until. The time check discards cancelled events first, so a
-// cancelled head never lets a later live event fire past the boundary —
-// the invariant the sharded window scheduler depends on.
+// clock to until.
 func (e *Engine) Run(until time.Duration) {
-	for {
-		at, ok := e.NextEventAt()
-		if !ok || at > until {
-			break
-		}
-		if !e.Step() {
-			break
-		}
+	limit := until + 1
+	if limit < until {
+		limit = until // saturate at the end of time
 	}
+	e.RunBefore(limit)
 	if e.now < until {
 		e.now = until
 	}
@@ -347,41 +401,61 @@ func (e *Engine) Run(until time.Duration) {
 
 // RunBefore fires all events strictly before end without advancing the
 // clock past the last fired event — one lock-step window of a sharded run.
+// The time check discards cancelled events first, so a cancelled head
+// never lets a later live event fire past the boundary — the invariant the
+// sharded window scheduler depends on.
 func (e *Engine) RunBefore(end time.Duration) {
+	e.limit = end
 	for {
-		at, ok := e.NextEventAt()
-		if !ok || at >= end {
-			return
+		h := e.live()
+		if h == nil || (*h)[0].at >= end {
+			break
 		}
-		if !e.Step() {
-			return
-		}
+		e.fire(h.pop())
 	}
+	e.limit = 0
 }
 
 // NextEventAt returns the time of the earliest live pending event.
 // Cancelled events at the head of the queue are discarded on the way.
 func (e *Engine) NextEventAt() (time.Duration, bool) {
-	for len(e.pq) > 0 {
-		if e.pq[0].cancelled {
-			e.recycle(e.pop())
-			continue
-		}
-		return e.pq[0].at, true
+	h := e.live()
+	if h == nil {
+		return 0, false
 	}
-	return 0, false
+	return (*h)[0].at, true
 }
 
-// Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return len(e.pq) }
+// Pending returns the number of queued (possibly cancelled) events, both
+// heaps together.
+func (e *Engine) Pending() int { return len(e.timers) + len(e.packets) }
+
+// EngineStats counts what an engine's pending queue did. Every field is a
+// pure function of the simulation and of how it was sharded — observability
+// for -verbose runs and tests, never part of a result.
+type EngineStats struct {
+	TimersFired     uint64
+	PacketLegsFired uint64 // arrival and deliver legs, InPlace included
+	InPlace         uint64 // deliver legs fired without entering the heap
+	Discarded       uint64 // cancelled events dropped on reaching the front
+	PeakTimers      int    // longest the timer heap has been
+	PeakPackets     int    // longest the packet heap has been
+}
+
+// Stats returns the engine's queue counters.
+func (e *Engine) Stats() EngineStats {
+	st := e.stats
+	st.PacketLegsFired = e.fired - st.TimersFired
+	return st
+}
 
 // PoolSize returns the free-list length — test and benchmark
 // observability for the recycling contract.
 func (e *Engine) PoolSize() int { return len(e.free) }
 
 // engineSnap is a point-in-time copy of an engine's complete scheduling
-// state: clock, counters, the heap (both the pointer layout and the value
-// of every pending event), and the free-list with each pooled event's
+// state: clock, counters, the two heaps (both the pointer layout and the
+// value of every pending event), and the free-list with each pooled event's
 // generation. It exists for speculative shard execution (see
 // Network.runSpeculative): restore puts the *same* event structs back in
 // the *same* heap positions with the *same* generations, so Timer handles
@@ -391,7 +465,9 @@ func (e *Engine) PoolSize() int { return len(e.free) }
 type engineSnap struct {
 	now        time.Duration
 	seq, fired uint64
-	pq         []*Event
+	stats      EngineStats
+	pq         []*Event // the timer heap's slots, then the packet heap's
+	timers     int      // length of the timer heap's share of pq
 	pqVals     []Event
 	free       []*Event
 	freeGens   []uint32
@@ -401,13 +477,14 @@ type engineSnap struct {
 // engine is firing events.
 func (e *Engine) snapshot() *engineSnap {
 	s := &engineSnap{
-		now: e.now, seq: e.seq, fired: e.fired,
-		pq:       append([]*Event(nil), e.pq...),
-		pqVals:   make([]Event, len(e.pq)),
+		now: e.now, seq: e.seq, fired: e.fired, stats: e.stats,
+		pq:       append(append([]*Event(nil), e.timers...), e.packets...),
+		timers:   len(e.timers),
+		pqVals:   make([]Event, e.Pending()),
 		free:     append([]*Event(nil), e.free...),
 		freeGens: make([]uint32, len(e.free)),
 	}
-	for i, ev := range e.pq {
+	for i, ev := range s.pq {
 		s.pqVals[i] = *ev
 	}
 	for i, ev := range e.free {
@@ -426,8 +503,9 @@ func (e *Engine) snapshot() *engineSnap {
 // allocator after the snapshot are simply dropped. A snapshot can be
 // restored any number of times.
 func (e *Engine) restore(s *engineSnap) {
-	e.now, e.seq, e.fired = s.now, s.seq, s.fired
-	e.pq = append(e.pq[:0], s.pq...)
+	e.now, e.seq, e.fired, e.stats = s.now, s.seq, s.fired, s.stats
+	e.timers = append(e.timers[:0], s.pq[:s.timers]...)
+	e.packets = append(e.packets[:0], s.pq[s.timers:]...)
 	for i, ev := range s.pq {
 		*ev = s.pqVals[i]
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -188,5 +189,108 @@ func TestEngineMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTwoHeapsPopLikeOneOrder: the timer heap and the packet heap together
+// pop exactly what one queue sorted by less would. Randomised rounds mix
+// near timers, timers far ahead, cancels, and arrivals on a coarse time
+// grid, so that timers tie with arrivals and arrivals with each other
+// (same source, and across sources) on the same nanosecond; between
+// rounds only part of the queue is popped, so late pushes land among
+// events that have been waiting. The model is a plain slice: the next
+// event is its minimum under less, cancelled ones left out.
+func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
+	const grid = 100 * time.Microsecond
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var model []Event       // one copy per live pending event
+		var handles []Timer     // live timers, cancellable
+		var floor time.Duration // time of the last pop: nothing is pushed before it
+		srcSeq := map[uint64]uint64{}
+		popped := 0
+
+		push := func() {
+			switch at := floor + time.Duration(rnd.Intn(20))*grid; rnd.Intn(4) {
+			case 0: // near timer
+				h := e.ScheduleAt(at, func() {})
+				handles, model = append(handles, h), append(model, *h.ev)
+			case 1: // far timer: seconds ahead, as an RTO or idle timer is
+				h := e.ScheduleAt(at+time.Duration(1+rnd.Intn(5))*time.Second, func() {})
+				handles, model = append(handles, h), append(model, *h.ev)
+			default: // arrival from one of three sources
+				src := uint64(1 + rnd.Intn(3))
+				e.scheduleArrival(message{at: at, src: src, seq: srcSeq[src]})
+				srcSeq[src]++
+				for _, ev := range e.packets {
+					if ev.seq == e.seq-1 {
+						model = append(model, *ev)
+					}
+				}
+			}
+		}
+		cancel := func() {
+			if len(handles) == 0 {
+				return
+			}
+			i := rnd.Intn(len(handles))
+			h := handles[i]
+			handles = append(handles[:i], handles[i+1:]...)
+			if _, ok := h.At(); !ok {
+				return // already popped
+			}
+			h.Cancel()
+			for j := range model {
+				if model[j].seq == h.ev.seq {
+					model = append(model[:j], model[j+1:]...)
+					break
+				}
+			}
+		}
+		pop := func() {
+			min := 0
+			for j := range model {
+				if less(&model[j], &model[min]) {
+					min = j
+				}
+			}
+			want := model[min]
+			model = append(model[:min], model[min+1:]...)
+			h := e.live()
+			if h == nil {
+				t.Fatalf("seed %d: queue empty with %d events in the model", seed, len(model)+1)
+			}
+			got := h.pop()
+			if got.seq != want.seq || got.at != want.at || got.kind != want.kind {
+				t.Fatalf("seed %d pop %d: got (at=%v kind=%d src=%d/%d seq=%d), want (at=%v kind=%d src=%d/%d seq=%d)",
+					seed, popped, got.at, got.kind, got.src, got.srcSeq, got.seq,
+					want.at, want.kind, want.src, want.srcSeq, want.seq)
+			}
+			floor = got.at
+			popped++
+			e.recycle(got)
+		}
+
+		for round := 0; round < 30; round++ {
+			for i := rnd.Intn(40); i >= 0; i-- {
+				push()
+			}
+			for i := rnd.Intn(10); i > 0; i-- {
+				cancel()
+			}
+			for i := rnd.Intn(len(model) + 1); i > 0; i-- {
+				pop()
+			}
+		}
+		for len(model) > 0 {
+			pop()
+		}
+		if h := e.live(); h != nil {
+			t.Fatalf("seed %d: %d events left after the model drained", seed, e.Pending())
+		}
+		if st := e.Stats(); st.PeakTimers == 0 || st.PeakPackets == 0 || st.Discarded == 0 {
+			t.Fatalf("seed %d: fixture did not exercise both heaps and a discard: %+v", seed, st)
+		}
 	}
 }

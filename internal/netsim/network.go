@@ -255,6 +255,23 @@ func (n *Network) ShardStats() ShardStats {
 	return st
 }
 
+// EngineStats folds every shard engine's queue counters into one: the
+// fired and discarded counts add up, the peaks are the longest any one
+// shard's heap has been (a heap's length is what a sift pays for).
+func (n *Network) EngineStats() EngineStats {
+	var sum EngineStats
+	for _, s := range n.shards {
+		st := s.eng.Stats()
+		sum.TimersFired += st.TimersFired
+		sum.PacketLegsFired += st.PacketLegsFired
+		sum.InPlace += st.InPlace
+		sum.Discarded += st.Discarded
+		sum.PeakTimers = max(sum.PeakTimers, st.PeakTimers)
+		sum.PeakPackets = max(sum.PeakPackets, st.PeakPackets)
+	}
+	return sum
+}
+
 // NewNetwork returns an empty single-shard network on the engine.
 func NewNetwork(eng *Engine) *Network {
 	n := &Network{
@@ -486,10 +503,17 @@ func (n *Network) SendFrom(origin Addr, seg tcpkit.Segment) {
 
 // runArrival fires the downlink-queue leg of a delivery (kindArrival):
 // the payload is offered to the destination's downlink transmitter, and
-// the same event struct is re-queued as the kindDeliver leg at the
-// serialisation-complete time — or recycled on a drop. The re-queued leg
+// the same event struct is re-stamped as the kindDeliver leg at the
+// serialisation-complete time — or recycled on a drop. The deliver leg
 // takes a fresh engine seq, exactly as the closure it replaced did, so
 // firing order is bit-compatible with the pre-pooled engine.
+//
+// About half the deliver legs of a flood cell would be the very next event
+// to pop. Such a leg — ahead of both heap heads, and inside the bound of
+// the Run or RunBefore in progress, which is what would have let that loop
+// pop it — fires here instead of going through the heap. A bare Step has
+// no bound (limit is zero), so runMerged, which must look at every shard
+// between events, never takes the shortcut.
 func (n *Network) runArrival(e *Engine, ev *Event) {
 	m := &ev.msg
 	var departDown time.Duration
@@ -508,7 +532,12 @@ func (n *Network) runArrival(e *Engine, ev *Event) {
 	ev.at = departDown // transmit never departs before now
 	ev.seq = e.seq
 	e.seq++
-	e.push(ev)
+	if departDown < e.limit && e.before(ev) {
+		e.stats.InPlace++
+		e.fire(ev)
+		return
+	}
+	e.pushPacket(ev)
 }
 
 // runDeliver fires the final leg (kindDeliver): tap, then hand the

@@ -194,3 +194,104 @@ func TestSendFromSpoofing(t *testing.T) {
 		t.Errorf("spoofer uplink packets = %d, want 1", up.SentPackets)
 	}
 }
+
+// TestInPlaceDeliverRespectsRunBound: a deliver leg fires in place only
+// when the Run or RunBefore in progress would have popped it — never at or
+// past RunBefore's end, never after Run's until, and never from a bare
+// Step, which has no bound at all.
+func TestInPlaceDeliverRespectsRunBound(t *testing.T) {
+	// 125 wire bytes at 1 Mbps: 1 ms on the uplink, arrival at the
+	// downlink at 1 ms + 2 × 2 ms = 5 ms, delivery when the downlink
+	// serialisation ends at 6 ms.
+	link := LinkConfig{RateBps: 1e6, Latency: 2 * time.Millisecond, MaxBacklog: time.Second}
+	const arrive, deliver = 5 * time.Millisecond, 6 * time.Millisecond
+	send := func(t *testing.T) (*Engine, *sink) {
+		net, a, b := twoNodeNet(t, link)
+		net.Send(seg(a.addr, b.addr, 125-40))
+		return net.Eng, b
+	}
+	// held checks that the arrival leg fired and its deliver leg waits in
+	// the packet heap.
+	held := func(t *testing.T, e *Engine, b *sink) {
+		t.Helper()
+		if st := e.Stats(); len(b.received) != 0 || st.InPlace != 0 || st.PacketLegsFired != 1 || len(e.packets) != 1 {
+			t.Fatalf("received=%d stats=%+v packet heap=%d, want the deliver leg queued and nothing delivered",
+				len(b.received), st, len(e.packets))
+		}
+	}
+	delivered := func(t *testing.T, e *Engine, b *sink, inPlace uint64) {
+		t.Helper()
+		if len(b.received) != 1 || b.at[0] != deliver {
+			t.Fatalf("received=%d at=%v, want one delivery at %v", len(b.received), b.at, deliver)
+		}
+		if st := e.Stats(); st.InPlace != inPlace || st.PacketLegsFired != 2 || e.Pending() != 0 {
+			t.Fatalf("stats=%+v pending=%d, want in-place=%d of 2 packet legs and an empty queue", st, e.Pending(), inPlace)
+		}
+	}
+
+	t.Run("RunBefore ending at the delivery", func(t *testing.T) {
+		e, b := send(t)
+		e.RunBefore(deliver)
+		held(t, e, b)
+		e.RunBefore(deliver + 1)
+		delivered(t, e, b, 0)
+	})
+	t.Run("RunBefore ending inside the serialisation", func(t *testing.T) {
+		e, b := send(t)
+		e.RunBefore(arrive + 1)
+		held(t, e, b)
+		if e.Now() != arrive {
+			t.Fatalf("clock at %v, want %v: RunBefore must not advance past the last fired event", e.Now(), arrive)
+		}
+	})
+	t.Run("Run until before the delivery", func(t *testing.T) {
+		e, b := send(t)
+		e.Run(deliver - 1)
+		held(t, e, b)
+		e.Run(deliver)
+		delivered(t, e, b, 0)
+	})
+	t.Run("Run until the delivery", func(t *testing.T) {
+		e, b := send(t)
+		e.Run(deliver)
+		delivered(t, e, b, 1)
+	})
+	t.Run("RunBefore past the delivery", func(t *testing.T) {
+		e, b := send(t)
+		e.RunBefore(deliver + 1)
+		delivered(t, e, b, 1)
+	})
+	t.Run("bare Step", func(t *testing.T) {
+		e, b := send(t)
+		if !e.Step() {
+			t.Fatal("no arrival to step")
+		}
+		held(t, e, b)
+		if !e.Step() || e.Step() {
+			t.Fatal("want exactly one more event: the queued deliver leg")
+		}
+		delivered(t, e, b, 0)
+	})
+	t.Run("Step after a Run", func(t *testing.T) {
+		// The bound ends with the Run that set it.
+		net, a, b := twoNodeNet(t, link)
+		net.Eng.Run(time.Millisecond)
+		net.Send(seg(a.addr, b.addr, 125-40))
+		net.Eng.Step()
+		if st := net.Eng.Stats(); st.InPlace != 0 || len(b.received) != 0 {
+			t.Fatalf("Step after Run delivered in place: stats=%+v received=%d", st, len(b.received))
+		}
+	})
+	t.Run("a timer due first keeps the leg in the heap", func(t *testing.T) {
+		e, b := send(t)
+		// Same instant as the delivery and scheduled before it: less puts
+		// the timer first.
+		seenAtTimer := -1
+		e.ScheduleAt(deliver, func() { seenAtTimer = len(b.received) })
+		e.Run(time.Second)
+		if st := e.Stats(); st.InPlace != 0 || seenAtTimer != 0 || len(b.received) != 1 || b.at[0] != deliver {
+			t.Fatalf("stats=%+v deliveries seen by the timer=%d received=%d, want a queued delivery behind the timer",
+				st, seenAtTimer, len(b.received))
+		}
+	})
+}

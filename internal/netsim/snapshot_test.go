@@ -132,3 +132,72 @@ func TestEngineSnapshotFreeListScrubbed(t *testing.T) {
 		t.Fatalf("post-restore timer: at=%v ok=%v", at, ok)
 	}
 }
+
+// TestSnapshotRestoreBothHeaps: a snapshot covers the timer heap and the
+// packet heap — lengths, queue counters, and the interleaved pop order of
+// what was pending — and a twin that never ran ahead is the reference.
+func TestSnapshotRestoreBothHeaps(t *testing.T) {
+	link := LinkConfig{RateBps: 1e6, Latency: 2 * time.Millisecond, MaxBacklog: time.Second}
+	// build sends a burst that queues on the downlink (arrivals and deliver
+	// legs pending together), sets timers among the deliveries, one of them
+	// cancelled, and stops mid-burst.
+	build := func() (*Network, *sink, *[]string) {
+		net, a, b := twoNodeNet(t, link)
+		e := net.Eng
+		log := &[]string{}
+		for i := 0; i < 6; i++ {
+			net.Send(seg(a.addr, b.addr, 125-40))
+		}
+		for _, ms := range []int{7, 9, 9, 30} {
+			at := time.Duration(ms) * time.Millisecond
+			e.ScheduleAt(at, func() { *log = append(*log, fmt.Sprintf("timer@%v after %d", e.Now(), len(b.received))) })
+		}
+		e.ScheduleAt(8*time.Millisecond, func() { t.Error("cancelled timer fired") }).Cancel()
+		e.RunBefore(7 * time.Millisecond)
+		return net, b, log
+	}
+	finish := func(net *Network, b *sink, log *[]string) string {
+		net.Eng.Run(time.Second)
+		return fmt.Sprintf("%v %v %+v", *log, b.at, net.Eng.Stats())
+	}
+	refNet, refB, refLog := build()
+	want := finish(refNet, refB, refLog)
+
+	net, b, log := build()
+	e := net.Eng
+	timers, packets, stats := len(e.timers), len(e.packets), e.Stats()
+	if timers == 0 || packets < 2 || stats.PacketLegsFired == 0 {
+		t.Fatalf("fixture: timers=%d packets=%d stats=%+v, want both heaps populated mid-burst", timers, packets, stats)
+	}
+	received, logged := len(b.received), len(*log)
+	snap := e.snapshot()
+	down := net.ports[b.addr].down
+
+	// Run ahead: drains most of both heaps, fires legs in place, discards
+	// the cancelled timer, and schedules more of each kind.
+	e.Run(12 * time.Millisecond)
+	net.Send(seg(b.addr, Addr{10, 0, 0, 1}, 0))
+	e.ScheduleAt(13*time.Millisecond, func() { t.Error("timer from the discarded execution fired") })
+	if e.Stats() == stats {
+		t.Fatal("running ahead changed no counter")
+	}
+
+	// Restore the engine, and by hand the application state a shard
+	// rollback would restore with it.
+	e.restore(snap)
+	net.ports[b.addr].down = down
+	net.ports[b.addr].up = xmitter{cfg: link}
+	net.ports[b.addr].msgSeq = 0
+	b.received, b.at, *log = b.received[:received], b.at[:received], (*log)[:logged]
+
+	if len(e.timers) != timers || len(e.packets) != packets || e.Pending() != timers+packets {
+		t.Fatalf("restore: timers=%d packets=%d pending=%d, want %d/%d/%d",
+			len(e.timers), len(e.packets), e.Pending(), timers, packets, timers+packets)
+	}
+	if e.Stats() != stats {
+		t.Fatalf("restore: stats=%+v, want %+v", e.Stats(), stats)
+	}
+	if got := finish(net, b, log); got != want {
+		t.Fatalf("replay after restore diverged:\n got %s\nwant %s", got, want)
+	}
+}
