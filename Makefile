@@ -21,9 +21,9 @@ race:
 	$(GO) test -race -count=10 -timeout 120s -run 'TestBarrier' ./internal/netsim
 
 # The determinism-contract analyzers (internal/lint: nodeterm, maporder,
-# hashfield, snapfields, allowcheck) driven through the standard vet
-# harness. Exits nonzero on any diagnostic; see docs/DETERMINISM.md for
-# the rules and the //tcpz:allow suppression syntax.
+# hashfield, allowcheck) driven through the standard vet harness. Exits
+# nonzero on any diagnostic; see docs/DETERMINISM.md for the rules and the
+# //tcpz:allow suppression syntax.
 lint:
 	$(GO) build -o bin/tcpz-vet ./cmd/tcpz-vet
 	$(GO) vet -vettool=$(CURDIR)/bin/tcpz-vet ./...
@@ -73,7 +73,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzChallengeRoundTrip -fuzztime=10s ./tcpopt
 	$(GO) test -fuzz=FuzzCookieRoundTrip -fuzztime=10s ./syncookie
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./puzzlenet
-	$(GO) test -fuzz=FuzzSpeculativeEquivalence -fuzztime=10s ./internal/netsim
+	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=10s ./internal/netsim
 
 # Real-network robustness smoke (docs/ROBUSTNESS.md): the fault-injected
 # chaos suite under the race detector, then a self-hosted tcpz-load run

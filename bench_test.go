@@ -200,34 +200,6 @@ func BenchmarkShardedGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeculativeFlood runs the BenchmarkShardedFlood deployment
-// under speculative execution: shards run a full quantum past their
-// lookahead bound, snapshot their state, and roll back when a straggler
-// cross-shard packet lands behind the speculative horizon. Results are
-// byte-identical to the conservative run at every shard count
-// (TestSpeculativeShardDeterminismMatrix); the interesting quantity is
-// the wall-clock delta versus BenchmarkShardedFlood — speculation trades
-// snapshot and rollback work for fewer barriers, so it wins only when
-// lookahead is tight relative to event density and cores are real. The
-// measured curve (and the single-core caveat) is recorded in
-// BENCH_shards.json.
-func BenchmarkSpeculativeFlood(b *testing.B) {
-	for _, shards := range shardCounts() {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sc := shardedFloodScenario()
-			sc.Shards = shards
-			sc.Speculative = true
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.EffectiveAttackRate, "attacker-cps")
-			}
-		})
-	}
-}
-
 func BenchmarkFig3aClientProfile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig3a(experiments.Scale{})

@@ -51,7 +51,6 @@ func run(args []string) error {
 	scale := fs.String("scale", "quick", "experiment scale: tiny, quick or paper")
 	workers := fs.Int("workers", 0, "runner pool width (0 = all cores, 1 = serial)")
 	shards := fs.Int("shards", 0, "event-engine shards per scenario (0 or 1 = single shard, -1 = one per core); results are identical at every value")
-	speculative := fs.Bool("speculative", false, "run shards optimistically (speculate/rollback) instead of in conservative lock-step windows; results are identical either way (needs -shards)")
 	format := fs.String("format", "table", "output format: table, csv or json (NDJSON)")
 	out := fs.String("out", "", "write experiment output to this file (default stdout)")
 	foldSeeds := fs.Bool("fold-seeds", false, "fold replicated cells (Seeds axes) into mean/stddev rows (csv or json format)")
@@ -84,9 +83,6 @@ func run(args []string) error {
 	}
 
 	opts := []sim.RunOption{sim.WithWorkers(*workers), sim.WithShards(*shards)}
-	if *speculative {
-		opts = append(opts, sim.WithSpeculative())
-	}
 	if *verbose {
 		opts = append(opts, sim.WithDebug(os.Stderr))
 	}

@@ -58,7 +58,6 @@ func run(args []string) error {
 	cores := fs.Int("cores", 1, "measure this many cores in parallel (a solver uses one)")
 	sources := fs.Int("sources", 0, "run a macro-aggregated SYN flood of this many sources instead of hash profiling")
 	shards := fs.Int("shards", 0, "event-engine shards for the -sources flood (0 or 1 = single shard, -1 = one per core)")
-	speculative := fs.Bool("speculative", false, "run the -sources flood's shards optimistically (speculate/rollback); results are identical either way")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceFile := fs.String("trace", "", "write a runtime execution trace to this file (go tool trace)")
@@ -106,7 +105,7 @@ func run(args []string) error {
 		}()
 	}
 	if *sources > 0 {
-		return runMacroFlood(*sources, *shards, *speculative)
+		return runMacroFlood(*sources, *shards)
 	}
 	if max := runtime.GOMAXPROCS(0); *cores > max {
 		// More busy-loop goroutines than cores would time-share and
@@ -159,7 +158,7 @@ func run(args []string) error {
 // spoofed SYN-flooders against the puzzle-defended server over 20
 // simulated seconds — the same shape as the CI bounded-memory wall and
 // BenchmarkMacroFlood, so profiles line up with both.
-func runMacroFlood(sources, shards int, speculative bool) error {
+func runMacroFlood(sources, shards int) error {
 	sc := experiments.Scenario{
 		Label:    fmt.Sprintf("profile-%d", sources),
 		Duration: 20 * time.Second, AttackStart: 2 * time.Second, AttackStop: 18 * time.Second,
@@ -168,7 +167,7 @@ func runMacroFlood(sources, shards int, speculative bool) error {
 		BotCount: sweep.NoBotnet, MacroSources: sources, PerBotRate: 0.05,
 		Backlog: 512, AcceptBacklog: 128, Workers: 24,
 		Seed:   11,
-		Shards: shards, Speculative: speculative,
+		Shards: shards,
 	}
 	start := time.Now()
 	run, err := experiments.RunFlood(sc)

@@ -1,5 +1,5 @@
 // Command tcpz-vet runs the repo's determinism-contract analyzer suite
-// (internal/lint): nodeterm, maporder, hashfield, snapfields, plus
+// (internal/lint): nodeterm, maporder, hashfield, plus
 // validation of the //tcpz:allow suppression annotations.
 //
 // Two ways to drive it:

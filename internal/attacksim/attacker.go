@@ -106,8 +106,7 @@ type Bot struct {
 	// solves holds the challenges queued on the CPU model; only its head
 	// is an engine event. tickFn and solvedFn are b.tick and b.solved bound
 	// once, so re-arming them allocates no method value per event.
-	solves netsim.RunQueue[solveJob]
-	//tcpz:allow snapfields — bound once in New to the bot's own methods and never reassigned; they capture only the bot, which is the snapshot root
+	solves           netsim.RunQueue[solveJob]
 	tickFn, solvedFn func()
 
 	metrics *Metrics
@@ -115,7 +114,7 @@ type Bot struct {
 
 // solveJob is one queued solve: the SYN-ACK that carried the challenge,
 // flattened so the queue's chunks hold no pointers — nothing for the
-// collector to scan and one flat region per chunk for CaptureState.
+// collector to scan.
 type solveJob struct {
 	port           uint16
 	isn, serverISN uint32
@@ -163,14 +162,6 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 
 // Addr implements netsim.Node.
 func (b *Bot) Addr() netsim.Addr { return b.cfg.Addr }
-
-// SnapshotState implements netsim.Snapshotter: a deep capture of the bot,
-// its strategy instance, RNG, CPU model, and metrics, so speculative
-// shard execution can roll the bot back to a committed window.
-func (b *Bot) SnapshotState() any { return netsim.CaptureState(b) }
-
-// RestoreState implements netsim.Snapshotter.
-func (b *Bot) RestoreState(state any) { state.(*netsim.StateSnap).Restore() }
 
 // Metrics exposes the bot measurements.
 func (b *Bot) Metrics() *Metrics { return b.metrics }

@@ -114,12 +114,6 @@ type MacroFleet struct {
 	// bounded by concurrently awaited SYN-ACKs, not population size.
 	awaiting map[uint64]uint32
 
-	// batches keeps the scheduled batch drivers reachable from the fleet:
-	// their round counters are mutable simulation state that speculative
-	// rollbacks (netsim.Snapshotter) must rewind, and before this field
-	// they were referenced only by their engine events' closures.
-	batches []*macroBatch
-
 	metrics *Metrics
 }
 
@@ -227,7 +221,6 @@ func (f *MacroFleet) scheduleBatches() {
 			hi = len(order)
 		}
 		b := &macroBatch{f: f, slots: order[lo:hi]}
-		f.batches = append(f.batches, b)
 		f.eng.ScheduleAt(f.start[b.slots[0]], b.run)
 	}
 }
@@ -323,18 +316,6 @@ func (f *MacroFleet) Metrics() *Metrics { return f.metrics }
 
 // Store exposes the backing netsim source store.
 func (f *MacroFleet) Store() *netsim.SourceStore { return f.store }
-
-// SnapshotState implements netsim.Snapshotter: a deep capture of the
-// fleet's mutable driver state — batch round counters, lazy-swap RNG/ISN
-// state words, per-source strategies and ports, in-flight handshakes,
-// metrics — so speculative shard execution can roll the fleet back to a
-// committed window. (The store's flat slot state is snapshotted by the
-// network itself.) The fleet is not an attached Node, so flood runners
-// must hand it to Network.RegisterAuxState under the store's base address.
-func (f *MacroFleet) SnapshotState() any { return netsim.CaptureState(f) }
-
-// RestoreState implements netsim.Snapshotter.
-func (f *MacroFleet) RestoreState(state any) { state.(*netsim.StateSnap).Restore() }
 
 // Contains reports whether addr belongs to the population — the server-
 // side metrics aggregation predicate.

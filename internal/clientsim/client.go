@@ -173,8 +173,7 @@ type Client struct {
 	// solves holds the challenges queued on the CPU model; only its head
 	// is an engine event. arrivalFn and solvedFn are c.arrival and c.solved
 	// bound once, so re-arming them allocates no method value per event.
-	solves netsim.RunQueue[solveJob]
-	//tcpz:allow snapfields — bound once in New to the client's own methods and never reassigned; they capture only the client, which is the snapshot root
+	solves              netsim.RunQueue[solveJob]
 	arrivalFn, solvedFn func()
 
 	metrics *Metrics
@@ -222,14 +221,6 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 
 // Addr implements netsim.Node.
 func (c *Client) Addr() netsim.Addr { return c.cfg.Addr }
-
-// SnapshotState implements netsim.Snapshotter: a deep capture of the
-// client, its connections, CPU model, and metrics, so speculative shard
-// execution can roll the client back to a committed window.
-func (c *Client) SnapshotState() any { return netsim.CaptureState(c) }
-
-// RestoreState implements netsim.Snapshotter.
-func (c *Client) RestoreState(state any) { state.(*netsim.StateSnap).Restore() }
 
 // Metrics exposes the measurement state.
 func (c *Client) Metrics() *Metrics { return c.metrics }

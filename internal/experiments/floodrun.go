@@ -54,9 +54,6 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 	sc = sc.Defaults()
 	serverAddr := netsim.Addr{10, 0, 0, 1}
 	network := netsim.NewSharded(shardCount(sc.Shards))
-	if sc.Speculative {
-		network.SetSpeculative(true)
-	}
 	if err := network.Pin(serverAddr, 0); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -121,10 +118,6 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 			return nil, fmt.Errorf("experiments: macro fleet: %w", err)
 		}
 		run.Macro = fleet
-		// The fleet drives its sources through engine events but is not an
-		// attached Node; register it so speculative rollbacks rewind its
-		// batch/RNG/handshake state together with the store's shard.
-		network.RegisterAuxState(fleet.Store().Base(), fleet)
 		// Server-side attacker accounting stays O(1) in population size:
 		// establishments from the population fold into one series.
 		srv.Metrics().AggregateSrcs(fleet.Contains)

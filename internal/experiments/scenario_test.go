@@ -227,7 +227,7 @@ func TestRunScenariosPropagatesError(t *testing.T) {
 
 // Fig12Config.fill swaps an unsized Scale for PaperScale; every
 // execution-only field the caller set must still be there afterwards
-// (Shards, Speculative and Debug used to be dropped, so
+// (Shards and Debug used to be dropped, so
 // `tcpz-exp -exp fig12 -shards N -verbose` ignored both flags).
 func TestFig12FillKeepsExecutionFields(t *testing.T) {
 	cache, err := sweep.OpenCache(t.TempDir())
@@ -236,7 +236,7 @@ func TestFig12FillKeepsExecutionFields(t *testing.T) {
 	}
 	var debug, out strings.Builder
 	cfg := Fig12Config{Scale: Scale{
-		Shards: 3, Speculative: true, Parallelism: 5,
+		Shards: 3, Parallelism: 5,
 		Sinks: []sweep.Sink{sweep.NewNDJSON(&out)}, Cache: cache, Debug: &debug,
 	}}
 	cfg.fill()
@@ -244,8 +244,8 @@ func TestFig12FillKeepsExecutionFields(t *testing.T) {
 	if got.Duration != paper.Duration || got.BotCount != paper.BotCount {
 		t.Errorf("fill did not size the scale: %+v", got)
 	}
-	if got.Shards != 3 || !got.Speculative || got.Parallelism != 5 {
-		t.Errorf("Shards=%d Speculative=%v Parallelism=%d, want 3 true 5", got.Shards, got.Speculative, got.Parallelism)
+	if got.Shards != 3 || got.Parallelism != 5 {
+		t.Errorf("Shards=%d Parallelism=%d, want 3 5", got.Shards, got.Parallelism)
 	}
 	if len(got.Sinks) != 1 || got.Cache != cache || got.Debug != &debug {
 		t.Errorf("Sinks=%d Cache kept=%v Debug kept=%v, want 1 true true", len(got.Sinks), got.Cache == cache, got.Debug == &debug)

@@ -81,26 +81,17 @@ func shardMatrixGrid() sweep.Grid {
 // structured results.
 func runShardMatrixCell(t *testing.T, shards, workers int) ([]byte, []byte, []sweep.Result) {
 	t.Helper()
-	return runMatrixCell(t, shardMatrixGrid(), shards, workers, false)
-}
-
-// runMatrixCell is the shared executor behind the conservative and
-// speculative determinism matrices: one grid at one (shards, workers,
-// speculative) combination.
-func runMatrixCell(t *testing.T, grid sweep.Grid, shards, workers int, speculative bool) ([]byte, []byte, []sweep.Result) {
-	t.Helper()
 	scale := tinyScale()
 	scale.Shards = shards
 	scale.Parallelism = workers
-	scale.Speculative = speculative
 	var csvBuf, jsonBuf bytes.Buffer
 	scale.Sinks = []sweep.Sink{sweep.NewCSV(&csvBuf), sweep.NewNDJSON(&jsonBuf)}
 	// Expand with the scale so the cells are tiny; RunSweep's grid-as-
 	// declared semantics would run the paper-scale defaults here.
-	cells := grid.Expand(&scale)
+	cells := shardMatrixGrid().Expand(&scale)
 	results, _, err := runFloodCells(scale, "shardmatrix", "", cells, StandardMetrics)
 	if err != nil {
-		t.Fatalf("runFloodCells(shards=%d, workers=%d, speculative=%v): %v", shards, workers, speculative, err)
+		t.Fatalf("runFloodCells(shards=%d, workers=%d): %v", shards, workers, err)
 	}
 	return csvBuf.Bytes(), jsonBuf.Bytes(), results
 }
@@ -140,107 +131,6 @@ func TestShardDeterminismMatrix(t *testing.T) {
 				t.Errorf("shards=%d workers=%d: Results differ from baseline", shards, workers)
 			}
 		}
-	}
-}
-
-// specMatrixGrid is the speculative determinism sub-grid: one spoofed
-// macro-source cell, one bursty pulse cell, one plain solving flood, and
-// the adaptive arms race — the cells whose state (SoA source stores,
-// batch rounds, controller state) stresses snapshot/rollback hardest.
-func specMatrixGrid() sweep.Grid {
-	return sweep.Grid{
-		Base: Scenario{ClientsSolve: true, BotsSolve: true},
-		Axes: []sweep.Axis{sweep.Variants("cell",
-			sweep.Point{Label: "puzzles-conn", Set: func(sc *Scenario) {
-				sc.Defense = DefensePuzzles
-				sc.Attack = AttackConnFlood
-			}},
-			sweep.Point{Label: "puzzles-pulse", Set: func(sc *Scenario) {
-				sc.Defense = DefensePuzzles
-				sc.Attack = AttackPulseFlood
-			}},
-			sweep.Point{Label: "macro-syn", Set: func(sc *Scenario) {
-				sc.Defense = DefensePuzzles
-				sc.Attack = AttackSYNFlood
-				sc.MacroSources = 40
-			}},
-			sweep.Point{Label: "adaptive-adaptive", Set: func(sc *Scenario) {
-				sc.Defense = DefenseAdaptivePuzzles
-				sc.Attack = AttackAdaptiveFlood
-			}},
-		)},
-	}
-}
-
-// TestSpeculativeShardDeterminismMatrix extends the determinism matrix
-// with speculative execution: every speculative (shards, workers) cell of
-// the sub-grid must emit byte-identical sink output and equal structured
-// Results against the conservative single-shard oracle. Speculative and
-// Shards are execution-only knobs, masked like Exec before the struct
-// compare.
-func TestSpeculativeShardDeterminismMatrix(t *testing.T) {
-	grid := specMatrixGrid()
-	wantCSV, wantJSON, wantResults := runMatrixCell(t, grid, 1, 1, false)
-	if len(wantResults) == 0 || len(wantCSV) == 0 || len(wantJSON) == 0 {
-		t.Fatal("baseline run produced no output")
-	}
-	for _, shards := range []int{2, 4, 8} {
-		for _, workers := range []int{1, 4} {
-			csvOut, jsonOut, results := runMatrixCell(t, grid, shards, workers, true)
-			if !bytes.Equal(csvOut, wantCSV) {
-				t.Errorf("speculative shards=%d workers=%d: CSV output differs from conservative oracle\n got:\n%s\nwant:\n%s",
-					shards, workers, csvOut, wantCSV)
-			}
-			if !bytes.Equal(jsonOut, wantJSON) {
-				t.Errorf("speculative shards=%d workers=%d: NDJSON output differs from conservative oracle", shards, workers)
-			}
-			for i := range results {
-				results[i].Scenario.Shards = wantResults[i].Scenario.Shards
-				results[i].Scenario.Speculative = wantResults[i].Scenario.Speculative
-				results[i].Exec = wantResults[i].Exec
-			}
-			if !reflect.DeepEqual(results, wantResults) {
-				t.Errorf("speculative shards=%d workers=%d: Results differ from conservative oracle", shards, workers)
-			}
-		}
-	}
-}
-
-// TestSpeculativeOracleDifferential is the straggler-heavy pinned
-// fixture: a bursty pulse flood sharded 4 ways runs speculatively against
-// its conservative single-shard oracle. The runs must agree exactly, and
-// the speculative run must actually have rolled shards back — otherwise
-// the differential proves nothing about the rollback machinery.
-func TestSpeculativeOracleDifferential(t *testing.T) {
-	base := tinyScale().Apply(Scenario{
-		Label: "oracle", ClientsSolve: true, BotsSolve: true,
-		Defense: DefensePuzzles, Attack: AttackPulseFlood,
-	})
-	oracle, err := RunFlood(base)
-	if err != nil {
-		t.Fatalf("RunFlood(oracle): %v", err)
-	}
-	spec := base
-	spec.Shards = 4
-	spec.Speculative = true
-	run, err := RunFlood(spec)
-	if err != nil {
-		t.Fatalf("RunFlood(speculative): %v", err)
-	}
-	wantMetrics, wantSeries := StandardMetrics(oracle)
-	gotMetrics, gotSeries := StandardMetrics(run)
-	if !reflect.DeepEqual(gotMetrics, wantMetrics) {
-		t.Errorf("speculative metrics diverged from oracle:\n got: %+v\nwant: %+v", gotMetrics, wantMetrics)
-	}
-	if !reflect.DeepEqual(gotSeries, wantSeries) {
-		t.Error("speculative series diverged from oracle")
-	}
-	st := run.Net.ShardStats()
-	if st.Rollbacks == 0 {
-		t.Error("Rollbacks = 0: the pinned fixture no longer provokes mis-speculation")
-	}
-	if st.SpeculativeWindows == 0 {
-		t.Error("SpeculativeWindows = 0: speculation never engaged")
 	}
 }
 
@@ -288,59 +178,29 @@ func TestShardsExcludedFromCacheHash(t *testing.T) {
 	}
 }
 
-// TestSpeculativeExcludedFromCacheHash pins the same contract for the
-// speculation knob: a speculative rerun of a conservatively-cached cell
-// must hash identically (and therefore hit), because the results are
-// byte-identical by construction.
-func TestSpeculativeExcludedFromCacheHash(t *testing.T) {
-	sc := Scenario{Label: "hash", Seed: 3}
-	plain := sweep.Hash("exp", sc)
-	sc.Speculative = true
-	if got := sweep.Hash("exp", sc); got != plain {
-		t.Errorf("Speculative changed the cache hash: %s vs %s", got, plain)
-	}
-	sc.Shards = 8
-	if got := sweep.Hash("exp", sc); got != plain {
-		t.Error("Speculative+Shards changed the cache hash")
-	}
-}
-
-// TestSpeculativeOracleDifferentialSolvingBots is the rollback fixture for
-// the solve run-queues: greedy solving bots queue challenges far faster
-// than they solve them, so from the first challenge on every snapshot a
-// speculative round takes holds non-empty queues, and every rollback must
-// rewind them together with the armed head event in the engine.
-func TestSpeculativeOracleDifferentialSolvingBots(t *testing.T) {
+// TestShardedSolvingBotsKeepBacklog: greedy solving bots queue challenges
+// far faster than they solve them, and a solve run-queue's length is state
+// no metric reports — at Shards=4 every bot must end with the serial run's
+// queue, hundreds of jobs deep.
+func TestShardedSolvingBotsKeepBacklog(t *testing.T) {
 	base := tinyScale().Apply(Scenario{
-		Label: "oracle-solving", ClientsSolve: true, BotsSolve: true,
+		Label: "solving-backlog", ClientsSolve: true, BotsSolve: true,
 		Defense: DefensePuzzles, Attack: AttackConnFlood,
 	})
-	oracle, err := RunFlood(base)
+	serial, err := RunFlood(base)
 	if err != nil {
-		t.Fatalf("RunFlood(oracle): %v", err)
+		t.Fatalf("RunFlood(serial): %v", err)
 	}
-	spec := base
-	spec.Shards = 4
-	spec.Speculative = true
-	run, err := RunFlood(spec)
+	sharded := base
+	sharded.Shards = 4
+	run, err := RunFlood(sharded)
 	if err != nil {
-		t.Fatalf("RunFlood(speculative): %v", err)
-	}
-	wantMetrics, wantSeries := StandardMetrics(oracle)
-	gotMetrics, gotSeries := StandardMetrics(run)
-	if !reflect.DeepEqual(gotMetrics, wantMetrics) {
-		t.Errorf("speculative metrics diverged from oracle:\n got: %+v\nwant: %+v", gotMetrics, wantMetrics)
-	}
-	if !reflect.DeepEqual(gotSeries, wantSeries) {
-		t.Error("speculative series diverged from oracle")
-	}
-	if st := run.Net.ShardStats(); st.Rollbacks == 0 {
-		t.Error("Rollbacks = 0: the fixture no longer provokes mis-speculation")
+		t.Fatalf("RunFlood(shards=4): %v", err)
 	}
 	for i, bot := range run.Botnet.Bots {
-		got, want := bot.QueuedSolves(), oracle.Botnet.Bots[i].QueuedSolves()
+		got, want := bot.QueuedSolves(), serial.Botnet.Bots[i].QueuedSolves()
 		if got != want || got < 100 {
-			t.Errorf("bot %d ends with %d solves queued, oracle %d; want equal and a backlog of hundreds", i, got, want)
+			t.Errorf("bot %d ends with %d solves queued, serial run %d; want equal and a backlog of hundreds", i, got, want)
 		}
 	}
 }

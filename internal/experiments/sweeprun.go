@@ -33,14 +33,11 @@ func runCells(scale Scale, experiment, cacheNS string, cells []Scenario,
 	canon := make([]Scenario, len(cells))
 	for i := range cells {
 		canon[i] = cells[i].Defaults()
-		// Shards and Speculative are execution-only (byte-identical
-		// results either way) and excluded from the cache hash, so
-		// applying them after canonicalisation is safe.
+		// Shards is execution-only (byte-identical results either way)
+		// and excluded from the cache hash, so applying it after
+		// canonicalisation is safe.
 		if scale.Shards != 0 {
 			canon[i].Shards = scale.Shards
-		}
-		if scale.Speculative {
-			canon[i].Speculative = true
 		}
 	}
 	results := make([]sweep.Result, len(cells))
@@ -156,13 +153,6 @@ func runFloodCells(scale Scale, experiment, cacheNS string, cells []Scenario,
 				experiment, sc.Label, run.Net.Shards(), st.Events, st.Windows, st.BarrierWait,
 				st.LookaheadMin, st.LookaheadMean, st.LookaheadMax,
 				q.TimersFired, q.PacketLegsFired, q.InPlace, q.Discarded, q.PeakTimers, q.PeakPackets)
-			if sc.Speculative {
-				// Speculation health: how often shards ran past their
-				// lookahead bound, how many rollbacks that cost, and how
-				// much fired work was discarded. All deterministic.
-				fmt.Fprintf(scale.Debug, "[%s] cell %q: speculative-windows=%d rollbacks=%d wasted-events=%d\n",
-					experiment, sc.Label, st.SpeculativeWindows, st.Rollbacks, st.WastedEvents)
-			}
 			debugMu.Unlock()
 		}
 		runs[i] = run

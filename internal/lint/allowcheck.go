@@ -22,8 +22,7 @@ var Allowcheck = &Analyzer{
 
 func runAllowcheck(pass *Pass) error {
 	known := map[string]bool{
-		Nodeterm.Name: true, Maporder.Name: true,
-		Hashfield.Name: true, Snapfields.Name: true,
+		Nodeterm.Name: true, Maporder.Name: true, Hashfield.Name: true,
 	}
 	files := make([]string, 0, len(pass.allows))
 	for name := range pass.allows {
@@ -36,7 +35,7 @@ func runAllowcheck(pass *Pass) error {
 			case d.malformed != "":
 				pass.reportUnsuppressable(d, "malformed //tcpz:allow: %s", d.malformed)
 			case !known[d.analyzer]:
-				pass.reportUnsuppressable(d, "//tcpz:allow names unknown analyzer %q (known: nodeterm, maporder, hashfield, snapfields)", d.analyzer)
+				pass.reportUnsuppressable(d, "//tcpz:allow names unknown analyzer %q (known: nodeterm, maporder, hashfield)", d.analyzer)
 			}
 		}
 	}

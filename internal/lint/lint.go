@@ -1,7 +1,7 @@
 // Package lint is the static half of the repo's determinism contract: a
 // suite of vet-style analyzers that prove, at compile time, the properties
-// the runtime differential harnesses (determinism matrices, speculative
-// oracles, cache round-trips) can only spot-check after the fact. The
+// the runtime differential harnesses (determinism matrices, cache
+// round-trips) can only spot-check after the fact. The
 // suite is built directly on go/ast and go/types — deliberately no
 // golang.org/x/tools dependency — and is driven two ways: as a `go vet
 // -vettool` unit checker (cmd/tcpz-vet) and in-process by the repo
@@ -217,7 +217,7 @@ func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // All returns the full suite in canonical order. allowcheck runs last so
 // the annotations the other analyzers honour are themselves validated.
 func All() []*Analyzer {
-	return []*Analyzer{Nodeterm, Maporder, Hashfield, Snapfields, Allowcheck}
+	return []*Analyzer{Nodeterm, Maporder, Hashfield, Allowcheck}
 }
 
 // modulePath is the import-path root of this repository.

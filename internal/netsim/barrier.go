@@ -118,7 +118,7 @@ func newWindowBarrier(shards []*netShard) *windowBarrier {
 	for i := range b.workers {
 		w := &b.workers[i]
 		w.park.wake = make(chan struct{}, 1)
-		//tcpz:allow nodeterm — shard workers run one window (or speculative quantum) concurrently; run's barrier orders all cross-shard state, and rollback to the fixed point restores the conservative order when speculating: pinned by the shard determinism matrices and the oracle differentials
+		//tcpz:allow nodeterm — shard workers run one window concurrently; run's barrier orders all cross-shard state: pinned by the shard determinism matrix and TestBarrier*
 		go b.work(w, i+1)
 	}
 	return b

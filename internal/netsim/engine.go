@@ -452,65 +452,3 @@ func (e *Engine) Stats() EngineStats {
 // PoolSize returns the free-list length — test and benchmark
 // observability for the recycling contract.
 func (e *Engine) PoolSize() int { return len(e.free) }
-
-// engineSnap is a point-in-time copy of an engine's complete scheduling
-// state: clock, counters, the two heaps (both the pointer layout and the
-// value of every pending event), and the free-list with each pooled event's
-// generation. It exists for speculative shard execution (see
-// Network.runSpeculative): restore puts the *same* event structs back in
-// the *same* heap positions with the *same* generations, so Timer handles
-// issued before the snapshot remain exactly as valid or stale as they
-// were, and pre-snapshot closures that captured nothing but the handle
-// keep working after a rollback.
-type engineSnap struct {
-	now        time.Duration
-	seq, fired uint64
-	stats      EngineStats
-	pq         []*Event // the timer heap's slots, then the packet heap's
-	timers     int      // length of the timer heap's share of pq
-	pqVals     []Event
-	free       []*Event
-	freeGens   []uint32
-}
-
-// snapshot captures the engine's scheduling state. Must not run while the
-// engine is firing events.
-func (e *Engine) snapshot() *engineSnap {
-	s := &engineSnap{
-		now: e.now, seq: e.seq, fired: e.fired, stats: e.stats,
-		pq:       append(append([]*Event(nil), e.timers...), e.packets...),
-		timers:   len(e.timers),
-		pqVals:   make([]Event, e.Pending()),
-		free:     append([]*Event(nil), e.free...),
-		freeGens: make([]uint32, len(e.free)),
-	}
-	for i, ev := range s.pq {
-		s.pqVals[i] = *ev
-	}
-	for i, ev := range e.free {
-		s.freeGens[i] = ev.gen
-	}
-	return s
-}
-
-// restore rewinds the engine to a snapshot, in place: every event struct
-// that was pending goes back to its snapshotted heap slot and contents,
-// and every event that was pooled returns to the pool scrubbed (it may
-// have been reallocated and dirtied during the discarded execution) with
-// its snapshotted generation, preserving both the free-list contract
-// (alloc hands out clean structs) and the validity status of every Timer
-// handle issued before the snapshot. Events allocated from the heap
-// allocator after the snapshot are simply dropped. A snapshot can be
-// restored any number of times.
-func (e *Engine) restore(s *engineSnap) {
-	e.now, e.seq, e.fired, e.stats = s.now, s.seq, s.fired, s.stats
-	e.timers = append(e.timers[:0], s.pq[:s.timers]...)
-	e.packets = append(e.packets[:0], s.pq[s.timers:]...)
-	for i, ev := range s.pq {
-		*ev = s.pqVals[i]
-	}
-	e.free = append(e.free[:0], s.free...)
-	for i, ev := range s.free {
-		*ev = Event{gen: s.freeGens[i]}
-	}
-}

@@ -163,8 +163,8 @@ type Network struct {
 
 	// unroutable counts packets addressed to unknown nodes (e.g. SYN-ACKs
 	// to spoofed sources). Sends from a known origin increment their own
-	// slot of unroutableShard — per-shard state that speculative rollbacks
-	// can rewind; only sends from unattached origins (where the calling
+	// slot of unroutableShard — per-shard because shard goroutines bump it
+	// concurrently; only sends from unattached origins (where the calling
 	// shard is unknown) fall back to the atomic.
 	unroutable      atomic.Uint64
 	unroutableShard []uint64
@@ -191,19 +191,6 @@ type Network struct {
 	lookMax     time.Duration
 	lookSum     time.Duration
 	lookN       uint64
-
-	// Speculative execution state (see spec.go): the opt-in flag, tuning
-	// overrides (zero = derived defaults), the per-shard restoration
-	// inventory built lazily on the first speculative run, auxiliary
-	// snapshotters, and the deterministic speculation counters.
-	speculative  bool
-	specQuantum  time.Duration
-	specMaxIters int
-	spec         []specShardState
-	aux          []auxState
-	rollbacks    uint64
-	specWindows  uint64
-	wastedEvents uint64
 }
 
 // ShardStats summarises how a sharded run's load spread across shards:
@@ -224,23 +211,11 @@ type ShardStats struct {
 	LookaheadMin  time.Duration
 	LookaheadMean time.Duration
 	LookaheadMax  time.Duration
-
-	// Speculation counters (zero on conservative runs, all deterministic):
-	// Rollbacks counts shard restorations, SpeculativeWindows counts
-	// quanta that ran with at least one shard past its lookahead bound,
-	// and WastedEvents counts events fired and then discarded by a
-	// rollback.
-	Rollbacks          uint64
-	SpeculativeWindows uint64
-	WastedEvents       uint64
 }
 
 // ShardStats reports the current load-balance counters.
 func (n *Network) ShardStats() ShardStats {
-	st := ShardStats{
-		Windows: n.windows, Events: make([]uint64, len(n.shards)),
-		Rollbacks: n.rollbacks, SpeculativeWindows: n.specWindows, WastedEvents: n.wastedEvents,
-	}
+	st := ShardStats{Windows: n.windows, Events: make([]uint64, len(n.shards))}
 	for i, s := range n.shards {
 		st.Events[i] = s.eng.Fired()
 	}
@@ -478,9 +453,7 @@ func (n *Network) SendFrom(origin Addr, seg tcpkit.Segment) {
 	// reaches the destination's downlink.
 	dst, dslot := n.lookup(seg.Dst)
 	if dst == nil {
-		// Per-shard so a speculative rollback of the sending shard can
-		// rewind the count. Still consume uplink bandwidth; nothing
-		// arrives anywhere.
+		// Still consume uplink bandwidth; nothing arrives anywhere.
 		n.unroutableShard[src.shard]++
 		return
 	}

@@ -20,8 +20,8 @@ const runQueueChunk = 256
 // the heap at enqueue or on becoming head.
 //
 // The queue is plain data — the owner passes its engine and bound fire
-// callback to each call — so CaptureState snapshots it with its owner, and
-// a pointer-free job type keeps the chunks flat.
+// callback to each call — and a pointer-free job type keeps the chunks
+// flat.
 type RunQueue[J any] struct {
 	chunks []*[runQueueChunk]queuedJob[J]
 	head   int // index of the head job in chunks[0]

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -150,28 +149,6 @@ func TestRunQueueFiresLikeScheduleAt(t *testing.T) {
 					seed, s.id, s.q.Len(), len(s.q.chunks), s.q.head)
 			}
 		}
-	}
-}
-
-// TestRunQueueSnapshotRestore: the queue is plain data, so an engine
-// snapshot plus CaptureState of its owner taken while jobs are queued
-// rewinds a run exactly — the speculative shard path.
-func TestRunQueueSnapshotRestore(t *testing.T) {
-	want := newQueueWorld(7, true)
-	want.e.Run(time.Hour)
-
-	w := newQueueWorld(7, true)
-	w.e.Run(400 * queueTick)
-	if w.servers[0].q.Len() <= runQueueChunk {
-		t.Fatalf("only %d jobs queued at the snapshot", w.servers[0].q.Len())
-	}
-	engSnap, state := w.e.snapshot(), CaptureState(w)
-	w.e.Run(900 * queueTick) // pops past a chunk boundary, pushes new chunks
-	w.e.restore(engSnap)
-	state.Restore()
-	w.e.Run(time.Hour)
-	if !reflect.DeepEqual(w.log, want.log) {
-		t.Errorf("run rewound at 400 ticks logged %d events, differing from the uninterrupted run's %d", len(w.log), len(want.log))
 	}
 }
 

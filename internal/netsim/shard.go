@@ -21,9 +21,9 @@ const noLookahead = time.Duration(math.MaxInt64)
 // port-bearing shards plus the shard's own minimum downlink latency,
 // maintained incrementally by Attach — which lower-bounds how far in the
 // future any cross-shard packet can land on it. On heterogeneous
-// topologies this is strictly wider than the old global minimum (one
-// fast link anywhere no longer throttles every shard), so barrier counts
-// drop. The canonical (time, source, sequence) arrival ordering (see
+// topologies this is strictly wider than one global minimum (one fast
+// link anywhere does not throttle every shard), so barriers are fewer.
+// The canonical (time, source, sequence) arrival ordering (see
 // Engine.scheduleArrival) makes the execution — and therefore every
 // metric — byte-identical at every shard count and every window width.
 //
@@ -36,11 +36,7 @@ func (n *Network) Run(until time.Duration) {
 		n.Eng.Run(until)
 		return
 	}
-	if n.speculative && len(n.taps) == 0 {
-		// Optimistic execution (see spec.go). Taps force the conservative
-		// path: they would observe packets from rolled-back executions.
-		n.runSpeculative(until)
-	} else if la, ok := n.lookaheads(); ok {
+	if la, ok := n.lookaheads(); ok {
 		n.runWindows(until, la)
 	} else {
 		n.runMerged(until)

@@ -70,11 +70,10 @@ func echoFingerprint(t *testing.T, shards, nodes int, link LinkConfig, dur time.
 	return out
 }
 
-// echoMeshRun is the configurable core behind echoFingerprint and the
-// speculative differential tests: tune (may be nil) adjusts the freshly
-// built network — e.g. enabling speculation — before nodes attach, seed
-// offsets every node's RNG stream, and the run's ShardStats come back
-// alongside the fingerprint.
+// echoMeshRun is the configurable core behind echoFingerprint, the barrier
+// tests and the fuzz target: tune (may be nil) adjusts the freshly built
+// network before nodes attach, seed offsets every node's RNG stream, and
+// the run's ShardStats come back alongside the fingerprint.
 func echoMeshRun(tb testing.TB, shards, nodes int, link LinkConfig, dur time.Duration, seed int64, tune func(*Network)) (string, ShardStats) {
 	if t, ok := tb.(*testing.T); ok {
 		t.Helper()
@@ -148,6 +147,31 @@ func TestShardedZeroLatencyFallsBackToMerge(t *testing.T) {
 	if got != want {
 		t.Errorf("zero-latency sharded run diverged:\n got:\n%s\nwant:\n%s", got, want)
 	}
+}
+
+// FuzzShardedEquivalence drives lookaheads()' windowed/merged choice over
+// random topologies: any divergence between a sharded run and the serial
+// run of the same mesh is a finding. The checked-in corpus seeds the
+// regimes: healthy lookahead, microsecond latency (tight windows), zero
+// latency (runMerged), and sub-millisecond latency at three shards.
+func FuzzShardedEquivalence(f *testing.F) {
+	f.Add(uint8(2), uint8(4), uint32(2000), int64(100))
+	f.Add(uint8(4), uint8(6), uint32(50), int64(7))
+	f.Add(uint8(3), uint8(5), uint32(0), int64(42))
+	f.Add(uint8(8), uint8(8), uint32(800), int64(1))
+	f.Fuzz(func(t *testing.T, shards, nodes uint8, latencyUs uint32, seed int64) {
+		ns := 2 + int(shards)%7                                   // 2..8 shards
+		nn := 2 + int(nodes)%7                                    // 2..8 nodes
+		lat := time.Duration(latencyUs%20_000) * time.Microsecond // 0..20ms
+		link := LinkConfig{RateBps: 5e6, Latency: lat, MaxBacklog: 10 * time.Millisecond}
+		dur := 500 * time.Millisecond
+		want, _ := echoMeshRun(t, 1, nn, link, dur, seed, nil)
+		got, _ := echoMeshRun(t, ns, nn, link, dur, seed, nil)
+		if got != want {
+			t.Fatalf("shards=%d nodes=%d latency=%v seed=%d: sharded run diverged:\n got:\n%s\nwant:\n%s",
+				ns, nn, lat, seed, got, want)
+		}
+	})
 }
 
 // TestShardedSimultaneousArrivalsCanonicalOrder pins the tie-break rule:

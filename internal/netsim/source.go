@@ -140,9 +140,6 @@ func (s *SourceStore) slotOf(addr Addr) (int32, bool) {
 // Count returns the population size.
 func (s *SourceStore) Count() int { return s.count }
 
-// Base returns the population's base address.
-func (s *SourceStore) Base() Addr { return s.base }
-
 // Addr returns slot i's address.
 func (s *SourceStore) Addr(slot int32) Addr { return SourceAddr(s.base, int(slot)) }
 

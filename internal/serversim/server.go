@@ -138,23 +138,6 @@ func (s *Server) scheduleAdapt() {
 // Addr implements netsim.Node.
 func (s *Server) Addr() netsim.Addr { return s.cfg.Addr }
 
-// SnapshotState implements netsim.Snapshotter: a deep capture of the
-// whole server — listener queues, connections, defense plugin state,
-// worker pool, CPU model, metrics — so speculative shard execution can
-// roll the server back to a committed window.
-// The walk reaches fields the copier cannot restore generically; each is
-// rollback-safe here: capture and restore run with the shard quiescent, so
-// the issuer's RWMutex is always in its unlocked zero state when copied,
-// and the issuer/jar clock closures and listen/accept-queue length
-// callbacks capture only s.eng and s.metrics, both restored separately
-// (engine snapshot and this capture respectively).
-//
-//tcpz:allow snapfields — shard is quiescent at capture/restore (mutexes unlocked) and every closure's captured state (engine, metrics) is restored through other roots
-func (s *Server) SnapshotState() any { return netsim.CaptureState(s) }
-
-// RestoreState implements netsim.Snapshotter.
-func (s *Server) RestoreState(state any) { state.(*netsim.StateSnap).Restore() }
-
 // Config returns the server configuration (after defaulting).
 func (s *Server) Config() Config { return s.cfg }
 

@@ -79,17 +79,6 @@ func WithShards(n int) RunOption {
 // AutoShards selects one event-engine shard per core.
 const AutoShards = sweep.AutoShards
 
-// WithSpeculative switches sharded execution from conservative lock-step
-// windows to optimistic speculate/rollback execution: shards run past
-// their lookahead bound and roll back when a straggler cross-shard packet
-// invalidates the speculation. Like WithShards this is an execution knob
-// only — output is byte-identical to the conservative run (the
-// conservative path is the oracle in the differential test harness), and
-// the flag never enters the result-cache hash. No-op without WithShards.
-func WithSpeculative() RunOption {
-	return func(s *experiments.Scale) { s.Speculative = true }
-}
-
 // WithSinks streams every completed grid cell's sweep.Result to the given
 // sinks, in grid order, as runs land (see sweep.NewCSV, sweep.NewNDJSON,
 // sweep.NewTable). The caller owns the sinks and flushes them after the

@@ -14,10 +14,6 @@ var scenarioHashExclusions = map[string]string{
 	"Shards": "execution knob: metrics and sink bytes are byte-identical " +
 		"at every shard count (TestShardDeterminismMatrix), so a cell " +
 		"computed at any -shards value must hit for every other",
-	"Speculative": "execution knob: optimistic execution replays to the " +
-		"conservative order exactly (TestSpeculativeShardDeterminismMatrix, " +
-		"FuzzSpeculativeEquivalence), so speculative reruns reuse " +
-		"conservative cache entries",
 }
 
 // HashExcludedFields returns a copy of the pinned cache-hash exclusions:

@@ -48,12 +48,6 @@ func TestHashInsensitiveToExcludedFields(t *testing.T) {
 	if got := Hash("exp", sharded); got != h0 {
 		t.Errorf("Shards entered the cache hash: %s != %s", got, h0)
 	}
-	spec := base
-	spec.Shards = 4
-	spec.Speculative = true
-	if got := Hash("exp", spec); got != h0 {
-		t.Errorf("Speculative entered the cache hash: %s != %s", got, h0)
-	}
 
 	seeded := base
 	seeded.Seed = 8

@@ -163,13 +163,6 @@ type Scenario struct {
 	// byte-identical at every shard count, which is why the field is
 	// excluded from JSON serialisation and from the result-cache hash.
 	Shards int `json:"-"`
-	// Speculative switches sharded execution from the conservative
-	// lock-step window protocol to optimistic (speculate/rollback)
-	// execution (see internal/netsim's spec.go). Like Shards it is purely
-	// an execution knob — results are byte-identical either way, enforced
-	// by the conservative-oracle differential tests — so it is likewise
-	// excluded from serialisation and the cache hash.
-	Speculative bool `json:"-"`
 }
 
 // Defaults returns a copy with the paper's §6 defaults applied to every
@@ -254,9 +247,6 @@ type Scale struct {
 	// (AutoShards = one per core). Execution-only: results are identical
 	// at every value.
 	Shards int
-	// Speculative opts sharded runs into optimistic execution.
-	// Execution-only, like Shards.
-	Speculative bool
 
 	// Parallelism is the runner worker count used when a driver fans a
 	// grid of scenarios out (0 = GOMAXPROCS). It never affects results,
@@ -275,12 +265,12 @@ type Scale struct {
 	Debug io.Writer
 }
 
-// WithExec returns s carrying exec's execution-only fields — Shards,
-// Speculative, Parallelism, Sinks, Cache and Debug — and its own
+// WithExec returns s carrying exec's five execution-only fields —
+// Shards, Parallelism, Sinks, Cache and Debug — and its own
 // deployment size: the one way to swap a scale's size without losing a
 // flag the caller set.
 func (s Scale) WithExec(exec Scale) Scale {
-	s.Shards, s.Speculative = exec.Shards, exec.Speculative
+	s.Shards = exec.Shards
 	s.Parallelism, s.Sinks, s.Cache, s.Debug = exec.Parallelism, exec.Sinks, exec.Cache, exec.Debug
 	return s
 }
@@ -309,9 +299,6 @@ func (s Scale) Apply(sc Scenario) Scenario {
 	}
 	if s.Shards != 0 {
 		sc.Shards = s.Shards
-	}
-	if s.Speculative {
-		sc.Speculative = true
 	}
 	return sc
 }
