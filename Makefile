@@ -41,9 +41,12 @@ bench:
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineScheduling|BenchmarkPacketPath|BenchmarkEngineHold' -benchmem -count $(COUNT) ./internal/netsim/
 
-# One iteration of every benchmark — the CI rot guard.
+# One iteration of every benchmark — the CI rot guard — and the
+# allocation budgets of the challenge path (tier-1 runs them too; CI's
+# -short test job does not).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+	$(GO) test -run TestAllocBudget -count=1 ./internal/serversim ./internal/attacksim ./internal/clientsim ./internal/experiments
 
 # The macro-source scale wall and curve: the 100k-source bounded-memory
 # test (skipped under -short, so `make race`/CI's -short test job never

@@ -92,6 +92,10 @@ type ServerCtx interface {
 	// SynAck builds and transmits a SYN-ACK for the given SYN; nil opts
 	// selects the default MSS/WScale advertisement.
 	SynAck(syn tcpkit.Segment, serverISN uint32, opts []byte)
+	// SynAckChallenge transmits a SYN-ACK for the given SYN carrying ch in
+	// a 0xfc challenge option, timestamp embedded. An error means ch does
+	// not encode (difficulty misconfiguration) and nothing was sent.
+	SynAckChallenge(syn tcpkit.Segment, serverISN uint32, ch puzzle.Challenge) error
 	// SendRST signals that no connection exists.
 	SendRST(seg tcpkit.Segment)
 	// Establish records a completed handshake on the accept queue and

@@ -19,16 +19,14 @@ func sendChallenge(ctx ServerCtx, syn tcpkit.Segment) {
 	flow := syn.Flow()
 	ch := ctx.Puzzles().Issue(flow)
 	ctx.ChargeHashes(ch.Params.GenerateHashes())
-	opts, err := tcpopt.MarshalChallenge(ch, true)
-	if err != nil {
+	// The SYN-ACK is stateless: the ISN is reconstructed at ACK time from
+	// the cookie jar so a bare ACK cannot collide with a real half-open.
+	if err := ctx.SynAckChallenge(syn, ctx.Jar().Encode(flow, 0), ch); err != nil {
 		// Difficulty misconfiguration; account and drop.
 		ctx.Metrics().EncodeFailures++
 		return
 	}
 	ctx.Metrics().ChallengesSent.Add(ctx.Now(), 1)
-	// The SYN-ACK is stateless: the ISN is reconstructed at ACK time from
-	// the cookie jar so a bare ACK cannot collide with a real half-open.
-	ctx.SynAck(syn, ctx.Jar().Encode(flow, 0), opts)
 }
 
 // sendCookieSynAck replies with a stateless SYN-cookie SYN-ACK.

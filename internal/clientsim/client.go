@@ -268,19 +268,20 @@ func (c *Client) Connect() {
 	c.armRTO(cc)
 }
 
+// synOptions announces the client's MSS 1460 and window scale 7:
+// MarshalOptions of MSSOption(1460) and WScaleOption(7), NOP-padded.
+// Read-only — every SYN carries this one area.
+var synOptions = []byte{
+	tcpopt.KindMSS, 4, 1460 >> 8, 1460 & 0xff,
+	tcpopt.KindWScale, 3, 7, tcpopt.KindNOP,
+}
+
 func (c *Client) sendSYN(cc *cconn) {
-	opts, err := tcpopt.MarshalOptions([]tcpopt.Option{
-		tcpopt.MSSOption(1460),
-		tcpopt.WScaleOption(7),
-	})
-	if err != nil {
-		opts = nil
-	}
 	c.net.Send(tcpkit.Segment{
 		Src: c.cfg.Addr, Dst: c.cfg.ServerAddr,
 		SrcPort: cc.port, DstPort: c.cfg.ServerPort,
 		Seq: cc.isn, Flags: tcpkit.FlagSYN, Window: 65535,
-		Options: opts,
+		Options: synOptions,
 	})
 }
 

@@ -1,6 +1,7 @@
 package clientsim
 
 import (
+	"bytes"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/internal/serversim"
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
+	"github.com/tcppuzzles/tcppuzzles/tcpopt"
 )
 
 type world struct {
@@ -261,5 +263,43 @@ func TestClientDefersArrivalsWhileSolving(t *testing.T) {
 	}
 	if m.SkippedBusy+m.Started < 300 {
 		t.Errorf("skipped %d + started %d, want ≈ 400 arrivals", m.SkippedBusy, m.Started)
+	}
+}
+
+// The SYN's options area is a constant; it must be the bytes the codec
+// marshals for MSS 1460 and window scale 7, which every SYN carried while
+// the area was built per packet.
+func TestSynOptionsAreTheMarshalledArea(t *testing.T) {
+	want, err := tcpopt.MarshalOptions([]tcpopt.Option{tcpopt.MSSOption(1460), tcpopt.WScaleOption(7)})
+	if err != nil {
+		t.Fatalf("MarshalOptions: %v", err)
+	}
+	if !bytes.Equal(synOptions, want) {
+		t.Errorf("synOptions = %x, MarshalOptions gives %x", synOptions, want)
+	}
+}
+
+// TestAllocBudgetConnect pins the benchmark's clientsim.connect_allocs:
+// opening a connection costs the connection record, the RTO closure and
+// its engine event, plus the connection map's growth — 5 objects while
+// the options area was marshalled per SYN.
+func TestAllocBudgetConnect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are pinned without -short (and so without -race); CI runs this by name")
+	}
+	eng := netsim.NewEngine()
+	c, err := New(eng, netsim.NewNetwork(eng), netsim.DefaultHostLink(), Config{
+		Addr: [4]byte{10, 0, 1, 1}, ServerAddr: [4]byte{10, 0, 0, 1}, Solves: true, SimulatedCrypto: true, Seed: 1,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const batch = 1000 // AllocsPerRun reports whole objects per call
+	if got := testing.AllocsPerRun(5, func() {
+		for range batch {
+			c.Connect()
+		}
+	}) / batch; got > 3.1 {
+		t.Errorf("%.2f allocs per Connect, budget 3.1", got)
 	}
 }

@@ -1,0 +1,27 @@
+package experiments
+
+import "testing"
+
+// TestAllocBudgetFloodCell is the tier-1 gate on a whole cell's allocation
+// count, the machine-independent column of the benchmark's
+// experiments.allocs_per_op: the tiny-scale connection-flood cell of
+// TestEngineStatsPinned (4 solving clients, 4 greedy solving bots, 60 s)
+// under a ceiling 21 % over the 18,999 it measures on go1.24. The count
+// is the runtime's and moves a little between Go releases; what the
+// ceiling catches is a per-packet or per-challenge allocation coming
+// back — while the challenge codec allocated, this cell took 54,606.
+func TestAllocBudgetFloodCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are pinned without -short (and so without -race); CI runs this by name")
+	}
+	sc := tinyScale().Apply(Scenario{Label: "allocs", ClientsSolve: true, BotsSolve: true})
+	const ceiling = 23_000
+	got := testing.AllocsPerRun(1, func() {
+		if _, err := RunFlood(sc); err != nil {
+			t.Fatalf("RunFlood: %v", err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("tiny connection-flood cell: %.0f allocations, ceiling %d", got, ceiling)
+	}
+}

@@ -150,3 +150,80 @@ func TestSimSolutionBitsDeterministic(t *testing.T) {
 		t.Errorf("len = %d, want %d", len(a), p.SolutionBytes())
 	}
 }
+
+// The simulated engine over the simulator's keyed-mix issuer must decide
+// every ACK the way the genuine protocol over SHA-256 does — same error
+// class, same hash count charged to the server CPU — so that only host
+// time separates a SimulatedCrypto cell from a real one. All four
+// engine × issuer pairings are held to one expectation per case. (Replay
+// is stateless here by design: the engine accepts the same ACK twice and
+// the defense's accept-queue lookup blocks the second, see
+// defense.completeSolution.)
+func TestSimAndRealDecideAlike(t *testing.T) {
+	p := puzzle.Params{K: 2, M: 8, L: 32}
+	const now = 1_700_000_000
+	cases := []struct {
+		name   string
+		mutate func(flow *puzzle.FlowID, sol *puzzle.Solution)
+		want   error
+		hashes int
+	}{
+		{"valid", func(*puzzle.FlowID, *puzzle.Solution) {}, nil, 3},
+		{"replayed ACK", func(*puzzle.FlowID, *puzzle.Solution) {}, nil, 3},
+		{"wrong flow", func(f *puzzle.FlowID, _ *puzzle.Solution) { f.SrcPort++ }, puzzle.ErrBadSolution, 2},
+		{"expired", func(_ *puzzle.FlowID, s *puzzle.Solution) { s.Timestamp -= 3600 }, puzzle.ErrExpired, 0},
+		{"future timestamp", func(_ *puzzle.FlowID, s *puzzle.Solution) { s.Timestamp += 3600 }, puzzle.ErrFutureTimestamp, 0},
+		{"param mismatch", func(_ *puzzle.FlowID, s *puzzle.Solution) { s.Params.M++ }, puzzle.ErrParamMismatch, 0},
+		{"wrong count", func(_ *puzzle.FlowID, s *puzzle.Solution) { s.Solutions = s.Solutions[:1] }, puzzle.ErrWrongCount, 1},
+		{"wrong length, first", func(_ *puzzle.FlowID, s *puzzle.Solution) {
+			s.Solutions = [][]byte{s.Solutions[0][:2], s.Solutions[1]}
+		}, puzzle.ErrWrongLength, 1},
+		{"wrong length, second", func(_ *puzzle.FlowID, s *puzzle.Solution) {
+			s.Solutions = [][]byte{s.Solutions[0], s.Solutions[1][:2]}
+		}, puzzle.ErrWrongLength, 2},
+		{"garbage bits", func(_ *puzzle.FlowID, s *puzzle.Solution) {
+			s.Solutions = [][]byte{{0xde, 0xad, 0xbe, 0xef}, {0xde, 0xad, 0xbe, 0xef}}
+		}, puzzle.ErrBadSolution, 2},
+	}
+	secret := []byte("0123456789abcdef0123456789abcdef")
+	clock := puzzle.WithClock(func() time.Time { return time.Unix(now, 0) })
+	issuers := map[string][]puzzle.IssuerOption{
+		"sha256":    {puzzle.WithParams(p), puzzle.WithSecret(secret), clock},
+		"keyed mix": {puzzle.WithParams(p), puzzle.WithSecret(secret), clock, puzzle.WithSimulatedPreimage(nil)},
+	}
+	for issuerName, opts := range issuers {
+		is, err := puzzle.NewIssuer(opts...)
+		if err != nil {
+			t.Fatalf("NewIssuer: %v", err)
+		}
+		engines := map[string]struct {
+			eng   Engine
+			solve func(puzzle.Challenge) puzzle.Solution
+		}{
+			"Real": {Real{Is: is}, func(ch puzzle.Challenge) puzzle.Solution {
+				sol, _, err := puzzle.Solve(ch)
+				if err != nil {
+					t.Fatalf("Solve: %v", err)
+				}
+				return sol
+			}},
+			"Sim": {Sim{Is: is}, SimSolution},
+		}
+		for engineName, e := range engines {
+			for _, tc := range cases {
+				t.Run(engineName+" over "+issuerName+"/"+tc.name, func(t *testing.T) {
+					f := flow()
+					sol := e.solve(e.eng.Issue(f))
+					tc.mutate(&f, &sol)
+					info, err := e.eng.Verify(f, sol)
+					if !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {
+						t.Errorf("Verify error = %v, want %v", err, tc.want)
+					}
+					if info.Hashes != tc.hashes {
+						t.Errorf("Verify charged %d hashes, want %d", info.Hashes, tc.hashes)
+					}
+				})
+			}
+		}
+	}
+}

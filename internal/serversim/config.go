@@ -45,7 +45,11 @@ type Config struct {
 	AdaptMaxM uint8
 	// SimulatedCrypto swaps genuine SHA-256 verification for the
 	// cost-equivalent simulated engine (see internal/pzengine), letting
-	// experiments run 17-bit difficulties without burning host cycles.
+	// experiments run 17-bit difficulties without burning host cycles,
+	// and derives challenge preimages and cookie hash bits from a keyed
+	// mix instead of SHA-256 (puzzle.WithSimulatedPreimage,
+	// syncookie.WithSimulatedHash). The modelled CPU is charged the same
+	// hash counts either way.
 	SimulatedCrypto bool
 
 	// Backlog bounds the listen queue (half-open connections).

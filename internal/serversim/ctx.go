@@ -11,6 +11,7 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
 	"github.com/tcppuzzles/tcppuzzles/syncookie"
+	"github.com/tcppuzzles/tcppuzzles/tcpopt"
 )
 
 // serverCtx is the server's implementation of defense.ServerCtx: the
@@ -78,6 +79,18 @@ func (c serverCtx) NormalSYN(syn tcpkit.Segment, mss uint16, wscale uint8) {
 // SynAck implements defense.ServerCtx.
 func (c serverCtx) SynAck(syn tcpkit.Segment, serverISN uint32, opts []byte) {
 	c.s.send(c.s.synAck(syn, serverISN, opts))
+}
+
+// SynAckChallenge implements defense.ServerCtx. The option bytes come from
+// the server's bump buffer, so a challenge costs no heap object.
+func (c serverCtx) SynAckChallenge(syn tcpkit.Segment, serverISN uint32, ch puzzle.Challenge) error {
+	s := c.s
+	opts, err := tcpopt.AppendChallenge(s.carve(tcpopt.ChallengeWireSize(ch.Params, true))[:0], ch, true)
+	if err != nil {
+		return err
+	}
+	s.send(s.synAck(syn, serverISN, opts))
+	return nil
 }
 
 // SendRST implements defense.ServerCtx.

@@ -82,7 +82,7 @@ func (s *Server) normalSYN(seg tcpkit.Segment, mss uint16, wscale uint8) {
 // synAck builds a SYN-ACK for a SYN.
 func (s *Server) synAck(syn tcpkit.Segment, serverISN uint32, opts []byte) tcpkit.Segment {
 	if opts == nil {
-		opts = defaultSynAckOptions()
+		opts = defaultSynAckOptions
 	}
 	return tcpkit.Segment{
 		Src: s.cfg.Addr, Dst: syn.Src,
@@ -153,19 +153,20 @@ func (s *Server) sendRST(seg tcpkit.Segment) {
 }
 
 // parseSynOptions extracts MSS and window scale from SYN options, with the
-// kernel defaults when absent or malformed.
+// kernel defaults for a missing or ill-formed option and for both when the
+// area is malformed anywhere.
 func parseSynOptions(raw []byte) (mss uint16, wscale uint8) {
 	mss, wscale = 536, 0
-	opts, err := tcpopt.ParseOptions(raw)
+	o, ok, err := tcpopt.Lookup(raw, tcpopt.KindMSS)
 	if err != nil {
 		return mss, wscale
 	}
-	if o, ok := tcpopt.FindOption(opts, tcpopt.KindMSS); ok {
+	if ok {
 		if v, err := tcpopt.ParseMSS(o); err == nil {
 			mss = v
 		}
 	}
-	if o, ok := tcpopt.FindOption(opts, tcpopt.KindWScale); ok {
+	if o, ok, _ := tcpopt.Lookup(raw, tcpopt.KindWScale); ok {
 		if v, err := tcpopt.ParseWScale(o); err == nil {
 			wscale = v
 		}
@@ -173,14 +174,10 @@ func parseSynOptions(raw []byte) (mss uint16, wscale uint8) {
 	return mss, wscale
 }
 
-// defaultSynAckOptions advertises the server's MSS and window scale.
-func defaultSynAckOptions() []byte {
-	opts, err := tcpopt.MarshalOptions([]tcpopt.Option{
-		tcpopt.MSSOption(1460),
-		tcpopt.WScaleOption(7),
-	})
-	if err != nil {
-		return nil
-	}
-	return opts
+// defaultSynAckOptions advertises the server's MSS 1460 and window scale
+// 7: MarshalOptions of MSSOption(1460) and WScaleOption(7), NOP-padded.
+// Read-only — every plain SYN-ACK carries this one area.
+var defaultSynAckOptions = []byte{
+	tcpopt.KindMSS, 4, 1460 >> 8, 1460 & 0xff,
+	tcpopt.KindWScale, 3, 7, tcpopt.KindNOP,
 }

@@ -1,6 +1,7 @@
 package serversim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"time"
@@ -55,6 +56,9 @@ type Server struct {
 	latchLoadedAt time.Duration
 	baselineM     uint8
 
+	// chunk is the unused tail of the bump buffer carve hands out.
+	chunk []byte
+
 	metrics *Metrics
 }
 
@@ -75,11 +79,23 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		metrics:     srvmetrics.New(cfg.MetricBucket),
 	}
 	simClock := func() time.Time { return time.Unix(0, 0).Add(eng.Now()) }
-	issuer, err := puzzle.NewIssuer(
+	// The secret comes from the seed, all SecretLen bytes of it, so the
+	// preimage bits on the wire repeat run to run.
+	var secret [puzzle.SecretLen]byte
+	binary.BigEndian.PutUint64(secret[:], uint64(cfg.Seed))
+	issuerOpts := []puzzle.IssuerOption{
 		puzzle.WithParams(cfg.PuzzleParams),
 		puzzle.WithMaxAge(cfg.PuzzleMaxAge),
 		puzzle.WithClock(simClock),
-	)
+		puzzle.WithSecret(secret[:]),
+	}
+	jarOpts := []syncookie.Option{syncookie.WithClock(simClock)}
+	if cfg.SimulatedCrypto {
+		// The CPU model is charged the hash counts; the host computes none.
+		issuerOpts = append(issuerOpts, puzzle.WithSimulatedPreimage(s.carve))
+		jarOpts = append(jarOpts, syncookie.WithSimulatedHash())
+	}
+	issuer, err := puzzle.NewIssuer(issuerOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("serversim: issuer: %w", err)
 	}
@@ -89,7 +105,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 	} else {
 		s.engine = pzengine.Real{Is: issuer}
 	}
-	s.jar = syncookie.New([]byte{byte(cfg.Seed)}, syncookie.WithClock(simClock))
+	s.jar = syncookie.New([]byte{byte(cfg.Seed)}, jarOpts...)
 	s.cache = syncache.New(cfg.Backlog*4, syncache.RejectNew)
 	s.listenQ = tcpkit.NewListenQueue(cfg.Backlog, func(n int) {
 		s.metrics.ListenLen.Set(eng.Now(), float64(n))
@@ -190,6 +206,19 @@ func (s *Server) Handle(seg tcpkit.Segment) {
 func (s *Server) send(seg tcpkit.Segment) {
 	s.metrics.BytesOut.Add(s.eng.Now(), float64(seg.WireSize()))
 	s.net.Send(seg)
+}
+
+// carve returns n fresh bytes of the server's bump buffer: 4 KiB chunks,
+// handed out front to back and never reused, so a carved slice is as
+// immutable as one from make and the collector frees a chunk when the last
+// packet or queued solve pointing into it is gone.
+func (s *Server) carve(n int) []byte {
+	if n > len(s.chunk) {
+		s.chunk = make([]byte, max(n, 4096))
+	}
+	b := s.chunk[:n:n]
+	s.chunk = s.chunk[n:]
+	return b
 }
 
 // chargeHashes runs hash work on the server CPU.

@@ -1,6 +1,7 @@
 package serversim
 
 import (
+	"bytes"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 	"testing"
 	"time"
@@ -551,5 +552,69 @@ func TestSysctlRetuning(t *testing.T) {
 	}
 	if blk.Challenge.Params != newParams {
 		t.Errorf("challenge params = %v, want %v", blk.Challenge.Params, newParams)
+	}
+}
+
+// The hand-written default options area must be what the codec would have
+// marshalled for MSS 1460 and window scale 7 — the bytes every plain
+// SYN-ACK carried before the area became a constant.
+func TestDefaultSynAckOptionsAreTheMarshalledArea(t *testing.T) {
+	want, err := tcpopt.MarshalOptions([]tcpopt.Option{tcpopt.MSSOption(1460), tcpopt.WScaleOption(7)})
+	if err != nil {
+		t.Fatalf("MarshalOptions: %v", err)
+	}
+	if !bytes.Equal(defaultSynAckOptions, want) {
+		t.Errorf("defaultSynAckOptions = %x, MarshalOptions gives %x", defaultSynAckOptions, want)
+	}
+	if mss, wscale := parseSynOptions(defaultSynAckOptions); mss != 1460 || wscale != 7 {
+		t.Errorf("parseSynOptions(default area) = %d, %d; want 1460, 7", mss, wscale)
+	}
+}
+
+// parseSynOptions reads the two fields straight off the bytes and must
+// keep the kernel defaults of the list-building parser it replaced: for a
+// missing or ill-formed option that option's default, and for an area
+// malformed anywhere — even after both options — both defaults.
+func TestParseSynOptionsDefaults(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		raw    []byte
+		mss    uint16
+		wscale uint8
+	}{
+		{"empty", nil, 536, 0},
+		{"mss only", []byte{2, 4, 0x05, 0xb4}, 1460, 0},
+		{"wscale only", []byte{3, 3, 9, 1}, 536, 9},
+		{"wscale first", []byte{3, 3, 9, 1, 2, 4, 0x02, 0x00}, 512, 9},
+		{"first of two MSS options wins", []byte{2, 4, 0x02, 0x00, 2, 4, 0x05, 0xb4}, 512, 0},
+		{"MSS of the wrong size", []byte{2, 3, 0x05, 3, 3, 9}, 536, 9},
+		{"window scale of the wrong size", []byte{2, 4, 0x05, 0xb4, 3, 4, 9, 9}, 1460, 0},
+		{"options after EOL are not read", []byte{2, 4, 0x05, 0xb4, 0, 3, 3, 9}, 1460, 0},
+		{"truncated after both options", []byte{2, 4, 0x05, 0xb4, 3, 3, 9, 8}, 536, 0},
+		{"bad length after both options", []byte{2, 4, 0x05, 0xb4, 3, 3, 9, 8, 1}, 536, 0},
+	} {
+		if mss, wscale := parseSynOptions(tt.raw); mss != tt.mss || wscale != tt.wscale {
+			t.Errorf("%s: parseSynOptions(%x) = %d, %d; want %d, %d", tt.name, tt.raw, mss, wscale, tt.mss, tt.wscale)
+		}
+	}
+}
+
+// Two servers built from one Config put the same preimage bits on the
+// wire — the issuer secret comes from Config.Seed, not from crypto/rand —
+// and a different seed different ones, with real and simulated crypto
+// alike.
+func TestIssuerSecretComesFromSeed(t *testing.T) {
+	flow := puzzle.FlowID{SrcIP: [4]byte{10, 0, 0, 99}, DstIP: [4]byte{10, 0, 0, 1}, SrcPort: 9000, DstPort: 80, ISN: 5}
+	for _, simulated := range []bool{true, false} {
+		preimage := func(seed int64) []byte {
+			f := newFixture(t, Config{Defense: sweep.DefensePuzzles, SimulatedCrypto: simulated, Seed: seed})
+			return f.server.Issuer().Issue(flow).Preimage
+		}
+		if a, b := preimage(7), preimage(7); !bytes.Equal(a, b) {
+			t.Errorf("SimulatedCrypto=%v: seed 7 gave preimages %x and %x", simulated, a, b)
+		}
+		if a, b := preimage(7), preimage(8); bytes.Equal(a, b) {
+			t.Errorf("SimulatedCrypto=%v: seeds 7 and 8 gave the same preimage %x", simulated, a)
+		}
 	}
 }

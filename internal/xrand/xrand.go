@@ -26,14 +26,35 @@ func New(seed int64) *SplitMix { return &SplitMix{state: uint64(seed)} }
 
 // Uint64 advances the state and returns the next mixed output.
 func (s *SplitMix) Uint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
+	s.state += golden
+	return avalanche(s.state)
+}
+
+// golden is splitmix64's state increment, 2^64 divided by the golden
+// ratio.
+const golden = 0x9E3779B97F4A7C15
+
+// avalanche is splitmix64's output function: two xor-multiply rounds
+// under which every input bit reaches every output bit.
+func avalanche(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1E4B71D9
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
 	return z
+}
+
+// Mix is a keyed 64-bit mix: it folds words into key one at a time, each
+// through one splitmix64 step, so the result depends on every word and on
+// their order. It is what the simulator derives challenge preimages and
+// cookie hashes from where the real protocol runs SHA-256 — fast and well
+// spread, NOT a cryptographic MAC.
+func Mix(key uint64, words ...uint64) uint64 {
+	for _, w := range words {
+		key = avalanche((key ^ w) + golden)
+	}
+	return key
 }
 
 // Int63 returns the top 63 bits of the next output, satisfying

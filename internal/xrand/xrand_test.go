@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -92,5 +93,45 @@ func TestUint64KnownVector(t *testing.T) {
 	// differently) fails loudly.
 	if first != 0x8d95708ae06ae805 {
 		t.Fatalf("first output changed: got %#x", first)
+	}
+}
+
+// Mix is one splitmix64 step per word, so with a zero key and a zero word
+// it is the generator's own first output — which ties it to the vector
+// pinned above.
+func TestMixIsSplitMixSteps(t *testing.T) {
+	if got, want := Mix(0, 0), New(0).Uint64(); got != want {
+		t.Fatalf("Mix(0, 0) = %#x, splitmix64's first output from 0 is %#x", got, want)
+	}
+	if Mix(7) != 7 {
+		t.Error("Mix of no words must return the key")
+	}
+	if Mix(1, 2, 3) != Mix(Mix(1, 2), 3) {
+		t.Error("Mix does not fold left to right")
+	}
+	if Mix(1, 2, 3) == Mix(1, 3, 2) {
+		t.Error("Mix ignores word order")
+	}
+}
+
+// What the simulated primitives need of Mix: the 24 low bits a cookie
+// keeps and the bytes a preimage keeps must spread over inputs that differ
+// the way flows do — one bit, or a counter — under any key.
+func TestMixSpreadsNearbyInputs(t *testing.T) {
+	const key, base = 0x0123456789abcdef, 0xc0a8010a0a000001
+	flipped := 0
+	for bit := 0; bit < 64; bit++ {
+		flipped += bits.OnesCount64(Mix(key, base) ^ Mix(key, base^1<<bit))
+	}
+	if mean := float64(flipped) / 64; mean < 28 || mean > 36 {
+		t.Errorf("one flipped input bit flips %.1f output bits on average, want ≈ 32", mean)
+	}
+	seen := map[uint64]bool{}
+	for i := uint64(0); i < 4096; i++ {
+		seen[Mix(key, base, i)&0xffffff] = true
+	}
+	// 4096 draws from 2^24 values collide 0.5 times on average.
+	if len(seen) < 4090 {
+		t.Errorf("4096 consecutive counters gave only %d distinct 24-bit hashes", len(seen))
 	}
 }

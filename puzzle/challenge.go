@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/tcppuzzles/tcppuzzles/internal/xrand"
 )
 
 // SecretLen is the length of the server secret in bytes.
@@ -63,6 +65,13 @@ type Issuer struct {
 	maxAge  time.Duration
 	maxSkew time.Duration
 	now     func() time.Time
+
+	// simulated selects the keyed-mix preimage of WithSimulatedPreimage,
+	// simKey is the secret folded to its key, and carve (may be nil) is
+	// where Issue takes preimage memory from.
+	simulated bool
+	simKey    uint64
+	carve     func(n int) []byte
 }
 
 // IssuerOption customises an Issuer.
@@ -94,6 +103,24 @@ func WithClock(now func() time.Time) IssuerOption {
 	return func(is *Issuer) { is.now = now }
 }
 
+// WithSimulatedPreimage makes the issuer SIMULATE the challenge hash
+// instead of computing it: the preimage is a keyed 64-bit mix of (secret,
+// timestamp, flow) — a few multiplications, NOT SHA-256 and NOT
+// unpredictable to an adversary. Flow binding, expiry, parameter matching
+// and the hash counts Verify reports are unchanged; only the preimage
+// bits differ. It exists for the discrete-event simulator, which charges
+// hash work to a modelled CPU and must not also burn host time on it;
+// nothing that talks to a real network may set it.
+//
+// carve, when non-nil, supplies the memory of each preimage Issue and
+// IssueAt hand out (n bytes per call, never reused by the issuer), so a
+// caller issuing from one goroutine can carve them from a buffer it owns
+// instead of paying a heap object per challenge. It is called outside the
+// issuer's lock.
+func WithSimulatedPreimage(carve func(n int) []byte) IssuerOption {
+	return func(is *Issuer) { is.simulated, is.carve = true, carve }
+}
+
 // NewIssuer returns an Issuer with a fresh random secret, the paper's
 // default difficulty, and the default replay window.
 func NewIssuer(opts ...IssuerOption) (*Issuer, error) {
@@ -101,16 +128,19 @@ func NewIssuer(opts ...IssuerOption) (*Issuer, error) {
 		params:  DefaultParams(),
 		maxAge:  DefaultMaxAge,
 		maxSkew: DefaultMaxSkew,
-		//tcpz:allow nodeterm — injectable default only; the simulator always overrides it with the engine clock via WithClock
+		//tcpz:allow nodeterm — default for real-protocol callers (puzzlenet) only; internal/serversim always overrides it with the engine clock via WithClock
 		now: time.Now,
 	}
-	//tcpz:allow nodeterm — the secret only keys preimage derivation; simulated results are secret-independent (pzengine.Sim charges counts both sides derive from the same challenge) and real-protocol callers need a fresh secret
+	//tcpz:allow nodeterm — the fresh random secret is for real-protocol callers only; internal/serversim overwrites all SecretLen bytes via WithSecret from Config.Seed, so a simulated run's preimage bits repeat
 	if _, err := rand.Read(is.secret[:]); err != nil {
 		return nil, fmt.Errorf("puzzle: generate secret: %w", err)
 	}
 	for _, opt := range opts {
 		opt(is)
 	}
+	is.simKey = xrand.Mix(0,
+		binary.BigEndian.Uint64(is.secret[0:]), binary.BigEndian.Uint64(is.secret[8:]),
+		binary.BigEndian.Uint64(is.secret[16:]), binary.BigEndian.Uint64(is.secret[24:]))
 	if err := is.params.Validate(); err != nil {
 		return nil, err
 	}
@@ -158,12 +188,7 @@ func (is *Issuer) Issue(flow FlowID) Challenge {
 	params := is.params
 	now := is.now()
 	is.mu.RUnlock()
-	ts := uint32(now.Unix())
-	return Challenge{
-		Params:    params,
-		Timestamp: ts,
-		Preimage:  is.preimage(flow, ts, params),
-	}
+	return is.issue(flow, uint32(now.Unix()), params)
 }
 
 // IssueAt creates a challenge with an explicit timestamp. It exists for the
@@ -172,19 +197,42 @@ func (is *Issuer) IssueAt(flow FlowID, ts uint32) Challenge {
 	is.mu.RLock()
 	params := is.params
 	is.mu.RUnlock()
-	return Challenge{Params: params, Timestamp: ts, Preimage: is.preimage(flow, ts, params)}
+	return is.issue(flow, ts, params)
 }
 
-// preimage computes the first params.L bits of h(secret || ts || flow).
-func (is *Issuer) preimage(flow FlowID, ts uint32, params Params) []byte {
+func (is *Issuer) issue(flow FlowID, ts uint32, params Params) Challenge {
+	n := params.SolutionBytes()
+	var pre []byte
+	if is.carve != nil {
+		pre = is.carve(n)[:0]
+	} else {
+		pre = make([]byte, 0, n)
+	}
+	return Challenge{Params: params, Timestamp: ts, Preimage: is.appendPreimage(pre, flow, ts, params)}
+}
+
+// appendPreimage appends the first params.L bits of the challenge hash
+// y = h(secret || ts || flow) to dst: a SHA-256 prefix, or successive
+// words of the keyed mix under WithSimulatedPreimage.
+func (is *Issuer) appendPreimage(dst []byte, flow FlowID, ts uint32, params Params) []byte {
+	n := params.SolutionBytes()
+	if is.simulated {
+		y := xrand.Mix(is.simKey, uint64(ts),
+			uint64(binary.BigEndian.Uint32(flow.SrcIP[:]))<<32|uint64(binary.BigEndian.Uint32(flow.DstIP[:])),
+			uint64(flow.SrcPort)<<48|uint64(flow.DstPort)<<32|uint64(flow.ISN))
+		for i := 0; i < n; i += 8 {
+			var w [8]byte
+			binary.BigEndian.PutUint64(w[:], xrand.Mix(y, uint64(i)))
+			dst = append(dst, w[:min(8, n-i)]...)
+		}
+		return dst
+	}
 	buf := make([]byte, 0, SecretLen+4+16)
 	buf = append(buf, is.secret[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, ts)
 	buf = flow.appendBytes(buf)
 	sum := sha256.Sum256(buf)
-	pre := make([]byte, params.SolutionBytes())
-	copy(pre, sum[:])
-	return pre
+	return append(dst, sum[:n]...)
 }
 
 // PreimageFor re-derives the challenge preimage for a flow and timestamp
@@ -194,7 +242,7 @@ func (is *Issuer) PreimageFor(flow FlowID, ts uint32) []byte {
 	is.mu.RLock()
 	params := is.params
 	is.mu.RUnlock()
-	return is.preimage(flow, ts, params)
+	return is.appendPreimage(make([]byte, 0, params.SolutionBytes()), flow, ts, params)
 }
 
 // ValidateTimestamp checks a solution timestamp against the replay window
@@ -245,7 +293,8 @@ func (is *Issuer) VerifyDetailed(flow FlowID, sol Solution) (VerifyInfo, error) 
 	if ahead := issued.Sub(now); ahead > maxSkew {
 		return info, fmt.Errorf("puzzle: timestamp %v ahead of clock: %w", ahead, ErrFutureTimestamp)
 	}
-	pre := is.preimage(flow, sol.Timestamp, params)
+	var buf [MaxPreimageBits / 8]byte
+	pre := is.appendPreimage(buf[:0], flow, sol.Timestamp, params)
 	info.Hashes = 1
 	n, err := VerifySolutions(pre, params, sol.Solutions)
 	info.Hashes += n

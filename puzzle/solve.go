@@ -115,25 +115,36 @@ func encodeCandidate(buf []byte, c uint64) {
 // with success probability 2^-m. The simulator uses this to charge solve
 // time to a modelled CPU instead of burning host cycles.
 func SampleSolveHashes(rnd *rand.Rand, p Params) uint64 {
-	prob := math.Exp2(-float64(p.M))
+	if p.M == 0 {
+		return uint64(p.K) // every candidate succeeds; no draw
+	}
+	logMiss := logMissTable[min(int(p.M), MaxDifficultyBits)]
 	var total uint64
 	for i := 0; i < int(p.K); i++ {
-		total += sampleGeometric(rnd, prob)
+		total += sampleGeometric(rnd, logMiss)
 	}
 	return total
 }
 
-// sampleGeometric samples the number of Bernoulli(p) trials up to and
-// including the first success, via inversion.
-func sampleGeometric(rnd *rand.Rand, p float64) uint64 {
-	if p >= 1 {
-		return 1
+// logMissTable[m] is log(1 − 2^−m), the log-probability that one
+// candidate misses an m-bit check: the constant every geometric draw
+// divides by, computed once per difficulty instead of once per draw.
+var logMissTable = func() (t [MaxDifficultyBits + 1]float64) {
+	for m := range t {
+		t[m] = math.Log(1 - math.Exp2(-float64(m)))
 	}
+	return t
+}()
+
+// sampleGeometric samples the number of Bernoulli trials up to and
+// including the first success, via inversion; logMiss is the log of the
+// per-trial failure probability.
+func sampleGeometric(rnd *rand.Rand, logMiss float64) uint64 {
 	u := rnd.Float64()
 	for u == 0 {
 		u = rnd.Float64()
 	}
-	n := math.Ceil(math.Log(u) / math.Log(1-p))
+	n := math.Ceil(math.Log(u) / logMiss)
 	if n < 1 {
 		return 1
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/tcppuzzles/tcppuzzles/internal/xrand"
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
 )
 
@@ -56,6 +57,10 @@ type Jar struct {
 	now    func() time.Time
 	// maxAge is the validation window in counter ticks (inclusive).
 	maxTicks uint32
+	// simulated selects the keyed-mix hash of WithSimulatedHash; simKey
+	// is the secret folded to its key.
+	simulated bool
+	simKey    uint64
 }
 
 // Option customises a Jar.
@@ -83,6 +88,18 @@ func WithSecret(secret []byte) Option {
 	return func(j *Jar) { copy(j.secret[:], secret) }
 }
 
+// WithSimulatedHash makes the jar SIMULATE the cookie hash instead of
+// computing it: the 24 hash bits are a keyed 64-bit mix of (secret, flow,
+// counter, MSS index) — a few multiplications, NOT SHA-256 and NOT
+// unforgeable. Round-trip, flow binding, tamper detection and the
+// acceptance window are unchanged; only the bits differ. It exists for
+// the discrete-event simulator, which charges hash work to a modelled CPU
+// and must not also burn host time on it; nothing that talks to a real
+// network may set it.
+func WithSimulatedHash() Option {
+	return func(j *Jar) { j.simulated = true }
+}
+
 // New returns a Jar with a secret derived from the provided seed bytes, or
 // random when seed is nil.
 func New(seed []byte, opts ...Option) *Jar {
@@ -95,6 +112,9 @@ func New(seed []byte, opts ...Option) *Jar {
 	for _, opt := range opts {
 		opt(j)
 	}
+	j.simKey = xrand.Mix(0,
+		binary.BigEndian.Uint64(j.secret[0:]), binary.BigEndian.Uint64(j.secret[8:]),
+		binary.BigEndian.Uint64(j.secret[16:]), binary.BigEndian.Uint64(j.secret[24:]))
 	return j
 }
 
@@ -139,6 +159,12 @@ func (j *Jar) counter() uint32 {
 
 // hash computes the 24-bit keyed hash bound to flow, counter and MSS index.
 func (j *Jar) hash(flow puzzle.FlowID, t uint32, idx uint8) uint32 {
+	if j.simulated {
+		return uint32(xrand.Mix(j.simKey,
+			uint64(binary.BigEndian.Uint32(flow.SrcIP[:]))<<32|uint64(binary.BigEndian.Uint32(flow.DstIP[:])),
+			uint64(flow.SrcPort)<<48|uint64(flow.DstPort)<<32|uint64(flow.ISN),
+			uint64(t)<<8|uint64(idx))) & 0xffffff
+	}
 	buf := make([]byte, 0, SecretLen+24)
 	buf = append(buf, j.secret[:]...)
 	buf = append(buf, flow.SrcIP[:]...)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
 )
@@ -50,13 +51,21 @@ func EncodeChallenge(ch puzzle.Challenge, embedTS bool) (Option, error) {
 
 // MarshalChallenge encodes a challenge as a complete options area holding
 // only the 0xfc option — EncodeChallenge then MarshalOptions, in one
-// allocation.
+// allocation. It is AppendChallenge to nil.
 func MarshalChallenge(ch puzzle.Challenge, embedTS bool) ([]byte, error) {
+	return AppendChallenge(nil, ch, embedTS)
+}
+
+// AppendChallenge appends to dst what MarshalChallenge returns — the 0xfc
+// option NOP-padded to a 32-bit boundary from where it starts — and
+// allocates only when dst lacks the capacity (ChallengeWireSize). On
+// error dst is returned unchanged.
+func AppendChallenge(dst []byte, ch puzzle.Challenge, embedTS bool) ([]byte, error) {
 	if err := ch.Params.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if len(ch.Preimage) != ch.Params.SolutionBytes() {
-		return nil, fmt.Errorf("tcpopt: preimage %d bytes, want %d: %w",
+		return dst, fmt.Errorf("tcpopt: preimage %d bytes, want %d: %w",
 			len(ch.Preimage), ch.Params.SolutionBytes(), ErrChallengeMalformed)
 	}
 	n := 2 + 3 + len(ch.Preimage)
@@ -64,21 +73,24 @@ func MarshalChallenge(ch puzzle.Challenge, embedTS bool) ([]byte, error) {
 		n += 4
 	}
 	if n > MaxOptionsLen {
-		return nil, fmt.Errorf("tcpopt: challenge block %d bytes: %w", n, ErrTooLarge)
+		return dst, fmt.Errorf("tcpopt: challenge block %d bytes: %w", n, ErrTooLarge)
 	}
-	out := make([]byte, 0, align4(n))
-	out = append(out, KindChallenge, uint8(n), ch.Params.K, ch.Params.M, ch.Params.L)
-	out = append(out, ch.Preimage...)
+	dst = slices.Grow(dst, align4(n))
+	dst = append(dst, KindChallenge, uint8(n), ch.Params.K, ch.Params.M, ch.Params.L)
+	dst = append(dst, ch.Preimage...)
 	if embedTS {
-		out = binary.BigEndian.AppendUint32(out, ch.Timestamp)
+		dst = binary.BigEndian.AppendUint32(dst, ch.Timestamp)
 	}
-	for len(out)%4 != 0 {
-		out = append(out, KindNOP)
+	for ; n%4 != 0; n++ {
+		dst = append(dst, KindNOP)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// ParseChallenge decodes a 0xfc option.
+// ParseChallenge decodes a 0xfc option. The returned Challenge.Preimage
+// aliases o.Data rather than copying it: it stays valid exactly as long as
+// the caller leaves the option bytes unmodified, and a caller that reuses
+// its read buffer must copy the preimage out first.
 func ParseChallenge(o Option) (ChallengeBlock, error) {
 	if o.Kind != KindChallenge {
 		return ChallengeBlock{}, fmt.Errorf("tcpopt: kind 0x%02x: %w", o.Kind, ErrChallengeMalformed)
@@ -104,7 +116,7 @@ func ParseChallenge(o Option) (ChallengeBlock, error) {
 			len(rest), params.L, ErrChallengeMalformed)
 	}
 	blk.Challenge.Params = params
-	blk.Challenge.Preimage = append([]byte(nil), rest[:preLen]...)
+	blk.Challenge.Preimage = rest[:preLen:preLen]
 	return blk, nil
 }
 

@@ -192,18 +192,150 @@ func TestEncodeRejectsOversizeBlocks(t *testing.T) {
 	}
 }
 
-// MarshalChallenge must fail exactly where EncodeChallenge does.
+// All three encoders must reject what the wire format cannot carry and
+// name the reason; AppendChallenge must also hand dst back as it was, and
+// MarshalChallenge — the same call on a nil dst — nil.
 func TestMarshalChallengeRejectsWhatEncodeRejects(t *testing.T) {
-	for _, ch := range []puzzle.Challenge{
-		{Params: puzzle.Params{K: 0, M: 8, L: 32}, Preimage: make([]byte, 4)},
-		{Params: puzzle.Params{K: 2, M: 8, L: 30}, Preimage: make([]byte, 4)},
-		{Params: puzzle.Params{K: 2, M: 8, L: 32}, Preimage: make([]byte, 3)},
+	prefix := []byte{0xaa, 0xbb, 0xcc}
+	for _, tt := range []struct {
+		ch   puzzle.Challenge
+		want error
+	}{
+		{puzzle.Challenge{Params: puzzle.Params{K: 0, M: 8, L: 32}, Preimage: make([]byte, 4)}, puzzle.ErrInvalidParams},
+		{puzzle.Challenge{Params: puzzle.Params{K: 2, M: 8, L: 30}, Preimage: make([]byte, 4)}, puzzle.ErrInvalidParams},
+		{puzzle.Challenge{Params: puzzle.Params{K: 2, M: 8, L: 255}, Preimage: make([]byte, 31)}, puzzle.ErrInvalidParams},
+		{puzzle.Challenge{Params: puzzle.Params{K: 2, M: 40, L: 32}, Preimage: make([]byte, 4)}, puzzle.ErrInvalidParams},
+		{puzzle.Challenge{Params: puzzle.Params{K: 2, M: 8, L: 32}, Preimage: make([]byte, 3)}, ErrChallengeMalformed},
+		{puzzle.Challenge{Params: puzzle.Params{K: 2, M: 8, L: 32}, Preimage: make([]byte, 40)}, ErrChallengeMalformed},
 	} {
-		_, want := EncodeChallenge(ch, true)
-		raw, err := MarshalChallenge(ch, true)
-		if want == nil || err == nil || err.Error() != want.Error() || raw != nil {
-			t.Errorf("MarshalChallenge(%+v) = %x, %v; EncodeChallenge error %v", ch.Params, raw, err, want)
+		for _, embedTS := range []bool{true, false} {
+			got, err := AppendChallenge(prefix, tt.ch, embedTS)
+			if !errors.Is(err, tt.want) || !bytes.Equal(got, prefix) {
+				t.Errorf("AppendChallenge(%+v) = %x, %v; want dst unchanged and %v", tt.ch.Params, got, err, tt.want)
+			}
+			if raw, err := MarshalChallenge(tt.ch, embedTS); !errors.Is(err, tt.want) || raw != nil {
+				t.Errorf("MarshalChallenge(%+v) = %x, %v; want nil and %v", tt.ch.Params, raw, err, tt.want)
+			}
+			if _, err := EncodeChallenge(tt.ch, embedTS); !errors.Is(err, tt.want) {
+				t.Errorf("EncodeChallenge(%+v) error = %v, want %v", tt.ch.Params, err, tt.want)
+			}
 		}
+	}
+}
+
+// For every valid (k, m, l, embedTS) AppendChallenge writes the bytes the
+// wire format specifies — built by hand here, so the oracle shares no code
+// with the codec — after whatever dst already holds, padded from where the
+// option starts (not from the start of dst), in place when dst has the
+// room; MarshalChallenge is the same bytes and ChallengeWireSize their
+// count.
+func TestAppendChallengeEveryParams(t *testing.T) {
+	pre := make([]byte, puzzle.MaxPreimageBits/8)
+	for i := range pre {
+		pre[i] = byte(0x80 + i)
+	}
+	const ts = 0x01020304
+	prefix := []byte{0xaa, 0xbb, 0xcc} // odd length: padding must ignore it
+	roomy := make([]byte, len(prefix), len(prefix)+MaxOptionsLen)
+	copy(roomy, prefix)
+	var want []byte
+	for l := puzzle.MinPreimageBits; l <= puzzle.MaxPreimageBits; l += 8 {
+		for m := puzzle.MinDifficultyBits; m <= min(l, puzzle.MaxDifficultyBits); m++ {
+			for k := 1; k <= 255; k++ {
+				for _, embedTS := range []bool{true, false} {
+					p := puzzle.Params{K: uint8(k), M: uint8(m), L: uint8(l)}
+					ch := puzzle.Challenge{Params: p, Timestamp: ts, Preimage: pre[:l/8]}
+					n := 5 + l/8
+					want = append(want[:0], KindChallenge, 0, p.K, p.M, p.L)
+					want = append(want, ch.Preimage...)
+					if embedTS {
+						want = append(want, 1, 2, 3, 4)
+						n += 4
+					}
+					want[1] = byte(n)
+					for len(want)%4 != 0 {
+						want = append(want, KindNOP)
+					}
+					if got := ChallengeWireSize(p, embedTS); got != len(want) {
+						t.Fatalf("ChallengeWireSize(%v, %v) = %d, encoded length %d", p, embedTS, got, len(want))
+					}
+					raw, err := MarshalChallenge(ch, embedTS)
+					if err != nil || !bytes.Equal(raw, want) {
+						t.Fatalf("MarshalChallenge(%v, %v) = %x, %v; want %x", p, embedTS, raw, err, want)
+					}
+					got, err := AppendChallenge(prefix, ch, embedTS)
+					if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+						t.Fatalf("AppendChallenge(prefix, %v, %v) = %x, %v; want prefix then %x", p, embedTS, got, err, want)
+					}
+					got, err = AppendChallenge(roomy, ch, embedTS)
+					if err != nil || &got[0] != &roomy[0] || !bytes.Equal(got[len(prefix):], want) {
+						t.Fatalf("AppendChallenge(roomy, %v, %v) = %x, %v; want %x written in place", p, embedTS, got, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// SolutionWireSize is the encoded length of every solution block that
+// fits the 40-byte options area, and exceeds it exactly when the codec
+// refuses the block.
+func TestSolutionWireSizeEveryParams(t *testing.T) {
+	for l := puzzle.MinPreimageBits; l <= puzzle.MaxPreimageBits; l += 8 {
+		for k := 1; k <= 40; k++ {
+			for _, embedTS := range []bool{true, false} {
+				p := puzzle.Params{K: uint8(k), M: 8, L: uint8(l)}
+				sol := puzzle.Solution{Params: p, Solutions: make([][]byte, k)}
+				for i := range sol.Solutions {
+					sol.Solutions[i] = make([]byte, l/8)
+				}
+				size := SolutionWireSize(p, embedTS)
+				opt, err := EncodeSolution(SolutionBlock{HasTimestamp: embedTS, Solution: sol})
+				if size > MaxOptionsLen {
+					if !errors.Is(err, ErrTooLarge) {
+						t.Fatalf("EncodeSolution(%v, %v) error = %v with wire size %d, want ErrTooLarge", p, embedTS, err, size)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("EncodeSolution(%v, %v): %v with wire size %d", p, embedTS, err, size)
+				}
+				raw, err := MarshalOptions([]Option{opt})
+				if err != nil || len(raw) != size {
+					t.Fatalf("SolutionWireSize(%v, %v) = %d, encoded length %d (%v)", p, embedTS, size, len(raw), err)
+				}
+			}
+		}
+	}
+}
+
+// ParseChallenge hands out a view of the option bytes, not a copy: the
+// simulator's per-challenge path relies on it costing no heap object, and
+// callers rely on the documented lifetime. The view is capped, so
+// appending to it cannot reach the timestamp that follows it.
+func TestParseChallengeAliasesOption(t *testing.T) {
+	ch := testChallenge(t, puzzle.Params{K: 2, M: 17, L: 64})
+	raw, err := MarshalChallenge(ch, true)
+	if err != nil {
+		t.Fatalf("MarshalChallenge: %v", err)
+	}
+	opt, ok, err := Lookup(raw, KindChallenge)
+	if err != nil || !ok {
+		t.Fatalf("Lookup = %v, %v", ok, err)
+	}
+	blk, err := ParseChallenge(opt)
+	if err != nil {
+		t.Fatalf("ParseChallenge: %v", err)
+	}
+	pre := blk.Challenge.Preimage
+	if &pre[0] != &raw[5] {
+		t.Fatal("Preimage is a copy; ParseChallenge documents a view of the option bytes")
+	}
+	if cap(pre) != len(pre) {
+		t.Fatalf("Preimage cap %d > len %d: an append would overwrite the timestamp", cap(pre), len(pre))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { blk, err = ParseChallenge(opt) }); allocs != 0 {
+		t.Errorf("ParseChallenge allocates %v objects, want 0", allocs)
 	}
 }
 

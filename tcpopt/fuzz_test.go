@@ -11,7 +11,9 @@ import (
 // valid (k, m, l) challenge must survive the full wire path — Encode →
 // MarshalOptions → ParseOptions → FindOption → ParseChallenge —
 // bit-for-bit, with and without an embedded timestamp, and the one-step
-// MarshalChallenge and Lookup must agree with the paths they shorten. This is the
+// MarshalChallenge, AppendChallenge (after a prefix taken from the fuzzed
+// preimage, so of every length mod 4) and Lookup must agree with the paths
+// they shorten. This is the
 // encode/decode contract the simulated kernels and the puzzlenet preamble
 // both build on; FuzzParseChallenge covers the adversarial direction.
 func FuzzChallengeRoundTrip(f *testing.F) {
@@ -37,6 +39,11 @@ func FuzzChallengeRoundTrip(f *testing.F) {
 		}
 		if direct, err := MarshalChallenge(ch, embedTS); err != nil || !bytes.Equal(direct, raw) {
 			t.Fatalf("MarshalChallenge = %x, %v; want %x", direct, err, raw)
+		}
+		prefix := pre[:len(pre)%7]
+		appended, err := AppendChallenge(bytes.Clone(prefix), ch, embedTS)
+		if err != nil || !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], raw) {
+			t.Fatalf("AppendChallenge(%x) = %x, %v; want the prefix then %x", prefix, appended, err, raw)
 		}
 		opts, err := ParseOptions(raw)
 		if err != nil {
