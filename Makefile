@@ -35,18 +35,19 @@ lint:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(COUNT) ./...
 
-# The event-engine hot path only (the BENCH_engine.json numbers, and the
+# The event-engine hot path only (the BENCH_engine.json numbers, the
 # hold model at 150-2,400 pending events that shows what the queue costs
-# at the length a flood cell keeps it).
+# at the length a flood cell keeps it, and one 69-segment response as a
+# packet train and as single sends).
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineScheduling|BenchmarkPacketPath|BenchmarkEngineHold' -benchmem -count $(COUNT) ./internal/netsim/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineScheduling|BenchmarkPacketPath|BenchmarkEngineHold|BenchmarkTrain' -benchmem -count $(COUNT) ./internal/netsim/
 
-# One iteration of every benchmark — the CI rot guard — and the
-# allocation budgets of the challenge path (tier-1 runs them too; CI's
-# -short test job does not).
+# One iteration of every benchmark — the CI rot guard — the allocation
+# budgets of the challenge path (tier-1 runs them too; CI's -short test
+# job does not) and the packet heap's budget per flood-cell packet leg.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	$(GO) test -run TestAllocBudget -count=1 ./internal/serversim ./internal/attacksim ./internal/clientsim ./internal/experiments
+	$(GO) test -run 'TestAllocBudget|TestHeapBudget' -count=1 ./internal/serversim ./internal/attacksim ./internal/clientsim ./internal/experiments
 
 # The macro-source scale wall and curve: the 100k-source bounded-memory
 # test (skipped under -short, so `make race`/CI's -short test job never

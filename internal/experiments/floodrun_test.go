@@ -41,15 +41,15 @@ func TestGreedyBotBacklogStaysOutOfEventHeap(t *testing.T) {
 
 // TestEngineStatsPinned pins the queue counters of one tiny-scale cell at
 // two shard counts. What fired, by kind, is the simulation's and the same
-// however it is sharded; how many deliver legs fired in place, how many
-// cancelled timers had come to the front of a queue by the end and how
+// however it is sharded; how many deliver legs and train arrivals fired
+// in place, how many cancelled timers had come to the front of a queue by the end and how
 // long each heap got depend on the window bounds and the placement, and
 // are deterministic for each.
 func TestEngineStatsPinned(t *testing.T) {
 	base := tinyScale().Apply(Scenario{Label: "stats", ClientsSolve: true, BotsSolve: true})
 	want := map[int]netsim.EngineStats{
-		1: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23650, Discarded: 2833, PeakTimers: 487, PeakPackets: 245},
-		2: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23671, Discarded: 2836, PeakTimers: 404, PeakPackets: 210},
+		1: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23650, ArrivalsInPlace: 66657, Discarded: 2833, PeakTimers: 487, PeakPackets: 183},
+		2: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23671, ArrivalsInPlace: 66740, Discarded: 2836, PeakTimers: 404, PeakPackets: 183},
 	}
 	for _, shards := range []int{1, 2} {
 		sc := base
@@ -66,7 +66,7 @@ func TestEngineStatsPinned(t *testing.T) {
 		for _, n := range run.Net.ShardStats().Events {
 			fired += n
 		}
-		if got.TimersFired+got.PacketLegsFired != fired || got.InPlace > got.PacketLegsFired/2 {
+		if got.TimersFired+got.PacketLegsFired != fired || max(got.InPlace, got.ArrivalsInPlace) > got.PacketLegsFired/2 {
 			t.Errorf("shards=%d: %+v does not add up to the %d events fired", shards, got, fired)
 		}
 	}
@@ -77,7 +77,7 @@ func TestEngineStatsPinned(t *testing.T) {
 	if _, _, err := runFloodCells(scale, "stats", "", []Scenario{base}, StandardMetrics); err != nil {
 		t.Fatalf("runFloodCells: %v", err)
 	}
-	const line = "timers=13259 packet-legs=199012 in-place=23650 cancelled=2833 peak-timers=487 peak-packets=245"
+	const line = "timers=13259 packet-legs=199012 in-place=23650 arrivals-in-place=66657 cancelled=2833 peak-timers=487 peak-packets=183"
 	if !strings.Contains(debug.String(), line) {
 		t.Errorf("debug output lacks %q:\n%s", line, debug.String())
 	}

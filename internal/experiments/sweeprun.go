@@ -145,14 +145,15 @@ func runFloodCells(scale Scale, experiment, cacheNS string, cells []Scenario,
 			// the min/mean/max applied window widths make the adaptive
 			// per-pair lookahead observable (mean above min = widening).
 			// The queue counters say what those events were and what the
-			// two heaps held: timers fired, packet legs fired and how many
-			// of them in place, cancelled timers discarded, peak lengths.
+			// two heaps held: timers fired, packet legs fired, how many
+			// deliver legs and how many train arrivals fired in place,
+			// cancelled timers discarded, peak lengths.
 			st, q := run.Net.ShardStats(), run.Net.EngineStats()
 			debugMu.Lock()
-			fmt.Fprintf(scale.Debug, "[%s] cell %q: shards=%d events=%v windows=%d barrier-wait=%v lookahead=%v/%v/%v timers=%d packet-legs=%d in-place=%d cancelled=%d peak-timers=%d peak-packets=%d\n",
+			fmt.Fprintf(scale.Debug, "[%s] cell %q: shards=%d events=%v windows=%d barrier-wait=%v lookahead=%v/%v/%v timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d cancelled=%d peak-timers=%d peak-packets=%d\n",
 				experiment, sc.Label, run.Net.Shards(), st.Events, st.Windows, st.BarrierWait,
 				st.LookaheadMin, st.LookaheadMean, st.LookaheadMax,
-				q.TimersFired, q.PacketLegsFired, q.InPlace, q.Discarded, q.PeakTimers, q.PeakPackets)
+				q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.Discarded, q.PeakTimers, q.PeakPackets)
 			debugMu.Unlock()
 		}
 		runs[i] = run

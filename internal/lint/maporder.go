@@ -9,7 +9,7 @@ import (
 // Maporder flags `range` over a map whose body performs an
 // iteration-order-sensitive side effect — a channel send, an append to a
 // slice that outlives the loop, or a call into the event/packet layer
-// (Schedule, SendFrom, sink writes). Go randomises map iteration order per
+// (Schedule, SendFrom, SendTrain, sink writes). Go randomises map iteration order per
 // run, so any such loop produces a different event or output order on
 // every execution: exactly the bug class the engine's canonical delivery
 // ordering exists to mask, and the one a determinism matrix only catches
@@ -31,7 +31,7 @@ var Maporder = &Analyzer{
 // observable: event scheduling, packet emission, and stream output.
 var orderSensitiveCalls = map[string]bool{
 	"Schedule": true, "ScheduleAt": true,
-	"SendFrom": true, "SendAt": true, "Send": true, "Deliver": true,
+	"SendFrom": true, "SendAt": true, "Send": true, "SendTrain": true, "Deliver": true,
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Fprintf": true, "Fprintln": true, "Fprint": true,
 	"Printf": true, "Println": true, "Print": true,

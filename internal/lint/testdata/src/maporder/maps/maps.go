@@ -8,8 +8,9 @@ import "sort"
 
 type engine struct{}
 
-func (e *engine) Schedule(d int, f func())  {}
-func (e *engine) SendFrom(src int, pkt any) {}
+func (e *engine) Schedule(d int, f func())       {}
+func (e *engine) SendFrom(src int, pkt any)      {}
+func (e *engine) SendTrain(pkt any, n, last int) {}
 
 type sink struct{}
 
@@ -30,6 +31,12 @@ func scheduleInBody(m map[int]*engine, e *engine) {
 func sendFromInBody(m map[int]int, e *engine) {
 	for k, v := range m { // want `order-sensitive side effect \(call to SendFrom\)`
 		e.SendFrom(k, v)
+	}
+}
+
+func sendTrainInBody(m map[int]int, e *engine) {
+	for k, v := range m { // want `order-sensitive side effect \(call to SendTrain\)`
+		e.SendTrain(k, v, v)
 	}
 }
 

@@ -36,7 +36,8 @@ func TestBarrierSubMicrosecondWindows(t *testing.T) {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for _, shards := range []int{2, 3, 4, 8} {
-				got, st := echoMeshRun(t, shards, 6, link, time.Second, 100, nil)
+				got, net := echoMeshRun(t, shards, 6, link, time.Second, 100, false)
+				st := net.ShardStats()
 				if got != want {
 					t.Errorf("GOMAXPROCS=%d shards=%d diverged from shards=1:\n got:\n%s\nwant:\n%s", procs, shards, got, want)
 				}

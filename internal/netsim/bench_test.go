@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -168,5 +169,69 @@ func BenchmarkEngineHold(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkTrain measures the paper's response path: one 100 kB response
+// as 69 MSS segments over the 1 Gbps server link to a 100 Mbps client,
+// sent as one SendTrain ("train") and as 69 Sends ("singles"), and driven
+// by Run as a simulation is, so the in-place legs are taken. One op is one
+// response; ns/segment and allocs/segment divide by the 69 segments.
+func BenchmarkTrain(b *testing.B) {
+	const segments, lastLen = 69, 100_000 - 68*1460
+	for _, train := range []bool{true, false} {
+		name := "singles"
+		if train {
+			name = "train"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng := NewEngine()
+			net := NewNetwork(eng)
+			srv := &benchSink{addr: Addr{10, 0, 0, 1}}
+			cli := &benchSink{addr: Addr{10, 0, 0, 2}}
+			if err := net.Attach(srv, DefaultServerLink()); err != nil {
+				b.Fatal(err)
+			}
+			if err := net.Attach(cli, DefaultHostLink()); err != nil {
+				b.Fatal(err)
+			}
+			seg := tcpkit.Segment{
+				Src: srv.addr, Dst: cli.addr, SrcPort: 80, DstPort: 1234,
+				Flags: tcpkit.FlagACK | tcpkit.FlagPSH, PayloadLen: 1460,
+			}
+			respond := func() {
+				if train {
+					net.SendTrain(seg, segments, lastLen)
+					return
+				}
+				for k := 1; k < segments; k++ {
+					net.Send(seg)
+				}
+				last := seg
+				last.PayloadLen = lastLen
+				net.Send(last)
+			}
+			// 69 segments take 8.3 ms of the client's downlink: a response
+			// every 10 ms never queues behind the one before it there.
+			const gap = 10 * time.Millisecond
+			respond()
+			eng.Run(eng.Now() + gap) // warm the pool and the link state
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				respond()
+				eng.Run(eng.Now() + gap)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			eng.Run(eng.Now() + time.Second) // the last response is still in flight
+			if cli.got != (b.N+1)*segments {
+				b.Fatalf("delivered %d of %d segments", cli.got, (b.N+1)*segments)
+			}
+			n := float64(b.N * segments)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/segment")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/segment")
+		})
 	}
 }

@@ -26,6 +26,13 @@
 // cancellation is lazy), which in one heap sit under every packet leg's
 // sift. In a heap of their own they cost the ~60–100 live packet legs
 // nothing. See docs/PERFORMANCE.md "Timer heap and in-place delivery".
+//
+// A burst of back-to-back segments from one sender to one destination — a
+// server's MSS-segmented response — travels as one packet train
+// (Network.SendTrain): one event that the destination's engine expands a
+// segment at a time, at the times, in the order and with the taps the
+// separate packets would have had. See docs/PERFORMANCE.md "Packet
+// trains".
 package netsim
 
 import (
@@ -43,11 +50,12 @@ const (
 	// event shell.
 	kindFunc eventKind = iota
 	// kindArrival is the downlink-queue leg of a packet delivery: the
-	// event's msg payload is offered to the destination's downlink
-	// transmitter, and on success the same event is re-queued as
-	// kindDeliver at the serialisation-complete time.
+	// event's pkt payload is offered to the destination's downlink
+	// transmitter, and on success the segment is queued as kindDeliver at
+	// the serialisation-complete time — on the same event for a train's
+	// last segment, on a pooled one for the others.
 	kindArrival
-	// kindDeliver hands the msg payload to the destination node.
+	// kindDeliver hands the pkt payload's segment to the destination node.
 	kindDeliver
 )
 
@@ -72,8 +80,8 @@ type Event struct {
 	// Cancel after the event fired (and the struct was reused) is a no-op
 	// instead of poisoning the new occupant.
 	gen uint32
-	fn  func()  // kindFunc payload
-	msg message // kindArrival / kindDeliver payload
+	fn  func() // kindFunc payload
+	pkt packet // kindArrival / kindDeliver payload
 }
 
 // Timer is a cancellable handle to a scheduled callback. The zero Timer
@@ -140,7 +148,7 @@ type Engine struct {
 	fired   uint64
 	// limit is the exclusive time bound of the Run or RunBefore in
 	// progress, zero outside one: the licence runArrival needs to fire a
-	// deliver leg in place.
+	// leg in place.
 	limit time.Duration
 	stats EngineStats
 	// free is the event pool. Steady-state simulation cycles events
@@ -172,7 +180,7 @@ func (e *Engine) alloc() *Event {
 
 // recycle scrubs a finished event and returns it to the pool. The
 // generation bump invalidates outstanding Timer handles, and clearing fn
-// and msg drops the references they pin (closures, segments, ports) so
+// and pkt drops the references they pin (closures, segments, ports) so
 // the pool never extends object lifetimes.
 func (e *Engine) recycle(ev *Event) {
 	ev.gen++
@@ -183,7 +191,7 @@ func (e *Engine) recycle(ev *Event) {
 	ev.kind = kindFunc
 	ev.cancelled = false
 	ev.fn = nil
-	ev.msg = message{}
+	ev.pkt = packet{}
 	e.free = append(e.free, ev)
 }
 
@@ -265,6 +273,19 @@ func (e *Engine) before(ev *Event) bool {
 		(len(e.packets) == 0 || less(ev, e.packets[0]))
 }
 
+// deliver queues the deliver leg d, or fires it in place when the loop in
+// progress would pop it next: d orders before both heads and before next —
+// the arrival its train holds outside the heap meanwhile, nil when none —
+// and lies inside the loop's bound.
+func (e *Engine) deliver(d, next *Event) {
+	if d.at < e.limit && e.before(d) && (next == nil || less(d, next)) {
+		e.stats.InPlace++
+		e.fire(d)
+		return
+	}
+	e.pushPacket(d)
+}
+
 // Schedule queues fn to run after delay (clamped at zero) and returns a
 // cancellable handle.
 func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
@@ -296,13 +317,14 @@ func (e *Engine) scheduleSeq(at time.Duration, seq uint64, fn func()) *Event {
 	return ev
 }
 
-// scheduleArrival queues the downlink leg of a packet delivery. At equal
-// times arrivals fire after locally scheduled events and order among
-// themselves by (m.src, m.seq) — a key derived from the sending node, not
-// from this engine's scheduling history, so the firing order is identical
-// however the simulation is sharded. The (src, seq) pair must be unique
-// per pending arrival.
-func (e *Engine) scheduleArrival(m message) {
+// scheduleArrival queues the downlink leg of a packet delivery — of a
+// train's first segment; runArrival re-queues the train under each next
+// segment's key. At equal times arrivals fire after locally scheduled
+// events and order among themselves by (m.src, m.seq) — a key derived from
+// the sending node, not from this engine's scheduling history, so the
+// firing order is identical however the simulation is sharded. The
+// (src, seq) pair must be unique per pending arrival.
+func (e *Engine) scheduleArrival(m *message) {
 	at := m.at
 	if at < e.now {
 		at = e.now
@@ -313,7 +335,7 @@ func (e *Engine) scheduleArrival(m message) {
 	ev.kind = kindArrival
 	ev.src = m.src
 	ev.srcSeq = m.seq
-	ev.msg = m
+	ev.pkt = m.pkt
 	e.seq++
 	e.pushPacket(ev)
 }
@@ -341,13 +363,14 @@ func (e *Engine) fire(ev *Event) {
 		e.recycle(ev)
 		fn()
 	case kindArrival:
-		// The network either recycles ev (drop) or re-stamps it as the
-		// kindDeliver leg, reusing the struct.
+		// The network re-queues ev as the train's next arrival, re-stamps
+		// it as the last segment's kindDeliver leg, or recycles it (the
+		// last segment dropped).
 		e.net.runArrival(e, ev)
 	case kindDeliver:
-		m := ev.msg
+		p := ev.pkt
 		e.recycle(ev)
-		e.net.runDeliver(e, m)
+		e.net.runDeliver(e, p)
 	}
 }
 
@@ -435,11 +458,17 @@ func (e *Engine) Pending() int { return len(e.timers) + len(e.packets) }
 // for -verbose runs and tests, never part of a result.
 type EngineStats struct {
 	TimersFired     uint64
-	PacketLegsFired uint64 // arrival and deliver legs, InPlace included
+	PacketLegsFired uint64 // arrival and deliver legs, both in-place counts included
 	InPlace         uint64 // deliver legs fired without entering the heap
+	// ArrivalsInPlace counts arrival legs a train fired straight after its
+	// previous segment's, without a heap round trip (see runArrival).
+	ArrivalsInPlace uint64
 	Discarded       uint64 // cancelled events dropped on reaching the front
 	PeakTimers      int    // longest the timer heap has been
-	PeakPackets     int    // longest the packet heap has been
+	// PeakPackets is the longest the packet heap has been. It is not the
+	// most packets in flight: a train waits in the heap as one event
+	// however many of its segments are still to arrive.
+	PeakPackets int
 }
 
 // Stats returns the engine's queue counters.

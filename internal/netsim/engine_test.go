@@ -221,7 +221,7 @@ func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 				handles, model = append(handles, h), append(model, *h.ev)
 			default: // arrival from one of three sources
 				src := uint64(1 + rnd.Intn(3))
-				e.scheduleArrival(message{at: at, src: src, seq: srcSeq[src]})
+				e.scheduleArrival(&message{at: at, src: src, seq: srcSeq[src]})
 				srcSeq[src]++
 				for _, ev := range e.packets {
 					if ev.seq == e.seq-1 {

@@ -49,27 +49,30 @@ func DefaultServerLink() LinkConfig {
 type xmitter struct {
 	cfg       LinkConfig
 	busyUntil time.Duration
-	dropped   uint64
-	sentPkts  uint64
-	sentBytes uint64
+	stats     LinkStats
+}
+
+// serialise returns how long size bytes occupy a link of rate bits/s —
+// the one expression behind every transmit and every train's arrival
+// spacing, so both agree to the nanosecond.
+func serialise(size int, rate float64) time.Duration {
+	return time.Duration(float64(size*8) / rate * float64(time.Second))
 }
 
 // transmit attempts to enqueue a packet of size bytes at time now and
-// returns the departure time (serialisation complete).
+// returns the departure time (serialisation complete). A drop leaves
+// busyUntil alone, so of a burst sent at one instant, whose start times
+// only grow, every packet after a dropped one is dropped too.
 func (x *xmitter) transmit(now time.Duration, size int) (time.Duration, bool) {
-	start := now
-	if x.busyUntil > start {
-		start = x.busyUntil
-	}
+	start := max(now, x.busyUntil)
 	if start-now > x.cfg.MaxBacklog {
-		x.dropped++
+		x.stats.Dropped++
 		return 0, false
 	}
-	ser := time.Duration(float64(size*8) / x.cfg.RateBps * float64(time.Second))
-	depart := start + ser
+	depart := start + serialise(size, x.cfg.RateBps)
 	x.busyUntil = depart
-	x.sentPkts++
-	x.sentBytes += uint64(size)
+	x.stats.SentPackets++
+	x.stats.SentBytes += uint64(size)
 	return depart, true
 }
 
@@ -78,6 +81,12 @@ type LinkStats struct {
 	SentPackets uint64
 	SentBytes   uint64
 	Dropped     uint64
+}
+
+func (s *LinkStats) add(o LinkStats) {
+	s.SentPackets += o.SentPackets
+	s.SentBytes += o.SentBytes
+	s.Dropped += o.Dropped
 }
 
 // port is one attached node. All of its mutable state — uplink, downlink,
@@ -107,18 +116,36 @@ func (p *port) downLatency() time.Duration {
 	return p.down.cfg.Latency
 }
 
-// message is one packet in flight between shards: everything the
-// destination shard needs to run the downlink leg of the delivery.
-type message struct {
-	at   time.Duration // arrival at the destination downlink
-	src  uint64        // canonical origin key (address as integer)
-	seq  uint64        // origin's packet counter
-	size int
-	dst  *port
-	// slot is the destination slot when dst is a source store's virtual
-	// port (-1 for real ports).
+// packet is the payload of a packet leg: everything runArrival and
+// runDeliver need besides the ordering key, which the event carries.
+//
+// Every packet is a train — segments one sender transmitted back to back
+// to one destination — and seg is the one arriving now. The cursor fields
+// stamp the next: it is left's first, its payload is seg's unless it is
+// the last (lastLen), and it arrives serialise(its size, rate) after seg,
+// because back-to-back departures are spaced by exactly their uplink
+// serialisation and share both propagation delays.
+type packet struct {
+	dst *port
+	seg tcpkit.Segment
+	// size is seg's wire size; slot is the destination slot when dst is a
+	// source store's virtual port (-1 for real ports).
+	size int32
 	slot int32
-	seg  tcpkit.Segment
+	// The train cursor: segments after seg, the last one's PayloadLen, and
+	// the sender's uplink rate.
+	left    int32
+	lastLen int32
+	rate    float64
+}
+
+// message is one train in flight between shards: its first segment's
+// arrival key and its packet.
+type message struct {
+	at  time.Duration // arrival at the destination downlink
+	src uint64        // canonical origin key (address as integer)
+	seq uint64        // origin's packet counter
+	pkt packet
 }
 
 // netShard is the per-shard execution state: an engine plus outboxes of
@@ -240,6 +267,7 @@ func (n *Network) EngineStats() EngineStats {
 		sum.TimersFired += st.TimersFired
 		sum.PacketLegsFired += st.PacketLegsFired
 		sum.InPlace += st.InPlace
+		sum.ArrivalsInPlace += st.ArrivalsInPlace
 		sum.Discarded += st.Discarded
 		sum.PeakTimers = max(sum.PeakTimers, st.PeakTimers)
 		sum.PeakPackets = max(sum.PeakPackets, st.PeakPackets)
@@ -407,14 +435,17 @@ func (n *Network) Attach(node Node, link LinkConfig) error {
 // RegisterTap adds a packet observer.
 func (n *Network) RegisterTap(t Tap) { n.taps = append(n.taps, t) }
 
-func (n *Network) tap(at time.Duration, dir TapDir, seg tcpkit.Segment) {
-	if len(n.taps) == 0 {
-		return
+func (n *Network) tap(at time.Duration, dir TapDir, seg *tcpkit.Segment) {
+	if len(n.taps) > 0 {
+		n.runTaps(at, dir, seg)
 	}
+}
+
+func (n *Network) runTaps(at time.Duration, dir TapDir, seg *tcpkit.Segment) {
 	n.tapMu.Lock()
 	defer n.tapMu.Unlock()
 	for _, t := range n.taps {
-		t(at, dir, seg)
+		t(at, dir, *seg)
 	}
 }
 
@@ -431,97 +462,184 @@ func (n *Network) Send(seg tcpkit.Segment) {
 // origin node's own shard (i.e. inside one of its events or before the
 // simulation starts).
 func (n *Network) SendFrom(origin Addr, seg tcpkit.Segment) {
-	src, ok := n.ports[origin]
-	if !ok {
+	n.sendFrom(origin, &seg, 1, seg.PayloadLen)
+}
+
+// SendTrain sends count segments back to back from seg.Src: count−1 copies
+// of seg, then one whose PayloadLen is lastLen — a burst such as an
+// MSS-segmented response. It is exactly count Sends in a row (the same
+// taps, drops, link counters, arrival times, firing order and
+// deliveries), carried through the engine as one event that the
+// destination expands a segment at a time.
+func (n *Network) SendTrain(seg tcpkit.Segment, count, lastLen int) {
+	n.sendFrom(seg.Src, &seg, count, lastLen)
+}
+
+// sendFrom resolves an attached origin's port for send. seg is the
+// caller's copy, which send may rewrite.
+func (n *Network) sendFrom(origin Addr, seg *tcpkit.Segment, count, lastLen int) {
+	if src, ok := n.ports[origin]; ok && count > 0 {
+		n.send(src.shard, &src.up, origin, &src.msgSeq, seg, count, lastLen)
+	} else if count > 0 {
 		// Origins must be attached; treat as misconfiguration drop. Only
 		// the (atomic) unroutable counter records it: without a port we
 		// do not know the calling shard, so reading any engine's clock
 		// for a tap here would race in sharded runs.
-		n.unroutable.Add(1)
-		return
+		n.unroutable.Add(uint64(count))
 	}
-	sh := n.shards[src.shard]
+}
+
+// send is the one send path, behind SendFrom, SendTrain and
+// SourceStore.SendAt: count segments (the last with PayloadLen lastLen)
+// from origin, whose packet counter is *seq, through the uplink up on the
+// given shard; seg is a scratch copy, rewritten on the way. Each segment
+// is tapped and transmitted in turn, and may be dropped; the ones that
+// were not are a prefix of the burst (see transmit) and travel on as one
+// train. Unroutable segments still consume uplink bandwidth and count one
+// each.
+func (n *Network) send(shard int, up *xmitter, origin Addr, seq *uint64, seg *tcpkit.Segment, count, lastLen int) {
+	sh := n.shards[shard]
 	now := sh.eng.Now()
-	n.tap(now, TapSend, seg)
-	size := seg.WireSize()
-	departUp, ok := src.up.transmit(now, size)
-	if !ok {
-		n.tap(now, TapDrop, seg)
+	full := seg.PayloadLen
+	var depart time.Duration // the first segment's
+	sent := 0
+	// PayloadLen is stored only when it changes: copying seg right after a
+	// store into it stalls the copy, and a single send would pay that.
+	for k := 0; k < count; k++ {
+		if k == count-1 && seg.PayloadLen != lastLen {
+			seg.PayloadLen = lastLen
+		}
+		n.tap(now, TapSend, seg)
+		d, ok := up.transmit(now, seg.WireSize())
+		if !ok {
+			n.tap(now, TapDrop, seg)
+			continue
+		}
+		if sent == 0 {
+			depart = d
+		}
+		sent++
+	}
+	if sent == 0 {
 		return
 	}
-	// After the uplink serialisation and both propagation legs, the packet
-	// reaches the destination's downlink.
 	dst, dslot := n.lookup(seg.Dst)
 	if dst == nil {
-		// Still consume uplink bandwidth; nothing arrives anywhere.
-		n.unroutableShard[src.shard]++
+		n.unroutableShard[shard] += uint64(sent)
 		return
 	}
-	m := message{
-		at:   departUp + src.up.cfg.Latency + dst.downLatency(),
-		src:  addrKey(origin),
-		seq:  src.msgSeq,
-		size: size,
-		dst:  dst,
-		slot: dslot,
-		seg:  seg,
+	if sent < count {
+		lastLen = full // the last segment was dropped
 	}
-	src.msgSeq++
-	if dst.shard == src.shard {
-		sh.eng.scheduleArrival(m)
+	first := full // seg becomes the first segment
+	if sent == 1 {
+		first = lastLen
+	}
+	if seg.PayloadLen != first {
+		seg.PayloadLen = first
+	}
+	// After the uplink serialisation and both propagation legs, the first
+	// segment reaches the destination's downlink.
+	m := message{
+		at:  depart + up.cfg.Latency + dst.downLatency(),
+		src: addrKey(origin),
+		seq: *seq,
+		pkt: packet{
+			dst: dst, seg: *seg, size: int32(seg.WireSize()), slot: dslot,
+			left: int32(sent - 1), lastLen: int32(lastLen), rate: up.cfg.RateBps,
+		},
+	}
+	*seq += uint64(sent)
+	if dst.shard == shard {
+		sh.eng.scheduleArrival(&m)
 	} else {
 		sh.outbox[dst.shard] = append(sh.outbox[dst.shard], m)
 	}
 }
 
-// runArrival fires the downlink-queue leg of a delivery (kindArrival):
-// the payload is offered to the destination's downlink transmitter, and
-// the same event struct is re-stamped as the kindDeliver leg at the
-// serialisation-complete time — or recycled on a drop. The deliver leg
-// takes a fresh engine seq, exactly as the closure it replaced did, so
-// firing order is bit-compatible with the pre-pooled engine.
+// runArrival fires the downlink-queue leg of a delivery (kindArrival) and,
+// when the engine's loop would pop them next anyway, the legs after it.
+// For each segment of the train: the segment is offered to the
+// destination's downlink transmitter; an accepted one gets a kindDeliver
+// leg at the serialisation-complete time under a fresh engine seq — the
+// seq it has always taken at this point — on a pooled event, or on ev
+// itself for the train's last segment; the cursor then stamps ev with the
+// next segment's arrival key.
 //
 // About half the deliver legs of a flood cell would be the very next event
-// to pop. Such a leg — ahead of both heap heads, and inside the bound of
-// the Run or RunBefore in progress, which is what would have let that loop
-// pop it — fires here instead of going through the heap. A bare Step has
-// no bound (limit is zero), so runMerged, which must look at every shard
-// between events, never takes the shortcut.
+// to pop, and most of a train's next arrivals would be too. Either leg —
+// ahead of both heap heads, and inside the bound of the Run or RunBefore
+// in progress, which is what would have let that loop pop it — fires here
+// instead of going through the heap. A deliver leg with arrivals still to
+// come must also order before the train's next one, which waits in no
+// heap while the leg fires. A bare Step has no bound (limit is zero), so
+// runMerged, which must look at every shard between events, never takes
+// the shortcut. Keys within a train ascend, so holding back all but the
+// next arrival cannot reorder a pop (the RunQueue argument).
 func (n *Network) runArrival(e *Engine, ev *Event) {
-	m := &ev.msg
-	var departDown time.Duration
-	var ok bool
-	if st := m.dst.store; st != nil {
-		departDown, ok = st.downTransmit(m.slot, e.now, m.size)
-	} else {
-		departDown, ok = m.dst.down.transmit(e.now, m.size)
-	}
-	if !ok {
-		n.tap(e.now, TapDrop, m.seg)
-		e.recycle(ev)
+	for {
+		p := &ev.pkt
+		var departDown time.Duration
+		var ok bool
+		if st := p.dst.store; st != nil {
+			departDown, ok = st.downTransmit(p.slot, e.now, int(p.size))
+		} else {
+			departDown, ok = p.dst.down.transmit(e.now, int(p.size))
+		}
+		var d *Event // this segment's deliver leg
+		switch {
+		case !ok:
+			n.tap(e.now, TapDrop, &p.seg)
+		case p.left == 0:
+			d = ev
+		default:
+			d = e.alloc()
+			d.pkt = *p
+		}
+		if d != nil {
+			d.kind = kindDeliver
+			d.at = departDown // transmit never departs before now
+			d.seq = e.seq
+			e.seq++
+		}
+		if p.left == 0 {
+			if d == nil {
+				e.recycle(ev)
+			} else {
+				e.deliver(d, nil)
+			}
+			return
+		}
+		p.left--
+		if p.left == 0 {
+			p.seg.PayloadLen = int(p.lastLen)
+		}
+		p.size = int32(p.seg.WireSize())
+		ev.at += serialise(int(p.size), p.rate)
+		ev.srcSeq++
+		if d != nil {
+			e.deliver(d, ev)
+		}
+		if ev.at < e.limit && e.before(ev) {
+			e.stats.ArrivalsInPlace++
+			e.now = ev.at
+			e.fired++
+			continue
+		}
+		e.pushPacket(ev)
 		return
 	}
-	ev.kind = kindDeliver
-	ev.at = departDown // transmit never departs before now
-	ev.seq = e.seq
-	e.seq++
-	if departDown < e.limit && e.before(ev) {
-		e.stats.InPlace++
-		e.fire(ev)
-		return
-	}
-	e.pushPacket(ev)
 }
 
 // runDeliver fires the final leg (kindDeliver): tap, then hand the
 // segment to the destination node.
-func (n *Network) runDeliver(e *Engine, m message) {
-	n.tap(e.now, TapDeliver, m.seg)
-	if st := m.dst.store; st != nil {
-		st.handler(m.slot, m.seg)
+func (n *Network) runDeliver(e *Engine, p packet) {
+	n.tap(e.now, TapDeliver, &p.seg)
+	if st := p.dst.store; st != nil {
+		st.handler(p.slot, p.seg)
 		return
 	}
-	m.dst.node.Handle(m.seg)
+	p.dst.node.Handle(p.seg)
 }
 
 // lookup resolves a destination address to its port — a real attached
@@ -554,7 +672,5 @@ func (n *Network) Stats(addr Addr) (up, down LinkStats, ok bool) {
 	if !found {
 		return LinkStats{}, LinkStats{}, false
 	}
-	up = LinkStats{SentPackets: p.up.sentPkts, SentBytes: p.up.sentBytes, Dropped: p.up.dropped}
-	down = LinkStats{SentPackets: p.down.sentPkts, SentBytes: p.down.sentBytes, Dropped: p.down.dropped}
-	return up, down, true
+	return p.up.stats, p.down.stats, true
 }

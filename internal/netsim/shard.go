@@ -92,7 +92,7 @@ func (n *Network) exchange() {
 			deng := n.shards[d].eng
 			deng.grow(len(box))
 			for i := range box {
-				deng.scheduleArrival(box[i])
+				deng.scheduleArrival(&box[i])
 			}
 			s.outbox[d] = box[:0]
 		}

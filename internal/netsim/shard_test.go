@@ -11,12 +11,16 @@ import (
 
 // echoNode is a traffic generator that also answers every delivery with a
 // reply to its sender — enough feedback to make cross-shard causality
-// matter. All of its decisions derive from its own seed.
+// matter. All of its decisions derive from its own seed. With trains set,
+// a quarter of its sends are bursts of a length drawn from that seed, sent
+// as one SendTrain — or, with unroll also set, as that many Sends.
 type echoNode struct {
-	addr Addr
-	eng  *Engine
-	net  *Network
-	rnd  *rand.Rand
+	addr   Addr
+	eng    *Engine
+	net    *Network
+	rnd    *rand.Rand
+	trains bool
+	unroll bool
 
 	peers   []Addr
 	rate    float64
@@ -53,11 +57,22 @@ func (n *echoNode) tick() {
 	}
 	dst := n.peers[n.rnd.Intn(len(n.peers))]
 	n.sent++
-	n.net.Send(tcpkit.Segment{
+	seg := tcpkit.Segment{
 		Src: n.addr, Dst: dst,
 		SrcPort: 1000, DstPort: 80,
 		PayloadLen: 100 + n.rnd.Intn(900),
-	})
+	}
+	if !n.trains || n.rnd.Intn(4) != 0 {
+		n.net.Send(seg)
+	} else if count, lastLen := 1+n.rnd.Intn(12), n.rnd.Intn(seg.PayloadLen+1); !n.unroll {
+		n.net.SendTrain(seg, count, lastLen)
+	} else {
+		for k := 1; k < count; k++ {
+			n.net.Send(seg)
+		}
+		seg.PayloadLen = lastLen
+		n.net.Send(seg)
+	}
 	n.eng.Schedule(time.Duration(n.rnd.ExpFloat64()/n.rate*float64(time.Second)), n.tick)
 }
 
@@ -66,22 +81,20 @@ func (n *echoNode) tick() {
 // order effects (lastAt) and link statistics.
 func echoFingerprint(t *testing.T, shards, nodes int, link LinkConfig, dur time.Duration) string {
 	t.Helper()
-	out, _ := echoMeshRun(t, shards, nodes, link, dur, 100, nil)
+	out, _ := echoMeshRun(t, shards, nodes, link, dur, 100, false)
 	return out
 }
 
 // echoMeshRun is the configurable core behind echoFingerprint, the barrier
-// tests and the fuzz target: tune (may be nil) adjusts the freshly built
-// network before nodes attach, seed offsets every node's RNG stream, and
-// the run's ShardStats come back alongside the fingerprint.
-func echoMeshRun(tb testing.TB, shards, nodes int, link LinkConfig, dur time.Duration, seed int64, tune func(*Network)) (string, ShardStats) {
+// tests and the fuzz target: seed offsets every node's RNG stream, the
+// nodes send part of their traffic as trains (unrolled into single sends
+// when unroll is set), and the run's network comes back alongside the
+// fingerprint.
+func echoMeshRun(tb testing.TB, shards, nodes int, link LinkConfig, dur time.Duration, seed int64, unroll bool) (string, *Network) {
 	if t, ok := tb.(*testing.T); ok {
 		t.Helper()
 	}
 	net := NewSharded(shards)
-	if tune != nil {
-		tune(net)
-	}
 	addrs := make([]Addr, nodes)
 	for i := range addrs {
 		addrs[i] = Addr{10, 0, byte(i / 200), byte(1 + i%200)}
@@ -97,6 +110,7 @@ func echoMeshRun(tb testing.TB, shards, nodes int, link LinkConfig, dur time.Dur
 		ens[i] = &echoNode{
 			addr: addr, eng: net.EngineFor(addr), net: net,
 			rnd: rand.New(rand.NewSource(seed + int64(i))), peers: peers,
+			trains: true, unroll: unroll,
 			rate: 200, stopAt: dur, byPeer: map[Addr]uint64{},
 		}
 		if err := net.Attach(ens[i], link); err != nil {
@@ -117,7 +131,7 @@ func echoMeshRun(tb testing.TB, shards, nodes int, link LinkConfig, dur time.Dur
 		out += fmt.Sprintf("  up=%+v down=%+v\n", up, down)
 	}
 	out += fmt.Sprintf("unroutable=%d\n", net.Unroutable())
-	return out, net.ShardStats()
+	return out, net
 }
 
 // TestShardedEchoMeshByteIdentical is the engine-level half of the repo's
@@ -151,9 +165,13 @@ func TestShardedZeroLatencyFallsBackToMerge(t *testing.T) {
 
 // FuzzShardedEquivalence drives lookaheads()' windowed/merged choice over
 // random topologies: any divergence between a sharded run and the serial
-// run of the same mesh is a finding. The checked-in corpus seeds the
-// regimes: healthy lookahead, microsecond latency (tight windows), zero
-// latency (runMerged), and sub-millisecond latency at three shards.
+// run of the same mesh is a finding, and so is any divergence between the
+// sharded run and the same sharded mesh with every train unrolled into
+// single sends — in the fingerprint, the events fired per shard, the
+// window count, or the deliver legs fired in place. The checked-in corpus
+// seeds the regimes: healthy lookahead, microsecond latency (tight
+// windows), zero latency (runMerged), and sub-millisecond latency at
+// three shards.
 func FuzzShardedEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint32(2000), int64(100))
 	f.Add(uint8(4), uint8(6), uint32(50), int64(7))
@@ -165,11 +183,21 @@ func FuzzShardedEquivalence(f *testing.F) {
 		lat := time.Duration(latencyUs%20_000) * time.Microsecond // 0..20ms
 		link := LinkConfig{RateBps: 5e6, Latency: lat, MaxBacklog: 10 * time.Millisecond}
 		dur := 500 * time.Millisecond
-		want, _ := echoMeshRun(t, 1, nn, link, dur, seed, nil)
-		got, _ := echoMeshRun(t, ns, nn, link, dur, seed, nil)
+		want, _ := echoMeshRun(t, 1, nn, link, dur, seed, false)
+		got, net := echoMeshRun(t, ns, nn, link, dur, seed, false)
 		if got != want {
 			t.Fatalf("shards=%d nodes=%d latency=%v seed=%d: sharded run diverged:\n got:\n%s\nwant:\n%s",
 				ns, nn, lat, seed, got, want)
+		}
+		unrolled, singles := echoMeshRun(t, ns, nn, link, dur, seed, true)
+		if unrolled != got {
+			t.Fatalf("shards=%d nodes=%d latency=%v seed=%d: unrolled trains diverged:\n got:\n%s\nwant:\n%s",
+				ns, nn, lat, seed, unrolled, got)
+		}
+		st, sst := net.ShardStats(), singles.ShardStats()
+		if fmt.Sprint(st.Events, st.Windows, net.EngineStats().InPlace) != fmt.Sprint(sst.Events, sst.Windows, singles.EngineStats().InPlace) {
+			t.Fatalf("shards=%d nodes=%d latency=%v seed=%d: trains fired %v in %d windows, %d delivered in place; singles %v in %d, %d",
+				ns, nn, lat, seed, st.Events, st.Windows, net.EngineStats().InPlace, sst.Events, sst.Windows, singles.EngineStats().InPlace)
 		}
 	})
 }

@@ -35,10 +35,10 @@ const MaxSourceSlots = 200 * 256 * 256
 // is reached through the normal delivery path: packets addressed to any
 // source in the range resolve to the store's virtual port, run the
 // per-slot downlink leg, and are handed to the store's handler with the
-// slot index. Outbound packets go through SendAt, which mirrors
-// Network.SendFrom exactly — same tap order, same drop points, same
-// canonical (address, sequence) arrival key — so a store-backed source
-// is byte-indistinguishable on the wire from an attached port.
+// slot index. Outbound packets go through SendAt, which takes
+// Network.SendFrom's own send path — same tap order, same drop points,
+// same canonical (address, sequence) arrival key — so a store-backed
+// source is byte-indistinguishable on the wire from an attached port.
 type SourceStore struct {
 	n       *Network
 	base    Addr
@@ -159,9 +159,10 @@ func (s *SourceStore) Stats() (up, down LinkStats) { return s.upStats, s.downSta
 
 // SendAt injects a segment through slot's uplink at simulated time at
 // (at or after the store shard's current time — the macro driver emits at
-// virtual per-source times inside a batch event). The path mirrors
-// Network.SendFrom leg for leg: tap, uplink transmit with drop-tail
-// check, destination resolution, canonical arrival key.
+// virtual per-source times inside a batch event). It is Network.SendFrom
+// from a slot: the same send path (tap, uplink transmit with drop-tail
+// check, destination resolution, canonical arrival key) over the slot's
+// flat uplink state.
 //
 // A future at defers the send as an engine event at that time. The
 // per-slot busy-until accumulators assume time-ordered transmissions —
@@ -173,76 +174,23 @@ func (s *SourceStore) Stats() (up, down LinkStats) { return s.upStats, s.downSta
 // cross-shard causality argument the trivial one: every transmit starts
 // at its shard's current time, exactly like SendFrom.
 func (s *SourceStore) SendAt(slot int32, at time.Duration, seg tcpkit.Segment) {
-	n := s.n
-	sh := n.shards[s.shard]
-	if now := sh.eng.Now(); at > now {
-		sh.eng.ScheduleAt(at, func() { s.SendAt(slot, at, seg) })
-		return
-	} else if at < now {
-		at = now
-	}
-	n.tap(at, TapSend, seg)
-	size := seg.WireSize()
-	departUp, ok := s.upTransmit(slot, at, size)
-	if !ok {
-		n.tap(at, TapDrop, seg)
+	if eng := s.Engine(); at > eng.Now() {
+		eng.ScheduleAt(at, func() { s.SendAt(slot, at, seg) })
 		return
 	}
-	dst, dslot := n.lookup(seg.Dst)
-	if dst == nil {
-		n.unroutableShard[s.shard]++
-		return
-	}
-	m := message{
-		at:   departUp + s.link.Latency + dst.downLatency(),
-		src:  addrKey(SourceAddr(s.base, int(slot))),
-		seq:  s.msgSeq[slot],
-		size: size,
-		dst:  dst,
-		slot: dslot,
-		seg:  seg,
-	}
-	s.msgSeq[slot]++
-	if dst.shard == s.shard {
-		sh.eng.scheduleArrival(m)
-	} else {
-		sh.outbox[dst.shard] = append(sh.outbox[dst.shard], m)
-	}
-}
-
-// upTransmit is xmitter.transmit over the flat per-slot uplink state.
-func (s *SourceStore) upTransmit(slot int32, now time.Duration, size int) (time.Duration, bool) {
-	start := now
-	if b := s.upBusy[slot]; b > start {
-		start = b
-	}
-	if start-now > s.link.MaxBacklog {
-		s.upStats.Dropped++
-		return 0, false
-	}
-	ser := time.Duration(float64(size*8) / s.link.RateBps * float64(time.Second))
-	depart := start + ser
-	s.upBusy[slot] = depart
-	s.upStats.SentPackets++
-	s.upStats.SentBytes += uint64(size)
-	return depart, true
+	up := xmitter{cfg: s.link, busyUntil: s.upBusy[slot]}
+	scratch := seg // not seg itself: the closure above would move it to the heap
+	s.n.send(s.shard, &up, s.Addr(slot), &s.msgSeq[slot], &scratch, 1, seg.PayloadLen)
+	s.upBusy[slot] = up.busyUntil
+	s.upStats.add(up.stats)
 }
 
 // downTransmit is the per-slot downlink leg, run by runArrival on the
-// store's home shard.
+// store's home shard: a port's xmitter over the slot's flat state.
 func (s *SourceStore) downTransmit(slot int32, now time.Duration, size int) (time.Duration, bool) {
-	start := now
-	if b := s.downBusy[slot]; b > start {
-		start = b
-	}
-	if start-now > s.link.MaxBacklog {
-		s.downStats.Dropped++
-		return 0, false
-	}
-	ser := time.Duration(float64(size*8) / s.link.RateBps * float64(time.Second))
-	depart := start + ser
-	s.downBusy[slot] = depart
-	s.downStats.SentPackets++
-	s.downStats.SentBytes += uint64(size)
-	return depart, true
+	down := xmitter{cfg: s.link, busyUntil: s.downBusy[slot]}
+	depart, ok := down.transmit(now, size)
+	s.downBusy[slot] = down.busyUntil
+	s.downStats.add(down.stats)
+	return depart, ok
 }

@@ -97,25 +97,29 @@ func (s *Server) serve(c *conn) {
 	})
 }
 
-// sendResponse writes size bytes to the peer as MSS-sized segments. The
-// access link model paces actual delivery.
+// sendResponse writes size bytes to the peer as MSS-sized segments, one
+// packet train. The access link model paces actual delivery. BytesOut
+// gets the train's total in one addition: every segment was counted at
+// this instant, into this bucket, and sums of whole byte counts are exact.
 func (s *Server) sendResponse(c *conn, size int) {
+	if size <= 0 {
+		return
+	}
 	mss := int(c.mss)
 	if mss <= 0 || mss > s.cfg.MSS {
 		mss = s.cfg.MSS
 	}
-	for off := 0; off < size; off += mss {
-		n := size - off
-		if n > mss {
-			n = mss
-		}
-		s.send(tcpkit.Segment{
-			Src: s.cfg.Addr, Dst: c.peer.IP,
-			SrcPort: s.cfg.Port, DstPort: c.peer.Port,
-			Flags:      tcpkit.FlagACK | tcpkit.FlagPSH,
-			PayloadLen: n,
-		})
+	seg := tcpkit.Segment{
+		Src: s.cfg.Addr, Dst: c.peer.IP,
+		SrcPort: s.cfg.Port, DstPort: c.peer.Port,
+		Flags:      tcpkit.FlagACK | tcpkit.FlagPSH,
+		PayloadLen: mss,
 	}
+	count := (size + mss - 1) / mss
+	last := size - (count-1)*mss
+	wire := count*seg.WireSize() - mss + last
+	s.metrics.BytesOut.Add(s.eng.Now(), float64(wire))
+	s.net.SendTrain(seg, count, last)
 }
 
 // closeConn tears down a connection, releasing its worker if held.
