@@ -89,24 +89,25 @@ func run(args []string) error {
 		}
 		defer trace.Stop()
 	}
+	writeHeap := func() {}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
 			return fmt.Errorf("memprofile: %w", err)
 		}
-		defer func() {
-			// Capture live objects at exit; GC first so the numbers mean
-			// retained, not garbage.
+		writeHeap = func() {
+			// GC first so the numbers mean retained, not garbage.
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintln(os.Stderr, "tcpz-profile: memprofile:", err)
 			}
 			f.Close()
-		}()
+		}
 	}
 	if *sources > 0 {
-		return runMacroFlood(*sources, *shards)
+		return runMacroFlood(*sources, *shards, writeHeap)
 	}
+	defer writeHeap()
 	if max := runtime.GOMAXPROCS(0); *cores > max {
 		// More busy-loop goroutines than cores would time-share and
 		// understate every per-core number.
@@ -157,8 +158,10 @@ func run(args []string) error {
 // runMacroFlood executes the fixed macro-source scale scenario: sources
 // spoofed SYN-flooders against the puzzle-defended server over 20
 // simulated seconds — the same shape as the CI bounded-memory wall and
-// BenchmarkMacroFlood, so profiles line up with both.
-func runMacroFlood(sources, shards int) error {
+// BenchmarkMacroFlood, so profiles line up with both. writeHeap writes the
+// heap profile while the completed run is still reachable, so the profile
+// shows what the run retains.
+func runMacroFlood(sources, shards int, writeHeap func()) error {
 	sc := experiments.Scenario{
 		Label:    fmt.Sprintf("profile-%d", sources),
 		Duration: 20 * time.Second, AttackStart: 2 * time.Second, AttackStop: 18 * time.Second,
@@ -184,6 +187,7 @@ func runMacroFlood(sources, shards int) error {
 	fmt.Printf("wall time           %v\n", wall.Round(time.Millisecond))
 	fmt.Printf("packets/s (wall)    %.0f\n", sent/wall.Seconds())
 	fmt.Printf("retained heap       %d MiB (HeapSys %d MiB)\n", ms.HeapAlloc>>20, ms.HeapSys>>20)
+	writeHeap()
 	runtime.KeepAlive(run)
 	return nil
 }

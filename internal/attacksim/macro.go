@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/attack"
@@ -72,6 +71,12 @@ type MacroConfig struct {
 //   - identity: addresses materialise only in the canonical delivery key
 //     via the netsim.SourceStore; nothing per-source is heap-allocated.
 //
+// Per-source state lives in slots numbered in first-tick order (see
+// order), so a batch is a contiguous slot range and a round reads every
+// per-slot array front to back. What derives from a source — its address,
+// RNG and ISN seeds, device — follows its population index
+// (store.Source), never its slot.
+//
 // One shared rand.Rand wrapper means rand.Rand's internal Read buffer is
 // not per-source: strategies drawing bytes via Rand().Read (the solution
 // flood's fabricated solutions) stay deterministic but interleave that
@@ -84,7 +89,8 @@ type MacroFleet struct {
 	devices []cpumodel.Device
 
 	period time.Duration
-	start  []time.Duration // per-source first tick (StartAt + jitter)
+	// jitter[slot] is the slot's first tick past StartAt, ascending.
+	jitter []uint32
 
 	// Lazy-swap RNG: one wrapper, one state word per source.
 	rngState []uint64
@@ -115,6 +121,10 @@ type MacroFleet struct {
 	awaiting map[uint64]uint32
 
 	metrics *Metrics
+
+	// ctx is the facade every strategy hook runs under, re-aimed at the
+	// slot and instant of each call (see macroCtx).
+	ctx macroCtx
 }
 
 // NewMacroFleet attaches the population to the network and schedules its
@@ -159,11 +169,12 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 	}
 	f.rnd = rand.New(f.rngSrc)
 	f.isns = tcpkit.NewISNSourceFrom(f.isnSrc)
+	f.ctx.f = f
 
 	// Resolve the strategy once to validate the name and decide the
 	// instance policy: a value instance is stateless and shared by every
 	// source; a pointer instance is per-source state and gets a slot slice.
-	probe, err := attack.New(cfg.Attack, macroCtx{f: f})
+	probe, err := attack.New(cfg.Attack, &f.ctx)
 	if err != nil {
 		return nil, fmt.Errorf("attacksim: %w", err)
 	}
@@ -180,71 +191,122 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 	f.store = store
 	f.eng = store.Engine()
 
-	// Per-source RNG states and start jitter, drawn exactly as a
-	// CompactRNG bot would: the jitter is the stream's first draw.
-	f.rngState = make([]uint64, cfg.Sources)
-	for i := 0; i < cfg.Sources; i++ {
-		f.rngState[i] = uint64(cfg.Seed + int64(i)*101)
-	}
 	if cfg.PerSourceRate > 0 {
 		f.period = time.Duration(float64(time.Second) / cfg.PerSourceRate)
-		f.start = make([]time.Duration, cfg.Sources)
-		for i := 0; i < cfg.Sources; i++ {
-			f.rngSrc.SetState(f.rngState[i])
-			jitter := time.Duration(f.rnd.Int63n(int64(time.Second / 4)))
-			f.rngState[i] = f.rngSrc.State()
-			f.start[i] = cfg.StartAt + jitter
+		if err := f.order(); err != nil {
+			return nil, fmt.Errorf("attacksim: %w", err)
 		}
 		f.scheduleBatches()
+	} else {
+		f.rngState = make([]uint64, cfg.Sources)
+		for i := range f.rngState {
+			f.rngState[i] = uint64(cfg.Seed + int64(i)*101)
+		}
 	}
 	return f, nil
 }
 
-// scheduleBatches sorts sources by first-tick time and schedules one
-// recurring event per contiguous batch. Batch composition is a pure
-// function of (seed, size), never of shard layout.
-func (f *MacroFleet) scheduleBatches() {
-	order := make([]int32, f.cfg.Sources)
-	for i := range order {
-		order[i] = int32(i)
+// maxJitter bounds a source's first tick past StartAt.
+const maxJitter = time.Second / 4
+
+// A first-tick key packs a source's jitter above its population index.
+const (
+	keyIndexBits  = 24 // netsim.MaxSourceSlots-1 fits
+	keyJitterBits = 28 // maxJitter-1 fits
+	keyIndexMask  = 1<<keyIndexBits - 1
+)
+
+// Compile-time checks that both fields fit.
+const (
+	_ = uint(1<<keyIndexBits - netsim.MaxSourceSlots)
+	_ = uint(1<<keyJitterBits - maxJitter)
+)
+
+// order draws every source's start jitter — the first draw of its RNG
+// stream, exactly as a CompactRNG bot draws it — and numbers the slots in
+// first-tick order: slot r holds the source with the r-th earliest first
+// tick, ties in source order. The store learns the numbering; the fleet
+// keeps each slot's jitter and its stream's state after the draw.
+func (f *MacroFleet) order() error {
+	n := f.cfg.Sources
+	keys := make([]uint64, n)
+	drawn := make([]uint64, n) // stream state after the jitter, by source
+	for i := range keys {
+		f.rngSrc.SetState(uint64(f.cfg.Seed + int64(i)*101))
+		keys[i] = uint64(f.rnd.Int63n(int64(maxJitter)))<<keyIndexBits | uint64(i)
+		drawn[i] = f.rngSrc.State()
 	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := f.start[order[a]], f.start[order[b]]
-		if sa != sb {
-			return sa < sb
+	f.rngState = make([]uint64, n)
+	sortFirstTicks(keys, f.rngState)
+	order := make([]int32, n)
+	f.jitter = make([]uint32, n)
+	for r, k := range keys {
+		src := int32(k & keyIndexMask)
+		order[r] = src
+		f.jitter[r] = uint32(k >> keyIndexBits)
+		f.rngState[r] = drawn[src]
+	}
+	return f.store.Renumber(order)
+}
+
+// sortFirstTicks sorts first-tick keys, given in source order, by jitter:
+// an LSD radix sort over the 28 jitter bits in four 7-bit digits. Each
+// pass is stable, so equal jitters keep source order. scratch is a buffer
+// as long as keys; the even number of passes leaves the result in keys.
+func sortFirstTicks(keys, scratch []uint64) {
+	const digitBits = 7
+	src, dst := keys, scratch
+	for shift := keyIndexBits; shift < keyIndexBits+keyJitterBits; shift += digitBits {
+		var at [1 << digitBits]int
+		for _, k := range src {
+			at[k>>shift&(1<<digitBits-1)]++
 		}
-		return order[a] < order[b]
-	})
-	for lo := 0; lo < len(order); lo += f.cfg.BatchSize {
-		hi := lo + f.cfg.BatchSize
-		if hi > len(order) {
-			hi = len(order)
+		pos := 0
+		for d, c := range at {
+			at[d] = pos
+			pos += c
 		}
-		b := &macroBatch{f: f, slots: order[lo:hi]}
-		f.eng.ScheduleAt(f.start[b.slots[0]], b.run)
+		for _, k := range src {
+			d := k >> shift & (1<<digitBits - 1)
+			dst[at[d]] = k
+			at[d]++
+		}
+		src, dst = dst, src
 	}
 }
 
-// macroBatch advances one slice of the jitter-sorted population: round k
-// ticks every slot at its virtual time start + k·Δ. The event fires at
-// the batch's earliest member time; later members tick "in the future"
-// of the event, which is safe — emissions carry their virtual timestamps.
+// scheduleBatches schedules one recurring event per contiguous batch of
+// slots. Batch composition is a pure function of (seed, size), never of
+// shard layout.
+func (f *MacroFleet) scheduleBatches() {
+	for lo := 0; lo < f.cfg.Sources; lo += f.cfg.BatchSize {
+		b := &macroBatch{f: f, lo: int32(lo), hi: int32(min(lo+f.cfg.BatchSize, f.cfg.Sources))}
+		b.fn = b.run
+		f.eng.ScheduleAt(f.cfg.StartAt+time.Duration(f.jitter[lo]), b.fn)
+	}
+}
+
+// macroBatch advances the slots [lo, hi): round k ticks every slot at its
+// virtual time StartAt + k·Δ + jitter. The event fires at the batch's
+// earliest member time; later members tick "in the future" of the event,
+// which is safe — emissions carry their virtual timestamps.
 type macroBatch struct {
-	f     *MacroFleet
-	slots []int32
-	round int64
+	f      *MacroFleet
+	lo, hi int32
+	round  int64
+	fn     func() // run, bound once for every round's ScheduleAt
 }
 
 func (b *macroBatch) run() {
 	f := b.f
-	offset := time.Duration(b.round) * f.period
-	if f.start[b.slots[0]]+offset >= f.cfg.StopAt {
+	base := f.cfg.StartAt + time.Duration(b.round)*f.period
+	if base+time.Duration(f.jitter[b.lo]) >= f.cfg.StopAt {
 		// The first slot has the batch's earliest start, so the whole
 		// round — and every later round — is past StopAt: retire.
 		return
 	}
-	for _, slot := range b.slots {
-		t := f.start[slot] + offset
+	for slot := b.lo; slot < b.hi; slot++ {
+		t := base + time.Duration(f.jitter[slot])
 		if t >= f.cfg.StopAt {
 			// Sorted by start: the rest of this round is past StopAt,
 			// but earlier slots may still tick next round.
@@ -253,25 +315,25 @@ func (b *macroBatch) run() {
 		f.tickSlot(slot, t)
 	}
 	b.round++
-	f.eng.ScheduleAt(f.start[b.slots[0]]+time.Duration(b.round)*f.period, b.run)
+	f.eng.ScheduleAt(base+f.period+time.Duration(f.jitter[b.lo]), b.fn)
 }
 
 // tickSlot runs one source's strategy tick at virtual time t.
 func (f *MacroFleet) tickSlot(slot int32, t time.Duration) {
-	ctx := macroCtx{f: f, slot: slot, vt: t}
-	f.strategyFor(slot, ctx).Tick(ctx)
+	f.ctx.slot, f.ctx.vt = slot, t
+	f.strategyFor(slot).Tick(&f.ctx)
 }
 
 // strategyFor returns the slot's strategy instance: the shared stateless
 // value, or the lazily created per-slot instance for stateful strategies.
-func (f *MacroFleet) strategyFor(slot int32, ctx macroCtx) attack.Strategy {
+func (f *MacroFleet) strategyFor(slot int32) attack.Strategy {
 	if f.shared != nil {
 		return f.shared
 	}
 	s := f.strategies[slot]
 	if s == nil {
 		// The probe validated the name; a second New cannot fail.
-		s, _ = attack.New(f.cfg.Attack, ctx)
+		s, _ = attack.New(f.cfg.Attack, &f.ctx)
 		f.strategies[slot] = s
 	}
 	return s
@@ -297,8 +359,8 @@ func (f *MacroFleet) handle(slot int32, seg tcpkit.Segment) {
 	delete(f.awaiting, key)
 
 	chOpt, challenged, _ := tcpopt.Lookup(seg.Options, tcpopt.KindChallenge)
-	ctx := macroCtx{f: f, slot: slot, vt: f.eng.Now()}
-	f.strategyFor(slot, ctx).OnSynAck(ctx, attack.SynAck{
+	f.ctx.slot, f.ctx.vt = slot, f.eng.Now()
+	f.strategyFor(slot).OnSynAck(&f.ctx, attack.SynAck{
 		Port: seg.DstPort, ISN: isn, ServerISN: seg.Seq,
 		Challenge: chOpt, Challenged: challenged,
 	})
@@ -348,20 +410,24 @@ func (f *MacroFleet) MeanCPUUtilisation(until time.Duration) []float64 {
 }
 
 // macroCtx is the attack.BotCtx facade over one source slot at a virtual
-// instant. It is a value: strategy closures capture the (slot, vt) pair,
-// and Now() returns the later of the virtual time and the engine clock,
-// so a closure firing after its batch event sees real time exactly as a
-// per-bot closure would.
+// instant: a batch ticks its slots at their own times, ahead of the
+// engine clock. Now() returns the later of the virtual time and the
+// engine clock, so a hook running at or after its instant sees engine
+// time, as a per-bot hook would. The fleet owns one, re-aimed at each
+// hook call and passed as a pointer, so a call boxes nothing; that is
+// safe because a BotCtx is valid only during the call it is passed to,
+// and no hook runs inside another. What outlives a call — a solve in
+// progress — keeps its own copy of (slot, vt).
 type macroCtx struct {
 	f    *MacroFleet
 	slot int32
 	vt   time.Duration
 }
 
-var _ attack.BotCtx = macroCtx{}
+var _ attack.BotCtx = (*macroCtx)(nil)
 
 // Now implements attack.BotCtx.
-func (c macroCtx) Now() time.Duration {
+func (c *macroCtx) Now() time.Duration {
 	if now := c.f.eng.Now(); now > c.vt {
 		return now
 	}
@@ -370,7 +436,7 @@ func (c macroCtx) Now() time.Duration {
 
 // Rand implements attack.BotCtx: the shared wrapper over this slot's
 // splitmix state, swapped in on slot change.
-func (c macroCtx) Rand() *rand.Rand {
+func (c *macroCtx) Rand() *rand.Rand {
 	f := c.f
 	if f.rngSlot != c.slot {
 		if f.rngSlot >= 0 {
@@ -383,36 +449,37 @@ func (c macroCtx) Rand() *rand.Rand {
 }
 
 // Addr implements attack.BotCtx.
-func (c macroCtx) Addr() [4]byte { return c.f.store.Addr(c.slot) }
+func (c *macroCtx) Addr() [4]byte { return c.f.store.Addr(c.slot) }
 
 // ServerAddr implements attack.BotCtx.
-func (c macroCtx) ServerAddr() [4]byte { return c.f.cfg.ServerAddr }
+func (c *macroCtx) ServerAddr() [4]byte { return c.f.cfg.ServerAddr }
 
 // ServerPort implements attack.BotCtx.
-func (c macroCtx) ServerPort() uint16 { return c.f.cfg.ServerPort }
+func (c *macroCtx) ServerPort() uint16 { return c.f.cfg.ServerPort }
 
 // AttackWindow implements attack.BotCtx.
-func (c macroCtx) AttackWindow() (start, stop time.Duration) {
+func (c *macroCtx) AttackWindow() (start, stop time.Duration) {
 	return c.f.cfg.StartAt, c.f.cfg.StopAt
 }
 
 // Solves implements attack.BotCtx.
-func (c macroCtx) Solves() bool { return c.f.cfg.Solves }
+func (c *macroCtx) Solves() bool { return c.f.cfg.Solves }
 
 // SimulatedCrypto implements attack.BotCtx.
-func (c macroCtx) SimulatedCrypto() bool { return c.f.cfg.SimulatedCrypto }
+func (c *macroCtx) SimulatedCrypto() bool { return c.f.cfg.SimulatedCrypto }
 
 // MaxSolveBacklog implements attack.BotCtx.
-func (c macroCtx) MaxSolveBacklog() time.Duration { return c.f.cfg.MaxSolveBacklog }
+func (c *macroCtx) MaxSolveBacklog() time.Duration { return c.f.cfg.MaxSolveBacklog }
 
 // NextISN implements attack.BotCtx: per-slot splitmix ISN stream seeded
 // seed_i + 13, exactly as per-bot CompactRNG.
-func (c macroCtx) NextISN() uint32 {
+func (c *macroCtx) NextISN() uint32 {
 	f := c.f
 	if f.isnState == nil {
 		f.isnState = make([]uint64, f.cfg.Sources)
-		for i := range f.isnState {
-			f.isnState[i] = uint64(f.cfg.Seed + int64(i)*101 + 13)
+		for slot := range f.isnState {
+			src := f.store.Source(int32(slot))
+			f.isnState[slot] = uint64(f.cfg.Seed + int64(src)*101 + 13)
 		}
 	}
 	if f.isnSlot != c.slot {
@@ -426,7 +493,7 @@ func (c macroCtx) NextISN() uint32 {
 }
 
 // NextPort implements attack.BotCtx.
-func (c macroCtx) NextPort() uint16 {
+func (c *macroCtx) NextPort() uint16 {
 	f := c.f
 	if f.nextPort == nil {
 		f.nextPort = make([]uint32, f.cfg.Sources)
@@ -440,12 +507,12 @@ func (c macroCtx) NextPort() uint16 {
 }
 
 // ExpectSynAck implements attack.BotCtx.
-func (c macroCtx) ExpectSynAck(port uint16, isn uint32) {
+func (c *macroCtx) ExpectSynAck(port uint16, isn uint32) {
 	c.f.awaiting[awaitKey(c.slot, port)] = isn
 }
 
 // EmitAttack implements attack.BotCtx.
-func (c macroCtx) EmitAttack(seg tcpkit.Segment) {
+func (c *macroCtx) EmitAttack(seg tcpkit.Segment) {
 	now := c.Now()
 	c.f.metrics.Sent.Add(now, 1)
 	c.f.store.SendAt(c.slot, now, seg)
@@ -453,14 +520,14 @@ func (c macroCtx) EmitAttack(seg tcpkit.Segment) {
 
 // EmitSpoofed implements attack.BotCtx: SendAt already transmits through
 // the slot's own uplink whatever the forged source claims.
-func (c macroCtx) EmitSpoofed(seg tcpkit.Segment) {
+func (c *macroCtx) EmitSpoofed(seg tcpkit.Segment) {
 	now := c.Now()
 	c.f.metrics.Sent.Add(now, 1)
 	c.f.store.SendAt(c.slot, now, seg)
 }
 
 // SendHandshakeAck implements attack.BotCtx.
-func (c macroCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []byte) {
+func (c *macroCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []byte) {
 	f := c.f
 	now := c.Now()
 	f.metrics.AcksSent.Add(now, 1)
@@ -478,7 +545,7 @@ func (c macroCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []by
 // free-at array, with busy time accumulated fleet-wide. Completion times
 // ascend per slot but not across the fleet, so each solve is scheduled
 // directly instead of through one netsim.RunQueue.
-func (c macroCtx) Solve(hashes float64, sa attack.SynAck) {
+func (c *macroCtx) Solve(hashes float64, sa attack.SynAck) {
 	f := c.f
 	if f.cpuFreeAt == nil {
 		f.cpuFreeAt = make([]time.Duration, f.cfg.Sources)
@@ -488,16 +555,20 @@ func (c macroCtx) Solve(hashes float64, sa attack.SynAck) {
 	if free := f.cpuFreeAt[c.slot]; free > start {
 		start = free
 	}
-	dev := f.devices[int(c.slot)%len(f.devices)]
+	dev := f.devices[f.store.Source(c.slot)%len(f.devices)]
 	dur := dev.TimeFor(hashes)
 	done := start + dur
 	f.cpuBusy.AddSpan(start, done, dur.Seconds())
 	f.cpuFreeAt[c.slot] = done
-	f.eng.ScheduleAt(done, func() { f.strategyFor(c.slot, c).OnSolved(c, sa) })
+	slot, vt := c.slot, c.vt // not c: by then it is aimed at another call
+	f.eng.ScheduleAt(done, func() {
+		f.ctx.slot, f.ctx.vt = slot, vt
+		f.strategyFor(slot).OnSolved(&f.ctx, sa)
+	})
 }
 
 // CPUBacklog implements attack.BotCtx.
-func (c macroCtx) CPUBacklog() time.Duration {
+func (c *macroCtx) CPUBacklog() time.Duration {
 	f := c.f
 	if f.cpuFreeAt == nil {
 		return 0
@@ -509,4 +580,4 @@ func (c macroCtx) CPUBacklog() time.Duration {
 }
 
 // Metrics implements attack.BotCtx.
-func (c macroCtx) Metrics() *attack.Metrics { return c.f.metrics }
+func (c *macroCtx) Metrics() *attack.Metrics { return c.f.metrics }

@@ -1,7 +1,11 @@
 package attacksim
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -72,5 +76,97 @@ func TestMacroBatchSizeNeutral(t *testing.T) {
 	}
 	if wantPkts == 0 || wantSyns == 0 {
 		t.Fatalf("degenerate run: pkts=%d syns=%d", wantPkts, wantSyns)
+	}
+}
+
+// wire runs a connection flood of 25 sources, per-bot on the compact RNG
+// or macro-aggregated, and lists every segment put on the wire, sorted:
+// what each source sent, and when, whatever order equal instants fired in.
+func wire(t *testing.T, macro bool) []string {
+	t.Helper()
+	network := netsim.NewSharded(1)
+	srv := &synAckServer{addr: netsim.Addr{10, 0, 0, 1}, net: network}
+	if err := network.Attach(srv, netsim.DefaultServerLink()); err != nil {
+		t.Fatal(err)
+	}
+	var sent []string
+	network.RegisterTap(func(at time.Duration, dir netsim.TapDir, seg tcpkit.Segment) {
+		if dir == netsim.TapSend && seg.Src != srv.addr {
+			sent = append(sent, fmt.Sprintf("%012d %v:%d seq=%d ack=%d %v", at, seg.Src, seg.SrcPort, seg.Seq, seg.Ack, seg.Flags))
+		}
+	})
+	var err error
+	if macro {
+		_, err = NewMacroFleet(network, MacroConfig{
+			Sources: 25, BaseAddr: [4]byte{10, 2, 0, 1}, ServerAddr: srv.addr, Attack: "connflood",
+			PerSourceRate: 20, StartAt: time.Second, StopAt: 9 * time.Second, Seed: 5,
+		})
+	} else {
+		_, err = NewBotnet(network, BotnetConfig{
+			Size: 25, BaseAddr: [4]byte{10, 2, 0, 1}, ServerAddr: srv.addr, Attack: "connflood",
+			PerBotRate: 20, StartAt: time.Second, StopAt: 9 * time.Second, Seed: 5, CompactRNG: true,
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	network.Run(10 * time.Second)
+	slices.Sort(sent)
+	return sent
+}
+
+// A macro source is its per-bot twin on the wire: the same address, ports,
+// ISNs and send times, segment for segment — whatever slot holds it.
+func TestMacroWireMatchesBotnet(t *testing.T) {
+	perBot, macro := wire(t, false), wire(t, true)
+	if len(perBot) < 25*2*100 {
+		t.Fatalf("degenerate run: %d segments sent", len(perBot))
+	}
+	if !slices.Equal(perBot, macro) {
+		for i := range min(len(perBot), len(macro)) {
+			if perBot[i] != macro[i] {
+				t.Fatalf("segment %d: per-bot %q, macro %q (%d vs %d segments)", i, perBot[i], macro[i], len(perBot), len(macro))
+			}
+		}
+		t.Fatalf("per-bot sent %d segments, macro %d", len(perBot), len(macro))
+	}
+}
+
+// TestFirstTickOrder checks the radix sort that numbers a fleet's slots
+// against a stable comparison sort, on random populations: some with few
+// distinct jitters, so that ties are the rule, all with the extreme jitters
+// and with source indices up to netsim.MaxSourceSlots-1.
+func TestFirstTickOrder(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		// Distinct ascending source indices, as the fleet lists them.
+		idx := []int{0, netsim.MaxSourceSlots - 1}
+		for range rnd.Intn(3000) {
+			idx = append(idx, rnd.Intn(netsim.MaxSourceSlots))
+		}
+		slices.Sort(idx)
+		idx = slices.Compact(idx)
+
+		jitters := int64(maxJitter)
+		if trial%2 == 0 {
+			jitters = 1 + rnd.Int63n(16) // forced ties
+		}
+		keys := make([]uint64, len(idx))
+		for i, src := range idx {
+			jitter := rnd.Int63n(jitters)
+			switch i {
+			case 1:
+				jitter = int64(maxJitter) - 1
+			case 2:
+				jitter = 0
+			}
+			keys[i] = uint64(jitter)<<keyIndexBits | uint64(src)
+		}
+		want := slices.Clone(keys)
+		sort.SliceStable(want, func(a, b int) bool { return want[a]>>keyIndexBits < want[b]>>keyIndexBits })
+		sortFirstTicks(keys, make([]uint64, len(keys)))
+		if !slices.Equal(keys, want) {
+			t.Fatalf("trial %d (%d sources): radix order differs from the stable sort", trial, len(keys))
+		}
 	}
 }

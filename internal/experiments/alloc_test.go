@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestAllocBudgetFloodCell is the tier-1 gate on a whole cell's allocation
 // count, the machine-independent column of the benchmark's
@@ -23,6 +26,36 @@ func TestAllocBudgetFloodCell(t *testing.T) {
 	})
 	if got > ceiling {
 		t.Errorf("tiny connection-flood cell: %.0f allocations, ceiling %d", got, ceiling)
+	}
+}
+
+// TestAllocBudgetMacroCell is the same gate on a macro cell: the
+// benchmark's macro_flood shape (a spoofed SYN flood at 0.05 pps per
+// source against puzzles, 2 clients, 20 s) at 10,000 sources, each ticking
+// once, under a ceiling 26 % over the 2,389 it measures on go1.24. While
+// every tick boxed its context and deferred its send in a closure it took
+// 22,393, two per source; the ceiling catches a per-tick or per-source
+// allocation coming back.
+func TestAllocBudgetMacroCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are pinned without -short (and so without -race); CI runs this by name")
+	}
+	sc := Scenario{
+		Label:    "macro-allocs",
+		Duration: 20 * time.Second, AttackStart: 2 * time.Second, AttackStop: 18 * time.Second,
+		NumClients: 2, ClientRate: 4,
+		Defense: DefensePuzzles, Attack: AttackSYNFlood,
+		BotCount: NoBotnet, MacroSources: 10_000, PerBotRate: 0.05,
+		Backlog: 512, AcceptBacklog: 128, Workers: 24, Seed: 1,
+	}
+	const ceiling = 3_000
+	got := testing.AllocsPerRun(1, func() {
+		if _, err := RunFlood(sc); err != nil {
+			t.Fatalf("RunFlood: %v", err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("10,000-source macro cell: %.0f allocations, ceiling %d", got, ceiling)
 	}
 }
 

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"runtime"
@@ -96,25 +99,55 @@ func TestMacroPerBotDifferential(t *testing.T) {
 	}
 }
 
-// TestMacroAllStrategiesRun asserts every registered attack executes in
-// macro mode through the unchanged BotCtx facade — no per-strategy
-// rewrites, including the stateful (per-slot) replay flood and the
-// CPU-charging solution/connection floods.
-func TestMacroAllStrategiesRun(t *testing.T) {
+// macroPins are the NDJSON digests of TestMacroStrategiesPinned's cells,
+// the same at every shard count.
+var macroPins = map[sweep.Attack]string{
+	AttackSYNFlood:      "9740c21d27426345",
+	AttackConnFlood:     "b59bea91f0412365",
+	AttackSolutionFlood: "f63184d0c726d0db",
+	AttackReplayFlood:   "6dacb2bae1e196e7",
+	AttackPulseFlood:    "e0ffbdad4909b980",
+	AttackAdaptiveFlood: "e07ddaa10c66c4b5",
+}
+
+// TestMacroStrategiesPinned runs every registered attack in macro mode
+// through the unchanged BotCtx facade — including the stateful (per-slot)
+// replay flood and the CPU-charging solution/connection floods — and pins
+// what each produces. TestMacroPerBotDifferential covers only the
+// Read-free floods that never solve; this pin is what holds the rest,
+// and the per-source values a solving source reads (its device, its RNG
+// and ISN streams), to their bytes. The digest covers the standard
+// metric set plus the attacker-side series: sent rate and CPU
+// utilisation, which is where a solve charged to the wrong device shows.
+func TestMacroStrategiesPinned(t *testing.T) {
 	for _, attack := range sweep.KnownAttacks() {
-		sc := diffScenario(attack)
-		sc.Duration = 20 * time.Second
-		sc.AttackStop = 15 * time.Second
-		sc.BotCount = sweep.NoBotnet
-		sc.MacroSources = 30
-		sc.BotsSolve = true
-		sc.Shards = 2
-		run, err := RunFlood(sc)
-		if err != nil {
-			t.Fatalf("RunFlood(macro %s): %v", attack, err)
-		}
-		if total := run.Macro.TotalSent(0, sc.Duration); total == 0 {
-			t.Errorf("macro %s sent no packets", attack)
+		for _, shards := range []int{1, 2} {
+			sc := diffScenario(attack)
+			sc.Duration = 20 * time.Second
+			sc.AttackStop = 15 * time.Second
+			sc.BotCount = sweep.NoBotnet
+			sc.MacroSources = 30
+			sc.BotsSolve = true
+			sc.Shards = shards
+			run, err := RunFlood(sc)
+			if err != nil {
+				t.Fatalf("RunFlood(macro %s, shards=%d): %v", attack, shards, err)
+			}
+			if total := run.Macro.TotalSent(0, sc.Duration); total == 0 {
+				t.Errorf("macro %s shards=%d sent no packets", attack, shards)
+			}
+			metrics, series := StandardMetrics(run)
+			series = append(series,
+				sweep.Series{Name: "attack_sent_pps", Values: run.MeasuredAttackRate()},
+				sweep.Series{Name: "attacker_cpu_pct", Values: run.AttackerCPU()})
+			var out bytes.Buffer
+			if err := sweep.NewNDJSON(&out).Write(sweep.Result{Experiment: "macro-pin", Scenario: run.Cfg, Metrics: metrics, Series: series}); err != nil {
+				t.Fatalf("NDJSON: %v", err)
+			}
+			sum := sha256.Sum256(out.Bytes())
+			if got := hex.EncodeToString(sum[:8]); got != macroPins[attack] {
+				t.Errorf("macro %s shards=%d: digest %s, pinned %s", attack, shards, got, macroPins[attack])
+			}
 		}
 	}
 }

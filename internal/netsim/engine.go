@@ -37,6 +37,8 @@ package netsim
 
 import (
 	"time"
+
+	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 )
 
 // eventKind selects the dispatch path when an event fires. Keeping the
@@ -57,6 +59,11 @@ const (
 	kindArrival
 	// kindDeliver hands the pkt payload's segment to the destination node.
 	kindDeliver
+	// kindSend is a source store's deferred send (SourceStore.SendAt at a
+	// future time): pkt.seg leaves through slot pkt.slot of the store
+	// behind pkt.dst. It is a timer — timer heap, timer order, counted in
+	// TimersFired — whose payload travels on the event, not in a closure.
+	kindSend
 )
 
 // Event is a scheduled occurrence. Events are pooled: once fired (or
@@ -81,7 +88,7 @@ type Event struct {
 	// instead of poisoning the new occupant.
 	gen uint32
 	fn  func() // kindFunc payload
-	pkt packet // kindArrival / kindDeliver payload
+	pkt packet // kindArrival / kindDeliver / kindSend payload
 }
 
 // Timer is a cancellable handle to a scheduled callback. The zero Timer
@@ -139,9 +146,9 @@ func less(a, b *Event) bool {
 // exception — see the less doc).
 type Engine struct {
 	now time.Duration
-	// The pending queue: kindFunc events wait in timers, kindArrival and
-	// kindDeliver events in packets, and the next event to fire is the
-	// smaller of the two heads under less.
+	// The pending queue: kindFunc and kindSend events wait in timers,
+	// kindArrival and kindDeliver events in packets, and the next event to
+	// fire is the smaller of the two heads under less.
 	timers  eventHeap
 	packets eventHeap
 	seq     uint64
@@ -255,7 +262,7 @@ func (hp *eventHeap) pop() *Event {
 	return root
 }
 
-// pushTimer queues a kindFunc event.
+// pushTimer queues a kindFunc or kindSend event.
 func (e *Engine) pushTimer(ev *Event) {
 	e.timers.push(ev)
 	e.stats.PeakTimers = max(e.stats.PeakTimers, len(e.timers))
@@ -317,6 +324,20 @@ func (e *Engine) scheduleSeq(at time.Duration, seq uint64, fn func()) *Event {
 	return ev
 }
 
+// scheduleSend queues a kindSend event at at (after now) under the next
+// engine seq — the place ScheduleAt would give a closure doing the same.
+func (e *Engine) scheduleSend(at time.Duration, store *port, slot int32, seg *tcpkit.Segment) {
+	ev := e.alloc()
+	ev.at = at
+	ev.seq = e.seq
+	e.seq++
+	ev.kind = kindSend
+	ev.pkt.dst = store
+	ev.pkt.slot = slot
+	ev.pkt.seg = *seg
+	e.pushTimer(ev)
+}
+
 // scheduleArrival queues the downlink leg of a packet delivery — of a
 // train's first segment; runArrival re-queues the train under each next
 // segment's key. At equal times arrivals fire after locally scheduled
@@ -371,6 +392,11 @@ func (e *Engine) fire(ev *Event) {
 		p := ev.pkt
 		e.recycle(ev)
 		e.net.runDeliver(e, p)
+	case kindSend:
+		e.stats.TimersFired++
+		p := &ev.pkt
+		p.dst.store.transmit(p.slot, &p.seg)
+		e.recycle(ev)
 	}
 }
 

@@ -51,6 +51,11 @@ type SourceStore struct {
 	// state. Its xmitters are never used.
 	vport *port
 
+	// source[slot] is the population index a slot holds and slot[source]
+	// its inverse; both nil is the identity numbering (see Renumber).
+	source []int32
+	slot   []int32
+
 	// Parallel per-slot state, indexed by source slot.
 	upBusy   []time.Duration
 	downBusy []time.Duration
@@ -119,7 +124,41 @@ func (n *Network) AttachSources(count int, base Addr, link LinkConfig, handler f
 	return s, nil
 }
 
-// slotOf inverts SourceAddr over this store's range.
+// Renumber makes slot r hold source order[r], which must be a permutation
+// of the population. A source keeps everything derived from its index —
+// its address, and so the canonical arrival key of what it sends — and
+// only the slot that indexes its per-slot state moves. A driver that
+// visits sources in some fixed order numbers slots in that order so its
+// visits read the per-slot arrays front to back. Like AttachSources it
+// must precede the first run; the store keeps order.
+func (s *SourceStore) Renumber(order []int32) error {
+	if len(order) != s.count {
+		return fmt.Errorf("netsim: renumbering %d slots of a %d-source store", len(order), s.count)
+	}
+	slot := make([]int32, s.count)
+	for i := range slot {
+		slot[i] = -1
+	}
+	for r, src := range order {
+		if src < 0 || int(src) >= s.count || slot[src] >= 0 {
+			return fmt.Errorf("netsim: renumbering is not a permutation: source %d at slot %d", src, r)
+		}
+		slot[src] = int32(r)
+	}
+	s.source, s.slot = order, slot
+	return nil
+}
+
+// Source returns the population index slot holds: the i of its address
+// SourceAddr(base, i).
+func (s *SourceStore) Source(slot int32) int {
+	if s.source == nil {
+		return int(slot)
+	}
+	return int(s.source[slot])
+}
+
+// slotOf inverts Addr over this store's range.
 func (s *SourceStore) slotOf(addr Addr) (int32, bool) {
 	if addr[0] != s.base[0] {
 		return 0, false
@@ -134,14 +173,17 @@ func (s *SourceStore) slotOf(addr Addr) (int32, bool) {
 	if i >= s.count {
 		return 0, false
 	}
+	if s.slot != nil {
+		return s.slot[i], true
+	}
 	return int32(i), true
 }
 
 // Count returns the population size.
 func (s *SourceStore) Count() int { return s.count }
 
-// Addr returns slot i's address.
-func (s *SourceStore) Addr(slot int32) Addr { return SourceAddr(s.base, int(slot)) }
+// Addr returns slot's address.
+func (s *SourceStore) Addr(slot int32) Addr { return SourceAddr(s.base, s.Source(slot)) }
 
 // Engine returns the engine of the shard the store lives on — the engine
 // the macro driver must schedule its batch events against.
@@ -172,15 +214,21 @@ func (s *SourceStore) Stats() (up, down LinkStats) { return s.upStats, s.downSta
 // out of order, inflating apparent queue delay into spurious drop-tail
 // drops. Deferring restores the per-slot time ordering, and makes the
 // cross-shard causality argument the trivial one: every transmit starts
-// at its shard's current time, exactly like SendFrom.
+// at its shard's current time, exactly like SendFrom. The deferred send
+// is a timer in all but its payload: it carries (slot, segment) on a
+// pooled kindSend event instead of a closure.
 func (s *SourceStore) SendAt(slot int32, at time.Duration, seg tcpkit.Segment) {
 	if eng := s.Engine(); at > eng.Now() {
-		eng.ScheduleAt(at, func() { s.SendAt(slot, at, seg) })
+		eng.scheduleSend(at, s.vport, slot, &seg)
 		return
 	}
+	s.transmit(slot, &seg)
+}
+
+// transmit sends seg through slot's uplink now; seg is a scratch copy.
+func (s *SourceStore) transmit(slot int32, seg *tcpkit.Segment) {
 	up := xmitter{cfg: s.link, busyUntil: s.upBusy[slot]}
-	scratch := seg // not seg itself: the closure above would move it to the heap
-	s.n.send(s.shard, &up, s.Addr(slot), &s.msgSeq[slot], &scratch, 1, seg.PayloadLen)
+	s.n.send(s.shard, &up, s.Addr(slot), &s.msgSeq[slot], seg, 1, seg.PayloadLen)
 	s.upBusy[slot] = up.busyUntil
 	s.upStats.add(up.stats)
 }

@@ -115,6 +115,51 @@ func TestStoreSendMatchesPortSend(t *testing.T) {
 	}
 }
 
+// Renumbering moves a source's per-slot state, never its identity: a slot
+// sends from its source's address, replies to that address reach that
+// slot, and a send deferred to a future instant fires then, as a timer.
+func TestRenumberedStore(t *testing.T) {
+	eng := NewEngine()
+	net := NewNetwork(eng)
+	server := &sinkNode{addr: Addr{10, 0, 0, 1}, eng: eng, reply: true, replyNet: net}
+	if err := net.Attach(server, DefaultServerLink()); err != nil {
+		t.Fatal(err)
+	}
+	base := Addr{20, 2, 0, 1}
+	var replies []int32
+	store, err := net.AttachSources(3, base, DefaultHostLink(), func(slot int32, _ tcpkit.Segment) {
+		replies = append(replies, slot)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]int32{{0, 1}, {0, 1, 1}, {0, 1, 3}, {-1, 0, 1}} {
+		if store.Renumber(bad) == nil {
+			t.Errorf("Renumber(%v) accepted a non-permutation", bad)
+		}
+	}
+	if err := store.Renumber([]int32{2, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for slot, src := range []int{2, 0, 1} {
+		if got := store.Addr(int32(slot)); got != SourceAddr(base, src) || store.Source(int32(slot)) != src {
+			t.Errorf("slot %d: Addr %v Source %d, want source %d", slot, got, store.Source(int32(slot)), src)
+		}
+	}
+	syn := tcpkit.Segment{Src: store.Addr(0), Dst: server.addr, SrcPort: 3333, DstPort: 80, Flags: tcpkit.FlagSYN}
+	store.SendAt(0, 50*time.Millisecond, syn)
+	eng.Run(time.Second)
+	if len(server.at) != 1 || server.at[0] <= 50*time.Millisecond || server.got[0].Src != SourceAddr(base, 2) {
+		t.Fatalf("server got %v at %v, want one SYN from source 2 after 50ms", server.got, server.at)
+	}
+	if len(replies) != 1 || replies[0] != 0 {
+		t.Errorf("replies reached slots %v, want [0]", replies)
+	}
+	if st := eng.Stats(); st.TimersFired != 1 {
+		t.Errorf("TimersFired = %d, want the deferred send", st.TimersFired)
+	}
+}
+
 func TestAttachOverlapRejected(t *testing.T) {
 	net := NewNetwork(NewEngine())
 	base := Addr{10, 2, 0, 1}
