@@ -1,0 +1,86 @@
+package sim
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"github.com/tcppuzzles/tcppuzzles/sweep"
+)
+
+var update = flag.Bool("update", false, "re-bless sim/testdata/experiments.golden")
+
+const ledgerPath = "testdata/experiments.golden"
+
+// TestExperimentLedger pins the output of every registered experiment at
+// ScaleTiny: the rendered tables verbatim, and the sha256 of the NDJSON
+// sink stream. A change that moves any figure's bytes fails here; if the
+// move is intended, re-bless with
+//
+//	go test ./sim -run TestExperimentLedger -update
+//
+// and record the moved experiments in CHANGES.md. The ledger is only
+// checked on the architecture that wrote it: FMA fusion may legitimately
+// move float bytes elsewhere.
+func TestExperimentLedger(t *testing.T) {
+	var got strings.Builder
+	fmt.Fprintf(&got, "goarch %s\n", runtime.GOARCH)
+	for _, id := range ExperimentIDs() {
+		var nd bytes.Buffer
+		sink := sweep.NewNDJSON(&nd)
+		tables, err := RunExperiment(id, ScaleTiny, WithSinks(sink))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatalf("%s: flush: %v", id, err)
+		}
+		sum := sha256.Sum256(nd.Bytes())
+		fmt.Fprintf(&got, "\n### %s ndjson-sha256 %s\n", id, hex.EncodeToString(sum[:]))
+		for _, tbl := range tables {
+			got.WriteString(tbl.String())
+		}
+	}
+	if *update {
+		if err := os.WriteFile(ledgerPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the ledger)", err)
+	}
+	want := string(raw)
+	if arch, _, _ := strings.Cut(want, "\n"); arch != "goarch "+runtime.GOARCH {
+		t.Skipf("ledger was written on %q; this is %s", arch, runtime.GOARCH)
+	}
+	if got.String() == want {
+		return
+	}
+	wantSec, gotSec := ledgerSections(want), ledgerSections(got.String())
+	for _, id := range ExperimentIDs() {
+		if gotSec[id] != wantSec[id] {
+			t.Errorf("%s output moved:\n--- got\n%s\n--- want\n%s", id, gotSec[id], wantSec[id])
+		}
+	}
+	if len(gotSec) != len(wantSec) {
+		t.Errorf("ledger lists %d experiments, registry %d", len(wantSec), len(gotSec))
+	}
+}
+
+// ledgerSections splits a ledger into its per-experiment sections.
+func ledgerSections(ledger string) map[string]string {
+	out := map[string]string{}
+	for _, sec := range strings.Split(ledger, "\n### ")[1:] {
+		id, _, _ := strings.Cut(sec, " ")
+		out[id] = sec
+	}
+	return out
+}
