@@ -1,16 +1,14 @@
-// Package tcppuzzles_test hosts the benchmark harness: one benchmark per
-// table and figure in the paper's evaluation (§6), plus microbenchmarks of
-// the puzzle primitives and ablation benches for the design choices called
-// out in DESIGN.md.
+// Package tcppuzzles_test hosts the execution-mode benchmarks — runner
+// width, macro-aggregated sources, sharded engines — and microbenchmarks
+// of the puzzle primitives.
 //
 // Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Figure/table benches execute a scaled-down scenario per iteration and
-// report the headline quantities as custom metrics (e.g. Mbps during the
-// attack, effective attacker connections/second). The cmd/tcpz-exp binary
-// runs the full-size versions.
+// The figure grids are measured end to end by bench/ (fig_grid_cold and
+// fig_grid_warm) and pinned byte for byte by sim.TestExperimentLedger;
+// cmd/tcpz-exp runs them at every scale.
 package tcppuzzles_test
 
 import (
@@ -24,15 +22,6 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
 	"github.com/tcppuzzles/tcppuzzles/sim"
 )
-
-// benchScale is the reduced deployment used by the figure benches.
-func benchScale() experiments.Scale {
-	return experiments.Scale{
-		Duration: 60 * time.Second, AttackStart: 15 * time.Second, AttackStop: 45 * time.Second,
-		NumClients: 4, ClientRate: 8, BotCount: 4, PerBotRate: 80,
-		Backlog: 128, AcceptBacklog: 128, Workers: 48, Seed: 42,
-	}
-}
 
 // runnerGrid is the scenario set behind BenchmarkRunnerParallel: six
 // QuickScale deployments mixing defenses, attacks and seeds.
@@ -183,8 +172,8 @@ func BenchmarkShardedFlood(b *testing.B) {
 // windows themselves over the serial one (docs/PERFORMANCE.md "Window
 // barrier"); -workers alone remains the first answer for grids.
 func BenchmarkShardedGrid(b *testing.B) {
-	grid := experiments.Fig13Grid([]float64{100, 400, 700, 1000})
-	grid.Base = experiments.TinyScale().Apply(grid.Base)
+	fig13, _ := experiments.ByID("fig13")
+	grid := fig13.Grid(experiments.TinyScale())
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=2/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -199,207 +188,6 @@ func BenchmarkShardedGrid(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkFig3aClientProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3a(experiments.Scale{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Wav, "wav-hashes")
-	}
-}
-
-func BenchmarkFig3bServerProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3b(experiments.Scale{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Alpha, "alpha")
-	}
-}
-
-func BenchmarkFig6ConnTimeCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(experiments.Fig6Config{
-			Ks: []uint8{1, 2}, Ms: []uint8{4, 10, 16}, Connections: 40, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if mean, ok := res.MeanFor(2, 16); ok {
-			b.ReportMetric(mean, "µs-k2m16")
-		}
-	}
-}
-
-func BenchmarkFig7SYNFlood(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if run, ok := res.RunFor("challenges-m17"); ok {
-			b.ReportMetric(run.PhaseMean(run.ClientThroughputMbps(), experiments.PhaseDuring),
-				"Mbps-puzzles-during")
-		}
-		if run, ok := res.RunFor("nodefense"); ok {
-			b.ReportMetric(run.PhaseMean(run.ClientThroughputMbps(), experiments.PhaseDuring),
-				"Mbps-nodefense-during")
-		}
-	}
-}
-
-func BenchmarkFig8ConnFlood(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if run, ok := res.RunFor("challenges-m17"); ok {
-			b.ReportMetric(run.PhaseMean(run.ClientThroughputMbps(), experiments.PhaseDuring),
-				"Mbps-puzzles-during")
-		}
-		if run, ok := res.RunFor("cookies"); ok {
-			b.ReportMetric(run.PhaseMean(run.ClientThroughputMbps(), experiments.PhaseDuring),
-				"Mbps-cookies-during")
-		}
-	}
-}
-
-func BenchmarkFig9CPUUtil(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Run.PhaseMean(res.Run.ServerCPU(), experiments.PhaseDuring), "srv-cpu-pct")
-		b.ReportMetric(res.Run.PhaseMean(res.Run.AttackerCPU(), experiments.PhaseDuring), "att-cpu-pct")
-	}
-}
-
-func BenchmarkFig10Queues(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, pzAccept := res.Puzzles.QueueSizes()
-		_, ckAccept := res.Cookies.QueueSizes()
-		b.ReportMetric(res.Puzzles.PhaseMean(pzAccept, experiments.PhaseDuring), "acceptq-puzzles")
-		b.ReportMetric(res.Cookies.PhaseMean(ckAccept, experiments.PhaseDuring), "acceptq-cookies")
-	}
-}
-
-func BenchmarkFig11AttackRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ReductionFactor(), "reduction-x")
-	}
-}
-
-func BenchmarkFig12DifficultyGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12(experiments.Fig12Config{
-			Ks: []uint8{2}, Ms: []uint8{12, 17}, Scale: benchScale(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cell, ok := res.CellFor(2, 17); ok {
-			b.ReportMetric(cell.Box.Mean, "Mbps-nash-mean")
-			b.ReportMetric(cell.Box.Std, "Mbps-nash-std")
-		}
-	}
-}
-
-func BenchmarkFig13RateSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig13(benchScale(), []float64{100, 400})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(last.CompletionRate, "cps-at-max-rate")
-	}
-}
-
-func BenchmarkFig14BotnetSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig14(benchScale(), []int{2, 8}, 400)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Points[len(res.Points)-1]
-		b.ReportMetric(last.CompletionRate, "cps-at-max-size")
-	}
-}
-
-func BenchmarkFig15Adoption(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig15(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cell, ok := res.CellFor("(SA,SC)"); ok {
-			b.ReportMetric(cell.PctEstablished, "pct-solving-client")
-		}
-		if cell, ok := res.CellFor("(NA,NC)"); ok {
-			b.ReportMetric(cell.PctEstablished, "pct-nonsolving-client")
-		}
-	}
-}
-
-func BenchmarkTable1IoTProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(experiments.Scale{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[0].MaxFloodRateCPS, "d1-max-flood-cps")
-	}
-}
-
-func BenchmarkNashExample(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.NashExample(experiments.Scale{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Params.M), "m-star")
-	}
-}
-
-func BenchmarkAblationOpportunistic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationOpportunistic(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		opp := res.Opportunistic.PhaseMean(
-			res.Opportunistic.ClientThroughputMbps(), experiments.PhaseBefore)
-		always := res.AlwaysOn.PhaseMean(
-			res.AlwaysOn.ClientThroughputMbps(), experiments.PhaseBefore)
-		b.ReportMetric(opp, "Mbps-opportunistic-peace")
-		b.ReportMetric(always, "Mbps-alwayson-peace")
-	}
-}
-
-func BenchmarkAblationSolutionFlood(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSolutionFlood(benchScale())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Run.PhaseMean(res.Run.ServerCPU(), experiments.PhaseDuring), "srv-cpu-pct")
-	}
-}
-
-// --- Microbenchmarks of the puzzle primitives (§7's server-load claims). ---
 
 func benchIssuer(b *testing.B, p puzzle.Params) (*puzzle.Issuer, puzzle.FlowID) {
 	b.Helper()
@@ -457,30 +245,6 @@ func BenchmarkPuzzleSolveM12(b *testing.B) {
 		if _, _, err := puzzle.Solve(is.Issue(flow)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkAblationMemoryBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationMemoryBound(experiments.Scale{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HashCV, "hash-cv")
-		b.ReportMetric(res.MemCV, "membound-cv")
-	}
-}
-
-func BenchmarkAblationAdaptive(b *testing.B) {
-	scale := benchScale()
-	scale.Duration = 160 * time.Second
-	scale.AttackStop = 105 * time.Second
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationAdaptive(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.PeakM(), "peak-m")
 	}
 }
 

@@ -184,7 +184,8 @@ func TestAdaptiveCellsCacheRoundTrip(t *testing.T) {
 	}
 	scale := conformanceScale()
 	scale.Cache = cache
-	first, err := experiments.ArmsRace(scale)
+	armsrace, _ := experiments.ByID("armsrace")
+	first, err := armsrace.Run(scale)
 	if err != nil {
 		t.Fatalf("cold ArmsRace: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestAdaptiveCellsCacheRoundTrip(t *testing.T) {
 	if misses == 0 || cache.Hits() != 0 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0 hits and one miss per cell", cache.Hits(), misses)
 	}
-	second, err := experiments.ArmsRace(scale)
+	second, err := armsrace.Run(scale)
 	if err != nil {
 		t.Fatalf("warm ArmsRace: %v", err)
 	}
@@ -202,11 +203,11 @@ func TestAdaptiveCellsCacheRoundTrip(t *testing.T) {
 	if cache.Hits() != misses {
 		t.Errorf("warm run hits = %d, want %d (every cell)", cache.Hits(), misses)
 	}
-	if len(first.Results) != len(second.Results) {
-		t.Fatalf("result count changed across cache: %d vs %d", len(first.Results), len(second.Results))
+	if len(first) != len(second) {
+		t.Fatalf("result count changed across cache: %d vs %d", len(first), len(second))
 	}
-	for i := range first.Results {
-		a, b := first.Results[i], second.Results[i]
+	for i := range first {
+		a, b := first[i], second[i]
 		if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 			t.Errorf("cell %q: metrics changed through the cache:\n%v\nvs\n%v", a.Scenario.Label, a.Metrics, b.Metrics)
 		}

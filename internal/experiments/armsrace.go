@@ -1,21 +1,26 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
+	"strings"
 
 	"github.com/tcppuzzles/tcppuzzles/attack"
 	"github.com/tcppuzzles/tcppuzzles/defense"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
-// ArmsRaceGrid declares the in-run arms race: the adaptive plugins play
+// armsRaceGrid declares the in-run arms race: the adaptive plugins play
 // against static opponents and against each other. Clients and bots both
 // solve, so raising the difficulty genuinely costs the attacker CPU and
-// the replicator has a real trade-off to learn.
-func ArmsRaceGrid() sweep.Grid {
+// the replicator has a real trade-off to learn. The cells report
+// convergence against the static game predictions: the defender's
+// deployed work level at the end of the attack window against
+// game.FiniteGame's Stackelberg optimum for the true attack rate
+// (defender_gap_bits), and the attacker's final budget concentration
+// against the replicator fixed point for a dominant arm (attacker_gap).
+func armsRaceGrid(s Scale) sweep.Grid {
 	return sweep.Grid{
-		Base: Scenario{ClientsSolve: true, BotsSolve: true},
+		Base: s.Apply(Scenario{ClientsSolve: true, BotsSolve: true}),
 		Axes: []sweep.Axis{sweep.Variants("cell",
 			sweep.Point{Label: "adaptive-defense", Set: func(sc *Scenario) {
 				sc.Defense = DefenseAdaptivePuzzles
@@ -33,44 +38,12 @@ func ArmsRaceGrid() sweep.Grid {
 	}
 }
 
-// ArmsRaceResult is the adaptive arms race: per-cell trajectories of the
-// defender's deployed difficulty and the attacker's budget shares, plus
-// convergence distances to the static-equilibrium predictions.
-type ArmsRaceResult struct {
-	Results []sweep.Result
-	// Runs are the live runs, index-aligned with Results (nil on cache
-	// hits — everything Table renders comes from Results).
-	Runs []*FloodRun
-}
-
-// ArmsRace runs the arms-race grid and reports convergence against the
-// static game predictions: the defender's deployed work level at the end
-// of the attack window against game.FiniteGame's Stackelberg optimum for
-// the true attack rate (defender_gap_bits), and the attacker's final
-// budget concentration against the replicator fixed point for a dominant
-// arm (attacker_gap).
-//
-// Smoke cost: the three-cell grid completes in ~0.2 s at -scale tiny and
-// ~0.8 s at -scale quick single-threaded, so the driver is cheap enough
-// for the CI cache round-trip; no dedicated bench file is warranted.
-func ArmsRace(scale Scale) (*ArmsRaceResult, error) {
-	results, runs, err := runFloodCells(scale, "armsrace", "",
-		ArmsRaceGrid().Expand(&scale), armsraceMetrics)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: arms race: %w", err)
-	}
-	return &ArmsRaceResult{Results: results, Runs: runs}, nil
-}
-
-// armsraceMetrics extracts the adaptive trajectories from a live run. The
+// armsRaceMetrics extracts the adaptive trajectories from a live run. The
 // series schema (see docs/EXPERIMENTS.md): difficulty_m and
 // attack_estimate per bucket for adaptive defenders; share_<arm> per
 // replicator epoch (averaged across bots) for adaptive attackers.
-func armsraceMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
-	metrics := []sweep.Metric{
-		{Name: "attacker_established_during", Value: phaseMean(run, run.AttackerEstablishedRate(), phaseDuring)},
-		{Name: "client_mbps_during", Value: phaseMean(run, run.ClientThroughputMbps(), phaseDuring)},
-	}
+func armsRaceMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
+	metrics := duringMetrics(run)
 	var series []sweep.Series
 
 	// True aggregate attack rate of the cell — what the defender's
@@ -81,13 +54,7 @@ func armsraceMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 	}
 
 	if ap, ok := run.Server.Defense().(*defense.AdaptivePuzzles); ok {
-		m := run.Server.Metrics().DifficultyM.Sampled(run.Cfg.Bucket, run.Cfg.Duration)
-		for i, v := range m {
-			if v == 0 {
-				m[i] = float64(run.Cfg.Params.M)
-			}
-		}
-		series = append(series, sweep.Series{Name: "difficulty_m", Values: m})
+		series = append(series, sweep.Series{Name: "difficulty_m", Values: difficultyTrace(run)})
 
 		est := make([]float64, int(run.Cfg.Duration/run.Cfg.Bucket))
 		for _, s := range ap.Trace() {
@@ -128,9 +95,7 @@ func armsraceMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 		if len(traces) > 0 {
 			epochs := len(traces[0])
 			for _, tr := range traces {
-				if len(tr) < epochs {
-					epochs = len(tr)
-				}
+				epochs = min(epochs, len(tr))
 			}
 			mean := make([][]float64, len(names))
 			for a := range names {
@@ -147,9 +112,7 @@ func armsraceMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 			if epochs > 0 {
 				top := 0.0
 				for a := range names {
-					if v := mean[a][epochs-1]; v > top {
-						top = v
-					}
+					top = max(top, mean[a][epochs-1])
 				}
 				fixedPoint := 1 - float64(len(names)-1)*attack.AdaptiveExplorationFloor
 				metrics = append(metrics,
@@ -162,45 +125,19 @@ func armsraceMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 	return metrics, series
 }
 
-// DefenderGapBits returns the named cell's convergence distance in
-// difficulty bits (NaN when the cell has no adaptive defender).
-func (r *ArmsRaceResult) DefenderGapBits(label string) float64 {
-	return r.metric(label, "defender_gap_bits")
-}
-
-// AttackerGap returns the named cell's distance from the replicator fixed
-// point (NaN when the cell has no adaptive attacker).
-func (r *ArmsRaceResult) AttackerGap(label string) float64 {
-	return r.metric(label, "attacker_gap")
-}
-
-func (r *ArmsRaceResult) metric(label, name string) float64 {
-	for _, res := range r.Results {
-		if res.Scenario.Label == label {
-			if v, ok := res.Lookup(name); ok {
-				return v
-			}
-		}
-	}
-	return math.NaN()
-}
-
-// Table renders the arms race: standard during-attack measurements, the
-// convergence distances, and sparkline trajectories (deployed difficulty,
-// winning arm's budget share).
-func (r *ArmsRaceResult) Table() Table {
-	t := Table{
-		Title:  "Adaptive arms race — in-run convergence to the game equilibria",
-		Header: []string{"cell", "att-cps", "cli-Mbps", "def-gap-bits", "atk-gap", "m-trace", "top-share-trace"},
-	}
-	for _, res := range r.Results {
+// armsRaceTable renders the arms race: standard during-attack
+// measurements, the convergence distances, and sparkline trajectories
+// (deployed difficulty, winning arm's budget share).
+var armsRaceTable = perCell("Adaptive arms race — in-run convergence to the game equilibria",
+	[]string{"cell", "att-cps", "cli-Mbps", "def-gap-bits", "atk-gap", "m-trace", "top-share-trace"},
+	func(r sweep.Result) []string {
 		mTrace, shareTrace := "", ""
-		if m := res.SeriesValues("difficulty_m"); m != nil {
+		if m := r.SeriesValues("difficulty_m"); m != nil {
 			mTrace = sparkline(downsample(m, 30))
 		}
 		var topShare []float64
-		for _, s := range res.Series {
-			if len(s.Name) > 6 && s.Name[:6] == "share_" {
+		for _, s := range r.Series {
+			if strings.HasPrefix(s.Name, "share_") {
 				if topShare == nil {
 					topShare = make([]float64, len(s.Values))
 				}
@@ -214,18 +151,16 @@ func (r *ArmsRaceResult) Table() Table {
 		if topShare != nil {
 			shareTrace = sparkline(downsample(topShare, 30))
 		}
-		t.Rows = append(t.Rows, []string{
-			res.Scenario.Label,
-			f2(res.Metric("attacker_established_during")),
-			f2(res.Metric("client_mbps_during")),
-			optMetric(res, "defender_gap_bits"),
-			optMetric(res, "attacker_gap"),
+		return []string{
+			r.Scenario.Label,
+			f2(r.Metric("attacker_established_during")),
+			f2(r.Metric("client_mbps_during")),
+			optMetric(r, "defender_gap_bits"),
+			optMetric(r, "attacker_gap"),
 			mTrace,
 			shareTrace,
-		})
-	}
-	return t
-}
+		}
+	})
 
 // optMetric renders a metric that only adaptive cells carry.
 func optMetric(res sweep.Result, name string) string {

@@ -213,41 +213,47 @@ func TestAdaptiveAttackReplicatorFixedPoint(t *testing.T) {
 	})
 }
 
-// TestArmsRaceDriver smoke-runs the driver end to end: all three cells
-// produce their convergence metrics and trajectory series, and the table
-// renders.
+// TestArmsRaceDriver smoke-runs the experiment end to end: all three
+// cells produce their convergence metrics and trajectory series, and the
+// table renders.
 func TestArmsRaceDriver(t *testing.T) {
-	res, err := ArmsRace(tinyScale())
-	if err != nil {
-		t.Fatalf("ArmsRace: %v", err)
+	results := runExp(t, "armsrace", tinyScale())
+	if len(results) != 3 {
+		t.Fatalf("cells = %d, want 3", len(results))
 	}
-	if len(res.Results) != 3 {
-		t.Fatalf("cells = %d, want 3", len(res.Results))
+	gap := func(label, name string) (float64, bool) {
+		for _, r := range results {
+			if r.Scenario.Label == label {
+				return r.Lookup(name)
+			}
+		}
+		t.Fatalf("no cell %q", label)
+		return 0, false
 	}
 
 	// Defender convergence where an adaptive defender plays.
 	for _, label := range []string{"adaptive-defense", "adaptive-both"} {
-		if gap := res.DefenderGapBits(label); math.IsNaN(gap) || gap > 3 {
-			t.Errorf("%s: defender gap %v bits, want finite and ≤ 3", label, gap)
+		if g, ok := gap(label, "defender_gap_bits"); !ok || g > 3 {
+			t.Errorf("%s: defender gap %v bits (present=%v), want ≤ 3", label, g, ok)
 		}
 	}
-	if gap := res.DefenderGapBits("adaptive-attack"); !math.IsNaN(gap) {
-		t.Errorf("static-defender cell reports a defender gap: %v", gap)
+	if g, ok := gap("adaptive-attack", "defender_gap_bits"); ok {
+		t.Errorf("static-defender cell reports a defender gap: %v", g)
 	}
 
 	// Attacker convergence where an adaptive attacker plays.
 	for _, label := range []string{"adaptive-attack", "adaptive-both"} {
-		if gap := res.AttackerGap(label); math.IsNaN(gap) || gap > 0.5 {
-			t.Errorf("%s: attacker gap %v, want finite and ≤ 0.5", label, gap)
+		if g, ok := gap(label, "attacker_gap"); !ok || g > 0.5 {
+			t.Errorf("%s: attacker gap %v (present=%v), want ≤ 0.5", label, g, ok)
 		}
 	}
-	if gap := res.AttackerGap("adaptive-defense"); !math.IsNaN(gap) {
-		t.Errorf("static-attacker cell reports an attacker gap: %v", gap)
+	if g, ok := gap("adaptive-defense", "attacker_gap"); ok {
+		t.Errorf("static-attacker cell reports an attacker gap: %v", g)
 	}
 
 	// Series schema: m-trajectory for adaptive defenders, one share series
 	// per arm for adaptive attackers.
-	for _, r := range res.Results {
+	for _, r := range results {
 		adaptiveDef := r.Scenario.Defense == DefenseAdaptivePuzzles
 		adaptiveAtk := r.Scenario.Attack == AttackAdaptiveFlood
 		if got := r.SeriesValues("difficulty_m") != nil; got != adaptiveDef {
@@ -267,7 +273,7 @@ func TestArmsRaceDriver(t *testing.T) {
 		}
 	}
 
-	tbl := res.Table()
+	tbl := armsRaceTable(results)
 	if len(tbl.Rows) != 3 || len(tbl.String()) == 0 {
 		t.Errorf("table did not render: %d rows", len(tbl.Rows))
 	}

@@ -1,18 +1,16 @@
-// Package experiments reproduces the paper's evaluation (§6): one driver
-// per figure and table, built on the simulated DETER-like testbed.
+// Package experiments reproduces the paper's evaluation (§6) on the
+// simulated DETER-like testbed. Each figure, table and ablation is one
+// Experiment value in the ordered Experiments table: a sweep.Grid at a
+// scale, a per-cell measurement, and a table rendered from the completed
+// cells' sweep.Results.
 //
-// Each driver declares its scenario grid as a sweep.Grid literal —
-// difficulty axes (k, m), defense variants, botnet shapes, adoption mixes
-// — and executes the expanded cells through one shared, cache-aware
-// executor (runCells). Cells fan out across the work-stealing runner
-// (sim/runner); each completed cell becomes a structured sweep.Result
-// (canonical scenario + named metrics and series) that streams to any
-// configured sinks (CSV, NDJSON, pretty tables) in grid order as runs
-// land, and is stored in the scenario-hash result cache so regenerating a
-// figure skips already-computed cells. Driver result structs and their
-// Table() views are derived from the Results, which is why a fully cached
-// regeneration performs zero simulation work yet renders identically.
+// Every experiment runs through the one cache-aware executor,
+// Experiment.Run: cells fan out across the work-stealing runner
+// (sim/runner), each completed cell streams to any configured sinks in
+// grid order, and the scenario-hash result cache lets a regeneration skip
+// already-computed cells. Tables render from the Results alone, so a fully
+// cached regeneration performs zero simulation work yet prints the same
+// bytes.
 //
-// See docs/EXPERIMENTS.md for the paper-to-code map: every figure/table,
-// its driver, its grid axes, and the metrics in its Result records.
+// See docs/EXPERIMENTS.md for the paper-to-code map.
 package experiments

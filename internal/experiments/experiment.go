@@ -1,0 +1,247 @@
+package experiments
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"time"
+
+	"github.com/tcppuzzles/tcppuzzles/sim/runner"
+	"github.com/tcppuzzles/tcppuzzles/sweep"
+)
+
+// An Experiment is one figure, table or ablation of the evaluation,
+// declared as data: the scenario grid it sweeps at a scale, the
+// measurement taken in each grid cell, and the table rendered from the
+// completed cells. Every experiment runs through the one executor, Run.
+type Experiment struct {
+	// ID names the experiment on the command line and in sink records.
+	ID string
+	// Grid declares the cells at a deployment scale. Flood grids apply
+	// the scale to their base scenario, and grids shrink their axes at
+	// reduced scales; the model-only profiles ignore it.
+	Grid func(Scale) sweep.Grid
+	// CacheNS overrides the cache namespace when two experiments measure
+	// identical cells identically (figs. 10 and 11); empty means ID.
+	CacheNS string
+	// Cell measures one expanded grid cell.
+	Cell Cell
+	// Render builds the table from the completed cells. It reads only
+	// the Results, so a fully cached run renders identically.
+	Render func([]sweep.Result) sweep.Table
+}
+
+// A Cell measures cell i of an expanded grid. logf, non-nil only when the
+// scale has a Debug writer, narrates the cell's execution there.
+type Cell func(i int, sc Scenario, logf func(format string, args ...any)) ([]sweep.Metric, []sweep.Series, error)
+
+// Experiments is the evaluation in display order: figures, tables, then
+// ablations.
+var Experiments = []Experiment{
+	{ID: "fig3a", Grid: fig3aGrid, Cell: fig3aCell, Render: fig3aTable},
+	{ID: "fig3b", Grid: fig3bGrid, Cell: fig3bCell, Render: fig3bTable},
+	{ID: "fig6", Grid: fig6Grid, Cell: fig6Cell(false), Render: fig6Table},
+	{ID: "fig7", Grid: fig7Grid, Cell: flood(floodComparisonMetrics), Render: floodComparisonTable("Fig 7 — SYN flood: throughput (Mbps)")},
+	{ID: "fig8", Grid: fig8Grid, Cell: flood(floodComparisonMetrics), Render: floodComparisonTable("Fig 8 — connection flood: throughput (Mbps)")},
+	{ID: "fig9", Grid: fig9Grid, Cell: flood(fig9Metrics), Render: fig9Table},
+	{ID: "fig10", Grid: fig10Grid, CacheNS: "fig10-11", Cell: flood(queueAndRateMetrics), Render: fig10Table},
+	{ID: "fig11", Grid: fig10Grid, CacheNS: "fig10-11", Cell: flood(queueAndRateMetrics), Render: fig11Table},
+	{ID: "fig12", Grid: fig12Grid, Cell: flood(fig12Metrics), Render: fig12Table},
+	{ID: "fig13", Grid: fig13Grid, Cell: flood(botnetSweepMetrics), Render: botnetSweepTable("Fig 13 — rate sweep (5 bots)")},
+	{ID: "fig14", Grid: fig14Grid, Cell: flood(botnetSweepMetrics), Render: botnetSweepTable("Fig 14 — botnet size sweep (5000 pps total)")},
+	{ID: "fig15", Grid: fig15Grid, Cell: flood(fig15Metrics), Render: fig15Table},
+	{ID: "tab1", Grid: table1Grid, Cell: table1Cell, Render: table1Table},
+	{ID: "nash", Grid: nashGrid, Cell: nashCell, Render: nashTable},
+	{ID: "ablation-opportunistic", Grid: opportunisticGrid, Cell: flood(opportunisticMetrics), Render: opportunisticTable},
+	{ID: "ablation-solutionflood", Grid: solutionFloodGrid, Cell: flood(solutionFloodMetrics), Render: solutionFloodTable},
+	{ID: "ablation-membound", Grid: memboundGrid, Cell: memboundCell, Render: memboundTable},
+	{ID: "ablation-adaptive", Grid: adaptiveGrid, Cell: flood(adaptiveMetrics), Render: adaptiveTable},
+	{ID: "armsrace", Grid: armsRaceGrid, Cell: flood(armsRaceMetrics), Render: armsRaceTable},
+}
+
+// ByID returns the registered experiment with the given id.
+func ByID(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// reduced reports whether a scale is smaller than the paper's 600 s
+// deployment; reduced runs sweep fewer points per axis.
+func reduced(s Scale) bool { return s.Duration < 600*time.Second }
+
+// Run expands the experiment's grid at scale, fans the cells out across
+// the work-stealing runner (scale.Parallelism wide), and returns one
+// sweep.Result per cell in grid order. A failure names the experiment and
+// the cell.
+//
+// Execution options come from the scale: when scale.Cache is set, cells
+// whose canonical scenario hash is already stored skip Cell entirely (the
+// cache's hit counter is the proof); when scale.Sinks is set, each Result
+// streams out in grid order as runs land — the sweep.Stream reorder
+// buffer keeps sink output byte-identical at every worker count.
+func (e Experiment) Run(scale Scale) ([]sweep.Result, error) {
+	cacheNS := e.CacheNS
+	if cacheNS == "" {
+		cacheNS = e.ID
+	}
+	cells := e.Grid(scale).Expand(nil)
+	canon := make([]Scenario, len(cells))
+	for i := range cells {
+		canon[i] = cells[i].Defaults()
+		// Shards is execution-only (byte-identical results either way)
+		// and excluded from the cache hash, so applying it after
+		// canonicalisation is safe.
+		if scale.Shards != 0 {
+			canon[i].Shards = scale.Shards
+		}
+	}
+	results := make([]sweep.Result, len(cells))
+	stream := sweep.NewStream(scale.Sinks...)
+	// Process-wide peak heap across the grid's computed cells, sampled as
+	// each cell lands. Advisory (GC timing dependent), so it lives in
+	// Exec alongside the equally scheduling-dependent pool stats.
+	var (
+		mu                         sync.Mutex
+		peakHeapAlloc, peakHeapSys uint64
+	)
+	stats, err := runner.ForEachStats(scale.Parallelism, len(cells), func(i int) error {
+		var logf func(format string, args ...any)
+		if scale.Debug != nil {
+			logf = func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				fmt.Fprintf(scale.Debug, "[%s] cell %q: "+format+"\n",
+					append([]any{e.ID, canon[i].Label}, args...)...)
+			}
+		}
+		var (
+			metrics []sweep.Metric
+			series  []sweep.Series
+			cached  bool
+		)
+		if scale.Cache != nil {
+			metrics, series, cached = scale.Cache.Get(cacheNS, canon[i])
+		}
+		if !cached {
+			var err error
+			metrics, series, err = e.Cell(i, canon[i], logf)
+			if err != nil {
+				if canon[i].Label != "" {
+					// Name the failing grid cell; a bare job index doesn't
+					// identify which (k, m)/defense/rate was at fault.
+					return fmt.Errorf("scenario %q: %w", canon[i].Label, err)
+				}
+				return err
+			}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mu.Lock()
+			peakHeapAlloc = max(peakHeapAlloc, ms.HeapAlloc)
+			peakHeapSys = max(peakHeapSys, ms.HeapSys)
+			mu.Unlock()
+			if logf != nil {
+				logf("heap-alloc=%dMiB heap-sys=%dMiB", ms.HeapAlloc>>20, ms.HeapSys>>20)
+			}
+			if scale.Cache != nil {
+				if err := scale.Cache.Put(cacheNS, canon[i], metrics, series); err != nil {
+					return err
+				}
+			}
+		}
+		results[i] = sweep.Result{
+			Experiment: e.ID, Scenario: canon[i],
+			Metrics: metrics, Series: series,
+		}
+		return stream.Emit(i, results[i])
+	})
+	if err != nil {
+		// The runner prefixes the lowest failing job's index; the cell
+		// label already names that job.
+		if cellErr := errors.Unwrap(err); cellErr != nil {
+			err = cellErr
+		}
+		return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
+	}
+	// Attach the pool's backpressure stats (shared across the grid) and
+	// narrate them when debugging. Exec is json-skipped and uncached, so
+	// sink bytes and determinism comparisons never see it.
+	exec := &sweep.ExecStats{
+		Workers:          stats.Workers,
+		Jobs:             stats.Jobs,
+		LocalClaims:      stats.LocalClaims,
+		Steals:           stats.Steals,
+		FailedStealScans: stats.FailedStealScans,
+		MeanQueueDepth:   stats.MeanQueueDepth,
+		PeakHeapAlloc:    peakHeapAlloc,
+		PeakHeapSys:      peakHeapSys,
+	}
+	for i := range results {
+		results[i].Exec = exec
+	}
+	if scale.Debug != nil {
+		fmt.Fprintf(scale.Debug,
+			"[%s] runner: workers=%d jobs=%d local=%d steals=%d failed-scans=%d mean-queue-depth=%.1f peak-heap-alloc=%dMiB peak-heap-sys=%dMiB\n",
+			e.ID, exec.Workers, exec.Jobs, exec.LocalClaims, exec.Steals,
+			exec.FailedStealScans, exec.MeanQueueDepth,
+			exec.PeakHeapAlloc>>20, exec.PeakHeapSys>>20)
+	}
+	return results, nil
+}
+
+// flood is the Cell of every flood experiment: simulate the cell's
+// scenario with RunFlood, then measure the completed run with extract.
+func flood(extract func(*FloodRun) ([]sweep.Metric, []sweep.Series)) Cell {
+	return func(_ int, sc Scenario, logf func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+		run, err := RunFlood(sc)
+		if err != nil {
+			return nil, nil, err
+		}
+		if logf != nil {
+			// Per-cell shard load balance (events, barrier waits, applied
+			// lookahead min/mean/max) and what the two event heaps held:
+			// timers and packet legs fired, deliver legs and train
+			// arrivals fired in place, cancelled timers, peak lengths.
+			st, q := run.Net.ShardStats(), run.Net.EngineStats()
+			logf("shards=%d events=%v windows=%d barrier-wait=%v lookahead=%v/%v/%v timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d cancelled=%d peak-timers=%d peak-packets=%d",
+				run.Net.Shards(), st.Events, st.Windows, st.BarrierWait,
+				st.LookaheadMin, st.LookaheadMean, st.LookaheadMax,
+				q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.Discarded, q.PeakTimers, q.PeakPackets)
+		}
+		metrics, series := extract(run)
+		return metrics, series, nil
+	}
+}
+
+// RunSweep executes an arbitrary user-declared scenario grid with the
+// standard flood metric set, streaming each cell's Result to scale.Sinks
+// and caching cells under the "sweep" experiment namespace. The grid runs
+// as declared: the scale supplies execution options only. It is the
+// engine behind the public sim.RunSweep.
+func RunSweep(scale Scale, grid sweep.Grid) ([]sweep.Result, error) {
+	return Experiment{
+		ID:   "sweep",
+		Grid: func(Scale) sweep.Grid { return grid },
+		Cell: flood(StandardMetrics),
+	}.Run(scale)
+}
+
+// StandardMetrics is the default flood measurement set used by RunSweep:
+// phase means of client goodput, the effective attack rate, and the
+// headline per-bucket series.
+func StandardMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
+	cli := run.ClientThroughputMbps()
+	metrics := append(phaseMetrics(run, "client_mbps", cli),
+		sweep.Metric{Name: "attacker_established_cps", Value: run.AttackWindowMean(run.AttackerEstablishedRate())})
+	series := []sweep.Series{
+		{Name: "client_mbps", Values: cli},
+		{Name: "server_mbps", Values: run.ServerThroughputMbps()},
+		{Name: "server_cpu_pct", Values: run.ServerCPU()},
+		{Name: "attacker_established_cps", Values: run.AttackerEstablishedRate()},
+	}
+	return metrics, series
+}

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"time"
+
+	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 // tinyScale keeps unit tests fast while preserving the attack structure.
@@ -15,50 +19,90 @@ func tinyScale() Scale {
 	}
 }
 
-func TestFig3aProfiles(t *testing.T) {
-	res, err := Fig3a(Scale{})
+// mustExp returns a registered experiment.
+func mustExp(t *testing.T, id string) Experiment {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	return e
+}
+
+// runExp runs a registered experiment at scale, over its own grid or,
+// when given, over a replacement grid.
+func runExp(t *testing.T, id string, scale Scale, grid ...sweep.Grid) []sweep.Result {
+	t.Helper()
+	e := mustExp(t, id)
+	if len(grid) > 0 {
+		e.Grid = func(Scale) sweep.Grid { return grid[0] }
+	}
+	results, err := e.Run(scale)
 	if err != nil {
-		t.Fatalf("Fig3a: %v", err)
+		t.Fatalf("%s: %v", id, err)
 	}
-	if len(res.Curves) != 3 {
-		t.Fatalf("curves = %d, want 3", len(res.Curves))
+	return results
+}
+
+// metric returns the named metric of the cell with the given label.
+func metric(t *testing.T, results []sweep.Result, label, name string) float64 {
+	t.Helper()
+	for _, r := range results {
+		if r.Scenario.Label == label {
+			v, ok := r.Lookup(name)
+			if !ok {
+				t.Fatalf("cell %q has no metric %q", label, name)
+			}
+			return v
+		}
 	}
-	if math.Abs(res.Wav-140630)/140630 > 0.01 {
-		t.Errorf("w_av = %v, want ≈ 140630", res.Wav)
+	t.Fatalf("no cell %q", label)
+	return 0
+}
+
+// lastRow returns the rendered table's final row (the whole-grid summary
+// row of fig3a, fig3b, fig11 and the ablations).
+func lastRow(e Experiment, results []sweep.Result) []string {
+	tbl := e.Render(results)
+	return tbl.Rows[len(tbl.Rows)-1]
+}
+
+func parseCell(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		t.Fatalf("table cell %q: %v", cell, err)
 	}
-	if got := res.Table(); len(got.Rows) == 0 {
-		t.Error("empty table")
+	return v
+}
+
+func TestFig3aProfiles(t *testing.T) {
+	results := runExp(t, "fig3a", Scale{})
+	if len(results) != 3 {
+		t.Fatalf("curves = %d, want 3", len(results))
+	}
+	row := lastRow(mustExp(t, "fig3a"), results)
+	if wav := parseCell(t, row[1]); row[0] != "w_av" || math.Abs(wav-140630)/140630 > 0.01 {
+		t.Errorf("%s = %v, want w_av ≈ 140630", row[0], wav)
 	}
 }
 
 func TestFig3bAlphaConverges(t *testing.T) {
-	res, err := Fig3b(Scale{})
-	if err != nil {
-		t.Fatalf("Fig3b: %v", err)
-	}
-	if math.Abs(res.Alpha-1.1) > 0.02 {
-		t.Errorf("α = %v, want ≈ 1.1", res.Alpha)
+	results := runExp(t, "fig3b", Scale{})
+	row := lastRow(mustExp(t, "fig3b"), results)
+	if alpha := parseCell(t, row[1]); row[0] != "converged α" || math.Abs(alpha-1.1) > 0.02 {
+		t.Errorf("%s = %v, want α ≈ 1.1", row[0], alpha)
 	}
 	// Service rate must ramp and plateau at µ ≈ 1100.
-	last := res.Points[len(res.Points)-1]
-	if math.Abs(last.ServiceRate-1100) > 1 {
-		t.Errorf("plateau = %v, want 1100", last.ServiceRate)
+	if plateau := results[len(results)-1].Metric("service_rate"); math.Abs(plateau-1100) > 1 {
+		t.Errorf("plateau = %v, want 1100", plateau)
 	}
 }
 
 func TestFig6ShapeExponentialInMLinearInK(t *testing.T) {
-	res, err := Fig6(Fig6Config{
-		Ks:          []uint8{1, 2},
-		Ms:          []uint8{4, 10, 16},
-		Connections: 60,
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatalf("Fig6: %v", err)
-	}
-	m4, _ := res.MeanFor(1, 4)
-	m10, _ := res.MeanFor(1, 10)
-	m16, _ := res.MeanFor(1, 16)
+	results := runExp(t, "fig6", Scale{}, connTimeGrid([]uint8{1, 2}, []uint8{4, 10, 16}, 60, 7))
+	mean := func(label string) float64 { return metric(t, results, label, "conn_time_mean_us") }
+	m4, m10, m16 := mean("k=1/m=4"), mean("k=1/m=10"), mean("k=1/m=16")
 	if !(m4 < m10 && m10 < m16) {
 		t.Errorf("means not increasing in m: %v, %v, %v", m4, m10, m16)
 	}
@@ -68,26 +112,17 @@ func TestFig6ShapeExponentialInMLinearInK(t *testing.T) {
 		t.Errorf("m=16 mean %v not ≫ m=10 mean %v", m16, m10)
 	}
 	// Linear in k: doubling k roughly doubles the solve-dominated time.
-	k1, _ := res.MeanFor(1, 16)
-	k2, _ := res.MeanFor(2, 16)
-	ratio := k2 / k1
+	ratio := mean("k=2/m=16") / m16
 	if ratio < 1.4 || ratio > 3 {
 		t.Errorf("k=2/k=1 ratio at m=16 = %v, want ≈ 2", ratio)
 	}
 }
 
 func TestFig7SYNFloodOutcomes(t *testing.T) {
-	res, err := Fig7(tinyScale())
-	if err != nil {
-		t.Fatalf("Fig7: %v", err)
-	}
-	noDef, _ := res.RunFor("nodefense")
-	cookies, _ := res.RunFor("cookies")
-	puzzles8, _ := res.RunFor("challenges-m8")
+	results := runExp(t, "fig7", tinyScale())
+	cli := func(label, phase string) float64 { return metric(t, results, label, "client_mbps_"+phase) }
 
-	noDefCli := noDef.ClientThroughputMbps()
-	before := phaseMean(noDef, noDefCli, phaseBefore)
-	during := phaseMean(noDef, noDefCli, phaseDuring)
+	before, during := cli("nodefense", "before"), cli("nodefense", "during")
 	if before <= 0 {
 		t.Fatalf("nodefense before = %v, want > 0", before)
 	}
@@ -96,79 +131,52 @@ func TestFig7SYNFloodOutcomes(t *testing.T) {
 		t.Errorf("nodefense during = %v vs before %v: flood ineffective", during, before)
 	}
 	// Cookies neutralise a SYN flood.
-	ckCli := cookies.ClientThroughputMbps()
-	ckBefore := phaseMean(cookies, ckCli, phaseBefore)
-	ckDuring := phaseMean(cookies, ckCli, phaseDuring)
-	if ckDuring < 0.7*ckBefore {
+	if ckBefore, ckDuring := cli("cookies", "before"), cli("cookies", "during"); ckDuring < 0.7*ckBefore {
 		t.Errorf("cookies during = %v vs before %v: should be unaffected", ckDuring, ckBefore)
 	}
 	// Easy puzzles also neutralise it.
-	p8Cli := puzzles8.ClientThroughputMbps()
-	p8Before := phaseMean(puzzles8, p8Cli, phaseBefore)
-	p8During := phaseMean(puzzles8, p8Cli, phaseDuring)
-	if p8During < 0.6*p8Before {
+	if p8Before, p8During := cli("challenges-m8", "before"), cli("challenges-m8", "during"); p8During < 0.6*p8Before {
 		t.Errorf("puzzles-m8 during = %v vs before %v", p8During, p8Before)
 	}
 }
 
 func TestFig8ConnFloodOutcomes(t *testing.T) {
-	res, err := Fig8(tinyScale())
-	if err != nil {
-		t.Fatalf("Fig8: %v", err)
-	}
-	noDef, _ := res.RunFor("nodefense")
-	cookies, _ := res.RunFor("cookies")
-	puzzles, _ := res.RunFor("challenges-m17")
+	results := runExp(t, "fig8", tinyScale())
+	cli := func(label, phase string) float64 { return metric(t, results, label, "client_mbps_"+phase) }
 
-	for _, d := range []struct {
-		label string
-		run   *FloodRun
-	}{{"nodefense", noDef}, {"cookies", cookies}} {
-		cli := d.run.ClientThroughputMbps()
-		before := phaseMean(d.run, cli, phaseBefore)
-		during := phaseMean(d.run, cli, phaseDuring)
-		if during > 0.3*before {
+	for _, label := range []string{"nodefense", "cookies"} {
+		if before, during := cli(label, "before"), cli(label, "during"); during > 0.3*before {
 			t.Errorf("%s during = %v vs before %v: connection flood should deny service",
-				d.label, during, before)
+				label, during, before)
 		}
 	}
-	pzCli := puzzles.ClientThroughputMbps()
-	pzBefore := phaseMean(puzzles, pzCli, phaseBefore)
-	pzDuring := phaseMean(puzzles, pzCli, phaseDuring)
+	pzBefore, pzDuring := cli("challenges-m17", "before"), cli("challenges-m17", "during")
 	if pzDuring < 0.15*pzBefore {
 		t.Errorf("puzzles during = %v vs before %v: puzzles should preserve service",
 			pzDuring, pzBefore)
 	}
 	// Puzzles must beat cookies during the attack.
-	ckDuring := phaseMean(cookies, cookies.ClientThroughputMbps(), phaseDuring)
-	if pzDuring <= ckDuring {
+	if ckDuring := cli("cookies", "during"); pzDuring <= ckDuring {
 		t.Errorf("puzzles during (%v) not better than cookies (%v)", pzDuring, ckDuring)
 	}
 }
 
 func TestFig9CPUProfile(t *testing.T) {
-	res, err := Fig9(tinyScale())
-	if err != nil {
-		t.Fatalf("Fig9: %v", err)
-	}
-	srvDuring := phaseMean(res.Run, res.Run.ServerCPU(), phaseDuring)
-	if srvDuring > 5 {
+	results := runExp(t, "fig9", tinyScale())
+	cpu := func(name string) float64 { return metric(t, results, "challenges-m17", name) }
+	if srvDuring := cpu("server_cpu_pct_during"); srvDuring > 5 {
 		t.Errorf("server CPU during attack = %v%%, want < 5%% (§6.2)", srvDuring)
 	}
-	attDuring := phaseMean(res.Run, res.Run.AttackerCPU(), phaseDuring)
-	attBefore := phaseMean(res.Run, res.Run.AttackerCPU(), phaseBefore)
-	if attDuring < 60 {
+	if attDuring := cpu("attacker_cpu_pct_during"); attDuring < 60 {
 		t.Errorf("attacker CPU during = %v%%, want a solving spike", attDuring)
 	}
-	if attBefore > 1 {
+	if attBefore := cpu("attacker_cpu_pct_before"); attBefore > 1 {
 		t.Errorf("attacker CPU before = %v%%, want ≈ 0", attBefore)
 	}
-	cliBefore := phaseMean(res.Run, res.Run.ClientCPU(), phaseBefore)
-	cliDuring := phaseMean(res.Run, res.Run.ClientCPU(), phaseDuring)
-	if cliDuring <= 0 {
+	if cpu("client_cpu_pct_during") <= 0 {
 		t.Error("client CPU during attack = 0, want solving load")
 	}
-	if cliBefore > 1 {
+	if cliBefore := cpu("client_cpu_pct_before"); cliBefore > 1 {
 		t.Errorf("client CPU before attack = %v%%, want ≈ 0 (no challenges)", cliBefore)
 	}
 	// See EXPERIMENTS.md: our latch challenges every client request during
@@ -178,14 +186,9 @@ func TestFig9CPUProfile(t *testing.T) {
 }
 
 func TestFig10QueueBehaviour(t *testing.T) {
-	res, err := Fig10(tinyScale())
-	if err != nil {
-		t.Fatalf("Fig10: %v", err)
-	}
-	_, ckAccept := res.Cookies.QueueSizes()
-	_, pzAccept := res.Puzzles.QueueSizes()
-	ckDuring := phaseMean(res.Cookies, ckAccept, phaseDuring)
-	pzDuring := phaseMean(res.Puzzles, pzAccept, phaseDuring)
+	results := runExp(t, "fig10", tinyScale())
+	ckDuring := metric(t, results, "cookies", "accept_queue_during")
+	pzDuring := metric(t, results, "challenges", "accept_queue_during")
 	// With cookies the accept queue saturates; with puzzles it drains once
 	// protection engages. At this reduced scale the drain occupies part of
 	// the window, so assert a clear separation; the paper-scale run in
@@ -197,149 +200,119 @@ func TestFig10QueueBehaviour(t *testing.T) {
 }
 
 func TestFig11RateLimiting(t *testing.T) {
-	res, err := Fig11(tinyScale())
-	if err != nil {
-		t.Fatalf("Fig11: %v", err)
-	}
+	results := runExp(t, "fig11", tinyScale())
 	// At this reduced scale the pre-engagement burst dominates the 30 s
 	// attack window, compressing the factor; the paper-scale run (360 s
 	// attack, EXPERIMENTS.md) recovers the order-of-magnitude reduction
 	// (paper: 37×).
-	factor := res.ReductionFactor()
+	factor := metric(t, results, "cookies", "attacker_established_during") /
+		metric(t, results, "challenges", "attacker_established_during")
 	if factor < 3 {
 		t.Errorf("reduction factor = %v, want ≫ 1 (paper: 37×)", factor)
+	}
+	// The rendered table carries the same factor as its summary row.
+	if row := lastRow(mustExp(t, "fig11"), results); row[0] != "reduction" || row[1] != fmt.Sprintf("%.1fx", factor) {
+		t.Errorf("summary row %q, want reduction %.1fx", row, factor)
 	}
 }
 
 func TestFig12NashStability(t *testing.T) {
-	res, err := Fig12(Fig12Config{
-		Ks:    []uint8{2},
-		Ms:    []uint8{12, 17},
-		Scale: tinyScale(),
-	})
-	if err != nil {
-		t.Fatalf("Fig12: %v", err)
-	}
-	easy, ok := res.CellFor(2, 12)
-	if !ok {
-		t.Fatal("missing cell (2,12)")
-	}
-	nash, ok := res.CellFor(2, 17)
-	if !ok {
-		t.Fatal("missing cell (2,17)")
-	}
+	scale := tinyScale()
+	results := runExp(t, "fig12", scale, difficultyFloodGrid(scale, []uint8{2}, []uint8{12, 17}))
+	easy := metric(t, results, "k=2/m=12", "client_mbps_mean")
+	nash := metric(t, results, "k=2/m=17", "client_mbps_mean")
 	// m=12 is too easy to throttle the attackers (§6.3): the Nash cell
 	// must deliver higher client throughput.
-	if nash.Box.Mean <= easy.Box.Mean {
-		t.Errorf("nash mean %v ≤ easy mean %v", nash.Box.Mean, easy.Box.Mean)
+	if nash <= easy {
+		t.Errorf("nash mean %v ≤ easy mean %v", nash, easy)
 	}
 }
 
 func TestFig13RateIncreaseDoesNotHelp(t *testing.T) {
-	res, err := Fig13(tinyScale(), []float64{50, 200})
-	if err != nil {
-		t.Fatalf("Fig13: %v", err)
-	}
-	lo, hi := res.Points[0], res.Points[1]
-	if hi.MeasuredAttackRate <= lo.MeasuredAttackRate {
+	scale := tinyScale()
+	results := runExp(t, "fig13", scale, rateSweepGrid(scale, []float64{50, 200}))
+	lo, hi := results[0], results[1]
+	if hi.Metric("measured_rate_pps") <= lo.Metric("measured_rate_pps") {
 		t.Errorf("measured rate did not increase: %v vs %v",
-			lo.MeasuredAttackRate, hi.MeasuredAttackRate)
+			lo.Metric("measured_rate_pps"), hi.Metric("measured_rate_pps"))
 	}
 	// Quadrupling the rate must not quadruple completions (CPU-bound).
-	if hi.CompletionRate > 2*lo.CompletionRate+1 {
+	if hi.Metric("completion_rate_cps") > 2*lo.Metric("completion_rate_cps")+1 {
 		t.Errorf("completion rate scaled with attack rate: %v → %v",
-			lo.CompletionRate, hi.CompletionRate)
+			lo.Metric("completion_rate_cps"), hi.Metric("completion_rate_cps"))
 	}
 }
 
 func TestFig14MoreBotsRaiseCompletions(t *testing.T) {
-	res, err := Fig14(tinyScale(), []int{2, 8}, 400)
-	if err != nil {
-		t.Fatalf("Fig14: %v", err)
-	}
-	small, big := res.Points[0], res.Points[1]
-	if big.CompletionRate <= small.CompletionRate {
-		t.Errorf("completions with 8 bots (%v) not above 2 bots (%v)",
-			big.CompletionRate, small.CompletionRate)
+	scale := tinyScale()
+	results := runExp(t, "fig14", scale, sizeSweepGrid(scale, []int{2, 8}, 400))
+	small, big := results[0].Metric("completion_rate_cps"), results[1].Metric("completion_rate_cps")
+	if big <= small {
+		t.Errorf("completions with 8 bots (%v) not above 2 bots (%v)", big, small)
 	}
 	// Completions remain a small fraction of the measured rate.
-	if big.CompletionRate > 0.2*big.MeasuredAttackRate {
-		t.Errorf("completion rate %v too close to measured %v",
-			big.CompletionRate, big.MeasuredAttackRate)
+	if measured := results[1].Metric("measured_rate_pps"); big > 0.2*measured {
+		t.Errorf("completion rate %v too close to measured %v", big, measured)
 	}
 }
 
 func TestFig15AdoptionOutcomes(t *testing.T) {
-	res, err := Fig15(tinyScale())
-	if err != nil {
-		t.Fatalf("Fig15: %v", err)
-	}
-	nanc, _ := res.CellFor("(NA,NC)")
-	sanc, _ := res.CellFor("(SA,NC)")
-	nasc, _ := res.CellFor("(NA,SC)")
-	sasc, _ := res.CellFor("(SA,SC)")
+	results := runExp(t, "fig15", tinyScale())
+	pct := func(label string) float64 { return metric(t, results, label, "pct_established") }
+	nanc, sanc, nasc, sasc := pct("(NA,NC)"), pct("(SA,NC)"), pct("(NA,SC)"), pct("(SA,SC)")
 
 	// Solving clients are (almost) always served regardless of attacker.
-	if nasc.PctEstablished < 70 {
-		t.Errorf("(NA,SC) = %v%%, want high", nasc.PctEstablished)
+	if nasc < 70 {
+		t.Errorf("(NA,SC) = %v%%, want high", nasc)
 	}
-	if sasc.PctEstablished < 70 {
-		t.Errorf("(SA,SC) = %v%%, want high", sasc.PctEstablished)
+	if sasc < 70 {
+		t.Errorf("(SA,SC) = %v%%, want high", sasc)
 	}
 	// Non-solving clients fare worse than solving ones.
-	if nanc.PctEstablished > nasc.PctEstablished {
-		t.Errorf("(NA,NC)=%v%% above (NA,SC)=%v%%", nanc.PctEstablished, nasc.PctEstablished)
+	if nanc > nasc {
+		t.Errorf("(NA,NC)=%v%% above (NA,SC)=%v%%", nanc, nasc)
 	}
-	if sanc.PctEstablished > sasc.PctEstablished {
-		t.Errorf("(SA,NC)=%v%% above (SA,SC)=%v%%", sanc.PctEstablished, sasc.PctEstablished)
+	if sanc > sasc {
+		t.Errorf("(SA,NC)=%v%% above (SA,SC)=%v%%", sanc, sasc)
 	}
 }
 
 func TestTable1DerivedColumns(t *testing.T) {
-	res, err := Table1(Scale{})
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
+	results := runExp(t, "tab1", Scale{})
+	if len(results) != 4 {
+		t.Fatalf("rows = %d, want 4", len(results))
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
-	}
-	for _, row := range res.Rows {
+	for _, r := range results {
 		// Every Pi can still connect (solve in seconds)…
-		if row.NashSolveTime > 30*time.Second {
-			t.Errorf("%s solve time %v too slow to ever connect", row.Device.Name, row.NashSolveTime)
+		if solve := msDuration(r.Metric("nash_solve_time_ms")); solve > 30*time.Second {
+			t.Errorf("%s solve time %v too slow to ever connect", r.Scenario.Label, solve)
 		}
 		// …but cannot flood: well under one solved connection per second.
-		if row.MaxFloodRateCPS > 1 {
-			t.Errorf("%s flood rate %v cps, want < 1", row.Device.Name, row.MaxFloodRateCPS)
+		if cps := r.Metric("max_flood_cps"); cps > 1 {
+			t.Errorf("%s flood rate %v cps, want < 1", r.Scenario.Label, cps)
 		}
 	}
 }
 
 func TestNashExampleMatchesPaper(t *testing.T) {
-	res, err := NashExample(Scale{})
-	if err != nil {
-		t.Fatalf("NashExample: %v", err)
+	res := runExp(t, "nash", Scale{})[0]
+	if k, m := res.Metric("k_star"), res.Metric("m_star"); k != 2 || m != 17 {
+		t.Errorf("(k,m) = (%v,%v), want (2,17)", k, m)
 	}
-	if res.Params.K != 2 || res.Params.M != 17 {
-		t.Errorf("(k,m) = (%d,%d), want (2,17)", res.Params.K, res.Params.M)
-	}
-	if math.Abs(res.Alpha-1.1) > 0.02 {
-		t.Errorf("α = %v", res.Alpha)
+	if alpha := res.Metric("alpha"); math.Abs(alpha-1.1) > 0.02 {
+		t.Errorf("α = %v", alpha)
 	}
 	// Finite-N optimum close to the asymptotic ℓ*.
-	if math.Abs(res.FiniteLStar-res.LStar)/res.LStar > 0.05 {
-		t.Errorf("finite ℓ* %v vs asymptotic %v", res.FiniteLStar, res.LStar)
+	finite, lstar := res.Metric("finite_l_star"), res.Metric("l_star")
+	if math.Abs(finite-lstar)/lstar > 0.05 {
+		t.Errorf("finite ℓ* %v vs asymptotic %v", finite, lstar)
 	}
 }
 
 func TestAblationOpportunistic(t *testing.T) {
-	res, err := AblationOpportunistic(tinyScale())
-	if err != nil {
-		t.Fatalf("AblationOpportunistic: %v", err)
-	}
-	oppBefore := phaseMean(res.Opportunistic,
-		res.Opportunistic.ClientThroughputMbps(), phaseBefore)
-	alwBefore := phaseMean(res.AlwaysOn, res.AlwaysOn.ClientThroughputMbps(), phaseBefore)
+	results := runExp(t, "ablation-opportunistic", tinyScale())
+	oppBefore := metric(t, results, "opportunistic", "client_mbps_before")
+	alwBefore := metric(t, results, "always-on", "client_mbps_before")
 	// Before the attack the opportunistic controller must not tax clients;
 	// always-on solves every handshake and loses peacetime throughput.
 	if oppBefore <= alwBefore {
@@ -348,33 +321,24 @@ func TestAblationOpportunistic(t *testing.T) {
 }
 
 func TestAblationSolutionFlood(t *testing.T) {
-	res, err := AblationSolutionFlood(tinyScale())
-	if err != nil {
-		t.Fatalf("AblationSolutionFlood: %v", err)
-	}
-	m := res.Run.Server.Metrics()
-	if m.SolutionInvalid+m.SolutionMalformed == 0 {
+	results := runExp(t, "ablation-solutionflood", tinyScale())
+	if metric(t, results, "solution-flood", "solutions_rejected") == 0 {
 		t.Error("no bogus solutions rejected")
 	}
-	if during := phaseMean(res.Run, res.Run.ServerCPU(), phaseDuring); during > 5 {
+	if during := metric(t, results, "solution-flood", "server_cpu_during"); during > 5 {
 		t.Errorf("server CPU during solution flood = %v%%, want < 5%%", during)
 	}
 }
 
+// Every registered experiment renders from its Results alone: the
+// ledger (sim.TestExperimentLedger) pins the bytes; this checks the
+// shape on two cheap ones.
 func TestTablesRender(t *testing.T) {
-	// Smoke-test every table renderer on one tiny run set.
-	f8, err := Fig8(tinyScale())
-	if err != nil {
-		t.Fatalf("Fig8: %v", err)
-	}
-	if s := f8.Table().String(); len(s) == 0 {
-		t.Error("empty fig8 table")
-	}
-	t1, err := Table1(Scale{})
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
-	if s := t1.Table().String(); len(s) == 0 {
-		t.Error("empty table1")
+	for _, id := range []string{"fig8", "tab1"} {
+		e := mustExp(t, id)
+		tbl := e.Render(runExp(t, id, tinyScale()))
+		if len(tbl.Rows) == 0 || len(tbl.String()) == 0 {
+			t.Errorf("%s: empty table", id)
+		}
 	}
 }

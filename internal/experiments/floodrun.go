@@ -10,6 +10,7 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/internal/netsim"
 	"github.com/tcppuzzles/tcppuzzles/internal/serversim"
 	"github.com/tcppuzzles/tcppuzzles/sim/runner"
+	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 // FloodRun is a completed flood scenario with its measurement state.
@@ -164,20 +165,26 @@ func RunScenarios(workers int, scs []Scenario) ([]*FloodRun, error) {
 	})
 }
 
-// ClientThroughputMbps returns the mean per-client goodput in Mbps per
+// clientMean averages a per-client series across the clients, bucket by
 // bucket.
-func (r *FloodRun) ClientThroughputMbps() []float64 {
+func (r *FloodRun) clientMean(series func(*clientsim.Client) []float64) []float64 {
 	var out []float64
 	for _, c := range r.Clients {
-		series := c.Metrics().BytesIn.Mbps(r.Cfg.Duration)
+		s := series(c)
 		if out == nil {
-			out = make([]float64, len(series))
+			out = make([]float64, len(s))
 		}
-		for i, v := range series {
+		for i, v := range s {
 			out[i] += v / float64(len(r.Clients))
 		}
 	}
 	return out
+}
+
+// ClientThroughputMbps returns the mean per-client goodput in Mbps per
+// bucket.
+func (r *FloodRun) ClientThroughputMbps() []float64 {
+	return r.clientMean(func(c *clientsim.Client) []float64 { return c.Metrics().BytesIn.Mbps(r.Cfg.Duration) })
 }
 
 // ServerThroughputMbps returns the server's outgoing throughput in Mbps per
@@ -193,17 +200,7 @@ func (r *FloodRun) ServerCPU() []float64 {
 
 // ClientCPU returns the mean per-bucket client CPU utilisation (%).
 func (r *FloodRun) ClientCPU() []float64 {
-	var out []float64
-	for _, c := range r.Clients {
-		u := c.CPU().Utilisation(r.Cfg.Duration)
-		if out == nil {
-			out = make([]float64, len(u))
-		}
-		for i, v := range u {
-			out[i] += v / float64(len(r.Clients))
-		}
-	}
-	return out
+	return r.clientMean(func(c *clientsim.Client) []float64 { return c.CPU().Utilisation(r.Cfg.Duration) })
 }
 
 // AttackerCPU returns the mean per-bucket botnet CPU utilisation (%).
@@ -250,11 +247,13 @@ func (r *FloodRun) MeasuredAttackRate() []float64 {
 
 // AttackWindowMean averages a per-bucket series over the attack interval.
 func (r *FloodRun) AttackWindowMean(series []float64) float64 {
-	lo := int(r.Cfg.AttackStart / r.Cfg.Bucket)
-	hi := int(r.Cfg.AttackStop / r.Cfg.Bucket)
-	if hi > len(series) {
-		hi = len(series)
-	}
+	return windowMean(series, int(r.Cfg.AttackStart/r.Cfg.Bucket), int(r.Cfg.AttackStop/r.Cfg.Bucket))
+}
+
+// windowMean averages series[lo:hi], with hi clipped to the series; an
+// empty window averages to 0.
+func windowMean(series []float64, lo, hi int) float64 {
+	hi = min(hi, len(series))
 	if lo >= hi {
 		return 0
 	}
@@ -280,4 +279,64 @@ func (r *FloodRun) ClientThroughputSamplesDuringAttack() []float64 {
 		out = append(out, series[lo:hi]...)
 	}
 	return out
+}
+
+type phase int
+
+const (
+	phaseBefore phase = iota + 1
+	phaseDuring
+	phaseAfter
+)
+
+// phaseMean averages a series over one phase of the attack timeline,
+// trimming the edges by a few buckets to avoid transition effects.
+func phaseMean(run *FloodRun, series []float64, ph phase) float64 {
+	bucket := run.Cfg.Bucket
+	var lo, hi int
+	switch ph {
+	case phaseBefore:
+		lo, hi = 2, int(run.Cfg.AttackStart/bucket)-1
+	case phaseDuring:
+		lo, hi = int(run.Cfg.AttackStart/bucket)+5, int(run.Cfg.AttackStop/bucket)-1
+	case phaseAfter:
+		// Skip the recovery window (half-open expiry ≈ 30 s in the paper);
+		// scale it with the phase length for reduced runs.
+		phaseLen := int((run.Cfg.Duration - run.Cfg.AttackStop) / bucket)
+		lo = int(run.Cfg.AttackStop/bucket) + phaseLen/2
+		hi = int(run.Cfg.Duration/bucket) - 1
+	}
+	return windowMean(series, lo, hi)
+}
+
+// phaseMetrics averages a series over each phase of the attack timeline,
+// as name_before, name_during and name_after.
+func phaseMetrics(run *FloodRun, name string, series []float64) []sweep.Metric {
+	return []sweep.Metric{
+		{Name: name + "_before", Value: phaseMean(run, series, phaseBefore)},
+		{Name: name + "_during", Value: phaseMean(run, series, phaseDuring)},
+		{Name: name + "_after", Value: phaseMean(run, series, phaseAfter)},
+	}
+}
+
+// duringMetrics measures the attack's success: the attacker's completed
+// connections/s and client goodput, averaged over the attack.
+func duringMetrics(run *FloodRun) []sweep.Metric {
+	return []sweep.Metric{
+		{Name: "attacker_established_during", Value: phaseMean(run, run.AttackerEstablishedRate(), phaseDuring)},
+		{Name: "client_mbps_during", Value: phaseMean(run, run.ClientThroughputMbps(), phaseDuring)},
+	}
+}
+
+// difficultyTrace returns the server's deployed difficulty m per bucket.
+// Before the first adjustment the gauge reads zero; the baseline m
+// backfills it for a readable trace.
+func difficultyTrace(run *FloodRun) []float64 {
+	trace := run.Server.Metrics().DifficultyM.Sampled(run.Cfg.Bucket, run.Cfg.Duration)
+	for i, v := range trace {
+		if v == 0 {
+			trace[i] = float64(run.Cfg.Params.M)
+		}
+	}
+	return trace
 }

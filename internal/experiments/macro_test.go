@@ -222,17 +222,16 @@ func TestMacroSourcesInCacheHash(t *testing.T) {
 // the pinned envelope for this long-tailed solve-time distribution at the
 // default 300 samples per cell.
 func TestFig6SketchDifferential(t *testing.T) {
-	cfg := Fig6Config{Ks: []uint8{2}, Ms: []uint8{10}, Connections: 300, Seed: 7}
-	exact, err := Fig6(cfg)
+	grid := connTimeGrid([]uint8{2}, []uint8{10}, 300, 7)
+	exact := runExp(t, "fig6", Scale{}, grid)
+	// Sketch cells cache under their own namespace so exact and sketched
+	// results never alias.
+	sketch := Experiment{ID: "fig6-sketch", Grid: func(Scale) sweep.Grid { return grid }, Cell: fig6Cell(true)}
+	sketched, err := sketch.Run(Scale{})
 	if err != nil {
-		t.Fatalf("Fig6(exact): %v", err)
+		t.Fatal(err)
 	}
-	cfg.Sketch = true
-	sketched, err := Fig6(cfg)
-	if err != nil {
-		t.Fatalf("Fig6(sketch): %v", err)
-	}
-	em, sm := exact.Results[0], sketched.Results[0]
+	em, sm := exact[0], sketched[0]
 	if got, want := sm.Metric("samples"), em.Metric("samples"); got != want {
 		t.Errorf("samples: sketch %v != exact %v", got, want)
 	}

@@ -7,11 +7,6 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
-// Table is the generic tabular view every experiment renders so the CLI
-// and benchmarks print uniform output. The type lives in the sweep
-// package next to the structured Result it is derived from.
-type Table = sweep.Table
-
 // f1, f2, f3 format floats at fixed precision for table cells.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
@@ -23,12 +18,7 @@ func sparkline(series []float64) string {
 		return ""
 	}
 	levels := []rune("▁▂▃▄▅▆▇█")
-	var maxV float64
-	for _, v := range series {
-		if v > maxV {
-			maxV = v
-		}
-	}
+	maxV := peak(series)
 	var b strings.Builder
 	for _, v := range series {
 		idx := 0
@@ -59,4 +49,35 @@ func downsample(series []float64, n int) []float64 {
 		out[i] = sum / float64(hi-lo)
 	}
 	return out
+}
+
+// peak returns the largest value of a series (0 for an empty one).
+func peak(series []float64) float64 {
+	var p float64
+	for _, v := range series {
+		if v > p {
+			p = v
+		}
+	}
+	return p
+}
+
+// perCell renders a table with one row per grid cell.
+func perCell(title string, header []string, row func(sweep.Result) []string) func([]sweep.Result) sweep.Table {
+	return func(results []sweep.Result) sweep.Table {
+		t := sweep.Table{Title: title, Header: header}
+		for _, r := range results {
+			t.Rows = append(t.Rows, row(r))
+		}
+		return t
+	}
+}
+
+// metricCells formats the named metrics of a cell with f.
+func metricCells(r sweep.Result, f func(float64) string, names ...string) []string {
+	cells := make([]string, len(names))
+	for i, name := range names {
+		cells[i] = f(r.Metric(name))
+	}
+	return cells
 }

@@ -3,10 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 func TestTableRendering(t *testing.T) {
-	tbl := Table{
+	tbl := sweep.Table{
 		Title:  "Demo",
 		Header: []string{"col", "value"},
 		Rows:   [][]string{{"a", "1"}, {"longer-cell", "2"}},

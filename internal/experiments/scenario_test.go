@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
-	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 func TestDefaultsFillOnlyUnsetFields(t *testing.T) {
@@ -200,18 +199,9 @@ func TestQuickScaleGridThroughRunner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QuickScale grid is several seconds of simulation")
 	}
-	scale := QuickScale()
-	res, err := Fig8(scale)
-	if err != nil {
-		t.Fatalf("Fig8(QuickScale): %v", err)
-	}
-	puzzles, ok := res.RunFor("challenges-m17")
-	if !ok {
-		t.Fatal("missing challenges-m17 run")
-	}
-	cookies, _ := res.RunFor("cookies")
-	pz := phaseMean(puzzles, puzzles.ClientThroughputMbps(), phaseDuring)
-	ck := phaseMean(cookies, cookies.ClientThroughputMbps(), phaseDuring)
+	results := runExp(t, "fig8", QuickScale())
+	pz := metric(t, results, "challenges-m17", "client_mbps_during")
+	ck := metric(t, results, "cookies", "client_mbps_during")
 	if pz <= ck {
 		t.Errorf("QuickScale: puzzles during (%v) not above cookies (%v)", pz, ck)
 	}
@@ -222,32 +212,5 @@ func TestRunScenariosPropagatesError(t *testing.T) {
 	grid[2].Defense = "bogus"
 	if _, err := RunScenarios(4, grid); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("error not propagated: %v", err)
-	}
-}
-
-// Fig12Config.fill swaps an unsized Scale for PaperScale; every
-// execution-only field the caller set must still be there afterwards
-// (Shards and Debug used to be dropped, so
-// `tcpz-exp -exp fig12 -shards N -verbose` ignored both flags).
-func TestFig12FillKeepsExecutionFields(t *testing.T) {
-	cache, err := sweep.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatalf("OpenCache: %v", err)
-	}
-	var debug, out strings.Builder
-	cfg := Fig12Config{Scale: Scale{
-		Shards: 3, Parallelism: 5,
-		Sinks: []sweep.Sink{sweep.NewNDJSON(&out)}, Cache: cache, Debug: &debug,
-	}}
-	cfg.fill()
-	got, paper := cfg.Scale, PaperScale()
-	if got.Duration != paper.Duration || got.BotCount != paper.BotCount {
-		t.Errorf("fill did not size the scale: %+v", got)
-	}
-	if got.Shards != 3 || got.Parallelism != 5 {
-		t.Errorf("Shards=%d Parallelism=%d, want 3 5", got.Shards, got.Parallelism)
-	}
-	if len(got.Sinks) != 1 || got.Cache != cache || got.Debug != &debug {
-		t.Errorf("Sinks=%d Cache kept=%v Debug kept=%v, want 1 true true", len(got.Sinks), got.Cache == cache, got.Debug == &debug)
 	}
 }

@@ -86,12 +86,13 @@ func runShardMatrixCell(t *testing.T, shards, workers int) ([]byte, []byte, []sw
 	scale.Parallelism = workers
 	var csvBuf, jsonBuf bytes.Buffer
 	scale.Sinks = []sweep.Sink{sweep.NewCSV(&csvBuf), sweep.NewNDJSON(&jsonBuf)}
-	// Expand with the scale so the cells are tiny; RunSweep's grid-as-
-	// declared semantics would run the paper-scale defaults here.
-	cells := shardMatrixGrid().Expand(&scale)
-	results, _, err := runFloodCells(scale, "shardmatrix", "", cells, StandardMetrics)
+	// Apply the scale so the cells are tiny; RunSweep's grid-as-declared
+	// semantics would run the paper-scale defaults here.
+	grid := shardMatrixGrid()
+	grid.Base = scale.Apply(grid.Base)
+	results, err := RunSweep(scale, grid)
 	if err != nil {
-		t.Fatalf("runFloodCells(shards=%d, workers=%d): %v", shards, workers, err)
+		t.Fatalf("RunSweep(shards=%d, workers=%d): %v", shards, workers, err)
 	}
 	return csvBuf.Bytes(), jsonBuf.Bytes(), results
 }

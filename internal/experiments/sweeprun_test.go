@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,16 +71,19 @@ func TestRunCellsCacheSkipsCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := sweep.Grid{Axes: []sweep.Axis{sweep.Seeds(1, 2, 3)}}.Expand(nil)
 	var computed atomic.Int64
-	compute := func(i int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
-		computed.Add(1)
-		return []sweep.Metric{{Name: "seed", Value: float64(sc.Seed)}},
-			[]sweep.Series{{Name: "trace", Values: []float64{float64(i)}}}, nil
+	e := Experiment{
+		ID:   "cachetest",
+		Grid: func(Scale) sweep.Grid { return sweep.Grid{Axes: []sweep.Axis{sweep.Seeds(1, 2, 3)}} },
+		Cell: func(i int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+			computed.Add(1)
+			return []sweep.Metric{{Name: "seed", Value: float64(sc.Seed)}},
+				[]sweep.Series{{Name: "trace", Values: []float64{float64(i)}}}, nil
+		},
 	}
 	scale := Scale{Cache: cache}
 
-	first, err := runCells(scale, "cachetest", "", cells, compute)
+	first, err := e.Run(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestRunCellsCacheSkipsCompute(t *testing.T) {
 		t.Fatalf("first run hits=%d misses=%d, want 0/3", cache.Hits(), cache.Misses())
 	}
 
-	second, err := runCells(scale, "cachetest", "", cells, compute)
+	second, err := e.Run(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,8 @@ func TestRunCellsCacheSkipsCompute(t *testing.T) {
 	}
 
 	// A different experiment namespace must not see the entries.
-	if _, err := runCells(scale, "othertest", "", cells, compute); err != nil {
+	e.ID = "othertest"
+	if _, err := e.Run(scale); err != nil {
 		t.Fatal(err)
 	}
 	if got := computed.Load(); got != 6 {
@@ -164,41 +169,68 @@ func TestFig10And11ShareCache(t *testing.T) {
 	}
 	scale := TinyScale()
 	scale.Cache = cache
-	f10, err := Fig10(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f10 := runExp(t, "fig10", scale)
 	if cache.Hits() != 0 || cache.Misses() != 2 {
 		t.Fatalf("fig10 hits=%d misses=%d, want 0/2", cache.Hits(), cache.Misses())
 	}
-	f11, err := Fig11(scale)
+	fig11 := mustExp(t, "fig11")
+	fig11.Cell = func(int, Scenario, func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+		return nil, nil, fmt.Errorf("fig11 simulated despite cache hits")
+	}
+	f11, err := fig11.Run(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache.Hits() != 2 {
 		t.Errorf("fig11 hits=%d, want 2 (shared namespace)", cache.Hits())
 	}
-	if f11.Puzzles != nil {
-		t.Error("fig11 simulated despite cache hits")
-	}
-	if f10.Results[0].Metric("attacker_established_during") !=
-		f11.Results[0].Metric("attacker_established_during") {
+	if f10[0].Metric("attacker_established_during") !=
+		f11[0].Metric("attacker_established_during") {
 		t.Error("shared cells report different metrics")
 	}
 }
 
-// Errors from a failing cell must name the cell.
-func TestRunCellsNamesFailingCell(t *testing.T) {
-	cells := sweep.Grid{Axes: []sweep.Axis{sweep.Seeds(1, 2)}}.Expand(nil)
-	_, err := runCells(Scale{}, "errtest", "", cells,
-		func(i int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
+// Every failure names the experiment and the failing cell:
+// "experiments: <id>: scenario "<label>": …" — for a synthetic cell, a
+// user sweep, and a registered experiment.
+func TestFailuresNameExperimentAndCell(t *testing.T) {
+	synthetic := Experiment{
+		ID:   "errtest",
+		Grid: func(Scale) sweep.Grid { return sweep.Grid{Axes: []sweep.Axis{sweep.Seeds(1, 2)}} },
+		Cell: func(_ int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
 			if sc.Seed == 2 {
 				return nil, nil, fmt.Errorf("boom")
 			}
 			return nil, nil, nil
-		})
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte(`"seed=2"`)) {
-		t.Errorf("error does not name the failing cell: %v", err)
+		},
+	}
+	bogus := tinySweepGrid()
+	bogus.Axes = []sweep.Axis{sweep.Defenses(DefenseCookies, "bogus")}
+	fig7 := mustExp(t, "fig7")
+	simulate := fig7.Cell
+	fig7.Cell = func(i int, sc Scenario, logf func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+		if sc.Label != "cookies" {
+			return nil, nil, nil
+		}
+		sc.Defense = "bogus"
+		return simulate(i, sc, logf)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() ([]sweep.Result, error)
+		want string
+	}{
+		{"synthetic", func() ([]sweep.Result, error) { return synthetic.Run(Scale{}) },
+			`experiments: errtest: scenario "seed=2": boom`},
+		{"RunSweep", func() ([]sweep.Result, error) { return RunSweep(Scale{}, bogus) },
+			`experiments: sweep: scenario "defense=bogus": experiments: server: serversim: defense: unknown defense "bogus"`},
+		{"registered", func() ([]sweep.Result, error) { return fig7.Run(tinyScale()) },
+			`experiments: fig7: scenario "cookies": experiments: server: serversim: defense: unknown defense "bogus"`},
+	} {
+		_, err := tc.run()
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want prefix %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -4,28 +4,13 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/experiments"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 // Table is a rendered experiment result.
-type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-}
-
-// String renders the table with aligned columns.
-func (t Table) String() string {
-	inner := experiments.Table{Title: t.Title, Header: t.Header, Rows: t.Rows}
-	return inner.String()
-}
-
-func fromInternal(t experiments.Table) Table {
-	return Table{Title: t.Title, Header: t.Header, Rows: t.Rows}
-}
+type Table = sweep.Table
 
 // Scale selects the experiment size.
 type Scale string
@@ -104,184 +89,12 @@ func WithDebug(w io.Writer) RunOption {
 	return func(s *experiments.Scale) { s.Debug = w }
 }
 
-// registry is the single source of truth for the available experiments:
-// both ExperimentIDs (display order) and RunExperiment (dispatch) derive
-// from it, so a driver cannot be listed but unrunnable or vice versa.
-type registryEntry struct {
-	id  string
-	run func(scale experiments.Scale) ([]Table, error)
-}
-
-var registry = []registryEntry{
-	{"fig3a", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Fig3a(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig3b", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Fig3b(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig6", func(scale experiments.Scale) ([]Table, error) {
-		cfg := experiments.Fig6Config{Scale: scale}
-		if scale.Duration < 600*time.Second {
-			cfg.Ks = []uint8{1, 2, 4}
-			cfg.Ms = []uint8{4, 10, 16}
-			cfg.Connections = 100
-		}
-		r, err := experiments.Fig6(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig7", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Fig7(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig8", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Fig8(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig9", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Fig9(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig10", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Fig10(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig11", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Fig11(scale)
-		if err != nil {
-			return nil, err
-		}
-		t := fromInternal(r.Table())
-		t.Rows = append(t.Rows, []string{"reduction", fmt.Sprintf("%.1fx", r.ReductionFactor()), ""})
-		return []Table{t}, nil
-	}},
-	{"fig12", func(scale experiments.Scale) ([]Table, error) {
-		cfg := experiments.Fig12Config{Scale: scale}
-		if scale.Duration < 600*time.Second {
-			cfg.Ks = []uint8{1, 2}
-			cfg.Ms = []uint8{12, 16, 17, 20}
-		}
-		r, err := experiments.Fig12(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig13", func(scale experiments.Scale) ([]Table, error) {
-		rates := []float64{100, 200, 300, 400, 500, 600, 700, 800, 900, 1000}
-		if scale.Duration < 600*time.Second {
-			rates = []float64{100, 400, 700, 1000}
-		}
-		r, err := experiments.Fig13(scale, rates)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig14", func(scale experiments.Scale) ([]Table, error) {
-		sizes := []int{2, 4, 6, 8, 10, 12, 14}
-		if scale.Duration < 600*time.Second {
-			sizes = []int{2, 6, 10, 14}
-		}
-		r, err := experiments.Fig14(scale, sizes, 5000)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"fig15", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Fig15(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"tab1", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.Table1(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"nash", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.NashExample(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"ablation-opportunistic", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.AblationOpportunistic(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"ablation-solutionflood", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.AblationSolutionFlood(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"ablation-membound", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.AblationMemoryBound(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"ablation-adaptive", func(scale experiments.Scale) ([]Table, error) {
-		// The per-5s controller needs a longer attack than the default
-		// reduced scale provides.
-		if scale.Duration < 600*time.Second {
-			scale.Duration = 160 * time.Second
-			scale.AttackStart = 15 * time.Second
-			scale.AttackStop = 105 * time.Second
-		}
-		r, err := experiments.AblationAdaptive(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-	{"armsrace", func(scale experiments.Scale) ([]Table, error) {
-		r, err := experiments.ArmsRace(scale)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{fromInternal(r.Table())}, nil
-	}},
-}
-
 // ExperimentIDs returns the available experiment identifiers in display
-// order (the registry's order: figures, tables, then ablations).
+// order: figures, tables, then ablations.
 func ExperimentIDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.id
+	ids := make([]string, len(experiments.Experiments))
+	for i, e := range experiments.Experiments {
+		ids[i] = e.ID
 	}
 	return ids
 }
@@ -299,14 +112,16 @@ func RunExperiment(id string, scale Scale, opts ...RunOption) ([]Table, error) {
 	for _, opt := range opts {
 		opt(&fs)
 	}
-	want := strings.ToLower(id)
-	for _, e := range registry {
-		if e.id == want {
-			return e.run(fs)
-		}
+	e, ok := experiments.ByID(strings.ToLower(id))
+	if !ok {
+		return nil, fmt.Errorf("sim: unknown experiment %q (known: %s)",
+			id, strings.Join(ExperimentIDs(), ", "))
 	}
-	return nil, fmt.Errorf("sim: unknown experiment %q (known: %s)",
-		id, strings.Join(ExperimentIDs(), ", "))
+	results, err := e.Run(fs)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{e.Render(results)}, nil
 }
 
 // RunSweep executes a user-declared factorial design: the grid expands to

@@ -16,6 +16,7 @@ package sim
 
 import (
 	"github.com/tcppuzzles/tcppuzzles/internal/experiments"
+	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 // Defense selects the server protection. The empty string selects the
@@ -104,20 +105,24 @@ func RunAll(workers int, scs []Scenario) ([]*Result, error) {
 	return results, nil
 }
 
+// materialise reads a run's series, and its summary numbers from the
+// standard metric set, so Run reports exactly what RunSweep would.
 func materialise(run *experiments.FloodRun) *Result {
+	metrics, series := experiments.StandardMetrics(run)
+	std := sweep.Result{Metrics: metrics, Series: series}
 	res := &Result{
-		ClientMbps:                run.ClientThroughputMbps(),
-		ServerMbps:                run.ServerThroughputMbps(),
-		ServerCPUPct:              run.ServerCPU(),
+		ClientMbps:                std.SeriesValues("client_mbps"),
+		ServerMbps:                std.SeriesValues("server_mbps"),
+		ServerCPUPct:              std.SeriesValues("server_cpu_pct"),
 		ClientCPUPct:              run.ClientCPU(),
 		AttackerCPUPct:            run.AttackerCPU(),
-		AttackerEstablishedPerSec: run.AttackerEstablishedRate(),
+		AttackerEstablishedPerSec: std.SeriesValues("attacker_established_cps"),
 		AttackerSentPerSec:        run.MeasuredAttackRate(),
+		ClientMbpsBefore:          std.Metric("client_mbps_before"),
+		ClientMbpsDuring:          std.Metric("client_mbps_during"),
+		ClientMbpsAfter:           std.Metric("client_mbps_after"),
+		EffectiveAttackRate:       std.Metric("attacker_established_cps"),
 	}
 	res.ListenQueue, res.AcceptQueue = run.QueueSizes()
-	res.ClientMbpsBefore = run.PhaseMean(res.ClientMbps, experiments.PhaseBefore)
-	res.ClientMbpsDuring = run.PhaseMean(res.ClientMbps, experiments.PhaseDuring)
-	res.ClientMbpsAfter = run.PhaseMean(res.ClientMbps, experiments.PhaseAfter)
-	res.EffectiveAttackRate = run.AttackWindowMean(res.AttackerEstablishedPerSec)
 	return res
 }

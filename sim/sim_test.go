@@ -210,8 +210,8 @@ func TestRunExperimentUnknown(t *testing.T) {
 // bytes equal to the serial run's.
 func TestRunSweepOversubscribedShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	grid := experiments.Fig13Grid([]float64{100, 400, 700, 1000})
-	grid.Base = experiments.TinyScale().Apply(grid.Base)
+	fig13, _ := experiments.ByID("fig13")
+	grid := fig13.Grid(experiments.TinyScale())
 	run := func(workers, shards int) []byte {
 		t.Helper()
 		var buf bytes.Buffer

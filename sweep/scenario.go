@@ -265,16 +265,6 @@ type Scale struct {
 	Debug io.Writer
 }
 
-// WithExec returns s carrying exec's five execution-only fields —
-// Shards, Parallelism, Sinks, Cache and Debug — and its own
-// deployment size: the one way to swap a scale's size without losing a
-// flag the caller set.
-func (s Scale) WithExec(exec Scale) Scale {
-	s.Shards = exec.Shards
-	s.Parallelism, s.Sinks, s.Cache, s.Debug = exec.Parallelism, exec.Sinks, exec.Cache, exec.Debug
-	return s
-}
-
 // Apply overrides the scenario's deployment-size knobs with the scale's.
 // Explicit "off" sentinels survive rescaling: a Scenario that opted out
 // of the botnet (BotCount: NoBotnet) or the worker pool (Workers: -1)
