@@ -1,14 +1,16 @@
-// Package tcppuzzles_test hosts the execution-mode benchmarks — runner
-// width, macro-aggregated sources, sharded engines — and microbenchmarks
-// of the puzzle primitives.
+// Package tcppuzzles_test hosts the execution-mode benchmarks —
+// macro-aggregated sources, sharded grids — and microbenchmarks of the
+// puzzle primitives.
 //
 // Run with:
 //
 //	go test -bench=. -benchmem
 //
 // The figure grids are measured end to end by bench/ (fig_grid_cold and
-// fig_grid_warm) and pinned byte for byte by sim.TestExperimentLedger;
-// cmd/tcpz-exp runs them at every scale.
+// fig_grid_warm, whose runner.speedup is the runner's scaling across
+// cells) and pinned byte for byte by sim.TestExperimentLedger; bench/'s
+// flood_shards2 measures sharding inside one cell (shard_speedup).
+// cmd/tcpz-exp runs the grids at every scale.
 package tcppuzzles_test
 
 import (
@@ -22,69 +24,6 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
 	"github.com/tcppuzzles/tcppuzzles/sim"
 )
-
-// runnerGrid is the scenario set behind BenchmarkRunnerParallel: six
-// QuickScale deployments mixing defenses, attacks and seeds.
-func runnerGrid() []sim.Scenario {
-	quick := experiments.QuickScale()
-	grid := quick.ApplyAll(
-		sim.Scenario{Label: "puzzles-conn", Defense: sim.DefensePuzzles,
-			Attack: sim.AttackConnFlood, ClientsSolve: true, BotsSolve: true},
-		sim.Scenario{Label: "cookies-syn", Defense: sim.DefenseCookies,
-			Attack: sim.AttackSYNFlood, ClientsSolve: true},
-		sim.Scenario{Label: "none-conn", Defense: sim.DefenseNone,
-			Attack: sim.AttackConnFlood, ClientsSolve: true},
-		sim.Scenario{Label: "syncache-syn", Defense: sim.DefenseSYNCache,
-			Attack: sim.AttackSYNFlood, ClientsSolve: true},
-		sim.Scenario{Label: "puzzles-syn", Defense: sim.DefensePuzzles,
-			Attack: sim.AttackSYNFlood, ClientsSolve: true},
-		sim.Scenario{Label: "puzzles-solution", Defense: sim.DefensePuzzles,
-			Attack: sim.AttackSolutionFlood, ClientsSolve: true},
-	)
-	for i := range grid {
-		grid[i].Seed = int64(1 + i)
-	}
-	return grid
-}
-
-// BenchmarkRunnerParallel measures the work-stealing runner's wall-clock
-// scaling over the QuickScale scenario grid. Expect workers=4 to complete
-// in well under half the workers=1 time on a 4+-core machine, with
-// byte-identical results (verified in TestRunAllMatchesSequentialRun and
-// TestRunScenariosDeterministicAcrossWorkers). The simulation jobs are
-// CPU-bound, so the observable speedup is capped by the cores the
-// container actually grants (a single-core runner shows ~1x).
-func BenchmarkRunnerParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			grid := runnerGrid()
-			for i := 0; i < b.N; i++ {
-				results, err := sim.RunAll(workers, grid)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(results) != len(grid) {
-					b.Fatalf("got %d results, want %d", len(results), len(grid))
-				}
-			}
-		})
-	}
-}
-
-// shardedFloodScenario is the large deployment behind
-// BenchmarkShardedFlood: a response-heavy connection flood whose event
-// count is dominated by per-client traffic, so node partitioning has real
-// parallel work to win. Big enough that the lock-step window barriers
-// (every ~4 ms of simulated time) amortise; small enough to iterate.
-func shardedFloodScenario() sim.Scenario {
-	return sim.Scenario{
-		Label:    "sharded-flood",
-		Duration: 30 * time.Second, AttackStart: 5 * time.Second, AttackStop: 25 * time.Second,
-		NumClients: 24, ClientRate: 20, BotCount: 12, PerBotRate: 200,
-		Backlog: 512, AcceptBacklog: 512, Workers: 64, Seed: 42,
-		ClientsSolve: true, BotsSolve: true,
-	}
-}
 
 // macroFloodScenario is the macro-aggregated population behind
 // BenchmarkMacroFlood: the same fixed 20-second SYN-flood shape as the CI
@@ -124,41 +63,6 @@ func BenchmarkMacroFlood(b *testing.B) {
 				runtime.ReadMemStats(&ms)
 				b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap-MiB")
 				runtime.KeepAlive(run)
-			}
-		})
-	}
-}
-
-// shardCounts sweeps 1 → GOMAXPROCS in powers of two (always including at
-// least 1, 2 and 4 so the curve is comparable across machines).
-func shardCounts() []int {
-	max := runtime.GOMAXPROCS(0)
-	counts := []int{1, 2, 4}
-	for n := 8; n <= max; n *= 2 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// BenchmarkShardedFlood measures how the sharded event engine scales one
-// large flood across cores (the complement of BenchmarkRunnerParallel,
-// which scales *across* independent scenarios). Results are byte-identical
-// at every shard count (TestShardDeterminismMatrix); shards only divide
-// wall-clock time. The speedup is capped by the cores the container
-// actually grants and by the busiest shard's share of the events (1.33x
-// at two shards on this cell); run with -cpu 1,2. The two-core numbers
-// are recorded in BENCH_shards.json.
-func BenchmarkShardedFlood(b *testing.B) {
-	for _, shards := range shardCounts() {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sc := shardedFloodScenario()
-			sc.Shards = shards
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.EffectiveAttackRate, "attacker-cps")
 			}
 		})
 	}

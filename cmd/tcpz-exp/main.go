@@ -45,7 +45,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("tcpz-exp", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id (see -list) or 'all'")
 	scale := fs.String("scale", "quick", "experiment scale: tiny, quick or paper")
@@ -102,11 +102,17 @@ func run(args []string) error {
 	}
 	w := io.Writer(os.Stdout)
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		f, createErr := os.Create(*out)
+		if createErr != nil {
+			return createErr
 		}
-		defer f.Close()
+		// A failed Close can be the first sign of a short write (a full
+		// disk): report it unless an earlier error already failed the run.
+		defer func() {
+			if closeErr := f.Close(); err == nil {
+				err = closeErr
+			}
+		}()
 		w = f
 	}
 	var sink sweep.Sink

@@ -182,10 +182,9 @@ func TestAdaptiveCellsCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := conformanceScale()
-	scale.Cache = cache
+	scale, exec := conformanceScale(), sweep.Exec{Cache: cache}
 	armsrace, _ := experiments.ByID("armsrace")
-	first, err := armsrace.Run(scale)
+	first, err := armsrace.Run(scale, exec)
 	if err != nil {
 		t.Fatalf("cold ArmsRace: %v", err)
 	}
@@ -193,7 +192,7 @@ func TestAdaptiveCellsCacheRoundTrip(t *testing.T) {
 	if misses == 0 || cache.Hits() != 0 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0 hits and one miss per cell", cache.Hits(), misses)
 	}
-	second, err := armsrace.Run(scale)
+	second, err := armsrace.Run(scale, exec)
 	if err != nil {
 		t.Fatalf("warm ArmsRace: %v", err)
 	}

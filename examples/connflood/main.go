@@ -56,8 +56,8 @@ func run() error {
 			return fmt.Errorf("%s: %w", defense, err)
 		}
 		fmt.Printf("%-10s %14.2f %14.2f %14.2f %16.2f\n",
-			defense, res.ClientMbpsBefore, res.ClientMbpsDuring, res.ClientMbpsAfter,
-			res.EffectiveAttackRate)
+			defense, res.Metric("client_mbps_before"), res.Metric("client_mbps_during"),
+			res.Metric("client_mbps_after"), res.Metric("attacker_established_cps"))
 	}
 	fmt.Println()
 	fmt.Println("Only puzzles preserve client service: the botnet is rate limited")

@@ -68,7 +68,7 @@ type MacroConfig struct {
 //   - randomness: per-source splitmix streams (8 bytes each) swapped
 //     through one shared rand.Rand wrapper; stream i is identical to a
 //     CompactRNG bot seeded Seed + i*101.
-//   - identity: addresses materialise only in the canonical delivery key
+//   - identity: addresses exist only in the canonical delivery key
 //     via the netsim.SourceStore; nothing per-source is heap-allocated.
 //
 // Per-source state lives in slots numbered in first-tick order (see

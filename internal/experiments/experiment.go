@@ -33,7 +33,7 @@ type Experiment struct {
 }
 
 // A Cell measures cell i of an expanded grid. logf, non-nil only when the
-// scale has a Debug writer, narrates the cell's execution there.
+// Exec has a Debug writer, narrates the cell's execution there.
 type Cell func(i int, sc Scenario, logf func(format string, args ...any)) ([]sweep.Metric, []sweep.Series, error)
 
 // Experiments is the evaluation in display order: figures, tables, then
@@ -74,34 +74,39 @@ func ByID(id string) (Experiment, bool) {
 // deployment; reduced runs sweep fewer points per axis.
 func reduced(s Scale) bool { return s.Duration < 600*time.Second }
 
-// Run expands the experiment's grid at scale, fans the cells out across
-// the work-stealing runner (scale.Parallelism wide), and returns one
-// sweep.Result per cell in grid order. A failure names the experiment and
-// the cell.
+// Run expands the experiment's grid at scale and executes the cells with
+// exec's options. It is the one executor: every figure, table, user sweep
+// and public sim.Run/RunAll call reaches the runner through it.
+func (e Experiment) Run(scale Scale, exec Exec) ([]sweep.Result, error) {
+	return e.run(e.Grid(scale).Expand(nil), exec)
+}
+
+// run fans cells out across the work-stealing runner (exec.Parallelism
+// wide) and returns one sweep.Result per cell in order, duplicates
+// included. A failure names the experiment and the cell.
 //
-// Execution options come from the scale: when scale.Cache is set, cells
-// whose canonical scenario hash is already stored skip Cell entirely (the
-// cache's hit counter is the proof); when scale.Sinks is set, each Result
-// streams out in grid order as runs land — the sweep.Stream reorder
-// buffer keeps sink output byte-identical at every worker count.
-func (e Experiment) Run(scale Scale) ([]sweep.Result, error) {
+// When exec.Cache is set, cells whose canonical scenario hash is already
+// stored skip Cell entirely (the cache's hit counter is the proof); when
+// exec.Sinks is set, each Result streams out in cell order as runs land —
+// the sweep.Stream reorder buffer keeps sink output byte-identical at
+// every worker count.
+func (e Experiment) run(cells []Scenario, exec Exec) ([]sweep.Result, error) {
 	cacheNS := e.CacheNS
 	if cacheNS == "" {
 		cacheNS = e.ID
 	}
-	cells := e.Grid(scale).Expand(nil)
 	canon := make([]Scenario, len(cells))
 	for i := range cells {
 		canon[i] = cells[i].Defaults()
 		// Shards is execution-only (byte-identical results either way)
 		// and excluded from the cache hash, so applying it after
 		// canonicalisation is safe.
-		if scale.Shards != 0 {
-			canon[i].Shards = scale.Shards
+		if exec.Shards != 0 {
+			canon[i].Shards = exec.Shards
 		}
 	}
 	results := make([]sweep.Result, len(cells))
-	stream := sweep.NewStream(scale.Sinks...)
+	stream := sweep.NewStream(exec.Sinks...)
 	// Process-wide peak heap across the grid's computed cells, sampled as
 	// each cell lands. Advisory (GC timing dependent), so it lives in
 	// Exec alongside the equally scheduling-dependent pool stats.
@@ -109,13 +114,13 @@ func (e Experiment) Run(scale Scale) ([]sweep.Result, error) {
 		mu                         sync.Mutex
 		peakHeapAlloc, peakHeapSys uint64
 	)
-	stats, err := runner.ForEachStats(scale.Parallelism, len(cells), func(i int) error {
+	stats, err := runner.ForEachStats(exec.Parallelism, len(cells), func(i int) error {
 		var logf func(format string, args ...any)
-		if scale.Debug != nil {
+		if exec.Debug != nil {
 			logf = func(format string, args ...any) {
 				mu.Lock()
 				defer mu.Unlock()
-				fmt.Fprintf(scale.Debug, "[%s] cell %q: "+format+"\n",
+				fmt.Fprintf(exec.Debug, "[%s] cell %q: "+format+"\n",
 					append([]any{e.ID, canon[i].Label}, args...)...)
 			}
 		}
@@ -124,8 +129,8 @@ func (e Experiment) Run(scale Scale) ([]sweep.Result, error) {
 			series  []sweep.Series
 			cached  bool
 		)
-		if scale.Cache != nil {
-			metrics, series, cached = scale.Cache.Get(cacheNS, canon[i])
+		if exec.Cache != nil {
+			metrics, series, cached = exec.Cache.Get(cacheNS, canon[i])
 		}
 		if !cached {
 			var err error
@@ -147,8 +152,8 @@ func (e Experiment) Run(scale Scale) ([]sweep.Result, error) {
 			if logf != nil {
 				logf("heap-alloc=%dMiB heap-sys=%dMiB", ms.HeapAlloc>>20, ms.HeapSys>>20)
 			}
-			if scale.Cache != nil {
-				if err := scale.Cache.Put(cacheNS, canon[i], metrics, series); err != nil {
+			if exec.Cache != nil {
+				if err := exec.Cache.Put(cacheNS, canon[i], metrics, series); err != nil {
 					return err
 				}
 			}
@@ -170,7 +175,7 @@ func (e Experiment) Run(scale Scale) ([]sweep.Result, error) {
 	// Attach the pool's backpressure stats (shared across the grid) and
 	// narrate them when debugging. Exec is json-skipped and uncached, so
 	// sink bytes and determinism comparisons never see it.
-	exec := &sweep.ExecStats{
+	pool := &sweep.ExecStats{
 		Workers:          stats.Workers,
 		Jobs:             stats.Jobs,
 		LocalClaims:      stats.LocalClaims,
@@ -181,14 +186,14 @@ func (e Experiment) Run(scale Scale) ([]sweep.Result, error) {
 		PeakHeapSys:      peakHeapSys,
 	}
 	for i := range results {
-		results[i].Exec = exec
+		results[i].Exec = pool
 	}
-	if scale.Debug != nil {
-		fmt.Fprintf(scale.Debug,
+	if exec.Debug != nil {
+		fmt.Fprintf(exec.Debug,
 			"[%s] runner: workers=%d jobs=%d local=%d steals=%d failed-scans=%d mean-queue-depth=%.1f peak-heap-alloc=%dMiB peak-heap-sys=%dMiB\n",
-			e.ID, exec.Workers, exec.Jobs, exec.LocalClaims, exec.Steals,
-			exec.FailedStealScans, exec.MeanQueueDepth,
-			exec.PeakHeapAlloc>>20, exec.PeakHeapSys>>20)
+			e.ID, pool.Workers, pool.Jobs, pool.LocalClaims, pool.Steals,
+			pool.FailedStealScans, pool.MeanQueueDepth,
+			pool.PeakHeapAlloc>>20, pool.PeakHeapSys>>20)
 	}
 	return results, nil
 }
@@ -217,17 +222,22 @@ func flood(extract func(*FloodRun) ([]sweep.Metric, []sweep.Series)) Cell {
 	}
 }
 
-// RunSweep executes an arbitrary user-declared scenario grid with the
-// standard flood metric set, streaming each cell's Result to scale.Sinks
-// and caching cells under the "sweep" experiment namespace. The grid runs
-// as declared: the scale supplies execution options only. It is the
-// engine behind the public sim.RunSweep.
-func RunSweep(scale Scale, grid sweep.Grid) ([]sweep.Result, error) {
-	return Experiment{
-		ID:   "sweep",
-		Grid: func(Scale) sweep.Grid { return grid },
-		Cell: flood(StandardMetrics),
-	}.Run(scale)
+// sweepCells measures user-declared cells with the standard flood metric
+// set, cached under the "sweep" namespace.
+var sweepCells = Experiment{ID: "sweep", Cell: flood(StandardMetrics)}
+
+// RunSweep executes an arbitrary user-declared scenario grid, as declared,
+// with the standard flood metric set. It is the engine behind the public
+// sim.RunSweep.
+func RunSweep(exec Exec, grid sweep.Grid) ([]sweep.Result, error) {
+	return RunCells(exec, grid.Expand(nil))
+}
+
+// RunCells is RunSweep over an explicit cell list: one Result per cell,
+// in order, with no deduplication. It is the engine behind sim.Run and
+// sim.RunAll.
+func RunCells(exec Exec, cells []Scenario) ([]sweep.Result, error) {
+	return sweepCells.run(cells, exec)
 }
 
 // StandardMetrics is the default flood measurement set used by RunSweep:

@@ -37,7 +37,7 @@ func runExp(t *testing.T, id string, scale Scale, grid ...sweep.Grid) []sweep.Re
 	if len(grid) > 0 {
 		e.Grid = func(Scale) sweep.Grid { return grid[0] }
 	}
-	results, err := e.Run(scale)
+	results, err := e.Run(scale, Exec{})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -45,7 +45,7 @@ func TestAblationAdaptiveRaisesDifficulty(t *testing.T) {
 		late := windowMean(run.AttackerEstablishedRate(), 75, 105)
 		return append(metrics, sweep.Metric{Name: "late_attack_cps", Value: late}), series
 	})
-	results, err := e.Run(tinyScale())
+	results, err := e.Run(tinyScale(), Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

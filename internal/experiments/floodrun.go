@@ -9,7 +9,6 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/internal/cpumodel"
 	"github.com/tcppuzzles/tcppuzzles/internal/netsim"
 	"github.com/tcppuzzles/tcppuzzles/internal/serversim"
-	"github.com/tcppuzzles/tcppuzzles/sim/runner"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
@@ -42,7 +41,7 @@ func shardCount(n int) int {
 // RunFlood builds and executes one flood scenario to completion. The run
 // is fully self-contained — engine, network and every RNG are derived
 // from the scenario's seed — so independent scenarios may execute
-// concurrently (see RunScenarios) with bit-for-bit identical results.
+// concurrently (see Experiment.Run) with bit-for-bit identical results.
 //
 // When sc.Shards selects more than one shard, the deployment's nodes are
 // partitioned by source address across that many event-engine shards and
@@ -146,23 +145,6 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 
 	network.Run(sc.Duration)
 	return run, nil
-}
-
-// RunScenarios fans a grid of independent scenarios out across the
-// work-stealing runner and returns the completed runs in grid order.
-// workers <= 0 selects GOMAXPROCS. Because each run's randomness derives
-// only from its own seed, the results are identical at every worker
-// count; parallelism divides wall-clock time only.
-func RunScenarios(workers int, scs []Scenario) ([]*FloodRun, error) {
-	return runner.Map(workers, len(scs), func(i int) (*FloodRun, error) {
-		run, err := RunFlood(scs[i])
-		if err != nil && scs[i].Label != "" {
-			// Name the failing grid cell; a bare job index doesn't
-			// identify which (k, m)/defense/rate was at fault.
-			return nil, fmt.Errorf("scenario %q: %w", scs[i].Label, err)
-		}
-		return run, err
-	})
 }
 
 // clientMean averages a per-client series across the clients, bucket by

@@ -73,8 +73,8 @@ func TestEngineStatsPinned(t *testing.T) {
 
 	// The -verbose line carries them; the sinks never do.
 	var debug, out strings.Builder
-	scale := Scale{Debug: &debug, Sinks: []sweep.Sink{sweep.NewNDJSON(&out)}}
-	if _, err := RunSweep(scale, sweep.Grid{Base: base}); err != nil {
+	exec := Exec{Debug: &debug, Sinks: []sweep.Sink{sweep.NewNDJSON(&out)}}
+	if _, err := RunSweep(exec, sweep.Grid{Base: base}); err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
 	const line = "timers=13259 packet-legs=199012 in-place=23650 arrivals-in-place=66657 cancelled=2833 peak-timers=487 peak-packets=183"

@@ -227,7 +227,7 @@ func TestFig6SketchDifferential(t *testing.T) {
 	// Sketch cells cache under their own namespace so exact and sketched
 	// results never alias.
 	sketch := Experiment{ID: "fig6-sketch", Grid: func(Scale) sweep.Grid { return grid }, Cell: fig6Cell(true)}
-	sketched, err := sketch.Run(Scale{})
+	sketched, err := sketch.Run(Scale{}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

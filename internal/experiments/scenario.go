@@ -16,9 +16,11 @@ type (
 	// Scenario is the canonical description of one deployment under
 	// attack. See sweep.Scenario.
 	Scenario = sweep.Scenario
-	// Scale rescales a scenario's deployment and carries execution
-	// options (runner width, sinks, cache). See sweep.Scale.
+	// Scale rescales a scenario's deployment. See sweep.Scale.
 	Scale = sweep.Scale
+	// Exec carries the execution options (runner width, shards, sinks,
+	// cache, debug). See sweep.Exec.
+	Exec = sweep.Exec
 	// Defense selects the server protection.
 	Defense = sweep.Defense
 	// Attack selects the botnet behaviour.

@@ -101,10 +101,10 @@ func TestRunFloodRejectsUnknownEnums(t *testing.T) {
 	}
 }
 
-// determinismGrid is a small mixed grid exercising every defense and
-// attack combination the runner fans out in real experiments.
-func determinismGrid() []Scenario {
-	return tinyScale().ApplyAll(
+// A failing cell in a parallel grid aborts the run, and the error names
+// the cell and its cause.
+func TestRunScenariosPropagatesError(t *testing.T) {
+	grid := tinyScale().ApplyAll(
 		Scenario{Label: "puzzles", Defense: DefensePuzzles, Attack: AttackConnFlood,
 			ClientsSolve: true, BotsSolve: true},
 		Scenario{Label: "cookies", Defense: DefenseCookies, Attack: AttackSYNFlood,
@@ -114,9 +114,14 @@ func determinismGrid() []Scenario {
 		Scenario{Label: "syncache", Defense: DefenseSYNCache, Attack: AttackSYNFlood,
 			ClientsSolve: true},
 	)
+	grid[2].Defense = "bogus"
+	_, err := RunCells(Exec{Parallelism: 4}, grid)
+	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), `"none"`) {
+		t.Errorf("error not propagated: %v", err)
+	}
 }
 
-// seriesFingerprint materialises every measurement series of a run into
+// seriesFingerprint flattens every measurement series of a run into
 // one comparable string, so "identical results" means bit-for-bit equal
 // series, not just equal summaries.
 func seriesFingerprint(run *FloodRun) string {
@@ -141,35 +146,6 @@ func seriesFingerprint(run *FloodRun) string {
 	return b.String()
 }
 
-// The tentpole guarantee: the same grid produces bit-for-bit identical
-// series at every worker count.
-func TestRunScenariosDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the grid at four worker counts")
-	}
-	grid := determinismGrid()
-	baseline, err := RunScenarios(1, grid)
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
-	want := make([]string, len(baseline))
-	for i, run := range baseline {
-		want[i] = seriesFingerprint(run)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		runs, err := RunScenarios(workers, grid)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, run := range runs {
-			if got := seriesFingerprint(run); got != want[i] {
-				t.Errorf("workers=%d: scenario %q differs from workers=1",
-					workers, grid[i].Label)
-			}
-		}
-	}
-}
-
 // Distinct seeds must produce distinct series: the seed really drives the
 // randomness, for every seed.
 func TestDistinctSeedsProduceDistinctSeries(t *testing.T) {
@@ -179,12 +155,12 @@ func TestDistinctSeedsProduceDistinctSeries(t *testing.T) {
 		grid[i] = base
 		grid[i].Seed = int64(100 + i)
 	}
-	runs, err := RunScenarios(0, grid)
-	if err != nil {
-		t.Fatalf("RunScenarios: %v", err)
-	}
-	seen := make(map[string]int64, len(runs))
-	for i, run := range runs {
+	seen := make(map[string]int64, len(grid))
+	for i, sc := range grid {
+		run, err := RunFlood(sc)
+		if err != nil {
+			t.Fatalf("RunFlood(seed %d): %v", sc.Seed, err)
+		}
 		fp := seriesFingerprint(run)
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("seeds %d and %d produced identical series", prev, grid[i].Seed)
@@ -204,13 +180,5 @@ func TestQuickScaleGridThroughRunner(t *testing.T) {
 	ck := metric(t, results, "cookies", "client_mbps_during")
 	if pz <= ck {
 		t.Errorf("QuickScale: puzzles during (%v) not above cookies (%v)", pz, ck)
-	}
-}
-
-func TestRunScenariosPropagatesError(t *testing.T) {
-	grid := determinismGrid()
-	grid[2].Defense = "bogus"
-	if _, err := RunScenarios(4, grid); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("error not propagated: %v", err)
 	}
 }

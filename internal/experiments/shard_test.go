@@ -81,16 +81,16 @@ func shardMatrixGrid() sweep.Grid {
 // structured results.
 func runShardMatrixCell(t *testing.T, shards, workers int) ([]byte, []byte, []sweep.Result) {
 	t.Helper()
-	scale := tinyScale()
-	scale.Shards = shards
-	scale.Parallelism = workers
 	var csvBuf, jsonBuf bytes.Buffer
-	scale.Sinks = []sweep.Sink{sweep.NewCSV(&csvBuf), sweep.NewNDJSON(&jsonBuf)}
+	exec := Exec{
+		Shards: shards, Parallelism: workers,
+		Sinks: []sweep.Sink{sweep.NewCSV(&csvBuf), sweep.NewNDJSON(&jsonBuf)},
+	}
 	// Apply the scale so the cells are tiny; RunSweep's grid-as-declared
 	// semantics would run the paper-scale defaults here.
 	grid := shardMatrixGrid()
-	grid.Base = scale.Apply(grid.Base)
-	results, err := RunSweep(scale, grid)
+	grid.Base = tinyScale().Apply(grid.Base)
+	results, err := RunSweep(exec, grid)
 	if err != nil {
 		t.Fatalf("RunSweep(shards=%d, workers=%d): %v", shards, workers, err)
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // tinySweepGrid is a small mixed-defense design for end-to-end sweep
-// tests; cells carry their own deployment size (RunSweep applies no
-// scale).
+// tests; cells carry their own deployment size (RunSweep runs a grid as
+// declared).
 func tinySweepGrid() sweep.Grid {
 	return sweep.Grid{
 		Base: Scenario{
@@ -40,11 +40,11 @@ func TestSinkOutputIdenticalAcrossWorkers(t *testing.T) {
 	grid := tinySweepGrid()
 	render := func(workers int) (csvOut, jsonOut string) {
 		var csvBuf, jsonBuf bytes.Buffer
-		scale := Scale{
+		exec := Exec{
 			Parallelism: workers,
 			Sinks:       []sweep.Sink{sweep.NewCSV(&csvBuf), sweep.NewNDJSON(&jsonBuf)},
 		}
-		if _, err := RunSweep(scale, grid); err != nil {
+		if _, err := RunSweep(exec, grid); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return csvBuf.String(), jsonBuf.String()
@@ -81,9 +81,9 @@ func TestRunCellsCacheSkipsCompute(t *testing.T) {
 				[]sweep.Series{{Name: "trace", Values: []float64{float64(i)}}}, nil
 		},
 	}
-	scale := Scale{Cache: cache}
+	exec := Exec{Cache: cache}
 
-	first, err := e.Run(scale)
+	first, err := e.Run(Scale{}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRunCellsCacheSkipsCompute(t *testing.T) {
 		t.Fatalf("first run hits=%d misses=%d, want 0/3", cache.Hits(), cache.Misses())
 	}
 
-	second, err := e.Run(scale)
+	second, err := e.Run(Scale{}, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRunCellsCacheSkipsCompute(t *testing.T) {
 
 	// A different experiment namespace must not see the entries.
 	e.ID = "othertest"
-	if _, err := e.Run(scale); err != nil {
+	if _, err := e.Run(Scale{}, exec); err != nil {
 		t.Fatal(err)
 	}
 	if got := computed.Load(); got != 6 {
@@ -137,8 +137,8 @@ func TestRunSweepCachedRerunIdentical(t *testing.T) {
 	grid := tinySweepGrid()
 	run := func() string {
 		var buf bytes.Buffer
-		scale := Scale{Sinks: []sweep.Sink{sweep.NewCSV(&buf)}, Cache: cache}
-		if _, err := RunSweep(scale, grid); err != nil {
+		exec := Exec{Sinks: []sweep.Sink{sweep.NewCSV(&buf)}, Cache: cache}
+		if _, err := RunSweep(exec, grid); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -167,9 +167,11 @@ func TestFig10And11ShareCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := TinyScale()
-	scale.Cache = cache
-	f10 := runExp(t, "fig10", scale)
+	exec := Exec{Cache: cache}
+	f10, err := mustExp(t, "fig10").Run(TinyScale(), exec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cache.Hits() != 0 || cache.Misses() != 2 {
 		t.Fatalf("fig10 hits=%d misses=%d, want 0/2", cache.Hits(), cache.Misses())
 	}
@@ -177,7 +179,7 @@ func TestFig10And11ShareCache(t *testing.T) {
 	fig11.Cell = func(int, Scenario, func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
 		return nil, nil, fmt.Errorf("fig11 simulated despite cache hits")
 	}
-	f11, err := fig11.Run(scale)
+	f11, err := fig11.Run(TinyScale(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +222,11 @@ func TestFailuresNameExperimentAndCell(t *testing.T) {
 		run  func() ([]sweep.Result, error)
 		want string
 	}{
-		{"synthetic", func() ([]sweep.Result, error) { return synthetic.Run(Scale{}) },
+		{"synthetic", func() ([]sweep.Result, error) { return synthetic.Run(Scale{}, Exec{}) },
 			`experiments: errtest: scenario "seed=2": boom`},
-		{"RunSweep", func() ([]sweep.Result, error) { return RunSweep(Scale{}, bogus) },
+		{"RunSweep", func() ([]sweep.Result, error) { return RunSweep(Exec{}, bogus) },
 			`experiments: sweep: scenario "defense=bogus": experiments: server: serversim: defense: unknown defense "bogus"`},
-		{"registered", func() ([]sweep.Result, error) { return fig7.Run(tinyScale()) },
+		{"registered", func() ([]sweep.Result, error) { return fig7.Run(tinyScale(), Exec{}) },
 			`experiments: fig7: scenario "cookies": experiments: server: serversim: defense: unknown defense "bogus"`},
 	} {
 		_, err := tc.run()
@@ -256,8 +258,8 @@ func TestNewPluginsSweepCacheRoundTrip(t *testing.T) {
 	}
 	render := func() string {
 		var buf bytes.Buffer
-		scale := Scale{Cache: cache, Sinks: []sweep.Sink{sweep.NewCSV(&buf)}}
-		results, err := RunSweep(scale, grid)
+		exec := Exec{Cache: cache, Sinks: []sweep.Sink{sweep.NewCSV(&buf)}}
+		results, err := RunSweep(exec, grid)
 		if err != nil {
 			t.Fatalf("RunSweep: %v", err)
 		}

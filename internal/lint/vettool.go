@@ -28,7 +28,7 @@ import (
 //     empty here, the suite uses none) even when it reports nothing.
 //
 // cmd/go invokes the tool once per dependency with VetxOnly=true purely to
-// materialise facts; those invocations skip analysis entirely.
+// produce facts; those invocations skip analysis entirely.
 
 // vetConfig mirrors the JSON written by cmd/go for each vet unit.
 type vetConfig struct {

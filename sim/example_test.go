@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"log"
 	"os"
 	"time"
@@ -41,4 +42,27 @@ func ExampleRunSweep() {
 	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,client_mbps_during,1.2850000000000001
 	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,client_mbps_after,1.5077333333333334
 	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,attacker_established_cps,3.7857142857142856
+}
+
+// ExampleRun simulates one small connection flood against puzzles (the
+// default defense) and prints its summary metrics: client goodput before, during and after the
+// attack, and the attacker's established connections per second.
+func ExampleRun() {
+	res, err := sim.Run(sim.Scenario{
+		Duration: 30 * time.Second, AttackStart: 8 * time.Second, AttackStop: 22 * time.Second,
+		NumClients: 2, ClientRate: 6, BotCount: 2, PerBotRate: 50,
+		Backlog: 64, AcceptBacklog: 64, Workers: 16,
+		ClientsSolve: true, BotsSolve: true, Seed: 7,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, m := range res.Metrics {
+		fmt.Printf("%s %.4f\n", m.Name, m.Value)
+	}
+	// Output:
+	// client_mbps_before 4.8522
+	// client_mbps_during 1.2850
+	// client_mbps_after 1.5077
+	// attacker_established_cps 3.7857
 }

@@ -27,38 +27,37 @@ const (
 	ScaleTiny Scale = "tiny"
 )
 
-func (s Scale) flood() (experiments.Scale, error) {
-	switch s {
-	case "", ScaleQuick:
-		return experiments.QuickScale(), nil
-	case ScalePaper:
-		return experiments.PaperScale(), nil
-	case ScaleTiny:
-		return experiments.TinyScale(), nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("sim: unknown scale %q", s)
-	}
+// deployments sizes each Scale.
+var deployments = map[Scale]func() experiments.Scale{
+	"": experiments.QuickScale, ScaleQuick: experiments.QuickScale,
+	ScalePaper: experiments.PaperScale, ScaleTiny: experiments.TinyScale,
 }
 
 // RunOption tunes how an experiment executes (never what it computes).
-type RunOption func(*experiments.Scale)
+type RunOption func(*sweep.Exec)
+
+// execOf applies opts to the zero execution options.
+func execOf(opts []RunOption) sweep.Exec {
+	var exec sweep.Exec
+	for _, opt := range opts {
+		opt(&exec)
+	}
+	return exec
+}
 
 // WithWorkers sets the runner pool width used to fan the experiment's
 // scenario grid out (0 = GOMAXPROCS, 1 = serial). Results are identical
 // at every width.
 func WithWorkers(n int) RunOption {
-	return func(s *experiments.Scale) { s.Parallelism = n }
+	return func(e *sweep.Exec) { e.Parallelism = n }
 }
 
 // WithShards partitions every simulated scenario's nodes across n
-// event-engine shards executing concurrently in lock-step time windows
-// (0 or 1 = the classic single heap, AutoShards = one per core). Like
-// WithWorkers this is an execution knob only: metrics and sink output are
-// byte-identical at every shard count. Workers parallelise *across* grid
-// cells; shards parallelise *inside* one cell, which is what speeds up a
-// single very large flood.
+// event-engine shards run in lock-step time windows (0 or 1 = one heap,
+// AutoShards = one per core). Workers parallelise across grid cells,
+// shards inside one; output is byte-identical at every shard count.
 func WithShards(n int) RunOption {
-	return func(s *experiments.Scale) { s.Shards = n }
+	return func(e *sweep.Exec) { e.Shards = n }
 }
 
 // AutoShards selects one event-engine shard per core.
@@ -69,7 +68,7 @@ const AutoShards = sweep.AutoShards
 // sweep.NewTable). The caller owns the sinks and flushes them after the
 // last run.
 func WithSinks(sinks ...sweep.Sink) RunOption {
-	return func(s *experiments.Scale) { s.Sinks = append(s.Sinks, sinks...) }
+	return func(e *sweep.Exec) { e.Sinks = append(e.Sinks, sinks...) }
 }
 
 // WithCache short-circuits grid cells whose canonical scenario hash is
@@ -77,7 +76,7 @@ func WithSinks(sinks ...sweep.Sink) RunOption {
 // and report identical results (see sweep.OpenCache; the cache's
 // Hits/Misses counters make the skips observable).
 func WithCache(c *sweep.Cache) RunOption {
-	return func(s *experiments.Scale) { s.Cache = c }
+	return func(e *sweep.Exec) { e.Cache = c }
 }
 
 // WithDebug streams execution observability to w as cells complete:
@@ -86,7 +85,7 @@ func WithCache(c *sweep.Cache) RunOption {
 // steals, failed steal scans, mean queue depth). Purely observational —
 // results, sinks, and the cache never see it.
 func WithDebug(w io.Writer) RunOption {
-	return func(s *experiments.Scale) { s.Debug = w }
+	return func(e *sweep.Exec) { e.Debug = w }
 }
 
 // ExperimentIDs returns the available experiment identifiers in display
@@ -100,24 +99,19 @@ func ExperimentIDs() []string {
 }
 
 // RunExperiment executes a named experiment at the given scale and returns
-// its result tables. The experiment's scenario grid fans out across the
-// work-stealing runner; use WithWorkers to bound the pool width, WithSinks
-// to stream each grid cell's structured Result as CSV/NDJSON/tables, and
-// WithCache to skip cells already present in a result cache.
+// its result tables. WithSinks streams each grid cell's structured Result
+// as well, and WithCache skips cells already present in a result cache.
 func RunExperiment(id string, scale Scale, opts ...RunOption) ([]Table, error) {
-	fs, err := scale.flood()
-	if err != nil {
-		return nil, err
-	}
-	for _, opt := range opts {
-		opt(&fs)
+	deployment, ok := deployments[scale]
+	if !ok {
+		return nil, fmt.Errorf("sim: unknown scale %q", scale)
 	}
 	e, ok := experiments.ByID(strings.ToLower(id))
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown experiment %q (known: %s)",
 			id, strings.Join(ExperimentIDs(), ", "))
 	}
-	results, err := e.Run(fs)
+	results, err := e.Run(deployment(), execOf(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -125,16 +119,9 @@ func RunExperiment(id string, scale Scale, opts ...RunOption) ([]Table, error) {
 }
 
 // RunSweep executes a user-declared factorial design: the grid expands to
-// its deduplicated scenario cells, the cells fan out across the
-// work-stealing runner, and each completed cell is measured with the
-// standard flood metric set (client goodput per attack phase, effective
-// attack rate, and the headline series). Results stream to WithSinks
-// sinks in grid order as runs land and are cached under WithCache, so
-// re-running a sweep re-simulates only new cells.
+// its deduplicated cells, each measured like a Run. Results stream to
+// WithSinks sinks in grid order as runs land and are cached under
+// WithCache, so re-running a sweep re-simulates only new cells.
 func RunSweep(grid sweep.Grid, opts ...RunOption) ([]sweep.Result, error) {
-	var scale experiments.Scale // zero deployment: only execution options apply
-	for _, opt := range opts {
-		opt(&scale)
-	}
-	return experiments.RunSweep(scale, grid)
+	return experiments.RunSweep(execOf(opts), grid)
 }

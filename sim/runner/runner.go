@@ -1,16 +1,10 @@
 // Package runner is the experiment execution subsystem: a work-stealing
-// goroutine pool that fans independent jobs out across the machine's cores.
-//
-// Every figure and table driver in this repository declares its scenarios
-// as data (a sweep.Grid) and submits the expanded cells here, so a
-// difficulty grid, a defense comparison, or a botnet sweep runs as wide
-// as the hardware allows. Results are always returned in submission
-// order, and a job's outcome depends only on its own inputs (each
-// simulated scenario carries its own seed and builds its own RNG), so
-// output is bit-for-bit identical at any worker count — parallelism
-// changes wall-clock time, never results. The streaming sinks one layer
-// up (sweep.Stream) preserve that guarantee on the serialization path by
-// re-ordering completions back to submission order.
+// goroutine pool that fans independent jobs — the expanded cells of a
+// sweep.Grid — out across the machine's cores. Results come back in
+// submission order, and a job's outcome depends only on its own inputs
+// (each simulated scenario carries its own seed), so output is
+// bit-for-bit identical at any worker count. sweep.Stream keeps that
+// guarantee on the sink path by re-ordering completions.
 package runner
 
 import (
@@ -20,7 +14,7 @@ import (
 	"sync/atomic"
 )
 
-// Stats describes how one Map/ForEach call executed — the pool's
+// Stats describes how one Map/ForEachStats call executed — the pool's
 // backpressure signals for tuning worker counts on big machines. All
 // numbers are observational: they vary run to run with goroutine
 // scheduling and never feed back into results.
@@ -46,100 +40,73 @@ type Stats struct {
 }
 
 // Map runs fn(i) for every i in [0, n) on a work-stealing pool of the
-// given width and returns the results ordered by index. workers <= 0
-// selects runtime.GOMAXPROCS(0). fn must be safe for concurrent use and
+// given width and returns the results ordered by index; see ForEachStats
+// for the pool's width, failure and ordering rules. All results are
+// discarded if any job fails.
+func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	results := make([]T, n)
+	if _, err := ForEachStats(workers, n, func(i int) (err error) {
+		results[i], err = fn(i)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// ForEachStats runs fn(i) for every i in [0, n) on a work-stealing pool of
+// the given width and reports the pool's execution statistics. workers <=
+// 0 selects runtime.GOMAXPROCS(0). fn must be safe for concurrent use and
 // should depend only on i.
 //
 // If any job fails, workers stop claiming new jobs (in-flight jobs
-// finish) and Map returns the lowest-indexed error among the jobs that
-// ran; all results are discarded. Whether Map fails never depends on the
-// worker count — job validity is a function of the inputs alone — but
-// when several jobs are invalid, which one is reported may.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	results, _, err := MapStats(workers, n, fn)
-	return results, err
-}
-
-// MapStats is Map plus the pool's execution statistics.
-func MapStats[T any](workers, n int, fn func(i int) (T, error)) ([]T, Stats, error) {
+// finish) and ForEachStats returns the lowest-indexed error among the
+// jobs that ran. Whether it fails never depends on the worker count — job
+// validity is a function of the inputs alone — but when several jobs are
+// invalid, which one is reported may.
+func ForEachStats(workers, n int, fn func(i int) error) (Stats, error) {
 	if n <= 0 {
-		return nil, Stats{}, nil
+		return Stats{}, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	results := make([]T, n)
+	workers = min(workers, n)
+	queues := newDeques(workers, n)
 	errs := make([]error, n)
-	if workers == 1 {
-		// Fast path: no goroutines, no synchronisation.
-		stats := Stats{Workers: 1}
-		var depthSum int64
-		for i := 0; i < n; i++ {
-			stats.Jobs++
-			stats.LocalClaims++
-			depthSum += int64(n - i - 1)
-			results[i], errs[i] = fn(i)
-			if errs[i] != nil {
-				break
+	work := func(self int) {
+		for {
+			i, ok := queues.next(self)
+			if !ok {
+				return
+			}
+			if errs[i] = fn(i); errs[i] != nil {
+				queues.failed.Store(true)
 			}
 		}
-		if stats.Jobs > 0 {
-			stats.MeanQueueDepth = float64(depthSum) / float64(stats.Jobs)
-		}
-		res, err := finish(results, errs)
-		return res, stats, err
 	}
-
-	queues := newDeques(workers, n)
+	// Worker 0 runs on the calling goroutine, so a serial pool starts no
+	// goroutines at all.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
-			for {
-				i, ok := queues.next(self)
-				if !ok {
-					return
-				}
-				results[i], errs[i] = fn(i)
-				if errs[i] != nil {
-					queues.failed.Store(true)
-				}
-			}
+			work(self)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
-	res, err := finish(results, errs)
-	return res, queues.stats(workers), err
-}
-
-// ForEach is Map for jobs with no result value.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// ForEachStats is ForEach plus the pool's execution statistics.
-func ForEachStats(workers, n int, fn func(i int) error) (Stats, error) {
-	_, stats, err := MapStats(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return stats, err
-}
-
-// finish returns the results, or the error of the lowest failing index.
-func finish[T any](results []T, errs []error) ([]T, error) {
+	stats := queues.stats(workers)
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("runner: job %d: %w", i, err)
+			return stats, fmt.Errorf("runner: job %d: %w", i, err)
 		}
 	}
-	return results, nil
+	return stats, nil
 }
 
 // deques is the work-stealing state: each worker owns a contiguous index
@@ -204,7 +171,7 @@ func (d *deques) next(self int) (int, bool) {
 	if d.failed.Load() {
 		return 0, false
 	}
-	if i, ok := d.shards[self].popBottom(); ok {
+	if i, ok := d.shards[self].pop(false); ok {
 		d.depthSum.Add(d.remaining.Add(-1))
 		d.localClaims.Add(1)
 		return i, true
@@ -223,7 +190,7 @@ func (d *deques) next(self int) (int, bool) {
 			d.failedScans.Add(1)
 			return 0, false
 		}
-		if i, ok := d.shards[victim].popTop(); ok {
+		if i, ok := d.shards[victim].pop(true); ok {
 			d.depthSum.Add(d.remaining.Add(-1))
 			d.steals.Add(1)
 			return i, true
@@ -234,24 +201,20 @@ func (d *deques) next(self int) (int, bool) {
 	return 0, false
 }
 
-func (s *shard) popBottom() (int, bool) {
+// pop claims the shard's bottom index (the owner's end) or, for a thief,
+// its top index.
+func (s *shard) pop(top bool) (int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lo >= s.hi {
 		return 0, false
+	}
+	if top {
+		s.hi--
+		return s.hi, true
 	}
 	s.lo++
 	return s.lo - 1, true
-}
-
-func (s *shard) popTop() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lo >= s.hi {
-		return 0, false
-	}
-	s.hi--
-	return s.hi, true
 }
 
 func (s *shard) width() int {

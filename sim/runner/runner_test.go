@@ -94,7 +94,7 @@ func TestMapStopsClaimingAfterFailure(t *testing.T) {
 
 func TestMapRunsEveryJobExactlyOnce(t *testing.T) {
 	var counts [257]atomic.Int32
-	err := ForEach(8, len(counts), func(i int) error {
+	_, err := ForEachStats(8, len(counts), func(i int) error {
 		counts[i].Add(1)
 		return nil
 	})
@@ -116,7 +116,7 @@ func TestMapStealsSkewedWork(t *testing.T) {
 	// stealing, total wall-clock must be far below the serial sum.
 	const n = 8
 	start := time.Now()
-	err := ForEach(4, n, func(i int) error {
+	_, err := ForEachStats(4, n, func(i int) error {
 		if i < n/2 {
 			time.Sleep(40 * time.Millisecond)
 		}
@@ -158,7 +158,7 @@ func TestMapParallelSpeedup(t *testing.T) {
 
 func TestMapStatsAccountsEveryClaim(t *testing.T) {
 	const n = 64
-	_, stats, err := MapStats(4, n, func(i int) (int, error) { return i, nil })
+	stats, err := ForEachStats(4, n, func(int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestMapStatsAccountsEveryClaim(t *testing.T) {
 }
 
 func TestMapStatsSerialFastPath(t *testing.T) {
-	_, stats, err := MapStats(1, 10, func(i int) (int, error) { return i, nil })
+	stats, err := ForEachStats(1, 10, func(int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestMapStatsCountsSteals(t *testing.T) {
 		t.Skip("timing-sensitive")
 	}
 	// Skew all the cost into worker 0's shard: the others must steal.
-	_, stats, err := MapStats(4, 16, func(i int) (int, error) {
+	stats, err := ForEachStats(4, 16, func(i int) error {
 		if i < 4 {
 			time.Sleep(30 * time.Millisecond)
 		}
-		return i, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

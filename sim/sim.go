@@ -1,17 +1,15 @@
-// Package sim is the public façade over the simulated testbed: it builds
-// and runs attack scenarios (SYN floods, connection floods, solution
-// floods) against a server protected by client puzzles, SYN cookies, a SYN
-// cache, or nothing, and returns materialised measurement series.
+// Package sim is the public façade over the simulated testbed: it runs
+// attack scenarios (SYN floods, connection floods, solution floods)
+// against a server protected by client puzzles, SYN cookies, a SYN cache,
+// or nothing, and returns each run as a sweep.Result — the standard flood
+// metrics (client goodput per attack phase, effective attack rate) and
+// their per-second series.
 //
-// Scenario is the one canonical configuration type (defined in the sweep
-// package) shared with the internal experiment drivers, and grids of
-// scenarios fan out across the work-stealing pool in sim/runner (see
-// RunAll). The paper's evaluation is exposed as named experiments (see
-// ExperimentIDs and RunExperiment) so a downstream user can regenerate
-// every figure and table from §6 with one call, and RunSweep executes
-// arbitrary factorial designs declared as sweep.Grid literals — with
-// streaming CSV/NDJSON sinks (WithSinks) and scenario-hash result
-// caching (WithCache).
+// Run and RunAll execute scenarios, RunSweep a factorial design declared
+// as a sweep.Grid, and RunExperiment a named figure or table of §6 (see
+// ExperimentIDs). All four share one executor: cells fan out across the
+// work-stealing pool in sim/runner, stream to WithSinks sinks, and are
+// cached under WithCache.
 package sim
 
 import (
@@ -57,72 +55,21 @@ const NoBotnet = experiments.NoBotnet
 // explicit sentinels (NoBotnet, Workers: -1).
 type Scenario = experiments.Scenario
 
-// Result holds materialised measurements from a completed scenario. All
-// series are per-second.
-type Result struct {
-	// ClientMbps is the mean per-client goodput.
-	ClientMbps []float64
-	// ServerMbps is the server's outgoing throughput.
-	ServerMbps []float64
-	// ServerCPUPct, ClientCPUPct, AttackerCPUPct are utilisation series.
-	ServerCPUPct   []float64
-	ClientCPUPct   []float64
-	AttackerCPUPct []float64
-	// ListenQueue and AcceptQueue are occupancy series.
-	ListenQueue []float64
-	AcceptQueue []float64
-	// AttackerEstablishedPerSec is the effective attack rate.
-	AttackerEstablishedPerSec []float64
-	// AttackerSentPerSec is the measured (post-CPU-limit) attack rate.
-	AttackerSentPerSec []float64
-	// Summary numbers over the attack phases.
-	ClientMbpsBefore, ClientMbpsDuring, ClientMbpsAfter float64
-	EffectiveAttackRate                                 float64
-}
-
-// Run executes a scenario to completion.
-func Run(sc Scenario) (*Result, error) {
-	run, err := experiments.RunFlood(sc)
+// Run executes a scenario to completion and measures it like a RunSweep
+// cell. The options apply as they do to RunSweep: WithCache skips a
+// scenario already stored, and WithSinks streams the result.
+func Run(sc Scenario, opts ...RunOption) (sweep.Result, error) {
+	results, err := RunAll([]Scenario{sc}, opts...)
 	if err != nil {
-		return nil, err
+		return sweep.Result{}, err
 	}
-	return materialise(run), nil
+	return results[0], nil
 }
 
-// RunAll executes a grid of independent scenarios on the work-stealing
-// runner and returns the results in grid order. workers <= 0 selects
-// GOMAXPROCS. Results are bit-for-bit identical at every worker count;
-// parallelism divides wall-clock time only.
-func RunAll(workers int, scs []Scenario) ([]*Result, error) {
-	runs, err := experiments.RunScenarios(workers, scs)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*Result, len(runs))
-	for i, run := range runs {
-		results[i] = materialise(run)
-	}
-	return results, nil
-}
-
-// materialise reads a run's series, and its summary numbers from the
-// standard metric set, so Run reports exactly what RunSweep would.
-func materialise(run *experiments.FloodRun) *Result {
-	metrics, series := experiments.StandardMetrics(run)
-	std := sweep.Result{Metrics: metrics, Series: series}
-	res := &Result{
-		ClientMbps:                std.SeriesValues("client_mbps"),
-		ServerMbps:                std.SeriesValues("server_mbps"),
-		ServerCPUPct:              std.SeriesValues("server_cpu_pct"),
-		ClientCPUPct:              run.ClientCPU(),
-		AttackerCPUPct:            run.AttackerCPU(),
-		AttackerEstablishedPerSec: std.SeriesValues("attacker_established_cps"),
-		AttackerSentPerSec:        run.MeasuredAttackRate(),
-		ClientMbpsBefore:          std.Metric("client_mbps_before"),
-		ClientMbpsDuring:          std.Metric("client_mbps_during"),
-		ClientMbpsAfter:           std.Metric("client_mbps_after"),
-		EffectiveAttackRate:       std.Metric("attacker_established_cps"),
-	}
-	res.ListenQueue, res.AcceptQueue = run.QueueSizes()
-	return res
+// RunAll executes independent scenarios on the work-stealing runner
+// (WithWorkers bounds it) and returns one result per scenario, in input
+// order, duplicates included. Results are bit-for-bit identical at every
+// worker count; parallelism divides wall-clock time only.
+func RunAll(scs []Scenario, opts ...RunOption) ([]sweep.Result, error) {
+	return experiments.RunCells(execOf(opts), scs)
 }

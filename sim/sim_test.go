@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -34,17 +35,13 @@ func TestRunPuzzlesScenario(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.ClientMbpsBefore <= 0 {
-		t.Errorf("ClientMbpsBefore = %v", res.ClientMbpsBefore)
+	if v := res.Metric("client_mbps_before"); v <= 0 {
+		t.Errorf("client_mbps_before = %v", v)
 	}
-	if len(res.ClientMbps) == 0 || len(res.ServerMbps) == 0 {
-		t.Error("empty series")
-	}
-	if len(res.ListenQueue) == 0 || len(res.AcceptQueue) == 0 {
-		t.Error("empty queue series")
-	}
-	if len(res.AttackerSentPerSec) == 0 {
-		t.Error("empty attacker series")
+	for _, name := range []string{"client_mbps", "server_mbps", "server_cpu_pct", "attacker_established_cps"} {
+		if len(res.SeriesValues(name)) == 0 {
+			t.Errorf("empty %s series", name)
+		}
 	}
 }
 
@@ -60,10 +57,16 @@ func TestRunDefenseComparison(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run(puzzles): %v", err)
 	}
-	if puzzles.ClientMbpsDuring <= noDef.ClientMbpsDuring {
-		t.Errorf("puzzles during %v not above none %v",
-			puzzles.ClientMbpsDuring, noDef.ClientMbpsDuring)
+	if pz, none := puzzles.Metric("client_mbps_during"), noDef.Metric("client_mbps_during"); pz <= none {
+		t.Errorf("puzzles during %v not above none %v", pz, none)
 	}
+}
+
+// measured strips a result to what it measured, dropping the
+// scheduling-dependent pool stats.
+func measured(r sweep.Result) sweep.Result {
+	r.Exec = nil
+	return r
 }
 
 func TestRunDeterministic(t *testing.T) {
@@ -75,8 +78,7 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.ClientMbpsDuring != b.ClientMbpsDuring ||
-		a.EffectiveAttackRate != b.EffectiveAttackRate {
+	if !reflect.DeepEqual(measured(a), measured(b)) {
 		t.Error("equal seeds produced different results")
 	}
 	c := tinyScenario()
@@ -85,9 +87,28 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if other.ClientMbpsBefore == a.ClientMbpsBefore &&
-		other.EffectiveAttackRate == a.EffectiveAttackRate {
+	if reflect.DeepEqual(other.Metrics, a.Metrics) {
 		t.Log("different seeds produced identical summary (possible but unlikely)")
+	}
+}
+
+// Run is a one-cell RunSweep: the same executor, cell and metric set.
+func TestRunMatchesRunSweepCell(t *testing.T) {
+	sc := tinyScenario()
+	sc.Label = "one"
+	got, err := Run(sc)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want, err := RunSweep(sweep.Grid{Base: sc})
+	if err != nil {
+		t.Fatalf("RunSweep: %v", err)
+	}
+	if len(want) != 1 {
+		t.Fatalf("RunSweep: %d results, want 1", len(want))
+	}
+	if !reflect.DeepEqual(measured(got), measured(want[0])) {
+		t.Errorf("Run differs from the RunSweep cell:\n got %+v\nwant %+v", got, want[0])
 	}
 }
 
@@ -96,7 +117,7 @@ func TestRunAllMatchesSequentialRun(t *testing.T) {
 	for i := range scs {
 		scs[i].Seed = int64(10 + i)
 	}
-	parallel, err := RunAll(4, scs)
+	parallel, err := RunAll(scs, WithWorkers(4))
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
@@ -105,26 +126,83 @@ func TestRunAllMatchesSequentialRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run(%d): %v", i, err)
 		}
-		if len(parallel[i].ClientMbps) != len(serial.ClientMbps) {
-			t.Fatalf("scenario %d: series length mismatch", i)
+		if !reflect.DeepEqual(measured(parallel[i]), measured(serial)) {
+			t.Errorf("scenario %d: RunAll differs from Run", i)
 		}
-		for j := range serial.ClientMbps {
-			if parallel[i].ClientMbps[j] != serial.ClientMbps[j] {
-				t.Fatalf("scenario %d bucket %d: parallel %v != serial %v",
-					i, j, parallel[i].ClientMbps[j], serial.ClientMbps[j])
-			}
+	}
+}
+
+// RunAll runs what it is given: a repeated scenario is not deduplicated
+// the way a grid's cells are.
+func TestRunAllKeepsDuplicatesInOrder(t *testing.T) {
+	a, b := tinyScenario(), tinyScenario()
+	a.Label, b.Label = "a", "b"
+	b.Defense = DefenseCookies
+	scs := []Scenario{a, b, a}
+	results, err := RunAll(scs, WithWorkers(2))
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if len(results) != len(scs) {
+		t.Fatalf("RunAll: %d results for %d scenarios", len(results), len(scs))
+	}
+	for i, r := range results {
+		if r.Scenario != scs[i].Defaults() {
+			t.Errorf("result %d ran %q (%s), want %q (%s)", i,
+				r.Scenario.Label, r.Scenario.Defense, scs[i].Label, scs[i].Defense)
 		}
-		if parallel[i].EffectiveAttackRate != serial.EffectiveAttackRate {
-			t.Errorf("scenario %d: attack rate differs", i)
+	}
+	if !reflect.DeepEqual(measured(results[0]), measured(results[2])) {
+		t.Error("the repeated scenario measured differently")
+	}
+}
+
+// The determinism guarantee at the façade: RunAll's sink stream is
+// byte-identical at every worker count, across defenses and attacks.
+func TestRunAllNDJSONIdenticalAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a mixed grid at two worker counts")
+	}
+	var scs []Scenario
+	for _, v := range []struct {
+		d Defense
+		a Attack
+	}{
+		{DefensePuzzles, AttackConnFlood}, {DefenseCookies, AttackSYNFlood},
+		{DefenseNone, AttackConnFlood}, {DefenseSYNCache, AttackSYNFlood},
+	} {
+		sc := tinyScenario()
+		sc.Label, sc.Defense, sc.Attack = string(v.d), v.d, v.a
+		scs = append(scs, sc)
+	}
+	render := func(workers int) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		sink := sweep.NewNDJSON(&buf)
+		if _, err := RunAll(scs, WithWorkers(workers), WithSinks(sink)); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := render(1)
+	if n := bytes.Count(want, []byte("\n")); n != len(scs) {
+		t.Fatalf("workers=1 wrote %d records, want %d", n, len(scs))
+	}
+	if got := render(4); !bytes.Equal(got, want) {
+		t.Errorf("workers=4 NDJSON differs from workers=1:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestRunAllPropagatesError(t *testing.T) {
 	scs := []Scenario{tinyScenario(), tinyScenario()}
+	scs[1].Label = "bad-cell"
 	scs[1].Attack = "tsunami"
-	if _, err := RunAll(2, scs); err == nil {
-		t.Error("bad scenario accepted")
+	_, err := RunAll(scs, WithWorkers(2))
+	if err == nil || !strings.Contains(err.Error(), `"bad-cell"`) || !strings.Contains(err.Error(), "tsunami") {
+		t.Errorf("error %v does not name the failing cell and its attack", err)
 	}
 }
 

@@ -9,7 +9,9 @@
 //   - Scenario is the one canonical description of a deployment under
 //     attack, shared by the public sim façade, every figure/table driver
 //     in internal/experiments, and the benchmarks. Scale rescales a
-//     scenario's deployment size without touching its semantics.
+//     scenario's deployment size without touching its semantics; Exec,
+//     passed beside it, says how cells run (workers, shards, sinks,
+//     cache) and never what they compute.
 //
 //   - Grid declares a factorial design as a literal: a base Scenario plus
 //     product Axes (Ks, Ms, Defenses, BotCounts, PerBotRates, Seeds, or

@@ -223,8 +223,7 @@ func (sc Scenario) Defaults() Scenario {
 
 // Scale overrides a Scenario's deployment size so the paper's full
 // 600-second evaluation shrinks for tests and benchmarks while preserving
-// structure, and carries the execution options shared by every driver:
-// runner width, result sinks, and the result cache.
+// structure. How the resized cells execute is Exec's business.
 type Scale struct {
 	// Duration, AttackStart, AttackStop override the timeline.
 	Duration, AttackStart, AttackStop time.Duration
@@ -243,15 +242,21 @@ type Scale struct {
 	Workers int
 	// Seed overrides the seed when non-zero.
 	Seed int64
-	// Shards overrides the event-engine shard count when non-zero
-	// (AutoShards = one per core). Execution-only: results are identical
-	// at every value.
-	Shards int
+}
 
+// Exec carries the execution options shared by every driver: runner
+// width, event-engine shards, result sinks, the result cache and debug
+// narration. None of them changes what a cell computes, only how and
+// where it runs and is recorded.
+type Exec struct {
 	// Parallelism is the runner worker count used when a driver fans a
 	// grid of scenarios out (0 = GOMAXPROCS). It never affects results,
 	// only wall-clock time.
 	Parallelism int
+	// Shards overrides every cell's event-engine shard count when
+	// non-zero (AutoShards = one per core). Results are identical at
+	// every value.
+	Shards int
 	// Sinks receive every completed cell's Result, streamed in grid order
 	// as runs land. Nil runs without emission.
 	Sinks []Sink
@@ -286,9 +291,6 @@ func (s Scale) Apply(sc Scenario) Scenario {
 	}
 	if s.Seed != 0 {
 		sc.Seed = s.Seed
-	}
-	if s.Shards != 0 {
-		sc.Shards = s.Shards
 	}
 	return sc
 }
