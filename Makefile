@@ -21,12 +21,11 @@ race:
 	$(GO) test -race -count=10 -timeout 120s -run 'TestBarrier' ./internal/netsim
 
 # The determinism-contract analyzers (internal/lint: nodeterm, maporder,
-# hashfield, allowcheck) driven through the standard vet harness. Exits
-# nonzero on any diagnostic; see docs/DETERMINISM.md for the rules and the
+# hashfield, allowcheck) over every package of the module. Exits nonzero
+# on any diagnostic; see docs/DETERMINISM.md for the rules and the
 # //tcpz:allow suppression syntax.
 lint:
-	$(GO) build -o bin/tcpz-vet ./cmd/tcpz-vet
-	$(GO) vet -vettool=$(CURDIR)/bin/tcpz-vet ./...
+	$(GO) run ./cmd/tcpz-vet ./...
 
 # Full microbench sweep, benchstat-ready:
 #   make bench > new.txt            # on your branch

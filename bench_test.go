@@ -1,6 +1,6 @@
-// Package tcppuzzles_test hosts the execution-mode benchmarks —
-// macro-aggregated sources, sharded grids — and microbenchmarks of the
-// puzzle primitives.
+// Package tcppuzzles_test hosts the benchmarks no bench/ workload covers:
+// the macro-source scale curve, the sharded-grid oversubscription probe,
+// a 12-bit puzzle solve and the memory-bound puzzle primitives.
 //
 // Run with:
 //
@@ -9,8 +9,9 @@
 // The figure grids are measured end to end by bench/ (fig_grid_cold and
 // fig_grid_warm, whose runner.speedup is the runner's scaling across
 // cells) and pinned byte for byte by sim.TestExperimentLedger; bench/'s
-// flood_shards2 measures sharding inside one cell (shard_speedup).
-// cmd/tcpz-exp runs the grids at every scale.
+// flood_shards2 measures sharding inside one cell (shard_speedup), and its
+// puzzle.issue_ns, puzzle.verify_ns and puzzle.solve_us_m8 time the puzzle
+// primitives. cmd/tcpz-exp runs the grids at every scale.
 package tcppuzzles_test
 
 import (
@@ -93,56 +94,14 @@ func BenchmarkShardedGrid(b *testing.B) {
 	}
 }
 
-func benchIssuer(b *testing.B, p puzzle.Params) (*puzzle.Issuer, puzzle.FlowID) {
-	b.Helper()
-	is, err := puzzle.NewIssuer(puzzle.WithParams(p))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return is, puzzle.FlowID{SrcIP: [4]byte{10, 0, 0, 2}, SrcPort: 4000, DstPort: 80, ISN: 7}
-}
-
-func BenchmarkPuzzleIssue(b *testing.B) {
-	is, flow := benchIssuer(b, puzzle.Params{K: 2, M: 17, L: 32})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = is.Issue(flow)
-	}
-}
-
-func BenchmarkPuzzleVerify(b *testing.B) {
-	p := puzzle.Params{K: 2, M: 8, L: 32}
-	is, flow := benchIssuer(b, p)
-	sol, _, err := puzzle.Solve(is.Issue(flow))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := is.Verify(flow, sol); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPuzzleSolveM8(b *testing.B) {
-	is, flow := benchIssuer(b, puzzle.Params{K: 1, M: 8, L: 32})
-	b.ReportAllocs()
-	var hashes uint64
-	for i := 0; i < b.N; i++ {
-		flow.ISN = uint32(i)
-		_, stats, err := puzzle.Solve(is.Issue(flow))
-		if err != nil {
-			b.Fatal(err)
-		}
-		hashes += stats.Hashes
-	}
-	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/solve")
-}
-
+// BenchmarkPuzzleSolveM12 times a solve at a difficulty bench/'s
+// puzzle.solve_us_m8 does not reach.
 func BenchmarkPuzzleSolveM12(b *testing.B) {
-	is, flow := benchIssuer(b, puzzle.Params{K: 1, M: 12, L: 32})
+	is, err := puzzle.NewIssuer(puzzle.WithParams(puzzle.Params{K: 1, M: 12, L: 32}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	flow := puzzle.FlowID{SrcIP: [4]byte{10, 0, 0, 2}, SrcPort: 4000, DstPort: 80, ISN: 7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		flow.ISN = uint32(i)

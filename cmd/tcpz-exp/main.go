@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/sim"
@@ -67,19 +68,21 @@ func run(args []string) (err error) {
 		if *list {
 			fmt.Println(strings.Join(sim.ExperimentIDs(), "\n"))
 		}
+		// Each listing's name column is as wide as its longest name.
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 1, ' ', 0)
 		if *listDefenses {
-			fmt.Println("defenses:")
+			fmt.Fprintln(tw, "defenses:")
 			for _, info := range sim.DefenseInfos() {
-				fmt.Printf("  %-10s %s%s\n", info.Name, info.Summary, fingerprintNote(info.Fingerprint))
+				fmt.Fprintf(tw, "  %s\t%s%s\n", info.Name, info.Summary, fingerprintNote(info.Fingerprint))
 			}
 		}
 		if *listAttacks {
-			fmt.Println("attacks:")
+			fmt.Fprintln(tw, "attacks:")
 			for _, info := range sim.AttackInfos() {
-				fmt.Printf("  %-14s %s%s\n", info.Name, info.Summary, fingerprintNote(info.Fingerprint))
+				fmt.Fprintf(tw, "  %s\t%s%s\n", info.Name, info.Summary, fingerprintNote(info.Fingerprint))
 			}
 		}
-		return nil
+		return tw.Flush()
 	}
 
 	opts := []sim.RunOption{sim.WithWorkers(*workers), sim.WithShards(*shards)}

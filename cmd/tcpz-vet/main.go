@@ -2,14 +2,12 @@
 // (internal/lint): nodeterm, maporder, hashfield, plus
 // validation of the //tcpz:allow suppression annotations.
 //
-// Two ways to drive it:
+//	go run ./cmd/tcpz-vet ./...   # make lint, CI
 //
-//	go build -o bin/tcpz-vet ./cmd/tcpz-vet
-//	go vet -vettool=$PWD/bin/tcpz-vet ./...   # vet harness (make lint, CI)
-//	bin/tcpz-vet ./...                        # standalone
-//
-// See docs/DETERMINISM.md for the rules the suite enforces and the
-// suppression syntax.
+// It loads packages with `go list -export` through the same loader as the
+// TestRepoIsLintClean self-test, and exits 2 on any diagnostic. See
+// docs/DETERMINISM.md for the rules the suite enforces and the suppression
+// syntax.
 package main
 
 import (

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/game"
-	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
@@ -96,15 +95,15 @@ type AdaptiveSample struct {
 // benign baseline learned outside overload), solves the Stackelberg best
 // response for the degraded-capacity game (AdaptiveTarget), and deploys
 // the resulting (K, M) on the live puzzle engine. Handshake handling is
-// the paper's opportunistic-challenge path, identical to the static
-// puzzles plugin; only the difficulty moves. After the flood stops the
-// estimate decays and the difficulty returns to the no-attack optimum.
+// the embedded puzzles defense's own; only the difficulty moves. After the
+// flood stops the estimate decays and the difficulty returns to the
+// no-attack optimum.
 //
 // The controller draws nothing from the server RNG and reads only
 // cumulative counters through ServerCtx, so runs stay byte-identical at
-// every shard count. Scenarios selecting it should leave the legacy
-// AdaptiveDifficulty flag off — both controllers retune the same engine.
+// every shard count.
 type AdaptivePuzzles struct {
+	puzzlesDefense
 	base       puzzle.Params
 	prevSYNs   uint64
 	prevAt     time.Duration
@@ -134,22 +133,6 @@ func init() {
 
 // Describe implements Defense.
 func (*AdaptivePuzzles) Describe() Info { return adaptivePuzzlesInfo }
-
-// OnSYN implements Defense: the opportunistic challenge controller, as in
-// the static puzzles plugin.
-func (*AdaptivePuzzles) OnSYN(ctx ServerCtx, syn tcpkit.Segment, mss uint16, wscale uint8) {
-	if ctx.OverloadActive() {
-		sendChallenge(ctx, syn)
-		return
-	}
-	ctx.NormalSYN(syn, mss, wscale)
-}
-
-// OnACK implements Defense: the stateless puzzle completion path.
-func (*AdaptivePuzzles) OnACK(ctx ServerCtx, ack tcpkit.Segment) bool {
-	completePuzzle(ctx, ack)
-	return true
-}
 
 // OnTick implements Defense: estimate, solve, retune.
 func (d *AdaptivePuzzles) OnTick(ctx ServerCtx) {

@@ -82,6 +82,12 @@ type ServerCtx interface {
 	// both stay below the low watermark for a full release window (or
 	// always fires under the AlwaysChallenge ablation).
 	OverloadActive() bool
+	// OverloadLatched reports whether that latch is currently held without
+	// re-evaluating it: unlike OverloadActive it never engages, refreshes
+	// or releases the latch, so periodic controllers may read it without
+	// moving release times. It is false under AlwaysChallenge, which fires
+	// without latching.
+	OverloadLatched() bool
 
 	// NextISN mints the next server initial sequence number.
 	NextISN() uint32

@@ -11,7 +11,9 @@ import (
 // opportunistic controller challenges every SYN while the overload latch
 // is engaged — even when the accept queue overflows, so solving clients
 // can claim slots the moment they open — and verifies solutions
-// statelessly on the returning ACK.
+// statelessly on the returning ACK. The difficulty-retuning defenses
+// (adaptive-puzzles, stepped-puzzles) embed it, so all three share one
+// handshake path and differ only in OnTick.
 type puzzlesDefense struct{}
 
 var puzzlesInfo = Info{

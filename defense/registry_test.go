@@ -72,14 +72,14 @@ func TestRegistryCompleteness(t *testing.T) {
 }
 
 // TestFingerprintContract pins the cache-identity rule: the paper's four
-// defenses carry no fingerprint (their hashes predate the registry), new
-// plugins carry a versioned one, and the sweep layer sees exactly what
-// the registry declared.
+// defenses carry no fingerprint (their hashes predate the registry), every
+// other known defense carries a versioned one, and the sweep layer sees
+// exactly what the registry declared.
 func TestFingerprintContract(t *testing.T) {
-	legacy := []sweep.Defense{
-		sweep.DefenseNone, sweep.DefenseCookies, sweep.DefenseSYNCache, sweep.DefensePuzzles,
+	legacy := map[sweep.Defense]bool{
+		sweep.DefenseNone: true, sweep.DefenseCookies: true, sweep.DefenseSYNCache: true, sweep.DefensePuzzles: true,
 	}
-	for _, name := range legacy {
+	for name := range legacy {
 		info, _ := Lookup(name)
 		if info.Fingerprint != "" {
 			t.Errorf("legacy defense %q has fingerprint %q; must be empty to keep old cache hashes", name, info.Fingerprint)
@@ -88,7 +88,10 @@ func TestFingerprintContract(t *testing.T) {
 			t.Errorf("sweep sees fingerprint %q for legacy defense %q", fp, name)
 		}
 	}
-	for _, name := range []sweep.Defense{sweep.DefenseHybrid, sweep.DefenseRateLimit} {
+	for _, name := range sweep.KnownDefenses() {
+		if legacy[name] {
+			continue
+		}
 		info, _ := Lookup(name)
 		if info.Fingerprint == "" {
 			t.Errorf("new defense %q has no fingerprint; it needs its own cache identity", name)

@@ -88,10 +88,10 @@ func solutionFloodTable(results []sweep.Result) sweep.Table {
 // shows is too easy to throttle attackers) against smart solving bots —
 // the attacker model under which an under-provisioned fixed difficulty
 // actually loses (see Fig. 12). One server holds the difficulty fixed;
-// the other adapts and must climb towards an effective difficulty and
-// decay back after the attack. The per-5 s controller needs a longer
-// attack than the reduced scales give, so they run a 160 s timeline with
-// a 90 s attack.
+// the other runs the stepped-puzzles defense and must climb towards an
+// effective difficulty and decay back after the attack. The per-5 s
+// controller needs a longer attack than the reduced scales give, so they
+// run a 160 s timeline with a 90 s attack.
 func adaptiveGrid(s Scale) sweep.Grid {
 	if reduced(s) {
 		s.Duration, s.AttackStart, s.AttackStop = 160*time.Second, 15*time.Second, 105*time.Second
@@ -100,7 +100,7 @@ func adaptiveGrid(s Scale) sweep.Grid {
 		Base: s.Apply(smartBots(Scenario{Params: puzzle.Params{K: 2, M: 12, L: 32}})),
 		Axes: []sweep.Axis{sweep.Variants("server",
 			sweep.Point{Label: "fixed-m12"},
-			sweep.Point{Label: "adaptive", Set: func(sc *Scenario) { sc.AdaptiveDifficulty = true }},
+			sweep.Point{Label: "adaptive", Set: func(sc *Scenario) { sc.Defense = sweep.DefenseSteppedPuzzles }},
 		)},
 	}
 }
@@ -109,7 +109,7 @@ func adaptiveGrid(s Scale) sweep.Grid {
 // server, the difficulty trace with its peak and final m.
 func adaptiveMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 	metrics := duringMetrics(run)
-	if !run.Cfg.AdaptiveDifficulty {
+	if run.Cfg.Defense != sweep.DefenseSteppedPuzzles {
 		return metrics, nil
 	}
 	trace := difficultyTrace(run)

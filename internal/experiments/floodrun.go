@@ -60,17 +60,16 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 	eng := network.EngineFor(serverAddr)
 
 	srv, err := serversim.New(eng, network, netsim.DefaultServerLink(), serversim.Config{
-		Addr:               serverAddr,
-		Defense:            sc.Defense,
-		PuzzleParams:       sc.Params,
-		AlwaysChallenge:    sc.AlwaysChallenge,
-		AdaptiveDifficulty: sc.AdaptiveDifficulty,
-		SimulatedCrypto:    true,
-		Workers:            sc.Workers,
-		Backlog:            sc.Backlog,
-		AcceptBacklog:      sc.AcceptBacklog,
-		Seed:               sc.Seed,
-		MetricBucket:       sc.Bucket,
+		Addr:            serverAddr,
+		Defense:         sc.Defense,
+		PuzzleParams:    sc.Params,
+		AlwaysChallenge: sc.AlwaysChallenge,
+		SimulatedCrypto: true,
+		Workers:         sc.Workers,
+		Backlog:         sc.Backlog,
+		AcceptBacklog:   sc.AcceptBacklog,
+		Seed:            sc.Seed,
+		MetricBucket:    sc.Bucket,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: server: %w", err)

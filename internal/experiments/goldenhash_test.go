@@ -8,13 +8,13 @@ import (
 )
 
 // TestLegacyCacheHashesPinned is the refactor referee for cache identity:
-// every pre-existing defense×attack cell must hash to exactly what it
-// hashed before the strategy registry existed, or shared result caches
-// silently recompute (or worse, a format change goes unnoticed). The hex
-// values were generated by the pre-registry code and must never change
-// while hashVersion stays "tcppuzzles-sweep-v2" — new plugins get new
-// hashes via their registered fingerprints instead (see
-// TestFingerprintChangesHash in sweep).
+// every paper defense×attack cell must hash to exactly its pinned value,
+// or shared result caches silently recompute (or worse, a format change
+// goes unnoticed). The hex values were generated by the pre-registry code
+// and re-pinned once, when hashVersion became "tcppuzzles-sweep-v3"
+// (Scenario lost its adaptive-difficulty flag); they must never change
+// while it stays there — new plugins get new hashes via their registered
+// fingerprints instead (see TestFingerprintChangesHash in sweep).
 //
 // This package (via serversim/attacksim) links in the defense and attack
 // registries, so the test also proves plugin registration leaves legacy
@@ -25,22 +25,22 @@ func TestLegacyCacheHashesPinned(t *testing.T) {
 		attack  sweep.Attack
 		hash    string
 	}{
-		{"none", "synflood", "ac3ecfef467be77f9229f48cceab354ae02301b6299ce4b7c87af6aebf56aa49"},
-		{"none", "connflood", "bbe4b43ba82baad9dc2127026e28d47d7b373f053e44fef25345532156ae48cb"},
-		{"none", "solutionflood", "cef4a7ea55cdabd4f0de7abcfe8251eaacb008bfb54c313f08f8708cce3d333e"},
-		{"none", "replayflood", "fbd0721cf168809dfcc46086c9db37449bb675b74c53126f35eb5d9af520ecf9"},
-		{"cookies", "synflood", "9e0813962cabcd3565da133213db5200f469a463626b91c26878cfdfaa65fae4"},
-		{"cookies", "connflood", "a6f942ba6bb917d5f7b3592dc0a19534514fa49c999718ff1364a84c44a3d1dc"},
-		{"cookies", "solutionflood", "9688a6ae9ea86709e9a09cc22eb01e0befd780089eb9d81a8eae919f33e36565"},
-		{"cookies", "replayflood", "53eec2c768f394badfb5065959d0ee0c6aa566dde5a7eaa334d2ebb6b389f2af"},
-		{"syncache", "synflood", "26f05d6403104b1f824b4491fab535f5f5415a193af6ed9c7b19de41c4ad0bfc"},
-		{"syncache", "connflood", "83e1693831bbfe217f016295cda5fa3a61ddc7fb0a5f327168d6c4b4c96d4c0e"},
-		{"syncache", "solutionflood", "68ef01eb1c1fade15fcdb0609dd0c5024887ace054dafa453f95ae643e0b11e8"},
-		{"syncache", "replayflood", "63742b04357731443a14fbec9a29f0cb746b1950bce8318b862671b3f232b884"},
-		{"puzzles", "synflood", "f4a128ef3a62a8e090252bbfd5e4f86b17c77e8f72bbc65dbfa6a79637389d23"},
-		{"puzzles", "connflood", "1d3bfecc0387655dd773aaeb45b421eee8f043fee9e52d92b7094a2cb07fda02"},
-		{"puzzles", "solutionflood", "fddc3b2b92fd978a5f491219c8cec1a50628937024236386d636026949298516"},
-		{"puzzles", "replayflood", "1a5b685251b19d025c3c628026cc026c41da168ee6af792b047794e409ca8caf"},
+		{"none", "synflood", "8955330b85109aa54822bfecc88694248a8d7ec0da1b78cf5fe1b40a7f565897"},
+		{"none", "connflood", "c96392a43bf6311a703359c139c1c1680c55a571a1551360a6d0f158af1393ba"},
+		{"none", "solutionflood", "100e2e7f0cd9a250863adb38ee8a6172328b85ceecfff6fc7cee5bdd23ae1e2b"},
+		{"none", "replayflood", "389eccf126a0b11926bac39198b629948875be3c627bb991fdd9badf53afee3f"},
+		{"cookies", "synflood", "0e99d5b268bdec07ba560115a711b504e8b1bbf1f870d9cf61fae7b60ce79396"},
+		{"cookies", "connflood", "25e82c51c69928d73ddc6941e5924d65702c48b539687918246a2641fc988d12"},
+		{"cookies", "solutionflood", "6a8b4c116f771aa6a995224384118b146b6cb6e11126309862050fb2d0da1d6a"},
+		{"cookies", "replayflood", "1fc81944ae08c815159b11dac909bab65fee6dade6314057ddd0468fad241cde"},
+		{"syncache", "synflood", "710650a0ef04b8fcd72e2b223e1cea6f2fbb6acd3f2d989aaef60730cbbb8e41"},
+		{"syncache", "connflood", "f60dc557e8edaa96a861cbc154fbb07bfb03f80845bc4f62622bd27a64a82f7c"},
+		{"syncache", "solutionflood", "5f459c3c5e672ee93ae23858b46943e596508f5094c7d27cf3738351d39cbacf"},
+		{"syncache", "replayflood", "69d65c1ad064cc66c330be156bdc2fbaf2ac4888a2e25501ef97543486b416cb"},
+		{"puzzles", "synflood", "debd8fe410f55013c9b92dcf121b9d608002a378e2c5cf531139cd700f62c774"},
+		{"puzzles", "connflood", "49ae2614f873148ca0fbb4fb81a58cf518f0de3d8a58f5b89fd2124cd342a68d"},
+		{"puzzles", "solutionflood", "e06adc1294db628cc81e5066c2a6c4795ecf771440a403d3fd1d3e98849a7bba"},
+		{"puzzles", "replayflood", "9345f0b0a1694b7e9830b6b54e65a46a0957767bed5b1ec28c83aa7da5a2ebbc"},
 	}
 	for _, g := range golden {
 		sc := sweep.Scenario{Defense: g.defense, Attack: g.attack, Seed: 7}
@@ -54,11 +54,11 @@ func TestLegacyCacheHashesPinned(t *testing.T) {
 	tiny := TinyScale().Apply(sweep.Scenario{
 		Label: "x", ClientsSolve: true, BotsSolve: true, BotMaxSolveBacklog: 2 * time.Second,
 	})
-	if got := sweep.Hash("golden", tiny); got != "38ee69486e232926ace05c70d48aa8f76c3ce91fc9509ffd31e9b524e03ac3e9" {
-		t.Errorf("Hash(tiny) = %s, pinned 38ee69486e232926ace05c70d48aa8f76c3ce91fc9509ffd31e9b524e03ac3e9", got)
+	if got := sweep.Hash("golden", tiny); got != "087353e1cd45344e3a8e0c49a53fadb2b34e06f6cd636143889fac314902aba5" {
+		t.Errorf("Hash(tiny) = %s, pinned 087353e1cd45344e3a8e0c49a53fadb2b34e06f6cd636143889fac314902aba5", got)
 	}
-	if got := sweep.Hash("golden", sweep.Scenario{}); got != "ee03fe00f80e169791675d0d785934707cd2e50073da2d9d224a62bd34707172" {
-		t.Errorf("Hash(zero) = %s, pinned ee03fe00f80e169791675d0d785934707cd2e50073da2d9d224a62bd34707172", got)
+	if got := sweep.Hash("golden", sweep.Scenario{}); got != "5400b194356109151193137b1dfefde7c7f17e8f249a1b574349fe7c5570df3d" {
+		t.Errorf("Hash(zero) = %s, pinned 5400b194356109151193137b1dfefde7c7f17e8f249a1b574349fe7c5570df3d", got)
 	}
 }
 

@@ -100,14 +100,15 @@ func TestMacroPerBotDifferential(t *testing.T) {
 }
 
 // macroPins are the NDJSON digests of TestMacroStrategiesPinned's cells,
-// the same at every shard count.
+// the same at every shard count. The digest covers the cell's Scenario
+// JSON, so adding or removing a Scenario field moves every pin.
 var macroPins = map[sweep.Attack]string{
-	AttackSYNFlood:      "9740c21d27426345",
-	AttackConnFlood:     "b59bea91f0412365",
-	AttackSolutionFlood: "f63184d0c726d0db",
-	AttackReplayFlood:   "6dacb2bae1e196e7",
-	AttackPulseFlood:    "e0ffbdad4909b980",
-	AttackAdaptiveFlood: "e07ddaa10c66c4b5",
+	AttackSYNFlood:      "4359d234a10c95dc",
+	AttackConnFlood:     "e8f0f6f2cde09561",
+	AttackSolutionFlood: "d00c99ac696cee93",
+	AttackReplayFlood:   "e18ef1176bbc3764",
+	AttackPulseFlood:    "60b73c7a5444b8ef",
+	AttackAdaptiveFlood: "28f2261ca45d0f3a",
 }
 
 // TestMacroStrategiesPinned runs every registered attack in macro mode

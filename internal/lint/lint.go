@@ -3,8 +3,8 @@
 // the runtime differential harnesses (determinism matrices, cache
 // round-trips) can only spot-check after the fact. The
 // suite is built directly on go/ast and go/types — deliberately no
-// golang.org/x/tools dependency — and is driven two ways: as a `go vet
-// -vettool` unit checker (cmd/tcpz-vet) and in-process by the repo
+// golang.org/x/tools dependency — and is driven through one loader
+// (LoadPackages) by the standalone cmd/tcpz-vet and in-process by the repo
 // self-test TestRepoIsLintClean.
 //
 // A diagnostic is suppressed by an annotation on the offending line or the
@@ -52,9 +52,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Package is one type-checked package ready for analysis: the unit of work
-// shared by the vettool (sources from a vet .cfg, imports from compiler
-// export data) and the self-test loader (sources from `go list`).
+// Package is one type-checked package ready for analysis, as LoadPackages
+// returns it: sources from `go list`, imports from compiler export data.
 type Package struct {
 	ImportPath string
 	Fset       *token.FileSet
@@ -71,8 +70,8 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	// ImportPath is the package's import path. Distinct from
-	// Pkg.Path() only in exotic vet configurations (test variants).
+	// ImportPath is the package's import path, which scopes the rules
+	// (see IsDeterministicPkg).
 	ImportPath string
 
 	allows map[string][]allowDirective // filename → directives, line-sorted

@@ -31,9 +31,9 @@ type listedPkg struct {
 // LoadPackages type-checks every package matching the patterns (run from
 // dir), resolving imports through the toolchain's compiled export data via
 // `go list -export`. Only packages of this module are parsed from source
-// and returned; dependencies are consumed as export data, exactly as the
-// `go vet -vettool` driver does, so the two entry points analyze identical
-// code.
+// and returned; dependencies are consumed as export data. It is the one
+// loader behind both cmd/tcpz-vet and TestRepoIsLintClean, so the two
+// analyze identical code.
 func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	fields := "-json=ImportPath,Name,Dir,Export,GoFiles,ImportMap,Standard,Module"
 	args := append([]string{"list", "-e", "-export", "-deps", fields}, patterns...)

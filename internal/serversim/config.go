@@ -30,19 +30,6 @@ type Config struct {
 	// low-water mark before the overload latch disengages; defaults
 	// to SynAckTimeout, reproducing the paper's ~30 s recovery.
 	ProtectionRelease time.Duration
-	// AdaptiveDifficulty enables the closed-loop controller of §7's future
-	// work: while the overload latch is engaged and the accept queue keeps
-	// climbing, the difficulty m is raised one bit per AdaptInterval (up
-	// to AdaptMaxM); once the latch disengages it decays back to the
-	// configured baseline.
-	AdaptiveDifficulty bool
-	// AdaptInterval is the adaptation period (default 5 s).
-	AdaptInterval time.Duration
-	// AdaptMaxM caps the adaptive difficulty (default 18 bits — the
-	// largest per-solution difficulty a w_av-budget client can still pay,
-	// k·2^(m-1) ≤ 2·w_av; beyond it the controller would price out the
-	// clients it is defending).
-	AdaptMaxM uint8
 	// SimulatedCrypto swaps genuine SHA-256 verification for the
 	// cost-equivalent simulated engine (see internal/pzengine), letting
 	// experiments run 17-bit difficulties without burning host cycles,
@@ -139,12 +126,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ProtectionRelease == 0 {
 		c.ProtectionRelease = c.SynAckTimeout
-	}
-	if c.AdaptInterval == 0 {
-		c.AdaptInterval = 5 * time.Second
-	}
-	if c.AdaptMaxM == 0 {
-		c.AdaptMaxM = 18
 	}
 	if c.Workers == 0 {
 		c.Workers = d.Workers

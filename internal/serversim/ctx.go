@@ -68,6 +68,9 @@ func (c serverCtx) AcceptContains(peer tcpkit.PeerKey) bool { return c.s.acceptQ
 // OverloadActive implements defense.ServerCtx.
 func (c serverCtx) OverloadActive() bool { return c.s.overloadActive() }
 
+// OverloadLatched implements defense.ServerCtx.
+func (c serverCtx) OverloadLatched() bool { return c.s.protLatched }
+
 // NextISN implements defense.ServerCtx.
 func (c serverCtx) NextISN() uint32 { return c.s.isns.Next() }
 

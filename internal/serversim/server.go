@@ -54,7 +54,6 @@ type Server struct {
 	conns         map[tcpkit.PeerKey]*conn
 	protLatched   bool
 	latchLoadedAt time.Duration
-	baselineM     uint8
 
 	// chunk is the unused tail of the bump buffer carve hands out.
 	chunk []byte
@@ -122,33 +121,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		return nil, fmt.Errorf("serversim: %w", err)
 	}
 	s.scheduleSweep()
-	if cfg.AdaptiveDifficulty {
-		s.baselineM = cfg.PuzzleParams.M
-		s.scheduleAdapt()
-	}
 	return s, nil
-}
-
-// scheduleAdapt runs the closed-loop difficulty controller: raise m while
-// the latched overload signal is still losing accept-queue ground, decay
-// back to the baseline once the attack subsides.
-func (s *Server) scheduleAdapt() {
-	s.eng.Schedule(s.cfg.AdaptInterval, func() {
-		p := s.engine.Params()
-		switch {
-		case s.protLatched && s.acceptQ.Len() >= high(s.cfg.AcceptBacklog) && p.M < s.cfg.AdaptMaxM:
-			p.M++
-			if err := s.engine.SetParams(p); err == nil {
-				s.metrics.DifficultyM.Set(s.eng.Now(), float64(p.M))
-			}
-		case !s.protLatched && p.M > s.baselineM:
-			p.M--
-			if err := s.engine.SetParams(p); err == nil {
-				s.metrics.DifficultyM.Set(s.eng.Now(), float64(p.M))
-			}
-		}
-		s.scheduleAdapt()
-	})
 }
 
 // Addr implements netsim.Node.

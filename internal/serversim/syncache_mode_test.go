@@ -48,32 +48,3 @@ func TestSYNCacheEventuallyOverflows(t *testing.T) {
 		t.Error("cache never overflowed — backlog-full behaviour not reached")
 	}
 }
-
-func TestAdaptiveControllerUnit(t *testing.T) {
-	cfg := puzzleCfg(false)
-	cfg.AdaptiveDifficulty = true
-	cfg.AdaptInterval = 100 * time.Millisecond
-	cfg.AdaptMaxM = 6
-	cfg.AcceptBacklog = 4
-	cfg.Workers = -1
-	f := newFixture(t, cfg)
-	// Latch the controller and keep the accept queue above its watermark:
-	// a full listen queue plus established connections.
-	fillListenQueue(f, t)
-	for i := 0; i < 3; i++ {
-		f.syn(uint16(7300+i), uint32(i))
-		f.run(30 * time.Millisecond)
-		sa := f.peer.lastSynAck(t)
-		if sa.DstPort == uint16(7300+i) {
-			solveAndAck(t, f, sa, uint32(i))
-		}
-		f.run(30 * time.Millisecond)
-	}
-	f.run(2 * time.Second)
-	if got := f.server.Issuer().Params().M; got <= 4 {
-		t.Errorf("adaptive m = %d, want climbed above baseline 4", got)
-	}
-	if got := f.server.Issuer().Params().M; got > cfg.AdaptMaxM {
-		t.Errorf("adaptive m = %d exceeds cap %d", got, cfg.AdaptMaxM)
-	}
-}

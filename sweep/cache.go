@@ -19,7 +19,10 @@ import (
 // every existing entry at once. v2: the engine's same-instant delivery
 // order became canonical (time, source, sequence) when the sharded
 // engine landed, which can shift tie-broken metrics relative to v1 runs.
-const hashVersion = "tcppuzzles-sweep-v2"
+// v3: Scenario lost its adaptive-difficulty flag (the step controller
+// became the stepped-puzzles defense), so every canonical serialisation
+// changed.
+const hashVersion = "tcppuzzles-sweep-v3"
 
 // Hash returns the content address of one experiment cell: a SHA-256 over
 // the hash format version, the experiment name, and the canonical

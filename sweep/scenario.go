@@ -33,6 +33,11 @@ const (
 	// solves the game-theoretic Stackelberg best response for the
 	// estimated model, and deploys the resulting (K, M) live.
 	DefenseAdaptivePuzzles Defense = "adaptive-puzzles"
+	// DefenseSteppedPuzzles is the §7 closed-loop step controller: while
+	// the overload latch holds and the accept queue stays above its
+	// high-water mark, m rises one bit per 5 s (up to 18), then decays back
+	// to the configured baseline after release.
+	DefenseSteppedPuzzles Defense = "stepped-puzzles"
 )
 
 // KnownDefenses lists every Defense value this module ships a plugin for,
@@ -41,7 +46,7 @@ const (
 func KnownDefenses() []Defense {
 	return []Defense{
 		DefenseNone, DefenseCookies, DefenseSYNCache, DefensePuzzles,
-		DefenseHybrid, DefenseRateLimit, DefenseAdaptivePuzzles,
+		DefenseHybrid, DefenseRateLimit, DefenseAdaptivePuzzles, DefenseSteppedPuzzles,
 	}
 }
 
@@ -120,8 +125,6 @@ type Scenario struct {
 	Defense         Defense
 	Params          puzzle.Params
 	AlwaysChallenge bool
-	// AdaptiveDifficulty enables the server's closed-loop controller.
-	AdaptiveDifficulty bool
 	// Workers sizes the application pool (-1 disables it); Backlog and
 	// AcceptBacklog size the server queues.
 	Workers       int
