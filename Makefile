@@ -34,10 +34,11 @@ lint:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(COUNT) ./...
 
-# The event-engine hot path only (the BENCH_engine.json numbers, the
-# hold model at 150-2,400 pending events that shows what the queue costs
-# at the length a flood cell keeps it, and one 69-segment response as a
-# packet train and as single sends).
+# The event-engine hot path only (the numbers recorded in
+# docs/PERFORMANCE.md "Engine microbenchmarks", the hold model at
+# 150-2,400 pending events that shows what the queue costs at the length
+# a flood cell keeps it, and one 69-segment response as a packet train
+# and as single sends).
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineScheduling|BenchmarkPacketPath|BenchmarkEngineHold|BenchmarkTrain' -benchmem -count $(COUNT) ./internal/netsim/
 
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzChallengeRoundTrip -fuzztime=10s ./tcpopt
 	$(GO) test -fuzz=FuzzCookieRoundTrip -fuzztime=10s ./syncookie
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./puzzlenet
+	$(GO) test -fuzz=FuzzCacheEntry -fuzztime=10s ./sweep
 	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=10s ./internal/netsim
 
 # Real-network robustness smoke (docs/ROBUSTNESS.md): the fault-injected

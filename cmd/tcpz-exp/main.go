@@ -56,13 +56,19 @@ func run(args []string) (err error) {
 	out := fs.String("out", "", "write experiment output to this file (default stdout)")
 	foldSeeds := fs.Bool("fold-seeds", false, "fold replicated cells (Seeds axes) into mean/stddev rows (csv or json format)")
 	cacheDir := fs.String("cache-dir", "", "cache completed cells here; repeated runs skip identical scenarios")
-	cacheMax := fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this total size (0 = unlimited)")
+	cacheMax := fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this total size (0 = unlimited; requires -cache-dir)")
 	verbose := fs.Bool("verbose", false, "narrate execution on stderr: shard load balance, per-cell heap, and runner backpressure")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	listDefenses := fs.Bool("list-defenses", false, "list registered defense plugins and exit")
 	listAttacks := fs.Bool("list-attacks", false, "list registered attack plugins and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cacheMax < 0 {
+		return fmt.Errorf("-cache-max-bytes %d: want 0 (unlimited) or a positive size", *cacheMax)
+	}
+	if *cacheMax != 0 && *cacheDir == "" {
+		return fmt.Errorf("-cache-max-bytes needs -cache-dir")
 	}
 	if *list || *listDefenses || *listAttacks {
 		if *list {

@@ -66,10 +66,11 @@ func Hash(experiment string, sc Scenario) string {
 }
 
 // Cache is a disk-backed, content-addressed store of completed cell
-// results, keyed by Hash. Entries hold the metrics and series of one cell
-// as JSON, one file per cell, so concurrent writers never contend and a
-// cache directory can be shared between figure regenerations: any cell
-// whose canonical scenario already ran is skipped entirely.
+// results, keyed by Hash. Each entry is one file holding the metrics and
+// series of one cell as a checksummed binary record (see entry.go), so
+// concurrent writers never contend, a hit parses no text, and a cache
+// directory can be shared between figure regenerations: any cell whose
+// canonical scenario already ran is skipped entirely.
 //
 // With WithMaxBytes the cache maintains itself: it accounts entry sizes
 // and evicts least-recently-used entries (hits refresh recency) whenever
@@ -116,19 +117,18 @@ func OpenCache(dir string, opts ...CacheOption) (*Cache, error) {
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// entry is the stored payload of one cell.
-type entry struct {
-	Metrics []Metric `json:"metrics"`
-	Series  []Series `json:"series,omitempty"`
-}
+// entrySuffix names stored entries. Files of any other name in the
+// directory, including the JSON entries of older releases, are neither
+// read nor counted against the size budget.
+const entrySuffix = ".entry"
 
 func (c *Cache) path(experiment string, sc Scenario) string {
-	return filepath.Join(c.dir, experiment+"-"+Hash(experiment, sc)+".json")
+	return filepath.Join(c.dir, experiment+"-"+Hash(experiment, sc)+entrySuffix)
 }
 
 // Get returns the stored metrics and series for the cell, if present.
-// Unreadable or corrupt entries count as misses. Hits refresh the entry's
-// recency for LRU eviction.
+// Unreadable, truncated or corrupt entries count as misses. Hits refresh
+// the entry's recency for LRU eviction.
 func (c *Cache) Get(experiment string, sc Scenario) ([]Metric, []Series, bool) {
 	path := c.path(experiment, sc)
 	data, err := os.ReadFile(path)
@@ -136,8 +136,8 @@ func (c *Cache) Get(experiment string, sc Scenario) ([]Metric, []Series, bool) {
 		c.misses.Add(1)
 		return nil, nil, false
 	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	metrics, series, ok := decodeEntry(data)
+	if !ok {
 		c.misses.Add(1)
 		return nil, nil, false
 	}
@@ -148,14 +148,15 @@ func (c *Cache) Get(experiment string, sc Scenario) ([]Metric, []Series, bool) {
 		now := time.Now()
 		_ = os.Chtimes(path, now, now)
 	}
-	return e.Metrics, e.Series, true
+	return metrics, series, true
 }
 
 // Put stores the cell's metrics and series. The write is atomic (temp
 // file + rename) so concurrent readers never observe a partial entry; when
 // a size budget is set, least-recently-used entries are evicted to fit.
+// A NaN or infinite value is an error naming its metric or series.
 func (c *Cache) Put(experiment string, sc Scenario, metrics []Metric, series []Series) error {
-	data, err := json.Marshal(entry{Metrics: metrics, Series: series})
+	data, err := encodeEntry(metrics, series)
 	if err != nil {
 		return fmt.Errorf("sweep: cache: %w", err)
 	}
@@ -204,7 +205,7 @@ type cacheFile struct {
 	mtime time.Time
 }
 
-// entriesLocked lists stored entries (".json" files; in-flight ".put-*"
+// entriesLocked lists stored entries (entrySuffix files; in-flight ".put-*"
 // temp files are excluded).
 func (c *Cache) entriesLocked() []cacheFile {
 	dirents, err := os.ReadDir(c.dir)
@@ -213,7 +214,7 @@ func (c *Cache) entriesLocked() []cacheFile {
 	}
 	var out []cacheFile
 	for _, de := range dirents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".json") {
+		if de.IsDir() || !strings.HasSuffix(de.Name(), entrySuffix) {
 			continue
 		}
 		info, err := de.Info()

@@ -1,8 +1,12 @@
 package sweep
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -71,18 +75,93 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Scenario{Label: "cell"}
-	if err := cache.Put("fig9", sc, []Metric{{Name: "a", Value: 1}}, nil); err != nil {
+	series := []Series{{Name: "trace", Values: []float64{1, 2}}}
+	if err := cache.Put("fig9", sc, []Metric{{Name: "a", Value: 1}}, series); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("entries = %v, err = %v", entries, err)
-	}
-	if err := os.WriteFile(entries[0], []byte("{not json"), 0o644); err != nil {
+	path := cache.path("fig9", sc)
+	good, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	missesWith := func(what string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		misses := cache.Misses()
+		if _, _, ok := cache.Get("fig9", sc); ok {
+			t.Errorf("%s: entry returned as hit", what)
+		}
+		if cache.Misses() != misses+1 {
+			t.Errorf("%s: not counted as a miss", what)
+		}
+	}
+	missesWith("not a record", []byte("{not json"))
+	missesWith("empty", nil)
+	for _, n := range []int{len(good) - 1, len(good) / 2, len(entryMagic)} {
+		missesWith(fmt.Sprintf("truncated to %d bytes", n), good[:n])
+	}
+	for i := range good {
+		flipped := bytes.Clone(good)
+		flipped[i] ^= 0xff
+		missesWith(fmt.Sprintf("byte %d flipped", i), flipped)
+	}
+	missesWith("trailing garbage", append(bytes.Clone(good), 0))
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := cache.Get("fig9", sc); !ok {
+		t.Fatal("restored entry missed")
+	}
+
+	// A JSON entry left by an older release is never read, and a size
+	// budget neither counts nor evicts it.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.TrimSuffix(path, entrySuffix) + ".json"
+	if err := os.WriteFile(legacy, []byte(`{"metrics":[{"name":"a","value":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	budgeted, err := OpenCache(dir, WithMaxBytes(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := budgeted.Get("fig9", sc); ok {
+		t.Error("legacy JSON entry was read")
+	}
+	if budgeted.Evictions() != 0 {
+		t.Errorf("evictions = %d, want 0: the legacy file was counted", budgeted.Evictions())
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Errorf("legacy file touched: %v", err)
+	}
+}
+
+func TestCachePutRejectsNonFinite(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Label: "cell"}
+	cases := []struct {
+		metrics []Metric
+		series  []Series
+		want    string
+	}{
+		{metrics: []Metric{{Name: "ok", Value: 1}, {Name: "rate", Value: math.NaN()}}, want: `metric "rate"`},
+		{metrics: []Metric{{Name: "lat", Value: math.Inf(-1)}}, want: `metric "lat"`},
+		{series: []Series{{Name: "queue", Values: []float64{0, math.Inf(1)}}}, want: `series "queue"`},
+	}
+	for _, c := range cases {
+		err := cache.Put("fig9", sc, c.metrics, c.series)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Put error = %v, want one naming %s", err, c.want)
+		}
 	}
 	if _, _, ok := cache.Get("fig9", sc); ok {
-		t.Error("corrupt entry returned as hit")
+		t.Error("a rejected Put stored an entry")
 	}
 }
 
@@ -98,6 +177,36 @@ func TestHashStability(t *testing.T) {
 	if len(a) != 64 {
 		t.Errorf("hash length = %d, want 64 hex chars", len(a))
 	}
+}
+
+// evictionEntrySize is the stored size of each entry evictionCache
+// writes: every one holds a single metric named "v", so all are the same
+// size whatever the format.
+func evictionEntrySize(t *testing.T) int64 {
+	t.Helper()
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Label: "size"}
+	if err := cache.Put("exp", sc, []Metric{{Name: "v", Value: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(cache.path("exp", sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// storedEntries lists the entry files in dir.
+func storedEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
 }
 
 // evictionCache opens a budgeted cache and stores n cells with explicit,
@@ -125,9 +234,10 @@ func evictionCache(t *testing.T, dir string, maxBytes int64, n int) (*Cache, []S
 
 func TestCacheEvictsLRUOverBudget(t *testing.T) {
 	dir := t.TempDir()
-	// Budget fits roughly two entries (~40 bytes each); storing four must
-	// evict the two oldest.
-	cache, scs := evictionCache(t, dir, 100, 4)
+	// The budget fits two entries; storing five must evict the oldest.
+	size := evictionEntrySize(t)
+	budget := 2*size + size/2
+	cache, scs := evictionCache(t, dir, budget, 4)
 	// Re-trigger accounting/eviction with one more put after the mtimes
 	// were pinned.
 	extra := Scenario{Label: "extra", Seed: 99}
@@ -148,26 +258,24 @@ func TestCacheEvictsLRUOverBudget(t *testing.T) {
 		t.Errorf("counters hits=%d misses=%d, want both > 0", cache.Hits(), cache.Misses())
 	}
 	// The surviving files must fit the budget.
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var total int64
-	for _, e := range entries {
+	for _, e := range storedEntries(t, dir) {
 		info, err := os.Stat(e)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += info.Size()
 	}
-	if total > 100 {
-		t.Errorf("stored %d bytes, budget 100", total)
+	if total > budget {
+		t.Errorf("stored %d bytes, budget %d", total, budget)
 	}
 }
 
 func TestCacheHitRefreshesLRU(t *testing.T) {
 	dir := t.TempDir()
-	cache, scs := evictionCache(t, dir, 100, 2)
+	// The budget fits two entries, so a third Put evicts one.
+	size := evictionEntrySize(t)
+	cache, scs := evictionCache(t, dir, 2*size+size/2, 2)
 	// Touch the older entry via a hit, making the newer one the LRU
 	// victim when the budget forces an eviction.
 	if _, _, ok := cache.Get("exp", scs[0]); !ok {
@@ -188,17 +296,14 @@ func TestCacheHitRefreshesLRU(t *testing.T) {
 func TestCacheOpenScansExistingSize(t *testing.T) {
 	dir := t.TempDir()
 	evictionCache(t, dir, 1<<20, 3)
-	// Re-open with a tiny budget: the pre-existing entries must be
+	// Re-open with a budget of one entry: the pre-existing entries must be
 	// accounted and evicted down to fit immediately.
-	cache, err := OpenCache(dir, WithMaxBytes(45))
+	size := evictionEntrySize(t)
+	cache, err := OpenCache(dir, WithMaxBytes(size+size/2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
+	if entries := storedEntries(t, dir); len(entries) != 1 {
 		t.Errorf("entries after budgeted reopen = %d, want 1", len(entries))
 	}
 	if cache.Evictions() != 2 {
