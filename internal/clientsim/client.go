@@ -114,17 +114,23 @@ const (
 	stateDone
 )
 
+// cconn is one connection attempt. Records are recycled through the
+// client's free list; gen counts the times a record was freed, so work
+// queued for one occupant (a solve) can tell it from the next.
 type cconn struct {
 	port      uint16
 	isn       uint32
 	state     connState
+	gen       uint32
 	startedAt time.Duration
-	rtoEv     netsim.Timer
-	respEv    netsim.Timer
+	// timer is the one armed timeout: the SYN retransmission timer in
+	// SYN_SENT, the response timeout in ESTABLISHED. timerFn, bound once
+	// per record, dispatches on the state.
+	timer     netsim.Timer
+	timerFn   func()
 	rtoIdx    int
 	gotBytes  int
 	wantBytes int
-	solved    bool
 }
 
 // Metrics collects client-side measurements.
@@ -169,6 +175,7 @@ type Client struct {
 	cpu      *cpumodel.CPU
 	nextPort uint32
 	conns    map[uint16]*cconn
+	free     []*cconn
 
 	// solves holds the challenges queued on the CPU model; only its head
 	// is an engine event. arrivalFn and solvedFn are c.arrival and c.solved
@@ -179,10 +186,11 @@ type Client struct {
 	metrics *Metrics
 }
 
-// solveJob is one queued solve: the connection waiting on it and what its
-// final ACK needs.
+// solveJob is one queued solve: the connection waiting on it (the record
+// and its generation at enqueue) and what its final ACK needs.
 type solveJob struct {
 	cc        *cconn
+	gen       uint32
 	serverISN uint32
 	challenge puzzle.Challenge
 }
@@ -254,13 +262,12 @@ func (c *Client) Connect() {
 		c.metrics.Failed++
 		return
 	}
-	cc := &cconn{
-		port:      port,
-		isn:       c.isns.Next(),
-		state:     stateSynSent,
-		startedAt: c.eng.Now(),
-		wantBytes: c.cfg.RequestBytes,
-	}
+	cc := c.newConn()
+	cc.port = port
+	cc.isn = c.isns.Next()
+	cc.state = stateSynSent
+	cc.startedAt = c.eng.Now()
+	cc.wantBytes = c.cfg.RequestBytes
 	c.conns[port] = cc
 	c.metrics.Started++
 	c.metrics.Attempts.Add(c.eng.Now(), 1)
@@ -285,16 +292,43 @@ func (c *Client) sendSYN(cc *cconn) {
 	})
 }
 
+// newConn takes a record off the free list, or builds one with its timer
+// callback bound.
+func (c *Client) newConn() *cconn {
+	if n := len(c.free); n > 0 {
+		cc := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		return cc
+	}
+	cc := &cconn{}
+	cc.timerFn = func() { c.timeout(cc) }
+	return cc
+}
+
+// release ends an attempt: the record leaves the port map and, cleared
+// but for its callback and next generation, joins the free list.
+func (c *Client) release(cc *cconn) {
+	delete(c.conns, cc.port)
+	*cc = cconn{state: stateDone, gen: cc.gen + 1, timerFn: cc.timerFn}
+	c.free = append(c.free, cc)
+}
+
 func (c *Client) armRTO(cc *cconn) {
 	if cc.rtoIdx >= len(c.cfg.RTOs) {
 		c.fail(cc)
 		return
 	}
-	timeout := c.cfg.RTOs[cc.rtoIdx]
-	cc.rtoEv = c.eng.Schedule(timeout, func() {
-		if cc.state != stateSynSent {
-			return
-		}
+	cc.timer = c.eng.Schedule(c.cfg.RTOs[cc.rtoIdx], cc.timerFn)
+}
+
+// timeout fires the connection's armed timer: in SYN_SENT the RTO, which
+// retransmits the SYN or, after the last one, fails the attempt; in
+// ESTABLISHED the response timeout. Every state change cancels the timer,
+// so it only ever fires in the state that armed it.
+func (c *Client) timeout(cc *cconn) {
+	switch cc.state {
+	case stateSynSent:
 		cc.rtoIdx++
 		if cc.rtoIdx >= len(c.cfg.RTOs) {
 			c.fail(cc)
@@ -303,7 +337,9 @@ func (c *Client) armRTO(cc *cconn) {
 		c.metrics.RetriesSYN++
 		c.sendSYN(cc)
 		c.armRTO(cc)
-	})
+	case stateEstablished:
+		c.fail(cc)
+	}
 }
 
 // Handle implements netsim.Node.
@@ -330,8 +366,7 @@ func (c *Client) onSynAck(cc *cconn, seg tcpkit.Segment) {
 	if cc.state != stateSynSent {
 		return // duplicate
 	}
-	cc.rtoEv.Cancel()
-	cc.rtoEv = netsim.Timer{}
+	cc.timer.Cancel()
 	serverISN := seg.Seq
 	chOpt, challenged, _ := tcpopt.Lookup(seg.Options, tcpopt.KindChallenge)
 	if challenged && c.cfg.Solves {
@@ -349,7 +384,7 @@ func (c *Client) onSynAck(cc *cconn, seg tcpkit.Segment) {
 		c.metrics.SolvesStarted++
 		hashes := puzzle.SampleSolveHashes(c.rnd, blk.Challenge.Params)
 		done := c.cpu.Charge(c.eng.Now(), float64(hashes))
-		c.solves.Push(c.eng, done, solveJob{cc, serverISN, blk.Challenge}, c.solvedFn)
+		c.solves.Push(c.eng, done, solveJob{cc, cc.gen, serverISN, blk.Challenge}, c.solvedFn)
 		return
 	}
 	// Plain SYN-ACK, or a challenge the unpatched client cannot read: ACK
@@ -358,13 +393,13 @@ func (c *Client) onSynAck(cc *cconn, seg tcpkit.Segment) {
 }
 
 // solved fires when the CPU finishes the solve at the head of the queue;
-// a connection that failed meanwhile (RST) gets no ACK.
+// a connection that failed meanwhile (RST) gets no ACK, nor does whichever
+// attempt has taken over its record since.
 func (c *Client) solved() {
 	job := c.solves.Pop(c.eng, c.solvedFn)
-	if job.cc.state != stateSolving {
+	if job.cc.gen != job.gen || job.cc.state != stateSolving {
 		return
 	}
-	job.cc.solved = true
 	c.finishHandshake(job.cc, job.serverISN, &job.challenge)
 }
 
@@ -407,11 +442,7 @@ func (c *Client) finishHandshake(cc *cconn, serverISN uint32, ch *puzzle.Challen
 		PayloadLen: c.cfg.RequestPayloadLen,
 		Meta:       cc.wantBytes,
 	})
-	cc.respEv = c.eng.Schedule(c.cfg.ResponseTimeout, func() {
-		if cc.state == stateEstablished {
-			c.fail(cc)
-		}
-	})
+	cc.timer = c.eng.Schedule(c.cfg.ResponseTimeout, cc.timerFn)
 }
 
 // solutionFor produces the wire solution for a challenge. The hash *count*
@@ -439,11 +470,10 @@ func (c *Client) onData(cc *cconn, seg tcpkit.Segment) {
 	cc.gotBytes += seg.PayloadLen
 	c.metrics.BytesIn.Add(c.eng.Now(), float64(seg.WireSize()))
 	if cc.gotBytes >= cc.wantBytes {
-		cc.state = stateDone
-		cc.respEv.Cancel()
+		cc.timer.Cancel()
 		c.metrics.Completed++
 		c.metrics.Successes.Add(c.eng.Now(), 1)
-		delete(c.conns, cc.port)
+		c.release(cc)
 	}
 }
 
@@ -451,10 +481,8 @@ func (c *Client) fail(cc *cconn) {
 	if cc.state == stateDone {
 		return
 	}
-	cc.state = stateDone
-	cc.rtoEv.Cancel()
-	cc.respEv.Cancel()
+	cc.timer.Cancel()
 	c.metrics.Failed++
 	c.metrics.Failures.Add(c.eng.Now(), 1)
-	delete(c.conns, cc.port)
+	c.release(cc)
 }

@@ -280,9 +280,10 @@ func TestSynOptionsAreTheMarshalledArea(t *testing.T) {
 }
 
 // TestAllocBudgetConnect pins the benchmark's clientsim.connect_allocs:
-// opening a connection costs the connection record, the RTO closure and
-// its engine event, plus the connection map's growth — 5 objects while
-// the options area was marshalled per SYN.
+// opening a connection that never completes (so no record is ever freed)
+// costs the connection record, its one bound timer callback and the RTO's
+// engine event, plus the connection map's growth — 5 objects while the
+// options area was marshalled per SYN, and 4 with a closure per timer.
 func TestAllocBudgetConnect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are pinned without -short (and so without -race); CI runs this by name")
@@ -301,5 +302,107 @@ func TestAllocBudgetConnect(t *testing.T) {
 		}
 	}) / batch; got > 3.1 {
 		t.Errorf("%.2f allocs per Connect, budget 3.1", got)
+	}
+}
+
+// TestStaleSolveSkipsRecycledRecord: an attempt is reset while its solve
+// is queued, the next Connect takes over its record, and the old solve
+// then reaches the head of the CPU queue. It must send no ACK — the
+// record's generation has moved on — and the new attempt completes.
+func TestStaleSolveSkipsRecycledRecord(t *testing.T) {
+	w := newWorld(t, serversim.Config{
+		Defense:         sweep.DefensePuzzles,
+		AlwaysChallenge: true,
+		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
+		SimulatedCrypto: true,
+	})
+	c := w.client(t, Config{Solves: true, SimulatedCrypto: true,
+		RequestBytes: 5000, Seed: 13, Device: cpumodel.CPU1})
+	c.Connect()
+	w.eng.Run(50 * time.Millisecond)
+	if len(c.conns) != 1 {
+		t.Fatalf("%d attempts open, want 1", len(c.conns))
+	}
+	var first *cconn
+	for _, cc := range c.conns {
+		first = cc
+	}
+	if first.state != stateSolving || c.solves.Len() != 1 {
+		t.Fatalf("state %d with %d solves queued; want solving, 1", first.state, c.solves.Len())
+	}
+	port := first.port
+	w.net.Send(tcpkit.Segment{
+		Src: w.server.Addr(), Dst: c.Addr(), SrcPort: 80, DstPort: port,
+		Flags: tcpkit.FlagRST,
+	})
+	w.eng.Run(60 * time.Millisecond)
+	if c.Metrics().Failed != 1 {
+		t.Fatalf("Failed = %d after RST, want 1", c.Metrics().Failed)
+	}
+	c.Connect()
+	if cc := c.conns[port+1]; cc != first {
+		t.Fatalf("second attempt got a new record; want the freed one reused")
+	}
+	w.eng.Run(100 * time.Millisecond)
+	if first.state != stateSolving || c.solves.Len() != 2 {
+		t.Fatalf("state %d with %d solves queued; want solving behind the stale solve", first.state, c.solves.Len())
+	}
+	w.eng.Run(30 * time.Second)
+	m, srv := c.Metrics(), w.server.Metrics()
+	if m.Completed != 1 || m.Failed != 1 {
+		t.Errorf("Completed = %d, Failed = %d; want 1, 1", m.Completed, m.Failed)
+	}
+	if srv.SolutionsVerified != 1 || srv.SolutionInvalid != 0 || srv.SolutionMalformed != 0 {
+		t.Errorf("server saw %d verified, %d invalid, %d malformed solutions; want only the second attempt's",
+			srv.SolutionsVerified, srv.SolutionInvalid, srv.SolutionMalformed)
+	}
+}
+
+// TestAllocBudgetConnectCycle: once the free lists and metric arrays are
+// warm, a whole attempt — Connect, handshake, request, response, close —
+// allocates nothing on either side beyond the amortised growth of the
+// per-second series and the server's once-a-second sweep event.
+func TestAllocBudgetConnectCycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are pinned without -short (and so without -race); CI runs this by name")
+	}
+	w := newWorld(t, serversim.Config{Defense: sweep.DefenseNone, ServiceTime: time.Microsecond})
+	c := w.client(t, Config{RequestBytes: 1000, Seed: 3})
+	cycle := func() {
+		c.Connect()
+		w.eng.Run(w.eng.Now() + 20*time.Millisecond)
+	}
+	for range 100 {
+		cycle()
+	}
+	const batch = 1000
+	got := testing.AllocsPerRun(3, func() {
+		for range batch {
+			cycle()
+		}
+	}) / batch
+	if m := c.Metrics(); m.Completed != m.Started {
+		t.Fatalf("%d of %d attempts completed", m.Completed, m.Started)
+	}
+	t.Logf("%.4f allocs per cycle", got)
+	if got > 0.1 {
+		t.Errorf("%.3f allocs per connect-to-complete cycle, budget 0.1", got)
+	}
+}
+
+// TestClientResponseTimeout: an established attempt whose request is
+// never answered (the server has no workers) fails when the response
+// timeout — the record's one timer, re-armed after the handshake — fires.
+func TestClientResponseTimeout(t *testing.T) {
+	w := newWorld(t, serversim.Config{Defense: sweep.DefenseNone, Workers: -1})
+	c := w.client(t, Config{Seed: 3, ResponseTimeout: 2 * time.Second})
+	c.Connect()
+	w.eng.Run(time.Second)
+	if m := c.Metrics(); m.Established != 1 || m.Failed != 0 {
+		t.Fatalf("after 1 s: Established = %d, Failed = %d; want 1, 0", m.Established, m.Failed)
+	}
+	w.eng.Run(5 * time.Second)
+	if m := c.Metrics(); m.Failed != 1 || m.Completed != 0 || len(c.conns) != 0 {
+		t.Errorf("after 5 s: Failed = %d, Completed = %d, %d attempts open; want 1, 0, 0", m.Failed, m.Completed, len(c.conns))
 	}
 }

@@ -198,8 +198,7 @@ func (r *FloodRun) AttackerCPU() []float64 {
 // QueueSizes returns per-second listen and accept queue occupancy.
 func (r *FloodRun) QueueSizes() (listen, accept []float64) {
 	m := r.Server.Metrics()
-	return m.ListenLen.Sampled(r.Cfg.Bucket, r.Cfg.Duration),
-		m.AcceptLen.Sampled(r.Cfg.Bucket, r.Cfg.Duration)
+	return m.ListenLen.Sampled(r.Cfg.Duration), m.AcceptLen.Sampled(r.Cfg.Duration)
 }
 
 // AttackerEstablishedRate returns the botnet's completed connections per
@@ -313,7 +312,7 @@ func duringMetrics(run *FloodRun) []sweep.Metric {
 // Before the first adjustment the gauge reads zero; the baseline m
 // backfills it for a readable trace.
 func difficultyTrace(run *FloodRun) []float64 {
-	trace := run.Server.Metrics().DifficultyM.Sampled(run.Cfg.Bucket, run.Cfg.Duration)
+	trace := run.Server.Metrics().DifficultyM.Sampled(run.Cfg.Duration)
 	for i, v := range trace {
 		if v == 0 {
 			trace[i] = float64(run.Cfg.Params.M)

@@ -10,7 +10,7 @@ import (
 // establish records a completed handshake, placing it on the accept queue
 // and dispatching workers.
 func (s *Server) establish(peer tcpkit.PeerKey, mss uint16, solvedPuzzle bool) {
-	e := &tcpkit.Established{
+	e := tcpkit.Established{
 		Peer:         peer,
 		MSS:          mss,
 		SolvedPuzzle: solvedPuzzle,
@@ -24,9 +24,36 @@ func (s *Server) establish(peer tcpkit.PeerKey, mss uint16, solvedPuzzle bool) {
 	if mss == 0 {
 		mss = 536
 	}
-	s.conns[peer] = &conn{peer: peer, mss: mss, createdAt: s.eng.Now()}
+	c := s.newConn()
+	c.peer, c.mss = peer, mss
+	s.conns[peer] = c
 	s.metrics.RecordEstablished(s.eng.Now(), peer)
 	s.dispatchWorkers()
+}
+
+// newConn takes a record off the free list, or builds one with its
+// callbacks bound.
+func (s *Server) newConn() *conn {
+	if n := len(s.freeConns); n > 0 {
+		c := s.freeConns[n-1]
+		s.freeConns[n-1] = nil
+		s.freeConns = s.freeConns[:n-1]
+		return c
+	}
+	c := &conn{}
+	c.idleFn = func() {
+		s.metrics.IdleTimeouts++
+		s.closeConn(c)
+	}
+	c.serveFn = func() { s.served(c) }
+	return c
+}
+
+// freeConn returns a closed record to the free list, cleared but for its
+// bound callbacks.
+func (s *Server) freeConn(c *conn) {
+	*c = conn{idleFn: c.idleFn, serveFn: c.serveFn}
+	s.freeConns = append(s.freeConns, c)
 }
 
 // dispatchWorkers lets free workers accept queued connections.
@@ -41,7 +68,6 @@ func (s *Server) dispatchWorkers() {
 			continue // torn down while queued
 		}
 		s.workersFree--
-		c.accepted = true
 		c.hasWorker = true
 		if c.pendingReq > 0 {
 			s.serve(c)
@@ -51,10 +77,7 @@ func (s *Server) dispatchWorkers() {
 		// resource a connection flood pins. Jitter desynchronises the
 		// worker pool so releases do not arrive in lockstep waves.
 		idle := time.Duration((0.75 + 0.5*s.rnd.Float64()) * float64(s.cfg.IdleTimeout))
-		c.idleEv = s.eng.Schedule(idle, func() {
-			s.metrics.IdleTimeouts++
-			s.closeConn(c, true)
-		})
+		c.idleEv = s.eng.Schedule(idle, c.idleFn)
 	}
 }
 
@@ -86,15 +109,22 @@ func (s *Server) onData(c *conn, seg tcpkit.Segment) {
 func (s *Server) serve(c *conn) {
 	service := time.Duration(s.rnd.ExpFloat64() * float64(s.cfg.ServiceTime))
 	s.chargeHashes(s.cfg.PerRequestHashEquiv)
-	respBytes := c.pendingReq
-	s.eng.Schedule(service, func() {
-		if _, live := s.conns[c.peer]; !live {
-			return
-		}
-		s.metrics.RequestsServed++
-		s.sendResponse(c, respBytes)
-		s.closeConn(c, true)
-	})
+	c.serving = true
+	s.eng.Schedule(service, c.serveFn)
+}
+
+// served ends a service period: it answers the request and closes the
+// connection, or, when the connection was reset meanwhile, only frees
+// the record.
+func (s *Server) served(c *conn) {
+	c.serving = false
+	if s.conns[c.peer] != c {
+		s.freeConn(c)
+		return
+	}
+	s.metrics.RequestsServed++
+	s.sendResponse(c, c.pendingReq)
+	s.closeConn(c)
 }
 
 // sendResponse writes size bytes to the peer as MSS-sized segments, one
@@ -122,17 +152,17 @@ func (s *Server) sendResponse(c *conn, size int) {
 	s.net.SendTrain(seg, count, last)
 }
 
-// closeConn tears down a connection, releasing its worker if held.
-func (s *Server) closeConn(c *conn, releaseWorker bool) {
-	if _, live := s.conns[c.peer]; !live {
-		return
-	}
+// closeConn tears down a live connection and releases its worker if it
+// holds one. The record is freed here unless a serve event is pending.
+func (s *Server) closeConn(c *conn) {
 	delete(s.conns, c.peer)
 	c.idleEv.Cancel()
-	c.idleEv = netsim.Timer{}
-	if c.hasWorker && releaseWorker {
+	hadWorker := c.hasWorker
+	if !c.serving {
+		s.freeConn(c)
+	}
+	if hadWorker {
 		s.workersFree++
-		c.hasWorker = false
 		s.dispatchWorkers()
 	}
 }

@@ -120,8 +120,14 @@ func (c serverCtx) Jar() *syncookie.Jar { return c.s.jar }
 // Puzzles implements defense.ServerCtx.
 func (c serverCtx) Puzzles() pzengine.Engine { return c.s.engine }
 
-// SynCache implements defense.ServerCtx.
-func (c serverCtx) SynCache() *syncache.Cache { return c.s.cache }
+// SynCache implements defense.ServerCtx. The cache (4× backlog) is built
+// on first use, so defenses that never spill do not pay for its map.
+func (c serverCtx) SynCache() *syncache.Cache {
+	if c.s.cache == nil {
+		c.s.cache = syncache.New(c.s.cfg.Backlog*4, syncache.RejectNew)
+	}
+	return c.s.cache
+}
 
 // Metrics implements defense.ServerCtx.
 func (c serverCtx) Metrics() *srvmetrics.Metrics { return c.s.metrics }

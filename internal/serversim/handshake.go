@@ -62,7 +62,7 @@ func low(capacity int) int  { return max(capacity/32, 1) }
 func (s *Server) normalSYN(seg tcpkit.Segment, mss uint16, wscale uint8) {
 	peer := tcpkit.PeerOf(seg)
 	serverISN := s.isns.Next()
-	half := &tcpkit.HalfOpen{
+	half := tcpkit.HalfOpen{
 		Peer:      peer,
 		ClientISN: seg.Seq,
 		ServerISN: serverISN,
@@ -120,7 +120,7 @@ func (s *Server) onACK(seg tcpkit.Segment) {
 }
 
 // completeStateful finishes a handshake that has listen-queue state.
-func (s *Server) completeStateful(seg tcpkit.Segment, half *tcpkit.HalfOpen) {
+func (s *Server) completeStateful(seg tcpkit.Segment, half tcpkit.HalfOpen) {
 	peer := half.Peer
 	if s.acceptQ.Full() {
 		// The accept queue has no room: keep the half-open entry (the
@@ -132,11 +132,12 @@ func (s *Server) completeStateful(seg tcpkit.Segment, half *tcpkit.HalfOpen) {
 	s.establish(peer, half.MSS, false)
 }
 
-// onRST tears down any established state for the peer.
+// onRST tears down any established state for the peer, releasing its
+// worker.
 func (s *Server) onRST(seg tcpkit.Segment) {
 	peer := tcpkit.PeerOf(seg)
 	if c, ok := s.conns[peer]; ok {
-		s.closeConn(c, false)
+		s.closeConn(c)
 	}
 	s.listenQ.Remove(peer)
 }

@@ -21,15 +21,22 @@ import (
 // so defense plugins account into it through the ServerCtx facade).
 type Metrics = srvmetrics.Metrics
 
-// conn is a server-side established connection.
+// conn is a server-side established connection. Records are recycled
+// through the server's free list; idleFn and serveFn are the record's
+// idle-timeout and end-of-service callbacks, bound once when the record is
+// first built.
 type conn struct {
 	peer       tcpkit.PeerKey
 	mss        uint16
-	accepted   bool
 	hasWorker  bool
 	pendingReq int // requested response bytes, 0 if no request yet
 	idleEv     netsim.Timer
-	createdAt  time.Duration
+	// serving is set while a serve event is pending. Such a record goes
+	// back to the free list only when that event fires, never from
+	// closeConn, so the event cannot act on the record's next occupant.
+	serving bool
+
+	idleFn, serveFn func()
 }
 
 // Server is the simulated protected server node.
@@ -42,7 +49,7 @@ type Server struct {
 	issuer  *puzzle.Issuer
 	engine  pzengine.Engine
 	jar     *syncookie.Jar
-	cache   *syncache.Cache
+	cache   *syncache.Cache // built on first use; nil for most defenses
 	defense defense.Defense
 
 	listenQ *tcpkit.ListenQueue
@@ -52,6 +59,7 @@ type Server struct {
 
 	workersFree   int
 	conns         map[tcpkit.PeerKey]*conn
+	freeConns     []*conn
 	protLatched   bool
 	latchLoadedAt time.Duration
 
@@ -105,7 +113,6 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		s.engine = pzengine.Real{Is: issuer}
 	}
 	s.jar = syncookie.New([]byte{byte(cfg.Seed)}, jarOpts...)
-	s.cache = syncache.New(cfg.Backlog*4, syncache.RejectNew)
 	s.listenQ = tcpkit.NewListenQueue(cfg.Backlog, func(n int) {
 		s.metrics.ListenLen.Set(eng.Now(), float64(n))
 	})
@@ -153,7 +160,9 @@ func (s *Server) AcceptLen() int { return s.acceptQ.Len() }
 func (s *Server) scheduleSweep() {
 	s.eng.Schedule(time.Second, func() {
 		s.listenQ.Expire(s.eng.Now())
-		s.cache.Expire(s.eng.Now())
+		if s.cache != nil {
+			s.cache.Expire(s.eng.Now())
+		}
 		s.defense.OnTick(s.ctx())
 		s.scheduleSweep()
 	})

@@ -618,3 +618,98 @@ func TestIssuerSecretComesFromSeed(t *testing.T) {
 		}
 	}
 }
+
+func (f *fixture) rst(port uint16) {
+	f.net.Send(tcpkit.Segment{
+		Src: f.peer.addr, Dst: f.server.cfg.Addr,
+		SrcPort: port, DstPort: f.server.cfg.Port,
+		Flags: tcpkit.FlagRST,
+	})
+}
+
+func (f *fixture) request(port uint16, size int) {
+	f.net.Send(tcpkit.Segment{
+		Src: f.peer.addr, Dst: f.server.cfg.Addr,
+		SrcPort: port, DstPort: f.server.cfg.Port,
+		Flags: tcpkit.FlagACK | tcpkit.FlagPSH, PayloadLen: 200, Meta: size,
+	})
+}
+
+// handshake completes a plain handshake from the scripted peer's port.
+func (f *fixture) handshake(t *testing.T, port uint16, isn uint32) {
+	t.Helper()
+	f.syn(port, isn)
+	f.run(20 * time.Millisecond)
+	f.ack(port, isn, f.peer.lastSynAck(t).Seq, nil, 0)
+	f.run(20 * time.Millisecond)
+}
+
+// TestRSTReleasesWorker: a reset connection gives its worker back at
+// once, instead of pinning it after the idle timer is cancelled.
+func TestRSTReleasesWorker(t *testing.T) {
+	f := newFixture(t, Config{Defense: sweep.DefenseNone, Workers: 2})
+	f.handshake(t, 5000, 100)
+	if f.server.FreeWorkers() != 1 {
+		t.Fatalf("FreeWorkers = %d after accept, want 1", f.server.FreeWorkers())
+	}
+	f.rst(5000)
+	f.run(10 * time.Second)
+	if f.server.FreeWorkers() != 2 {
+		t.Errorf("FreeWorkers = %d after RST, want 2", f.server.FreeWorkers())
+	}
+	if f.server.OpenConns() != 0 {
+		t.Errorf("OpenConns = %d after RST, want 0", f.server.OpenConns())
+	}
+	if f.server.Metrics().IdleTimeouts != 0 {
+		t.Errorf("IdleTimeouts = %d, want 0: the RST closed the connection", f.server.Metrics().IdleTimeouts)
+	}
+}
+
+// TestResetDuringServiceKeepsRecord resets a connection while its serve
+// event is pending and reconnects from the same peer key before the event
+// fires. The worker comes back at the RST; when the stale event fires
+// while the new connection is still open, it must neither answer nor
+// close that connection, and the old record must not be handed to the
+// new connection while the event still points at it.
+func TestResetDuringServiceKeepsRecord(t *testing.T) {
+	f := newFixture(t, Config{Defense: sweep.DefenseNone, Workers: 1, ServiceTime: time.Hour, IdleTimeout: 1000 * time.Hour})
+	peer := tcpkit.PeerKey{IP: f.peer.addr, Port: 5000}
+	f.handshake(t, 5000, 100)
+	old := f.server.conns[peer]
+	f.request(5000, 3000)
+	f.run(20 * time.Millisecond)
+	if !old.serving {
+		t.Fatal("request not in service")
+	}
+	f.rst(5000)
+	f.run(20 * time.Millisecond)
+	if f.server.FreeWorkers() != 1 {
+		t.Fatalf("FreeWorkers = %d after RST in service, want 1", f.server.FreeWorkers())
+	}
+	f.handshake(t, 5000, 200)
+	fresh, ok := f.server.conns[peer]
+	if !ok || fresh == old {
+		t.Fatalf("reconnect got record %p (ok=%v); the serving record %p must not be reused", fresh, ok, old)
+	}
+	// The stale event fires within hours, long before the reconnect's
+	// idle timer.
+	f.run(200 * time.Hour)
+	if old.serving {
+		t.Fatal("stale serve event has not fired")
+	}
+	if got := f.server.Metrics().RequestsServed; got != 0 {
+		t.Errorf("RequestsServed = %d, want 0: the served connection was reset", got)
+	}
+	for _, seg := range f.peer.got {
+		if seg.PayloadLen > 0 {
+			t.Fatalf("peer received %d response bytes on port %d", seg.PayloadLen, seg.DstPort)
+		}
+	}
+	if f.server.conns[peer] != fresh || f.server.FreeWorkers() != 0 {
+		t.Errorf("reconnect open = %v, FreeWorkers = %d; want the reconnect open on the only worker",
+			f.server.conns[peer] == fresh, f.server.FreeWorkers())
+	}
+	if len(f.server.freeConns) != 1 || f.server.freeConns[0] != old {
+		t.Errorf("free list = %v, want just the reset record", f.server.freeConns)
+	}
+}

@@ -20,11 +20,12 @@ type Metrics struct {
 	BytesIn  *stats.Series
 	BytesOut *stats.Series
 
-	// ListenLen and AcceptLen trace queue occupancy (Fig. 10).
-	ListenLen stats.Gauge
-	AcceptLen stats.Gauge
+	// ListenLen and AcceptLen trace queue occupancy (Fig. 10), sampled
+	// once per metric bucket.
+	ListenLen *stats.Gauge
+	AcceptLen *stats.Gauge
 	// DifficultyM traces the adaptive controller's difficulty setting.
-	DifficultyM stats.Gauge
+	DifficultyM *stats.Gauge
 
 	// ChallengesSent / PlainSynAcks / CookieSynAcks reproduce the Fig. 8
 	// sparkline distinguishing challenged from unchallenged SYN-ACKs.
@@ -67,6 +68,9 @@ func New(bucket time.Duration) *Metrics {
 	return &Metrics{
 		BytesIn:          stats.NewSeries(bucket),
 		BytesOut:         stats.NewSeries(bucket),
+		ListenLen:        stats.NewGauge(bucket),
+		AcceptLen:        stats.NewGauge(bucket),
+		DifficultyM:      stats.NewGauge(bucket),
 		ChallengesSent:   stats.NewSeries(bucket),
 		PlainSynAcks:     stats.NewSeries(bucket),
 		CookieSynAcks:    stats.NewSeries(bucket),

@@ -109,53 +109,59 @@ func (s *Series) Mbps(until time.Duration) []float64 {
 	return rates
 }
 
-// Gauge records a piecewise-constant quantity over time (queue lengths).
+// Gauge records a piecewise-constant quantity over time (queue lengths)
+// for resampling at a fixed period. It keeps one value per period, not one
+// per change: sample k, at time k·period, is the value of the last Set at
+// or before that instant, so every Set in (k-1)·period, k·period] writes
+// sample k and only the last of them survives.
 type Gauge struct {
-	times []time.Duration
-	vals  []float64
+	period time.Duration
+	// vals holds the settled samples 0 … len(vals)-1; cur is the value of
+	// the latest Set, the one every later sample reads until the next.
+	vals   []float64
+	cur    float64
+	lastAt time.Duration
+}
+
+// NewGauge returns a Gauge sampled at the given period.
+func NewGauge(period time.Duration) *Gauge {
+	if period <= 0 {
+		period = time.Second
+	}
+	return &Gauge{period: period, lastAt: math.MinInt64}
 }
 
 // Set records that the gauge took value v at time at. Times must be
 // non-decreasing; out-of-order samples are dropped.
 func (g *Gauge) Set(at time.Duration, v float64) {
-	if n := len(g.times); n > 0 && at < g.times[n-1] {
+	if at < g.lastAt {
 		return
 	}
-	g.times = append(g.times, at)
-	g.vals = append(g.vals, v)
+	g.lastAt = at
+	// Samples before k = ⌈at/period⌉ lie before at: they settle on the
+	// value in effect until now.
+	k := 0
+	if at > 0 {
+		k = int((at + g.period - 1) / g.period)
+	}
+	for len(g.vals) < k {
+		g.vals = append(g.vals, g.cur)
+	}
+	g.cur = v
 }
 
-// At returns the gauge value in effect at time at (zero before the first
-// sample).
-func (g *Gauge) At(at time.Duration) float64 {
-	idx := sort.Search(len(g.times), func(i int) bool { return g.times[i] > at })
-	if idx == 0 {
-		return 0
-	}
-	return g.vals[idx-1]
-}
-
-// Sampled returns the gauge resampled at the given period over [0, until).
-func (g *Gauge) Sampled(period, until time.Duration) []float64 {
-	if period <= 0 {
-		period = time.Second
-	}
+// Sampled returns the gauge sampled at its period over [0, until): zero
+// before the first Set.
+func (g *Gauge) Sampled(until time.Duration) []float64 {
 	var out []float64
-	for t := time.Duration(0); t < until; t += period {
-		out = append(out, g.At(t))
-	}
-	return out
-}
-
-// Max returns the largest recorded value.
-func (g *Gauge) Max() float64 {
-	var m float64
-	for _, v := range g.vals {
-		if v > m {
-			m = v
+	for t := time.Duration(0); t < until; t += g.period {
+		if k := len(out); k < len(g.vals) {
+			out = append(out, g.vals[k])
+		} else {
+			out = append(out, g.cur)
 		}
 	}
-	return m
+	return out
 }
 
 // CDF is an empirical cumulative distribution over float64 samples.

@@ -1,7 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -71,31 +75,99 @@ func TestSeriesSumRange(t *testing.T) {
 }
 
 func TestGauge(t *testing.T) {
-	var g Gauge
+	g := NewGauge(time.Second)
 	g.Set(time.Second, 5)
 	g.Set(3*time.Second, 2)
 	g.Set(2*time.Second, 99) // out of order: dropped
-	if got := g.At(0); got != 0 {
-		t.Errorf("At(0) = %v, want 0", got)
-	}
-	if got := g.At(time.Second); got != 5 {
-		t.Errorf("At(1s) = %v, want 5", got)
-	}
-	if got := g.At(2500 * time.Millisecond); got != 5 {
-		t.Errorf("At(2.5s) = %v, want 5", got)
-	}
-	if got := g.At(10 * time.Second); got != 2 {
-		t.Errorf("At(10s) = %v, want 2", got)
-	}
-	if got := g.Max(); got != 5 {
-		t.Errorf("Max = %v, want 5", got)
-	}
-	samples := g.Sampled(time.Second, 4*time.Second)
+	got := g.Sampled(4 * time.Second)
 	want := []float64{0, 5, 5, 2}
-	for i := range want {
-		if samples[i] != want[i] {
-			t.Errorf("Sampled[%d] = %v, want %v", i, samples[i], want[i])
+	if !slices.Equal(got, want) {
+		t.Errorf("Sampled = %v, want %v", got, want)
+	}
+}
+
+// logGauge is the Gauge as it was before it kept one value per period: a
+// log of every (time, value) change, read back by binary search. It is
+// the oracle the differential test holds Gauge to.
+type logGauge struct {
+	times []time.Duration
+	vals  []float64
+}
+
+func (g *logGauge) Set(at time.Duration, v float64) {
+	if n := len(g.times); n > 0 && at < g.times[n-1] {
+		return
+	}
+	g.times = append(g.times, at)
+	g.vals = append(g.vals, v)
+}
+
+func (g *logGauge) at(at time.Duration) float64 {
+	idx := sort.Search(len(g.times), func(i int) bool { return g.times[i] > at })
+	if idx == 0 {
+		return 0
+	}
+	return g.vals[idx-1]
+}
+
+func (g *logGauge) Sampled(period, until time.Duration) []float64 {
+	var out []float64
+	for t := time.Duration(0); t < until; t += period {
+		out = append(out, g.at(t))
+	}
+	return out
+}
+
+// TestGaugeMatchesChangeLog holds Gauge to the full change log on
+// hand-picked edges — equal times, out-of-order sets, sets exactly on a
+// period boundary and just either side of one, sets after until — and on
+// random streams drawn from those same instants.
+func TestGaugeMatchesChangeLog(t *testing.T) {
+	const period = 250 * time.Millisecond
+	type set struct {
+		at time.Duration
+		v  float64
+	}
+	check := func(name string, sets []set) {
+		t.Helper()
+		g, oracle := NewGauge(period), &logGauge{}
+		for _, s := range sets {
+			g.Set(s.at, s.v)
+			oracle.Set(s.at, s.v)
 		}
+		for _, until := range []time.Duration{0, 1, period, period + 1, 3 * period, 3*period + 1, 10 * period} {
+			got, want := g.Sampled(until), oracle.Sampled(period, until)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: Sampled(%v) = %v, change log gives %v", name, until, got, want)
+			}
+		}
+	}
+	check("empty", nil)
+	check("equal times", []set{{period, 1}, {period, 2}, {period, 3}, {2 * period, 4}, {2 * period, 5}})
+	check("out of order", []set{{2 * period, 1}, {period, 9}, {2*period - 1, 9}, {2 * period, 2}, {3 * period, 3}})
+	check("on boundaries", []set{{0, 1}, {period, 2}, {2 * period, 3}, {3 * period, 4}})
+	check("either side of a boundary", []set{{period - 1, 1}, {period, 2}, {period + 1, 3}, {3*period - 1, 4}, {3*period + 1, 5}})
+	check("gaps", []set{{period / 2, 1}, {5*period + 7, 2}, {9 * period, 3}})
+	check("after until", []set{{period, 1}, {20 * period, 2}, {20 * period, 3}, {40*period + 1, 4}})
+
+	rnd := rand.New(rand.NewSource(1))
+	for i := range 500 {
+		var sets []set
+		at := time.Duration(0)
+		for range rnd.Intn(30) {
+			switch rnd.Intn(4) {
+			case 0: // equal time
+			case 1: // out of order
+				at -= time.Duration(rnd.Intn(3)) * period / 2
+			case 2: // onto the next boundary or just off it
+				at = (at/period+1)*period + time.Duration(rnd.Intn(3)-1)
+			default:
+				at += time.Duration(rnd.Int63n(int64(3 * period)))
+			}
+			at = max(at, 0)
+			sets = append(sets, set{at, float64(rnd.Intn(8))})
+		}
+		check(fmt.Sprintf("random stream %d", i), sets)
 	}
 }
 

@@ -17,10 +17,12 @@ type HalfOpen struct {
 }
 
 // ListenQueue holds half-open connections up to the backlog limit. Its
-// occupancy is the target of SYN floods.
+// occupancy is the target of SYN floods. Entries are held by value, so a
+// SYN costs no heap object of its own; the map grows with the occupancy a
+// run reaches rather than being sized for the backlog up front.
 type ListenQueue struct {
 	capacity int
-	entries  map[PeerKey]*HalfOpen
+	entries  map[PeerKey]HalfOpen
 	onLen    func(int)
 }
 
@@ -28,7 +30,7 @@ type ListenQueue struct {
 func NewListenQueue(backlog int, onLen func(int)) *ListenQueue {
 	return &ListenQueue{
 		capacity: backlog,
-		entries:  make(map[PeerKey]*HalfOpen, backlog),
+		entries:  make(map[PeerKey]HalfOpen),
 		onLen:    onLen,
 	}
 }
@@ -45,7 +47,7 @@ func (q *ListenQueue) Full() bool { return len(q.entries) >= q.capacity }
 // Add inserts a half-open entry; it fails when full. A re-transmitted SYN
 // for an existing peer refreshes nothing and reports success with the
 // existing entry retained.
-func (q *ListenQueue) Add(h *HalfOpen) bool {
+func (q *ListenQueue) Add(h HalfOpen) bool {
 	if _, exists := q.entries[h.Peer]; exists {
 		return true
 	}
@@ -58,7 +60,7 @@ func (q *ListenQueue) Add(h *HalfOpen) bool {
 }
 
 // Get looks up the half-open entry for a peer.
-func (q *ListenQueue) Get(peer PeerKey) (*HalfOpen, bool) {
+func (q *ListenQueue) Get(peer PeerKey) (HalfOpen, bool) {
 	h, ok := q.entries[peer]
 	return h, ok
 }
@@ -109,10 +111,14 @@ type Established struct {
 }
 
 // AcceptQueue holds established-but-unaccepted connections. Its occupancy is
-// the target of connection floods.
+// the target of connection floods. The FIFO is fifo[head:], held by value:
+// Pop advances head, and Push slides the live entries back to the front
+// before it would grow the array, so a queue that cycles within its
+// capacity reuses one array.
 type AcceptQueue struct {
 	capacity int
-	fifo     []*Established
+	fifo     []Established
+	head     int
 	members  map[PeerKey]struct{}
 	onLen    func(int)
 }
@@ -127,13 +133,13 @@ func NewAcceptQueue(capacity int, onLen func(int)) *AcceptQueue {
 }
 
 // Len returns the queue occupancy.
-func (q *AcceptQueue) Len() int { return len(q.fifo) }
+func (q *AcceptQueue) Len() int { return len(q.fifo) - q.head }
 
 // Cap returns the capacity.
 func (q *AcceptQueue) Cap() int { return q.capacity }
 
 // Full reports whether the queue is at capacity.
-func (q *AcceptQueue) Full() bool { return len(q.fifo) >= q.capacity }
+func (q *AcceptQueue) Full() bool { return q.Len() >= q.capacity }
 
 // Contains reports whether a peer already occupies a slot — the property
 // that bounds replay floods to one slot per captured solution (paper §7).
@@ -144,9 +150,13 @@ func (q *AcceptQueue) Contains(peer PeerKey) bool {
 
 // Push enqueues an established connection; it fails when full or when the
 // peer already holds a slot.
-func (q *AcceptQueue) Push(e *Established) bool {
+func (q *AcceptQueue) Push(e Established) bool {
 	if q.Full() || q.Contains(e.Peer) {
 		return false
+	}
+	if q.head > 0 && len(q.fifo) == cap(q.fifo) {
+		q.fifo = q.fifo[:copy(q.fifo, q.fifo[q.head:])]
+		q.head = 0
 	}
 	q.fifo = append(q.fifo, e)
 	q.members[e.Peer] = struct{}{}
@@ -155,13 +165,15 @@ func (q *AcceptQueue) Push(e *Established) bool {
 }
 
 // Pop dequeues the oldest connection for the application to accept.
-func (q *AcceptQueue) Pop() (*Established, bool) {
-	if len(q.fifo) == 0 {
-		return nil, false
+func (q *AcceptQueue) Pop() (Established, bool) {
+	if q.Len() == 0 {
+		return Established{}, false
 	}
-	e := q.fifo[0]
-	q.fifo[0] = nil
-	q.fifo = q.fifo[1:]
+	e := q.fifo[q.head]
+	q.head++
+	if q.head == len(q.fifo) {
+		q.fifo, q.head = q.fifo[:0], 0
+	}
 	delete(q.members, e.Peer)
 	q.notify()
 	return e, true
@@ -169,6 +181,6 @@ func (q *AcceptQueue) Pop() (*Established, bool) {
 
 func (q *AcceptQueue) notify() {
 	if q.onLen != nil {
-		q.onLen(len(q.fifo))
+		q.onLen(q.Len())
 	}
 }

@@ -8,6 +8,14 @@ import "testing"
 // alone, registering one changes it, bumping it changes it again, and
 // defense/attack fingerprints are independent dimensions.
 func TestFingerprintChangesHash(t *testing.T) {
+	// The registries are process-wide: drop the synthetic names again so
+	// a repeated run (go test -count=2) starts from the same state.
+	t.Cleanup(func() {
+		fpMu.Lock()
+		defer fpMu.Unlock()
+		delete(defenseFPs, "fp-test-defense")
+		delete(attackFPs, "fp-test-attack")
+	})
 	scD := Scenario{Defense: "fp-test-defense", Seed: 3}
 	base := Hash("exp", scD)
 	if Hash("exp", scD) != base {
