@@ -48,7 +48,7 @@ type AdaptiveFlood struct {
 	shares    []float64
 	actions   []float64
 	rewards   []float64
-	armByPort map[uint16]int
+	armByPort map[uint32]int // keyed by uint32: maps have no 16-bit fast path
 	ticks     int
 	trace     [][]float64
 }
@@ -77,7 +77,7 @@ func NewAdaptiveFlood() *AdaptiveFlood {
 		shares:    game.UniformShares(len(arms)),
 		actions:   make([]float64, len(arms)),
 		rewards:   make([]float64, len(arms)),
-		armByPort: map[uint16]int{},
+		armByPort: map[uint32]int{},
 	}
 }
 
@@ -100,11 +100,11 @@ func (f *AdaptiveFlood) Tick(ctx BotCtx) {
 // OnSynAck implements Strategy: credit the arm that opened the handshake,
 // then let that arm's own completion logic run.
 func (f *AdaptiveFlood) OnSynAck(ctx BotCtx, sa SynAck) {
-	arm, ok := f.armByPort[sa.Port]
+	arm, ok := f.armByPort[uint32(sa.Port)]
 	if !ok {
 		return
 	}
-	delete(f.armByPort, sa.Port)
+	delete(f.armByPort, uint32(sa.Port))
 	if sa.Challenged {
 		f.rewards[arm] += rewardChallenged
 	} else {
@@ -179,6 +179,6 @@ type armCtx struct {
 // ExpectSynAck records which arm opened the handshake before registering
 // it with the bot core.
 func (c armCtx) ExpectSynAck(port uint16, isn uint32) {
-	c.flood.armByPort[port] = c.arm
+	c.flood.armByPort[uint32(port)] = c.arm
 	c.BotCtx.ExpectSynAck(port, isn)
 }

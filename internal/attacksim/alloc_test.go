@@ -41,7 +41,7 @@ func TestAllocBudgetChallengedSynAck(t *testing.T) {
 	const batch = 1000 // AllocsPerRun reports whole objects per call
 	got := testing.AllocsPerRun(5, func() {
 		for range batch {
-			bot.awaiting[synAck.DstPort] = 1 // what sendRealSYN registers
+			bot.awaiting[uint32(synAck.DstPort)] = 1 // what sendRealSYN registers
 			bot.Handle(synAck)
 		}
 	}) / batch

@@ -101,7 +101,10 @@ type Bot struct {
 	isns     *tcpkit.ISNSource
 	cpu      *cpumodel.CPU
 	nextPort uint32
-	awaiting map[uint16]uint32 // port → client ISN for in-flight handshakes
+	// awaiting maps port → client ISN for in-flight handshakes, the port
+	// widened to uint32: Go's maps have fast paths for 32- and 64-bit keys
+	// but none for 16-bit ones.
+	awaiting map[uint32]uint32
 
 	// solves holds the challenges queued on the CPU model; only its head
 	// is an engine event. tickFn and solvedFn are b.tick and b.solved bound
@@ -140,7 +143,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		isns:     isns,
 		cpu:      cpumodel.NewCPU(cfg.Device, cfg.MetricBucket),
 		nextPort: 20000,
-		awaiting: make(map[uint16]uint32),
+		awaiting: make(map[uint32]uint32),
 		metrics:  attack.NewMetrics(cfg.MetricBucket),
 	}
 	strategy, err := attack.New(cfg.Attack, botCtx{b})
@@ -211,11 +214,11 @@ func (b *Bot) Handle(seg tcpkit.Segment) {
 	if !seg.Flags.Has(tcpkit.FlagSYN | tcpkit.FlagACK) {
 		return
 	}
-	isn, ok := b.awaiting[seg.DstPort]
+	isn, ok := b.awaiting[uint32(seg.DstPort)]
 	if !ok {
 		return
 	}
-	delete(b.awaiting, seg.DstPort)
+	delete(b.awaiting, uint32(seg.DstPort))
 
 	chOpt, challenged, _ := tcpopt.Lookup(seg.Options, tcpopt.KindChallenge)
 	b.strategy.OnSynAck(botCtx{b}, attack.SynAck{

@@ -56,7 +56,7 @@ func (c botCtx) NextPort() uint16 {
 }
 
 // ExpectSynAck implements attack.BotCtx.
-func (c botCtx) ExpectSynAck(port uint16, isn uint32) { c.b.awaiting[port] = isn }
+func (c botCtx) ExpectSynAck(port uint16, isn uint32) { c.b.awaiting[uint32(port)] = isn }
 
 // EmitAttack implements attack.BotCtx.
 func (c botCtx) EmitAttack(seg tcpkit.Segment) {

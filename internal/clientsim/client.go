@@ -174,8 +174,10 @@ type Client struct {
 	isns     *tcpkit.ISNSource
 	cpu      *cpumodel.CPU
 	nextPort uint32
-	conns    map[uint16]*cconn
-	free     []*cconn
+	// conns is keyed by the local port widened to uint32: Go's maps have
+	// fast paths for 32- and 64-bit keys but none for 16-bit ones.
+	conns map[uint32]*cconn
+	free  []*cconn
 
 	// solves holds the challenges queued on the CPU model; only its head
 	// is an engine event. arrivalFn and solvedFn are c.arrival and c.solved
@@ -206,7 +208,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		isns:     tcpkit.NewISNSource(cfg.Seed + 7),
 		cpu:      cpumodel.NewCPU(cfg.Device, cfg.MetricBucket),
 		nextPort: 10000,
-		conns:    make(map[uint16]*cconn),
+		conns:    make(map[uint32]*cconn),
 		metrics: &Metrics{
 			BytesIn:   stats.NewSeries(cfg.MetricBucket),
 			Attempts:  stats.NewSeries(cfg.MetricBucket),
@@ -257,7 +259,7 @@ func (c *Client) arrival() {
 func (c *Client) Connect() {
 	port := uint16(1024 + c.nextPort%60000)
 	c.nextPort++
-	if _, busy := c.conns[port]; busy {
+	if _, busy := c.conns[uint32(port)]; busy {
 		// Extremely long-lived attempt still holds the port; skip.
 		c.metrics.Failed++
 		return
@@ -268,7 +270,7 @@ func (c *Client) Connect() {
 	cc.state = stateSynSent
 	cc.startedAt = c.eng.Now()
 	cc.wantBytes = c.cfg.RequestBytes
-	c.conns[port] = cc
+	c.conns[uint32(port)] = cc
 	c.metrics.Started++
 	c.metrics.Attempts.Add(c.eng.Now(), 1)
 	c.sendSYN(cc)
@@ -309,7 +311,7 @@ func (c *Client) newConn() *cconn {
 // release ends an attempt: the record leaves the port map and, cleared
 // but for its callback and next generation, joins the free list.
 func (c *Client) release(cc *cconn) {
-	delete(c.conns, cc.port)
+	delete(c.conns, uint32(cc.port))
 	*cc = cconn{state: stateDone, gen: cc.gen + 1, timerFn: cc.timerFn}
 	c.free = append(c.free, cc)
 }
@@ -347,7 +349,7 @@ func (c *Client) Handle(seg tcpkit.Segment) {
 	if seg.Src != c.cfg.ServerAddr || seg.SrcPort != c.cfg.ServerPort {
 		return
 	}
-	cc, ok := c.conns[seg.DstPort]
+	cc, ok := c.conns[uint32(seg.DstPort)]
 	if !ok {
 		return
 	}

@@ -340,7 +340,7 @@ func TestStaleSolveSkipsRecycledRecord(t *testing.T) {
 		t.Fatalf("Failed = %d after RST, want 1", c.Metrics().Failed)
 	}
 	c.Connect()
-	if cc := c.conns[port+1]; cc != first {
+	if cc := c.conns[uint32(port+1)]; cc != first {
 		t.Fatalf("second attempt got a new record; want the freed one reused")
 	}
 	w.eng.Run(100 * time.Millisecond)

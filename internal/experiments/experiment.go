@@ -210,12 +210,13 @@ func flood(extract func(*FloodRun) ([]sweep.Metric, []sweep.Series)) Cell {
 			// Per-cell shard load balance (events, barrier waits, applied
 			// lookahead min/mean/max) and what the two event heaps held:
 			// timers and packet legs fired, deliver legs and train
-			// arrivals fired in place, cancelled timers, peak lengths.
+			// arrivals fired in place, deliver legs queued behind a
+			// downlink FIFO's head, cancelled timers, peak lengths.
 			st, q := run.Net.ShardStats(), run.Net.EngineStats()
-			logf("shards=%d events=%v windows=%d barrier-wait=%v lookahead=%v/%v/%v timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d cancelled=%d peak-timers=%d peak-packets=%d",
+			logf("shards=%d events=%v windows=%d barrier-wait=%v lookahead=%v/%v/%v timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d cancelled=%d peak-timers=%d peak-packets=%d",
 				run.Net.Shards(), st.Events, st.Windows, st.BarrierWait,
 				st.LookaheadMin, st.LookaheadMean, st.LookaheadMax,
-				q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.Discarded, q.PeakTimers, q.PeakPackets)
+				q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Discarded, q.PeakTimers, q.PeakPackets)
 		}
 		metrics, series := extract(run)
 		return metrics, series, nil

@@ -40,16 +40,19 @@ func TestGreedyBotBacklogStaysOutOfEventHeap(t *testing.T) {
 }
 
 // TestEngineStatsPinned pins the queue counters of one tiny-scale cell at
-// two shard counts. What fired, by kind, is the simulation's and the same
-// however it is sharded; how many deliver legs and train arrivals fired
+// two shard counts. What fired, by kind, and how many deliver legs waited
+// behind a downlink FIFO's head are the simulation's and the same however
+// it is sharded; how many deliver legs and train arrivals fired
 // in place, how many cancelled timers had come to the front of a queue by the end and how
 // long each heap got depend on the window bounds and the placement, and
-// are deterministic for each.
+// are deterministic for each. The packet heap peaks at 9 because each
+// downlink holds one deliver leg in it; it peaked at 183 while every
+// queued segment's leg waited there.
 func TestEngineStatsPinned(t *testing.T) {
 	base := tinyScale().Apply(Scenario{Label: "stats", ClientsSolve: true, BotsSolve: true})
 	want := map[int]netsim.EngineStats{
-		1: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23650, ArrivalsInPlace: 66657, Discarded: 2833, PeakTimers: 487, PeakPackets: 183},
-		2: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23671, ArrivalsInPlace: 66740, Discarded: 2836, PeakTimers: 404, PeakPackets: 183},
+		1: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23650, ArrivalsInPlace: 66657, DeliversQueued: 74782, Discarded: 2833, PeakTimers: 487, PeakPackets: 9},
+		2: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23671, ArrivalsInPlace: 66740, DeliversQueued: 74782, Discarded: 2836, PeakTimers: 404, PeakPackets: 9},
 	}
 	for _, shards := range []int{1, 2} {
 		sc := base
@@ -77,7 +80,7 @@ func TestEngineStatsPinned(t *testing.T) {
 	if _, err := RunSweep(exec, sweep.Grid{Base: base}); err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
-	const line = "timers=13259 packet-legs=199012 in-place=23650 arrivals-in-place=66657 cancelled=2833 peak-timers=487 peak-packets=183"
+	const line = "timers=13259 packet-legs=199012 in-place=23650 arrivals-in-place=66657 delivers-queued=74782 cancelled=2833 peak-timers=487 peak-packets=9"
 	if !strings.Contains(debug.String(), line) {
 		t.Errorf("debug output lacks %q:\n%s", line, debug.String())
 	}

@@ -33,6 +33,12 @@
 // segment at a time, at the times, in the order and with the taps the
 // separate packets would have had. See docs/PERFORMANCE.md "Packet
 // trains".
+//
+// A downlink serialises what it accepts in order, so a real port's pending
+// deliver legs wait in a FIFO of their own, linked through the events, and
+// only its head waits in the packet heap: the packet heap holds trains and
+// one leg per busy downlink, not every segment a slower downlink has yet
+// to serialise. See docs/PERFORMANCE.md "Deliver FIFOs".
 package netsim
 
 import (
@@ -71,15 +77,15 @@ const (
 // will be reused, so external code never holds a *Event — cancellation
 // goes through the generation-checked Timer handle instead.
 type Event struct {
-	at  time.Duration
-	seq uint64
-	// src/srcSeq order kindArrival events at equal times by the canonical
-	// (source, per-source sequence) key instead of the engine-local seq.
-	// The key is a pure function of the sending node's history, so it does
-	// not depend on how nodes are partitioned into shards — the property
-	// that makes sharded runs byte-identical to single-shard runs.
+	at time.Duration
+	// seq is the engine-local scheduling order, except on a kindArrival
+	// event: there src and seq are the canonical (source, per-source
+	// sequence) key that orders arrivals at equal times. That key is a
+	// pure function of the sending node's history, so it does not depend
+	// on how nodes are partitioned into shards — the property that makes
+	// sharded runs byte-identical to single-shard runs.
+	seq       uint64
 	src       uint64
-	srcSeq    uint64
 	kind      eventKind
 	cancelled bool
 	// gen increments every time the event returns to the free-list; a
@@ -89,6 +95,9 @@ type Event struct {
 	gen uint32
 	fn  func() // kindFunc payload
 	pkt packet // kindArrival / kindDeliver / kindSend payload
+	// next links a kindDeliver leg to the one behind it in its downlink's
+	// FIFO (see Engine.deliver).
+	next *Event
 }
 
 // Timer is a cancellable handle to a scheduled callback. The zero Timer
@@ -118,10 +127,10 @@ func (t Timer) At() (time.Duration, bool) {
 
 // less is the canonical firing order: time, then locally scheduled events
 // before packet arrivals at the same instant, arrivals among themselves by
-// the shard-independent (src, srcSeq) key, and engine scheduling order
-// last. It is a strict total order (seq is unique per engine), so neither
-// a heap's internal layout nor which of the two heaps an event waits in
-// can influence pop order.
+// the shard-independent (src, seq) key, and other events by engine
+// scheduling order. It is a strict total order (seq is unique per engine,
+// and (src, seq) per pending arrival), so neither a heap's internal layout
+// nor which of the two heaps an event waits in can influence pop order.
 func less(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -130,13 +139,8 @@ func less(a, b *Event) bool {
 	if aArr != bArr {
 		return !aArr
 	}
-	if aArr {
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.srcSeq != b.srcSeq {
-			return a.srcSeq < b.srcSeq
-		}
+	if aArr && a.src != b.src {
+		return a.src < b.src
 	}
 	return a.seq < b.seq
 }
@@ -148,9 +152,12 @@ type Engine struct {
 	now time.Duration
 	// The pending queue: kindFunc and kindSend events wait in timers,
 	// kindArrival and kindDeliver events in packets, and the next event to
-	// fire is the smaller of the two heads under less.
+	// fire is the smaller of the two heads under less. A real port's
+	// deliver legs wait in its downlink FIFO, of which only the head is in
+	// packets; held counts the legs behind the heads.
 	timers  eventHeap
 	packets eventHeap
+	held    int
 	seq     uint64
 	fired   uint64
 	// limit is the exclusive time bound of the Run or RunBefore in
@@ -194,11 +201,11 @@ func (e *Engine) recycle(ev *Event) {
 	ev.at = 0
 	ev.seq = 0
 	ev.src = 0
-	ev.srcSeq = 0
 	ev.kind = kindFunc
 	ev.cancelled = false
 	ev.fn = nil
 	ev.pkt = packet{}
+	ev.next = nil
 	e.free = append(e.free, ev)
 }
 
@@ -284,13 +291,34 @@ func (e *Engine) before(ev *Event) bool {
 // progress would pop it next: d orders before both heads and before next —
 // the arrival its train holds outside the heap meanwhile, nil when none —
 // and lies inside the loop's bound.
+//
+// A real port's pending legs form a FIFO in departure order, linked
+// through Event.next from the head — the one leg in the packet heap — to
+// port.lastLeg. d joins behind a non-empty FIFO, and fire arms each next
+// leg when its predecessor fires, under the (at, seq) it took here: the
+// RunQueue argument, since a downlink's departures and the seqs its legs
+// take both ascend. A leg that would join a FIFO could not fire in place
+// anyway, because it orders after the FIFO's head. Source-store slots
+// share one virtual port but not one downlink, so their legs always go
+// straight to the heap.
 func (e *Engine) deliver(d, next *Event) {
+	dst := d.pkt.dst
+	if dst.lastLeg != nil {
+		dst.lastLeg.next = d
+		dst.lastLeg = d
+		e.held++
+		e.stats.DeliversQueued++
+		return
+	}
 	if d.at < e.limit && e.before(d) && (next == nil || less(d, next)) {
 		e.stats.InPlace++
 		e.fire(d)
 		return
 	}
 	e.pushPacket(d)
+	if dst.store == nil {
+		dst.lastLeg = d
+	}
 }
 
 // Schedule queues fn to run after delay (clamped at zero) and returns a
@@ -352,12 +380,10 @@ func (e *Engine) scheduleArrival(m *message) {
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = m.seq
 	ev.kind = kindArrival
 	ev.src = m.src
-	ev.srcSeq = m.seq
 	ev.pkt = m.pkt
-	e.seq++
 	e.pushPacket(ev)
 }
 
@@ -390,6 +416,17 @@ func (e *Engine) fire(ev *Event) {
 		e.net.runArrival(e, ev)
 	case kindDeliver:
 		p := ev.pkt
+		// A leg fired from the heap heads its port's FIFO, and one fired
+		// in place had an empty FIFO to itself: lastLeg is set only in
+		// the first case.
+		if p.dst.lastLeg != nil {
+			if ev.next == nil {
+				p.dst.lastLeg = nil
+			} else {
+				e.held--
+				e.pushPacket(ev.next)
+			}
+		}
 		e.recycle(ev)
 		e.net.runDeliver(e, p)
 	case kindSend:
@@ -475,9 +512,10 @@ func (e *Engine) NextEventAt() (time.Duration, bool) {
 	return (*h)[0].at, true
 }
 
-// Pending returns the number of queued (possibly cancelled) events, both
-// heaps together.
-func (e *Engine) Pending() int { return len(e.timers) + len(e.packets) }
+// Pending returns the number of events yet to fire, possibly cancelled:
+// both heaps together, and the deliver legs waiting behind the heads of
+// the downlink FIFOs.
+func (e *Engine) Pending() int { return len(e.timers) + len(e.packets) + e.held }
 
 // EngineStats counts what an engine's pending queue did. Every field is a
 // pure function of the simulation and of how it was sharded — observability
@@ -489,11 +527,15 @@ type EngineStats struct {
 	// ArrivalsInPlace counts arrival legs a train fired straight after its
 	// previous segment's, without a heap round trip (see runArrival).
 	ArrivalsInPlace uint64
-	Discarded       uint64 // cancelled events dropped on reaching the front
-	PeakTimers      int    // longest the timer heap has been
+	// DeliversQueued counts deliver legs that waited in a downlink FIFO
+	// behind its head before entering the heap (see deliver).
+	DeliversQueued uint64
+	Discarded      uint64 // cancelled events dropped on reaching the front
+	PeakTimers     int    // longest the timer heap has been
 	// PeakPackets is the longest the packet heap has been. It is not the
 	// most packets in flight: a train waits in the heap as one event
-	// however many of its segments are still to arrive.
+	// however many of its segments are still to arrive, and a downlink as
+	// one deliver leg however many are queued on it.
 	PeakPackets int
 }
 

@@ -1,10 +1,13 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 )
 
 func TestEngineOrdersEvents(t *testing.T) {
@@ -192,42 +195,101 @@ func TestEngineMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestTwoHeapsPopLikeOneOrder: the timer heap and the packet heap together
-// pop exactly what one queue sorted by less would. Randomised rounds mix
-// near timers, timers far ahead, cancels, and arrivals on a coarse time
-// grid, so that timers tie with arrivals and arrivals with each other
-// (same source, and across sources) on the same nanosecond; between
-// rounds only part of the queue is popped, so late pushes land among
-// events that have been waiting. The model is a plain slice: the next
-// event is its minimum under less, cancelled ones left out.
+// funcNode hands each delivered segment to handle.
+type funcNode struct {
+	addr   Addr
+	handle func(tcpkit.Segment)
+}
+
+func (n funcNode) Addr() Addr                { return n.addr }
+func (n funcNode) Handle(seg tcpkit.Segment) { n.handle(seg) }
+
+// TestTwoHeapsPopLikeOneOrder: the timer heap, the packet heap and the
+// downlink FIFOs together fire exactly what one queue sorted by less
+// would. Randomised rounds mix near timers, timers far ahead, cancels, and
+// arrivals at two slow real ports on a coarse time grid, so that timers
+// tie with arrivals and arrivals with each other (same source, and across
+// sources) on the same nanosecond, deliver legs queue behind each other in
+// both downlinks' FIFOs, and some arrivals are dropped. Between rounds
+// only part of the queue is fired, so late pushes land among events that
+// have been waiting. Events fire as they would inside Run, so a deliver
+// leg may also fire in place. The model is a plain slice: the next event
+// is its minimum under less, cancelled ones left out, and an arrival it
+// fires adds the deliver leg a FIFO downlink gives it — at the time its
+// serialisation ends, under the next seq. Pending must count what the
+// model holds, FIFO-held legs included.
 func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 	const grid = 100 * time.Microsecond
+	// At 8 Mbps a 100–500-byte segment holds a downlink for 1–5 grid
+	// steps, so legs queue; one facing more than 1 ms of backlog drops.
+	link := LinkConfig{RateBps: 8e6, MaxBacklog: time.Millisecond}
+	// rec is one fired event: timers are named by their seq, packet legs
+	// by the id their segment carries.
+	type rec struct {
+		at   time.Duration
+		kind eventKind
+		id   uint64
+	}
+	recOf := func(ev *Event) rec {
+		if ev.kind == kindFunc {
+			return rec{ev.at, ev.kind, ev.seq}
+		}
+		return rec{ev.at, ev.kind, uint64(ev.pkt.seg.Seq)}
+	}
+	var inPlace, queued uint64 // over all seeds
+	drops := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		var model []Event       // one copy per live pending event
-		var handles []Timer     // live timers, cancellable
-		var floor time.Duration // time of the last pop: nothing is pushed before it
+		net := NewNetwork(e)
+		var fired []rec // fired by the engine, not yet by the model
+		var ports []*port
+		for i := 0; i < 2; i++ {
+			n := funcNode{addr: Addr{10, 0, 0, byte(1 + i)}, handle: func(seg tcpkit.Segment) {
+				fired = append(fired, rec{e.Now(), kindDeliver, uint64(seg.Seq)})
+			}}
+			if err := net.Attach(n, link); err != nil {
+				t.Fatal(err)
+			}
+			ports = append(ports, net.ports[n.addr])
+		}
+		e.limit = math.MaxInt64 // as inside Run: legs may fire in place
+
+		var model []Event // one copy per live pending event
+		var busy [2]time.Duration
+		var seq uint64 // the next engine seq: timers and deliver legs take one each
+		type handle struct {
+			tm  Timer
+			seq uint64
+		}
+		var handles []handle
+		var floor time.Duration // nothing is pushed before the engine's clock
 		srcSeq := map[uint64]uint64{}
-		popped := 0
+		var ids uint32
+		popped, cancelled := 0, 0
 
 		push := func() {
-			switch at := floor + time.Duration(rnd.Intn(20))*grid; rnd.Intn(4) {
-			case 0: // near timer
-				h := e.ScheduleAt(at, func() {})
-				handles, model = append(handles, h), append(model, *h.ev)
-			case 1: // far timer: seconds ahead, as an RTO or idle timer is
-				h := e.ScheduleAt(at+time.Duration(1+rnd.Intn(5))*time.Second, func() {})
-				handles, model = append(handles, h), append(model, *h.ev)
-			default: // arrival from one of three sources
-				src := uint64(1 + rnd.Intn(3))
-				e.scheduleArrival(&message{at: at, src: src, seq: srcSeq[src]})
-				srcSeq[src]++
-				for _, ev := range e.packets {
-					if ev.seq == e.seq-1 {
-						model = append(model, *ev)
-					}
+			at := floor + time.Duration(rnd.Intn(20))*grid
+			switch rnd.Intn(4) {
+			case 0, 1: // a near timer, or one seconds ahead as an RTO or idle timer is
+				if rnd.Intn(2) == 1 {
+					at += time.Duration(1+rnd.Intn(5)) * time.Second
 				}
+				id := seq
+				h := e.ScheduleAt(at, func() { fired = append(fired, rec{e.Now(), kindFunc, id}) })
+				handles = append(handles, handle{h, seq})
+				model = append(model, Event{at: at, seq: seq, kind: kindFunc})
+				seq++
+			default: // an arrival from one of three sources at one of two ports
+				src := uint64(1 + rnd.Intn(3))
+				ids++
+				sg := tcpkit.Segment{Seq: ids, PayloadLen: 100*(1+rnd.Intn(5)) - 40}
+				m := message{at: at, src: src, seq: srcSeq[src], pkt: packet{
+					dst: ports[rnd.Intn(2)], seg: sg, size: int32(sg.WireSize()), slot: -1,
+				}}
+				e.scheduleArrival(&m)
+				srcSeq[src]++
+				model = append(model, Event{at: at, seq: m.seq, kind: kindArrival, src: src, pkt: m.pkt})
 			}
 		}
 		cancel := func() {
@@ -237,12 +299,13 @@ func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 			i := rnd.Intn(len(handles))
 			h := handles[i]
 			handles = append(handles[:i], handles[i+1:]...)
-			if _, ok := h.At(); !ok {
-				return // already popped
+			if _, ok := h.tm.At(); !ok {
+				return // already fired
 			}
-			h.Cancel()
+			h.tm.Cancel()
+			cancelled++
 			for j := range model {
-				if model[j].seq == h.ev.seq {
+				if model[j].kind == kindFunc && model[j].seq == h.seq {
 					model = append(model[:j], model[j+1:]...)
 					break
 				}
@@ -257,19 +320,40 @@ func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 			}
 			want := model[min]
 			model = append(model[:min], model[min+1:]...)
-			h := e.live()
-			if h == nil {
-				t.Fatalf("seed %d: queue empty with %d events in the model", seed, len(model)+1)
+			if len(fired) == 0 {
+				h := e.live()
+				if h == nil {
+					t.Fatalf("seed %d: queue empty with %d events in the model", seed, len(model)+1)
+				}
+				ev := h.pop()
+				if ev.kind == kindArrival {
+					fired = append(fired, recOf(ev))
+				}
+				e.fire(ev)
 			}
-			got := h.pop()
-			if got.seq != want.seq || got.at != want.at || got.kind != want.kind {
-				t.Fatalf("seed %d pop %d: got (at=%v kind=%d src=%d/%d seq=%d), want (at=%v kind=%d src=%d/%d seq=%d)",
-					seed, popped, got.at, got.kind, got.src, got.srcSeq, got.seq,
-					want.at, want.kind, want.src, want.srcSeq, want.seq)
+			if got := fired[0]; got != recOf(&want) {
+				t.Fatalf("seed %d event %d: fired %+v, want %+v", seed, popped, got, recOf(&want))
 			}
-			floor = got.at
+			fired = fired[1:]
+			if want.kind == kindArrival {
+				p := want.pkt
+				i := 0
+				if p.dst == ports[1] {
+					i = 1
+				}
+				if start := max(want.at, busy[i]); start-want.at > link.MaxBacklog {
+					drops++
+				} else {
+					busy[i] = start + serialise(int(p.size), link.RateBps)
+					model = append(model, Event{at: busy[i], seq: seq, kind: kindDeliver, pkt: p})
+					seq++
+				}
+			}
+			floor = e.Now()
 			popped++
-			e.recycle(got)
+			if got, want := e.Pending(), len(model)-len(fired)+cancelled-int(e.stats.Discarded); got != want {
+				t.Fatalf("seed %d event %d: Pending = %d, want %d", seed, popped, got, want)
+			}
 		}
 
 		for round := 0; round < 30; round++ {
@@ -286,11 +370,17 @@ func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 		for len(model) > 0 {
 			pop()
 		}
-		if h := e.live(); h != nil {
-			t.Fatalf("seed %d: %d events left after the model drained", seed, e.Pending())
+		if h := e.live(); h != nil || len(fired) > 0 || e.Pending() != 0 {
+			t.Fatalf("seed %d: %d events pending and %d fired unaccounted after the model drained", seed, e.Pending(), len(fired))
 		}
-		if st := e.Stats(); st.PeakTimers == 0 || st.PeakPackets == 0 || st.Discarded == 0 {
+		st := e.Stats()
+		if st.PeakTimers == 0 || st.PeakPackets == 0 || st.Discarded == 0 {
 			t.Fatalf("seed %d: fixture did not exercise both heaps and a discard: %+v", seed, st)
 		}
+		inPlace, queued = inPlace+st.InPlace, queued+st.DeliversQueued
+	}
+	if inPlace == 0 || queued == 0 || drops == 0 {
+		t.Fatalf("fixture fired %d deliver legs in place, queued %d behind a FIFO head and dropped %d arrivals; want each",
+			inPlace, queued, drops)
 	}
 }

@@ -90,9 +90,9 @@ func (s *LinkStats) add(o LinkStats) {
 }
 
 // port is one attached node. All of its mutable state — uplink, downlink,
-// msgSeq — is touched only by the node's home shard: uplink and msgSeq
-// from the node's own sends, downlink from deliveries, which execute on
-// the destination's home shard.
+// msgSeq, lastLeg — is touched only by the node's home shard: uplink and
+// msgSeq from the node's own sends, downlink and lastLeg from deliveries,
+// which execute on the destination's home shard.
 type port struct {
 	node  Node
 	up    xmitter
@@ -105,6 +105,9 @@ type port struct {
 	// deliveries run the store's per-slot downlink and handler instead of
 	// node/down (which stay nil/unused).
 	store *SourceStore
+	// lastLeg is the tail of the downlink's FIFO of pending deliver legs,
+	// nil when none is pending (see Engine.deliver).
+	lastLeg *Event
 }
 
 // downLatency returns the propagation delay of the destination's
@@ -268,6 +271,7 @@ func (n *Network) EngineStats() EngineStats {
 		sum.PacketLegsFired += st.PacketLegsFired
 		sum.InPlace += st.InPlace
 		sum.ArrivalsInPlace += st.ArrivalsInPlace
+		sum.DeliversQueued += st.DeliversQueued
 		sum.Discarded += st.Discarded
 		sum.PeakTimers = max(sum.PeakTimers, st.PeakTimers)
 		sum.PeakPackets = max(sum.PeakPackets, st.PeakPackets)
@@ -616,7 +620,7 @@ func (n *Network) runArrival(e *Engine, ev *Event) {
 		}
 		p.size = int32(p.seg.WireSize())
 		ev.at += serialise(int(p.size), p.rate)
-		ev.srcSeq++
+		ev.seq++
 		if d != nil {
 			e.deliver(d, ev)
 		}

@@ -21,7 +21,8 @@ type trainWorld struct {
 	hosts   []*trainHost
 	store   *SourceStore
 	taps    []string
-	log     []string // the store's deliveries, in order
+	tapAt   []time.Duration // the taps' times, in the order they fired
+	log     []string        // the store's deliveries, in order
 }
 
 // trainHost is one attached station. Each burst re-arms a timeout a
@@ -37,6 +38,10 @@ type trainHost struct {
 	bursts  uint32
 	timeout Timer
 	log     []string // deliveries, in order
+	// delivered holds the deliveries' times, and interleaved the source of
+	// each segment of the two interleaved trains, in order.
+	delivered   []time.Duration
+	interleaved []Addr
 	// Coverage of the edge cases, counted per burst (per host: hosts run
 	// on different shards).
 	empty, single, lastIsFull int
@@ -75,6 +80,10 @@ func (h *trainHost) Addr() Addr { return h.addr }
 
 func (h *trainHost) Handle(seg tcpkit.Segment) {
 	h.log = append(h.log, fmt.Sprintf("%v %v seq=%d len=%d", h.eng.Now(), seg.Src, seg.Seq, seg.PayloadLen))
+	h.delivered = append(h.delivered, h.eng.Now())
+	if seg.Seq == interleavedSeqA || seg.Seq == interleavedSeqB {
+		h.interleaved = append(h.interleaved, seg.Src)
+	}
 	if seg.PayloadLen > 0 && seg.PayloadLen%5 == 0 {
 		reply := tcpkit.Segment{Src: h.addr, Dst: seg.Src, SrcPort: seg.DstPort, DstPort: seg.SrcPort, Seq: seg.Seq, Flags: tcpkit.FlagACK}
 		h.burst(reply, 1+int(seg.Seq%3), 0)
@@ -102,13 +111,17 @@ func (h *trainHost) tick() {
 	h.eng.Schedule(time.Duration(h.rnd.ExpFloat64()/300*float64(time.Second)), h.tick)
 }
 
+// Two 69-segment trains the two 1 Gbps hosts send the client at the same
+// instant, so that their segments interleave on its 100 Mbps downlink.
+const interleavedSeqA, interleavedSeqB = 900_001, 900_002
+
 // runTrainWorld builds the world on shards engines (0: NewNetwork on one
 // engine) and drains it with Run, or with bare Steps when step is set.
-// The hosts are a 1 Gbps server, a 100 Mbps client and a shallow 50 Mbps
-// station whose uplink drops the tails of its own long trains and whose
-// downlink, fed at 100 Mbps, drops segments in the middle of the client's;
-// they also send to a three-slot source store and to an address nobody
-// owns, and one train comes from an unattached origin.
+// The hosts are two 1 Gbps servers, a 100 Mbps client and a shallow
+// 50 Mbps station whose uplink drops the tails of its own long trains and
+// whose downlink, fed at 100 Mbps, drops segments in the middle of the
+// client's; they also send to a three-slot source store and to an address
+// nobody owns, and one train comes from an unattached origin.
 func runTrainWorld(t *testing.T, shards int, step, singles bool) *trainWorld {
 	t.Helper()
 	w := &trainWorld{singles: singles, stopAt: 400 * time.Millisecond}
@@ -119,11 +132,13 @@ func runTrainWorld(t *testing.T, shards int, step, singles bool) *trainWorld {
 	}
 	w.net.RegisterTap(func(at time.Duration, dir TapDir, seg tcpkit.Segment) {
 		w.taps = append(w.taps, fmt.Sprintf("%v dir=%d %v>%v seq=%d len=%d", at, dir, seg.Src, seg.Dst, seg.Seq, seg.PayloadLen))
+		w.tapAt = append(w.tapAt, at)
 	})
 	links := []LinkConfig{
 		DefaultServerLink(),
 		DefaultHostLink(),
 		{RateBps: 50e6, Latency: 2 * time.Millisecond, MaxBacklog: time.Millisecond},
+		DefaultServerLink(),
 	}
 	var err error
 	w.store, err = w.net.AttachSources(3, Addr{11, 0, 0, 1}, DefaultHostLink(), func(slot int32, seg tcpkit.Segment) {
@@ -155,6 +170,12 @@ func runTrainWorld(t *testing.T, shards int, step, singles bool) *trainWorld {
 		shallow.burst(full, 4, 1460)
 		shallow.burst(full, 3, 7)
 	})
+	for i, seq := range []uint32{interleavedSeqA, interleavedSeqB} {
+		h := w.hosts[3*i] // the two 1 Gbps hosts
+		h.eng.Schedule(0, func() {
+			h.burst(tcpkit.Segment{Src: h.addr, Dst: addrs[1], SrcPort: 80, DstPort: 1000, Seq: seq, PayloadLen: 1460}, 69, 1460)
+		})
+	}
 	for _, h := range w.hosts {
 		for _, p := range addrs {
 			if p != h.addr {
@@ -195,12 +216,43 @@ func (w *trainWorld) delivered() string {
 }
 
 // queue is what depends on the driver as well: deliver legs fired in
-// place and cancelled timers discarded. Trains and singles under one
-// driver must agree on both; ArrivalsInPlace is the one counter that
-// tells them apart.
+// place, deliver legs queued behind a downlink FIFO's head and cancelled
+// timers discarded. Trains and singles run the same way must agree on
+// all three; ArrivalsInPlace is the one counter that tells them apart.
 func (w *trainWorld) queue() string {
 	st := w.net.EngineStats()
-	return fmt.Sprintf("in-place=%d discarded=%d", st.InPlace, st.Discarded)
+	return fmt.Sprintf("in-place=%d delivers-queued=%d discarded=%d", st.InPlace, st.DeliversQueued, st.Discarded)
+}
+
+// checkDownlinks holds a run to what it must give however it was run,
+// whatever the queue did: each host received every segment its downlink
+// accepted, once, in ascending time, and — in an unsharded run, where
+// taps fire in firing order — the tap log never goes back in time. A
+// deliver leg skipped, fired twice or fired out of turn breaks one of
+// these even when trains and singles break alike.
+func (w *trainWorld) checkDownlinks(t *testing.T, name string, sharded bool) {
+	t.Helper()
+	for _, h := range w.hosts {
+		_, down, _ := w.net.Stats(h.addr)
+		if uint64(len(h.delivered)) != down.SentPackets {
+			t.Errorf("%s: %v received %d segments, its downlink accepted %d", name, h.addr, len(h.delivered), down.SentPackets)
+		}
+		for i := 1; i < len(h.delivered); i++ {
+			if h.delivered[i] <= h.delivered[i-1] {
+				t.Errorf("%s: %v received a segment at %v after one at %v", name, h.addr, h.delivered[i], h.delivered[i-1])
+				break
+			}
+		}
+	}
+	if sharded {
+		return
+	}
+	for i := 1; i < len(w.tapAt); i++ {
+		if w.tapAt[i] < w.tapAt[i-1] {
+			t.Errorf("%s: tap %d at %v after tap %d at %v", name, i, w.tapAt[i], i-1, w.tapAt[i-1])
+			break
+		}
+	}
 }
 
 // TestTrainMatchesSingles: a burst sent as one SendTrain is exactly the
@@ -211,6 +263,10 @@ func (w *trainWorld) queue() string {
 // bare Steps. The 1 Gbps → 100 Mbps path is what fails if a deliver leg
 // may fire in place without ordering before its train's next arrival:
 // each segment's downlink serialisation outlasts the gap to the next one.
+// There, and where two servers' trains interleave on the client's
+// downlink and the shallow downlink drops segments from the middle of a
+// train, deliver legs queue in the downlink FIFOs; checkDownlinks fails
+// if a FIFO arms a leg behind its head or fires a queued leg early.
 func TestTrainMatchesSingles(t *testing.T) {
 	ref := runTrainWorld(t, 0, false, true).delivered()
 	for _, d := range []struct {
@@ -237,6 +293,7 @@ func TestTrainMatchesSingles(t *testing.T) {
 				if got := w.delivered(); got != ref {
 					t.Errorf("%s: deliveries differ from the serial Run of singles:\n%s\nwant:\n%s", name, got, ref)
 				}
+				w.checkDownlinks(t, name, d.shards > 1)
 			}
 			tst, sst := trains.net.EngineStats(), singles.net.EngineStats()
 			if sst.ArrivalsInPlace != 0 || (d.step && tst.ArrivalsInPlace != 0) || (!d.step && tst.ArrivalsInPlace == 0) {
@@ -261,7 +318,19 @@ func TestTrainMatchesSingles(t *testing.T) {
 		t.Errorf("shallow link up=%+v down=%+v, store up=%+v down=%+v: want drops both ways and store traffic both ways",
 			shallowUp, shallowDown, storeUp, storeDown)
 	}
-	if st := w.net.EngineStats(); st.InPlace == 0 || st.Discarded == 0 || w.net.Unroutable() <= 3 {
-		t.Errorf("stats=%+v unroutable=%d: want in-place deliveries, discards and unroutable sends", st, w.net.Unroutable())
+	if st := w.net.EngineStats(); st.InPlace == 0 || st.DeliversQueued == 0 || st.Discarded == 0 || w.net.Unroutable() <= 3 {
+		t.Errorf("stats=%+v unroutable=%d: want in-place deliveries, queued deliver legs, discards and unroutable sends",
+			st, w.net.Unroutable())
+	}
+	client := w.hosts[1]
+	switches := 0
+	for i := 1; i < len(client.interleaved); i++ {
+		if client.interleaved[i] != client.interleaved[i-1] {
+			switches++
+		}
+	}
+	if len(client.interleaved) != 2*69 || switches < 69 {
+		t.Errorf("the two servers' trains reached the client as %d segments with %d changes of sender; want 138 interleaved",
+			len(client.interleaved), switches)
 	}
 }
