@@ -21,7 +21,7 @@ race:
 	$(GO) test -race -count=10 -timeout 120s -run 'TestBarrier' ./internal/netsim
 
 # The determinism-contract analyzers (internal/lint: nodeterm, maporder,
-# hashfield, allowcheck) over every package of the module. Exits nonzero
+# allowcheck) over every package of the module. Exits nonzero
 # on any diagnostic; see docs/DETERMINISM.md for the rules and the
 # //tcpz:allow suppression syntax.
 lint:

@@ -28,8 +28,9 @@ import (
 
 // macroFloodScenario is the macro-aggregated population behind
 // BenchmarkMacroFlood: the same fixed 20-second SYN-flood shape as the CI
-// bounded-memory wall (TestMacroFloodBoundedMemory) and `tcpz-profile
-// -sources`, so the three scale probes measure the same workload.
+// bounded-memory wall (TestMacroFloodBoundedMemory), so both scale probes
+// measure the same workload. Profile it with
+// `go test -run '^$' -bench 'MacroFlood/sources=100000$' -cpuprofile cpu.out -memprofile mem.out .`.
 func macroFloodScenario(sources int) experiments.Scenario {
 	return experiments.Scenario{
 		Label:    fmt.Sprintf("macro-%d", sources),

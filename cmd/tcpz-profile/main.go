@@ -9,21 +9,11 @@
 //	tcpz-profile -alpha 1.1      # also compute (k*, m*)
 //	tcpz-profile -budget 400ms -duration 2s
 //	tcpz-profile -cores 8        # aggregate rate across 8 cores
-//	tcpz-profile -sources 1000000
-//	                             # run a macro-aggregated SYN flood of
-//	                             # that many sources instead (scale probe)
 //
 // The -cpuprofile, -memprofile and -trace flags wrap the whole run in the
 // standard pprof/trace collectors, so the hash loop — or anything layered
 // on top of it — can be inspected with `go tool pprof` / `go tool trace`
 // without editing code.
-//
-// -sources N switches the workload from hash profiling to a fixed
-// macro-source flood scenario (no scenario file needed): N spoofed
-// sources SYN-flood the puzzle-defended server for 20 simulated seconds.
-// It prints wall-clock time, event throughput and retained heap, and is
-// the intended companion of -cpuprofile/-memprofile for profiling the
-// 10k/100k/1M macro execution path.
 package main
 
 import (
@@ -38,9 +28,7 @@ import (
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/game"
-	"github.com/tcppuzzles/tcppuzzles/internal/experiments"
 	"github.com/tcppuzzles/tcppuzzles/sim/runner"
-	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 func main() {
@@ -56,8 +44,6 @@ func run(args []string) error {
 	budget := fs.Duration("budget", 400*time.Millisecond, "handshake usability budget")
 	alpha := fs.Float64("alpha", 1.1, "server service parameter α (from a stress test)")
 	cores := fs.Int("cores", 1, "measure this many cores in parallel (a solver uses one)")
-	sources := fs.Int("sources", 0, "run a macro-aggregated SYN flood of this many sources instead of hash profiling")
-	shards := fs.Int("shards", 0, "event-engine shards for the -sources flood (0 or 1 = single shard, -1 = one per core)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceFile := fs.String("trace", "", "write a runtime execution trace to this file (go tool trace)")
@@ -89,25 +75,20 @@ func run(args []string) error {
 		}
 		defer trace.Stop()
 	}
-	writeHeap := func() {}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
 			return fmt.Errorf("memprofile: %w", err)
 		}
-		writeHeap = func() {
+		defer func() {
 			// GC first so the numbers mean retained, not garbage.
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintln(os.Stderr, "tcpz-profile: memprofile:", err)
 			}
 			f.Close()
-		}
+		}()
 	}
-	if *sources > 0 {
-		return runMacroFlood(*sources, *shards, writeHeap)
-	}
-	defer writeHeap()
 	if max := runtime.GOMAXPROCS(0); *cores > max {
 		// More busy-loop goroutines than cores would time-share and
 		// understate every per-core number.
@@ -152,43 +133,6 @@ func run(args []string) error {
 		params.K, params.M, params.ExpectedSolveHashes(), params.ExpectedVerifyHashes())
 	fmt.Printf("solve time here     %v\n",
 		time.Duration(params.ExpectedSolveHashes()/rate*float64(time.Second)).Round(time.Millisecond))
-	return nil
-}
-
-// runMacroFlood executes the fixed macro-source scale scenario: sources
-// spoofed SYN-flooders against the puzzle-defended server over 20
-// simulated seconds — the same shape as the CI bounded-memory wall and
-// BenchmarkMacroFlood, so profiles line up with both. writeHeap writes the
-// heap profile while the completed run is still reachable, so the profile
-// shows what the run retains.
-func runMacroFlood(sources, shards int, writeHeap func()) error {
-	sc := experiments.Scenario{
-		Label:    fmt.Sprintf("profile-%d", sources),
-		Duration: 20 * time.Second, AttackStart: 2 * time.Second, AttackStop: 18 * time.Second,
-		NumClients: 2, ClientRate: 4,
-		Defense: experiments.DefensePuzzles, Attack: experiments.AttackSYNFlood,
-		BotCount: sweep.NoBotnet, MacroSources: sources, PerBotRate: 0.05,
-		Backlog: 512, AcceptBacklog: 128, Workers: 24,
-		Seed:   11,
-		Shards: shards,
-	}
-	start := time.Now()
-	run, err := experiments.RunFlood(sc)
-	if err != nil {
-		return fmt.Errorf("macro flood: %w", err)
-	}
-	wall := time.Since(start)
-	sent := run.Macro.TotalSent(0, sc.Duration)
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Printf("sources             %d\n", sources)
-	fmt.Printf("packets sent        %.0f\n", sent)
-	fmt.Printf("wall time           %v\n", wall.Round(time.Millisecond))
-	fmt.Printf("packets/s (wall)    %.0f\n", sent/wall.Seconds())
-	fmt.Printf("retained heap       %d MiB (HeapSys %d MiB)\n", ms.HeapAlloc>>20, ms.HeapSys>>20)
-	writeHeap()
-	runtime.KeepAlive(run)
 	return nil
 }
 

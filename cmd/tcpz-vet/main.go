@@ -1,6 +1,6 @@
 // Command tcpz-vet runs the repo's determinism-contract analyzer suite
-// (internal/lint): nodeterm, maporder, hashfield, plus
-// validation of the //tcpz:allow suppression annotations.
+// (internal/lint): nodeterm, maporder, plus validation of the
+// //tcpz:allow suppression annotations.
 //
 //	go run ./cmd/tcpz-vet ./...   # make lint, CI
 //

@@ -167,12 +167,6 @@ func (d *AdaptivePuzzles) OnTick(ctx ServerCtx) {
 	})
 }
 
-// AttackRateEstimate returns the current smoothed attack-rate estimate.
-func (d *AdaptivePuzzles) AttackRateEstimate() float64 { return d.attack }
-
-// BenignRateEstimate returns the learned benign SYN-rate baseline.
-func (d *AdaptivePuzzles) BenignRateEstimate() float64 { return d.benign }
-
 // Trace returns every per-tick observation, oldest first.
 func (d *AdaptivePuzzles) Trace() []AdaptiveSample {
 	return append([]AdaptiveSample(nil), d.trace...)

@@ -20,9 +20,10 @@ type BotnetConfig struct {
 	// ServerAddr and ServerPort locate the victim.
 	ServerAddr [4]byte
 	ServerPort uint16
-	// Attack, PerBotRate, Solves, SimulatedCrypto, Devices configure the
-	// bots; Devices are assigned round-robin (defaults to the client CPU
-	// mix, matching the paper's "similar or better" provisioning).
+	// Attack, PerBotRate, Solves, SimulatedCrypto configure the bots.
+	// Bots get the client CPU mix round-robin (cpumodel.ClientCPUs,
+	// matching the paper's "similar or better" provisioning) and the
+	// default host access link.
 	Attack          sweep.Attack
 	PerBotRate      float64
 	Solves          bool
@@ -30,11 +31,8 @@ type BotnetConfig struct {
 	// MaxSolveBacklog selects "smart" bots that discard stale challenges
 	// (zero = greedy default; see Config.MaxSolveBacklog).
 	MaxSolveBacklog time.Duration
-	Devices         []cpumodel.Device
 	// StartAt and StopAt bound the attack.
 	StartAt, StopAt time.Duration
-	// Link is the per-bot access link.
-	Link netsim.LinkConfig
 	// Seed drives per-bot seeds.
 	Seed int64
 	// MetricBucket is the metric bucket width.
@@ -59,14 +57,8 @@ func NewBotnet(network *netsim.Network, cfg BotnetConfig) (*Botnet, error) {
 	if cfg.Size <= 0 {
 		return nil, fmt.Errorf("attacksim: botnet size %d", cfg.Size)
 	}
-	devices := cfg.Devices
-	if len(devices) == 0 {
-		devices = cpumodel.ClientCPUs()
-	}
-	link := cfg.Link
-	if link.RateBps == 0 {
-		link = netsim.DefaultHostLink()
-	}
+	devices := cpumodel.ClientCPUs()
+	link := netsim.DefaultHostLink()
 	bn := &Botnet{Bots: make([]*Bot, 0, cfg.Size)}
 	for i := 0; i < cfg.Size; i++ {
 		addr := netsim.SourceAddr(cfg.BaseAddr, i)

@@ -16,9 +16,13 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/tcpopt"
 )
 
-// defaultBatchSize is how many sources one scheduled event advances. An
-// execution-only knob: batching never changes per-source behaviour, only
-// how many engine events carry it.
+// defaultBatchSize is how many sources one scheduled event advances for a
+// stateless (value-typed) strategy. A batch event ticks its slots at
+// virtual times up to maxJitter past the event, so a slot can tick before
+// the engine has delivered its own SYN-ACK or solve completion. A
+// stateless strategy cannot tell; a stateful (pointer-typed) one reads
+// what those deliveries left behind, so it gets one slot per event and
+// ticks as a per-bot bot does.
 const defaultBatchSize = 1024
 
 // MacroConfig describes a macro-aggregated source population — the same
@@ -31,14 +35,14 @@ type MacroConfig struct {
 	// ServerAddr and ServerPort locate the victim.
 	ServerAddr [4]byte
 	ServerPort uint16
-	// Attack, PerSourceRate, Solves, SimulatedCrypto, Devices configure
-	// the sources exactly as BotnetConfig configures bots.
+	// Attack, PerSourceRate, Solves, SimulatedCrypto configure the
+	// sources exactly as BotnetConfig configures bots, with the same
+	// client CPU mix.
 	Attack          sweep.Attack
 	PerSourceRate   float64
 	Solves          bool
 	SimulatedCrypto bool
 	MaxSolveBacklog time.Duration
-	Devices         []cpumodel.Device
 	// StartAt and StopAt bound the attack.
 	StartAt, StopAt time.Duration
 	// Link is the shared per-source access link.
@@ -49,9 +53,9 @@ type MacroConfig struct {
 	Seed int64
 	// MetricBucket is the metric bucket width.
 	MetricBucket time.Duration
-	// BatchSize overrides how many sources one event drives (execution
-	// knob only; zero = default).
-	BatchSize int
+	// batchSize overrides how many sources one event drives; zero
+	// derives it from the strategy (see defaultBatchSize).
+	batchSize int
 }
 
 // MacroFleet drives a large homogeneous source population with O(batches)
@@ -78,10 +82,12 @@ type MacroConfig struct {
 // (store.Source), never its slot.
 //
 // One shared rand.Rand wrapper means rand.Rand's internal Read buffer is
-// not per-source: strategies drawing bytes via Rand().Read (the solution
-// flood's fabricated solutions) stay deterministic but interleave that
-// buffer across sources, so they are not draw-for-draw identical to
-// per-bot runs — the Read-free spoofed floods (synflood, pulseflood) are.
+// not per-source: a strategy drawing bytes via Rand().Read (the solution
+// flood's fabricated solutions) stays deterministic but interleaves that
+// buffer across sources, so the values it fabricates are not draw-for-draw
+// a per-bot run's. The server rejects every such forgery alike, so the
+// measurements still match: the per-bot differential in
+// internal/experiments holds every registered attack, solving or not.
 type MacroFleet struct {
 	cfg     MacroConfig
 	eng     *netsim.Engine
@@ -145,20 +151,13 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 	if cfg.StopAt == 0 {
 		cfg.StopAt = 1<<62 - 1
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = defaultBatchSize
-	}
-	devices := cfg.Devices
-	if len(devices) == 0 {
-		devices = cpumodel.ClientCPUs()
-	}
 	link := cfg.Link
 	if link.RateBps == 0 {
 		link = netsim.DefaultHostLink()
 	}
 	f := &MacroFleet{
 		cfg:      cfg,
-		devices:  devices,
+		devices:  cpumodel.ClientCPUs(),
 		rngSrc:   xrand.New(0),
 		isnSrc:   xrand.New(0),
 		rngSlot:  -1,
@@ -172,8 +171,9 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 	f.ctx.f = f
 
 	// Resolve the strategy once to validate the name and decide the
-	// instance policy: a value instance is stateless and shared by every
-	// source; a pointer instance is per-source state and gets a slot slice.
+	// instance policy: a value instance is stateless, shared by every
+	// source and batched; a pointer instance is per-source state, gets a
+	// slot slice and one slot per event.
 	probe, err := attack.New(cfg.Attack, &f.ctx)
 	if err != nil {
 		return nil, fmt.Errorf("attacksim: %w", err)
@@ -182,6 +182,12 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 		f.strategies = make([]attack.Strategy, cfg.Sources)
 	} else {
 		f.shared = probe
+	}
+	if f.cfg.batchSize <= 0 {
+		f.cfg.batchSize = defaultBatchSize
+		if f.strategies != nil {
+			f.cfg.batchSize = 1
+		}
 	}
 
 	store, err := network.AttachSources(cfg.Sources, cfg.BaseAddr, link, f.handle)
@@ -279,8 +285,8 @@ func sortFirstTicks(keys, scratch []uint64) {
 // slots. Batch composition is a pure function of (seed, size), never of
 // shard layout.
 func (f *MacroFleet) scheduleBatches() {
-	for lo := 0; lo < f.cfg.Sources; lo += f.cfg.BatchSize {
-		b := &macroBatch{f: f, lo: int32(lo), hi: int32(min(lo+f.cfg.BatchSize, f.cfg.Sources))}
+	for lo := 0; lo < f.cfg.Sources; lo += f.cfg.batchSize {
+		b := &macroBatch{f: f, lo: int32(lo), hi: int32(min(lo+f.cfg.batchSize, f.cfg.Sources))}
 		b.fn = b.run
 		f.eng.ScheduleAt(f.cfg.StartAt+time.Duration(f.jitter[lo]), b.fn)
 	}

@@ -51,7 +51,7 @@ func runMacro(t *testing.T, batch int) ([]float64, uint64, int) {
 		StartAt:       time.Second,
 		StopAt:        9 * time.Second,
 		Seed:          5,
-		BatchSize:     batch,
+		batchSize:     batch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +61,9 @@ func runMacro(t *testing.T, batch int) ([]float64, uint64, int) {
 	return fleet.Metrics().Sent.Values(10 * time.Second), up.SentPackets, srv.syns
 }
 
-// Batching is an execution knob, never a modelling one: any batch size
-// must reproduce the same per-source ticks, packets, and handshakes.
+// For a stateless strategy against a server that answers at once,
+// batching is an execution knob: any batch size must reproduce the same
+// per-source ticks, packets, and handshakes.
 func TestMacroBatchSizeNeutral(t *testing.T) {
 	wantSent, wantPkts, wantSyns := runMacro(t, 1024)
 	for _, batch := range []int{1, 3, 7} {

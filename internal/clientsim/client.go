@@ -30,13 +30,11 @@ type Config struct {
 	// Rate is the Poisson request rate in requests/second; zero disables
 	// the generator (connections are opened manually with Connect).
 	Rate float64
-	// StartAt and StopAt bound the arrival process.
-	StartAt, StopAt time.Duration
+	// StopAt ends the arrival process, which starts at time zero.
+	StopAt time.Duration
 
 	// RequestBytes is the size argument of the gettext/size request.
 	RequestBytes int
-	// RequestPayloadLen is the on-wire size of the request itself.
-	RequestPayloadLen int
 
 	// Solves selects the patched kernel that solves puzzle challenges.
 	Solves bool
@@ -58,12 +56,6 @@ type Config struct {
 	// response — how deceived clients discover they were never served.
 	ResponseTimeout time.Duration
 
-	// SketchConnTimes streams connection times into an O(1) summary
-	// sketch (Metrics.ConnSketch) instead of retaining every sample in
-	// Metrics.ConnTimes — the bounded-memory mode for figure cells with
-	// very long sample streams. The sketch tracks mean and p10/p50/p90.
-	SketchConnTimes bool
-
 	// Seed drives the client's deterministic randomness. Every client
 	// derives its RNG from its own seed alone (never from engine or shard
 	// state), so a client behaves identically whichever event-engine
@@ -80,9 +72,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.RequestBytes == 0 {
 		c.RequestBytes = 100_000
-	}
-	if c.RequestPayloadLen == 0 {
-		c.RequestPayloadLen = 200
 	}
 	if c.Device.HashRate == 0 {
 		c.Device = cpumodel.CPU1
@@ -138,13 +127,9 @@ type Metrics struct {
 	// BytesIn feeds the client throughput plots.
 	BytesIn *stats.Series
 	// ConnTimes are handshake completion times in seconds (Fig. 6), with
-	// the simulation times at which they completed for windowing. Nil
-	// when Config.SketchConnTimes routes the stream into ConnSketch.
+	// the simulation times at which they completed for windowing.
 	ConnTimes   []float64
 	ConnTimesAt []time.Duration
-	// ConnSketch summarises connection times in O(1) memory when
-	// Config.SketchConnTimes is set; nil otherwise.
-	ConnSketch *stats.SummarySketch
 	// Attempts/Successes/Failures per bucket drive the Fig. 15
 	// %-established series.
 	Attempts  *stats.Series
@@ -217,14 +202,11 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		},
 	}
 	c.arrivalFn, c.solvedFn = c.arrival, c.solved
-	if cfg.SketchConnTimes {
-		c.metrics.ConnSketch = stats.NewSummarySketch(0.10, 0.50, 0.90)
-	}
 	if err := network.Attach(c, link); err != nil {
 		return nil, fmt.Errorf("clientsim: %w", err)
 	}
 	if cfg.Rate > 0 {
-		c.eng.ScheduleAt(cfg.StartAt, c.arrivalFn)
+		c.eng.ScheduleAt(0, c.arrivalFn)
 	}
 	return c, nil
 }
@@ -405,6 +387,9 @@ func (c *Client) solved() {
 	c.finishHandshake(job.cc, job.serverISN, &job.challenge)
 }
 
+// requestPayloadLen is the on-wire size of the gettext/size request.
+const requestPayloadLen = 200
+
 // finishHandshake sends the final ACK (with a solution block when ch is
 // non-nil), marks the connection established from the client's view, and
 // issues the application request.
@@ -429,19 +414,15 @@ func (c *Client) finishHandshake(cc *cconn, serverISN uint32, ch *puzzle.Challen
 	})
 	cc.state = stateEstablished
 	c.metrics.Established++
-	if c.metrics.ConnSketch != nil {
-		c.metrics.ConnSketch.Observe((now - cc.startedAt).Seconds())
-	} else {
-		c.metrics.ConnTimes = append(c.metrics.ConnTimes, (now - cc.startedAt).Seconds())
-		c.metrics.ConnTimesAt = append(c.metrics.ConnTimesAt, now)
-	}
+	c.metrics.ConnTimes = append(c.metrics.ConnTimes, (now - cc.startedAt).Seconds())
+	c.metrics.ConnTimesAt = append(c.metrics.ConnTimesAt, now)
 	// Issue the gettext/size request.
 	c.net.Send(tcpkit.Segment{
 		Src: c.cfg.Addr, Dst: c.cfg.ServerAddr,
 		SrcPort: cc.port, DstPort: c.cfg.ServerPort,
 		Seq: cc.isn + 1, Ack: serverISN + 1,
 		Flags:      tcpkit.FlagACK | tcpkit.FlagPSH,
-		PayloadLen: c.cfg.RequestPayloadLen,
+		PayloadLen: requestPayloadLen,
 		Meta:       cc.wantBytes,
 	})
 	cc.timer = c.eng.Schedule(c.cfg.ResponseTimeout, cc.timerFn)

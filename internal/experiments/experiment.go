@@ -41,7 +41,7 @@ type Cell func(i int, sc Scenario, logf func(format string, args ...any)) ([]swe
 var Experiments = []Experiment{
 	{ID: "fig3a", Grid: fig3aGrid, Cell: fig3aCell, Render: fig3aTable},
 	{ID: "fig3b", Grid: fig3bGrid, Cell: fig3bCell, Render: fig3bTable},
-	{ID: "fig6", Grid: fig6Grid, Cell: fig6Cell(false), Render: fig6Table},
+	{ID: "fig6", Grid: fig6Grid, Cell: fig6Cell, Render: fig6Table},
 	{ID: "fig7", Grid: fig7Grid, Cell: flood(floodComparisonMetrics), Render: floodComparisonTable("Fig 7 — SYN flood: throughput (Mbps)")},
 	{ID: "fig8", Grid: fig8Grid, Cell: flood(floodComparisonMetrics), Render: floodComparisonTable("Fig 8 — connection flood: throughput (Mbps)")},
 	{ID: "fig9", Grid: fig9Grid, Cell: flood(fig9Metrics), Render: fig9Table},

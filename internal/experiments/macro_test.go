@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -61,39 +60,48 @@ func measure(t *testing.T, sc Scenario) []byte {
 	return out
 }
 
-// TestMacroPerBotDifferential is the tentpole's correctness oracle: a
-// small spoofed flood executed per-bot (with the macro-comparable compact
-// RNG) and macro-aggregated must produce byte-identical measurements at
-// every tested shard count. The comparison covers the Read-free spoofed
-// floods — the strategies whose per-source randomness is draw-for-draw
-// reproducible through the fleet's shared RNG wrapper (see MacroFleet).
+// TestMacroPerBotDifferential is the macro fleet's correctness oracle: a
+// small flood executed per-bot (with the macro-comparable compact RNG)
+// and macro-aggregated must produce byte-identical measurements, for
+// every registered attack, with bots solving and not. Stateful
+// strategies (replayflood, adaptive-flood) hold per-instance state — per
+// bot, per macro slot — so this is also what holds the fleet to ticking
+// each of them only after its own SYN-ACKs and solve completions.
+// synflood, pulseflood and adaptive-flood without solving also run at two
+// and four shards, which must agree with one.
 func TestMacroPerBotDifferential(t *testing.T) {
-	// adaptive-flood rides the same oracle: its replicator state is
-	// per-instance (per bot / per macro slot) and its draws are Read-free,
-	// so learned budget shares must be draw-for-draw identical too.
-	for _, attack := range []sweep.Attack{AttackSYNFlood, AttackPulseFlood, AttackAdaptiveFlood} {
-		var want []byte
-		for _, shards := range []int{1, 2, 4} {
-			perBot := diffScenario(attack)
-			perBot.CompactBotRNG = true
-			perBot.Shards = shards
-
-			macro := diffScenario(attack)
-			macro.BotCount = sweep.NoBotnet
-			macro.MacroSources = 48
-			macro.Shards = shards
-
-			got := measure(t, perBot)
-			gotMacro := measure(t, macro)
-			if string(got) != string(gotMacro) {
-				t.Errorf("%s shards=%d: per-bot and macro measurements differ\nper-bot: %s\nmacro:   %s",
-					attack, shards, got, gotMacro)
-				continue
+	sharded := map[sweep.Attack]bool{AttackSYNFlood: true, AttackPulseFlood: true, AttackAdaptiveFlood: true}
+	for _, attack := range sweep.KnownAttacks() {
+		for _, solve := range []bool{false, true} {
+			shardCounts := []int{1}
+			if sharded[attack] && !solve {
+				shardCounts = []int{1, 2, 4}
 			}
-			if want == nil {
-				want = got
-			} else if string(got) != string(want) {
-				t.Errorf("%s shards=%d: measurements differ from shards=1 baseline", attack, shards)
+			var want []byte
+			for _, shards := range shardCounts {
+				perBot := diffScenario(attack)
+				perBot.CompactBotRNG = true
+				perBot.BotsSolve = solve
+				perBot.Shards = shards
+
+				macro := diffScenario(attack)
+				macro.BotCount = sweep.NoBotnet
+				macro.MacroSources = 48
+				macro.BotsSolve = solve
+				macro.Shards = shards
+
+				got := measure(t, perBot)
+				gotMacro := measure(t, macro)
+				if string(got) != string(gotMacro) {
+					t.Errorf("%s solve=%v shards=%d: per-bot and macro measurements differ\nper-bot: %s\nmacro:   %s",
+						attack, solve, shards, got, gotMacro)
+					continue
+				}
+				if want == nil {
+					want = got
+				} else if string(got) != string(want) {
+					t.Errorf("%s solve=%v shards=%d: measurements differ from shards=1 baseline", attack, solve, shards)
+				}
 			}
 		}
 	}
@@ -108,18 +116,18 @@ var macroPins = map[sweep.Attack]string{
 	AttackSolutionFlood: "d00c99ac696cee93",
 	AttackReplayFlood:   "e18ef1176bbc3764",
 	AttackPulseFlood:    "60b73c7a5444b8ef",
-	AttackAdaptiveFlood: "28f2261ca45d0f3a",
+	AttackAdaptiveFlood: "1b4e5d3a997c2a95",
 }
 
 // TestMacroStrategiesPinned runs every registered attack in macro mode
 // through the unchanged BotCtx facade — including the stateful (per-slot)
 // replay flood and the CPU-charging solution/connection floods — and pins
-// what each produces. TestMacroPerBotDifferential covers only the
-// Read-free floods that never solve; this pin is what holds the rest,
-// and the per-source values a solving source reads (its device, its RNG
-// and ISN streams), to their bytes. The digest covers the standard
-// metric set plus the attacker-side series: sent rate and CPU
-// utilisation, which is where a solve charged to the wrong device shows.
+// what each produces. TestMacroPerBotDifferential holds macro to per-bot;
+// this pin holds both, and the per-source values a solving source reads
+// (its device, its RNG and ISN streams), to their bytes. The digest
+// covers the standard metric set plus the attacker-side series: sent
+// rate and CPU utilisation, which is where a solve charged to the wrong
+// device shows.
 func TestMacroStrategiesPinned(t *testing.T) {
 	for _, attack := range sweep.KnownAttacks() {
 		for _, shards := range []int{1, 2} {
@@ -212,39 +220,5 @@ func TestMacroSourcesInCacheHash(t *testing.T) {
 	compact.CompactBotRNG = true
 	if sweep.Hash("exp", compact) == plain {
 		t.Error("CompactBotRNG did not change the cache hash")
-	}
-}
-
-// TestFig6SketchDifferential runs one Fig. 6 difficulty cell both ways —
-// exact CDF and O(1) streaming sketch — on the same workload and bounds
-// the sketch's error. The sample count is identical and the mean agrees
-// to float rounding (the sketch sums seconds, the CDF sums microseconds);
-// the P² quantile estimates must land within 10% of the exact values —
-// the pinned envelope for this long-tailed solve-time distribution at the
-// default 300 samples per cell.
-func TestFig6SketchDifferential(t *testing.T) {
-	grid := connTimeGrid([]uint8{2}, []uint8{10}, 300, 7)
-	exact := runExp(t, "fig6", Scale{}, grid)
-	// Sketch cells cache under their own namespace so exact and sketched
-	// results never alias.
-	sketch := Experiment{ID: "fig6-sketch", Grid: func(Scale) sweep.Grid { return grid }, Cell: fig6Cell(true)}
-	sketched, err := sketch.Run(Scale{}, Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, sm := exact[0], sketched[0]
-	if got, want := sm.Metric("samples"), em.Metric("samples"); got != want {
-		t.Errorf("samples: sketch %v != exact %v", got, want)
-	}
-	if got, want := sm.Metric("conn_time_mean_us"), em.Metric("conn_time_mean_us"); math.Abs(got-want)/want > 1e-12 {
-		t.Errorf("mean: sketch %v vs exact %v beyond float rounding", got, want)
-	}
-	for _, name := range []string{"conn_time_p10_us", "conn_time_p50_us", "conn_time_p90_us"} {
-		got, want := sm.Metric(name), em.Metric(name)
-		if rel := math.Abs(got-want) / want; rel > 0.10 {
-			t.Errorf("%s: sketch %v vs exact %v, rel err %.4f > 0.10", name, got, want, rel)
-		} else {
-			t.Logf("%s: sketch %v exact %v rel err %.4f", name, got, want, rel)
-		}
 	}
 }

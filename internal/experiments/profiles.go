@@ -159,84 +159,67 @@ func connTimeGrid(ks, ms []uint8, connections int, seed int64) sweep.Grid {
 // connection-time distribution in microseconds (the paper's axis).
 // Connection time includes the solve time on the modelled client CPU
 // plus the LAN round trips, so the paper's structure — exponential growth
-// in m, linear growth in k — is preserved. With sketch set the
-// distribution is summarised in O(1) memory (P² quantiles) as the
-// handshakes complete — the bounded-memory mode for very long sample
-// streams; otherwise every sample is retained and the quantiles are
-// exact.
-func fig6Cell(sketch bool) Cell {
-	return func(_ int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
-		params := sc.Params
-		connections := int(sc.Duration/fig6ConnectionGap) - 2
-		eng := netsim.NewEngine()
-		network := netsim.NewNetwork(eng)
-		// LAN links: negligible propagation so solve time dominates, as in the
-		// paper's testbed measurements.
-		lan := netsim.LinkConfig{RateBps: 1e9, Latency: 10 * time.Microsecond, MaxBacklog: time.Second}
-		srv, err := serversim.New(eng, network, lan, serversim.Config{
-			Addr:            [4]byte{10, 0, 0, 1},
-			Defense:         DefensePuzzles,
-			AlwaysChallenge: true,
-			PuzzleParams:    params,
-			SimulatedCrypto: true,
-			Seed:            sc.Seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		client, err := clientsim.New(eng, network, lan, clientsim.Config{
-			Addr:            [4]byte{10, 1, 0, 1},
-			ServerAddr:      srv.Addr(),
-			Solves:          true,
-			SimulatedCrypto: true,
-			RequestBytes:    sc.RequestBytes,
-			Device:          cpumodel.CPU1,
-			MaxSolveBacklog: time.Hour, // sequential connects; never abandon
-			SketchConnTimes: sketch,
-			Seed:            sc.Seed + int64(params.K)*100 + int64(params.M),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		// Issue connections sequentially so solves do not queue behind each
-		// other (the paper measures isolated connection times).
-		var connect func()
-		remaining := connections
-		connect = func() {
-			if remaining == 0 {
-				return
-			}
-			remaining--
-			client.Connect()
-			eng.Schedule(fig6ConnectionGap, connect)
-		}
-		eng.ScheduleAt(0, connect)
-		eng.Run(sc.Duration)
-
-		// P² marker updates commute with affine scaling, so sketching in
-		// seconds and reporting in microseconds loses nothing.
-		var mean, n float64
-		var quantile func(q float64) float64
-		if sk := client.Metrics().ConnSketch; sk != nil {
-			mean, n = sk.Mean()*1e6, float64(sk.Count())
-			quantile = func(q float64) float64 { return sk.Quantile(q) * 1e6 }
-		} else {
-			times := client.Metrics().ConnTimes
-			micros := make([]float64, len(times))
-			for i, s := range times {
-				micros[i] = s * 1e6
-			}
-			cdf := stats.NewCDF(micros)
-			mean, n, quantile = cdf.Mean(), float64(cdf.Len()), cdf.Quantile
-		}
-		return []sweep.Metric{
-			{Name: "conn_time_mean_us", Value: mean},
-			{Name: "conn_time_p10_us", Value: quantile(0.10)},
-			{Name: "conn_time_p50_us", Value: quantile(0.50)},
-			{Name: "conn_time_p90_us", Value: quantile(0.90)},
-			{Name: "samples", Value: n},
-		}, nil, nil
+// in m, linear growth in k — is preserved.
+func fig6Cell(_ int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+	params := sc.Params
+	connections := int(sc.Duration/fig6ConnectionGap) - 2
+	eng := netsim.NewEngine()
+	network := netsim.NewNetwork(eng)
+	// LAN links: negligible propagation so solve time dominates, as in the
+	// paper's testbed measurements.
+	lan := netsim.LinkConfig{RateBps: 1e9, Latency: 10 * time.Microsecond, MaxBacklog: time.Second}
+	srv, err := serversim.New(eng, network, lan, serversim.Config{
+		Addr:            [4]byte{10, 0, 0, 1},
+		Defense:         DefensePuzzles,
+		AlwaysChallenge: true,
+		PuzzleParams:    params,
+		SimulatedCrypto: true,
+		Seed:            sc.Seed,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	client, err := clientsim.New(eng, network, lan, clientsim.Config{
+		Addr:            [4]byte{10, 1, 0, 1},
+		ServerAddr:      srv.Addr(),
+		Solves:          true,
+		SimulatedCrypto: true,
+		RequestBytes:    sc.RequestBytes,
+		Device:          cpumodel.CPU1,
+		MaxSolveBacklog: time.Hour, // sequential connects; never abandon
+		Seed:            sc.Seed + int64(params.K)*100 + int64(params.M),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// Issue connections sequentially so solves do not queue behind each
+	// other (the paper measures isolated connection times).
+	var connect func()
+	remaining := connections
+	connect = func() {
+		if remaining == 0 {
+			return
+		}
+		remaining--
+		client.Connect()
+		eng.Schedule(fig6ConnectionGap, connect)
+	}
+	eng.ScheduleAt(0, connect)
+	eng.Run(sc.Duration)
+
+	times := client.Metrics().ConnTimes
+	micros := make([]float64, len(times))
+	for i, s := range times {
+		micros[i] = s * 1e6
+	}
+	cdf := stats.NewCDF(micros)
+	return []sweep.Metric{
+		{Name: "conn_time_mean_us", Value: cdf.Mean()},
+		{Name: "conn_time_p10_us", Value: cdf.Quantile(0.10)},
+		{Name: "conn_time_p50_us", Value: cdf.Quantile(0.50)},
+		{Name: "conn_time_p90_us", Value: cdf.Quantile(0.90)},
+		{Name: "samples", Value: float64(cdf.Len())},
+	}, nil, nil
 }
 
 // fig6Table renders mean and quantiles per difficulty.

@@ -21,9 +21,7 @@ var Allowcheck = &Analyzer{
 }
 
 func runAllowcheck(pass *Pass) error {
-	known := map[string]bool{
-		Nodeterm.Name: true, Maporder.Name: true, Hashfield.Name: true,
-	}
+	known := map[string]bool{Nodeterm.Name: true, Maporder.Name: true}
 	files := make([]string, 0, len(pass.allows))
 	for name := range pass.allows {
 		files = append(files, name)
@@ -35,7 +33,7 @@ func runAllowcheck(pass *Pass) error {
 			case d.malformed != "":
 				pass.reportUnsuppressable(d, "malformed //tcpz:allow: %s", d.malformed)
 			case !known[d.analyzer]:
-				pass.reportUnsuppressable(d, "//tcpz:allow names unknown analyzer %q (known: nodeterm, maporder, hashfield)", d.analyzer)
+				pass.reportUnsuppressable(d, "//tcpz:allow names unknown analyzer %q (known: nodeterm, maporder)", d.analyzer)
 			}
 		}
 	}

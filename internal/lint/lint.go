@@ -216,7 +216,7 @@ func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // All returns the full suite in canonical order. allowcheck runs last so
 // the annotations the other analyzers honour are themselves validated.
 func All() []*Analyzer {
-	return []*Analyzer{Nodeterm, Maporder, Hashfield, Allowcheck}
+	return []*Analyzer{Nodeterm, Maporder, Allowcheck}
 }
 
 // modulePath is the import-path root of this repository.

@@ -103,12 +103,16 @@ func (s *Server) onData(c *conn, seg tcpkit.Segment) {
 	// connection (dispatchWorkers will call serve).
 }
 
+// perRequestHashEquiv charges baseline (non-crypto) application work per
+// served request, in hash-equivalents, so nominal CPU load is nonzero.
+const perRequestHashEquiv = 2000
+
 // serve runs the application: after an exponential service time, the
 // response of c.pendingReq bytes is written out in MSS-sized segments and
 // the connection closes (the paper's gettext/size exchange).
 func (s *Server) serve(c *conn) {
 	service := time.Duration(s.rnd.ExpFloat64() * float64(s.cfg.ServiceTime))
-	s.chargeHashes(s.cfg.PerRequestHashEquiv)
+	s.chargeHashes(perRequestHashEquiv)
 	c.serving = true
 	s.eng.Schedule(service, c.serveFn)
 }
@@ -127,6 +131,9 @@ func (s *Server) served(c *conn) {
 	s.closeConn(c)
 }
 
+// serverMSS is the server's maximum segment size for response data.
+const serverMSS = 1448
+
 // sendResponse writes size bytes to the peer as MSS-sized segments, one
 // packet train. The access link model paces actual delivery. BytesOut
 // gets the train's total in one addition: every segment was counted at
@@ -136,8 +143,8 @@ func (s *Server) sendResponse(c *conn, size int) {
 		return
 	}
 	mss := int(c.mss)
-	if mss <= 0 || mss > s.cfg.MSS {
-		mss = s.cfg.MSS
+	if mss <= 0 || mss > serverMSS {
+		mss = serverMSS
 	}
 	seg := tcpkit.Segment{
 		Src: s.cfg.Addr, Dst: c.peer.IP,

@@ -20,7 +20,7 @@ func (s *Server) onSYN(seg tcpkit.Segment) {
 // climbs past its high-water mark (1/16 of capacity — the sysctl-style
 // watermark that bounds how much of the queue an attack can claim before
 // the defense reacts) and releases only after both queues have stayed
-// below the low-water mark (1/32) for a full ProtectionRelease window. In
+// below the low-water mark (1/32) for a full SynAckTimeout window. In
 // the kernel implementation equivalent stickiness comes from the flood
 // keeping the listen queue saturated with half-open state for the SYN-ACK
 // retransmission lifetime (Fig. 10); the release window reproduces the
@@ -43,7 +43,7 @@ func (s *Server) overloadActive() bool {
 		s.latchLoadedAt = now
 		return true
 	}
-	if now-s.latchLoadedAt >= s.cfg.ProtectionRelease {
+	if now-s.latchLoadedAt >= s.cfg.SynAckTimeout {
 		s.protLatched = false
 	}
 	return s.protLatched

@@ -80,7 +80,7 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 		net:         network,
 		rnd:         rand.New(rand.NewSource(cfg.Seed)),
 		isns:        tcpkit.NewISNSource(cfg.Seed + 1),
-		cpu:         cpumodel.NewCPU(cfg.Device, cfg.MetricBucket),
+		cpu:         cpumodel.NewCPU(cpumodel.Server, cfg.MetricBucket),
 		workersFree: max(cfg.Workers, 0),
 		conns:       make(map[tcpkit.PeerKey]*conn),
 		metrics:     srvmetrics.New(cfg.MetricBucket),

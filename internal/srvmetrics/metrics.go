@@ -100,15 +100,6 @@ func (m *Metrics) AggregateEstablishedRate(until time.Duration) []float64 {
 	return m.EstablishedAgg.RatePerSecond(until)
 }
 
-// AggregateEstablishedTotal counts the aggregated population's completed
-// connections over [from, to).
-func (m *Metrics) AggregateEstablishedTotal(from, to time.Duration) float64 {
-	if m.EstablishedAgg == nil {
-		return 0
-	}
-	return m.EstablishedAgg.SumRange(from, to)
-}
-
 // RecordEstablished accounts one completed handshake, total and per source.
 func (m *Metrics) RecordEstablished(at time.Duration, peer tcpkit.PeerKey) {
 	m.Established.Add(at, 1)

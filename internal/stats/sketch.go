@@ -2,10 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
-
-	"github.com/tcppuzzles/tcppuzzles/internal/xrand"
 )
 
 // P2Quantile is the Jain & Chlamtac P² streaming quantile estimator: five
@@ -125,46 +122,6 @@ func (p *P2Quantile) Value() float64 {
 	}
 	return p.h[2]
 }
-
-// Reservoir is a deterministic fixed-capacity uniform sample (Vitter's
-// Algorithm R) over a stream: every observation has equal probability of
-// appearing in the final sample, using O(capacity) memory. Randomness
-// comes from a splitmix source seeded at construction, so equal seeds
-// reproduce the sample bit-for-bit regardless of platform.
-type Reservoir struct {
-	sample []float64
-	n      int
-	rnd    *rand.Rand
-}
-
-// NewReservoir returns a reservoir holding at most capacity samples.
-func NewReservoir(capacity int, seed int64) *Reservoir {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Reservoir{
-		sample: make([]float64, 0, capacity),
-		rnd:    rand.New(xrand.New(seed)),
-	}
-}
-
-// Observe feeds one sample.
-func (r *Reservoir) Observe(x float64) {
-	r.n++
-	if len(r.sample) < cap(r.sample) {
-		r.sample = append(r.sample, x)
-		return
-	}
-	if j := r.rnd.Int63n(int64(r.n)); j < int64(cap(r.sample)) {
-		r.sample[j] = x
-	}
-}
-
-// Count returns the number of observations seen (not retained).
-func (r *Reservoir) Count() int { return r.n }
-
-// Sample returns the retained samples (shared slice; do not mutate).
-func (r *Reservoir) Sample() []float64 { return r.sample }
 
 // SummarySketch bundles the streaming statistics the figure drivers need
 // from a sample distribution — count, mean, extremes, and a fixed set of

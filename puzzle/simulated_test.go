@@ -6,14 +6,20 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // Under WithSimulatedPreimage only the preimage bits change: a challenge
 // still binds secret, timestamp and flow, a genuine brute-force solution of
-// it verifies, and one for another flow does not.
+// it verifies, and one for another flow does not. At K=2, M=4 a solution
+// also verifies for the neighbouring flow at a few issue seconds in a
+// thousand, so the issuer runs on a fixed clock, at an instant where it
+// does not.
 func TestSimulatedPreimageKeepsTheProtocol(t *testing.T) {
 	secret := bytes.Repeat([]byte{0x42}, SecretLen)
-	sim := testIssuer(t, WithSecret(secret), WithSimulatedPreimage(nil))
+	issuedAt := time.Unix(1_700_000_000, 0)
+	sim := testIssuer(t, WithSecret(secret), WithSimulatedPreimage(nil),
+		WithClock(func() time.Time { return issuedAt }))
 	sha := testIssuer(t, WithSecret(secret))
 	flow := testFlow()
 

@@ -2,27 +2,15 @@ package sweep
 
 // scenarioHashExclusions pins every Scenario field that is deliberately
 // excluded from the canonical result-cache hash (json:"-"), with the
-// argument for why a cached result is still valid without it. The
-// hashfield analyzer (internal/lint, run by `make lint` and CI) keeps this
-// map and the struct tags in lock-step: a field may leave the hash only by
-// being pinned here with a reason, and a pinned entry must match a real
-// excluded field — so no new knob can default into, or out of, sweep.Hash
-// unreviewed. The bar for an entry is strict: the field must be a pure
+// argument for why a cached result is still valid without it.
+// TestHashExclusionsMatchScenarioTags keeps this map and the struct tags
+// in lock-step: a field may leave the hash only by being pinned here with
+// a reason, and a pinned entry must match a real excluded field — so no
+// new knob can default into, or out of, sweep.Hash unreviewed. The bar for an entry is strict: the field must be a pure
 // execution knob, proven results-neutral by a differential test named in
 // its reason. See docs/DETERMINISM.md for the review checklist.
 var scenarioHashExclusions = map[string]string{
 	"Shards": "execution knob: metrics and sink bytes are byte-identical " +
 		"at every shard count (TestShardDeterminismMatrix), so a cell " +
 		"computed at any -shards value must hit for every other",
-}
-
-// HashExcludedFields returns a copy of the pinned cache-hash exclusions:
-// Scenario field name → the reason the field cannot affect results. Test
-// and tooling surface for the determinism contract.
-func HashExcludedFields() map[string]string {
-	out := make(map[string]string, len(scenarioHashExclusions))
-	for k, v := range scenarioHashExclusions {
-		out[k] = v
-	}
-	return out
 }
