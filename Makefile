@@ -14,11 +14,8 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line is the window barrier's own tests, repeated: a broken
-# hand-off shows as a hang, hence the short timeout.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=10 -timeout 120s -run 'TestBarrier' ./internal/netsim
 
 # The determinism-contract analyzers (internal/lint: nodeterm, maporder,
 # allowcheck) over every package of the module. Exits nonzero
@@ -78,7 +75,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCookieRoundTrip -fuzztime=10s ./syncookie
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=10s ./puzzlenet
 	$(GO) test -fuzz=FuzzCacheEntry -fuzztime=10s ./sweep
-	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=10s ./internal/netsim
 
 # Real-network robustness smoke (docs/ROBUSTNESS.md): the fault-injected
 # chaos suite under the race detector, then a self-hosted tcpz-load run

@@ -10,7 +10,7 @@ import (
 // exploration floor so a temporarily starved arm can recover. Epochs are
 // counted in the bot's own ticks (never wall time or global metrics), so
 // the dynamics are a pure function of the bot's local observation stream —
-// the property that keeps adaptation byte-deterministic under sharded and
+// the property that keeps adaptation byte-deterministic under per-bot and
 // macro-aggregated execution.
 const (
 	// AdaptiveEpochTicks is the replicator epoch length in attack actions.

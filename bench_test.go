@@ -1,6 +1,6 @@
 // Package tcppuzzles_test hosts the benchmarks no bench/ workload covers:
-// the macro-source scale curve, the sharded-grid oversubscription probe,
-// a 12-bit puzzle solve and the memory-bound puzzle primitives.
+// the macro-source scale curve, a 12-bit puzzle solve and the
+// memory-bound puzzle primitives.
 //
 // Run with:
 //
@@ -9,7 +9,6 @@
 // The figure grids are measured end to end by bench/ (fig_grid_cold and
 // fig_grid_warm, whose runner.speedup is the runner's scaling across
 // cells) and pinned byte for byte by sim.TestExperimentLedger; bench/'s
-// flood_shards2 measures sharding inside one cell (shard_speedup), and its
 // puzzle.issue_ns, puzzle.verify_ns and puzzle.solve_us_m8 time the puzzle
 // primitives. cmd/tcpz-exp runs the grids at every scale.
 package tcppuzzles_test
@@ -65,31 +64,6 @@ func BenchmarkMacroFlood(b *testing.B) {
 				runtime.ReadMemStats(&ms)
 				b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap-MiB")
 				runtime.KeepAlive(run)
-			}
-		})
-	}
-}
-
-// BenchmarkShardedGrid is the oversubscription probe: the tiny fig13 grid
-// (four cells) through sim.RunSweep at two runner workers, serially and at
-// four shards per cell — eight goroutines that may all be polling a window
-// barrier at once, on however many Ps -cpu grants. The barrier's waiters
-// yield between polls, so the sharded grid must cost no more than the
-// windows themselves over the serial one (docs/PERFORMANCE.md "Window
-// barrier"); -workers alone remains the first answer for grids.
-func BenchmarkShardedGrid(b *testing.B) {
-	fig13, _ := experiments.ByID("fig13")
-	grid := fig13.Grid(experiments.TinyScale())
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=2/shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results, err := sim.RunSweep(grid, sim.WithWorkers(2), sim.WithShards(shards))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(results) != 4 {
-					b.Fatalf("got %d results, want 4", len(results))
-				}
 			}
 		})
 	}

@@ -12,17 +12,16 @@
 //
 // The defense and attack coordinates of every scenario resolve in the
 // strategy plugin registries; -list-defenses and -list-attacks print what
-// is registered. -verbose narrates execution on stderr: per-cell shard
-// load balance (with -shards), per-cell heap usage, and runner-pool
-// backpressure with the grid's peak heap — the memory headroom signal
-// for macro-source scale runs.
+// is registered. -verbose narrates execution on stderr: per-cell event
+// counts and heap usage, and runner-pool backpressure with the grid's
+// peak heap — the memory headroom signal for macro-source scale runs.
 //
 // Usage:
 //
 //	tcpz-exp -exp fig8 -scale paper
 //	tcpz-exp -exp all -scale quick -workers 4
 //	tcpz-exp -exp fig12 -scale paper -format csv -out fig12.csv -cache-dir ~/.cache/tcpz
-//	tcpz-exp -exp fig13 -scale quick -shards 4 -verbose
+//	tcpz-exp -exp fig13 -scale quick -verbose
 //	tcpz-exp -list -list-defenses -list-attacks
 package main
 
@@ -51,13 +50,12 @@ func run(args []string) (err error) {
 	exp := fs.String("exp", "all", "experiment id (see -list) or 'all'")
 	scale := fs.String("scale", "quick", "experiment scale: tiny, quick or paper")
 	workers := fs.Int("workers", 0, "runner pool width (0 = all cores, 1 = serial)")
-	shards := fs.Int("shards", 0, "event-engine shards per scenario (0 or 1 = single shard, -1 = one per core); results are identical at every value")
 	format := fs.String("format", "table", "output format: table, csv or json (NDJSON)")
 	out := fs.String("out", "", "write experiment output to this file (default stdout)")
 	foldSeeds := fs.Bool("fold-seeds", false, "fold replicated cells (Seeds axes) into mean/stddev rows (csv or json format)")
 	cacheDir := fs.String("cache-dir", "", "cache completed cells here; repeated runs skip identical scenarios")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this total size (0 = unlimited; requires -cache-dir)")
-	verbose := fs.Bool("verbose", false, "narrate execution on stderr: shard load balance, per-cell heap, and runner backpressure")
+	verbose := fs.Bool("verbose", false, "narrate execution on stderr: per-cell events and heap, and runner backpressure")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	listDefenses := fs.Bool("list-defenses", false, "list registered defense plugins and exit")
 	listAttacks := fs.Bool("list-attacks", false, "list registered attack plugins and exit")
@@ -91,7 +89,7 @@ func run(args []string) (err error) {
 		return tw.Flush()
 	}
 
-	opts := []sim.RunOption{sim.WithWorkers(*workers), sim.WithShards(*shards)}
+	opts := []sim.RunOption{sim.WithWorkers(*workers)}
 	if *verbose {
 		opts = append(opts, sim.WithDebug(os.Stderr))
 	}

@@ -1,6 +1,8 @@
 // Command tcpz-proxy runs a puzzle-verifying front-end proxy (§7): it
 // accepts TCP connections, requires each client to solve a puzzle at the
 // configured difficulty, and splices verified connections to a backend.
+// SIGINT or SIGTERM stops accepting and drains the preambles and splices
+// in flight for up to 10 s before closing what remains.
 //
 // Usage:
 //
@@ -9,23 +11,36 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
 	"github.com/tcppuzzles/tcppuzzles/puzzlenet"
 )
 
+// drainTimeout bounds how long a shutdown waits for in-flight preambles
+// and splices before force-closing them.
+const drainTimeout = 10 * time.Second
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tcpz-proxy:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until ctx is done, then shuts the proxy down with a bounded
+// drain. It returns nil after a clean shutdown.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tcpz-proxy", flag.ContinueOnError)
 	listen := fs.String("listen", ":8080", "address to listen on")
 	backend := fs.String("backend", "127.0.0.1:80", "backend address")
@@ -52,7 +67,24 @@ func run(args []string) error {
 		return err
 	}
 	proxy := puzzlenet.NewProxy(ln, *backend)
-	fmt.Printf("tcpz-proxy: %s -> %s, difficulty %v (≈%.0f hashes/solve)\n",
-		*listen, *backend, params, params.ExpectedSolveHashes())
-	return proxy.Serve()
+	fmt.Fprintf(stdout, "tcpz-proxy: %s -> %s, difficulty %v (≈%.0f hashes/solve)\n",
+		ln.Addr(), *backend, params, params.ExpectedSolveHashes())
+	served := make(chan error, 1)
+	go func() { served <- proxy.Serve() }()
+	select {
+	case err := <-served:
+		_ = proxy.Close()
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	shutdownErr := proxy.Shutdown(drain)
+	if err := <-served; err != nil {
+		return err
+	}
+	if shutdownErr != nil {
+		return fmt.Errorf("shutdown: %w", shutdownErr)
+	}
+	return nil
 }

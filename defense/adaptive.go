@@ -101,7 +101,7 @@ type AdaptiveSample struct {
 //
 // The controller draws nothing from the server RNG and reads only
 // cumulative counters through ServerCtx, so runs stay byte-identical at
-// every shard count.
+// every worker count.
 type AdaptivePuzzles struct {
 	puzzlesDefense
 	base       puzzle.Params

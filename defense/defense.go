@@ -140,8 +140,7 @@ type Info struct {
 
 // Defense is one server-protection strategy. Implementations must be
 // deterministic: everything they do may derive only from the ServerCtx and
-// their own state, so runs reproduce bit-for-bit at any shard or worker
-// count.
+// their own state, so runs reproduce bit-for-bit at any worker count.
 type Defense interface {
 	// Describe returns the plugin's registration identity.
 	Describe() Info

@@ -18,7 +18,7 @@ import "fmt"
 //
 // The step is a pure function of its arguments: equal inputs produce equal
 // outputs bit for bit, which is what lets adaptive strategies built on it
-// stay deterministic under sharded and macro-aggregated execution.
+// stay deterministic under per-bot and macro-aggregated execution.
 //
 // Shares must be a probability vector (non-negative, summing to 1 within
 // 1e-6); equal payoffs leave shares unchanged apart from the floor mix.

@@ -74,7 +74,7 @@ func TestAllocBudgetMacroTick(t *testing.T) {
 	}
 	// A link that never queues or drops: the round is the same every time.
 	link := netsim.LinkConfig{RateBps: 1e12, Latency: time.Millisecond, MaxBacklog: time.Hour}
-	network := netsim.NewSharded(1)
+	network := netsim.NewNetwork(netsim.NewEngine())
 	server := &countNode{addr: netsim.Addr{10, 0, 0, 1}}
 	if err := network.Attach(server, link); err != nil {
 		t.Fatal(err)

@@ -47,12 +47,8 @@ type Botnet struct {
 	Bots []*Bot
 }
 
-// NewBotnet builds and attaches the fleet. Each bot schedules against the
-// engine of its own home shard (netsim.Network.EngineFor), so a sharded
-// network spreads the fleet across cores; on a single-shard network every
-// bot lands on the one engine, as before. Per-bot seeds derive only from
-// cfg.Seed and the bot index — never from shard layout — so the fleet's
-// behaviour is identical at every shard count.
+// NewBotnet builds and attaches the fleet on the network's engine. Per-bot
+// seeds derive only from cfg.Seed and the bot index.
 func NewBotnet(network *netsim.Network, cfg BotnetConfig) (*Botnet, error) {
 	if cfg.Size <= 0 {
 		return nil, fmt.Errorf("attacksim: botnet size %d", cfg.Size)
@@ -62,7 +58,7 @@ func NewBotnet(network *netsim.Network, cfg BotnetConfig) (*Botnet, error) {
 	bn := &Botnet{Bots: make([]*Bot, 0, cfg.Size)}
 	for i := 0; i < cfg.Size; i++ {
 		addr := netsim.SourceAddr(cfg.BaseAddr, i)
-		bot, err := New(network.EngineFor(addr), network, link, Config{
+		bot, err := New(network.Eng, network, link, Config{
 			Addr:            addr,
 			ServerAddr:      cfg.ServerAddr,
 			ServerPort:      cfg.ServerPort,

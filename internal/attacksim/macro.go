@@ -68,7 +68,7 @@ type MacroConfig struct {
 //     can process source i's tick k at the virtual time start_i + k·Δ
 //     without a per-source timer. Events emitted inside a batch carry
 //     their virtual timestamps, which are ≥ the batch event's time, so
-//     causality and the sharded engine's conservative windows hold.
+//     causality holds.
 //   - randomness: per-source splitmix streams (8 bytes each) swapped
 //     through one shared rand.Rand wrapper; stream i is identical to a
 //     CompactRNG bot seeded Seed + i*101.
@@ -195,7 +195,7 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 		return nil, fmt.Errorf("attacksim: %w", err)
 	}
 	f.store = store
-	f.eng = store.Engine()
+	f.eng = network.Eng
 
 	if cfg.PerSourceRate > 0 {
 		f.period = time.Duration(float64(time.Second) / cfg.PerSourceRate)
@@ -282,8 +282,7 @@ func sortFirstTicks(keys, scratch []uint64) {
 }
 
 // scheduleBatches schedules one recurring event per contiguous batch of
-// slots. Batch composition is a pure function of (seed, size), never of
-// shard layout.
+// slots. Batch composition is a pure function of (seed, size).
 func (f *MacroFleet) scheduleBatches() {
 	for lo := 0; lo < f.cfg.Sources; lo += f.cfg.batchSize {
 		b := &macroBatch{f: f, lo: int32(lo), hi: int32(min(lo+f.cfg.batchSize, f.cfg.Sources))}

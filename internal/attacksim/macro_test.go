@@ -36,7 +36,7 @@ func (s *synAckServer) Handle(seg tcpkit.Segment) {
 
 func runMacro(t *testing.T, batch int) ([]float64, uint64, int) {
 	t.Helper()
-	network := netsim.NewSharded(1)
+	network := netsim.NewNetwork(netsim.NewEngine())
 	srv := &synAckServer{addr: netsim.Addr{10, 0, 0, 1}}
 	srv.net = network
 	if err := network.Attach(srv, netsim.DefaultServerLink()); err != nil {
@@ -85,7 +85,7 @@ func TestMacroBatchSizeNeutral(t *testing.T) {
 // what each source sent, and when, whatever order equal instants fired in.
 func wire(t *testing.T, macro bool) []string {
 	t.Helper()
-	network := netsim.NewSharded(1)
+	network := netsim.NewNetwork(netsim.NewEngine())
 	srv := &synAckServer{addr: netsim.Addr{10, 0, 0, 1}, net: network}
 	if err := network.Attach(srv, netsim.DefaultServerLink()); err != nil {
 		t.Fatal(err)

@@ -57,10 +57,7 @@ type Config struct {
 	ResponseTimeout time.Duration
 
 	// Seed drives the client's deterministic randomness. Every client
-	// derives its RNG from its own seed alone (never from engine or shard
-	// state), so a client behaves identically whichever event-engine
-	// shard it is placed on — the property the sharded netsim runs rely
-	// on for byte-identical results at every shard count.
+	// derives its RNG from its own seed alone, never from engine state.
 	Seed int64
 	// MetricBucket is the metric bucket width.
 	MetricBucket time.Duration

@@ -83,7 +83,7 @@ func TestHeapBudgetFloodCell(t *testing.T) {
 		t.Fatalf("RunFlood: %v", err)
 	}
 	const ceiling, peakCeiling = 0.60, 18
-	st := run.Net.EngineStats()
+	st := run.Eng.Stats()
 	heaped := st.PacketLegsFired - st.InPlace - st.ArrivalsInPlace
 	if share := float64(heaped) / float64(st.PacketLegsFired); share > ceiling {
 		t.Errorf("tiny connection-flood cell: %d of %d packet legs (%.3f) took a heap round trip, ceiling %.2f",

@@ -98,12 +98,6 @@ func (e Experiment) run(cells []Scenario, exec Exec) ([]sweep.Result, error) {
 	canon := make([]Scenario, len(cells))
 	for i := range cells {
 		canon[i] = cells[i].Defaults()
-		// Shards is execution-only (byte-identical results either way)
-		// and excluded from the cache hash, so applying it after
-		// canonicalisation is safe.
-		if exec.Shards != 0 {
-			canon[i].Shards = exec.Shards
-		}
 	}
 	results := make([]sweep.Result, len(cells))
 	stream := sweep.NewStream(exec.Sinks...)
@@ -207,16 +201,13 @@ func flood(extract func(*FloodRun) ([]sweep.Metric, []sweep.Series)) Cell {
 			return nil, nil, err
 		}
 		if logf != nil {
-			// Per-cell shard load balance (events, barrier waits, applied
-			// lookahead min/mean/max) and what the two event heaps held:
-			// timers and packet legs fired, deliver legs and train
-			// arrivals fired in place, deliver legs queued behind a
-			// downlink FIFO's head, cancelled timers, peak lengths.
-			st, q := run.Net.ShardStats(), run.Net.EngineStats()
-			logf("shards=%d events=%v windows=%d barrier-wait=%v lookahead=%v/%v/%v timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d cancelled=%d peak-timers=%d peak-packets=%d",
-				run.Net.Shards(), st.Events, st.Windows, st.BarrierWait,
-				st.LookaheadMin, st.LookaheadMean, st.LookaheadMax,
-				q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Discarded, q.PeakTimers, q.PeakPackets)
+			// Events fired and what the two event heaps held: timers and
+			// packet legs fired, deliver legs and train arrivals fired in
+			// place, deliver legs queued behind a downlink FIFO's head,
+			// cancelled timers, peak lengths.
+			q := run.Eng.Stats()
+			logf("events=%d timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d cancelled=%d peak-timers=%d peak-packets=%d",
+				run.Eng.Fired(), q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Discarded, q.PeakTimers, q.PeakPackets)
 		}
 		metrics, series := extract(run)
 		return metrics, series, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/attacksim"
 	"github.com/tcppuzzles/tcppuzzles/internal/clientsim"
@@ -26,41 +25,18 @@ type FloodRun struct {
 	Macro *attacksim.MacroFleet
 }
 
-// shardCount resolves a Scenario.Shards value: 0 and 1 run the classic
-// single event heap, AutoShards (any negative) uses one shard per core.
-func shardCount(n int) int {
-	if n < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n == 0 {
-		return 1
-	}
-	return n
-}
-
 // RunFlood builds and executes one flood scenario to completion. The run
 // is fully self-contained — engine, network and every RNG are derived
 // from the scenario's seed — so independent scenarios may execute
 // concurrently (see Experiment.Run) with bit-for-bit identical results.
-//
-// When sc.Shards selects more than one shard, the deployment's nodes are
-// partitioned by source address across that many event-engine shards and
-// the simulation executes them concurrently in conservative lock-step
-// time windows (see netsim.Network.Run). The server is pinned to shard 0;
-// clients and bots spread over the rest, each scheduling against its own
-// shard's engine with the same per-node seed derivation as the serial
-// engine — which is why metrics are byte-identical at every shard count.
+// Every node of the deployment runs on one event engine.
 func RunFlood(sc Scenario) (*FloodRun, error) {
 	sc = sc.Defaults()
-	serverAddr := netsim.Addr{10, 0, 0, 1}
-	network := netsim.NewSharded(shardCount(sc.Shards))
-	if err := network.Pin(serverAddr, 0); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	eng := network.EngineFor(serverAddr)
+	eng := netsim.NewEngine()
+	network := netsim.NewNetwork(eng)
 
 	srv, err := serversim.New(eng, network, netsim.DefaultServerLink(), serversim.Config{
-		Addr:            serverAddr,
+		Addr:            netsim.Addr{10, 0, 0, 1},
 		Defense:         sc.Defense,
 		PuzzleParams:    sc.Params,
 		AlwaysChallenge: sc.AlwaysChallenge,
@@ -79,7 +55,7 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 	devices := cpumodel.ClientCPUs()
 	for i := 0; i < sc.NumClients; i++ {
 		addr := netsim.Addr{10, 1, byte(i / 250), byte(1 + i%250)}
-		client, err := clientsim.New(network.EngineFor(addr), network, netsim.DefaultHostLink(), clientsim.Config{
+		client, err := clientsim.New(eng, network, netsim.DefaultHostLink(), clientsim.Config{
 			Addr:            addr,
 			ServerAddr:      srv.Addr(),
 			Rate:            sc.ClientRate,

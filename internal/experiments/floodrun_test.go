@@ -39,39 +39,26 @@ func TestGreedyBotBacklogStaysOutOfEventHeap(t *testing.T) {
 	}
 }
 
-// TestEngineStatsPinned pins the queue counters of one tiny-scale cell at
-// two shard counts. What fired, by kind, and how many deliver legs waited
-// behind a downlink FIFO's head are the simulation's and the same however
-// it is sharded; how many deliver legs and train arrivals fired
-// in place, how many cancelled timers had come to the front of a queue by the end and how
-// long each heap got depend on the window bounds and the placement, and
-// are deterministic for each. The packet heap peaks at 9 because each
+// TestEngineStatsPinned pins the queue counters of one tiny-scale cell:
+// what fired, by kind, how many deliver legs and train arrivals fired in
+// place, how many deliver legs waited behind a downlink FIFO's head, how
+// many cancelled timers had come to the front of a queue by the end and
+// how long each heap got. The packet heap peaks at 9 because each
 // downlink holds one deliver leg in it; it peaked at 183 while every
 // queued segment's leg waited there.
 func TestEngineStatsPinned(t *testing.T) {
 	base := tinyScale().Apply(Scenario{Label: "stats", ClientsSolve: true, BotsSolve: true})
-	want := map[int]netsim.EngineStats{
-		1: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23650, ArrivalsInPlace: 66657, DeliversQueued: 74782, Discarded: 2833, PeakTimers: 487, PeakPackets: 9},
-		2: {TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23671, ArrivalsInPlace: 66740, DeliversQueued: 74782, Discarded: 2836, PeakTimers: 404, PeakPackets: 9},
+	want := netsim.EngineStats{TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23650, ArrivalsInPlace: 66657, DeliversQueued: 74782, Discarded: 2833, PeakTimers: 487, PeakPackets: 9}
+	run, err := RunFlood(base)
+	if err != nil {
+		t.Fatalf("RunFlood: %v", err)
 	}
-	for _, shards := range []int{1, 2} {
-		sc := base
-		sc.Shards = shards
-		run, err := RunFlood(sc)
-		if err != nil {
-			t.Fatalf("RunFlood(shards=%d): %v", shards, err)
-		}
-		got := run.Net.EngineStats()
-		if got != want[shards] {
-			t.Errorf("shards=%d: EngineStats = %+v, want %+v", shards, got, want[shards])
-		}
-		var fired uint64
-		for _, n := range run.Net.ShardStats().Events {
-			fired += n
-		}
-		if got.TimersFired+got.PacketLegsFired != fired || max(got.InPlace, got.ArrivalsInPlace) > got.PacketLegsFired/2 {
-			t.Errorf("shards=%d: %+v does not add up to the %d events fired", shards, got, fired)
-		}
+	got := run.Eng.Stats()
+	if got != want {
+		t.Errorf("EngineStats = %+v, want %+v", got, want)
+	}
+	if fired := run.Eng.Fired(); got.TimersFired+got.PacketLegsFired != fired || max(got.InPlace, got.ArrivalsInPlace) > got.PacketLegsFired/2 {
+		t.Errorf("%+v does not add up to the %d events fired", got, fired)
 	}
 
 	// The -verbose line carries them; the sinks never do.

@@ -42,7 +42,7 @@ func measure(t *testing.T, sc Scenario) []byte {
 	t.Helper()
 	run, err := RunFlood(sc)
 	if err != nil {
-		t.Fatalf("RunFlood(%q, shards=%d): %v", sc.Label, sc.Shards, err)
+		t.Fatalf("RunFlood(%q): %v", sc.Label, err)
 	}
 	metrics, series := StandardMetrics(run)
 	m := measurement{
@@ -67,49 +67,29 @@ func measure(t *testing.T, sc Scenario) []byte {
 // strategies (replayflood, adaptive-flood) hold per-instance state — per
 // bot, per macro slot — so this is also what holds the fleet to ticking
 // each of them only after its own SYN-ACKs and solve completions.
-// synflood, pulseflood and adaptive-flood without solving also run at two
-// and four shards, which must agree with one.
 func TestMacroPerBotDifferential(t *testing.T) {
-	sharded := map[sweep.Attack]bool{AttackSYNFlood: true, AttackPulseFlood: true, AttackAdaptiveFlood: true}
 	for _, attack := range sweep.KnownAttacks() {
 		for _, solve := range []bool{false, true} {
-			shardCounts := []int{1}
-			if sharded[attack] && !solve {
-				shardCounts = []int{1, 2, 4}
-			}
-			var want []byte
-			for _, shards := range shardCounts {
-				perBot := diffScenario(attack)
-				perBot.CompactBotRNG = true
-				perBot.BotsSolve = solve
-				perBot.Shards = shards
+			perBot := diffScenario(attack)
+			perBot.CompactBotRNG = true
+			perBot.BotsSolve = solve
 
-				macro := diffScenario(attack)
-				macro.BotCount = sweep.NoBotnet
-				macro.MacroSources = 48
-				macro.BotsSolve = solve
-				macro.Shards = shards
+			macro := diffScenario(attack)
+			macro.BotCount = sweep.NoBotnet
+			macro.MacroSources = 48
+			macro.BotsSolve = solve
 
-				got := measure(t, perBot)
-				gotMacro := measure(t, macro)
-				if string(got) != string(gotMacro) {
-					t.Errorf("%s solve=%v shards=%d: per-bot and macro measurements differ\nper-bot: %s\nmacro:   %s",
-						attack, solve, shards, got, gotMacro)
-					continue
-				}
-				if want == nil {
-					want = got
-				} else if string(got) != string(want) {
-					t.Errorf("%s solve=%v shards=%d: measurements differ from shards=1 baseline", attack, solve, shards)
-				}
+			if got, gotMacro := measure(t, perBot), measure(t, macro); string(got) != string(gotMacro) {
+				t.Errorf("%s solve=%v: per-bot and macro measurements differ\nper-bot: %s\nmacro:   %s",
+					attack, solve, got, gotMacro)
 			}
 		}
 	}
 }
 
-// macroPins are the NDJSON digests of TestMacroStrategiesPinned's cells,
-// the same at every shard count. The digest covers the cell's Scenario
-// JSON, so adding or removing a Scenario field moves every pin.
+// macroPins are the NDJSON digests of TestMacroStrategiesPinned's cells.
+// The digest covers the cell's Scenario JSON, so adding or removing a
+// Scenario field moves every pin.
 var macroPins = map[sweep.Attack]string{
 	AttackSYNFlood:      "4359d234a10c95dc",
 	AttackConnFlood:     "e8f0f6f2cde09561",
@@ -130,33 +110,30 @@ var macroPins = map[sweep.Attack]string{
 // device shows.
 func TestMacroStrategiesPinned(t *testing.T) {
 	for _, attack := range sweep.KnownAttacks() {
-		for _, shards := range []int{1, 2} {
-			sc := diffScenario(attack)
-			sc.Duration = 20 * time.Second
-			sc.AttackStop = 15 * time.Second
-			sc.BotCount = sweep.NoBotnet
-			sc.MacroSources = 30
-			sc.BotsSolve = true
-			sc.Shards = shards
-			run, err := RunFlood(sc)
-			if err != nil {
-				t.Fatalf("RunFlood(macro %s, shards=%d): %v", attack, shards, err)
-			}
-			if total := run.Macro.TotalSent(0, sc.Duration); total == 0 {
-				t.Errorf("macro %s shards=%d sent no packets", attack, shards)
-			}
-			metrics, series := StandardMetrics(run)
-			series = append(series,
-				sweep.Series{Name: "attack_sent_pps", Values: run.MeasuredAttackRate()},
-				sweep.Series{Name: "attacker_cpu_pct", Values: run.AttackerCPU()})
-			var out bytes.Buffer
-			if err := sweep.NewNDJSON(&out).Write(sweep.Result{Experiment: "macro-pin", Scenario: run.Cfg, Metrics: metrics, Series: series}); err != nil {
-				t.Fatalf("NDJSON: %v", err)
-			}
-			sum := sha256.Sum256(out.Bytes())
-			if got := hex.EncodeToString(sum[:8]); got != macroPins[attack] {
-				t.Errorf("macro %s shards=%d: digest %s, pinned %s", attack, shards, got, macroPins[attack])
-			}
+		sc := diffScenario(attack)
+		sc.Duration = 20 * time.Second
+		sc.AttackStop = 15 * time.Second
+		sc.BotCount = sweep.NoBotnet
+		sc.MacroSources = 30
+		sc.BotsSolve = true
+		run, err := RunFlood(sc)
+		if err != nil {
+			t.Fatalf("RunFlood(macro %s): %v", attack, err)
+		}
+		if total := run.Macro.TotalSent(0, sc.Duration); total == 0 {
+			t.Errorf("macro %s sent no packets", attack)
+		}
+		metrics, series := StandardMetrics(run)
+		series = append(series,
+			sweep.Series{Name: "attack_sent_pps", Values: run.MeasuredAttackRate()},
+			sweep.Series{Name: "attacker_cpu_pct", Values: run.AttackerCPU()})
+		var out bytes.Buffer
+		if err := sweep.NewNDJSON(&out).Write(sweep.Result{Experiment: "macro-pin", Scenario: run.Cfg, Metrics: metrics, Series: series}); err != nil {
+			t.Fatalf("NDJSON: %v", err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:8]); got != macroPins[attack] {
+			t.Errorf("macro %s: digest %s, pinned %s", attack, got, macroPins[attack])
 		}
 	}
 }

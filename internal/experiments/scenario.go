@@ -18,8 +18,8 @@ type (
 	Scenario = sweep.Scenario
 	// Scale rescales a scenario's deployment. See sweep.Scale.
 	Scale = sweep.Scale
-	// Exec carries the execution options (runner width, shards, sinks,
-	// cache, debug). See sweep.Exec.
+	// Exec carries the execution options (runner width, sinks, cache,
+	// debug). See sweep.Exec.
 	Exec = sweep.Exec
 	// Defense selects the server protection.
 	Defense = sweep.Defense

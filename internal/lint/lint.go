@@ -243,8 +243,7 @@ var deterministicPkgs = []string{
 }
 
 // runnerPkg is the one deterministic package allowed to start goroutines:
-// the work-stealing scenario runner (and the sharded engine via reviewed
-// annotations) own all concurrency.
+// the work-stealing scenario runner owns all concurrency.
 const runnerPkg = modulePath + "/sim/runner"
 
 // IsDeterministicPkg reports whether the import path falls under the

@@ -10,7 +10,7 @@ import (
 // unseeded global randomness, and bare goroutines outside the runner.
 // Every one of these has a deterministic seam the simulator already
 // provides — the engine clock (Engine.Now), Scenario.Seed-derived RNGs,
-// explicit configuration, and the runner/shard-barrier concurrency — so a
+// explicit configuration, and the runner's concurrency — so a
 // use of the ambient version is either a bug or a reviewed, annotated
 // exemption.
 var Nodeterm = &Analyzer{
@@ -67,7 +67,7 @@ func runNodeterm(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				if pass.ImportPath != runnerPkg {
-					pass.Reportf(n.Pos(), "go statement outside %s: deterministic packages must not start goroutines (the runner and the shard barriers own all concurrency)", runnerPkg)
+					pass.Reportf(n.Pos(), "go statement outside %s: deterministic packages must not start goroutines (the runner owns all concurrency)", runnerPkg)
 				}
 			case *ast.Ident:
 				fn, ok := pass.Info.Uses[n].(*types.Func)

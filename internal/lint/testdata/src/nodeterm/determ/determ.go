@@ -54,6 +54,6 @@ func suppressed() {
 	_ = time.Now() //tcpz:allow nodeterm — wall clock feeds observability stats only, never simulation state
 	//tcpz:allow nodeterm — debug-only jitter measurement, results-neutral by construction
 	_ = rand.Int()
-	//tcpz:allow nodeterm — shard workers are ordered by the window barrier
+	//tcpz:allow nodeterm — reviewed concurrency, ordered by an explicit barrier
 	go environment()
 }

@@ -4,12 +4,10 @@
 // bandwidth, propagation latency, and drop-tail queues. Packet taps play the
 // role of tcpdump.
 //
-// The engine can run serially or sharded: a Network built
-// with NewSharded partitions its nodes across several engines that execute
-// concurrently in conservative lock-step time windows (see Network.Run).
-// Results are byte-identical at every shard count because all cross-node
-// deliveries are ordered by a canonical, shard-count-independent key
-// rather than by scheduling order.
+// A Network runs on one engine, and the engine runs on the calling
+// goroutine. Packets arriving at the same instant are ordered by a
+// canonical key — the sender's address and packet count — rather than by
+// scheduling order (see less).
 //
 // The scheduling hot path is allocation-free in steady state: events are
 // plain structs recycled through a per-engine free-list, the pending queue
@@ -81,9 +79,8 @@ type Event struct {
 	// seq is the engine-local scheduling order, except on a kindArrival
 	// event: there src and seq are the canonical (source, per-source
 	// sequence) key that orders arrivals at equal times. That key is a
-	// pure function of the sending node's history, so it does not depend
-	// on how nodes are partitioned into shards — the property that makes
-	// sharded runs byte-identical to single-shard runs.
+	// pure function of the sending node's history, not of when the
+	// engine happened to queue the arrival.
 	seq       uint64
 	src       uint64
 	kind      eventKind
@@ -127,7 +124,7 @@ func (t Timer) At() (time.Duration, bool) {
 
 // less is the canonical firing order: time, then locally scheduled events
 // before packet arrivals at the same instant, arrivals among themselves by
-// the shard-independent (src, seq) key, and other events by engine
+// the canonical (src, seq) key, and other events by engine
 // scheduling order. It is a strict total order (seq is unique per engine,
 // and (src, seq) per pending arrival), so neither a heap's internal layout
 // nor which of the two heaps an event waits in can influence pop order.
@@ -160,9 +157,8 @@ type Engine struct {
 	held    int
 	seq     uint64
 	fired   uint64
-	// limit is the exclusive time bound of the Run or RunBefore in
-	// progress, zero outside one: the licence runArrival needs to fire a
-	// leg in place.
+	// limit is the exclusive time bound of the Run in progress, zero
+	// outside one: the licence runArrival needs to fire a leg in place.
 	limit time.Duration
 	stats EngineStats
 	// free is the event pool. Steady-state simulation cycles events
@@ -367,35 +363,20 @@ func (e *Engine) scheduleSend(at time.Duration, store *port, slot int32, seg *tc
 }
 
 // scheduleArrival queues the downlink leg of a packet delivery — of a
-// train's first segment; runArrival re-queues the train under each next
-// segment's key. At equal times arrivals fire after locally scheduled
-// events and order among themselves by (m.src, m.seq) — a key derived from
-// the sending node, not from this engine's scheduling history, so the
-// firing order is identical however the simulation is sharded. The
-// (src, seq) pair must be unique per pending arrival.
-func (e *Engine) scheduleArrival(m *message) {
-	at := m.at
-	if at < e.now {
-		at = e.now
-	}
+// train's first segment — at time at, which the caller keeps at or after
+// now; runArrival re-queues the train under each next segment's key. At equal times arrivals fire
+// after locally scheduled events and order among themselves by
+// (src, seq) — a key derived from the sending node, not from this
+// engine's scheduling history. The (src, seq) pair must be unique per
+// pending arrival.
+func (e *Engine) scheduleArrival(at time.Duration, src, seq uint64, pkt *packet) {
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = m.seq
+	ev.seq = seq
 	ev.kind = kindArrival
-	ev.src = m.src
-	ev.pkt = m.pkt
+	ev.src = src
+	ev.pkt = *pkt
 	e.pushPacket(ev)
-}
-
-// grow pre-extends the packet heap's capacity by n slots — one
-// reallocation for a whole batch of cross-shard arrivals instead of
-// log-many appends.
-func (e *Engine) grow(n int) {
-	if need := len(e.packets) + n; need > cap(e.packets) {
-		pq := make(eventHeap, len(e.packets), need+need/2)
-		copy(pq, e.packets)
-		e.packets = pq
-	}
 }
 
 // fire advances the clock to one live event, dispatches it and recycles
@@ -468,29 +449,17 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Fired returns how many events this engine has executed — the per-shard
-// load signal behind Network.ShardStats.
+// Fired returns how many events this engine has executed.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Run fires all events scheduled at or before until and then advances the
-// clock to until.
+// clock to until. Cancelled events are discarded before the time check, so
+// a cancelled head never lets a later live event fire past until.
 func (e *Engine) Run(until time.Duration) {
-	limit := until + 1
-	if limit < until {
-		limit = until // saturate at the end of time
+	end := until + 1
+	if end < until {
+		end = until // saturate at the end of time
 	}
-	e.RunBefore(limit)
-	if e.now < until {
-		e.now = until
-	}
-}
-
-// RunBefore fires all events strictly before end without advancing the
-// clock past the last fired event — one lock-step window of a sharded run.
-// The time check discards cancelled events first, so a cancelled head
-// never lets a later live event fire past the boundary — the invariant the
-// sharded window scheduler depends on.
-func (e *Engine) RunBefore(end time.Duration) {
 	e.limit = end
 	for {
 		h := e.live()
@@ -500,16 +469,9 @@ func (e *Engine) RunBefore(end time.Duration) {
 		e.fire(h.pop())
 	}
 	e.limit = 0
-}
-
-// NextEventAt returns the time of the earliest live pending event.
-// Cancelled events at the head of the queue are discarded on the way.
-func (e *Engine) NextEventAt() (time.Duration, bool) {
-	h := e.live()
-	if h == nil {
-		return 0, false
+	if e.now < until {
+		e.now = until
 	}
-	return (*h)[0].at, true
 }
 
 // Pending returns the number of events yet to fire, possibly cancelled:
@@ -518,8 +480,8 @@ func (e *Engine) NextEventAt() (time.Duration, bool) {
 func (e *Engine) Pending() int { return len(e.timers) + len(e.packets) + e.held }
 
 // EngineStats counts what an engine's pending queue did. Every field is a
-// pure function of the simulation and of how it was sharded — observability
-// for -verbose runs and tests, never part of a result.
+// pure function of the simulation — observability for -verbose runs and
+// tests, never part of a result.
 type EngineStats struct {
 	TimersFired     uint64
 	PacketLegsFired uint64 // arrival and deliver legs, both in-place counts included

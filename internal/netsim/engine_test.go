@@ -284,12 +284,10 @@ func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 				src := uint64(1 + rnd.Intn(3))
 				ids++
 				sg := tcpkit.Segment{Seq: ids, PayloadLen: 100*(1+rnd.Intn(5)) - 40}
-				m := message{at: at, src: src, seq: srcSeq[src], pkt: packet{
-					dst: ports[rnd.Intn(2)], seg: sg, size: int32(sg.WireSize()), slot: -1,
-				}}
-				e.scheduleArrival(&m)
+				pkt := packet{dst: ports[rnd.Intn(2)], seg: sg, size: int32(sg.WireSize()), slot: -1}
+				e.scheduleArrival(at, src, srcSeq[src], &pkt)
+				model = append(model, Event{at: at, seq: srcSeq[src], kind: kindArrival, src: src, pkt: pkt})
 				srcSeq[src]++
-				model = append(model, Event{at: at, seq: m.seq, kind: kindArrival, src: src, pkt: m.pkt})
 			}
 		}
 		cancel := func() {

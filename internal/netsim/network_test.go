@@ -196,9 +196,8 @@ func TestSendFromSpoofing(t *testing.T) {
 }
 
 // TestInPlaceDeliverRespectsRunBound: a deliver leg fires in place only
-// when the Run or RunBefore in progress would have popped it — never at or
-// past RunBefore's end, never after Run's until, and never from a bare
-// Step, which has no bound at all.
+// when the Run in progress would have popped it — never after Run's until,
+// and never from a bare Step, which has no bound at all.
 func TestInPlaceDeliverRespectsRunBound(t *testing.T) {
 	// 125 wire bytes at 1 Mbps: 1 ms on the uplink, arrival at the
 	// downlink at 1 ms + 2 × 2 ms = 5 ms, delivery when the downlink
@@ -229,23 +228,10 @@ func TestInPlaceDeliverRespectsRunBound(t *testing.T) {
 		}
 	}
 
-	t.Run("RunBefore ending at the delivery", func(t *testing.T) {
-		e, b := send(t)
-		e.RunBefore(deliver)
-		held(t, e, b)
-		e.RunBefore(deliver + 1)
-		delivered(t, e, b, 0)
-	})
-	t.Run("RunBefore ending inside the serialisation", func(t *testing.T) {
-		e, b := send(t)
-		e.RunBefore(arrive + 1)
-		held(t, e, b)
-		if e.Now() != arrive {
-			t.Fatalf("clock at %v, want %v: RunBefore must not advance past the last fired event", e.Now(), arrive)
-		}
-	})
 	t.Run("Run until before the delivery", func(t *testing.T) {
 		e, b := send(t)
+		e.Run(arrive)
+		held(t, e, b)
 		e.Run(deliver - 1)
 		held(t, e, b)
 		e.Run(deliver)
@@ -254,11 +240,6 @@ func TestInPlaceDeliverRespectsRunBound(t *testing.T) {
 	t.Run("Run until the delivery", func(t *testing.T) {
 		e, b := send(t)
 		e.Run(deliver)
-		delivered(t, e, b, 1)
-	})
-	t.Run("RunBefore past the delivery", func(t *testing.T) {
-		e, b := send(t)
-		e.RunBefore(deliver + 1)
 		delivered(t, e, b, 1)
 	})
 	t.Run("bare Step", func(t *testing.T) {
@@ -294,4 +275,32 @@ func TestInPlaceDeliverRespectsRunBound(t *testing.T) {
 				st, seenAtTimer, len(b.received))
 		}
 	})
+}
+
+// TestSimultaneousArrivalsCanonicalOrder pins the tie-break rule: two
+// packets from different sources engineered to arrive at the same instant
+// deliver in source-address order, whatever order they were sent in.
+func TestSimultaneousArrivalsCanonicalOrder(t *testing.T) {
+	link := LinkConfig{RateBps: 1e9, Latency: 5 * time.Millisecond, MaxBacklog: time.Second}
+	eng := NewEngine()
+	net := NewNetwork(eng)
+	// Higher-address source scheduled first: scheduling order must NOT
+	// decide delivery order.
+	hi := &sink{addr: Addr{10, 0, 0, 9}, eng: eng}
+	lo := &sink{addr: Addr{10, 0, 0, 1}, eng: eng}
+	dst := &sink{addr: Addr{10, 0, 0, 5}, eng: eng}
+	for _, n := range []*sink{hi, lo, dst} {
+		if err := net.Attach(n, link); err != nil {
+			t.Fatalf("Attach: %v", err)
+		}
+	}
+	eng.Schedule(10*time.Millisecond, func() { net.Send(seg(hi.addr, dst.addr, 64)) })
+	eng.Schedule(10*time.Millisecond, func() { net.Send(seg(lo.addr, dst.addr, 64)) })
+	net.Run(time.Second)
+	if len(dst.received) != 2 {
+		t.Fatalf("delivered %d, want 2", len(dst.received))
+	}
+	if dst.received[0].Src != lo.addr || dst.received[1].Src != hi.addr {
+		t.Errorf("delivery order %v, %v; want low-address source first", dst.received[0].Src, dst.received[1].Src)
+	}
 }

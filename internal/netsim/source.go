@@ -31,11 +31,10 @@ const MaxSourceSlots = 200 * 256 * 256
 // instead of a port object, node object, and timer per source, so a
 // million-source flood costs tens of megabytes instead of gigabytes.
 //
-// The store occupies a single shard (the base address's home shard) and
-// is reached through the normal delivery path: packets addressed to any
-// source in the range resolve to the store's virtual port, run the
-// per-slot downlink leg, and are handed to the store's handler with the
-// slot index. Outbound packets go through SendAt, which takes
+// The store is reached through the normal delivery path: packets
+// addressed to any source in the range resolve to the store's virtual
+// port, run the per-slot downlink leg, and are handed to the store's
+// handler with the slot index. Outbound packets go through SendAt, which takes
 // Network.SendFrom's own send path — same tap order, same drop points,
 // same canonical (address, sequence) arrival key — so a store-backed
 // source is byte-indistinguishable on the wire from an attached port.
@@ -44,7 +43,6 @@ type SourceStore struct {
 	base    Addr
 	count   int
 	link    LinkConfig
-	shard   int
 	handler func(slot int32, seg tcpkit.Segment)
 	// vport is the store's standin in the routing table: a port whose
 	// store field redirects the downlink and delivery legs to per-slot
@@ -103,24 +101,8 @@ func (n *Network) AttachSources(count int, base Addr, link LinkConfig, handler f
 			return nil, fmt.Errorf("netsim: macro source ranges %v and %v share first octet; use distinct prefixes", other.base, base)
 		}
 	}
-	s.shard = n.homeShard(base)
-	s.vport = &port{shard: s.shard, store: s}
+	s.vport = &port{store: s}
 	n.stores = append(n.stores, s)
-	// Fold the shared link into the shard's latency minima exactly as
-	// Attach does: the store's slots are senders and receivers on this
-	// shard for lookahead purposes.
-	if !n.hasPort[s.shard] {
-		n.hasPort[s.shard] = true
-		n.minUp[s.shard] = link.Latency
-		n.minDown[s.shard] = link.Latency
-	} else {
-		if link.Latency < n.minUp[s.shard] {
-			n.minUp[s.shard] = link.Latency
-		}
-		if link.Latency < n.minDown[s.shard] {
-			n.minDown[s.shard] = link.Latency
-		}
-	}
 	return s, nil
 }
 
@@ -185,10 +167,6 @@ func (s *SourceStore) Count() int { return s.count }
 // Addr returns slot's address.
 func (s *SourceStore) Addr(slot int32) Addr { return SourceAddr(s.base, s.Source(slot)) }
 
-// Engine returns the engine of the shard the store lives on — the engine
-// the macro driver must schedule its batch events against.
-func (s *SourceStore) Engine() *Engine { return s.n.shards[s.shard].eng }
-
 // Contains reports whether addr belongs to this population — the
 // predicate server-side metrics aggregate attacker establishments by.
 func (s *SourceStore) Contains(addr Addr) bool {
@@ -200,7 +178,7 @@ func (s *SourceStore) Contains(addr Addr) bool {
 func (s *SourceStore) Stats() (up, down LinkStats) { return s.upStats, s.downStats }
 
 // SendAt injects a segment through slot's uplink at simulated time at
-// (at or after the store shard's current time — the macro driver emits at
+// (at or after the engine's current time — the macro driver emits at
 // virtual per-source times inside a batch event). It is Network.SendFrom
 // from a slot: the same send path (tap, uplink transmit with drop-tail
 // check, destination resolution, canonical arrival key) over the slot's
@@ -212,13 +190,12 @@ func (s *SourceStore) Stats() (up, down LinkStats) { return s.upStats, s.downSta
 // event emitting hundreds of milliseconds into the virtual future while
 // reply-driven sends land at real times in between would interleave them
 // out of order, inflating apparent queue delay into spurious drop-tail
-// drops. Deferring restores the per-slot time ordering, and makes the
-// cross-shard causality argument the trivial one: every transmit starts
-// at its shard's current time, exactly like SendFrom. The deferred send
-// is a timer in all but its payload: it carries (slot, segment) on a
-// pooled kindSend event instead of a closure.
+// drops. Deferring restores the per-slot time ordering: every transmit
+// starts at the engine's current time, exactly like SendFrom. The
+// deferred send is a timer in all but its payload: it carries (slot,
+// segment) on a pooled kindSend event instead of a closure.
 func (s *SourceStore) SendAt(slot int32, at time.Duration, seg tcpkit.Segment) {
-	if eng := s.Engine(); at > eng.Now() {
+	if eng := s.n.Eng; at > eng.Now() {
 		eng.scheduleSend(at, s.vport, slot, &seg)
 		return
 	}
@@ -228,13 +205,13 @@ func (s *SourceStore) SendAt(slot int32, at time.Duration, seg tcpkit.Segment) {
 // transmit sends seg through slot's uplink now; seg is a scratch copy.
 func (s *SourceStore) transmit(slot int32, seg *tcpkit.Segment) {
 	up := xmitter{cfg: s.link, busyUntil: s.upBusy[slot]}
-	s.n.send(s.shard, &up, s.Addr(slot), &s.msgSeq[slot], seg, 1, seg.PayloadLen)
+	s.n.send(&up, s.Addr(slot), &s.msgSeq[slot], seg, 1, seg.PayloadLen)
 	s.upBusy[slot] = up.busyUntil
 	s.upStats.add(up.stats)
 }
 
-// downTransmit is the per-slot downlink leg, run by runArrival on the
-// store's home shard: a port's xmitter over the slot's flat state.
+// downTransmit is the per-slot downlink leg, run by runArrival: a port's
+// xmitter over the slot's flat state.
 func (s *SourceStore) downTransmit(slot int32, now time.Duration, size int) (time.Duration, bool) {
 	down := xmitter{cfg: s.link, busyUntil: s.downBusy[slot]}
 	depart, ok := down.transmit(now, size)

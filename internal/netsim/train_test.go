@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -42,8 +41,7 @@ type trainHost struct {
 	// each segment of the two interleaved trains, in order.
 	delivered   []time.Duration
 	interleaved []Addr
-	// Coverage of the edge cases, counted per burst (per host: hosts run
-	// on different shards).
+	// Coverage of the edge cases, counted per burst and per host.
 	empty, single, lastIsFull int
 }
 
@@ -115,21 +113,16 @@ func (h *trainHost) tick() {
 // instant, so that their segments interleave on its 100 Mbps downlink.
 const interleavedSeqA, interleavedSeqB = 900_001, 900_002
 
-// runTrainWorld builds the world on shards engines (0: NewNetwork on one
-// engine) and drains it with Run, or with bare Steps when step is set.
+// runTrainWorld builds the world and drains it with Run, or with bare
+// Steps when step is set.
 // The hosts are two 1 Gbps servers, a 100 Mbps client and a shallow
 // 50 Mbps station whose uplink drops the tails of its own long trains and
 // whose downlink, fed at 100 Mbps, drops segments in the middle of the
 // client's; they also send to a three-slot source store and to an address
 // nobody owns, and one train comes from an unattached origin.
-func runTrainWorld(t *testing.T, shards int, step, singles bool) *trainWorld {
+func runTrainWorld(t *testing.T, step, singles bool) *trainWorld {
 	t.Helper()
-	w := &trainWorld{singles: singles, stopAt: 400 * time.Millisecond}
-	if shards == 0 {
-		w.net = NewNetwork(NewEngine())
-	} else {
-		w.net = NewSharded(shards)
-	}
+	w := &trainWorld{net: NewNetwork(NewEngine()), singles: singles, stopAt: 400 * time.Millisecond}
 	w.net.RegisterTap(func(at time.Duration, dir TapDir, seg tcpkit.Segment) {
 		w.taps = append(w.taps, fmt.Sprintf("%v dir=%d %v>%v seq=%d len=%d", at, dir, seg.Src, seg.Dst, seg.Seq, seg.PayloadLen))
 		w.tapAt = append(w.tapAt, at)
@@ -142,7 +135,7 @@ func runTrainWorld(t *testing.T, shards int, step, singles bool) *trainWorld {
 	}
 	var err error
 	w.store, err = w.net.AttachSources(3, Addr{11, 0, 0, 1}, DefaultHostLink(), func(slot int32, seg tcpkit.Segment) {
-		now := w.store.Engine().Now()
+		now := w.net.Eng.Now()
 		w.log = append(w.log, fmt.Sprintf("%v slot=%d %v seq=%d len=%d", now, slot, seg.Src, seg.Seq, seg.PayloadLen))
 		if seg.PayloadLen%7 == 0 {
 			w.store.SendAt(slot, now, tcpkit.Segment{Src: w.store.Addr(slot), Dst: seg.Src, SrcPort: seg.DstPort, DstPort: seg.SrcPort, Seq: seg.Seq, Flags: tcpkit.FlagACK})
@@ -154,7 +147,7 @@ func runTrainWorld(t *testing.T, shards int, step, singles bool) *trainWorld {
 	var addrs []Addr
 	for i, link := range links {
 		addr := Addr{10, 0, 0, byte(1 + i)}
-		h := &trainHost{w: w, addr: addr, eng: w.net.EngineFor(addr), rnd: rand.New(rand.NewSource(int64(17 + i)))}
+		h := &trainHost{w: w, addr: addr, eng: w.net.Eng, rnd: rand.New(rand.NewSource(int64(17 + i)))}
 		if err := w.net.Attach(h, link); err != nil {
 			t.Fatal(err)
 		}
@@ -192,10 +185,6 @@ func runTrainWorld(t *testing.T, shards int, step, singles bool) *trainWorld {
 	} else {
 		w.net.Run(3 * time.Second)
 	}
-	if shards > 1 {
-		// Taps from different shards interleave in no fixed order.
-		sort.Strings(w.taps)
-	}
 	return w
 }
 
@@ -210,7 +199,7 @@ func (w *trainWorld) delivered() string {
 	}
 	up, down := w.store.Stats()
 	fmt.Fprintf(&b, "store up=%+v down=%+v\n  %s\n", up, down, strings.Join(w.log, "\n  "))
-	st := w.net.EngineStats()
+	st := w.net.Eng.Stats()
 	fmt.Fprintf(&b, "unroutable=%d timers=%d packet-legs=%d\n", w.net.Unroutable(), st.TimersFired, st.PacketLegsFired)
 	return b.String()
 }
@@ -220,17 +209,17 @@ func (w *trainWorld) delivered() string {
 // timers discarded. Trains and singles run the same way must agree on
 // all three; ArrivalsInPlace is the one counter that tells them apart.
 func (w *trainWorld) queue() string {
-	st := w.net.EngineStats()
+	st := w.net.Eng.Stats()
 	return fmt.Sprintf("in-place=%d delivers-queued=%d discarded=%d", st.InPlace, st.DeliversQueued, st.Discarded)
 }
 
 // checkDownlinks holds a run to what it must give however it was run,
 // whatever the queue did: each host received every segment its downlink
-// accepted, once, in ascending time, and — in an unsharded run, where
-// taps fire in firing order — the tap log never goes back in time. A
+// accepted, once, in ascending time, and the tap log never goes back in
+// time. A
 // deliver leg skipped, fired twice or fired out of turn breaks one of
 // these even when trains and singles break alike.
-func (w *trainWorld) checkDownlinks(t *testing.T, name string, sharded bool) {
+func (w *trainWorld) checkDownlinks(t *testing.T, name string) {
 	t.Helper()
 	for _, h := range w.hosts {
 		_, down, _ := w.net.Stats(h.addr)
@@ -244,9 +233,6 @@ func (w *trainWorld) checkDownlinks(t *testing.T, name string, sharded bool) {
 			}
 		}
 	}
-	if sharded {
-		return
-	}
 	for i := 1; i < len(w.tapAt); i++ {
 		if w.tapAt[i] < w.tapAt[i-1] {
 			t.Errorf("%s: tap %d at %v after tap %d at %v", name, i, w.tapAt[i], i-1, w.tapAt[i-1])
@@ -259,8 +245,7 @@ func (w *trainWorld) checkDownlinks(t *testing.T, name string, sharded bool) {
 // same burst sent as per-segment Sends — the same taps in the same order
 // at the same times, the same deliveries, link counters, unroutable
 // count, events fired, deliver legs fired in place and cancelled timers
-// discarded — under Run, windowed runs at one, two and four shards, and
-// bare Steps. The 1 Gbps → 100 Mbps path is what fails if a deliver leg
+// discarded — under Run and under bare Steps. The 1 Gbps → 100 Mbps path is what fails if a deliver leg
 // may fire in place without ordering before its train's next arrival:
 // each segment's downlink serialisation outlasts the gap to the next one.
 // There, and where two servers' trains interleave on the client's
@@ -268,21 +253,17 @@ func (w *trainWorld) checkDownlinks(t *testing.T, name string, sharded bool) {
 // train, deliver legs queue in the downlink FIFOs; checkDownlinks fails
 // if a FIFO arms a leg behind its head or fires a queued leg early.
 func TestTrainMatchesSingles(t *testing.T) {
-	ref := runTrainWorld(t, 0, false, true).delivered()
+	ref := runTrainWorld(t, false, true).delivered()
 	for _, d := range []struct {
-		name   string
-		shards int
-		step   bool
+		name string
+		step bool
 	}{
-		{"Run", 0, false},
-		{"shards=1", 1, false},
-		{"shards=2", 2, false},
-		{"shards=4", 4, false},
-		{"Step", 0, true},
+		{"Run", false},
+		{"Step", true},
 	} {
 		t.Run(d.name, func(t *testing.T) {
-			singles := runTrainWorld(t, d.shards, d.step, true)
-			trains := runTrainWorld(t, d.shards, d.step, false)
+			singles := runTrainWorld(t, d.step, true)
+			trains := runTrainWorld(t, d.step, false)
 			if got, want := strings.Join(trains.taps, "\n"), strings.Join(singles.taps, "\n"); got != want {
 				t.Errorf("tap logs differ:\n trains:\n%s\nsingles:\n%s", got, want)
 			}
@@ -293,9 +274,9 @@ func TestTrainMatchesSingles(t *testing.T) {
 				if got := w.delivered(); got != ref {
 					t.Errorf("%s: deliveries differ from the serial Run of singles:\n%s\nwant:\n%s", name, got, ref)
 				}
-				w.checkDownlinks(t, name, d.shards > 1)
+				w.checkDownlinks(t, name)
 			}
-			tst, sst := trains.net.EngineStats(), singles.net.EngineStats()
+			tst, sst := trains.net.Eng.Stats(), singles.net.Eng.Stats()
 			if sst.ArrivalsInPlace != 0 || (d.step && tst.ArrivalsInPlace != 0) || (!d.step && tst.ArrivalsInPlace == 0) {
 				t.Errorf("arrivals in place: trains %d, singles %d; want some for trains under Run and none otherwise",
 					tst.ArrivalsInPlace, sst.ArrivalsInPlace)
@@ -304,7 +285,7 @@ func TestTrainMatchesSingles(t *testing.T) {
 	}
 
 	// The fixture reaches every case it exists for.
-	w := runTrainWorld(t, 0, false, false)
+	w := runTrainWorld(t, false, false)
 	var empty, single, lastIsFull int
 	for _, h := range w.hosts {
 		empty, single, lastIsFull = empty+h.empty, single+h.single, lastIsFull+h.lastIsFull
@@ -318,7 +299,7 @@ func TestTrainMatchesSingles(t *testing.T) {
 		t.Errorf("shallow link up=%+v down=%+v, store up=%+v down=%+v: want drops both ways and store traffic both ways",
 			shallowUp, shallowDown, storeUp, storeDown)
 	}
-	if st := w.net.EngineStats(); st.InPlace == 0 || st.DeliversQueued == 0 || st.Discarded == 0 || w.net.Unroutable() <= 3 {
+	if st := w.net.Eng.Stats(); st.InPlace == 0 || st.DeliversQueued == 0 || st.Discarded == 0 || w.net.Unroutable() <= 3 {
 		t.Errorf("stats=%+v unroutable=%d: want in-place deliveries, queued deliver legs, discards and unroutable sends",
 			st, w.net.Unroutable())
 	}

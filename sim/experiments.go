@@ -52,17 +52,6 @@ func WithWorkers(n int) RunOption {
 	return func(e *sweep.Exec) { e.Parallelism = n }
 }
 
-// WithShards partitions every simulated scenario's nodes across n
-// event-engine shards run in lock-step time windows (0 or 1 = one heap,
-// AutoShards = one per core). Workers parallelise across grid cells,
-// shards inside one; output is byte-identical at every shard count.
-func WithShards(n int) RunOption {
-	return func(e *sweep.Exec) { e.Shards = n }
-}
-
-// AutoShards selects one event-engine shard per core.
-const AutoShards = sweep.AutoShards
-
 // WithSinks streams every completed grid cell's sweep.Result to the given
 // sinks, in grid order, as runs land (see sweep.NewCSV, sweep.NewNDJSON,
 // sweep.NewTable). The caller owns the sinks and flushes them after the
@@ -80,10 +69,10 @@ func WithCache(c *sweep.Cache) RunOption {
 }
 
 // WithDebug streams execution observability to w as cells complete:
-// per-cell shard load balance (per-shard event counts, window count,
-// barrier waits) and per-grid runner-pool backpressure (local claims,
-// steals, failed steal scans, mean queue depth). Purely observational —
-// results, sinks, and the cache never see it.
+// per-cell event counts, event-queue counters and heap, and per-grid
+// runner-pool backpressure (local claims, steals, failed steal scans,
+// mean queue depth). Purely observational — results, sinks, and the
+// cache never see it.
 func WithDebug(w io.Writer) RunOption {
 	return func(e *sweep.Exec) { e.Debug = w }
 }

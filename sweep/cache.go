@@ -30,12 +30,8 @@ const hashVersion = "tcppuzzles-sweep-v3"
 // including Label — feeds the hash, so two cells collide only when they
 // would simulate identically and report identically. Adding a field to
 // Scenario changes every hash, which safely turns old cache entries into
-// misses (wipe the cache directory to reclaim the space).
-//
-// Exception: Shards is deliberately excluded (zeroed here, and json-
-// skipped besides). The sharded engine produces byte-identical results at
-// every shard count, so a cell computed at -shards 8 must hit for a rerun
-// at -shards 1 — the same argument that keeps runner width out of the key.
+// misses (wipe the cache directory to reclaim the space). Fields tagged
+// json:"-" stay out of the key (see scenarioHashExclusions).
 //
 // Registered strategy fingerprints extend the key: a defense or attack
 // plugin with a non-empty fingerprint (see RegisterDefenseFingerprint)
@@ -45,7 +41,6 @@ const hashVersion = "tcppuzzles-sweep-v3"
 // hashes byte-for-byte what they were before the plugin registry existed.
 func Hash(experiment string, sc Scenario) string {
 	canonicalScenario := sc.Defaults()
-	canonicalScenario.Shards = 0
 	canonical, err := json.Marshal(canonicalScenario)
 	if err != nil {
 		// Marshal fails only on non-finite floats (NaN/Inf rates). Fall

@@ -10,7 +10,6 @@ package sweep
 // execution knob, proven results-neutral by a differential test named in
 // its reason. See docs/DETERMINISM.md for the review checklist.
 var scenarioHashExclusions = map[string]string{
-	"Shards": "execution knob: metrics and sink bytes are byte-identical " +
-		"at every shard count (TestShardDeterminismMatrix), so a cell " +
-		"computed at any -shards value must hit for every other",
+	"Shards": "deprecated shim read by nothing (every scenario runs on " +
+		"one event engine), so it cannot change what a cell computes",
 }

@@ -42,10 +42,12 @@ func TestHashInsensitiveToExcludedFields(t *testing.T) {
 	base := Scenario{Label: "cell", Seed: 7}
 	h0 := Hash("exp", base)
 
-	sharded := base
-	sharded.Shards = 8
-	if got := Hash("exp", sharded); got != h0 {
-		t.Errorf("Shards entered the cache hash: %s != %s", got, h0)
+	for name := range scenarioHashExclusions {
+		set := base
+		reflect.ValueOf(&set).Elem().FieldByName(name).SetInt(8)
+		if got := Hash("exp", set); got != h0 {
+			t.Errorf("%s entered the cache hash: %s != %s", name, got, h0)
+		}
 	}
 
 	seeded := base

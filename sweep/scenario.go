@@ -86,11 +86,6 @@ func KnownAttacks() []Attack {
 // means "default", so opting out needs an explicit sentinel.)
 const NoBotnet = -1
 
-// AutoShards as a Scenario.Shards sizes the event-engine shard count to
-// the machine (GOMAXPROCS) at run time. Safe as a default precisely
-// because sharding never changes results, only wall-clock time.
-const AutoShards = -1
-
 // Scenario is the canonical description of one deployment under attack:
 // one server, a set of clients requesting text, and a botnet. It is the
 // single config type shared by the public sim façade, every figure/table
@@ -158,13 +153,9 @@ type Scenario struct {
 	// scenarios are independent and safe to run in parallel.
 	Seed int64
 
-	// Shards partitions the simulation's nodes across that many
-	// concurrently executing event-engine shards (conservative
-	// time-window PDES; see internal/netsim). 0 or 1 runs the classic
-	// single heap; AutoShards uses one shard per core. Sharding is an
-	// execution knob, not a modelling one: metrics and sink output are
-	// byte-identical at every shard count, which is why the field is
-	// excluded from JSON serialisation and from the result-cache hash.
+	// Shards is read by nothing: every scenario runs on one event engine.
+	//
+	// Deprecated: kept only so bench/ compiles; ROADMAP item 3's benchmark revision removes it.
 	Shards int `json:"-"`
 }
 
@@ -248,18 +239,13 @@ type Scale struct {
 }
 
 // Exec carries the execution options shared by every driver: runner
-// width, event-engine shards, result sinks, the result cache and debug
-// narration. None of them changes what a cell computes, only how and
+// width, result sinks, the result cache and debug narration. None of them changes what a cell computes, only how and
 // where it runs and is recorded.
 type Exec struct {
 	// Parallelism is the runner worker count used when a driver fans a
 	// grid of scenarios out (0 = GOMAXPROCS). It never affects results,
 	// only wall-clock time.
 	Parallelism int
-	// Shards overrides every cell's event-engine shard count when
-	// non-zero (AutoShards = one per core). Results are identical at
-	// every value.
-	Shards int
 	// Sinks receive every completed cell's Result, streamed in grid order
 	// as runs land. Nil runs without emission.
 	Sinks []Sink
@@ -267,8 +253,8 @@ type Exec struct {
 	// stored. Nil disables caching.
 	Cache *Cache
 	// Debug, when non-nil, receives execution observability lines as
-	// cells complete: per-cell shard load balance (event counts, barrier
-	// waits) and per-grid runner-pool backpressure (steal counts, queue
+	// cells complete: per-cell event and event-queue counters and per-grid
+	// runner-pool backpressure (steal counts, queue
 	// depth). Purely observational — never written to sinks or cache.
 	Debug io.Writer
 }
