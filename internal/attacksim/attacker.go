@@ -115,16 +115,6 @@ type Bot struct {
 	metrics *Metrics
 }
 
-// solveJob is one queued solve: the SYN-ACK that carried the challenge,
-// flattened so the queue's chunks hold no pointers — nothing for the
-// collector to scan.
-type solveJob struct {
-	port           uint16
-	isn, serverISN uint32
-	n              uint8 // bytes of challenge in use
-	challenge      [tcpopt.MaxOptionsLen - 2]byte
-}
-
 // New builds a bot, resolves its attack strategy from the registry, and
 // attaches it to the network.
 func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cfg Config) (*Bot, error) {

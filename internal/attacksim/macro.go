@@ -118,9 +118,9 @@ type MacroFleet struct {
 
 	// Lazily allocated per-source state, only paid for by strategies
 	// that use it.
-	nextPort  []uint32
-	cpuFreeAt []time.Duration
-	cpuBusy   *stats.Series
+	nextPort []uint32
+	solves   []*slotSolves
+	cpuBusy  *stats.Series
 
 	// awaiting maps (slot, port) → client ISN for in-flight handshakes;
 	// bounded by concurrently awaited SYN-ACKs, not population size.
@@ -375,11 +375,81 @@ func awaitKey(slot int32, port uint16) uint64 {
 	return uint64(uint32(slot))<<16 | uint64(port)
 }
 
+// slotSolves is one slot's modelled CPU: when it falls free, and the
+// challenges queued on it, of which only the head is an engine event.
+// fire is solved bound once, so re-arming allocates nothing per solve.
+type slotSolves struct {
+	f      *MacroFleet
+	slot   int32
+	freeAt time.Duration
+	q      netsim.RunQueue[solveJob]
+	fire   func()
+}
+
+// solveJob is one queued solve: the SYN-ACK that carried the challenge,
+// flattened so the queue's chunks hold no pointers — nothing for the
+// collector to scan.
+type solveJob struct {
+	port           uint16
+	isn, serverISN uint32
+	n              uint8 // bytes of challenge in use
+	challenge      [tcpopt.MaxOptionsLen - 2]byte
+}
+
+// slotSolves returns the slot's CPU queue, allocating it on first use.
+func (f *MacroFleet) slotSolves(slot int32) *slotSolves {
+	if f.solves == nil {
+		f.solves = make([]*slotSolves, f.cfg.Sources)
+	}
+	s := f.solves[slot]
+	if s == nil {
+		s = &slotSolves{f: f, slot: slot}
+		s.fire = s.solved
+		f.solves[slot] = s
+	}
+	return s
+}
+
+// solved fires when the slot's CPU finishes the solve at the head of its
+// queue: it hands the SYN-ACK back to the strategy that queued it.
+func (s *slotSolves) solved() {
+	f := s.f
+	job := s.q.Pop(f.eng, s.fire)
+	f.ctx.slot, f.ctx.vt = s.slot, f.eng.Now()
+	f.strategyFor(s.slot).OnSolved(&f.ctx, attack.SynAck{
+		Port: job.port, ISN: job.isn, ServerISN: job.serverISN,
+		Challenge:  tcpopt.Option{Kind: tcpopt.KindChallenge, Data: job.challenge[:job.n]},
+		Challenged: true,
+	})
+}
+
 // Size returns the population size.
 func (f *MacroFleet) Size() int { return f.cfg.Sources }
 
 // Metrics exposes the fleet-aggregate attack metrics.
 func (f *MacroFleet) Metrics() *Metrics { return f.metrics }
+
+// QueuedSolves is the number of challenges waiting on the sources' CPUs,
+// the ones being solved included.
+func (f *MacroFleet) QueuedSolves() int {
+	n := 0
+	for _, s := range f.solves {
+		if s != nil {
+			n += s.q.Len()
+		}
+	}
+	return n
+}
+
+// Strategies returns every source's strategy instance in population
+// order: index i is the source at SourceAddr(BaseAddr, i).
+func (f *MacroFleet) Strategies() []attack.Strategy {
+	out := make([]attack.Strategy, f.cfg.Sources)
+	for slot := range out {
+		out[f.store.Source(int32(slot))] = f.strategyFor(int32(slot))
+	}
+	return out
+}
 
 // Store exposes the backing netsim source store.
 func (f *MacroFleet) Store() *netsim.SourceStore { return f.store }
@@ -546,42 +616,29 @@ func (c *macroCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []b
 	})
 }
 
-// Solve implements attack.BotCtx: cpumodel.CPU.Charge over a flat per-slot
-// free-at array, with busy time accumulated fleet-wide. Completion times
-// ascend per slot but not across the fleet, so each solve is scheduled
-// directly instead of through one netsim.RunQueue.
+// Solve implements attack.BotCtx: cpumodel.CPU.Charge over the slot's
+// CPU, with busy time accumulated fleet-wide, and the SYN-ACK queued
+// behind the solves already on it.
 func (c *macroCtx) Solve(hashes float64, sa attack.SynAck) {
 	f := c.f
-	if f.cpuFreeAt == nil {
-		f.cpuFreeAt = make([]time.Duration, f.cfg.Sources)
-	}
+	s := f.slotSolves(c.slot)
 	now := c.Now()
-	start := now
-	if free := f.cpuFreeAt[c.slot]; free > start {
-		start = free
-	}
+	start := max(now, s.freeAt)
 	dev := f.devices[f.store.Source(c.slot)%len(f.devices)]
 	dur := dev.TimeFor(hashes)
-	done := start + dur
-	f.cpuBusy.AddSpan(start, done, dur.Seconds())
-	f.cpuFreeAt[c.slot] = done
-	slot, vt := c.slot, c.vt // not c: by then it is aimed at another call
-	f.eng.ScheduleAt(done, func() {
-		f.ctx.slot, f.ctx.vt = slot, vt
-		f.strategyFor(slot).OnSolved(&f.ctx, sa)
-	})
+	s.freeAt = start + dur
+	f.cpuBusy.AddSpan(start, s.freeAt, dur.Seconds())
+	job := solveJob{port: sa.Port, isn: sa.ISN, serverISN: sa.ServerISN}
+	job.n = uint8(copy(job.challenge[:], sa.Challenge.Data))
+	s.q.Push(f.eng, s.freeAt, job, s.fire)
 }
 
 // CPUBacklog implements attack.BotCtx.
 func (c *macroCtx) CPUBacklog() time.Duration {
-	f := c.f
-	if f.cpuFreeAt == nil {
+	if c.f.solves == nil || c.f.solves[c.slot] == nil {
 		return 0
 	}
-	if free := f.cpuFreeAt[c.slot]; free > c.Now() {
-		return free - c.Now()
-	}
-	return 0
+	return max(c.f.solves[c.slot].freeAt-c.Now(), 0)
 }
 
 // Metrics implements attack.BotCtx.

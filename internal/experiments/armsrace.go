@@ -81,45 +81,52 @@ func armsRaceMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 		}
 	}
 
-	if run.Botnet != nil {
-		var traces [][][]float64
-		var names []sweep.Attack
+	var strategies []attack.Strategy
+	switch {
+	case run.Macro != nil:
+		strategies = run.Macro.Strategies()
+	case run.Botnet != nil:
 		for _, b := range run.Botnet.Bots {
-			if af, ok := b.Strategy().(*attack.AdaptiveFlood); ok {
-				traces = append(traces, af.ShareTrace())
-				if names == nil {
-					names = af.ArmNames()
-				}
+			strategies = append(strategies, b.Strategy())
+		}
+	}
+	var traces [][][]float64
+	var names []sweep.Attack
+	for _, s := range strategies {
+		if af, ok := s.(*attack.AdaptiveFlood); ok {
+			traces = append(traces, af.ShareTrace())
+			if names == nil {
+				names = af.ArmNames()
 			}
 		}
-		if len(traces) > 0 {
-			epochs := len(traces[0])
-			for _, tr := range traces {
-				epochs = min(epochs, len(tr))
+	}
+	if len(traces) > 0 {
+		epochs := len(traces[0])
+		for _, tr := range traces {
+			epochs = min(epochs, len(tr))
+		}
+		mean := make([][]float64, len(names))
+		for a := range names {
+			mean[a] = make([]float64, epochs)
+			for e := 0; e < epochs; e++ {
+				for _, tr := range traces {
+					mean[a][e] += tr[e][a] / float64(len(traces))
+				}
 			}
-			mean := make([][]float64, len(names))
+			series = append(series, sweep.Series{
+				Name: "share_" + string(names[a]), Values: mean[a],
+			})
+		}
+		if epochs > 0 {
+			top := 0.0
 			for a := range names {
-				mean[a] = make([]float64, epochs)
-				for e := 0; e < epochs; e++ {
-					for _, tr := range traces {
-						mean[a][e] += tr[e][a] / float64(len(traces))
-					}
-				}
-				series = append(series, sweep.Series{
-					Name: "share_" + string(names[a]), Values: mean[a],
-				})
+				top = max(top, mean[a][epochs-1])
 			}
-			if epochs > 0 {
-				top := 0.0
-				for a := range names {
-					top = max(top, mean[a][epochs-1])
-				}
-				fixedPoint := 1 - float64(len(names)-1)*attack.AdaptiveExplorationFloor
-				metrics = append(metrics,
-					sweep.Metric{Name: "attacker_top_share", Value: top},
-					sweep.Metric{Name: "attacker_gap", Value: math.Abs(fixedPoint - top)},
-				)
-			}
+			fixedPoint := 1 - float64(len(names)-1)*attack.AdaptiveExplorationFloor
+			metrics = append(metrics,
+				sweep.Metric{Name: "attacker_top_share", Value: top},
+				sweep.Metric{Name: "attacker_gap", Value: math.Abs(fixedPoint - top)},
+			)
 		}
 	}
 	return metrics, series
