@@ -6,7 +6,7 @@ GO ?= go
 # samples to test significance on (benchstat wants >= 10 for tight CIs).
 COUNT ?= 10
 
-.PHONY: build test race lint bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid fuzz-smoke load-smoke
+.PHONY: build test race lint shim-guard bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid fuzz-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -21,8 +21,16 @@ race:
 # allowcheck) over every package of the module. Exits nonzero
 # on any diagnostic; see docs/DETERMINISM.md for the rules and the
 # //tcpz:allow suppression syntax.
-lint:
+lint: shim-guard
 	$(GO) run ./cmd/tcpz-vet ./...
+
+# bench/ compiles against a few deprecated shims until ROADMAP item 3
+# retargets it (attacksim.New/Config, FloodRun.Botnet, netsim.NewSharded,
+# ShardStats). Fail if any Go file outside bench/ calls one.
+shim-guard:
+	@! grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'attacksim\.New\(|attacksim\.Config\{|\.Botnet\b|netsim\.NewSharded|\.ShardStats\(' . \
+		|| { echo 'deprecated shim called outside bench/ (see ROADMAP item 3)'; exit 1; }
 
 # Full microbench sweep, benchstat-ready:
 #   make bench > new.txt            # on your branch

@@ -10,8 +10,8 @@ import (
 // exploration floor so a temporarily starved arm can recover. Epochs are
 // counted in the bot's own ticks (never wall time or global metrics), so
 // the dynamics are a pure function of the bot's local observation stream —
-// the property that keeps adaptation byte-deterministic under per-bot and
-// macro-aggregated execution.
+// the property that keeps adaptation byte-deterministic however the bots
+// are batched.
 const (
 	// AdaptiveEpochTicks is the replicator epoch length in attack actions.
 	AdaptiveEpochTicks = 32
@@ -60,10 +60,10 @@ var adaptiveFloodInfo = Info{
 }
 
 func init() {
-	// The factory must not draw from the bot's RNG: per-bot cores
-	// instantiate strategies before the start-jitter draw while the macro
-	// fleet instantiates lazily after it, and any factory draw would
-	// desynchronise the two streams.
+	// The factory must not draw from the bot's RNG: the fleet creates a
+	// bot's instance lazily, after its start-jitter draw, and the pinned
+	// adaptive-flood cells were recorded with a factory that draws
+	// nothing.
 	Register(adaptiveFloodInfo, func(BotCtx) (Strategy, error) { return NewAdaptiveFlood(), nil })
 }
 
@@ -85,8 +85,8 @@ func NewAdaptiveFlood() *AdaptiveFlood {
 func (*AdaptiveFlood) Describe() Info { return adaptiveFloodInfo }
 
 // Tick implements Strategy: close the epoch if due, then draw an arm from
-// the current shares (exactly one RNG draw before delegation, in both
-// per-bot and macro execution) and fire its action.
+// the current shares (exactly one RNG draw before delegation) and fire its
+// action.
 func (f *AdaptiveFlood) Tick(ctx BotCtx) {
 	if f.ticks > 0 && f.ticks%AdaptiveEpochTicks == 0 {
 		f.closeEpoch()

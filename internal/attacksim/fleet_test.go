@@ -1,14 +1,13 @@
 package attacksim
 
 import (
-	"github.com/tcppuzzles/tcppuzzles/sweep"
 	"testing"
 	"time"
 
-	"github.com/tcppuzzles/tcppuzzles/internal/cpumodel"
 	"github.com/tcppuzzles/tcppuzzles/internal/netsim"
 	"github.com/tcppuzzles/tcppuzzles/internal/serversim"
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
+	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
 type world struct {
@@ -29,17 +28,22 @@ func newWorld(t *testing.T, srvCfg serversim.Config) *world {
 	return &world{eng: eng, net: network, server: srv}
 }
 
-func (w *world) bot(t *testing.T, cfg Config) *Bot {
+// fleet attaches a population (one source unless cfg says otherwise)
+// aimed at the world's server, whose metrics count its establishments in
+// their aggregate series.
+func (w *world) fleet(t *testing.T, cfg MacroConfig) *MacroFleet {
 	t.Helper()
-	if cfg.Addr == ([4]byte{}) {
-		cfg.Addr = [4]byte{10, 0, 2, 1}
+	cfg.Sources = max(cfg.Sources, 1)
+	if cfg.BaseAddr == ([4]byte{}) {
+		cfg.BaseAddr = [4]byte{10, 0, 2, 1}
 	}
 	cfg.ServerAddr = w.server.Addr()
-	b, err := New(w.eng, w.net, netsim.DefaultHostLink(), cfg)
+	f, err := NewMacroFleet(w.net, cfg)
 	if err != nil {
-		t.Fatalf("bot: %v", err)
+		t.Fatalf("fleet: %v", err)
 	}
-	return b
+	w.server.Metrics().AggregateSrcs(f.Contains)
+	return f
 }
 
 func TestSYNFloodFillsListenQueue(t *testing.T) {
@@ -47,7 +51,7 @@ func TestSYNFloodFillsListenQueue(t *testing.T) {
 		Defense: sweep.DefenseNone,
 		Backlog: 64,
 	})
-	w.bot(t, Config{Attack: sweep.AttackSYNFlood, Rate: 500, Seed: 1, StopAt: 10 * time.Second})
+	w.fleet(t, MacroConfig{Attack: sweep.AttackSYNFlood, PerSourceRate: 500, Seed: 1, StopAt: 10 * time.Second})
 	w.eng.Run(5 * time.Second)
 	if got := w.server.ListenLen(); got != 64 {
 		t.Errorf("ListenLen = %d, want 64 (saturated)", got)
@@ -66,7 +70,7 @@ func TestSYNFloodHarmlessAgainstCookies(t *testing.T) {
 		Defense: sweep.DefenseCookies,
 		Backlog: 64,
 	})
-	w.bot(t, Config{Attack: sweep.AttackSYNFlood, Rate: 1000, Seed: 2, StopAt: 10 * time.Second})
+	w.fleet(t, MacroConfig{Attack: sweep.AttackSYNFlood, PerSourceRate: 1000, Seed: 2, StopAt: 10 * time.Second})
 	w.eng.Run(5 * time.Second)
 	// Cookies keep serving statelessly; no accept-queue damage.
 	if w.server.AcceptLen() != 0 {
@@ -84,7 +88,7 @@ func TestConnFloodFillsAcceptQueueWithoutPuzzles(t *testing.T) {
 		AcceptBacklog: 32,
 		Workers:       -1,
 	})
-	w.bot(t, Config{Attack: sweep.AttackConnFlood, Rate: 200, Seed: 3, StopAt: 30 * time.Second})
+	w.fleet(t, MacroConfig{Attack: sweep.AttackConnFlood, PerSourceRate: 200, Seed: 3, StopAt: 30 * time.Second})
 	w.eng.Run(10 * time.Second)
 	if got := w.server.AcceptLen(); got != 32 {
 		t.Errorf("AcceptLen = %d, want 32 (saturated)", got)
@@ -100,7 +104,7 @@ func TestConnFloodNonSolvingBlockedByPuzzles(t *testing.T) {
 		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
 		SimulatedCrypto: true,
 	})
-	bot := w.bot(t, Config{Attack: sweep.AttackConnFlood, Rate: 200, Solves: false,
+	bot := w.fleet(t, MacroConfig{Attack: sweep.AttackConnFlood, PerSourceRate: 200, Solves: false,
 		SimulatedCrypto: true, Seed: 4, StopAt: 30 * time.Second})
 	w.eng.Run(10 * time.Second)
 	// The controller engages at its watermark, after which every SYN is
@@ -127,15 +131,15 @@ func TestSolvingBotIsCPURateLimited(t *testing.T) {
 		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
 		SimulatedCrypto: true,
 	})
-	bot := w.bot(t, Config{Attack: sweep.AttackConnFlood, Rate: 500, Solves: true,
-		SimulatedCrypto: true, Device: cpumodel.CPU1,
+	bot := w.fleet(t, MacroConfig{Attack: sweep.AttackConnFlood, PerSourceRate: 500, Solves: true,
+		SimulatedCrypto: true,            // source 0 runs on cpumodel.CPU1
 		MaxSolveBacklog: 2 * time.Second, // "smart" variant keeps solutions fresh
 		Seed:            5, StopAt: 60 * time.Second})
 	w.eng.Run(30 * time.Second)
 
 	// CPU1 at 450 kh/s, ~2·2^17 hashes per solve ⇒ ≈ 1.7 solves/s, so in
 	// 30 s the bot completes at most ~60 handshakes of its ~15000 attempts.
-	established := w.server.Metrics().EstablishedTotalFor([][4]byte{bot.cfg.Addr}, 0, 30*time.Second)
+	established := w.server.Metrics().EstablishedAgg.SumRange(0, 30*time.Second)
 	if established > 120 {
 		t.Errorf("established = %v, want ≪ attack rate (CPU limit)", established)
 	}
@@ -155,7 +159,7 @@ func TestSolutionFloodBurnsBoundedServerWork(t *testing.T) {
 		SimulatedCrypto: true,
 		Workers:         -1,
 	})
-	w.bot(t, Config{Attack: sweep.AttackSolutionFlood, Rate: 1000, Seed: 6, StopAt: 20 * time.Second})
+	w.fleet(t, MacroConfig{Attack: sweep.AttackSolutionFlood, PerSourceRate: 1000, Seed: 6, StopAt: 20 * time.Second})
 	w.eng.Run(10 * time.Second)
 	m := w.server.Metrics()
 	if m.SolutionInvalid == 0 && m.SolutionMalformed == 0 {
@@ -176,23 +180,16 @@ func TestSolutionFloodBurnsBoundedServerWork(t *testing.T) {
 
 func TestBotnetConstruction(t *testing.T) {
 	w := newWorld(t, serversim.Config{Defense: sweep.DefenseNone})
-	bn, err := NewBotnet(w.net, BotnetConfig{
-		Size:       10,
-		BaseAddr:   [4]byte{10, 0, 3, 1},
-		ServerAddr: w.server.Addr(),
-		Attack:     sweep.AttackSYNFlood,
-		PerBotRate: 100,
-		StopAt:     10 * time.Second,
-		Seed:       7,
+	bn := w.fleet(t, MacroConfig{
+		Sources:       10,
+		BaseAddr:      [4]byte{10, 0, 3, 1},
+		Attack:        sweep.AttackSYNFlood,
+		PerSourceRate: 100,
+		StopAt:        10 * time.Second,
+		Seed:          7,
 	})
-	if err != nil {
-		t.Fatalf("NewBotnet: %v", err)
-	}
-	if len(bn.Bots) != 10 {
-		t.Fatalf("bots = %d", len(bn.Bots))
-	}
-	if len(bn.Srcs()) != 10 {
-		t.Fatalf("srcs = %d", len(bn.Srcs()))
+	if bn.Size() != 10 || !bn.Contains([4]byte{10, 0, 3, 10}) || bn.Contains([4]byte{10, 0, 3, 11}) {
+		t.Fatalf("population of %d does not hold exactly 10.0.3.1–10", bn.Size())
 	}
 	w.eng.Run(5 * time.Second)
 	// Aggregate ≈ 1000 pps.
@@ -204,8 +201,8 @@ func TestBotnetConstruction(t *testing.T) {
 	if len(rates) == 0 {
 		t.Fatal("no rate series")
 	}
-	if err := func() error { _, e := NewBotnet(w.net, BotnetConfig{Size: 0}); return e }(); err == nil {
-		t.Error("NewBotnet(0) succeeded")
+	if _, err := NewMacroFleet(w.net, MacroConfig{Sources: 0}); err == nil {
+		t.Error("NewMacroFleet(0) succeeded")
 	}
 }
 
@@ -218,16 +215,12 @@ func TestBotnetMeanCPU(t *testing.T) {
 		SimulatedCrypto: true,
 		Workers:         -1,
 	})
-	bn, err := NewBotnet(w.net, BotnetConfig{
-		Size: 3, BaseAddr: [4]byte{10, 0, 4, 1},
-		ServerAddr: w.server.Addr(),
-		Attack:     sweep.AttackConnFlood, PerBotRate: 100,
+	bn := w.fleet(t, MacroConfig{
+		Sources: 3, BaseAddr: [4]byte{10, 0, 4, 1},
+		Attack: sweep.AttackConnFlood, PerSourceRate: 100,
 		Solves: true, SimulatedCrypto: true,
 		StopAt: 20 * time.Second, Seed: 8,
 	})
-	if err != nil {
-		t.Fatalf("NewBotnet: %v", err)
-	}
 	w.eng.Run(10 * time.Second)
 	util := bn.MeanCPUUtilisation(10 * time.Second)
 	var peak float64
@@ -253,14 +246,14 @@ func TestReplayFloodBoundedToOneSlot(t *testing.T) {
 		PuzzleMaxAge:    10 * time.Second,
 		SimulatedCrypto: true,
 	})
-	bot := w.bot(t, Config{Attack: sweep.AttackReplayFlood, Rate: 200, Solves: true,
+	bot := w.fleet(t, MacroConfig{Attack: sweep.AttackReplayFlood, PerSourceRate: 200, Solves: true,
 		SimulatedCrypto: true, Seed: 9, StopAt: 60 * time.Second})
 	w.eng.Run(30 * time.Second)
 
 	m := w.server.Metrics()
 	// One legitimate solve captured and established exactly once; every
 	// replay is either absorbed by the live connection or blocked.
-	established := m.EstablishedTotalFor([][4]byte{bot.cfg.Addr}, 0, 30*time.Second)
+	established := m.EstablishedAgg.SumRange(0, 30*time.Second)
 	if established != 1 {
 		t.Errorf("established = %v, want 1 (replay must not multiply slots)", established)
 	}
@@ -282,7 +275,7 @@ func TestReplayExpiresWithWindow(t *testing.T) {
 		PuzzleMaxAge:    5 * time.Second,
 		SimulatedCrypto: true,
 	})
-	w.bot(t, Config{Attack: sweep.AttackReplayFlood, Rate: 100, Solves: true,
+	w.fleet(t, MacroConfig{Attack: sweep.AttackReplayFlood, PerSourceRate: 100, Solves: true,
 		SimulatedCrypto: true, Seed: 10, StopAt: 60 * time.Second})
 	w.eng.Run(40 * time.Second)
 	m := w.server.Metrics()

@@ -1,3 +1,11 @@
+// Package attacksim models the paper's attacking machines: a botnet of N
+// identical hosts, each with its own deterministic RNG, CPU model, access
+// link and handshake bookkeeping, and an attack-strategy plugin resolved
+// from the attack registry by MacroConfig.Attack (spoofed SYN floods,
+// connection floods in solving and non-solving variants, solution floods,
+// replay floods, and anything else registered; see package attack).
+// MacroFleet runs the whole population over flat per-source arrays and a
+// few batch events, from a handful of sources up to netsim.MaxSourceSlots.
 package attacksim
 
 import (
@@ -16,17 +24,20 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/tcpopt"
 )
 
-// defaultBatchSize is how many sources one scheduled event advances for a
-// stateless (value-typed) strategy. A batch event ticks its slots at
+// defaultBatchSize is how many sources one scheduled event advances at
+// most for a stateless (value-typed) strategy. A batch event ticks its slots at
 // virtual times up to maxJitter past the event, so a slot can tick before
 // the engine has delivered its own SYN-ACK or solve completion. A
 // stateless strategy cannot tell; a stateful (pointer-typed) one reads
 // what those deliveries left behind, so it gets one slot per event and
-// ticks as a per-bot bot does.
+// ticks only after everything due before its tick has been delivered.
 const defaultBatchSize = 1024
 
-// MacroConfig describes a macro-aggregated source population — the same
-// knobs as BotnetConfig, minus the per-bot objects.
+// Metrics is the attacker measurement state (defined in package attack so
+// strategies account into it through the BotCtx facade).
+type Metrics = attack.Metrics
+
+// MacroConfig describes an attacking population of identical sources.
 type MacroConfig struct {
 	// Sources is the population size (up to netsim.MaxSourceSlots).
 	Sources int
@@ -35,21 +46,32 @@ type MacroConfig struct {
 	// ServerAddr and ServerPort locate the victim.
 	ServerAddr [4]byte
 	ServerPort uint16
-	// Attack, PerSourceRate, Solves, SimulatedCrypto configure the
-	// sources exactly as BotnetConfig configures bots, with the same
-	// client CPU mix.
+	// Attack names the behaviour in the attack registry; empty selects
+	// the spoofed SYN flood. PerSourceRate is each source's attack rate
+	// in attempts per second. Solves makes connection-flood sources run
+	// the patched kernel and solve challenges, rate limited by their
+	// CPUs: source i gets cpumodel.ClientCPUs()[i % n], the paper's
+	// "similar or better" provisioning. SimulatedCrypto pairs with the
+	// server's simulated engine.
 	Attack          sweep.Attack
 	PerSourceRate   float64
 	Solves          bool
 	SimulatedCrypto bool
+	// MaxSolveBacklog, when positive, makes a source discard challenges
+	// once its CPU is committed further than this into the future — a
+	// "smart" attacker that keeps its solutions fresh. The default (zero)
+	// is the greedy flooding tool: every challenge is queued, the solve
+	// backlog quickly exceeds the server's replay window, and most
+	// solutions arrive expired — the dynamic that collapses the effective
+	// attack rate in §6.2.
 	MaxSolveBacklog time.Duration
 	// StartAt and StopAt bound the attack.
 	StartAt, StopAt time.Duration
-	// Link is the shared per-source access link.
+	// Link is the shared per-source access link; zero selects the
+	// default host link.
 	Link netsim.LinkConfig
-	// Seed derives per-source seeds exactly as the botnet does
-	// (Seed + i*101), so source i's RNG stream matches bot i's
-	// CompactRNG stream.
+	// Seed derives source i's RNG seed, Seed + i*101, and its ISN seed,
+	// 13 past that.
 	Seed int64
 	// MetricBucket is the metric bucket width.
 	MetricBucket time.Duration
@@ -58,22 +80,22 @@ type MacroConfig struct {
 	batchSize int
 }
 
-// MacroFleet drives a large homogeneous source population with O(batches)
+// MacroFleet drives a homogeneous source population with O(batches)
 // scheduled events and a few flat arrays of per-source state, instead of
-// a Bot object, RNG, and timer per source. Behaviour is the per-bot
-// semantics reproduced exactly:
+// an object, RNG and timer per source. Each source behaves as a host of
+// its own would:
 //
-//   - tick times: per-bot ticks land at start_i + k·Δ (Δ repeated
-//     addition of the same duration ≡ multiplication), so a batch event
-//     can process source i's tick k at the virtual time start_i + k·Δ
-//     without a per-source timer. Events emitted inside a batch carry
-//     their virtual timestamps, which are ≥ the batch event's time, so
-//     causality holds.
+//   - tick times: source i ticks at start_i + k·Δ, so a batch event can
+//     process source i's tick k at that virtual time without a
+//     per-source timer. Events emitted inside a batch carry their virtual
+//     timestamps, which are ≥ the batch event's time, so causality holds.
 //   - randomness: per-source splitmix streams (8 bytes each) swapped
-//     through one shared rand.Rand wrapper; stream i is identical to a
-//     CompactRNG bot seeded Seed + i*101.
+//     through one shared rand.Rand wrapper, seeded Seed + i*101.
+//   - CPU: each source's solves queue on its own modelled CPU, only the
+//     head of each queue an engine event (see slotSolves).
 //   - identity: addresses exist only in the canonical delivery key
-//     via the netsim.SourceStore; nothing per-source is heap-allocated.
+//     via the netsim.SourceStore; nothing per-source is heap-allocated
+//     until a strategy needs it.
 //
 // Per-source state lives in slots numbered in first-tick order (see
 // order), so a batch is a contiguous slot range and a round reads every
@@ -84,10 +106,7 @@ type MacroConfig struct {
 // One shared rand.Rand wrapper means rand.Rand's internal Read buffer is
 // not per-source: a strategy drawing bytes via Rand().Read (the solution
 // flood's fabricated solutions) stays deterministic but interleaves that
-// buffer across sources, so the values it fabricates are not draw-for-draw
-// a per-bot run's. The server rejects every such forgery alike, so the
-// measurements still match: the per-bot differential in
-// internal/experiments holds every registered attack, solving or not.
+// buffer across sources. The server rejects every such forgery alike.
 type MacroFleet struct {
 	cfg     MacroConfig
 	eng     *netsim.Engine
@@ -104,7 +123,7 @@ type MacroFleet struct {
 	rnd      *rand.Rand
 	rngSlot  int32
 
-	// Same scheme for the ISN stream (seed_i + 13, as per-bot).
+	// Same scheme for the ISN stream (seed_i + 13).
 	isnState []uint64
 	isnSrc   *xrand.SplitMix
 	isns     *tcpkit.ISNSource
@@ -229,7 +248,7 @@ const (
 )
 
 // order draws every source's start jitter — the first draw of its RNG
-// stream, exactly as a CompactRNG bot draws it — and numbers the slots in
+// stream — and numbers the slots in
 // first-tick order: slot r holds the source with the r-th earliest first
 // tick, ties in source order. The store learns the numbering; the fleet
 // keeps each slot's jitter and its stream's state after the draw.
@@ -282,12 +301,21 @@ func sortFirstTicks(keys, scratch []uint64) {
 }
 
 // scheduleBatches schedules one recurring event per contiguous batch of
-// slots. Batch composition is a pure function of (seed, size).
+// slots. A batch also ends where its first ticks span a whole period: a
+// member's sends wait in the timer heap until its virtual time, so a
+// batch spanning s periods keeps s rounds of them pending, where members
+// with timers of their own would keep one each. Batch composition is a
+// pure function of (seed, size, rate).
 func (f *MacroFleet) scheduleBatches() {
-	for lo := 0; lo < f.cfg.Sources; lo += f.cfg.batchSize {
-		b := &macroBatch{f: f, lo: int32(lo), hi: int32(min(lo+f.cfg.batchSize, f.cfg.Sources))}
+	for lo := 0; lo < f.cfg.Sources; {
+		hi := lo + 1
+		for hi < min(lo+f.cfg.batchSize, f.cfg.Sources) && time.Duration(f.jitter[hi]-f.jitter[lo]) < f.period {
+			hi++
+		}
+		b := &macroBatch{f: f, lo: int32(lo), hi: int32(hi)}
 		b.fn = b.run
 		f.eng.ScheduleAt(f.cfg.StartAt+time.Duration(f.jitter[lo]), b.fn)
+		lo = hi
 	}
 }
 
@@ -344,7 +372,9 @@ func (f *MacroFleet) strategyFor(slot int32) attack.Strategy {
 	return s
 }
 
-// handle is the store's delivery callback: Bot.Handle over flat state.
+// handle is the store's delivery callback: filter server traffic, account
+// deception reveals, match SYN-ACKs to in-flight handshakes, and hand the
+// result to the source's strategy.
 func (f *MacroFleet) handle(slot int32, seg tcpkit.Segment) {
 	if seg.Src != f.cfg.ServerAddr || seg.SrcPort != f.cfg.ServerPort {
 		return
@@ -458,9 +488,8 @@ func (f *MacroFleet) Store() *netsim.SourceStore { return f.store }
 // side metrics aggregation predicate.
 func (f *MacroFleet) Contains(addr [4]byte) bool { return f.store.Contains(addr) }
 
-// SentRate is the measured aggregate attack packet rate per second —
-// integer bucket sums, so it equals the per-bot fleet aggregation
-// bit-for-bit.
+// SentRate is the measured (post-CPU-limiting) aggregate attack packet
+// rate per second.
 func (f *MacroFleet) SentRate(until time.Duration) []float64 {
 	return f.metrics.Sent.RatePerSecond(until)
 }
@@ -471,9 +500,7 @@ func (f *MacroFleet) TotalSent(from, to time.Duration) float64 {
 }
 
 // MeanCPUUtilisation is the population-mean CPU utilisation per bucket.
-// Busy time is accumulated fleet-wide, so unlike the per-bot mean an
-// individually saturated source is not clamped at 100% before averaging —
-// identical when sources stay below saturation.
+// Busy time is accumulated in one fleet-wide series, not one per source.
 func (f *MacroFleet) MeanCPUUtilisation(until time.Duration) []float64 {
 	vals := f.cpuBusy.Values(until)
 	out := make([]float64, len(vals))
@@ -488,11 +515,10 @@ func (f *MacroFleet) MeanCPUUtilisation(until time.Duration) []float64 {
 // instant: a batch ticks its slots at their own times, ahead of the
 // engine clock. Now() returns the later of the virtual time and the
 // engine clock, so a hook running at or after its instant sees engine
-// time, as a per-bot hook would. The fleet owns one, re-aimed at each
-// hook call and passed as a pointer, so a call boxes nothing; that is
-// safe because a BotCtx is valid only during the call it is passed to,
-// and no hook runs inside another. What outlives a call — a solve in
-// progress — keeps its own copy of (slot, vt).
+// time. The fleet owns one, re-aimed at each hook call and passed as a
+// pointer, so a call boxes nothing; that is safe because a BotCtx is
+// valid only during the call it is passed to, and no hook runs inside
+// another. What outlives a call — a queued solve — keeps its own slot.
 type macroCtx struct {
 	f    *MacroFleet
 	slot int32
@@ -547,7 +573,7 @@ func (c *macroCtx) SimulatedCrypto() bool { return c.f.cfg.SimulatedCrypto }
 func (c *macroCtx) MaxSolveBacklog() time.Duration { return c.f.cfg.MaxSolveBacklog }
 
 // NextISN implements attack.BotCtx: per-slot splitmix ISN stream seeded
-// seed_i + 13, exactly as per-bot CompactRNG.
+// seed_i + 13.
 func (c *macroCtx) NextISN() uint32 {
 	f := c.f
 	if f.isnState == nil {

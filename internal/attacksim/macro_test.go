@@ -1,11 +1,14 @@
 package attacksim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,10 +83,10 @@ func TestMacroBatchSizeNeutral(t *testing.T) {
 	}
 }
 
-// wire runs a connection flood of 25 sources, per-bot on the compact RNG
-// or macro-aggregated, and lists every segment put on the wire, sorted:
-// what each source sent, and when, whatever order equal instants fired in.
-func wire(t *testing.T, macro bool) []string {
+// wire runs a connection flood of 25 sources and lists every segment put
+// on the wire, sorted: what each source sent, and when, whatever order
+// equal instants fired in.
+func wire(t *testing.T) []string {
 	t.Helper()
 	network := netsim.NewNetwork(netsim.NewEngine())
 	srv := &synAckServer{addr: netsim.Addr{10, 0, 0, 1}, net: network}
@@ -96,19 +99,10 @@ func wire(t *testing.T, macro bool) []string {
 			sent = append(sent, fmt.Sprintf("%012d %v:%d seq=%d ack=%d %v", at, seg.Src, seg.SrcPort, seg.Seq, seg.Ack, seg.Flags))
 		}
 	})
-	var err error
-	if macro {
-		_, err = NewMacroFleet(network, MacroConfig{
-			Sources: 25, BaseAddr: [4]byte{10, 2, 0, 1}, ServerAddr: srv.addr, Attack: "connflood",
-			PerSourceRate: 20, StartAt: time.Second, StopAt: 9 * time.Second, Seed: 5,
-		})
-	} else {
-		_, err = NewBotnet(network, BotnetConfig{
-			Size: 25, BaseAddr: [4]byte{10, 2, 0, 1}, ServerAddr: srv.addr, Attack: "connflood",
-			PerBotRate: 20, StartAt: time.Second, StopAt: 9 * time.Second, Seed: 5, CompactRNG: true,
-		})
-	}
-	if err != nil {
+	if _, err := NewMacroFleet(network, MacroConfig{
+		Sources: 25, BaseAddr: [4]byte{10, 2, 0, 1}, ServerAddr: srv.addr, Attack: "connflood",
+		PerSourceRate: 20, StartAt: time.Second, StopAt: 9 * time.Second, Seed: 5,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	network.Run(10 * time.Second)
@@ -116,20 +110,18 @@ func wire(t *testing.T, macro bool) []string {
 	return sent
 }
 
-// A macro source is its per-bot twin on the wire: the same address, ports,
-// ISNs and send times, segment for segment — whatever slot holds it.
-func TestMacroWireMatchesBotnet(t *testing.T) {
-	perBot, macro := wire(t, false), wire(t, true)
-	if len(perBot) < 25*2*100 {
-		t.Fatalf("degenerate run: %d segments sent", len(perBot))
-	}
-	if !slices.Equal(perBot, macro) {
-		for i := range min(len(perBot), len(macro)) {
-			if perBot[i] != macro[i] {
-				t.Fatalf("segment %d: per-bot %q, macro %q (%d vs %d segments)", i, perBot[i], macro[i], len(perBot), len(macro))
-			}
-		}
-		t.Fatalf("per-bot sent %d segments, macro %d", len(perBot), len(macro))
+// TestFleetWirePinned pins every segment a fleet puts on the wire — each
+// source's address, ports, ISNs and send times — whatever slot holds it.
+// The digest was taken while a per-bot execution still existed and sent
+// exactly these 7,896 segments, one host object per source; no metric
+// reads an ISN, so this is the test that catches an ISN stream seeded by
+// slot instead of by source.
+func TestFleetWirePinned(t *testing.T) {
+	const pin = "236633bf78db931f"
+	sent := wire(t)
+	sum := sha256.Sum256([]byte(strings.Join(sent, "\n")))
+	if got := hex.EncodeToString(sum[:8]); len(sent) != 7896 || got != pin {
+		t.Errorf("fleet sent %d segments, digest %s; pinned 7896, %s", len(sent), got, pin)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // count, the machine-independent column of the benchmark's
 // experiments.allocs_per_op: the tiny-scale connection-flood cell of
 // TestEngineStatsPinned (4 solving clients, 4 greedy solving bots, 60 s)
-// under a ceiling 21 % over the 8,689 it measures on go1.24. The count
+// under a ceiling 25 % over the 8,390 it measures on go1.24. The count
 // is the runtime's and moves a little between Go releases; what the
 // ceiling catches is a per-packet, per-challenge or per-connection
 // allocation coming back — while the challenge codec allocated, this cell
@@ -36,7 +36,7 @@ func TestAllocBudgetFloodCell(t *testing.T) {
 // TestAllocBudgetMacroCell is the same gate on a macro cell: the
 // benchmark's macro_flood shape (a spoofed SYN flood at 0.05 pps per
 // source against puzzles, 2 clients, 20 s) at 10,000 sources, each ticking
-// once, under a ceiling 28 % over the 1,717 it measures on go1.24 (2,389
+// once, under a ceiling 29 % over the 1,700 it measures on go1.24 (2,389
 // while the queue gauges logged every change). While every tick boxed its
 // context and deferred its send in a closure it took 22,393, two per
 // source; the ceiling catches a per-tick or per-source allocation coming
@@ -69,7 +69,7 @@ func TestAllocBudgetMacroCell(t *testing.T) {
 // packet heap — pushed and popped, rather than fired in place as a deliver
 // leg (EngineStats.InPlace) or as a train's next arrival
 // (ArrivalsInPlace). The counts are the simulation's, not the runtime's:
-// this cell measures 108,705 of 199,012 legs (0.546); before packet trains
+// this cell measures 108,026 of 198,087 legs (0.545); before packet trains
 // it was 175,362 (0.881). The ceiling catches a response going back to one
 // heap entry per segment. The second gate is the packet heap's peak
 // length: 9, because a downlink's queued deliver legs wait in its FIFO
@@ -99,10 +99,10 @@ func TestHeapBudgetFloodCell(t *testing.T) {
 // bytes allocated per RunFlood: the none × synflood cell, where every
 // half-open and established connection goes through the stateful
 // handshake, and the cookies × connflood cell, whose bots pin the worker
-// pool. Measured on go1.24 at 3,677 objects / 578 KiB and 5,021 / 838
+// pool. Measured on go1.24 at 3,530 objects / 503 KiB and 4,749 / 928
 // KiB; while connection records and their timer closures were garbage and
 // the queue gauges logged every change, they took 18,731 / 1,302 KiB and
-// 12,671 / 1,345 KiB. The ceilings sit about 20 % over the measurement.
+// 12,671 / 1,345 KiB. The ceilings sit 8–29 % over the measurement.
 func TestAllocBudgetGridCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are pinned without -short (and so without -race); CI runs this by name")

@@ -82,13 +82,8 @@ func armsRaceMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 	}
 
 	var strategies []attack.Strategy
-	switch {
-	case run.Macro != nil:
+	if run.Macro != nil {
 		strategies = run.Macro.Strategies()
-	case run.Botnet != nil:
-		for _, b := range run.Botnet.Bots {
-			strategies = append(strategies, b.Strategy())
-		}
 	}
 	var traces [][][]float64
 	var names []sweep.Attack

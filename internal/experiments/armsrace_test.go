@@ -124,10 +124,10 @@ func TestAdaptiveAttackReplicatorFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RunFlood: %v", err)
 		}
-		for i, b := range run.Botnet.Bots {
-			af, ok := b.Strategy().(*attack.AdaptiveFlood)
+		for i, s := range run.Macro.Strategies() {
+			af, ok := s.(*attack.AdaptiveFlood)
 			if !ok {
-				t.Fatalf("bot %d strategy is %T, want *attack.AdaptiveFlood", i, b.Strategy())
+				t.Fatalf("bot %d strategy is %T, want *attack.AdaptiveFlood", i, s)
 			}
 			if epochs := len(af.ShareTrace()); epochs < 10 {
 				t.Fatalf("bot %d closed only %d replicator epochs — run too short to converge", i, epochs)

@@ -140,24 +140,39 @@ func TestFig7SYNFloodOutcomes(t *testing.T) {
 	}
 }
 
+// TestFig8ConnFloodOutcomes checks Fig. 8 at eight fixed seeds. Denial
+// and preservation hold at every seed. That puzzles beat cookies during
+// the attack is a claim about the mean, and one tiny-scale seed can flip
+// it: puzzles must win beyond both arms' 95 % confidence half-widths over
+// the seeds.
 func TestFig8ConnFloodOutcomes(t *testing.T) {
-	results := runExp(t, "fig8", tinyScale())
-	cli := func(label, phase string) float64 { return metric(t, results, label, "client_mbps_"+phase) }
+	var all []sweep.Result
+	for seed := int64(42); seed <= 49; seed++ {
+		scale := tinyScale()
+		scale.Seed = seed
+		results := runExp(t, "fig8", scale)
+		cli := func(label, phase string) float64 { return metric(t, results, label, "client_mbps_"+phase) }
 
-	for _, label := range []string{"nodefense", "cookies"} {
-		if before, during := cli(label, "before"), cli(label, "during"); during > 0.3*before {
-			t.Errorf("%s during = %v vs before %v: connection flood should deny service",
-				label, during, before)
+		for _, label := range []string{"nodefense", "cookies"} {
+			if before, during := cli(label, "before"), cli(label, "during"); during > 0.3*before {
+				t.Errorf("seed %d: %s during = %v vs before %v: connection flood should deny service",
+					seed, label, during, before)
+			}
 		}
+		if pzBefore, pzDuring := cli("challenges-m17", "before"), cli("challenges-m17", "during"); pzDuring < 0.15*pzBefore {
+			t.Errorf("seed %d: puzzles during = %v vs before %v: puzzles should preserve service",
+				seed, pzDuring, pzBefore)
+		}
+		all = append(all, results...)
 	}
-	pzBefore, pzDuring := cli("challenges-m17", "before"), cli("challenges-m17", "during")
-	if pzDuring < 0.15*pzBefore {
-		t.Errorf("puzzles during = %v vs before %v: puzzles should preserve service",
-			pzDuring, pzBefore)
+	folded := sweep.FoldSeeds(all)
+	during := func(label string) (mean, ci95 float64) {
+		return metric(t, folded, label, "client_mbps_during_mean"), metric(t, folded, label, "client_mbps_during_ci95")
 	}
-	// Puzzles must beat cookies during the attack.
-	if ckDuring := cli("cookies", "during"); pzDuring <= ckDuring {
-		t.Errorf("puzzles during (%v) not better than cookies (%v)", pzDuring, ckDuring)
+	pz, pzCI := during("challenges-m17")
+	ck, ckCI := during("cookies")
+	if pz-pzCI <= ck+ckCI {
+		t.Errorf("puzzles during %.3f ± %.3f not above cookies %.3f ± %.3f over seeds 42–49", pz, pzCI, ck, ckCI)
 	}
 }
 

@@ -18,11 +18,13 @@ type FloodRun struct {
 	Net     *netsim.Network
 	Server  *serversim.Server
 	Clients []*clientsim.Client
-	Botnet  *attacksim.Botnet
-	// Macro is the macro-aggregated source population when the scenario
-	// set MacroSources; exactly one of Botnet/Macro is non-nil for an
-	// attacking scenario.
+	// Macro is the attacking population; nil when the scenario runs
+	// without one.
 	Macro *attacksim.MacroFleet
+	// Botnet is always nil: Macro holds every population.
+	//
+	// Deprecated: kept only so bench/ compiles; ROADMAP item 3 removes it.
+	Botnet *attacksim.MacroFleet
 }
 
 // RunFlood builds and executes one flood scenario to completion. The run
@@ -73,10 +75,13 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 		run.Clients = append(run.Clients, client)
 	}
 
-	switch {
-	case sc.MacroSources > 0 && sc.PerBotRate > 0:
+	sources := sc.BotCount
+	if sc.MacroSources > 0 {
+		sources = sc.MacroSources
+	}
+	if sources > 0 && sc.PerBotRate > 0 {
 		fleet, err := attacksim.NewMacroFleet(network, attacksim.MacroConfig{
-			Sources:         sc.MacroSources,
+			Sources:         sources,
 			BaseAddr:        [4]byte{10, 2, 0, 1},
 			ServerAddr:      srv.Addr(),
 			Attack:          sc.Attack,
@@ -90,32 +95,12 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 			MetricBucket:    sc.Bucket,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: macro fleet: %w", err)
+			return nil, fmt.Errorf("experiments: botnet: %w", err)
 		}
 		run.Macro = fleet
 		// Server-side attacker accounting stays O(1) in population size:
 		// establishments from the population fold into one series.
 		srv.Metrics().AggregateSrcs(fleet.Contains)
-	case sc.BotCount > 0 && sc.PerBotRate > 0:
-		botnet, err := attacksim.NewBotnet(network, attacksim.BotnetConfig{
-			Size:            sc.BotCount,
-			BaseAddr:        [4]byte{10, 2, 0, 1},
-			ServerAddr:      srv.Addr(),
-			Attack:          sc.Attack,
-			PerBotRate:      sc.PerBotRate,
-			Solves:          sc.BotsSolve,
-			SimulatedCrypto: true,
-			MaxSolveBacklog: sc.BotMaxSolveBacklog,
-			StartAt:         sc.AttackStart,
-			StopAt:          sc.AttackStop,
-			Seed:            sc.Seed + 1000,
-			MetricBucket:    sc.Bucket,
-			CompactRNG:      sc.CompactBotRNG,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: botnet: %w", err)
-		}
-		run.Botnet = botnet
 	}
 
 	network.Run(sc.Duration)
@@ -162,13 +147,10 @@ func (r *FloodRun) ClientCPU() []float64 {
 
 // AttackerCPU returns the mean per-bucket botnet CPU utilisation (%).
 func (r *FloodRun) AttackerCPU() []float64 {
-	if r.Macro != nil {
-		return r.Macro.MeanCPUUtilisation(r.Cfg.Duration)
-	}
-	if r.Botnet == nil {
+	if r.Macro == nil {
 		return nil
 	}
-	return r.Botnet.MeanCPUUtilisation(r.Cfg.Duration)
+	return r.Macro.MeanCPUUtilisation(r.Cfg.Duration)
 }
 
 // QueueSizes returns per-second listen and accept queue occupancy.
@@ -180,25 +162,19 @@ func (r *FloodRun) QueueSizes() (listen, accept []float64) {
 // AttackerEstablishedRate returns the botnet's completed connections per
 // second as seen by the server (the effective attack rate).
 func (r *FloodRun) AttackerEstablishedRate() []float64 {
-	if r.Macro != nil {
-		return r.Server.Metrics().AggregateEstablishedRate(r.Cfg.Duration)
-	}
-	if r.Botnet == nil {
+	if r.Macro == nil {
 		return nil
 	}
-	return r.Server.Metrics().EstablishedRateFor(r.Botnet.Srcs(), r.Cfg.Duration)
+	return r.Server.Metrics().AggregateEstablishedRate(r.Cfg.Duration)
 }
 
 // MeasuredAttackRate returns the botnet's sent packets per second (after
 // CPU limiting).
 func (r *FloodRun) MeasuredAttackRate() []float64 {
-	if r.Macro != nil {
-		return r.Macro.SentRate(r.Cfg.Duration)
-	}
-	if r.Botnet == nil {
+	if r.Macro == nil {
 		return nil
 	}
-	return r.Botnet.SentRate(r.Cfg.Duration)
+	return r.Macro.SentRate(r.Cfg.Duration)
 }
 
 // AttackWindowMean averages a per-bucket series over the attack interval.

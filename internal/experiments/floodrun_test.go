@@ -14,7 +14,7 @@ import (
 // greedy IoT-class bots challenged 200×/s at (k=2, m=17) finish about one
 // solve every two seconds each, so nearly all of their ≈48,000 queued
 // solves are still pending when the run ends. They wait in the bots'
-// queues; the event heap holds only what is really in flight. With one
+// CPU queues; the event heap holds only what is really in flight. With one
 // timer per solve the heap ended this cell at 47,977 events.
 func TestGreedyBotBacklogStaysOutOfEventHeap(t *testing.T) {
 	run, err := RunFlood(Scenario{
@@ -27,10 +27,7 @@ func TestGreedyBotBacklogStaysOutOfEventHeap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunFlood: %v", err)
 	}
-	queued := 0
-	for _, bot := range run.Botnet.Bots {
-		queued += bot.QueuedSolves()
-	}
+	queued := run.Macro.QueuedSolves()
 	if queued < 40_000 {
 		t.Errorf("bots end with %d solves queued, want the ≈48,000-challenge backlog", queued)
 	}
@@ -48,7 +45,7 @@ func TestGreedyBotBacklogStaysOutOfEventHeap(t *testing.T) {
 // queued segment's leg waited there.
 func TestEngineStatsPinned(t *testing.T) {
 	base := tinyScale().Apply(Scenario{Label: "stats", ClientsSolve: true, BotsSolve: true})
-	want := netsim.EngineStats{TimersFired: 13259, PacketLegsFired: 199012, InPlace: 23650, ArrivalsInPlace: 66657, DeliversQueued: 74782, Discarded: 2833, PeakTimers: 487, PeakPackets: 9}
+	want := netsim.EngineStats{TimersFired: 13229, PacketLegsFired: 198087, InPlace: 23601, ArrivalsInPlace: 66460, DeliversQueued: 74366, Discarded: 2822, PeakTimers: 490, PeakPackets: 9}
 	run, err := RunFlood(base)
 	if err != nil {
 		t.Fatalf("RunFlood: %v", err)
@@ -67,7 +64,7 @@ func TestEngineStatsPinned(t *testing.T) {
 	if _, err := RunSweep(exec, sweep.Grid{Base: base}); err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
-	const line = "timers=13259 packet-legs=199012 in-place=23650 arrivals-in-place=66657 delivers-queued=74782 cancelled=2833 peak-timers=487 peak-packets=9"
+	const line = "timers=13229 packet-legs=198087 in-place=23601 arrivals-in-place=66460 delivers-queued=74366 cancelled=2822 peak-timers=490 peak-packets=9"
 	if !strings.Contains(debug.String(), line) {
 		t.Errorf("debug output lacks %q:\n%s", line, debug.String())
 	}

@@ -11,9 +11,10 @@ import (
 // every paper defense×attack cell must hash to exactly its pinned value,
 // or shared result caches silently recompute (or worse, a format change
 // goes unnoticed). The hex values were generated by the pre-registry code
-// and re-pinned once, when hashVersion became "tcppuzzles-sweep-v3"
-// (Scenario lost its adaptive-difficulty flag); they must never change
-// while it stays there — new plugins get new hashes via their registered
+// and re-pinned when hashVersion became "tcppuzzles-sweep-v3" (Scenario
+// lost its adaptive-difficulty flag) and again at "tcppuzzles-sweep-v4"
+// (every botnet moved to one population and one RNG stream); they must
+// never change while it stays there — new plugins get new hashes via their registered
 // fingerprints instead (see TestFingerprintChangesHash in sweep).
 //
 // This package (via serversim/attacksim) links in the defense and attack
@@ -25,22 +26,22 @@ func TestLegacyCacheHashesPinned(t *testing.T) {
 		attack  sweep.Attack
 		hash    string
 	}{
-		{"none", "synflood", "8955330b85109aa54822bfecc88694248a8d7ec0da1b78cf5fe1b40a7f565897"},
-		{"none", "connflood", "c96392a43bf6311a703359c139c1c1680c55a571a1551360a6d0f158af1393ba"},
-		{"none", "solutionflood", "100e2e7f0cd9a250863adb38ee8a6172328b85ceecfff6fc7cee5bdd23ae1e2b"},
-		{"none", "replayflood", "389eccf126a0b11926bac39198b629948875be3c627bb991fdd9badf53afee3f"},
-		{"cookies", "synflood", "0e99d5b268bdec07ba560115a711b504e8b1bbf1f870d9cf61fae7b60ce79396"},
-		{"cookies", "connflood", "25e82c51c69928d73ddc6941e5924d65702c48b539687918246a2641fc988d12"},
-		{"cookies", "solutionflood", "6a8b4c116f771aa6a995224384118b146b6cb6e11126309862050fb2d0da1d6a"},
-		{"cookies", "replayflood", "1fc81944ae08c815159b11dac909bab65fee6dade6314057ddd0468fad241cde"},
-		{"syncache", "synflood", "710650a0ef04b8fcd72e2b223e1cea6f2fbb6acd3f2d989aaef60730cbbb8e41"},
-		{"syncache", "connflood", "f60dc557e8edaa96a861cbc154fbb07bfb03f80845bc4f62622bd27a64a82f7c"},
-		{"syncache", "solutionflood", "5f459c3c5e672ee93ae23858b46943e596508f5094c7d27cf3738351d39cbacf"},
-		{"syncache", "replayflood", "69d65c1ad064cc66c330be156bdc2fbaf2ac4888a2e25501ef97543486b416cb"},
-		{"puzzles", "synflood", "debd8fe410f55013c9b92dcf121b9d608002a378e2c5cf531139cd700f62c774"},
-		{"puzzles", "connflood", "49ae2614f873148ca0fbb4fb81a58cf518f0de3d8a58f5b89fd2124cd342a68d"},
-		{"puzzles", "solutionflood", "e06adc1294db628cc81e5066c2a6c4795ecf771440a403d3fd1d3e98849a7bba"},
-		{"puzzles", "replayflood", "9345f0b0a1694b7e9830b6b54e65a46a0957767bed5b1ec28c83aa7da5a2ebbc"},
+		{"none", "synflood", "1f6f99eff5503f56cadd40820073aeb415949a1bf54fd03d43988fb693639eec"},
+		{"none", "connflood", "087c896bcd2c1371922c424d92f3f82ab20c2dfe5f2b6e42b12747b3ba44a71f"},
+		{"none", "solutionflood", "e27c7e10f6d2a11e0210e70a3331b778d1c411c3c61b29d15b96069481d8d557"},
+		{"none", "replayflood", "23bbf021c3b1dfabbd9413017d4f749fc60b1da968b99a0e98c2a8feb270c083"},
+		{"cookies", "synflood", "0d515a1cd6261a5f5f9f44e4b2043d4a977edeadb1fdfd83c9f0c2ae1a09e355"},
+		{"cookies", "connflood", "9caf888e46b834d29f1da90fc20433edc7a164f39386210c246b442d95c0dbfa"},
+		{"cookies", "solutionflood", "83f4f4ba6defed5b8bdfe86bb5af6ce678c5cac24a583b5e6dc01a836218f24a"},
+		{"cookies", "replayflood", "e3a5a47f352b1625fcf4b3e2d59956b9bdb554be5707ab386c13ff9c3cabce8c"},
+		{"syncache", "synflood", "07e6b3deebbc8efb5398f7dc2340b2a244e14ff5a703d65ca02915546bf84548"},
+		{"syncache", "connflood", "b73bf39807f184d3261400b1f3467982d7b40410e4d7ffb4c61b7d541bf3393e"},
+		{"syncache", "solutionflood", "4936fea370c5a3c7fde649324fc9efbcf18277b754548e09322f892096aeea5d"},
+		{"syncache", "replayflood", "9f09c401645d3437c80710881772ed333b60d11f23a3579d724d2010666a6373"},
+		{"puzzles", "synflood", "4f8e261e5727e21bbdfb8e2fe6176de388ebb703dfa10b59e920f07cea00edb6"},
+		{"puzzles", "connflood", "992daeae1de0103a75337323df9f9e8d84e43a341816299630197ebbb9dcf90c"},
+		{"puzzles", "solutionflood", "85c3a9e052e0b2ff69bbed81d47505eac1fdfb1339519e6a700b0ca31c024fe9"},
+		{"puzzles", "replayflood", "b7c5a535a3b7f26556e59dc75f11b705c8fb634900fbd56d3a4c54b2959b459d"},
 	}
 	for _, g := range golden {
 		sc := sweep.Scenario{Defense: g.defense, Attack: g.attack, Seed: 7}
@@ -54,11 +55,11 @@ func TestLegacyCacheHashesPinned(t *testing.T) {
 	tiny := TinyScale().Apply(sweep.Scenario{
 		Label: "x", ClientsSolve: true, BotsSolve: true, BotMaxSolveBacklog: 2 * time.Second,
 	})
-	if got := sweep.Hash("golden", tiny); got != "087353e1cd45344e3a8e0c49a53fadb2b34e06f6cd636143889fac314902aba5" {
-		t.Errorf("Hash(tiny) = %s, pinned 087353e1cd45344e3a8e0c49a53fadb2b34e06f6cd636143889fac314902aba5", got)
+	if got := sweep.Hash("golden", tiny); got != "5d5e1397c34bb6adb719601af09c302433dd3c5090d0d50c11bdaa02efa05cd6" {
+		t.Errorf("Hash(tiny) = %s, pinned 5d5e1397c34bb6adb719601af09c302433dd3c5090d0d50c11bdaa02efa05cd6", got)
 	}
-	if got := sweep.Hash("golden", sweep.Scenario{}); got != "5400b194356109151193137b1dfefde7c7f17e8f249a1b574349fe7c5570df3d" {
-		t.Errorf("Hash(zero) = %s, pinned 5400b194356109151193137b1dfefde7c7f17e8f249a1b574349fe7c5570df3d", got)
+	if got := sweep.Hash("golden", sweep.Scenario{}); got != "5bc1ebfc31a7507c2fa99cdfffe44e3c8a410f74fa1f659bfcbb9b739e5b345c" {
+		t.Errorf("Hash(zero) = %s, pinned 5bc1ebfc31a7507c2fa99cdfffe44e3c8a410f74fa1f659bfcbb9b739e5b345c", got)
 	}
 }
 

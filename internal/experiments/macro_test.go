@@ -12,9 +12,8 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
-// diffScenario is the ≤64-source flood both executions run: small enough
-// to afford per-bot objects, busy enough that sources interleave on the
-// server.
+// diffScenario is a small flood, busy enough that sources interleave on
+// the server.
 func diffScenario(attack sweep.Attack) Scenario {
 	return Scenario{
 		Label:    "diff-" + string(attack),
@@ -27,8 +26,9 @@ func diffScenario(attack sweep.Attack) Scenario {
 	}
 }
 
-// measurement captures everything the differential compares: the standard
-// metric/series set plus the raw attack-side and server-side counters.
+// measurement captures everything TestPopulationCellsPinned pins: the
+// standard metric/series set plus the raw attack-side and server-side
+// counters.
 type measurement struct {
 	Metrics    []sweep.Metric
 	Series     []sweep.Series
@@ -60,28 +60,33 @@ func measure(t *testing.T, sc Scenario) []byte {
 	return out
 }
 
-// TestMacroPerBotDifferential is the macro fleet's correctness oracle: a
-// small flood executed per-bot (with the macro-comparable compact RNG)
-// and macro-aggregated must produce byte-identical measurements, for
-// every registered attack, with bots solving and not. Stateful
-// strategies (replayflood, adaptive-flood) hold per-instance state — per
-// bot, per macro slot — so this is also what holds the fleet to ticking
-// each of them only after its own SYN-ACKs and solve completions.
-func TestMacroPerBotDifferential(t *testing.T) {
+// populationPins are TestPopulationCellsPinned's digests, per attack,
+// without and with solving bots. They were taken while two executions
+// still existed — one host object per bot on the compact RNG stream, and
+// the macro fleet — and both measured exactly these bytes.
+var populationPins = map[sweep.Attack][2]string{
+	AttackSYNFlood:      {"52b3659dc04dac1c", "52b3659dc04dac1c"},
+	AttackConnFlood:     {"08e5bd0c9797f075", "f06305c02dfc1099"},
+	AttackSolutionFlood: {"b69b05a26f57c567", "b69b05a26f57c567"},
+	AttackReplayFlood:   {"2a3e107d72a74581", "2a3e107d72a74581"},
+	AttackPulseFlood:    {"401c7b1d488300a1", "401c7b1d488300a1"},
+	AttackAdaptiveFlood: {"62dd135e51d9b3e3", "88af15d3077b647f"},
+}
+
+// TestPopulationCellsPinned pins a 48-bot flood's measurements for every
+// registered attack, with bots solving and not. Stateful strategies
+// (replayflood, adaptive-flood) hold per-source state, so this is also
+// what holds the fleet to ticking each of them only after its own
+// SYN-ACKs and solve completions have been delivered, as a host of its
+// own would.
+func TestPopulationCellsPinned(t *testing.T) {
 	for _, attack := range sweep.KnownAttacks() {
-		for _, solve := range []bool{false, true} {
-			perBot := diffScenario(attack)
-			perBot.CompactBotRNG = true
-			perBot.BotsSolve = solve
-
-			macro := diffScenario(attack)
-			macro.BotCount = sweep.NoBotnet
-			macro.MacroSources = 48
-			macro.BotsSolve = solve
-
-			if got, gotMacro := measure(t, perBot), measure(t, macro); string(got) != string(gotMacro) {
-				t.Errorf("%s solve=%v: per-bot and macro measurements differ\nper-bot: %s\nmacro:   %s",
-					attack, solve, got, gotMacro)
+		for i, solve := range []bool{false, true} {
+			sc := diffScenario(attack)
+			sc.BotsSolve = solve
+			sum := sha256.Sum256(measure(t, sc))
+			if got, want := hex.EncodeToString(sum[:8]), populationPins[attack][i]; got != want {
+				t.Errorf("%s solve=%v: digest %s, pinned %s", attack, solve, got, want)
 			}
 		}
 	}
@@ -100,11 +105,10 @@ var macroPins = map[sweep.Attack]string{
 }
 
 // TestMacroStrategiesPinned runs every registered attack in macro mode
-// through the unchanged BotCtx facade — including the stateful (per-slot)
-// replay flood and the CPU-charging solution/connection floods — and pins
-// what each produces. TestMacroPerBotDifferential holds macro to per-bot;
-// this pin holds both, and the per-source values a solving source reads
-// (its device, its RNG and ISN streams), to their bytes. The digest
+// through the BotCtx facade — including the stateful (per-slot) replay
+// flood and the CPU-charging solution/connection floods — and pins what
+// each produces: the per-source values a solving source reads (its
+// device, its RNG and ISN streams), to their bytes. The digest
 // covers the standard metric set plus the attacker-side series: sent
 // rate and CPU utilisation, which is where a solve charged to the wrong
 // device shows.
@@ -142,7 +146,7 @@ func TestMacroStrategiesPinned(t *testing.T) {
 // macro flood: the CI bounded-memory wall. The flat per-source state
 // costs ~60 B/source (~6 MB at 100k); the rest of the budget covers the
 // server, metrics series, and the event pool after the synchronized
-// first-tick burst. A per-bot run of the same population would retain
+// first-tick burst. One object with a stdlib RNG per source would retain
 // >500 MB in RNG state alone, so a regression back to O(sources) objects
 // blows this budget immediately.
 const macroHeapBudget = 128 << 20
@@ -192,10 +196,5 @@ func TestMacroSourcesInCacheHash(t *testing.T) {
 	macro.MacroSources = 1000
 	if sweep.Hash("exp", macro) == plain {
 		t.Error("MacroSources did not change the cache hash")
-	}
-	compact := sc
-	compact.CompactBotRNG = true
-	if sweep.Hash("exp", compact) == plain {
-		t.Error("CompactBotRNG did not change the cache hash")
 	}
 }

@@ -76,7 +76,7 @@ func TestRunFloodWithoutBotnet(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunFlood: %v", err)
 	}
-	if run.Botnet != nil {
+	if run.Macro != nil {
 		t.Error("NoBotnet scenario still built a botnet")
 	}
 	if run.AttackerCPU() != nil || run.MeasuredAttackRate() != nil {

@@ -414,13 +414,15 @@ func (n *Network) runDeliver(e *Engine, p packet) {
 // lookup resolves a destination address to its port — a real attached
 // port (slot -1) or a source store's virtual port plus slot index.
 func (n *Network) lookup(addr Addr) (*port, int32) {
-	if p, ok := n.ports[addr]; ok {
-		return p, -1
-	}
+	// Ports and stores never overlap, so the order is free: stores first,
+	// because a range check is cheaper than the map miss it saves.
 	for _, s := range n.stores {
 		if slot, ok := s.slotOf(addr); ok {
 			return s.vport, slot
 		}
+	}
+	if p, ok := n.ports[addr]; ok {
+		return p, -1
 	}
 	return nil, -1
 }

@@ -10,9 +10,9 @@ import (
 // SourceAddr returns the address of source i in a population based at
 // base: the low octet cycles over 200 hosts, the next two octets carry
 // the higher digits. For i < 51200 this is exactly the botnet's historic
-// address derivation, so per-bot and macro populations with the same
-// base agree address-for-address; beyond it the second octet extends the
-// range instead of wrapping into collisions.
+// address derivation, so pinned populations kept their addresses; beyond
+// it the second octet extends the range instead of wrapping into
+// collisions.
 func SourceAddr(base Addr, i int) Addr {
 	addr := base
 	addr[3] += byte(i % 200)

@@ -35,13 +35,13 @@ func ExampleRunSweep() {
 	// Output:
 	// experiment,label,defense,attack,k,m,clients,bot_count,per_bot_rate,seed,metric,value
 	// sweep,defense=cookies,cookies,connflood,2,17,2,2,50,7,client_mbps_before,4.85216
-	// sweep,defense=cookies,cookies,connflood,2,17,2,2,50,7,client_mbps_during,0.5654
-	// sweep,defense=cookies,cookies,connflood,2,17,2,2,50,7,client_mbps_after,0.4112
-	// sweep,defense=cookies,cookies,connflood,2,17,2,2,50,7,attacker_established_cps,12.285714285714286
+	// sweep,defense=cookies,cookies,connflood,2,17,2,2,50,7,client_mbps_during,0.6682
+	// sweep,defense=cookies,cookies,connflood,2,17,2,2,50,7,client_mbps_after,1.4182826666666666
+	// sweep,defense=cookies,cookies,connflood,2,17,2,2,50,7,attacker_established_cps,11.857142857142858
 	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,client_mbps_before,4.85216
-	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,client_mbps_during,1.2850000000000001
-	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,client_mbps_after,1.5077333333333334
-	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,attacker_established_cps,3.7857142857142856
+	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,client_mbps_during,1.3364000000000003
+	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,client_mbps_after,1.3706666666666667
+	// sweep,defense=puzzles,puzzles,connflood,2,17,2,2,50,7,attacker_established_cps,4.428571428571429
 }
 
 // ExampleRun simulates one small connection flood against puzzles (the
@@ -62,7 +62,7 @@ func ExampleRun() {
 	}
 	// Output:
 	// client_mbps_before 4.8522
-	// client_mbps_during 1.2850
-	// client_mbps_after 1.5077
-	// attacker_established_cps 3.7857
+	// client_mbps_during 1.3364
+	// client_mbps_after 1.3707
+	// attacker_established_cps 4.4286
 }

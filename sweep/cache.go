@@ -21,8 +21,9 @@ import (
 // engine landed, which can shift tie-broken metrics relative to v1 runs.
 // v3: Scenario lost its adaptive-difficulty flag (the step controller
 // became the stepped-puzzles defense), so every canonical serialisation
-// changed.
-const hashVersion = "tcppuzzles-sweep-v3"
+// changed. v4: every botnet runs as one population on the compact
+// per-source RNG stream, so every attacked cell's output moved.
+const hashVersion = "tcppuzzles-sweep-v4"
 
 // Hash returns the content address of one experiment cell: a SHA-256 over
 // the hash format version, the experiment name, and the canonical

@@ -127,6 +127,7 @@ type Scenario struct {
 	AcceptBacklog int
 
 	// Attack, BotCount, PerBotRate and BotsSolve configure the botnet.
+	// BotCount is the population size, up to netsim.MaxSourceSlots;
 	// BotCount: NoBotnet runs the deployment without attackers.
 	Attack     Attack
 	BotCount   int
@@ -135,18 +136,13 @@ type Scenario struct {
 	// BotMaxSolveBacklog makes solving bots "smart": they discard stale
 	// challenges instead of queueing greedily (zero = greedy default).
 	BotMaxSolveBacklog time.Duration
-	// MacroSources, when positive, replaces the per-bot botnet with a
-	// macro-aggregated population of that many attack sources, each
-	// attacking at PerBotRate through the same registered strategy —
-	// flat per-source state and O(batches) events, so 10⁵–10⁶-source
-	// floods run in bounded memory. Zero keeps the per-bot botnet (and,
-	// via omitempty, every pre-existing cache hash).
+	// MacroSources, when positive, overrides BotCount as the population
+	// size. Zero, the default, keeps every pre-existing cache hash via
+	// omitempty.
+	//
+	// Deprecated: kept only so bench/ compiles; ROADMAP item 3 removes it.
+	// Set BotCount instead: it runs the same population.
 	MacroSources int `json:",omitempty"`
-	// CompactBotRNG draws per-bot randomness from the compact splitmix
-	// source macro fleets use — the knob that makes a per-bot run
-	// draw-for-draw comparable to its macro-aggregated equivalent.
-	// Default (false) keeps the historic stdlib RNG stream and hashes.
-	CompactBotRNG bool `json:",omitempty"`
 
 	// Seed drives all randomness; equal seeds reproduce runs bit-for-bit.
 	// Every scenario builds its own RNG from this seed, so grids of
