@@ -426,8 +426,8 @@ type solveJob struct {
 	challenge      [tcpopt.MaxOptionsLen - 2]byte
 }
 
-// slotSolves returns the slot's CPU queue, allocating it on first use.
-func (f *MacroFleet) slotSolves(slot int32) *slotSolves {
+// solvesFor returns the slot's CPU queue, allocating it on first use.
+func (f *MacroFleet) solvesFor(slot int32) *slotSolves {
 	if f.solves == nil {
 		f.solves = make([]*slotSolves, f.cfg.Sources)
 	}
@@ -647,7 +647,7 @@ func (c *macroCtx) SendHandshakeAck(port uint16, isn, serverISN uint32, opts []b
 // behind the solves already on it.
 func (c *macroCtx) Solve(hashes float64, sa attack.SynAck) {
 	f := c.f
-	s := f.slotSolves(c.slot)
+	s := f.solvesFor(c.slot)
 	now := c.Now()
 	start := max(now, s.freeAt)
 	dev := f.devices[f.store.Source(c.slot)%len(f.devices)]
