@@ -103,7 +103,7 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 		srv.Metrics().AggregateSrcs(fleet.Contains)
 	}
 
-	network.Run(sc.Duration)
+	network.Eng.RunToEnd(sc.Duration)
 	return run, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,50 @@ func TestGreedyBotBacklogStaysOutOfEventHeap(t *testing.T) {
 	if pending := run.Eng.Pending(); pending > 2000 {
 		t.Errorf("event heap ends with %d pending events, want ≤ 2000 (bots hold %d queued solves)", pending, queued)
 	}
+}
+
+// floodCellHeapBudget is the pinned retained-heap budget of the
+// paper-shaped connection-flood cell (the benchmark's flood_cell). The
+// bots' ≈48,000 queued solves are counted, not stored, once they queue
+// behind one that completes after the run's end; storing each of them
+// retained 4.4 MiB.
+const floodCellHeapBudget = 2 << 20
+
+// TestFloodCellBoundedMemory runs the flood_cell scenario and asserts
+// that what the live FloodRun retains stays under floodCellHeapBudget
+// while the bots still report their whole backlog.
+func TestFloodCellBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bounded-memory wall is a dedicated CI step")
+	}
+	sc := Scenario{
+		Label:    "flood-cell",
+		Duration: 30 * time.Second, AttackStart: 5 * time.Second, AttackStop: 25 * time.Second,
+		NumClients: 24, ClientRate: 20, BotCount: 12, PerBotRate: 200,
+		Backlog: 512, AcceptBacklog: 512, Workers: 64, Seed: 1,
+		ClientsSolve: true, BotsSolve: true,
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run, err := RunFlood(sc)
+	if err != nil {
+		t.Fatalf("RunFlood: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	queued := run.Macro.QueuedSolves()
+	t.Logf("retained HeapAlloc %.2f MiB with %d solves queued", float64(retained)/(1<<20), queued)
+	if retained > floodCellHeapBudget {
+		t.Errorf("retained HeapAlloc %.2f MiB exceeds pinned budget %d MiB",
+			float64(retained)/(1<<20), floodCellHeapBudget>>20)
+	}
+	if queued < 40_000 {
+		t.Errorf("bots end with %d solves queued, want the ≈48,000-challenge backlog", queued)
+	}
+	// Keep the run live through the measurement.
+	runtime.KeepAlive(run)
 }
 
 // TestEngineStatsPinned pins the queue counters of one tiny-scale cell:

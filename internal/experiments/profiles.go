@@ -205,7 +205,7 @@ func fig6Cell(_ int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []swe
 		eng.Schedule(fig6ConnectionGap, connect)
 	}
 	eng.ScheduleAt(0, connect)
-	eng.Run(sc.Duration)
+	eng.RunToEnd(sc.Duration)
 
 	times := client.Metrics().ConnTimes
 	micros := make([]float64, len(times))

@@ -160,6 +160,10 @@ type Engine struct {
 	// limit is the exclusive time bound of the Run in progress, zero
 	// outside one: the licence runArrival needs to fire a leg in place.
 	limit time.Duration
+	// end is the exclusive bound RunToEnd declared, zero while none is:
+	// nothing at or after it will ever fire, which lets a RunQueue count
+	// the jobs queued behind one due there instead of storing them.
+	end   time.Duration
 	stats EngineStats
 	// free is the event pool. Steady-state simulation cycles events
 	// between the heaps and free without touching the allocator.
@@ -439,11 +443,15 @@ func (e *Engine) live() *eventHeap {
 	}
 }
 
-// Step fires the next pending event and reports whether one existed.
+// Step fires the next pending event and reports whether one existed. It
+// panics if that event is past the end RunToEnd declared.
 func (e *Engine) Step() bool {
 	h := e.live()
 	if h == nil {
 		return false
+	}
+	if e.end != 0 && (*h)[0].at >= e.end {
+		panic("netsim: Step past the engine's declared end")
 	}
 	e.fire(h.pop())
 	return true
@@ -454,11 +462,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Run fires all events scheduled at or before until and then advances the
 // clock to until. Cancelled events are discarded before the time check, so
-// a cancelled head never lets a later live event fire past until.
+// a cancelled head never lets a later live event fire past until. It
+// panics if until is past the end RunToEnd declared.
 func (e *Engine) Run(until time.Duration) {
-	end := until + 1
-	if end < until {
-		end = until // saturate at the end of time
+	end := exclusive(until)
+	if e.end != 0 && end > e.end {
+		panic("netsim: Run past the engine's declared end")
 	}
 	e.limit = end
 	for {
@@ -472,6 +481,25 @@ func (e *Engine) Run(until time.Duration) {
 	if e.now < until {
 		e.now = until
 	}
+}
+
+// RunToEnd is the final Run: until is the last instant the engine will
+// ever reach, and a later Run or Step past it panics. Jobs a RunQueue
+// would complete after until are counted there, not stored. An end once
+// declared stands.
+func (e *Engine) RunToEnd(until time.Duration) {
+	if e.end == 0 {
+		e.end = exclusive(until)
+	}
+	e.Run(until)
+}
+
+// exclusive returns the exclusive time bound of a run to until.
+func exclusive(until time.Duration) time.Duration {
+	if until+1 < until {
+		return until // saturate at the end of time
+	}
+	return until + 1
 }
 
 // Pending returns the number of events yet to fire, possibly cancelled:
