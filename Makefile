@@ -59,7 +59,7 @@ bench-smoke:
 # runs it implicitly) plus the sources-vs-heap/runtime sweep behind
 # BENCH_scale.json.
 bench-scale:
-	$(GO) test -run TestMacroFloodBoundedMemory -v ./internal/experiments/
+	$(GO) test -run 'TestMacroFloodBoundedMemory|TestMacroFloodRetainedPerSource' -v ./internal/experiments/
 	$(GO) test -run '^$$' -bench BenchmarkMacroFlood -benchtime=3x .
 
 # bench/ (the repository's benchmark, see BENCHMARK.json) is a module of

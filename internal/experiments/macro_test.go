@@ -144,20 +144,18 @@ func TestMacroStrategiesPinned(t *testing.T) {
 
 // macroHeapBudget is the pinned retained-heap budget for a 100k-source
 // macro flood: the CI bounded-memory wall. The flat per-source state
-// costs ~60 B/source (~6 MB at 100k); the rest of the budget covers the
-// server, metrics series, and the event pool after the synchronized
-// first-tick burst. One object with a stdlib RNG per source would retain
-// >500 MB in RNG state alone, so a regression back to O(sources) objects
-// blows this budget immediately.
+// of a spoofed flood costs 24 B/source (2.4 MB at 100k); the rest of the
+// budget covers the server, metrics series, and the event pool after the
+// synchronized first-tick burst. One object with a stdlib RNG per source
+// would retain >500 MB in RNG state alone, so a regression back to
+// O(sources) objects blows this budget immediately.
 const macroHeapBudget = 128 << 20
 
-// TestMacroFloodBoundedMemory runs a 100k-source macro SYN flood and
-// asserts the retained heap stays under the pinned budget.
-func TestMacroFloodBoundedMemory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bounded-memory wall is a dedicated CI step")
-	}
-	sc := Scenario{
+// macroFlood100k is the 100k-source spoofed SYN flood both memory walls
+// run: the shape of the benchmark's macro_flood cell and of
+// BenchmarkMacroFlood at 100k sources.
+func macroFlood100k() Scenario {
+	return Scenario{
 		Label:    "macro-100k",
 		Duration: 20 * time.Second, AttackStart: 2 * time.Second, AttackStop: 18 * time.Second,
 		NumClients: 2, ClientRate: 4,
@@ -166,6 +164,15 @@ func TestMacroFloodBoundedMemory(t *testing.T) {
 		Backlog: 512, AcceptBacklog: 128, Workers: 24,
 		Seed: 11,
 	}
+}
+
+// TestMacroFloodBoundedMemory runs a 100k-source macro SYN flood and
+// asserts the retained heap stays under the pinned budget.
+func TestMacroFloodBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bounded-memory wall is a dedicated CI step")
+	}
+	sc := macroFlood100k()
 	run, err := RunFlood(sc)
 	if err != nil {
 		t.Fatalf("RunFlood: %v", err)
@@ -183,6 +190,41 @@ func TestMacroFloodBoundedMemory(t *testing.T) {
 			ms.HeapAlloc>>20, uint64(macroHeapBudget)>>20)
 	}
 	// Keep the run (and its O(sources) state) live through the measurement.
+	runtime.KeepAlive(run)
+}
+
+// macroRetainedBudget is the pinned retained-heap budget of one live
+// 100k-source spoofed flood: 24 B/source of flat state (the store's uplink
+// busy-until and slot→source map, the fleet's RNG words and first-tick
+// offsets) plus the server, metric series and event pool. The store's
+// downlink and address→slot inverse are allocated only when a packet is
+// delivered to the population, which a spoofed flood never does; with
+// them and a packet counter per source the same run retained ≈4.7 MiB.
+const macroRetainedBudget = 3.5 * (1 << 20)
+
+// TestMacroFloodRetainedPerSource runs the 100k-source flood and asserts
+// that what the live FloodRun retains stays under macroRetainedBudget:
+// the per-source wall that macroHeapBudget is far too loose to be.
+func TestMacroFloodRetainedPerSource(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bounded-memory wall is a dedicated CI step")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run, err := RunFlood(macroFlood100k())
+	if err != nil {
+		t.Fatalf("RunFlood: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("retained HeapAlloc %.2f MiB (%.1f B/source)", float64(retained)/(1<<20), float64(retained)/float64(run.Cfg.MacroSources))
+	if retained > macroRetainedBudget {
+		t.Errorf("retained HeapAlloc %.2f MiB exceeds pinned budget %.1f MiB",
+			float64(retained)/(1<<20), macroRetainedBudget/(1<<20))
+	}
+	// Keep the run live through the measurement.
 	runtime.KeepAlive(run)
 }
 

@@ -6,8 +6,8 @@
 //
 // A Network runs on one engine, and the engine runs on the calling
 // goroutine. Packets arriving at the same instant are ordered by a
-// canonical key — the sender's address and packet count — rather than by
-// scheduling order (see less).
+// canonical key — the sender's address, then the packet's number on the
+// network's send counter — rather than by scheduling order (see less).
 //
 // The scheduling hot path is allocation-free in steady state: events are
 // plain structs recycled through a per-engine free-list, the pending queue
@@ -77,10 +77,11 @@ const (
 type Event struct {
 	at time.Duration
 	// seq is the engine-local scheduling order, except on a kindArrival
-	// event: there src and seq are the canonical (source, per-source
-	// sequence) key that orders arrivals at equal times. That key is a
-	// pure function of the sending node's history, not of when the
-	// engine happened to queue the arrival.
+	// event: there src and seq are the canonical (sender address, packet
+	// number) key that orders arrivals at equal times. Among one sender's
+	// arrivals the packet numbers rise in send order, so the key follows
+	// the sending node's history, not when the engine happened to queue
+	// the arrival.
 	seq       uint64
 	src       uint64
 	kind      eventKind
@@ -128,6 +129,13 @@ func (t Timer) At() (time.Duration, bool) {
 // scheduling order. It is a strict total order (seq is unique per engine,
 // and (src, seq) per pending arrival), so neither a heap's internal layout
 // nor which of the two heaps an event waits in can influence pop order.
+//
+// An arrival's seq is its packet's number on the network's one send
+// counter, but less reads it only between arrivals of one sender, which
+// are numbered in that sender's send order: a train reserves its
+// segments' numbers consecutively, and every later send from the same
+// address takes a larger one. So the order is the one a counter per
+// sender would give, and other senders' traffic cannot move it.
 func less(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -368,11 +376,11 @@ func (e *Engine) scheduleSend(at time.Duration, store *port, slot int32, seg *tc
 
 // scheduleArrival queues the downlink leg of a packet delivery — of a
 // train's first segment — at time at, which the caller keeps at or after
-// now; runArrival re-queues the train under each next segment's key. At equal times arrivals fire
-// after locally scheduled events and order among themselves by
-// (src, seq) — a key derived from the sending node, not from this
-// engine's scheduling history. The (src, seq) pair must be unique per
-// pending arrival.
+// now; runArrival re-queues the train under each next segment's key. At
+// equal times arrivals fire after locally scheduled events and order
+// among themselves by (src, seq): the sender's address, then the packet's
+// number on Network.seq, which rises in each sender's send order. The
+// (src, seq) pair must be unique per pending arrival.
 func (e *Engine) scheduleArrival(at time.Duration, src, seq uint64, pkt *packet) {
 	ev := e.alloc()
 	ev.at = at

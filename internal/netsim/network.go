@@ -87,15 +87,12 @@ func (s *LinkStats) add(o LinkStats) {
 	s.Dropped += o.Dropped
 }
 
-// port is one attached node: its uplink and msgSeq advance with the
-// node's own sends, its downlink and lastLeg with deliveries to it.
+// port is one attached node: its uplink advances with the node's own
+// sends, its downlink and lastLeg with deliveries to it.
 type port struct {
 	node Node
 	up   xmitter
 	down xmitter
-	// msgSeq numbers this node's outgoing packets; together with the
-	// address it forms the canonical arrival-ordering key.
-	msgSeq uint64
 	// store, when non-nil, marks this as a SourceStore's virtual port:
 	// deliveries run the store's per-slot downlink and handler instead of
 	// node/down (which stay nil/unused).
@@ -160,6 +157,11 @@ type Network struct {
 	stores []*SourceStore
 	taps   []Tap
 
+	// seq numbers every routed packet, a train's segments consecutively;
+	// with the sender's address it forms the canonical arrival-ordering
+	// key (see less).
+	seq uint64
+
 	// unroutable counts packets addressed to unknown nodes (e.g. SYN-ACKs
 	// to spoofed sources) or sent from unattached origins.
 	unroutable uint64
@@ -211,7 +213,7 @@ func (n *Network) Attach(node Node, link LinkConfig) error {
 		return fmt.Errorf("netsim: address %v already attached", addr)
 	}
 	for _, s := range n.stores {
-		if _, ok := s.slotOf(addr); ok {
+		if s.Contains(addr) {
 			return fmt.Errorf("netsim: address %v falls inside macro source range at %v", addr, s.base)
 		}
 	}
@@ -262,7 +264,7 @@ func (n *Network) SendTrain(seg tcpkit.Segment, count, lastLen int) {
 // caller's copy, which send may rewrite.
 func (n *Network) sendFrom(origin Addr, seg *tcpkit.Segment, count, lastLen int) {
 	if src, ok := n.ports[origin]; ok && count > 0 {
-		n.send(&src.up, origin, &src.msgSeq, seg, count, lastLen)
+		n.send(&src.up, origin, seg, count, lastLen)
 	} else if count > 0 {
 		// Origins must be attached; treat as misconfiguration drop,
 		// counted but not tapped.
@@ -272,13 +274,12 @@ func (n *Network) sendFrom(origin Addr, seg *tcpkit.Segment, count, lastLen int)
 
 // send is the one send path, behind SendFrom, SendTrain and
 // SourceStore.SendAt: count segments (the last with PayloadLen lastLen)
-// from origin, whose packet counter is *seq, through the uplink up; seg is
-// a scratch copy, rewritten on the way. Each segment
-// is tapped and transmitted in turn, and may be dropped; the ones that
-// were not are a prefix of the burst (see transmit) and travel on as one
-// train. Unroutable segments still consume uplink bandwidth and count one
-// each.
-func (n *Network) send(up *xmitter, origin Addr, seq *uint64, seg *tcpkit.Segment, count, lastLen int) {
+// from origin through the uplink up; seg is a scratch copy, rewritten on
+// the way. Each segment is tapped and transmitted in turn, and may be
+// dropped; the ones that were not are a prefix of the burst (see
+// transmit) and travel on as one train. Unroutable segments still consume
+// uplink bandwidth and count one each.
+func (n *Network) send(up *xmitter, origin Addr, seg *tcpkit.Segment, count, lastLen int) {
 	now := n.Eng.Now()
 	full := seg.PayloadLen
 	var depart time.Duration // the first segment's
@@ -320,11 +321,11 @@ func (n *Network) send(up *xmitter, origin Addr, seq *uint64, seg *tcpkit.Segmen
 	}
 	// After the uplink serialisation and both propagation legs, the first
 	// segment reaches the destination's downlink.
-	n.Eng.scheduleArrival(depart+up.cfg.Latency+dst.downLatency(), addrKey(origin), *seq, &packet{
+	n.Eng.scheduleArrival(depart+up.cfg.Latency+dst.downLatency(), addrKey(origin), n.seq, &packet{
 		dst: dst, seg: *seg, size: int32(seg.WireSize()), slot: dslot,
 		left: int32(sent - 1), lastLen: int32(lastLen), rate: up.cfg.RateBps,
 	})
-	*seq += uint64(sent)
+	n.seq += uint64(sent)
 }
 
 // runArrival fires the downlink-queue leg of a delivery (kindArrival) and,

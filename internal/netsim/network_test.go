@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -302,5 +304,122 @@ func TestSimultaneousArrivalsCanonicalOrder(t *testing.T) {
 	}
 	if dst.received[0].Src != lo.addr || dst.received[1].Src != hi.addr {
 		t.Errorf("delivery order %v, %v; want low-address source first", dst.received[0].Src, dst.received[1].Src)
+	}
+}
+
+// logNode appends each delivery to a log shared across nodes.
+type logNode struct {
+	addr Addr
+	eng  *Engine
+	log  *[]string
+}
+
+func (n *logNode) Addr() Addr { return n.addr }
+func (n *logNode) Handle(seg tcpkit.Segment) {
+	*n.log = append(*n.log, fmt.Sprintf("%v %v>%v #%d len=%d", n.eng.Now(), seg.Src, seg.Dst, seg.Seq, seg.PayloadLen))
+}
+
+// TestInterleavedSendersArriveInCanonicalOrder has two ports and a store
+// slot send at the same instants, interleaved against address order: one
+// segment each to y, then a burst of five to x, of which the uplink's
+// backlog bound drops the last two. A port's burst is one train, cut to
+// three segments by the drop. y's extra latency equals one segment's
+// serialisation, so each sender's segment to y arrives together with its
+// first to x, and the senders' k-th segments to x arrive together. At every
+// shared instant the arrivals must fire in address order, and one sender's
+// in send order, whatever the other senders sent in between.
+func TestInterleavedSendersArriveInCanonicalOrder(t *testing.T) {
+	const full = 60
+	up := LinkConfig{RateBps: 8e6, Latency: time.Millisecond}
+	ser := serialise(seg(Addr{}, Addr{}, full).WireSize(), up.RateBps)
+	up.MaxBacklog = 3 * ser
+	fast := LinkConfig{RateBps: 1e15, MaxBacklog: time.Second}
+
+	eng := NewEngine()
+	net := NewNetwork(eng)
+	var log []string
+	x := &logNode{addr: Addr{10, 0, 0, 1}, eng: eng, log: &log}
+	y := &logNode{addr: Addr{10, 0, 0, 2}, eng: eng, log: &log}
+	a := &logNode{addr: Addr{20, 0, 0, 1}, eng: eng, log: &log}
+	b := &logNode{addr: Addr{40, 0, 0, 1}, eng: eng, log: &log}
+	xLink, yLink := fast, fast
+	xLink.Latency = time.Millisecond
+	yLink.Latency = time.Millisecond + ser
+	for _, at := range []struct {
+		n    Node
+		link LinkConfig
+	}{{x, xLink}, {y, yLink}, {a, up}, {b, up}} {
+		if err := net.Attach(at.n, at.link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := net.AttachSources(3, Addr{30, 0, 0, 1}, up, func(int32, tcpkit.Segment) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Renumber([]int32{2, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := store.Addr(0)
+
+	const rounds, gap = 2, 20 * time.Millisecond
+	for r := 0; r < rounds; r++ {
+		eng.ScheduleAt(time.Duration(r)*gap, func() {
+			send := func(src, dst Addr, n uint32) {
+				g := seg(src, dst, full)
+				g.Seq = uint32(10*r) + n
+				if src == s {
+					store.SendAt(0, eng.Now(), g)
+				} else {
+					net.Send(g)
+				}
+			}
+			for _, src := range []Addr{b.addr, s, a.addr} {
+				send(src, y.addr, 1)
+			}
+			for _, src := range []Addr{b.addr, s, a.addr} {
+				if src != s {
+					g := seg(src, x.addr, full)
+					g.Seq = uint32(10*r) + 2
+					net.SendTrain(g, 5, 20)
+					continue
+				}
+				for k := uint32(0); k < 5; k++ {
+					send(src, x.addr, 2+k)
+				}
+			}
+		})
+	}
+	eng.Run(time.Second)
+
+	var want []string
+	line := func(at time.Duration, src, dst Addr, n uint32) {
+		want = append(want, fmt.Sprintf("%v %v>%v #%d len=%d", at, src, dst, n, full))
+	}
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < 3; k++ {
+			at := time.Duration(r)*gap + time.Duration(k+2)*ser + 2*time.Millisecond
+			for _, src := range []Addr{a.addr, s, b.addr} {
+				if k == 0 {
+					line(at, src, y.addr, uint32(10*r)+1)
+				}
+				n := uint32(10*r) + 2
+				if src == s {
+					n += uint32(k)
+				}
+				line(at, src, x.addr, n)
+			}
+		}
+	}
+	if got, exp := strings.Join(log, "\n"), strings.Join(want, "\n"); got != exp {
+		t.Errorf("arrival order:\n%s\nwant:\n%s", got, exp)
+	}
+	for _, src := range []Addr{a.addr, b.addr} {
+		if st, _, _ := net.Stats(src); st.Dropped != 2*rounds {
+			t.Errorf("%v dropped %d, want %d", src, st.Dropped, 2*rounds)
+		}
+	}
+	if st, _ := store.Stats(); st.Dropped != 2*rounds {
+		t.Errorf("store dropped %d, want %d", st.Dropped, 2*rounds)
 	}
 }

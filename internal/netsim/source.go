@@ -27,9 +27,13 @@ const MaxSourceSlots = 200 * 256 * 256
 
 // SourceStore is a struct-of-arrays population of homogeneous attack
 // sources sharing one access-link configuration: per-source state is a
-// few flat parallel slices (uplink/downlink busy-until, packet sequence)
-// instead of a port object, node object, and timer per source, so a
-// million-source flood costs tens of megabytes instead of gigabytes.
+// few flat parallel slices (uplink and downlink busy-until) instead of a
+// port object, node object, and timer per source, so a million-source
+// flood costs tens of megabytes instead of gigabytes. What only inbound
+// traffic needs — the downlink slice, and the address→slot inverse of a
+// renumbering — is allocated when the first packet is routed to the
+// store, so a spoofed flood, whose replies all go elsewhere, never pays
+// for it.
 //
 // The store is reached through the normal delivery path: packets
 // addressed to any source in the range resolve to the store's virtual
@@ -49,15 +53,16 @@ type SourceStore struct {
 	// state. Its xmitters are never used.
 	vport *port
 
-	// source[slot] is the population index a slot holds and slot[source]
-	// its inverse; both nil is the identity numbering (see Renumber).
+	// source[slot] is the population index a slot holds, nil for the
+	// identity numbering (see Renumber); slot[source] is its inverse,
+	// built by slotOf on first use.
 	source []int32
 	slot   []int32
 
-	// Parallel per-slot state, indexed by source slot.
+	// Parallel per-slot state, indexed by source slot; downBusy is
+	// allocated by the first downTransmit.
 	upBusy   []time.Duration
 	downBusy []time.Duration
-	msgSeq   []uint64
 
 	// Aggregate link counters (per-direction totals over all slots).
 	upStats   LinkStats
@@ -80,17 +85,15 @@ func (n *Network) AttachSources(count int, base Addr, link LinkConfig, handler f
 		return nil, fmt.Errorf("netsim: source store link needs a positive rate")
 	}
 	s := &SourceStore{
-		n:        n,
-		base:     base,
-		count:    count,
-		link:     link,
-		handler:  handler,
-		upBusy:   make([]time.Duration, count),
-		downBusy: make([]time.Duration, count),
-		msgSeq:   make([]uint64, count),
+		n:       n,
+		base:    base,
+		count:   count,
+		link:    link,
+		handler: handler,
+		upBusy:  make([]time.Duration, count),
 	}
 	for addr := range n.ports {
-		if _, ok := s.slotOf(addr); ok {
+		if s.Contains(addr) {
 			return nil, fmt.Errorf("netsim: attached address %v falls inside macro source range", addr)
 		}
 	}
@@ -117,17 +120,14 @@ func (s *SourceStore) Renumber(order []int32) error {
 	if len(order) != s.count {
 		return fmt.Errorf("netsim: renumbering %d slots of a %d-source store", len(order), s.count)
 	}
-	slot := make([]int32, s.count)
-	for i := range slot {
-		slot[i] = -1
-	}
+	seen := make([]bool, s.count)
 	for r, src := range order {
-		if src < 0 || int(src) >= s.count || slot[src] >= 0 {
+		if src < 0 || int(src) >= s.count || seen[src] {
 			return fmt.Errorf("netsim: renumbering is not a permutation: source %d at slot %d", src, r)
 		}
-		slot[src] = int32(r)
+		seen[src] = true
 	}
-	s.source, s.slot = order, slot
+	s.source = order
 	return nil
 }
 
@@ -140,25 +140,27 @@ func (s *SourceStore) Source(slot int32) int {
 	return int(s.source[slot])
 }
 
-// slotOf inverts Addr over this store's range.
+// index inverts SourceAddr over this store's range.
+func (s *SourceStore) index(addr Addr) (int, bool) {
+	d3 := int(addr[3] - s.base[3])
+	i := d3 + 200*int(addr[2]-s.base[2]) + 51200*int(addr[1]-s.base[1])
+	return i, addr[0] == s.base[0] && d3 < 200 && i < s.count
+}
+
+// slotOf inverts Addr over this store's range, building the inverse of a
+// renumbering the first time an address in range needs it.
 func (s *SourceStore) slotOf(addr Addr) (int32, bool) {
-	if addr[0] != s.base[0] {
-		return 0, false
+	i, ok := s.index(addr)
+	if !ok || s.source == nil {
+		return int32(i), ok
 	}
-	d3 := int(addr[3]-s.base[3]) & 0xff
-	if d3 >= 200 {
-		return 0, false
+	if s.slot == nil {
+		s.slot = make([]int32, s.count)
+		for r, src := range s.source {
+			s.slot[src] = int32(r)
+		}
 	}
-	d2 := int(addr[2]-s.base[2]) & 0xff
-	d1 := int(addr[1]-s.base[1]) & 0xff
-	i := d3 + 200*d2 + 51200*d1
-	if i >= s.count {
-		return 0, false
-	}
-	if s.slot != nil {
-		return s.slot[i], true
-	}
-	return int32(i), true
+	return s.slot[i], true
 }
 
 // Count returns the population size.
@@ -170,7 +172,7 @@ func (s *SourceStore) Addr(slot int32) Addr { return SourceAddr(s.base, s.Source
 // Contains reports whether addr belongs to this population — the
 // predicate server-side metrics aggregate attacker establishments by.
 func (s *SourceStore) Contains(addr Addr) bool {
-	_, ok := s.slotOf(addr)
+	_, ok := s.index(addr)
 	return ok
 }
 
@@ -205,7 +207,7 @@ func (s *SourceStore) SendAt(slot int32, at time.Duration, seg tcpkit.Segment) {
 // transmit sends seg through slot's uplink now; seg is a scratch copy.
 func (s *SourceStore) transmit(slot int32, seg *tcpkit.Segment) {
 	up := xmitter{cfg: s.link, busyUntil: s.upBusy[slot]}
-	s.n.send(&up, s.Addr(slot), &s.msgSeq[slot], seg, 1, seg.PayloadLen)
+	s.n.send(&up, s.Addr(slot), seg, 1, seg.PayloadLen)
 	s.upBusy[slot] = up.busyUntil
 	s.upStats.add(up.stats)
 }
@@ -213,6 +215,9 @@ func (s *SourceStore) transmit(slot int32, seg *tcpkit.Segment) {
 // downTransmit is the per-slot downlink leg, run by runArrival: a port's
 // xmitter over the slot's flat state.
 func (s *SourceStore) downTransmit(slot int32, now time.Duration, size int) (time.Duration, bool) {
+	if s.downBusy == nil {
+		s.downBusy = make([]time.Duration, s.count)
+	}
 	down := xmitter{cfg: s.link, busyUntil: s.downBusy[slot]}
 	depart, ok := down.transmit(now, size)
 	s.downBusy[slot] = down.busyUntil

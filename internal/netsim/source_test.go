@@ -184,3 +184,55 @@ func TestAttachOverlapRejected(t *testing.T) {
 		t.Fatalf("store over attached port succeeded")
 	}
 }
+
+// A store pays for inbound state only once traffic lands on it: replies
+// to spoofed sources route elsewhere, and membership tests read only the
+// address range, so neither allocates the downlink slice or the inverse
+// of the renumbering. The first delivery allocates both and reaches the
+// slot that holds the addressed source.
+func TestStoreInboundStateOnFirstDelivery(t *testing.T) {
+	eng := NewEngine()
+	net := NewNetwork(eng)
+	server := &sinkNode{addr: Addr{10, 0, 0, 1}, eng: eng, reply: true, replyNet: net}
+	if err := net.Attach(server, DefaultServerLink()); err != nil {
+		t.Fatal(err)
+	}
+	base := Addr{20, 2, 0, 1}
+	var replies []int32
+	store, err := net.AttachSources(4, base, DefaultHostLink(), func(slot int32, _ tcpkit.Segment) {
+		replies = append(replies, slot)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Renumber([]int32{3, 1, 0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for slot := int32(0); slot < 4; slot++ {
+		spoofed := Addr{100, 0, 0, byte(1 + slot)}
+		store.SendAt(slot, 0, tcpkit.Segment{Src: spoofed, Dst: server.addr, SrcPort: 3333, DstPort: 80, Flags: tcpkit.FlagSYN})
+	}
+	eng.Run(time.Second)
+	if len(server.got) != 4 || net.Unroutable() != 4 {
+		t.Fatalf("server got %d SYNs, %d replies unroutable; want 4 and 4", len(server.got), net.Unroutable())
+	}
+	if !store.Contains(SourceAddr(base, 3)) || store.Contains(SourceAddr(base, 4)) {
+		t.Errorf("Contains disagrees with the population's range")
+	}
+	if store.downBusy != nil || store.slot != nil {
+		t.Fatalf("a store nothing reached holds downBusy %v, inverse %v", store.downBusy != nil, store.slot != nil)
+	}
+
+	// Slot 3 holds source 2, so the reply to source 2's address lands there.
+	store.SendAt(3, eng.Now(), tcpkit.Segment{Src: SourceAddr(base, 2), Dst: server.addr, SrcPort: 3334, DstPort: 80, Flags: tcpkit.FlagSYN})
+	eng.Run(2 * time.Second)
+	if len(replies) != 1 || replies[0] != 3 {
+		t.Fatalf("replies reached slots %v, want [3]", replies)
+	}
+	if len(store.downBusy) != 4 || len(store.slot) != 4 || store.slot[2] != 3 {
+		t.Errorf("after a delivery: downBusy %v, inverse %v", store.downBusy, store.slot)
+	}
+	if _, down := store.Stats(); down.SentPackets != 1 {
+		t.Errorf("store downlink packets = %d, want 1", down.SentPackets)
+	}
+}

@@ -19,7 +19,8 @@
 //     challenge controller, clients, botnets, and every experiment from
 //     the paper's evaluation (sim.RunExperiment).
 //
-// Quickstart:
+// Quickstart (the package Example runs the whole round trip, with the
+// challenge and solution options on the wire):
 //
 //	params, _ := tcppuzzles.NashParams(140630, 1.1) // (k=2, m=17), §4.4
 //	issuer, _ := puzzle.NewIssuer(puzzle.WithParams(params))
