@@ -54,9 +54,8 @@ type AdaptiveFlood struct {
 }
 
 var adaptiveFloodInfo = Info{
-	Name:        sweep.AttackAdaptiveFlood,
-	Summary:     "replicator dynamics reallocating budget across syn/conn/pulse floods",
-	Fingerprint: "adaptive-flood/v1 arms=syn,conn,pulse epoch=32t floor=0.02 reward=1.0/0.25",
+	Name:    sweep.AttackAdaptiveFlood,
+	Summary: "replicator dynamics reallocating budget across syn/conn/pulse floods",
 }
 
 func init() {

@@ -11,9 +11,8 @@
 // floods, solution floods, and replay floods — are ordinary plugins here,
 // registered under the sweep.Attack names the DOE layer sweeps, and new
 // behaviours (see pulseflood.go) register the same way without touching
-// the simulator core. Info.Fingerprint follows the same cache-identity
-// contract as package defense: empty for the paper floods, versioned for
-// new plugins.
+// the simulator core. Cache identity follows the same rule as package
+// defense: the attack name is part of the canonical Scenario.
 package attack
 
 import (
@@ -94,12 +93,10 @@ type BotCtx interface {
 	// SYN-ACK is routed back to the strategy's OnSynAck.
 	ExpectSynAck(port uint16, isn uint32)
 
-	// EmitAttack accounts one attack packet (Sent) and transmits it from
-	// the bot's own address.
+	// EmitAttack accounts one attack packet (Sent) and transmits it
+	// through the bot's own uplink, whatever source address seg carries:
+	// a forged Src is the spoofing primitive.
 	EmitAttack(seg tcpkit.Segment)
-	// EmitSpoofed accounts one attack packet and transmits it through the
-	// bot's uplink with a forged source — the spoofing primitive.
-	EmitSpoofed(seg tcpkit.Segment)
 	// SendHandshakeAck completes (or pretends to complete) a handshake:
 	// accounts AcksSent and BelievedEstablished, then transmits the ACK.
 	SendHandshakeAck(port uint16, isn, serverISN uint32, opts []byte)
@@ -135,9 +132,6 @@ type Info struct {
 	Name sweep.Attack
 	// Summary is a one-line description for listings.
 	Summary string
-	// Fingerprint, when non-empty, feeds the result-cache hash of every
-	// cell using this attack (see the defense package for the contract).
-	Fingerprint string
 }
 
 // Strategy is one bot behaviour. Implementations must be deterministic:
@@ -168,9 +162,8 @@ type registration struct {
 	factory Factory
 }
 
-// Register adds an attack plugin to the registry under info.Name and
-// records its cache fingerprint with the sweep layer. It panics on an
-// empty name, a nil factory, or a duplicate registration.
+// Register adds an attack plugin to the registry under info.Name. It
+// panics on an empty name, a nil factory, or a duplicate registration.
 func Register(info Info, factory Factory) {
 	if info.Name == "" {
 		panic("attack: Register with empty name")
@@ -184,7 +177,6 @@ func Register(info Info, factory Factory) {
 		panic(fmt.Sprintf("attack: duplicate registration of %q", info.Name))
 	}
 	registry[info.Name] = registration{info: info, factory: factory}
-	sweep.RegisterAttackFingerprint(info.Name, info.Fingerprint)
 }
 
 // New instantiates the named attack for a bot. Unknown names error with

@@ -31,7 +31,7 @@ func sendRealSYN(ctx BotCtx) {
 func sendSpoofedSYN(ctx BotCtx) {
 	rnd := ctx.Rand()
 	src := [4]byte{100, byte(rnd.Intn(256)), byte(rnd.Intn(256)), byte(1 + rnd.Intn(254))}
-	ctx.EmitSpoofed(tcpkit.Segment{
+	ctx.EmitAttack(tcpkit.Segment{
 		Src: src, Dst: ctx.ServerAddr(),
 		SrcPort: uint16(1024 + rnd.Intn(60000)), DstPort: ctx.ServerPort(),
 		Seq: rnd.Uint32(), Flags: tcpkit.FlagSYN, Window: 65535,

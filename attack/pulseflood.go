@@ -22,9 +22,8 @@ const (
 type pulseFlood struct{ noSolves }
 
 var pulseFloodInfo = Info{
-	Name:        sweep.AttackPulseFlood,
-	Summary:     "spoofed SYN flood in on/off bursts probing the overload latch",
-	Fingerprint: "pulseflood/v1 period=16s on=4s",
+	Name:    sweep.AttackPulseFlood,
+	Summary: "spoofed SYN flood in on/off bursts probing the overload latch",
 }
 
 func init() {

@@ -67,25 +67,3 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 	}
 }
-
-// TestFingerprintContract pins the cache-identity rule for attacks: the
-// paper's four floods carry no fingerprint, new plugins do.
-func TestFingerprintContract(t *testing.T) {
-	legacy := []sweep.Attack{
-		sweep.AttackSYNFlood, sweep.AttackConnFlood,
-		sweep.AttackSolutionFlood, sweep.AttackReplayFlood,
-	}
-	for _, name := range legacy {
-		info, _ := Lookup(name)
-		if info.Fingerprint != "" {
-			t.Errorf("legacy attack %q has fingerprint %q; must be empty to keep old cache hashes", name, info.Fingerprint)
-		}
-	}
-	info, _ := Lookup(sweep.AttackPulseFlood)
-	if info.Fingerprint == "" {
-		t.Error("pulseflood has no fingerprint; it needs its own cache identity")
-	}
-	if fp := sweep.AttackFingerprint(sweep.AttackPulseFlood); fp != info.Fingerprint {
-		t.Errorf("sweep fingerprint = %q, registry says %q", fp, info.Fingerprint)
-	}
-}

@@ -8,7 +8,7 @@
 //
 // The figure grids are measured end to end by bench/ (fig_grid_cold and
 // fig_grid_warm, whose runner.speedup is the runner's scaling across
-// cells) and pinned byte for byte by sim.TestExperimentLedger; bench/'s
+// cells) and pinned byte for byte by sweep.TestExperimentLedger; bench/'s
 // puzzle.issue_ns, puzzle.verify_ns and puzzle.solve_us_m8 time the puzzle
 // primitives. cmd/tcpz-exp runs the grids at every scale.
 package tcppuzzles_test

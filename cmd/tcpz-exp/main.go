@@ -39,13 +39,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tcpz-exp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (err error) {
+// run executes the command line args, writing listings and experiment
+// output to stdout unless -out names a file.
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("tcpz-exp", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id (see -list) or 'all'")
 	scale := fs.String("scale", "quick", "experiment scale: tiny, quick or paper")
@@ -70,20 +72,20 @@ func run(args []string) (err error) {
 	}
 	if *list || *listDefenses || *listAttacks {
 		if *list {
-			fmt.Println(strings.Join(sim.ExperimentIDs(), "\n"))
+			fmt.Fprintln(stdout, strings.Join(sim.ExperimentIDs(), "\n"))
 		}
 		// Each listing's name column is as wide as its longest name.
-		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 1, ' ', 0)
+		tw := tabwriter.NewWriter(stdout, 0, 0, 1, ' ', 0)
 		if *listDefenses {
 			fmt.Fprintln(tw, "defenses:")
 			for _, info := range sim.DefenseInfos() {
-				fmt.Fprintf(tw, "  %s\t%s%s\n", info.Name, info.Summary, fingerprintNote(info.Fingerprint))
+				fmt.Fprintf(tw, "  %s\t%s\n", info.Name, info.Summary)
 			}
 		}
 		if *listAttacks {
 			fmt.Fprintln(tw, "attacks:")
 			for _, info := range sim.AttackInfos() {
-				fmt.Fprintf(tw, "  %s\t%s%s\n", info.Name, info.Summary, fingerprintNote(info.Fingerprint))
+				fmt.Fprintf(tw, "  %s\t%s\n", info.Name, info.Summary)
 			}
 		}
 		return tw.Flush()
@@ -107,7 +109,7 @@ func run(args []string) (err error) {
 	default:
 		return fmt.Errorf("unknown format %q (want table, csv or json)", *format)
 	}
-	w := io.Writer(os.Stdout)
+	w := stdout
 	if *out != "" {
 		f, createErr := os.Create(*out)
 		if createErr != nil {
@@ -169,11 +171,4 @@ func run(args []string) (err error) {
 			cache.Hits(), cache.Misses(), cache.Evictions(), cache.Dir())
 	}
 	return nil
-}
-
-func fingerprintNote(fp string) string {
-	if fp == "" {
-		return ""
-	}
-	return fmt.Sprintf("  [cache fingerprint %q]", fp)
 }

@@ -116,9 +116,6 @@ type AdaptivePuzzles struct {
 var adaptivePuzzlesInfo = Info{
 	Name:    sweep.DefenseAdaptivePuzzles,
 	Summary: "client puzzles with in-run Stackelberg best-response difficulty",
-	Fingerprint: fmt.Sprintf("adaptive-puzzles/v1 stackelberg n=%d w=%d mu=%g cost=%g floor=%g ewma=%g/%g",
-		AdaptiveModelClients, AdaptiveModelWeight, AdaptiveModelService,
-		AdaptiveModelCost, AdaptiveModelMinService, adaptiveAttackAlpha, adaptiveBenignAlpha),
 }
 
 func init() {

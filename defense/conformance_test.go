@@ -56,20 +56,6 @@ func TestDefenseConformance(t *testing.T) {
 				if !reflect.DeepEqual(info, reg) {
 					t.Errorf("Describe() = %+v, registration = %+v", info, reg)
 				}
-				// Cache-identity law: the paper's four baselines keep their
-				// pre-registry hashes via empty fingerprints; every later
-				// plugin must carry a non-empty versioned fingerprint so its
-				// cells can never alias a legacy cache entry.
-				legacy := map[sweep.Defense]bool{
-					sweep.DefenseNone: true, sweep.DefenseCookies: true,
-					sweep.DefenseSYNCache: true, sweep.DefensePuzzles: true,
-				}
-				if legacy[name] && info.Fingerprint != "" {
-					t.Errorf("legacy defense %q grew fingerprint %q; legacy cache hashes would shift", name, info.Fingerprint)
-				}
-				if !legacy[name] && info.Fingerprint == "" {
-					t.Errorf("non-paper defense %q has no fingerprint; its cache identity is ambiguous", name)
-				}
 			})
 
 			t.Run("activation-latch", func(t *testing.T) {

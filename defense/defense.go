@@ -19,11 +19,11 @@
 // registration with zero simulator-core edits, not out-of-module
 // compilation.
 //
-// Cache identity: a plugin's Info.Fingerprint feeds the sweep result-cache
-// hash. The paper defenses register an empty fingerprint — their identity
-// is the canonical Scenario, keeping every pre-registry cache hash stable —
-// while new plugins register a versioned fingerprint and bump it when
-// their behaviour changes.
+// Cache identity: a cell's result-cache key covers its canonical Scenario,
+// defense name included, and the output ledger's digest (see sweep.Hash).
+// A plugin needs nothing else: a behaviour change that moves ledger output
+// re-keys every cell when the ledger is re-blessed. A plugin that no
+// ledger experiment runs is not covered that way.
 package defense
 
 import (
@@ -131,11 +131,6 @@ type Info struct {
 	Name sweep.Defense
 	// Summary is a one-line description for listings.
 	Summary string
-	// Fingerprint, when non-empty, feeds the result-cache hash of every
-	// cell using this defense. Paper defenses leave it empty (their cache
-	// identity predates the registry); new plugins set a versioned string
-	// and bump it on behaviour changes to invalidate their own entries.
-	Fingerprint string
 }
 
 // Defense is one server-protection strategy. Implementations must be
@@ -171,10 +166,9 @@ type registration struct {
 	factory Factory
 }
 
-// Register adds a defense plugin to the registry under info.Name and
-// records its cache fingerprint with the sweep layer. It panics on an
-// empty name, a nil factory, or a duplicate registration — all programmer
-// errors at init time.
+// Register adds a defense plugin to the registry under info.Name. It
+// panics on an empty name, a nil factory, or a duplicate registration —
+// all programmer errors at init time.
 func Register(info Info, factory Factory) {
 	if info.Name == "" {
 		panic("defense: Register with empty name")
@@ -188,7 +182,6 @@ func Register(info Info, factory Factory) {
 		panic(fmt.Sprintf("defense: duplicate registration of %q", info.Name))
 	}
 	registry[info.Name] = registration{info: info, factory: factory}
-	sweep.RegisterDefenseFingerprint(info.Name, info.Fingerprint)
 }
 
 // New instantiates the named defense for a server. Unknown names error

@@ -25,9 +25,8 @@ import (
 type hybridDefense struct{}
 
 var hybridInfo = Info{
-	Name:        sweep.DefenseHybrid,
-	Summary:     "SYN cookies first, escalating to client puzzles under accept-queue pressure",
-	Fingerprint: "hybrid/v1 cookies-then-puzzles@accept-high-water",
+	Name:    sweep.DefenseHybrid,
+	Summary: "SYN cookies first, escalating to client puzzles under accept-queue pressure",
 }
 
 func init() {

@@ -16,9 +16,8 @@ import (
 type rateLimitDefense struct{}
 
 var rateLimitInfo = Info{
-	Name:        sweep.DefenseRateLimit,
-	Summary:     "probabilistic RED-style SYN admission above the listen high watermark",
-	Fingerprint: "ratelimit/v1 linear-early-drop",
+	Name:    sweep.DefenseRateLimit,
+	Summary: "probabilistic RED-style SYN admission above the listen high watermark",
 }
 
 func init() {

@@ -70,34 +70,3 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 	}
 }
-
-// TestFingerprintContract pins the cache-identity rule: the paper's four
-// defenses carry no fingerprint (their hashes predate the registry), every
-// other known defense carries a versioned one, and the sweep layer sees
-// exactly what the registry declared.
-func TestFingerprintContract(t *testing.T) {
-	legacy := map[sweep.Defense]bool{
-		sweep.DefenseNone: true, sweep.DefenseCookies: true, sweep.DefenseSYNCache: true, sweep.DefensePuzzles: true,
-	}
-	for name := range legacy {
-		info, _ := Lookup(name)
-		if info.Fingerprint != "" {
-			t.Errorf("legacy defense %q has fingerprint %q; must be empty to keep old cache hashes", name, info.Fingerprint)
-		}
-		if fp := sweep.DefenseFingerprint(name); fp != "" {
-			t.Errorf("sweep sees fingerprint %q for legacy defense %q", fp, name)
-		}
-	}
-	for _, name := range sweep.KnownDefenses() {
-		if legacy[name] {
-			continue
-		}
-		info, _ := Lookup(name)
-		if info.Fingerprint == "" {
-			t.Errorf("new defense %q has no fingerprint; it needs its own cache identity", name)
-		}
-		if fp := sweep.DefenseFingerprint(name); fp != info.Fingerprint {
-			t.Errorf("sweep fingerprint for %q = %q, registry says %q", name, fp, info.Fingerprint)
-		}
-	}
-}

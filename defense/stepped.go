@@ -31,9 +31,8 @@ const (
 type steppedPuzzles struct{ puzzlesDefense }
 
 var steppedPuzzlesInfo = Info{
-	Name:        sweep.DefenseSteppedPuzzles,
-	Summary:     "client puzzles whose m steps up one bit per 5 s under overload, then back down (§7)",
-	Fingerprint: fmt.Sprintf("stepped-puzzles/v1 every=%v max-m=%d", steppedInterval, steppedMaxM),
+	Name:    sweep.DefenseSteppedPuzzles,
+	Summary: "client puzzles whose m steps up one bit per 5 s under overload, then back down (§7)",
 }
 
 func init() {

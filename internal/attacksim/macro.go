@@ -612,16 +612,9 @@ func (c *macroCtx) ExpectSynAck(port uint16, isn uint32) {
 	c.f.awaiting[awaitKey(c.slot, port)] = isn
 }
 
-// EmitAttack implements attack.BotCtx.
+// EmitAttack implements attack.BotCtx: SendAt transmits through the
+// slot's own uplink whatever source seg claims.
 func (c *macroCtx) EmitAttack(seg tcpkit.Segment) {
-	now := c.Now()
-	c.f.metrics.Sent.Add(now, 1)
-	c.f.store.SendAt(c.slot, now, seg)
-}
-
-// EmitSpoofed implements attack.BotCtx: SendAt already transmits through
-// the slot's own uplink whatever the forged source claims.
-func (c *macroCtx) EmitSpoofed(seg tcpkit.Segment) {
 	now := c.Now()
 	c.f.metrics.Sent.Add(now, 1)
 	c.f.store.SendAt(c.slot, now, seg)

@@ -346,7 +346,7 @@ func TestAblationSolutionFlood(t *testing.T) {
 }
 
 // Every registered experiment renders from its Results alone: the
-// ledger (sim.TestExperimentLedger) pins the bytes; this checks the
+// ledger (sweep.TestExperimentLedger) pins the bytes; this checks the
 // shape on two cheap ones.
 func TestTablesRender(t *testing.T) {
 	for _, id := range []string{"fig8", "tab1"} {

@@ -104,16 +104,19 @@ func TestRunFloodRejectsUnknownEnums(t *testing.T) {
 // A failing cell in a parallel grid aborts the run, and the error names
 // the cell and its cause.
 func TestRunScenariosPropagatesError(t *testing.T) {
-	grid := tinyScale().ApplyAll(
-		Scenario{Label: "puzzles", Defense: DefensePuzzles, Attack: AttackConnFlood,
+	grid := []Scenario{
+		{Label: "puzzles", Defense: DefensePuzzles, Attack: AttackConnFlood,
 			ClientsSolve: true, BotsSolve: true},
-		Scenario{Label: "cookies", Defense: DefenseCookies, Attack: AttackSYNFlood,
+		{Label: "cookies", Defense: DefenseCookies, Attack: AttackSYNFlood,
 			ClientsSolve: true},
-		Scenario{Label: "none", Defense: DefenseNone, Attack: AttackConnFlood,
+		{Label: "none", Defense: DefenseNone, Attack: AttackConnFlood,
 			ClientsSolve: true},
-		Scenario{Label: "syncache", Defense: DefenseSYNCache, Attack: AttackSYNFlood,
+		{Label: "syncache", Defense: DefenseSYNCache, Attack: AttackSYNFlood,
 			ClientsSolve: true},
-	)
+	}
+	for i := range grid {
+		grid[i] = tinyScale().Apply(grid[i])
+	}
 	grid[2].Defense = "bogus"
 	_, err := RunCells(Exec{Parallelism: 4}, grid)
 	if err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), `"none"`) {

@@ -167,20 +167,6 @@ func (is *Issuer) SetParams(p Params) error {
 	return nil
 }
 
-// MaxAge returns the replay window.
-func (is *Issuer) MaxAge() time.Duration {
-	is.mu.RLock()
-	defer is.mu.RUnlock()
-	return is.maxAge
-}
-
-// SetMaxAge retunes the replay window at runtime.
-func (is *Issuer) SetMaxAge(d time.Duration) {
-	is.mu.Lock()
-	defer is.mu.Unlock()
-	is.maxAge = d
-}
-
 // Issue creates a challenge bound to the given flow at the current time.
 // Issuing performs exactly one hash operation (g(p) = 1).
 func (is *Issuer) Issue(flow FlowID) Challenge {

@@ -80,19 +80,6 @@ type Proxy struct {
 // ProxyOption customises a Proxy.
 type ProxyOption func(*Proxy)
 
-// WithBackendDialer overrides how backend connections are opened. The
-// function should return promptly; the proxy additionally bounds each
-// attempt with the dial timeout via WithBackendDialContext's context when
-// that variant is used. Prefer WithBackendDialContext for cancellable
-// dialers.
-func WithBackendDialer(dial func(addr string) (net.Conn, error)) ProxyOption {
-	return func(p *Proxy) {
-		p.dialCtx = func(_ context.Context, addr string) (net.Conn, error) {
-			return dial(addr)
-		}
-	}
-}
-
 // WithBackendDialContext overrides how backend connections are opened with
 // a context-aware dialer. The context carries the per-attempt dial timeout
 // and is cancelled on proxy shutdown, so a black-holed backend cannot pin

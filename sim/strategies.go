@@ -14,8 +14,8 @@ type AttackInfo = attack.Info
 // DefenseInfos lists every registered defense plugin, sorted by name —
 // the registry behind Scenario.Defense, the sweep Defenses axis, and
 // `tcpz-exp -list-defenses`. Register new defenses with defense.Register;
-// they become sweepable scenario coordinates with their own result-cache
-// identity (Info.Fingerprint) without any change to the simulator core.
+// they become sweepable scenario coordinates, keyed in the result cache by
+// name like every Scenario field, without any change to the simulator core.
 func DefenseInfos() []DefenseInfo { return defense.Infos() }
 
 // AttackInfos lists every registered attack plugin, sorted by name — the

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"crypto/sha256"
+	_ "embed"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -14,33 +15,39 @@ import (
 	"time"
 )
 
-// hashVersion feeds the cache key so a deliberate format break (changed
-// metric semantics, changed Scenario canonicalisation) can invalidate
-// every existing entry at once. v2: the engine's same-instant delivery
-// order became canonical (time, source, sequence) when the sharded
-// engine landed, which can shift tie-broken metrics relative to v1 runs.
-// v3: Scenario lost its adaptive-difficulty flag (the step controller
-// became the stepped-puzzles defense), so every canonical serialisation
-// changed. v4: every botnet runs as one population on the compact
-// per-source RNG stream, so every attacked cell's output moved.
-const hashVersion = "tcppuzzles-sweep-v4"
+// ledger is the output ledger: the pinned tables and NDJSON digests of
+// every registered experiment at tiny scale (see TestExperimentLedger).
+//
+//go:embed testdata/experiments.golden
+var ledger []byte
+
+// ledgerDigest is the version line of every cache key: the SHA-256 of the
+// output ledger, taken once per process. Re-blessing the ledger, which an
+// intended move of any pinned output byte requires, therefore changes
+// every key, and stale entries turn into misses with no further step. A
+// change that moves output the ledger does not cover moves no key.
+var ledgerDigest = digest(ledger)
+
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
 
 // Hash returns the content address of one experiment cell: a SHA-256 over
-// the hash format version, the experiment name, and the canonical
+// the output ledger's digest, the experiment name, and the canonical
 // (post-Defaults) Scenario serialised as JSON. Every Scenario field —
-// including Label — feeds the hash, so two cells collide only when they
-// would simulate identically and report identically. Adding a field to
-// Scenario changes every hash, which safely turns old cache entries into
-// misses (wipe the cache directory to reclaim the space). Fields tagged
-// json:"-" stay out of the key (see scenarioHashExclusions).
-//
-// Registered strategy fingerprints extend the key: a defense or attack
-// plugin with a non-empty fingerprint (see RegisterDefenseFingerprint)
-// appends it after the canonical scenario, so new plugins mint new cache
-// identities and invalidate themselves by bumping the fingerprint. The
-// paper's four defenses and four floods register none, keeping their
-// hashes byte-for-byte what they were before the plugin registry existed.
+// including Label and the defense and attack names — feeds the hash, so
+// two cells collide only when they would simulate identically and report
+// identically. Adding a field to Scenario changes every hash, which
+// safely turns old cache entries into misses (wipe the cache directory to
+// reclaim the space). Fields tagged json:"-" stay out of the key (see
+// scenarioHashExclusions).
 func Hash(experiment string, sc Scenario) string {
+	return hashAt(ledgerDigest, experiment, sc)
+}
+
+// hashAt is Hash under an explicit version line.
+func hashAt(version, experiment string, sc Scenario) string {
 	canonicalScenario := sc.Defaults()
 	canonical, err := json.Marshal(canonicalScenario)
 	if err != nil {
@@ -50,14 +57,8 @@ func Hash(experiment string, sc Scenario) string {
 		canonical = []byte(fmt.Sprintf("%#v", canonicalScenario))
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n", hashVersion, experiment)
+	fmt.Fprintf(h, "%s\n%s\n", version, experiment)
 	h.Write(canonical)
-	if fp := DefenseFingerprint(canonicalScenario.Defense); fp != "" {
-		fmt.Fprintf(h, "\ndefense-fingerprint: %s", fp)
-	}
-	if fp := AttackFingerprint(canonicalScenario.Attack); fp != "" {
-		fmt.Fprintf(h, "\nattack-fingerprint: %s", fp)
-	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 

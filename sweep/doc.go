@@ -31,8 +31,10 @@
 //
 //   - Cache is a content-addressed result store keyed by Hash — a stable
 //     SHA-256 of the canonical (post-Defaults) Scenario plus the
-//     experiment name — so regenerating a figure skips every
-//     already-computed cell. Hits and Misses counters make the skip
+//     experiment name, under the digest of the output ledger this
+//     package embeds (testdata/experiments.golden) — so regenerating a
+//     figure skips every already-computed cell, and re-blessing the
+//     ledger re-keys them all. Hits and Misses counters make the skip
 //     observable.
 //
 // The executor lives one layer up (internal/experiments and sim.RunSweep):

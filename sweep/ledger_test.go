@@ -1,4 +1,4 @@
-package sim
+package sweep_test
 
 import (
 	"bytes"
@@ -11,10 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tcppuzzles/tcppuzzles/sim"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
-var update = flag.Bool("update", false, "re-bless sim/testdata/experiments.golden")
+var update = flag.Bool("update", false, "re-bless sweep/testdata/experiments.golden")
 
 const ledgerPath = "testdata/experiments.golden"
 
@@ -23,7 +24,7 @@ const ledgerPath = "testdata/experiments.golden"
 // sink stream. A change that moves any figure's bytes fails here; if the
 // move is intended, re-bless with
 //
-//	go test ./sim -run TestExperimentLedger -update
+//	go test ./sweep -run TestExperimentLedger -update
 //
 // and record the moved experiments in CHANGES.md. The ledger is only
 // checked on the architecture that wrote it: FMA fusion may legitimately
@@ -39,7 +40,7 @@ func TestExperimentLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ledger(t, WithCache(cache))
+	got := ledger(t, sim.WithCache(cache))
 	if *update {
 		if err := os.WriteFile(ledgerPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -57,7 +58,7 @@ func TestExperimentLedger(t *testing.T) {
 	compareLedger(t, "fresh", got, want)
 
 	hits, misses := cache.Hits(), cache.Misses()
-	cached := ledger(t, WithCache(cache))
+	cached := ledger(t, sim.WithCache(cache))
 	if cache.Misses() != misses || cache.Hits() == hits {
 		t.Errorf("cached run: %d hits, %d misses; want all hits", cache.Hits()-hits, cache.Misses()-misses)
 	}
@@ -66,14 +67,14 @@ func TestExperimentLedger(t *testing.T) {
 
 // ledger runs every registered experiment at ScaleTiny with opts and
 // renders the ledger text.
-func ledger(t *testing.T, opts ...RunOption) string {
+func ledger(t *testing.T, opts ...sim.RunOption) string {
 	t.Helper()
 	var got strings.Builder
 	fmt.Fprintf(&got, "goarch %s\n", runtime.GOARCH)
-	for _, id := range ExperimentIDs() {
+	for _, id := range sim.ExperimentIDs() {
 		var nd bytes.Buffer
 		sink := sweep.NewNDJSON(&nd)
-		tables, err := RunExperiment(id, ScaleTiny, append(opts, WithSinks(sink))...)
+		tables, err := sim.RunExperiment(id, sim.ScaleTiny, append(opts, sim.WithSinks(sink))...)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -97,7 +98,7 @@ func compareLedger(t *testing.T, run, got, want string) {
 		return
 	}
 	wantSec, gotSec := ledgerSections(want), ledgerSections(got)
-	for _, id := range ExperimentIDs() {
+	for _, id := range sim.ExperimentIDs() {
 		if gotSec[id] != wantSec[id] {
 			t.Errorf("%s run: %s output moved:\n--- got\n%s\n--- want\n%s", run, id, gotSec[id], wantSec[id])
 		}

@@ -279,12 +279,3 @@ func (s Scale) Apply(sc Scenario) Scenario {
 	}
 	return sc
 }
-
-// ApplyAll applies the scale to a whole scenario grid.
-func (s Scale) ApplyAll(scs ...Scenario) []Scenario {
-	out := make([]Scenario, len(scs))
-	for i, sc := range scs {
-		out[i] = s.Apply(sc)
-	}
-	return out
-}
