@@ -12,7 +12,9 @@
 //
 // The defense and attack coordinates of every scenario resolve in the
 // strategy plugin registries; -list-defenses and -list-attacks print what
-// is registered. -verbose narrates execution on stderr: per-cell event
+// is registered, tagging the defenses that issue puzzles "[puzzles]" (a
+// sweep simulates cells that differ only in puzzle parameters under any
+// other defense once). -verbose narrates execution on stderr: per-cell event
 // counts and heap usage, and runner-pool backpressure with the grid's
 // peak heap — the memory headroom signal for macro-source scale runs.
 //
@@ -79,7 +81,11 @@ func run(args []string, stdout io.Writer) (err error) {
 		if *listDefenses {
 			fmt.Fprintln(tw, "defenses:")
 			for _, info := range sim.DefenseInfos() {
-				fmt.Fprintf(tw, "  %s\t%s\n", info.Name, info.Summary)
+				tag := ""
+				if info.Puzzles {
+					tag = " [puzzles]"
+				}
+				fmt.Fprintf(tw, "  %s%s\t%s\n", info.Name, tag, info.Summary)
 			}
 		}
 		if *listAttacks {

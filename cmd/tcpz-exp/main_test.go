@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,7 +25,8 @@ func TestCacheMaxBytesNeedsValidCacheDir(t *testing.T) {
 }
 
 // The plugin listings print every registered defense and attack, each
-// with its summary, under its own heading.
+// with its summary, under its own heading; exactly the four defenses that
+// issue puzzles carry the "[puzzles]" tag after their name.
 func TestListDefensesAndAttacks(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-list-defenses", "-list-attacks"}, &out); err != nil {
@@ -34,10 +36,15 @@ func TestListDefensesAndAttacks(t *testing.T) {
 	if !ok || !strings.HasPrefix(defenses, "defenses:\n") {
 		t.Fatalf("listing lacks its headings:\n%s", out.String())
 	}
+	var tagged []string
 	check := func(listing, name, summary string) {
 		t.Helper()
 		for _, line := range strings.Split(listing, "\n") {
 			if fields := strings.Fields(line); len(fields) > 0 && fields[0] == name {
+				if len(fields) > 1 && fields[1] == "[puzzles]" {
+					tagged = append(tagged, name)
+					fields = fields[1:]
+				}
 				if got := strings.Join(fields[1:], " "); got != summary {
 					t.Errorf("%s: summary %q, registry says %q", name, got, summary)
 				}
@@ -48,6 +55,9 @@ func TestListDefensesAndAttacks(t *testing.T) {
 	}
 	for _, info := range sim.DefenseInfos() {
 		check(defenses, string(info.Name), info.Summary)
+	}
+	if want := []string{"adaptive-puzzles", "hybrid", "puzzles", "stepped-puzzles"}; !reflect.DeepEqual(tagged, want) {
+		t.Errorf("defenses tagged [puzzles]: %q, want %q", tagged, want)
 	}
 	for _, info := range sim.AttackInfos() {
 		check(attacks, string(info.Name), info.Summary)

@@ -116,6 +116,7 @@ type AdaptivePuzzles struct {
 var adaptivePuzzlesInfo = Info{
 	Name:    sweep.DefenseAdaptivePuzzles,
 	Summary: "client puzzles with in-run Stackelberg best-response difficulty",
+	Puzzles: true,
 }
 
 func init() {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/tcppuzzles/tcppuzzles/defense"
 	"github.com/tcppuzzles/tcppuzzles/internal/experiments"
+	"github.com/tcppuzzles/tcppuzzles/puzzle"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
@@ -33,8 +34,9 @@ func seriesKey(run *experiments.FloodRun) string {
 // must honour, whoever wrote it: the server still serves legitimate
 // clients outside the attack window (the activation latch engages and
 // releases rather than wedging), queue bounds hold under overflow
-// pressure with the worker pool disabled, and two runs of one scenario
-// give the same results. Iterating defense.Names() means a
+// pressure with the worker pool disabled, a defense registered without
+// Info.Puzzles gives the same results at any puzzle parameters, and two
+// runs of one scenario give the same results. Iterating defense.Names() means a
 // newly registered plugin is conformance-tested by existing CI with zero
 // new test code.
 func TestDefenseConformance(t *testing.T) {
@@ -133,6 +135,31 @@ func TestDefenseConformance(t *testing.T) {
 							t.Errorf("tick %v deployed invalid params %v: %v", s.At, s.Params, err)
 						}
 					}
+				}
+			})
+
+			// A defense registered without Info.Puzzles must not depend on
+			// the puzzle parameters: the executor simulates sweep cells
+			// that differ only in them once. The server panics if such a
+			// defense reads them; this checks the run as a whole.
+			t.Run("params-independence", func(t *testing.T) {
+				if info, _ := defense.Lookup(name); info.Puzzles {
+					t.Skip("issues puzzles")
+				}
+				keys := make([]string, 0, 2)
+				for _, p := range []puzzle.Params{{K: 1, M: 8, L: 32}, {K: 2, M: 17, L: 32}} {
+					sc := conformanceScale().Apply(sweep.Scenario{
+						Label: "params", Defense: name, Attack: sweep.AttackConnFlood,
+						ClientsSolve: true, BotsSolve: true, Params: p,
+					})
+					run, err := experiments.RunFlood(sc)
+					if err != nil {
+						t.Fatalf("RunFlood at %v: %v", p, err)
+					}
+					keys = append(keys, seriesKey(run))
+				}
+				if keys[0] != keys[1] {
+					t.Error("results depend on the puzzle parameters of a defense that issues no puzzles")
 				}
 			})
 

@@ -19,6 +19,14 @@
 // registration with zero simulator-core edits, not out-of-module
 // compilation.
 //
+// Puzzle parameters: a defense that issues client puzzles registers with
+// Info.Puzzles (puzzles, hybrid, adaptive-puzzles, stepped-puzzles). Only
+// such a defense may read ServerCtx.PuzzleParams or ServerCtx.Puzzles;
+// the server panics if any other does. So a run under any other defense
+// cannot depend on Scenario.Params, and the experiment executor simulates
+// sweep cells that differ only in Params under it once. The conformance
+// suite's params-independence subtest checks the whole run.
+//
 // Cache identity: a cell's result-cache key covers its canonical Scenario,
 // defense name included, and the output ledger's digest (see sweep.Hash).
 // A plugin needs nothing else: a behaviour change that moves ledger output
@@ -61,6 +69,8 @@ type ServerCtx interface {
 	Backlog() int
 	AcceptBacklog() int
 	SynAckTimeout() time.Duration
+	// PuzzleParams is the configured difficulty. Only a defense
+	// registered with Info.Puzzles may call it.
 	PuzzleParams() puzzle.Params
 
 	// Listen-queue (half-open) state.
@@ -116,6 +126,7 @@ type ServerCtx interface {
 	// Jar is the server's SYN-cookie jar (stateless ISN encode/decode).
 	Jar() *syncookie.Jar
 	// Puzzles is the server's puzzle engine (issue/verify, retunable).
+	// Only a defense registered with Info.Puzzles may call it.
 	Puzzles() pzengine.Engine
 	// SynCache is the server's bounded half-open overflow cache.
 	SynCache() *syncache.Cache
@@ -131,6 +142,13 @@ type Info struct {
 	Name sweep.Defense
 	// Summary is a one-line description for listings.
 	Summary string
+	// Puzzles marks a defense that issues client puzzles. Only such a
+	// defense may call ServerCtx.PuzzleParams or ServerCtx.Puzzles; the
+	// server panics on either call from any other. A run whose defense
+	// issues no puzzles therefore cannot depend on the puzzle
+	// parameters, and the executor simulates sweep cells that differ
+	// only in them once.
+	Puzzles bool
 }
 
 // Defense is one server-protection strategy. Implementations must be

@@ -27,6 +27,7 @@ type hybridDefense struct{}
 var hybridInfo = Info{
 	Name:    sweep.DefenseHybrid,
 	Summary: "SYN cookies first, escalating to client puzzles under accept-queue pressure",
+	Puzzles: true,
 }
 
 func init() {

@@ -19,6 +19,7 @@ type puzzlesDefense struct{}
 var puzzlesInfo = Info{
 	Name:    sweep.DefensePuzzles,
 	Summary: "TCP client puzzles with the opportunistic challenge controller (§5)",
+	Puzzles: true,
 }
 
 func init() {

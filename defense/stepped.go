@@ -33,6 +33,7 @@ type steppedPuzzles struct{ puzzlesDefense }
 var steppedPuzzlesInfo = Info{
 	Name:    sweep.DefenseSteppedPuzzles,
 	Summary: "client puzzles whose m steps up one bit per 5 s under overload, then back down (§7)",
+	Puzzles: true,
 }
 
 func init() {

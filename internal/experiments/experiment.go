@@ -7,6 +7,8 @@ import (
 	"sync"
 	"time"
 
+	"github.com/tcppuzzles/tcppuzzles/defense"
+	"github.com/tcppuzzles/tcppuzzles/puzzle"
 	"github.com/tcppuzzles/tcppuzzles/sim/runner"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
@@ -25,7 +27,14 @@ type Experiment struct {
 	// CacheNS overrides the cache namespace when two experiments measure
 	// identical cells identically (figs. 10 and 11); empty means ID.
 	CacheNS string
-	// Cell measures one expanded grid cell.
+	// Flood measures a flood experiment's cell: the executor simulates
+	// the cell's scenario with RunFlood and hands Flood the completed
+	// run, its Cfg set to the cell's canonical scenario. Cells whose
+	// simulations read the same inputs share one run (see simKey).
+	// Exactly one of Flood and Cell is set.
+	Flood func(*FloodRun) ([]sweep.Metric, []sweep.Series)
+	// Cell measures one expanded cell of a model experiment, whose cells
+	// may read their index; every cell is its own job.
 	Cell Cell
 	// Render builds the table from the completed cells. It reads only
 	// the Results, so a fully cached run renders identically.
@@ -42,22 +51,22 @@ var Experiments = []Experiment{
 	{ID: "fig3a", Grid: fig3aGrid, Cell: fig3aCell, Render: fig3aTable},
 	{ID: "fig3b", Grid: fig3bGrid, Cell: fig3bCell, Render: fig3bTable},
 	{ID: "fig6", Grid: fig6Grid, Cell: fig6Cell, Render: fig6Table},
-	{ID: "fig7", Grid: fig7Grid, Cell: flood(floodComparisonMetrics), Render: floodComparisonTable("Fig 7 — SYN flood: throughput (Mbps)")},
-	{ID: "fig8", Grid: fig8Grid, Cell: flood(floodComparisonMetrics), Render: floodComparisonTable("Fig 8 — connection flood: throughput (Mbps)")},
-	{ID: "fig9", Grid: fig9Grid, Cell: flood(fig9Metrics), Render: fig9Table},
-	{ID: "fig10", Grid: fig10Grid, CacheNS: "fig10-11", Cell: flood(queueAndRateMetrics), Render: fig10Table},
-	{ID: "fig11", Grid: fig10Grid, CacheNS: "fig10-11", Cell: flood(queueAndRateMetrics), Render: fig11Table},
-	{ID: "fig12", Grid: fig12Grid, Cell: flood(fig12Metrics), Render: fig12Table},
-	{ID: "fig13", Grid: fig13Grid, Cell: flood(botnetSweepMetrics), Render: botnetSweepTable("Fig 13 — rate sweep (5 bots)")},
-	{ID: "fig14", Grid: fig14Grid, Cell: flood(botnetSweepMetrics), Render: botnetSweepTable("Fig 14 — botnet size sweep (5000 pps total)")},
-	{ID: "fig15", Grid: fig15Grid, Cell: flood(fig15Metrics), Render: fig15Table},
+	{ID: "fig7", Grid: fig7Grid, Flood: floodComparisonMetrics, Render: floodComparisonTable("Fig 7 — SYN flood: throughput (Mbps)")},
+	{ID: "fig8", Grid: fig8Grid, Flood: floodComparisonMetrics, Render: floodComparisonTable("Fig 8 — connection flood: throughput (Mbps)")},
+	{ID: "fig9", Grid: fig9Grid, Flood: fig9Metrics, Render: fig9Table},
+	{ID: "fig10", Grid: fig10Grid, CacheNS: "fig10-11", Flood: queueAndRateMetrics, Render: fig10Table},
+	{ID: "fig11", Grid: fig10Grid, CacheNS: "fig10-11", Flood: queueAndRateMetrics, Render: fig11Table},
+	{ID: "fig12", Grid: fig12Grid, Flood: fig12Metrics, Render: fig12Table},
+	{ID: "fig13", Grid: fig13Grid, Flood: botnetSweepMetrics, Render: botnetSweepTable("Fig 13 — rate sweep (5 bots)")},
+	{ID: "fig14", Grid: fig14Grid, Flood: botnetSweepMetrics, Render: botnetSweepTable("Fig 14 — botnet size sweep (5000 pps total)")},
+	{ID: "fig15", Grid: fig15Grid, Flood: fig15Metrics, Render: fig15Table},
 	{ID: "tab1", Grid: table1Grid, Cell: table1Cell, Render: table1Table},
 	{ID: "nash", Grid: nashGrid, Cell: nashCell, Render: nashTable},
-	{ID: "ablation-opportunistic", Grid: opportunisticGrid, Cell: flood(opportunisticMetrics), Render: opportunisticTable},
-	{ID: "ablation-solutionflood", Grid: solutionFloodGrid, Cell: flood(solutionFloodMetrics), Render: solutionFloodTable},
+	{ID: "ablation-opportunistic", Grid: opportunisticGrid, Flood: opportunisticMetrics, Render: opportunisticTable},
+	{ID: "ablation-solutionflood", Grid: solutionFloodGrid, Flood: solutionFloodMetrics, Render: solutionFloodTable},
 	{ID: "ablation-membound", Grid: memboundGrid, Cell: memboundCell, Render: memboundTable},
-	{ID: "ablation-adaptive", Grid: adaptiveGrid, Cell: flood(adaptiveMetrics), Render: adaptiveTable},
-	{ID: "armsrace", Grid: armsRaceGrid, Cell: flood(armsRaceMetrics), Render: armsRaceTable},
+	{ID: "ablation-adaptive", Grid: adaptiveGrid, Flood: adaptiveMetrics, Render: adaptiveTable},
+	{ID: "armsrace", Grid: armsRaceGrid, Flood: armsRaceMetrics, Render: armsRaceTable},
 }
 
 // ByID returns the registered experiment with the given id.
@@ -85,12 +94,21 @@ func (e Experiment) Run(scale Scale, exec Exec) ([]sweep.Result, error) {
 // wide) and returns one sweep.Result per cell in order, duplicates
 // included. A failure names the experiment and the cell.
 //
+// A flood experiment's cells that read the same simulation inputs
+// (simKey) form one runner job, which simulates once, at the group's
+// first cache miss, and measures every member that missed from that run.
+// No job waits on another, and every Result, cache entry and sink byte
+// is what a run of that cell alone gives.
+//
 // When exec.Cache is set, cells whose canonical scenario hash is already
-// stored skip Cell entirely (the cache's hit counter is the proof); when
-// exec.Sinks is set, each Result streams out in cell order as runs land —
-// the sweep.Stream reorder buffer keeps sink output byte-identical at
-// every worker count.
+// stored skip simulation and measurement entirely (the cache's hit
+// counter is the proof); when exec.Sinks is set, each Result streams out
+// in cell order as runs land — the sweep.Stream reorder buffer keeps sink
+// output byte-identical at every worker count.
 func (e Experiment) run(cells []Scenario, exec Exec) ([]sweep.Result, error) {
+	if (e.Flood == nil) == (e.Cell == nil) {
+		return nil, fmt.Errorf("experiments: %s: set exactly one of Flood and Cell", e.ID)
+	}
 	cacheNS := e.CacheNS
 	if cacheNS == "" {
 		cacheNS = e.ID
@@ -99,6 +117,7 @@ func (e Experiment) run(cells []Scenario, exec Exec) ([]sweep.Result, error) {
 	for i := range cells {
 		canon[i] = cells[i].Defaults()
 	}
+	groups := e.groups(canon)
 	results := make([]sweep.Result, len(cells))
 	stream := sweep.NewStream(exec.Sinks...)
 	// Process-wide peak heap across the grid's computed cells, sampled as
@@ -108,55 +127,92 @@ func (e Experiment) run(cells []Scenario, exec Exec) ([]sweep.Result, error) {
 		mu                         sync.Mutex
 		peakHeapAlloc, peakHeapSys uint64
 	)
-	stats, err := runner.ForEachStats(exec.Parallelism, len(cells), func(i int) error {
-		var logf func(format string, args ...any)
-		if exec.Debug != nil {
-			logf = func(format string, args ...any) {
-				mu.Lock()
-				defer mu.Unlock()
-				fmt.Fprintf(exec.Debug, "[%s] cell %q: "+format+"\n",
-					append([]any{e.ID, canon[i].Label}, args...)...)
-			}
-		}
+	stats, err := runner.ForEachStats(exec.Parallelism, len(groups), func(g int) error {
+		// The group's one simulation, run at its first miss and dropped
+		// when the job ends; from is the cell it was run for.
 		var (
-			metrics []sweep.Metric
-			series  []sweep.Series
-			cached  bool
+			run  *FloodRun
+			from int
 		)
-		if exec.Cache != nil {
-			metrics, series, cached = exec.Cache.Get(cacheNS, canon[i])
-		}
-		if !cached {
-			var err error
-			metrics, series, err = e.Cell(i, canon[i], logf)
-			if err != nil {
-				if canon[i].Label != "" {
-					// Name the failing grid cell; a bare job index doesn't
-					// identify which (k, m)/defense/rate was at fault.
-					return fmt.Errorf("scenario %q: %w", canon[i].Label, err)
+		measure := func(i int, logf func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+			if e.Cell != nil {
+				return e.Cell(i, canon[i], logf)
+			}
+			if run == nil {
+				var err error
+				if run, err = RunFlood(canon[i]); err != nil {
+					return nil, nil, err
 				}
-				return err
+				from = i
+				if logf != nil {
+					// Events fired and what the two event heaps held: timers
+					// and packet legs fired, deliver legs and train arrivals
+					// fired in place, deliver legs queued behind a downlink
+					// FIFO's head, cancelled timers, peak lengths.
+					q := run.Eng.Stats()
+					logf("events=%d timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d cancelled=%d peak-timers=%d peak-packets=%d",
+						run.Eng.Fired(), q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Discarded, q.PeakTimers, q.PeakPackets)
+				}
+			} else if logf != nil {
+				logf("measured from the run of cell %d %q", from, canon[from].Label)
 			}
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			mu.Lock()
-			peakHeapAlloc = max(peakHeapAlloc, ms.HeapAlloc)
-			peakHeapSys = max(peakHeapSys, ms.HeapSys)
-			mu.Unlock()
-			if logf != nil {
-				logf("heap-alloc=%dMiB heap-sys=%dMiB", ms.HeapAlloc>>20, ms.HeapSys>>20)
+			run.Cfg = canon[i]
+			metrics, series := e.Flood(run)
+			return metrics, series, nil
+		}
+		for _, i := range groups[g] {
+			var logf func(format string, args ...any)
+			if exec.Debug != nil {
+				logf = func(format string, args ...any) {
+					mu.Lock()
+					defer mu.Unlock()
+					fmt.Fprintf(exec.Debug, "[%s] cell %q: "+format+"\n",
+						append([]any{e.ID, canon[i].Label}, args...)...)
+				}
 			}
+			var (
+				metrics []sweep.Metric
+				series  []sweep.Series
+				cached  bool
+			)
 			if exec.Cache != nil {
-				if err := exec.Cache.Put(cacheNS, canon[i], metrics, series); err != nil {
+				metrics, series, cached = exec.Cache.Get(cacheNS, canon[i])
+			}
+			if !cached {
+				var err error
+				metrics, series, err = measure(i, logf)
+				if err != nil {
+					if canon[i].Label != "" {
+						// Name the failing grid cell; a bare job index doesn't
+						// identify which (k, m)/defense/rate was at fault.
+						return fmt.Errorf("scenario %q: %w", canon[i].Label, err)
+					}
 					return err
 				}
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				mu.Lock()
+				peakHeapAlloc = max(peakHeapAlloc, ms.HeapAlloc)
+				peakHeapSys = max(peakHeapSys, ms.HeapSys)
+				mu.Unlock()
+				if logf != nil {
+					logf("heap-alloc=%dMiB heap-sys=%dMiB", ms.HeapAlloc>>20, ms.HeapSys>>20)
+				}
+				if exec.Cache != nil {
+					if err := exec.Cache.Put(cacheNS, canon[i], metrics, series); err != nil {
+						return err
+					}
+				}
+			}
+			results[i] = sweep.Result{
+				Experiment: e.ID, Scenario: canon[i],
+				Metrics: metrics, Series: series,
+			}
+			if err := stream.Emit(i, results[i]); err != nil {
+				return err
 			}
 		}
-		results[i] = sweep.Result{
-			Experiment: e.ID, Scenario: canon[i],
-			Metrics: metrics, Series: series,
-		}
-		return stream.Emit(i, results[i])
+		return nil
 	})
 	if err != nil {
 		// The runner prefixes the lowest failing job's index; the cell
@@ -168,7 +224,8 @@ func (e Experiment) run(cells []Scenario, exec Exec) ([]sweep.Result, error) {
 	}
 	// Attach the pool's backpressure stats (shared across the grid) and
 	// narrate them when debugging. Exec is json-skipped and uncached, so
-	// sink bytes and determinism comparisons never see it.
+	// sink bytes and determinism comparisons never see it. Jobs counts
+	// groups, not cells.
 	pool := &sweep.ExecStats{
 		Workers:          stats.Workers,
 		Jobs:             stats.Jobs,
@@ -192,31 +249,48 @@ func (e Experiment) run(cells []Scenario, exec Exec) ([]sweep.Result, error) {
 	return results, nil
 }
 
-// flood is the Cell of every flood experiment: simulate the cell's
-// scenario with RunFlood, then measure the completed run with extract.
-func flood(extract func(*FloodRun) ([]sweep.Metric, []sweep.Series)) Cell {
-	return func(_ int, sc Scenario, logf func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
-		run, err := RunFlood(sc)
-		if err != nil {
-			return nil, nil, err
+// groups partitions the canonical cells into runner jobs, each a list of
+// cell indices, in grid order. A flood experiment's cells with one simKey
+// share a job; a model experiment's cells, which may read their index,
+// run one job each. The map only finds a key's group: iteration follows
+// the cells.
+func (e Experiment) groups(canon []Scenario) [][]int {
+	out := make([][]int, 0, len(canon))
+	if e.Flood == nil {
+		for i := range canon {
+			out = append(out, []int{i})
 		}
-		if logf != nil {
-			// Events fired and what the two event heaps held: timers and
-			// packet legs fired, deliver legs and train arrivals fired in
-			// place, deliver legs queued behind a downlink FIFO's head,
-			// cancelled timers, peak lengths.
-			q := run.Eng.Stats()
-			logf("events=%d timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d cancelled=%d peak-timers=%d peak-packets=%d",
-				run.Eng.Fired(), q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Discarded, q.PeakTimers, q.PeakPackets)
-		}
-		metrics, series := extract(run)
-		return metrics, series, nil
+		return out
 	}
+	group := make(map[Scenario]int, len(canon))
+	for i, sc := range canon {
+		k := simKey(sc)
+		if g, ok := group[k]; ok {
+			out[g] = append(out[g], i)
+			continue
+		}
+		group[k] = len(out)
+		out = append(out, []int{i})
+	}
+	return out
+}
+
+// simKey is what RunFlood can read of a canonical scenario: all of it but
+// the Label and the unread Shards, and but Params under a defense
+// registered without defense.Info.Puzzles, whose server may not read them.
+// Params that do not validate stay in the key, so they still fail every
+// cell that carries them, in the server's issuer.
+func simKey(sc Scenario) Scenario {
+	sc.Label, sc.Shards = "", 0
+	if info, ok := defense.Lookup(sc.Defense); ok && !info.Puzzles && sc.Params.Validate() == nil {
+		sc.Params = puzzle.Params{}
+	}
+	return sc
 }
 
 // sweepCells measures user-declared cells with the standard flood metric
 // set, cached under the "sweep" namespace.
-var sweepCells = Experiment{ID: "sweep", Cell: flood(StandardMetrics)}
+var sweepCells = Experiment{ID: "sweep", Flood: StandardMetrics}
 
 // RunSweep executes an arbitrary user-declared scenario grid, as declared,
 // with the standard flood metric set. It is the engine behind the public
@@ -225,9 +299,9 @@ func RunSweep(exec Exec, grid sweep.Grid) ([]sweep.Result, error) {
 	return RunCells(exec, grid.Expand(nil))
 }
 
-// RunCells is RunSweep over an explicit cell list: one Result per cell,
-// in order, with no deduplication. It is the engine behind sim.Run and
-// sim.RunAll.
+// RunCells is RunSweep over an explicit cell list: one Result per input,
+// in order; cells that simulate alike may share one simulation. It is the
+// engine behind sim.Run and sim.RunAll.
 func RunCells(exec Exec, cells []Scenario) ([]sweep.Result, error) {
 	return sweepCells.run(cells, exec)
 }

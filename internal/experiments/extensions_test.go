@@ -40,11 +40,11 @@ func TestAblationAdaptiveRaisesDifficulty(t *testing.T) {
 	// window. The cell also measures the late attack (75–105 s), once the
 	// controller has climbed.
 	e := mustExp(t, "ablation-adaptive")
-	e.Cell = flood(func(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
+	e.Flood = func(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 		metrics, series := adaptiveMetrics(run)
 		late := windowMean(run.AttackerEstablishedRate(), 75, 105)
 		return append(metrics, sweep.Metric{Name: "late_attack_cps", Value: late}), series
-	})
+	}
 	results, err := e.Run(tinyScale(), Exec{})
 	if err != nil {
 		t.Fatal(err)

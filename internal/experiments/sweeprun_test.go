@@ -64,6 +64,79 @@ func TestSinkOutputIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// Cells that differ only in puzzle difficulty under a defense that
+// issues no puzzles share one simulation: Defenses(cookies, puzzles) ×
+// Ms(12, 17) simulates three times, and every Result, cache entry and sink
+// byte is what the cell gives run alone. Not skipped under -short, so the
+// race job runs the grouped path.
+func TestSweepSimulatesEachDeploymentOnce(t *testing.T) {
+	grid := tinySweepGrid()
+	grid.Axes = []sweep.Axis{sweep.Defenses(DefenseCookies, DefensePuzzles), sweep.Ms(12, 17)}
+	cells := grid.Expand(nil)
+	sweepWith := func(exec Exec) ([]sweep.Result, string, string) {
+		t.Helper()
+		var debug strings.Builder
+		var out bytes.Buffer
+		exec.Debug, exec.Sinks = &debug, []sweep.Sink{sweep.NewNDJSON(&out)}
+		results, err := RunSweep(exec, grid)
+		if err != nil {
+			t.Fatalf("RunSweep: %v", err)
+		}
+		return results, debug.String(), out.String()
+	}
+	simulations := func(debug string) int { return strings.Count(debug, " events=") }
+
+	results, debug, ndjson := sweepWith(Exec{Parallelism: 1})
+	if n := simulations(debug); n != 3 {
+		t.Errorf("%d simulations, want 3 (the cookies cells share one):\n%s", n, debug)
+	}
+	if want := `cell "defense=cookies/m=17": measured from the run of cell 0 "defense=cookies/m=12"`; !strings.Contains(debug, want) {
+		t.Errorf("debug output lacks %q:\n%s", want, debug)
+	}
+	for i, cell := range cells {
+		alone, err := RunCells(Exec{}, []Scenario{cell})
+		if err != nil {
+			t.Fatalf("%s alone: %v", cell.Label, err)
+		}
+		got, want := results[i], alone[0]
+		got.Exec, want.Exec = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: grouped Result differs from the cell run alone", cell.Label)
+		}
+	}
+	if _, debug2, ndjson2 := sweepWith(Exec{Parallelism: 2}); ndjson2 != ndjson || simulations(debug2) != 3 {
+		t.Errorf("workers=2: NDJSON identical %v, %d simulations; want identical and 3", ndjson2 == ndjson, simulations(debug2))
+	}
+
+	// A group simulates at its first miss and skips its hits: with one
+	// cookies cell cached, the cookies group still simulates once, and a
+	// fully cached grid simulates nothing.
+	cache, err := sweep.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCells(Exec{Cache: cache}, cells[:1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct{ simulations, hits, misses int }{{3, 1, 3}, {0, 4, 0}} {
+		hits, misses := cache.Hits(), cache.Misses()
+		_, debug, out := sweepWith(Exec{Cache: cache, Parallelism: 2})
+		if got := simulations(debug); got != want.simulations || int(cache.Hits()-hits) != want.hits || int(cache.Misses()-misses) != want.misses || out != ndjson {
+			t.Errorf("cached pass: %d simulations, %d hits, %d misses, NDJSON identical %v; want %d, %d, %d, true",
+				got, cache.Hits()-hits, cache.Misses()-misses, out == ndjson, want.simulations, want.hits, want.misses)
+		}
+	}
+
+	// Invalid Params keep a cookies cell out of its valid neighbour's
+	// group: it still fails, naming itself.
+	bad := tinySweepGrid()
+	bad.Axes = []sweep.Axis{sweep.Defenses(DefenseCookies), sweep.Ms(12, 40)}
+	_, err = RunSweep(Exec{}, bad)
+	if want := `scenario "defense=cookies/m=40": experiments: server: serversim: issuer: puzzle: m=40`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("invalid params beside valid ones: error %v, want one containing %q", err, want)
+	}
+}
+
 // Cache behaviour at the executor level, with a synthetic compute so the
 // test proves "cache hit = zero compute" without any simulation.
 func TestRunCellsCacheSkipsCompute(t *testing.T) {
@@ -176,7 +249,7 @@ func TestFig10And11ShareCache(t *testing.T) {
 		t.Fatalf("fig10 hits=%d misses=%d, want 0/2", cache.Hits(), cache.Misses())
 	}
 	fig11 := mustExp(t, "fig11")
-	fig11.Cell = func(int, Scenario, func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+	fig11.Flood, fig11.Cell = nil, func(int, Scenario, func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
 		return nil, nil, fmt.Errorf("fig11 simulated despite cache hits")
 	}
 	f11, err := fig11.Run(TinyScale(), exec)
@@ -209,13 +282,13 @@ func TestFailuresNameExperimentAndCell(t *testing.T) {
 	bogus := tinySweepGrid()
 	bogus.Axes = []sweep.Axis{sweep.Defenses(DefenseCookies, "bogus")}
 	fig7 := mustExp(t, "fig7")
-	simulate := fig7.Cell
-	fig7.Cell = func(i int, sc Scenario, logf func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+	fig7.Flood, fig7.Cell = nil, func(_ int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
 		if sc.Label != "cookies" {
 			return nil, nil, nil
 		}
 		sc.Defense = "bogus"
-		return simulate(i, sc, logf)
+		_, err := RunFlood(sc)
+		return nil, nil, err
 	}
 	for _, tc := range []struct {
 		name string

@@ -1,6 +1,7 @@
 package serversim
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -42,7 +43,12 @@ func (c serverCtx) AcceptBacklog() int { return c.s.cfg.AcceptBacklog }
 func (c serverCtx) SynAckTimeout() time.Duration { return c.s.cfg.SynAckTimeout }
 
 // PuzzleParams implements defense.ServerCtx.
-func (c serverCtx) PuzzleParams() puzzle.Params { return c.s.cfg.PuzzleParams }
+func (c serverCtx) PuzzleParams() puzzle.Params {
+	if !c.s.puzzles {
+		c.s.noPuzzles("PuzzleParams")
+	}
+	return c.s.cfg.PuzzleParams
+}
 
 // ListenLen implements defense.ServerCtx.
 func (c serverCtx) ListenLen() int { return c.s.listenQ.Len() }
@@ -118,7 +124,19 @@ func (c serverCtx) ChargeHashes(n float64) { c.s.chargeHashes(n) }
 func (c serverCtx) Jar() *syncookie.Jar { return c.s.jar }
 
 // Puzzles implements defense.ServerCtx.
-func (c serverCtx) Puzzles() pzengine.Engine { return c.s.engine }
+func (c serverCtx) Puzzles() pzengine.Engine {
+	if !c.s.puzzles {
+		c.s.noPuzzles("Puzzles")
+	}
+	return c.s.engine
+}
+
+// noPuzzles enforces defense.Info.Puzzles: a defense registered without
+// it must not see the puzzle parameters or engine, because the executor
+// shares one simulation among cells that differ only in them.
+func (s *Server) noPuzzles(method string) {
+	panic(fmt.Sprintf("serversim: defense %q calls ServerCtx.%s but is registered without Info.Puzzles", s.cfg.Defense, method))
+}
 
 // SynCache implements defense.ServerCtx. The cache (4× backlog) is built
 // on first use, so defenses that never spill do not pay for its map.

@@ -61,6 +61,7 @@ type Server struct {
 	conns         map[tcpkit.PeerKey]*conn
 	freeConns     []*conn
 	protLatched   bool
+	puzzles       bool // the defense's Info.Puzzles; in protLatched's padding
 	latchLoadedAt time.Duration
 
 	// chunk is the unused tail of the bump buffer carve hands out.
@@ -119,6 +120,8 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 	s.acceptQ = tcpkit.NewAcceptQueue(cfg.AcceptBacklog, func(n int) {
 		s.metrics.AcceptLen.Set(eng.Now(), float64(n))
 	})
+	info, _ := defense.Lookup(cfg.Defense)
+	s.puzzles = info.Puzzles
 	d, err := defense.New(cfg.Defense, s.ctx())
 	if err != nil {
 		return nil, fmt.Errorf("serversim: %w", err)

@@ -2,7 +2,9 @@ package serversim
 
 import (
 	"bytes"
+	"fmt"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
+	"strings"
 	"testing"
 	"time"
 
@@ -552,6 +554,37 @@ func TestSysctlRetuning(t *testing.T) {
 	}
 	if blk.Challenge.Params != newParams {
 		t.Errorf("challenge params = %v, want %v", blk.Challenge.Params, newParams)
+	}
+}
+
+// A defense registered without Info.Puzzles must not see the puzzle
+// parameters or engine: the executor shares one simulation among cells
+// that differ only in them. Both accessors panic, naming the defense.
+func TestPuzzleAccessorsPanicWithoutPuzzlesFlag(t *testing.T) {
+	f := newFixture(t, Config{Defense: sweep.DefenseNone})
+	ctx := f.server.ctx()
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"PuzzleParams", func() { ctx.PuzzleParams() }},
+		{"Puzzles", func() { ctx.Puzzles() }},
+	} {
+		name, call := tc.name, tc.call
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, `"none"`) || !strings.Contains(msg, name) {
+					t.Errorf("%s on a none server: panic %q, want one naming %q and the call", name, msg, "none")
+				}
+			}()
+			call()
+		}()
+	}
+	// A puzzle-issuing defense still reads both.
+	p := newFixture(t, puzzleCfg(false)).server.ctx()
+	if p.PuzzleParams() != p.Puzzles().Params() {
+		t.Errorf("puzzles server: PuzzleParams %v, engine %v", p.PuzzleParams(), p.Puzzles().Params())
 	}
 }
 

@@ -109,8 +109,11 @@ func RunExperiment(id string, scale Scale, opts ...RunOption) ([]Table, error) {
 }
 
 // RunSweep executes a user-declared factorial design: the grid expands to
-// its deduplicated cells, each measured like a Run. Results stream to
-// WithSinks sinks in grid order as runs land and are cached under
+// its deduplicated cells, each measured like a Run. Cells whose
+// deployments are the same (they differ only in label, or only in puzzle
+// parameters under a defense that issues no puzzles) share one
+// simulation; each still gets the Result it would alone. Results stream
+// to WithSinks sinks in grid order as runs land and are cached under
 // WithCache, so re-running a sweep re-simulates only new cells.
 func RunSweep(grid sweep.Grid, opts ...RunOption) ([]sweep.Result, error) {
 	return experiments.RunSweep(execOf(opts), grid)

@@ -67,9 +67,10 @@ func Run(sc Scenario, opts ...RunOption) (sweep.Result, error) {
 }
 
 // RunAll executes independent scenarios on the work-stealing runner
-// (WithWorkers bounds it) and returns one result per scenario, in input
-// order, duplicates included. Results are bit-for-bit identical at every
-// worker count; parallelism divides wall-clock time only.
+// (WithWorkers bounds it) and returns one Result per input, in input
+// order; simulations may be shared among scenarios that simulate alike
+// (see RunSweep). Results are bit-for-bit identical at every worker
+// count; parallelism divides wall-clock time only.
 func RunAll(scs []Scenario, opts ...RunOption) ([]sweep.Result, error) {
 	return experiments.RunCells(execOf(opts), scs)
 }

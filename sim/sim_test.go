@@ -130,8 +130,9 @@ func TestRunAllMatchesSequentialRun(t *testing.T) {
 	}
 }
 
-// RunAll runs what it is given: a repeated scenario is not deduplicated
-// the way a grid's cells are.
+// RunAll returns one Result per input, in order: a repeated scenario is
+// not dropped the way a grid's duplicate cells are, though its copies may
+// share one simulation.
 func TestRunAllKeepsDuplicatesInOrder(t *testing.T) {
 	a, b := tinyScenario(), tinyScenario()
 	a.Label, b.Label = "a", "b"
