@@ -90,7 +90,9 @@ func Example() {
 	}
 	fmt.Printf("verified with %d hash operations — connection accepted\n", info.Hashes)
 
-	// A replay on a different flow is rejected.
+	// A replay on a different flow is rejected. The secret and clock are
+	// fixed, so the outcome is too (a random secret would let this replay
+	// pass with probability 2⁻²⁴, two 12-bit checks).
 	other := flow
 	other.SrcPort++
 	if err := issuer.Verify(other, blk.Solution); err != nil {

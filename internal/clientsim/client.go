@@ -319,17 +319,26 @@ func (c *Client) timeout(cc *cconn) {
 		c.sendSYN(cc)
 		c.armRTO(cc)
 	case stateEstablished:
+		// Response bytes delivered before now count before the attempt
+		// fails; see HandleAt.
+		c.net.Flush(c.cfg.Addr)
 		c.fail(cc)
 	}
 }
 
+// lookup returns the attempt a segment from the server is for, nil for
+// any other segment.
+func (c *Client) lookup(seg *tcpkit.Segment) *cconn {
+	if seg.Src != c.cfg.ServerAddr || seg.SrcPort != c.cfg.ServerPort {
+		return nil
+	}
+	return c.conns[uint32(seg.DstPort)]
+}
+
 // Handle implements netsim.Node.
 func (c *Client) Handle(seg tcpkit.Segment) {
-	if seg.Src != c.cfg.ServerAddr || seg.SrcPort != c.cfg.ServerPort {
-		return
-	}
-	cc, ok := c.conns[uint32(seg.DstPort)]
-	if !ok {
+	cc := c.lookup(&seg)
+	if cc == nil {
 		return
 	}
 	switch {
@@ -381,6 +390,9 @@ func (c *Client) solved() {
 	if job.cc.gen != job.gen || job.cc.state != stateSolving {
 		return
 	}
+	// The port may have had an earlier occupant whose response is still
+	// arriving; its bytes were not this attempt's (see HandleAt).
+	c.net.Flush(c.cfg.Addr)
 	c.finishHandshake(job.cc, job.serverISN, &job.challenge)
 }
 
@@ -441,6 +453,32 @@ func (c *Client) solutionFor(ch puzzle.Challenge) puzzle.Solution {
 		return puzzle.Solution{Params: ch.Params, Timestamp: ch.Timestamp}
 	}
 	return sol
+}
+
+// HandleAt implements netsim.DeferNode: a response segment before its
+// train's last, delivered at at and handed over later. It counts the
+// bytes as onData would. That is exact because what it changes — the
+// connection's byte count and BytesIn, which sums whole wire sizes, exact
+// in any order — is read only in Handle, and what it reads, the port's
+// connection and its state, changes outside Handle only after a Flush:
+// when the response timeout fails an attempt, and when a solve
+// establishes one. A segment that would complete a response is the
+// train's last, which netsim always delivers through Handle.
+func (c *Client) HandleAt(seg tcpkit.Segment, at time.Duration) {
+	cc := c.lookup(&seg)
+	switch {
+	case cc == nil:
+		return
+	case seg.Flags.Has(tcpkit.FlagSYN|tcpkit.FlagACK) || seg.Flags.Has(tcpkit.FlagRST):
+		panic("clientsim: a handshake or reset segment was deferred")
+	case !seg.Flags.Has(tcpkit.FlagACK) || seg.PayloadLen == 0 || cc.state != stateEstablished:
+		return
+	}
+	cc.gotBytes += seg.PayloadLen
+	if cc.gotBytes >= cc.wantBytes {
+		panic("clientsim: a deferred segment completed a response")
+	}
+	c.metrics.BytesIn.Add(at, float64(seg.WireSize()))
 }
 
 func (c *Client) onData(cc *cconn, seg tcpkit.Segment) {

@@ -3,6 +3,7 @@ package clientsim
 import (
 	"bytes"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
+	"slices"
 	"testing"
 	"time"
 
@@ -404,5 +405,39 @@ func TestClientResponseTimeout(t *testing.T) {
 	w.eng.Run(5 * time.Second)
 	if m := c.Metrics(); m.Failed != 1 || m.Completed != 0 || len(c.conns) != 0 {
 		t.Errorf("after 5 s: Failed = %d, Completed = %d, %d attempts open; want 1, 0, 0", m.Failed, m.Completed, len(c.conns))
+	}
+}
+
+// TestDeferredBytesCountBeforeTimeout: a response whose last segment the
+// client's shallow downlink drops never completes, and the response
+// timeout fails it with no delivery to the client in between. The bytes
+// of the segments that did arrive count, in their own buckets, exactly
+// as they do when every segment is delivered as an event — with a no-op
+// tap registered, which turns deferral off — because the client flushes
+// its deferred deliveries before it fails the attempt.
+func TestDeferredBytesCountBeforeTimeout(t *testing.T) {
+	run := func(tapped bool) (*Client, netsim.LinkStats) {
+		w := newWorld(t, serversim.Config{Defense: sweep.DefenseNone})
+		if tapped {
+			w.net.RegisterTap(func(time.Duration, netsim.TapDir, tcpkit.Segment) {})
+		}
+		shallow := netsim.LinkConfig{RateBps: 100e6, Latency: 2 * time.Millisecond, MaxBacklog: time.Millisecond}
+		c, err := New(w.eng, w.net, shallow, Config{Addr: [4]byte{10, 0, 1, 1}, ServerAddr: w.server.Addr(), Seed: 3, ResponseTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Connect()
+		w.eng.Run(5 * time.Second)
+		_, down, _ := w.net.Stats(c.Addr())
+		return c, down
+	}
+	got, down := run(false)
+	want, _ := run(true)
+	g, r := got.Metrics(), want.Metrics()
+	if g.Failed != 1 || g.Completed != 0 || down.Dropped == 0 {
+		t.Fatalf("Failed = %d, Completed = %d, downlink %+v: want the one attempt failed after drops", g.Failed, g.Completed, down)
+	}
+	if gv, rv := g.BytesIn.Values(5*time.Second), r.BytesIn.Values(5*time.Second); !slices.Equal(gv, rv) || gv[0] < 10*1448 {
+		t.Errorf("BytesIn = %v deferred, %v per segment; want equal, with the accepted segments' bytes", gv, rv)
 	}
 }

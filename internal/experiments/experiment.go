@@ -148,10 +148,11 @@ func (e Experiment) run(cells []Scenario, exec Exec) ([]sweep.Result, error) {
 					// Events fired and what the two event heaps held: timers
 					// and packet legs fired, deliver legs and train arrivals
 					// fired in place, deliver legs queued behind a downlink
-					// FIFO's head, cancelled timers, peak lengths.
+					// FIFO's head, train legs deferred instead of fired,
+					// cancelled timers, peak lengths.
 					q := run.Eng.Stats()
-					logf("events=%d timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d cancelled=%d peak-timers=%d peak-packets=%d",
-						run.Eng.Fired(), q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Discarded, q.PeakTimers, q.PeakPackets)
+					logf("events=%d timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d deferred=%d cancelled=%d peak-timers=%d peak-packets=%d",
+						run.Eng.Fired(), q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Deferred, q.Discarded, q.PeakTimers, q.PeakPackets)
 				}
 			} else if logf != nil {
 				logf("measured from the run of cell %d %q", from, canon[from].Label)

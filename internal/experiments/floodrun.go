@@ -33,6 +33,16 @@ type FloodRun struct {
 // concurrently (see Experiment.Run) with bit-for-bit identical results.
 // Every node of the deployment runs on one event engine.
 func RunFlood(sc Scenario) (*FloodRun, error) {
+	run, err := buildFlood(sc)
+	if err != nil {
+		return nil, err
+	}
+	run.Eng.RunToEnd(run.Cfg.Duration)
+	return run, nil
+}
+
+// buildFlood builds one flood scenario's deployment, ready to run.
+func buildFlood(sc Scenario) (*FloodRun, error) {
 	sc = sc.Defaults()
 	eng := netsim.NewEngine()
 	network := netsim.NewNetwork(eng)
@@ -102,8 +112,6 @@ func RunFlood(sc Scenario) (*FloodRun, error) {
 		// establishments from the population fold into one series.
 		srv.Metrics().AggregateSrcs(fleet.Contains)
 	}
-
-	network.Eng.RunToEnd(sc.Duration)
 	return run, nil
 }
 

@@ -84,13 +84,17 @@ func TestFloodCellBoundedMemory(t *testing.T) {
 // TestEngineStatsPinned pins the queue counters of one tiny-scale cell:
 // what fired, by kind, how many deliver legs and train arrivals fired in
 // place, how many deliver legs waited behind a downlink FIFO's head, how
-// many cancelled timers had come to the front of a queue by the end and
-// how long each heap got. The packet heap peaks at 9 because each
-// downlink holds one deliver leg in it; it peaked at 183 while every
-// queued segment's leg waited there.
+// many train legs to the clients were deferred instead of fired, how many
+// cancelled timers had come to the front of a queue by the end and how
+// long each heap got. The packet heap peaks at 9 because each downlink
+// holds one deliver leg in it; it peaked at 183 while every queued
+// segment's leg waited there. Before deferred train delivery the cell
+// fired 198,087 packet legs (66,460 arrivals and 23,601 deliver legs in
+// place, 74,366 deliver legs queued); fired and deferred legs still add
+// up to that.
 func TestEngineStatsPinned(t *testing.T) {
 	base := tinyScale().Apply(Scenario{Label: "stats", ClientsSolve: true, BotsSolve: true})
-	want := netsim.EngineStats{TimersFired: 13229, PacketLegsFired: 198087, InPlace: 23601, ArrivalsInPlace: 66460, DeliversQueued: 74366, Discarded: 2822, PeakTimers: 490, PeakPackets: 9}
+	want := netsim.EngineStats{TimersFired: 13229, PacketLegsFired: 50683, InPlace: 23772, ArrivalsInPlace: 840, DeliversQueued: 114, Deferred: 147404, Discarded: 2822, PeakTimers: 490, PeakPackets: 9}
 	run, err := RunFlood(base)
 	if err != nil {
 		t.Fatalf("RunFlood: %v", err)
@@ -102,6 +106,9 @@ func TestEngineStatsPinned(t *testing.T) {
 	if fired := run.Eng.Fired(); got.TimersFired+got.PacketLegsFired != fired || max(got.InPlace, got.ArrivalsInPlace) > got.PacketLegsFired/2 {
 		t.Errorf("%+v does not add up to the %d events fired", got, fired)
 	}
+	if legs := got.PacketLegsFired + got.Deferred; legs != 198087 {
+		t.Errorf("%d packet legs fired or deferred, want the 198,087 one event per leg fires", legs)
+	}
 
 	// The -verbose line carries them; the sinks never do.
 	var debug, out strings.Builder
@@ -109,7 +116,7 @@ func TestEngineStatsPinned(t *testing.T) {
 	if _, err := RunSweep(exec, sweep.Grid{Base: base}); err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
-	const line = "timers=13229 packet-legs=198087 in-place=23601 arrivals-in-place=66460 delivers-queued=74366 cancelled=2822 peak-timers=490 peak-packets=9"
+	const line = "timers=13229 packet-legs=50683 in-place=23772 arrivals-in-place=840 delivers-queued=114 deferred=147404 cancelled=2822 peak-timers=490 peak-packets=9"
 	if !strings.Contains(debug.String(), line) {
 		t.Errorf("debug output lacks %q:\n%s", line, debug.String())
 	}

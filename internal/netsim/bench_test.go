@@ -172,27 +172,34 @@ func BenchmarkEngineHold(b *testing.B) {
 	}
 }
 
+// deferBenchSink is a benchSink that takes deferred train legs.
+type deferBenchSink struct{ benchSink }
+
+func (s *deferBenchSink) HandleAt(tcpkit.Segment, time.Duration) { s.got++ }
+
 // BenchmarkTrain measures the paper's response path: one 100 kB response
 // as 69 MSS segments over the 1 Gbps server link to a 100 Mbps client,
-// sent as one SendTrain ("train") and as 69 Sends ("singles"), and driven
+// sent as one SendTrain ("train"), as 69 Sends ("singles"), and as one
+// SendTrain to a client that implements DeferNode ("deferred"), and driven
 // by Run as a simulation is, so the in-place legs are taken. One op is one
 // response; ns/segment and allocs/segment divide by the 69 segments.
 func BenchmarkTrain(b *testing.B) {
 	const segments, lastLen = 69, 100_000 - 68*1460
-	for _, train := range []bool{true, false} {
-		name := "singles"
-		if train {
-			name = "train"
-		}
+	for _, name := range []string{"train", "singles", "deferred"} {
+		train := name != "singles"
 		b.Run(name, func(b *testing.B) {
 			eng := NewEngine()
 			net := NewNetwork(eng)
 			srv := &benchSink{addr: Addr{10, 0, 0, 1}}
-			cli := &benchSink{addr: Addr{10, 0, 0, 2}}
+			cli := &deferBenchSink{benchSink{addr: Addr{10, 0, 0, 2}}}
+			var node Node = &cli.benchSink
+			if name == "deferred" {
+				node = cli
+			}
 			if err := net.Attach(srv, DefaultServerLink()); err != nil {
 				b.Fatal(err)
 			}
-			if err := net.Attach(cli, DefaultHostLink()); err != nil {
+			if err := net.Attach(node, DefaultHostLink()); err != nil {
 				b.Fatal(err)
 			}
 			seg := tcpkit.Segment{

@@ -37,6 +37,16 @@
 // only its head waits in the packet heap: the packet heap holds trains and
 // one leg per busy downlink, not every segment a slower downlink has yet
 // to serialise. See docs/PERFORMANCE.md "Deliver FIFOs".
+//
+// A node that does nothing with a train's segments but the last except
+// count them — the benign client, whose 100 kB responses are most of a
+// figure grid's packet legs — can implement DeferNode. Then a train fires
+// its arrival event twice, at its first segment and at its last; the
+// segments between are offered to the downlink lazily, in arrival-key
+// order, before anything could read that downlink, and their deliver legs
+// are recorded on the port and handed to HandleAt before the node's next
+// real delivery, a Flush or the end of the Run. Taps turn this off. See
+// docs/PERFORMANCE.md "Deferred train delivery".
 package netsim
 
 import (
@@ -179,6 +189,11 @@ type Engine struct {
 	// net dispatches kindArrival/kindDeliver events; set when the engine
 	// is owned by a Network. A standalone engine only sees kindFunc.
 	net *Network
+	// stepArr, stepSrc and stepSeq keep the arrival key of the event the
+	// last Step fired, when it was an arrival, for horizon; a Run clears
+	// stepArr.
+	stepArr          bool
+	stepSrc, stepSeq uint64
 }
 
 // NewEngine returns an engine at time zero.
@@ -453,15 +468,23 @@ func (e *Engine) live() *eventHeap {
 
 // Step fires the next pending event and reports whether one existed. It
 // panics if that event is past the end RunToEnd declared.
+//
+// When nothing is left to fire, it hands over the deferred legs still
+// held for DeferNodes (see DeferNode) and reports false.
 func (e *Engine) Step() bool {
 	h := e.live()
 	if h == nil {
+		if e.net != nil && len(e.net.deferring) > 0 {
+			e.net.settle(1<<63 - 1)
+		}
 		return false
 	}
 	if e.end != 0 && (*h)[0].at >= e.end {
 		panic("netsim: Step past the engine's declared end")
 	}
-	e.fire(h.pop())
+	ev := h.pop()
+	e.stepArr, e.stepSrc, e.stepSeq = ev.kind == kindArrival, ev.src, ev.seq
+	e.fire(ev)
 	return true
 }
 
@@ -470,14 +493,17 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Run fires all events scheduled at or before until and then advances the
 // clock to until. Cancelled events are discarded before the time check, so
-// a cancelled head never lets a later live event fire past until. It
-// panics if until is past the end RunToEnd declared.
+// a cancelled head never lets a later live event fire past until. Deferred
+// train segments arriving and delivered at or before until are offered
+// and handed over before it returns (see DeferNode). It panics if until is
+// past the end RunToEnd declared.
 func (e *Engine) Run(until time.Duration) {
 	end := exclusive(until)
 	if e.end != 0 && end > e.end {
 		panic("netsim: Run past the engine's declared end")
 	}
 	e.limit = end
+	e.stepArr = false
 	for {
 		h := e.live()
 		if h == nil || (*h)[0].at >= end {
@@ -486,6 +512,9 @@ func (e *Engine) Run(until time.Duration) {
 		e.fire(h.pop())
 	}
 	e.limit = 0
+	if e.net != nil {
+		e.net.settle(end)
+	}
 	if e.now < until {
 		e.now = until
 	}
@@ -493,13 +522,17 @@ func (e *Engine) Run(until time.Duration) {
 
 // RunToEnd is the final Run: until is the last instant the engine will
 // ever reach, and a later Run or Step past it panics. Jobs a RunQueue
-// would complete after until are counted there, not stored. An end once
+// would complete after until are counted there, not stored, and deferred
+// train segments due after it are dropped with their buffers. An end once
 // declared stands.
 func (e *Engine) RunToEnd(until time.Duration) {
 	if e.end == 0 {
 		e.end = exclusive(until)
 	}
 	e.Run(until)
+	if e.net != nil && exclusive(until) == e.end {
+		e.net.dropDeferred()
+	}
 }
 
 // exclusive returns the exclusive time bound of a run to until.
@@ -511,9 +544,16 @@ func exclusive(until time.Duration) time.Duration {
 }
 
 // Pending returns the number of events yet to fire, possibly cancelled:
-// both heaps together, and the deliver legs waiting behind the heads of
-// the downlink FIFOs.
-func (e *Engine) Pending() int { return len(e.timers) + len(e.packets) + e.held }
+// both heaps together, the deliver legs waiting behind the heads of the
+// downlink FIFOs, and the deferred deliver legs not yet due (see
+// DeferNode).
+func (e *Engine) Pending() int {
+	n := len(e.timers) + len(e.packets) + e.held
+	if e.net != nil {
+		n += e.net.deferredPending()
+	}
+	return n
+}
 
 // EngineStats counts what an engine's pending queue did. Every field is a
 // pure function of the simulation — observability for -verbose runs and
@@ -528,8 +568,13 @@ type EngineStats struct {
 	// DeliversQueued counts deliver legs that waited in a downlink FIFO
 	// behind its head before entering the heap (see deliver).
 	DeliversQueued uint64
-	Discarded      uint64 // cancelled events dropped on reaching the front
-	PeakTimers     int    // longest the timer heap has been
+	// Deferred counts the packet legs of trains to DeferNodes that no
+	// event fired: middle segments offered to the downlink lazily, and
+	// deliver legs handed to HandleAt. PacketLegsFired + Deferred is what
+	// one event per leg would have fired.
+	Deferred   uint64
+	Discarded  uint64 // cancelled events dropped on reaching the front
+	PeakTimers int    // longest the timer heap has been
 	// PeakPackets is the longest the packet heap has been. It is not the
 	// most packets in flight: a train waits in the heap as one event
 	// however many of its segments are still to arrive, and a downlink as

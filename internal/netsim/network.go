@@ -100,6 +100,11 @@ type port struct {
 	// lastLeg is the tail of the downlink's FIFO of pending deliver legs,
 	// nil when none is pending (see Engine.deliver).
 	lastLeg *Event
+	// deferTo is node when it implements DeferNode, and dq its open
+	// trains and deferred legs. The packet paths test deferTo, which
+	// shares a cache line with store and lastLeg, before they touch dq.
+	deferTo DeferNode
+	dq      deferQueue
 }
 
 // downLatency returns the propagation delay of the destination's
@@ -156,6 +161,9 @@ type Network struct {
 	ports  map[Addr]*port
 	stores []*SourceStore
 	taps   []Tap
+	// deferring lists the ports whose node implements DeferNode, in
+	// attach order.
+	deferring []*port
 
 	// seq numbers every routed packet, a train's segments consecutively;
 	// with the sender's address it forms the canonical arrival-ordering
@@ -217,12 +225,26 @@ func (n *Network) Attach(node Node, link LinkConfig) error {
 			return fmt.Errorf("netsim: address %v falls inside macro source range at %v", addr, s.base)
 		}
 	}
-	n.ports[addr] = &port{node: node, up: xmitter{cfg: link}, down: xmitter{cfg: link}}
+	p := &port{node: node, up: xmitter{cfg: link}, down: xmitter{cfg: link}}
+	if d, ok := node.(DeferNode); ok {
+		p.deferTo = d
+		n.deferring = append(n.deferring, p)
+	}
+	n.ports[addr] = p
 	return nil
 }
 
-// RegisterTap adds a packet observer.
-func (n *Network) RegisterTap(t Tap) { n.taps = append(n.taps, t) }
+// RegisterTap adds a packet observer. A tap turns train deferral off (see
+// DeferNode); it panics if a deferred train is still in flight, whose
+// segments the tap could no longer see at their instants.
+func (n *Network) RegisterTap(t Tap) {
+	for _, p := range n.deferring {
+		if p.dq.pending() {
+			panic("netsim: RegisterTap while a deferred train is in flight")
+		}
+	}
+	n.taps = append(n.taps, t)
+}
 
 func (n *Network) tap(at time.Duration, dir TapDir, seg *tcpkit.Segment) {
 	if len(n.taps) > 0 {
@@ -346,49 +368,63 @@ func (n *Network) send(up *xmitter, origin Addr, seg *tcpkit.Segment, count, las
 // the leg fires. A bare Step has no bound (limit is zero), so it never
 // takes the shortcut. Keys within a train ascend, so holding back all but the
 // next arrival cannot reorder a pop (the RunQueue argument).
+//
+// A destination that implements DeferNode, while no tap is registered,
+// first gets the middle segments of its open trains that arrive before
+// this one, and takes the rest of a train with more than one segment to
+// go as deferred work (see deferTrain): the train's next arrival is then
+// its last.
 func (n *Network) runArrival(e *Engine, ev *Event) {
 	for {
 		p := &ev.pkt
+		dst := p.dst
+		if dst.deferTo != nil && dst.dq.open > 0 {
+			n.catchUp(dst, ev.at, ev.src, ev.seq)
+		}
 		var departDown time.Duration
 		var ok bool
-		if st := p.dst.store; st != nil {
+		if st := dst.store; st != nil {
 			departDown, ok = st.downTransmit(p.slot, e.now, int(p.size))
 		} else {
-			departDown, ok = p.dst.down.transmit(e.now, int(p.size))
+			departDown, ok = dst.down.transmit(e.now, int(p.size))
 		}
-		var d *Event // this segment's deliver leg
-		switch {
-		case !ok:
-			n.tap(e.now, TapDrop, &p.seg)
-		case p.left == 0:
-			d = ev
-		default:
-			d = e.alloc()
-			d.pkt = *p
-		}
-		if d != nil {
-			d.kind = kindDeliver
-			d.at = departDown // transmit never departs before now
-			d.seq = e.seq
-			e.seq++
-		}
-		if p.left == 0 {
-			if d == nil {
-				e.recycle(ev)
-			} else {
-				e.deliver(d, nil)
+		if p.left > 0 && dst.deferTo != nil && len(n.taps) == 0 {
+			n.deferTrain(ev, departDown, ok)
+		} else {
+			var d *Event // this segment's deliver leg
+			switch {
+			case !ok:
+				n.tap(e.now, TapDrop, &p.seg)
+			case p.left == 0:
+				d = ev
+			default:
+				d = e.alloc()
+				d.pkt = *p
 			}
-			return
-		}
-		p.left--
-		if p.left == 0 {
-			p.seg.PayloadLen = int(p.lastLen)
-		}
-		p.size = int32(p.seg.WireSize())
-		ev.at += serialise(int(p.size), p.rate)
-		ev.seq++
-		if d != nil {
-			e.deliver(d, ev)
+			if d != nil {
+				d.kind = kindDeliver
+				d.at = departDown // transmit never departs before now
+				d.seq = e.seq
+				e.seq++
+			}
+			if p.left == 0 {
+				if d == nil {
+					e.recycle(ev)
+				} else {
+					e.deliver(d, nil)
+				}
+				return
+			}
+			p.left--
+			if p.left == 0 {
+				p.seg.PayloadLen = int(p.lastLen)
+			}
+			p.size = int32(p.seg.WireSize())
+			ev.at += serialise(int(p.size), p.rate)
+			ev.seq++
+			if d != nil {
+				e.deliver(d, ev)
+			}
 		}
 		if ev.at < e.limit && e.before(ev) {
 			e.stats.ArrivalsInPlace++
@@ -404,6 +440,9 @@ func (n *Network) runArrival(e *Engine, ev *Event) {
 // runDeliver fires the final leg (kindDeliver): tap, then hand the
 // segment to the destination node.
 func (n *Network) runDeliver(e *Engine, p packet) {
+	if p.dst.deferTo != nil && p.dst.dq.head < len(p.dst.dq.legs) {
+		n.drain(p.dst, e.now)
+	}
 	n.tap(e.now, TapDeliver, &p.seg)
 	if st := p.dst.store; st != nil {
 		st.handler(p.slot, p.seg)
@@ -437,6 +476,10 @@ func (n *Network) Stats(addr Addr) (up, down LinkStats, ok bool) {
 	p, found := n.ports[addr]
 	if !found {
 		return LinkStats{}, LinkStats{}, false
+	}
+	if p.dq.open > 0 {
+		at, src, seq := n.Eng.horizon()
+		n.catchUp(p, at, src, seq)
 	}
 	return p.up.stats, p.down.stats, true
 }

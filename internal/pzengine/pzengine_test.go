@@ -164,26 +164,39 @@ func TestSimAndRealDecideAlike(t *testing.T) {
 	const now = 1_700_000_000
 	cases := []struct {
 		name   string
-		mutate func(flow *puzzle.FlowID, sol *puzzle.Solution)
+		mutate func(flow *puzzle.FlowID, sol *puzzle.Solution, genuine puzzle.Solution)
 		want   error
 		hashes int
 	}{
-		{"valid", func(*puzzle.FlowID, *puzzle.Solution) {}, nil, 3},
-		{"replayed ACK", func(*puzzle.FlowID, *puzzle.Solution) {}, nil, 3},
-		{"wrong flow", func(f *puzzle.FlowID, _ *puzzle.Solution) { f.SrcPort++ }, puzzle.ErrBadSolution, 2},
-		{"expired", func(_ *puzzle.FlowID, s *puzzle.Solution) { s.Timestamp -= 3600 }, puzzle.ErrExpired, 0},
-		{"future timestamp", func(_ *puzzle.FlowID, s *puzzle.Solution) { s.Timestamp += 3600 }, puzzle.ErrFutureTimestamp, 0},
-		{"param mismatch", func(_ *puzzle.FlowID, s *puzzle.Solution) { s.Params.M++ }, puzzle.ErrParamMismatch, 0},
-		{"wrong count", func(_ *puzzle.FlowID, s *puzzle.Solution) { s.Solutions = s.Solutions[:1] }, puzzle.ErrWrongCount, 1},
-		{"wrong length, first", func(_ *puzzle.FlowID, s *puzzle.Solution) {
+		{"valid", func(*puzzle.FlowID, *puzzle.Solution, puzzle.Solution) {}, nil, 3},
+		{"replayed ACK", func(*puzzle.FlowID, *puzzle.Solution, puzzle.Solution) {}, nil, 3},
+		{"wrong flow", func(f *puzzle.FlowID, _ *puzzle.Solution, _ puzzle.Solution) { f.SrcPort++ }, puzzle.ErrBadSolution, 2},
+		{"expired", func(_ *puzzle.FlowID, s *puzzle.Solution, _ puzzle.Solution) { s.Timestamp -= 3600 }, puzzle.ErrExpired, 0},
+		{"future timestamp", func(_ *puzzle.FlowID, s *puzzle.Solution, _ puzzle.Solution) { s.Timestamp += 3600 }, puzzle.ErrFutureTimestamp, 0},
+		{"param mismatch", func(_ *puzzle.FlowID, s *puzzle.Solution, _ puzzle.Solution) { s.Params.M++ }, puzzle.ErrParamMismatch, 0},
+		{"wrong count", func(_ *puzzle.FlowID, s *puzzle.Solution, _ puzzle.Solution) { s.Solutions = s.Solutions[:1] }, puzzle.ErrWrongCount, 1},
+		{"wrong length, first", func(_ *puzzle.FlowID, s *puzzle.Solution, _ puzzle.Solution) {
 			s.Solutions = [][]byte{s.Solutions[0][:2], s.Solutions[1]}
 		}, puzzle.ErrWrongLength, 1},
-		{"wrong length, second", func(_ *puzzle.FlowID, s *puzzle.Solution) {
+		{"wrong length, second", func(_ *puzzle.FlowID, s *puzzle.Solution, _ puzzle.Solution) {
 			s.Solutions = [][]byte{s.Solutions[0], s.Solutions[1][:2]}
 		}, puzzle.ErrWrongLength, 2},
-		{"garbage bits", func(_ *puzzle.FlowID, s *puzzle.Solution) {
+		{"garbage bits", func(_ *puzzle.FlowID, s *puzzle.Solution, _ puzzle.Solution) {
 			s.Solutions = [][]byte{{0xde, 0xad, 0xbe, 0xef}, {0xde, 0xad, 0xbe, 0xef}}
 		}, puzzle.ErrBadSolution, 2},
+		// Mixed ACKs: the engine's own solution (canonical for Sim,
+		// genuine for Real) beside a genuine one or garbage. Sim accepts
+		// each solution that is canonical or genuine, and charges, as Real
+		// does, one hash per solution checked up to the first failure.
+		{"own then garbage", func(_ *puzzle.FlowID, s *puzzle.Solution, _ puzzle.Solution) {
+			s.Solutions = [][]byte{s.Solutions[0], {0xde, 0xad, 0xbe, 0xef}}
+		}, puzzle.ErrBadSolution, 3},
+		{"genuine then own", func(_ *puzzle.FlowID, s *puzzle.Solution, g puzzle.Solution) {
+			s.Solutions = [][]byte{g.Solutions[0], s.Solutions[1]}
+		}, nil, 3},
+		{"own then genuine", func(_ *puzzle.FlowID, s *puzzle.Solution, g puzzle.Solution) {
+			s.Solutions = [][]byte{s.Solutions[0], g.Solutions[1]}
+		}, nil, 3},
 	}
 	secret := []byte("0123456789abcdef0123456789abcdef")
 	clock := puzzle.WithClock(func() time.Time { return time.Unix(now, 0) })
@@ -213,8 +226,13 @@ func TestSimAndRealDecideAlike(t *testing.T) {
 			for _, tc := range cases {
 				t.Run(engineName+" over "+issuerName+"/"+tc.name, func(t *testing.T) {
 					f := flow()
-					sol := e.solve(e.eng.Issue(f))
-					tc.mutate(&f, &sol)
+					ch := e.eng.Issue(f)
+					sol := e.solve(ch)
+					genuine, _, err := puzzle.Solve(ch)
+					if err != nil {
+						t.Fatalf("Solve: %v", err)
+					}
+					tc.mutate(&f, &sol, genuine)
 					info, err := e.eng.Verify(f, sol)
 					if !errors.Is(err, tc.want) || (tc.want == nil && err != nil) {
 						t.Errorf("Verify error = %v, want %v", err, tc.want)

@@ -306,7 +306,7 @@ func VerifySolutions(preimage []byte, params Params, solutions [][]byte) (checke
 				i+1, len(s), params.SolutionBytes(), ErrWrongLength)
 		}
 		checked++
-		if !solutionValid(preimage, params, uint8(i+1), s) {
+		if !SolutionValid(preimage, params, uint8(i+1), s) {
 			return checked, fmt.Errorf("puzzle: solution %d fails %d-bit check: %w",
 				i+1, params.M, ErrBadSolution)
 		}
@@ -314,9 +314,10 @@ func VerifySolutions(preimage []byte, params Params, solutions [][]byte) (checke
 	return checked, nil
 }
 
-// solutionValid reports whether the first M bits of h(P || i || s) equal the
-// first M bits of P.
-func solutionValid(preimage []byte, params Params, index uint8, s []byte) bool {
+// SolutionValid reports whether s genuinely solves sub-puzzle index
+// (counted from 1) of the puzzle on preimage P: whether the first M bits
+// of h(P || index || s) equal the first M bits of P.
+func SolutionValid(preimage []byte, params Params, index uint8, s []byte) bool {
 	digest := solutionDigest(preimage, index, s)
 	return leadingBitsEqual(digest[:], preimage, int(params.M))
 }

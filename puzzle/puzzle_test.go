@@ -76,27 +76,37 @@ func TestVerifyDetailedAccounting(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsWrongFlow: a solution is bound to the flow it was
+// issued for. Each altered field moves the preimage, which is the exact
+// binding; and Verify rejects the solution replayed on each altered flow.
+// The replays run at k = 4, m = 12, where a solution passes for another
+// preimage only by chance, with probability 2⁻¹² per sub-solution, so a
+// replay is falsely accepted with probability 2⁻⁴⁸ (at easyParams' k = 2,
+// m = 4 it was 2⁻⁸, and this test failed about once in 85 runs).
 func TestVerifyRejectsWrongFlow(t *testing.T) {
-	is := testIssuer(t)
+	is := testIssuer(t, WithParams(Params{K: 4, M: 12, L: 64}))
 	flow := testFlow()
-	sol, _, err := Solve(is.Issue(flow))
+	ch := is.Issue(flow)
+	sol, _, err := Solve(ch)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	other := flow
-	other.SrcPort++
-	if err := is.Verify(other, sol); err == nil {
-		t.Error("Verify accepted a solution replayed on a different flow")
-	}
-	other = flow
-	other.ISN++
-	if err := is.Verify(other, sol); err == nil {
-		t.Error("Verify accepted a solution replayed with a different ISN")
-	}
-	other = flow
-	other.SrcIP[3]++
-	if err := is.Verify(other, sol); err == nil {
-		t.Error("Verify accepted a solution replayed from a different source IP")
+	for _, alter := range []struct {
+		field string
+		apply func(*FlowID)
+	}{
+		{"source port", func(f *FlowID) { f.SrcPort++ }},
+		{"ISN", func(f *FlowID) { f.ISN++ }},
+		{"source IP", func(f *FlowID) { f.SrcIP[3]++ }},
+	} {
+		other := flow
+		alter.apply(&other)
+		if bytes.Equal(is.PreimageFor(other, ch.Timestamp), ch.Preimage) {
+			t.Errorf("a different %s leaves the preimage unchanged", alter.field)
+		}
+		if err := is.Verify(other, sol); err == nil {
+			t.Errorf("Verify accepted a solution replayed with a different %s", alter.field)
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func (sv *Solver) solveOne(
 			return nil, n, fmt.Errorf("puzzle: %d hashes spent: %w", spent+n, ErrBudgetExhausted)
 		}
 		encodeCandidate(candidate, start+n)
-		if solutionValid(ch.Preimage, ch.Params, index, candidate) {
+		if SolutionValid(ch.Preimage, ch.Params, index, candidate) {
 			out := make([]byte, solBytes)
 			copy(out, candidate)
 			return out, n + 1, nil

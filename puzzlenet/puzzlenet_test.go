@@ -89,7 +89,9 @@ func TestNonSolvingClientRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	// Ignore the challenge and send raw application bytes: the listener
-	// must reject (garbage is not a SOLUTION frame) and close.
+	// must reject (garbage is not a SOLUTION frame) and close. The frame
+	// type decides before any hash, so the random secret cannot make it
+	// accept: false-accept probability 0.
 	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
@@ -129,7 +131,9 @@ func TestBogusSolutionRejected(t *testing.T) {
 	if err != nil || frameType != frameChallenge {
 		t.Fatalf("greeting = 0x%02x, %v", frameType, err)
 	}
-	// Fabricate a structurally valid but wrong solution.
+	// Fabricate a structurally valid but wrong solution. Its timestamp is
+	// zero, so Verify fails it as expired before hashing anything: the
+	// random secret cannot make it pass, false-accept probability 0.
 	garbage := make([]byte, 2+3+4+int(testParams.K)*testParams.SolutionBytes())
 	garbage[0] = 0xfd
 	garbage[1] = byte(len(garbage))

@@ -112,6 +112,8 @@ func TestSolutionVerifiesAfterWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSolution: %v", err)
 	}
+	// An acceptance, the package's one Verify under a random secret: no
+	// rejection here can pass by chance.
 	if err := is.Verify(flow, got.Solution); err != nil {
 		t.Fatalf("Verify after wire round trip: %v", err)
 	}
