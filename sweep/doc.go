@@ -27,7 +27,9 @@
 //     rows, one per scalar metric), NewNDJSON (one JSON object per cell,
 //     including series), and NewTable (the aligned pretty-printer).
 //     Stream re-orders concurrent completions so sink output is always in
-//     grid order — byte-identical at every worker count.
+//     grid order — byte-identical at every worker count. The CSV and
+//     NDJSON records are encoded by the goroutine that emits the cell;
+//     under Stream's lock they are only written.
 //
 //   - Cache is a content-addressed result store keyed by Hash — a stable
 //     SHA-256 of the canonical (post-Defaults) Scenario plus the
