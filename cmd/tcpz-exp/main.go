@@ -1,7 +1,8 @@
 // Command tcpz-exp runs the paper's experiments and emits their results.
-// Each experiment's scenario grid fans out across the work-stealing
-// runner; -workers bounds the pool (0 = all cores). Results are identical
-// at every worker count.
+// The selected experiments run as one plan: every grid's cells fan out
+// across one work-stealing runner pool, and a deployment several
+// experiments read (-exp all) is simulated once; -workers bounds the pool
+// (0 = all cores). Results are identical at every worker count.
 //
 // Besides the default pretty tables, -format csv|json streams every grid
 // cell's structured result (long-format CSV rows, or NDJSON including the
@@ -15,8 +16,9 @@
 // is registered, tagging the defenses that issue puzzles "[puzzles]" (a
 // sweep simulates cells that differ only in puzzle parameters under any
 // other defense once). -verbose narrates execution on stderr: per-cell event
-// counts and heap usage, and runner-pool backpressure with the grid's
-// peak heap — the memory headroom signal for macro-source scale runs.
+// counts and heap usage, and one runner line per invocation with the
+// pool's backpressure and the plan's peak heap — the memory headroom
+// signal for macro-source scale runs.
 //
 // Usage:
 //
@@ -147,25 +149,20 @@ func run(args []string, stdout io.Writer) (err error) {
 		opts = append(opts, sim.WithSinks(sink))
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = sim.ExperimentIDs()
+	start := time.Now()
+	ts, err := sim.RunExperiment(*exp, sim.Scale(*scale), opts...)
+	if err != nil {
+		return err
 	}
-	for _, id := range ids {
-		start := time.Now()
-		ts, err := sim.RunExperiment(id, sim.Scale(*scale), opts...)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+	elapsed := time.Since(start).Round(time.Millisecond)
+	if sink == nil {
+		for _, t := range ts {
+			fmt.Fprintf(w, "%s\n\n", t)
 		}
-		if sink == nil {
-			for _, t := range ts {
-				fmt.Fprintln(w, t)
-			}
-			fmt.Fprintf(w, "(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-		} else {
-			// Keep the sink stream clean; progress goes to stderr.
-			fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", id, time.Since(start).Round(time.Millisecond))
-		}
+		fmt.Fprintf(w, "(%s completed in %v)\n", *exp, elapsed)
+	} else {
+		// Keep the sink stream clean; progress goes to stderr.
+		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", *exp, elapsed)
 	}
 	if sink != nil {
 		if err := sink.Flush(); err != nil {

@@ -27,6 +27,40 @@ func ExampleSelectParams() {
 	// difficulty = (k=2, m=17)
 }
 
+// How the Nash difficulty moves with client hardware (hashes/s, Fig. 3a
+// and Table 1) and server provisioning α.
+func ExampleSelectParams_hardware() {
+	devices := []struct {
+		name string
+		rate float64
+	}{
+		{"raspberry-pi-B", 49617},
+		{"xeon-x3210", 330000},
+		{"xeon-e3-1260l", 450000},
+		{"modern-desktop", 5_000_000},
+	}
+	fmt.Printf("%-14s %8s  %-9s %-9s %s\n", "client", "w", "α=0.5", "α=1.1", "α=4.0")
+	for _, dev := range devices {
+		wav := game.WavFromHashRate(dev.rate, 400*time.Millisecond)
+		fmt.Printf("%-14s %8.0f", dev.name, wav)
+		for _, alpha := range []float64{0.5, 1.1, 4.0} {
+			p, err := game.SelectParams(wav, alpha, game.SelectionConfig{})
+			if err != nil {
+				fmt.Print("  n/a     ")
+				continue
+			}
+			fmt.Printf("  k=%d,m=%-2d", p.K, p.M)
+		}
+		fmt.Println()
+	}
+	// Output:
+	// client                w  α=0.5     α=1.1     α=4.0
+	// raspberry-pi-B    19847  k=3,m=14  k=3,m=13  k=3,m=12
+	// xeon-x3210       132000  k=2,m=17  k=2,m=16  k=2,m=15
+	// xeon-e3-1260l    180000  k=2,m=17  k=2,m=17  k=2,m=16
+	// modern-desktop  2000000  k=2,m=21  k=2,m=20  k=2,m=19
+}
+
 // Profiling a device into a client valuation (§4.3).
 func ExampleWavFromHashRate() {
 	// A machine hashing at 351,575 SHA-256/s affords this much work within

@@ -144,7 +144,7 @@ func fig10Grid(s Scale) sweep.Grid {
 
 // queueAndRateMetrics measures both the queue occupancy of Fig. 10 and
 // the effective attack rate of Fig. 11, so the two figures share one
-// extraction (and one cache namespace).
+// extraction.
 func queueAndRateMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 	listen, accept := run.QueueSizes()
 	estab := run.AttackerEstablishedRate()

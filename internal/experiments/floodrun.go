@@ -30,7 +30,7 @@ type FloodRun struct {
 // RunFlood builds and executes one flood scenario to completion. The run
 // is fully self-contained — engine, network and every RNG are derived
 // from the scenario's seed — so independent scenarios may execute
-// concurrently (see Experiment.Run) with bit-for-bit identical results.
+// concurrently (see RunPlan) with bit-for-bit identical results.
 // Every node of the deployment runs on one event engine.
 func RunFlood(sc Scenario) (*FloodRun, error) {
 	run, err := buildFlood(sc)

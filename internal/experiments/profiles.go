@@ -44,7 +44,7 @@ const fig3aStep = 100 * time.Millisecond
 // fig3aGrid declares one cell per profiled client CPU.
 func fig3aGrid(Scale) sweep.Grid { return deviceGrid("cpu", cpumodel.ClientCPUs()) }
 
-func fig3aCell(i int, _ Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+func fig3aCell(i int, _ Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	dev := cpumodel.ClientCPUs()[i]
 	return []sweep.Metric{
 			{Name: "hash_rate", Value: dev.HashRate},
@@ -92,7 +92,7 @@ func fig3bGrid(Scale) sweep.Grid {
 
 // fig3bCell stress-tests the modelled Apache deployment at one
 // concurrency level (the ab sweep) and derives the service parameter α.
-func fig3bCell(i int, _ Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+func fig3bCell(i int, _ Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	p := mm1.PaperStress().Sweep(fig3bLevels[i : i+1])[0]
 	a, err := game.Alpha(p)
 	if err != nil {
@@ -160,7 +160,7 @@ func connTimeGrid(ks, ms []uint8, connections int, seed int64) sweep.Grid {
 // Connection time includes the solve time on the modelled client CPU
 // plus the LAN round trips, so the paper's structure — exponential growth
 // in m, linear growth in k — is preserved.
-func fig6Cell(_ int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+func fig6Cell(_ int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	params := sc.Params
 	connections := int(sc.Duration/fig6ConnectionGap) - 2
 	eng := netsim.NewEngine()
@@ -238,7 +238,7 @@ func table1Grid(Scale) sweep.Grid { return deviceGrid("device", cpumodel.IoTDevi
 // table1Cell profiles one Raspberry Pi and derives its solve time and
 // maximum solved-connection rate at the Nash difficulty — the analysis of
 // Experiment 6 (IoT devices can connect but cannot flood).
-func table1Cell(i int, _ Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+func table1Cell(i int, _ Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	dev := cpumodel.IoTDevices()[i]
 	solveHashes := nashParams.ExpectedSolveHashes()
 	return []sweep.Metric{
@@ -275,7 +275,7 @@ func nashGrid(Scale) sweep.Grid {
 // α from the stress test, ℓ* from Theorem 1, (k*, m*) from the practical
 // selection procedure, and a finite-N numeric optimum for
 // cross-validation.
-func nashCell(int, Scenario, func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+func nashCell(int, Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	wav, err := cpumodel.FleetWav(cpumodel.ClientCPUs(), 400*time.Millisecond)
 	if err != nil {
 		return nil, nil, err
@@ -345,7 +345,7 @@ func memboundGrid(Scale) sweep.Grid { return deviceGrid("device", uniformityDevi
 // memboundCell reports one device's expected solve times under both
 // schemes. Expected costs: the geometric search does 2^m trials per
 // solution on average.
-func memboundCell(i int, _ Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+func memboundCell(i int, _ Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	dev := uniformityDevices()[i]
 	hashOps := float64(nashParams.K) * float64(uint64(1)<<nashParams.M)
 	hashT, memT := dev.TimeFor(hashOps), dev.TimeForAccesses(uniformityMemParams.ExpectedAccesses())

@@ -90,7 +90,7 @@ func TestSweepSimulatesEachDeploymentOnce(t *testing.T) {
 	if n := simulations(debug); n != 3 {
 		t.Errorf("%d simulations, want 3 (the cookies cells share one):\n%s", n, debug)
 	}
-	if want := `cell "defense=cookies/m=17": measured from the run of cell 0 "defense=cookies/m=12"`; !strings.Contains(debug, want) {
+	if want := `cell "defense=cookies/m=17": measured from the run of sweep cell 0 "defense=cookies/m=12"`; !strings.Contains(debug, want) {
 		t.Errorf("debug output lacks %q:\n%s", want, debug)
 	}
 	for i, cell := range cells {
@@ -148,7 +148,7 @@ func TestRunCellsCacheSkipsCompute(t *testing.T) {
 	e := Experiment{
 		ID:   "cachetest",
 		Grid: func(Scale) sweep.Grid { return sweep.Grid{Axes: []sweep.Axis{sweep.Seeds(1, 2, 3)}} },
-		Cell: func(i int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+		Cell: func(i int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
 			computed.Add(1)
 			return []sweep.Metric{{Name: "seed", Value: float64(sc.Seed)}},
 				[]sweep.Series{{Name: "trace", Values: []float64{float64(i)}}}, nil
@@ -231,8 +231,9 @@ func TestRunSweepCachedRerunIdentical(t *testing.T) {
 }
 
 // Figs. 10 and 11 run the same cells with the same metric extraction;
-// they share a cache namespace so regenerating one makes the other free.
-func TestFig10And11ShareCache(t *testing.T) {
+// in one plan they share each cell's simulation through simKey, and each
+// caches its cells under its own ID.
+func TestFig10And11ShareSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the fig10 scenario pair")
 	}
@@ -240,28 +241,74 @@ func TestFig10And11ShareCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := Exec{Cache: cache}
-	f10, err := mustExp(t, "fig10").Run(TinyScale(), exec)
+	exps := []Experiment{mustExp(t, "fig10"), mustExp(t, "fig11")}
+	results, err := RunPlan(exps, TinyScale(), Exec{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Hits() != 0 || cache.Misses() != 2 {
-		t.Fatalf("fig10 hits=%d misses=%d, want 0/2", cache.Hits(), cache.Misses())
+	f10, f11 := results[0], results[1]
+	if jobs := f10[0].Exec.Jobs; jobs != 2 {
+		t.Errorf("fig10 + fig11 plan ran %d jobs, want 2 (one per deployment)", jobs)
 	}
-	fig11 := mustExp(t, "fig11")
-	fig11.Flood, fig11.Cell = nil, func(int, Scenario, func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
-		return nil, nil, fmt.Errorf("fig11 simulated despite cache hits")
+	if cache.Hits() != 0 || cache.Misses() != 4 {
+		t.Errorf("plan hits=%d misses=%d, want 0/4 (each experiment's own entries)", cache.Hits(), cache.Misses())
 	}
-	f11, err := fig11.Run(TinyScale(), exec)
+	for i := range f10 {
+		if f11[i].Experiment != "fig11" || f10[i].Metric("attacker_established_during") != f11[i].Metric("attacker_established_during") {
+			t.Errorf("cell %d: fig11 %q reports a different attacker_established_during from fig10's", i, f11[i].Experiment)
+		}
+	}
+}
+
+// One plan of every registered experiment simulates each distinct
+// deployment once: at tiny scale 40 flood cells are 33 simulations, the 35
+// model cells one job each, 68 jobs in all against 75 summed over plans of
+// one experiment.
+func TestPlanSimulatesEachDeploymentOnce(t *testing.T) {
+	jobs := func(exps []Experiment) (floodJobs, modelJobs int) {
+		var cells []planCell
+		for k, e := range exps {
+			for i, sc := range e.Grid(TinyScale()).Expand(nil) {
+				cells = append(cells, planCell{exp: k, i: i, sc: sc.Defaults()})
+			}
+		}
+		for _, g := range planGroups(exps, cells) {
+			if exps[cells[g[0]].exp].Flood != nil {
+				floodJobs++
+			} else {
+				modelJobs++
+			}
+		}
+		return floodJobs, modelJobs
+	}
+	flood, model := jobs(Experiments)
+	separate := 0
+	for _, e := range Experiments {
+		f, m := jobs([]Experiment{e})
+		separate += f + m
+	}
+	if flood != 33 || model != 35 || separate != 75 {
+		t.Errorf("plan of all: %d simulations + %d model cells, %d jobs summed over plans of one; want 33 + 35, 75", flood, model, separate)
+	}
+	if testing.Short() {
+		t.Skip("runs every experiment at tiny scale")
+	}
+	var debug strings.Builder
+	results, err := RunPlan(Experiments, TinyScale(), Exec{Debug: &debug})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Hits() != 2 {
-		t.Errorf("fig11 hits=%d, want 2 (shared namespace)", cache.Hits())
+	if got := results[0][0].Exec.Jobs; got != 68 {
+		t.Errorf("plan ran %d jobs, want 68", got)
 	}
-	if f10[0].Metric("attacker_established_during") !=
-		f11[0].Metric("attacker_established_during") {
-		t.Error("shared cells report different metrics")
+	if got := strings.Count(debug.String(), " events="); got != 33 {
+		t.Errorf("plan simulated %d times, want 33", got)
+	}
+	if want := `[fig11] cell "challenges": measured from the run of fig8 cell 2 "challenges-m17"`; !strings.Contains(debug.String(), want) {
+		t.Errorf("debug output lacks %q", want)
+	}
+	if got := strings.Count(debug.String(), "runner:"); got != 1 {
+		t.Errorf("%d runner lines, want one per plan", got)
 	}
 }
 
@@ -272,7 +319,7 @@ func TestFailuresNameExperimentAndCell(t *testing.T) {
 	synthetic := Experiment{
 		ID:   "errtest",
 		Grid: func(Scale) sweep.Grid { return sweep.Grid{Axes: []sweep.Axis{sweep.Seeds(1, 2)}} },
-		Cell: func(_ int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+		Cell: func(_ int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
 			if sc.Seed == 2 {
 				return nil, nil, fmt.Errorf("boom")
 			}
@@ -282,7 +329,7 @@ func TestFailuresNameExperimentAndCell(t *testing.T) {
 	bogus := tinySweepGrid()
 	bogus.Axes = []sweep.Axis{sweep.Defenses(DefenseCookies, "bogus")}
 	fig7 := mustExp(t, "fig7")
-	fig7.Flood, fig7.Cell = nil, func(_ int, sc Scenario, _ func(string, ...any)) ([]sweep.Metric, []sweep.Series, error) {
+	fig7.Flood, fig7.Cell = nil, func(_ int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
 		if sc.Label != "cookies" {
 			return nil, nil, nil
 		}

@@ -66,9 +66,10 @@ func (p Params) Validate() error {
 // solution.
 func (p Params) SolutionBytes() int { return int(p.L) / 8 }
 
-// ExpectedSolveHashes returns the expected number of hash operations a
-// client performs to solve a puzzle with these parameters, ℓ(p) = k·2^(m-1)
-// (paper §4.1).
+// ExpectedSolveHashes returns the paper's solve cost ℓ(p) = k·2^(m-1)
+// (§4.1). A solve that stops at each search's first m-bit match, as
+// Solver and SampleSolveHashes do, costs k·2^m hashes on average: twice
+// this value.
 func (p Params) ExpectedSolveHashes() float64 {
 	return float64(p.K) * math.Exp2(float64(p.M)-1)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -349,6 +350,42 @@ func TestSampleSolveHashesMean(t *testing.T) {
 	want := float64(p.K) * 256
 	if mean < want*0.95 || mean > want*1.05 {
 		t.Errorf("sample mean = %.1f, want ≈ %.1f", mean, want)
+	}
+}
+
+// A solve costs k·2^m hashes on average, twice the paper's ℓ(p) =
+// k·2^(m−1) that Params.ExpectedSolveHashes returns: each of the k
+// searches stops at its first candidate with m zero bits, both in a real
+// Solver with random starts and in the simulator's SampleSolveHashes. The
+// standard deviation of a 400-draw mean at (2, 10) is about 3.5 % of
+// k·2^m, so the 15 % band holds at any seed.
+func TestSolveCostIsTwiceExpectedSolveHashes(t *testing.T) {
+	p := Params{K: 2, M: 10, L: 64}
+	want := float64(p.K) * math.Exp2(float64(p.M))
+	if got := 2 * p.ExpectedSolveHashes(); got != want {
+		t.Fatalf("2·ExpectedSolveHashes() = %v, want k·2^m = %v", got, want)
+	}
+	is := testIssuer(t, WithParams(p))
+	ch := is.Issue(testFlow())
+	sv := Solver{Rand: rand.New(rand.NewSource(1))}
+	rnd := rand.New(rand.NewSource(2))
+	const n = 400
+	var solved, sampled float64
+	for i := 0; i < n; i++ {
+		_, stats, err := sv.Solve(context.Background(), ch)
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		solved += float64(stats.Hashes)
+		sampled += float64(SampleSolveHashes(rnd, p))
+	}
+	for _, c := range []struct {
+		name string
+		mean float64
+	}{{"Solver", solved / n}, {"SampleSolveHashes", sampled / n}} {
+		if math.Abs(c.mean-want) > 0.15*want {
+			t.Errorf("%s: mean of %d solves %.0f hashes, want within 15%% of k·2^m = %.0f", c.name, n, c.mean, want)
+		}
 	}
 }
 

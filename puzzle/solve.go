@@ -11,7 +11,9 @@ import (
 // SolveStats reports accounting detail from a solve.
 type SolveStats struct {
 	// Hashes is the number of hash operations performed across all k
-	// solutions. Its expectation is close to Params.ExpectedSolveHashes.
+	// solutions. Each search stops at its first candidate with m zero
+	// bits, so under Solver.Rand its mean is k·2^m, as for
+	// SampleSolveHashes: twice Params.ExpectedSolveHashes.
 	Hashes uint64
 }
 

@@ -18,8 +18,8 @@ type Scale string
 // Experiment scales.
 const (
 	// ScalePaper is the full §6 deployment (600 s, 15 clients, 10 bots at
-	// 500 pps). All 19 experiments take 140–155 s of wall time on two
-	// cores: Fig. 12 about a minute, every other experiment 15 s or less.
+	// 500 pps). RunExperiment("all") takes 32–39 s of wall time at two
+	// workers on a 2-vCPU AMD EPYC.
 	ScalePaper Scale = "paper"
 	// ScaleQuick is a reduced deployment with the same structure (120 s).
 	ScaleQuick Scale = "quick"
@@ -88,24 +88,35 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-// RunExperiment executes a named experiment at the given scale and returns
-// its result tables. WithSinks streams each grid cell's structured Result
-// as well, and WithCache skips cells already present in a result cache.
+// RunExperiment executes a named experiment, or "all" of them, at the
+// given scale and returns their result tables, one per experiment in
+// display order. "all" runs as one plan: deployments that several
+// experiments measure simulate once. WithSinks streams each grid cell's
+// structured Result as well, and WithCache skips cells already present in
+// a result cache.
 func RunExperiment(id string, scale Scale, opts ...RunOption) ([]Table, error) {
 	deployment, ok := deployments[scale]
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown scale %q", scale)
 	}
-	e, ok := experiments.ByID(strings.ToLower(id))
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown experiment %q (known: %s)",
-			id, strings.Join(ExperimentIDs(), ", "))
+	exps := experiments.Experiments
+	if name := strings.ToLower(id); name != "all" {
+		e, ok := experiments.ByID(name)
+		if !ok {
+			return nil, fmt.Errorf("sim: unknown experiment %q (known: %s, or all)",
+				id, strings.Join(ExperimentIDs(), ", "))
+		}
+		exps = []experiments.Experiment{e}
 	}
-	results, err := e.Run(deployment(), execOf(opts))
+	results, err := experiments.RunPlan(exps, deployment(), execOf(opts))
 	if err != nil {
 		return nil, err
 	}
-	return []Table{e.Render(results)}, nil
+	tables := make([]Table, len(exps))
+	for k, e := range exps {
+		tables[k] = e.Render(results[k])
+	}
+	return tables, nil
 }
 
 // RunSweep executes a user-declared factorial design: the grid expands to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,64 +31,126 @@ const ledgerPath = "testdata/experiments.golden"
 // checked on the architecture that wrote it: FMA fusion may legitimately
 // move float bytes elsewhere.
 //
-// The experiments run twice over one result cache. The second run must be
-// served entirely from the cache the first filled, and must print the same
+// The ledger is built two ways, each over its own result cache: one
+// RunExperiment call per experiment (the reference, and what -update
+// writes), and one RunExperiment("all") plan, which shares simulations
+// across experiments. Each way runs twice. The second run must be served
+// entirely from the cache the first filled, and must print the same
 // ledger: cached output equals fresh output for every experiment, series
-// included. (fig11 shares fig10's cache namespace, so it hits already in
-// the first run.)
+// included.
 func TestExperimentLedger(t *testing.T) {
-	cache, err := sweep.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ledger(t, sim.WithCache(cache))
-	if *update {
-		if err := os.WriteFile(ledgerPath, []byte(got), 0o644); err != nil {
+	var want string
+	for _, way := range []struct {
+		name   string
+		ledger func(*testing.T, ...sim.RunOption) string
+	}{{"per-experiment", ledger}, {"plan", planLedger}} {
+		cache, err := sweep.OpenCache(t.TempDir())
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	raw, err := os.ReadFile(ledgerPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create the ledger)", err)
-	}
-	want := string(raw)
-	if arch, _, _ := strings.Cut(want, "\n"); arch != "goarch "+runtime.GOARCH {
-		t.Skipf("ledger was written on %q; this is %s", arch, runtime.GOARCH)
-	}
-	compareLedger(t, "fresh", got, want)
+		got := way.ledger(t, sim.WithCache(cache))
+		if *update {
+			if err := os.WriteFile(ledgerPath, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if want == "" {
+			raw, err := os.ReadFile(ledgerPath)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create the ledger)", err)
+			}
+			want = string(raw)
+			if arch, _, _ := strings.Cut(want, "\n"); arch != "goarch "+runtime.GOARCH {
+				t.Skipf("ledger was written on %q; this is %s", arch, runtime.GOARCH)
+			}
+		}
+		compareLedger(t, way.name+" fresh", got, want)
 
-	hits, misses := cache.Hits(), cache.Misses()
-	cached := ledger(t, sim.WithCache(cache))
-	if cache.Misses() != misses || cache.Hits() == hits {
-		t.Errorf("cached run: %d hits, %d misses; want all hits", cache.Hits()-hits, cache.Misses()-misses)
+		hits, misses := cache.Hits(), cache.Misses()
+		cached := way.ledger(t, sim.WithCache(cache))
+		if cache.Misses() != misses || cache.Hits() == hits {
+			t.Errorf("%s cached run: %d hits, %d misses; want all hits", way.name, cache.Hits()-hits, cache.Misses()-misses)
+		}
+		compareLedger(t, way.name+" cached", cached, want)
 	}
-	compareLedger(t, "cached", cached, want)
 }
 
-// ledger runs every registered experiment at ScaleTiny with opts and
-// renders the ledger text.
+// ledger runs every registered experiment at ScaleTiny with opts, one
+// RunExperiment call each, and renders the ledger text.
 func ledger(t *testing.T, opts ...sim.RunOption) string {
 	t.Helper()
 	var got strings.Builder
 	fmt.Fprintf(&got, "goarch %s\n", runtime.GOARCH)
 	for _, id := range sim.ExperimentIDs() {
-		var nd bytes.Buffer
-		sink := sweep.NewNDJSON(&nd)
-		tables, err := sim.RunExperiment(id, sim.ScaleTiny, append(opts, sim.WithSinks(sink))...)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if err := sink.Flush(); err != nil {
-			t.Fatalf("%s: flush: %v", id, err)
-		}
-		sum := sha256.Sum256(nd.Bytes())
-		fmt.Fprintf(&got, "\n### %s ndjson-sha256 %s\n", id, hex.EncodeToString(sum[:]))
-		for _, tbl := range tables {
-			got.WriteString(tbl.String())
-		}
+		tables, nd := runLedger(t, id, opts)
+		writeSection(&got, id, nd, tables)
 	}
 	return got.String()
+}
+
+// planLedger renders the same ledger from one RunExperiment("all") call:
+// its tables in order, and its NDJSON stream split by each record's
+// experiment field, which must follow the registry's order.
+func planLedger(t *testing.T, opts ...sim.RunOption) string {
+	t.Helper()
+	ids := sim.ExperimentIDs()
+	tables, nd := runLedger(t, "all", opts)
+	if len(tables) != len(ids) {
+		t.Fatalf("all: %d tables, want %d", len(tables), len(ids))
+	}
+	streams := map[string][]byte{}
+	at := 0
+	for _, line := range bytes.SplitAfter(nd, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec struct {
+			Experiment string `json:"experiment"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("all: NDJSON record: %v", err)
+		}
+		for at < len(ids) && ids[at] != rec.Experiment {
+			at++
+		}
+		if at == len(ids) {
+			t.Fatalf("all: NDJSON record of %q out of registry order", rec.Experiment)
+		}
+		streams[rec.Experiment] = append(streams[rec.Experiment], line...)
+	}
+	var got strings.Builder
+	fmt.Fprintf(&got, "goarch %s\n", runtime.GOARCH)
+	for k, id := range ids {
+		writeSection(&got, id, streams[id], tables[k:k+1])
+	}
+	return got.String()
+}
+
+// runLedger runs experiment id ("all" for every one) at ScaleTiny with
+// opts and returns its tables and its NDJSON sink stream.
+func runLedger(t *testing.T, id string, opts []sim.RunOption) ([]sim.Table, []byte) {
+	t.Helper()
+	var nd bytes.Buffer
+	sink := sweep.NewNDJSON(&nd)
+	tables, err := sim.RunExperiment(id, sim.ScaleTiny, append(opts, sim.WithSinks(sink))...)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("%s: flush: %v", id, err)
+	}
+	return tables, nd.Bytes()
+}
+
+// writeSection appends one experiment's ledger section: the sha256 of its
+// NDJSON stream, then its tables.
+func writeSection(got *strings.Builder, id string, nd []byte, tables []sim.Table) {
+	sum := sha256.Sum256(nd)
+	fmt.Fprintf(got, "\n### %s ndjson-sha256 %s\n", id, hex.EncodeToString(sum[:]))
+	for _, tbl := range tables {
+		got.WriteString(tbl.String())
+	}
 }
 
 // compareLedger reports each experiment whose section of got differs from
