@@ -63,7 +63,7 @@ func init() {
 	// bot's instance lazily, after its start-jitter draw, and the pinned
 	// adaptive-flood cells were recorded with a factory that draws
 	// nothing.
-	Register(adaptiveFloodInfo, func(BotCtx) (Strategy, error) { return NewAdaptiveFlood(), nil })
+	Register(adaptiveFloodInfo, func(BotCtx) Strategy { return NewAdaptiveFlood() })
 }
 
 // NewAdaptiveFlood returns a fresh learner with uniform shares.
@@ -79,9 +79,6 @@ func NewAdaptiveFlood() *AdaptiveFlood {
 		armByPort: map[uint32]int{},
 	}
 }
-
-// Describe implements Strategy.
-func (*AdaptiveFlood) Describe() Info { return adaptiveFloodInfo }
 
 // Tick implements Strategy: close the epoch if due, then draw an arm from
 // the current shares (exactly one RNG draw before delegation) and fire its

@@ -11,18 +11,17 @@
 // floods, solution floods, and replay floods — are ordinary plugins here,
 // registered under the sweep.Attack names the DOE layer sweeps, and new
 // behaviours (see pulseflood.go) register the same way without touching
-// the simulator core. Cache identity follows the same rule as package
-// defense: the attack name is part of the canonical Scenario.
+// the simulator core. As in package defense, a plugin is its
+// registration: an Info and a Factory that cannot fail. Cache identity
+// follows the same rule as package defense: the attack name is part of
+// the canonical Scenario.
 package attack
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
+	"github.com/tcppuzzles/tcppuzzles/internal/registry"
 	"github.com/tcppuzzles/tcppuzzles/internal/stats"
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
@@ -137,8 +136,6 @@ type Info struct {
 // Strategy is one bot behaviour. Implementations must be deterministic:
 // everything they do may derive only from the BotCtx and their own state.
 type Strategy interface {
-	// Describe returns the plugin's registration identity.
-	Describe() Info
 	// Tick fires one attack action; the bot core calls it at the
 	// configured rate over the attack window.
 	Tick(ctx BotCtx)
@@ -149,88 +146,18 @@ type Strategy interface {
 	OnSolved(ctx BotCtx, sa SynAck)
 }
 
-// Factory builds a strategy instance for one bot.
-type Factory func(ctx BotCtx) (Strategy, error)
+// Factory builds a strategy instance for one bot. It cannot fail.
+type Factory func(ctx BotCtx) Strategy
 
-var (
-	regMu    sync.RWMutex
-	registry = map[sweep.Attack]registration{}
-)
-
-type registration struct {
-	info    Info
-	factory Factory
-}
+var plugins = registry.New[sweep.Attack, Info, BotCtx, Strategy]("attack")
 
 // Register adds an attack plugin to the registry under info.Name. It
 // panics on an empty name, a nil factory, or a duplicate registration.
-func Register(info Info, factory Factory) {
-	if info.Name == "" {
-		panic("attack: Register with empty name")
-	}
-	if factory == nil {
-		panic(fmt.Sprintf("attack: Register(%q) with nil factory", info.Name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[info.Name]; dup {
-		panic(fmt.Sprintf("attack: duplicate registration of %q", info.Name))
-	}
-	registry[info.Name] = registration{info: info, factory: factory}
-}
+func Register(info Info, factory Factory) { plugins.Register(info.Name, info, factory) }
 
-// New instantiates the named attack for a bot. Unknown names error with
-// the registered alternatives.
-func New(name sweep.Attack, ctx BotCtx) (Strategy, error) {
-	regMu.RLock()
-	reg, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("attack: unknown attack %q (registered: %s)",
-			name, strings.Join(nameStrings(), ", "))
-	}
-	s, err := reg.factory(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("attack: %q: %w", name, err)
-	}
-	return s, nil
-}
-
-// Lookup returns the registration info for a name.
-func Lookup(name sweep.Attack) (Info, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	reg, ok := registry[name]
-	return reg.info, ok
-}
+// Lookup returns the registration of a name: its info and factory.
+// Unknown names error with the registered alternatives.
+func Lookup(name sweep.Attack) (Info, Factory, error) { return plugins.Lookup(name) }
 
 // Infos lists every registered attack, sorted by name.
-func Infos() []Info {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Info, 0, len(registry))
-	for _, reg := range registry {
-		out = append(out, reg.info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Names lists every registered attack name, sorted.
-func Names() []sweep.Attack {
-	infos := Infos()
-	out := make([]sweep.Attack, len(infos))
-	for i, info := range infos {
-		out[i] = info.Name
-	}
-	return out
-}
-
-func nameStrings() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, string(name))
-	}
-	sort.Strings(out)
-	return out
-}
+func Infos() []Info { return plugins.Infos() }

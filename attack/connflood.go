@@ -18,11 +18,8 @@ var connFloodInfo = Info{
 }
 
 func init() {
-	Register(connFloodInfo, func(BotCtx) (Strategy, error) { return connFlood{}, nil })
+	Register(connFloodInfo, func(BotCtx) Strategy { return connFlood{} })
 }
-
-// Describe implements Strategy.
-func (connFlood) Describe() Info { return connFloodInfo }
 
 // Tick implements Strategy.
 func (connFlood) Tick(ctx BotCtx) { sendRealSYN(ctx) }

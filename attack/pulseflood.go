@@ -27,11 +27,8 @@ var pulseFloodInfo = Info{
 }
 
 func init() {
-	Register(pulseFloodInfo, func(BotCtx) (Strategy, error) { return pulseFlood{}, nil })
+	Register(pulseFloodInfo, func(BotCtx) Strategy { return pulseFlood{} })
 }
-
-// Describe implements Strategy.
-func (pulseFlood) Describe() Info { return pulseFloodInfo }
 
 // Tick implements Strategy.
 func (pulseFlood) Tick(ctx BotCtx) {

@@ -21,11 +21,8 @@ var replayFloodInfo = Info{
 }
 
 func init() {
-	Register(replayFloodInfo, func(BotCtx) (Strategy, error) { return &replayFlood{}, nil })
+	Register(replayFloodInfo, func(BotCtx) Strategy { return &replayFlood{} })
 }
-
-// Describe implements Strategy.
-func (*replayFlood) Describe() Info { return replayFloodInfo }
 
 // Tick implements Strategy: re-send the captured solution ACK; until one
 // is captured, run a single legitimate solving handshake to obtain it.

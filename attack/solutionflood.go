@@ -15,11 +15,8 @@ var solutionFloodInfo = Info{
 }
 
 func init() {
-	Register(solutionFloodInfo, func(BotCtx) (Strategy, error) { return solutionFlood{}, nil })
+	Register(solutionFloodInfo, func(BotCtx) Strategy { return solutionFlood{} })
 }
-
-// Describe implements Strategy.
-func (solutionFlood) Describe() Info { return solutionFloodInfo }
 
 // Tick implements Strategy: fabricate an ACK carrying a structurally valid
 // but worthless solution block, maximising server verification work.

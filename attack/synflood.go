@@ -12,11 +12,8 @@ var synFloodInfo = Info{
 }
 
 func init() {
-	Register(synFloodInfo, func(BotCtx) (Strategy, error) { return synFlood{}, nil })
+	Register(synFloodInfo, func(BotCtx) Strategy { return synFlood{} })
 }
-
-// Describe implements Strategy.
-func (synFlood) Describe() Info { return synFloodInfo }
 
 // Tick implements Strategy.
 func (synFlood) Tick(ctx BotCtx) { sendSpoofedSYN(ctx) }

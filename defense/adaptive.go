@@ -1,7 +1,6 @@
 package defense
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/game"
@@ -120,17 +119,10 @@ var adaptivePuzzlesInfo = Info{
 }
 
 func init() {
-	Register(adaptivePuzzlesInfo, func(ctx ServerCtx) (Defense, error) {
-		base := ctx.PuzzleParams()
-		if err := base.Validate(); err != nil {
-			return nil, fmt.Errorf("puzzle params: %w", err)
-		}
-		return &AdaptivePuzzles{base: base}, nil
+	Register(adaptivePuzzlesInfo, func(ctx ServerCtx) Defense {
+		return &AdaptivePuzzles{base: ctx.PuzzleParams()}
 	})
 }
-
-// Describe implements Defense.
-func (*AdaptivePuzzles) Describe() Info { return adaptivePuzzlesInfo }
 
 // OnTick implements Defense: estimate, solve, retune.
 func (d *AdaptivePuzzles) OnTick(ctx ServerCtx) {

@@ -36,30 +36,13 @@ func seriesKey(run *experiments.FloodRun) string {
 // releases rather than wedging), queue bounds hold under overflow
 // pressure with the worker pool disabled, a defense registered without
 // Info.Puzzles gives the same results at any puzzle parameters, and two
-// runs of one scenario give the same results. Iterating defense.Names() means a
+// runs of one scenario give the same results. Iterating defense.Infos() means a
 // newly registered plugin is conformance-tested by existing CI with zero
 // new test code.
 func TestDefenseConformance(t *testing.T) {
-	for _, name := range defense.Names() {
+	for _, info := range defense.Infos() {
+		name := info.Name
 		t.Run(string(name), func(t *testing.T) {
-			t.Run("describe", func(t *testing.T) {
-				sc := conformanceScale().Apply(sweep.Scenario{
-					Label: "describe", Defense: name, BotCount: sweep.NoBotnet, Duration: time.Second,
-				})
-				run, err := experiments.RunFlood(sc)
-				if err != nil {
-					t.Fatalf("RunFlood: %v", err)
-				}
-				info := run.Server.Defense().Describe()
-				if info.Name != name {
-					t.Errorf("instance describes itself as %q, registered as %q", info.Name, name)
-				}
-				reg, _ := defense.Lookup(name)
-				if !reflect.DeepEqual(info, reg) {
-					t.Errorf("Describe() = %+v, registration = %+v", info, reg)
-				}
-			})
-
 			t.Run("activation-latch", func(t *testing.T) {
 				// A solving-client deployment under a connection flood:
 				// whatever the defense does mid-attack, service before the
@@ -143,7 +126,7 @@ func TestDefenseConformance(t *testing.T) {
 			// that differ only in them once. The server panics if such a
 			// defense reads them; this checks the run as a whole.
 			t.Run("params-independence", func(t *testing.T) {
-				if info, _ := defense.Lookup(name); info.Puzzles {
+				if info.Puzzles {
 					t.Skip("issues puzzles")
 				}
 				keys := make([]string, 0, 2)

@@ -17,11 +17,8 @@ var cookiesInfo = Info{
 }
 
 func init() {
-	Register(cookiesInfo, func(ServerCtx) (Defense, error) { return cookiesDefense{}, nil })
+	Register(cookiesInfo, func(ServerCtx) Defense { return cookiesDefense{} })
 }
-
-// Describe implements Defense.
-func (cookiesDefense) Describe() Info { return cookiesInfo }
 
 // OnSYN implements Defense.
 func (cookiesDefense) OnSYN(ctx ServerCtx, syn tcpkit.Segment, mss uint16, wscale uint8) {

@@ -13,7 +13,9 @@
 // `tcpz-exp -list-defenses` all derive from one registry. New defenses
 // register the same way (see hybrid.go and ratelimit.go for two built on
 // nothing but this API) and become sweepable scenario coordinates without
-// touching the simulator core. Because ServerCtx speaks the module's
+// touching the simulator core. A plugin is its registration: Register
+// takes its Info, the one statement of its identity, and a Factory that
+// cannot fail. Because ServerCtx speaks the module's
 // internal vocabulary (tcpkit segments, the srvmetrics struct), strategy
 // implementations live inside this module — "open" means additive
 // registration with zero simulator-core edits, not out-of-module
@@ -35,14 +37,11 @@
 package defense
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/pzengine"
+	"github.com/tcppuzzles/tcppuzzles/internal/registry"
 	"github.com/tcppuzzles/tcppuzzles/internal/srvmetrics"
 	"github.com/tcppuzzles/tcppuzzles/internal/syncache"
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
@@ -67,7 +66,6 @@ type ServerCtx interface {
 
 	// Deployment knobs.
 	Backlog() int
-	AcceptBacklog() int
 	SynAckTimeout() time.Duration
 	// PuzzleParams is the configured difficulty. Only a defense
 	// registered with Info.Puzzles may call it.
@@ -155,8 +153,6 @@ type Info struct {
 // deterministic: everything they do may derive only from the ServerCtx and
 // their own state, so runs reproduce bit-for-bit at any worker count.
 type Defense interface {
-	// Describe returns the plugin's registration identity.
-	Describe() Info
 	// OnSYN handles a connection request (after the server has counted it
 	// and parsed its MSS/WScale options).
 	OnSYN(ctx ServerCtx, syn tcpkit.Segment, mss uint16, wscale uint8)
@@ -169,91 +165,21 @@ type Defense interface {
 	OnTick(ctx ServerCtx)
 }
 
-// Factory builds a defense instance for one server. It runs during server
-// construction and should validate configuration (e.g. puzzle difficulty)
-// before the simulation starts.
-type Factory func(ctx ServerCtx) (Defense, error)
+// Factory builds a defense instance for one server, during server
+// construction. It cannot fail: the server has validated its
+// configuration, puzzle parameters included, before any factory runs.
+type Factory func(ctx ServerCtx) Defense
 
-var (
-	regMu    sync.RWMutex
-	registry = map[sweep.Defense]registration{}
-)
-
-type registration struct {
-	info    Info
-	factory Factory
-}
+var plugins = registry.New[sweep.Defense, Info, ServerCtx, Defense]("defense")
 
 // Register adds a defense plugin to the registry under info.Name. It
 // panics on an empty name, a nil factory, or a duplicate registration —
 // all programmer errors at init time.
-func Register(info Info, factory Factory) {
-	if info.Name == "" {
-		panic("defense: Register with empty name")
-	}
-	if factory == nil {
-		panic(fmt.Sprintf("defense: Register(%q) with nil factory", info.Name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[info.Name]; dup {
-		panic(fmt.Sprintf("defense: duplicate registration of %q", info.Name))
-	}
-	registry[info.Name] = registration{info: info, factory: factory}
-}
+func Register(info Info, factory Factory) { plugins.Register(info.Name, info, factory) }
 
-// New instantiates the named defense for a server. Unknown names error
-// with the registered alternatives.
-func New(name sweep.Defense, ctx ServerCtx) (Defense, error) {
-	regMu.RLock()
-	reg, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("defense: unknown defense %q (registered: %s)",
-			name, strings.Join(nameStrings(), ", "))
-	}
-	d, err := reg.factory(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("defense: %q: %w", name, err)
-	}
-	return d, nil
-}
-
-// Lookup returns the registration info for a name.
-func Lookup(name sweep.Defense) (Info, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	reg, ok := registry[name]
-	return reg.info, ok
-}
+// Lookup returns the registration of a name: its info and factory.
+// Unknown names error with the registered alternatives.
+func Lookup(name sweep.Defense) (Info, Factory, error) { return plugins.Lookup(name) }
 
 // Infos lists every registered defense, sorted by name.
-func Infos() []Info {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Info, 0, len(registry))
-	for _, reg := range registry {
-		out = append(out, reg.info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Names lists every registered defense name, sorted.
-func Names() []sweep.Defense {
-	infos := Infos()
-	out := make([]sweep.Defense, len(infos))
-	for i, info := range infos {
-		out[i] = info.Name
-	}
-	return out
-}
-
-func nameStrings() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, string(name))
-	}
-	sort.Strings(out)
-	return out
-}
+func Infos() []Info { return plugins.Infos() }

@@ -1,8 +1,6 @@
 package defense
 
 import (
-	"fmt"
-
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 	"github.com/tcppuzzles/tcppuzzles/tcpopt"
@@ -31,16 +29,8 @@ var hybridInfo = Info{
 }
 
 func init() {
-	Register(hybridInfo, func(ctx ServerCtx) (Defense, error) {
-		if err := ctx.PuzzleParams().Validate(); err != nil {
-			return nil, fmt.Errorf("puzzle params: %w", err)
-		}
-		return hybridDefense{}, nil
-	})
+	Register(hybridInfo, func(ServerCtx) Defense { return hybridDefense{} })
 }
-
-// Describe implements Defense.
-func (hybridDefense) Describe() Info { return hybridInfo }
 
 // OnSYN implements Defense.
 func (hybridDefense) OnSYN(ctx ServerCtx, syn tcpkit.Segment, mss uint16, wscale uint8) {

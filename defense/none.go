@@ -15,11 +15,8 @@ var noneInfo = Info{
 }
 
 func init() {
-	Register(noneInfo, func(ServerCtx) (Defense, error) { return noneDefense{}, nil })
+	Register(noneInfo, func(ServerCtx) Defense { return noneDefense{} })
 }
-
-// Describe implements Defense.
-func (noneDefense) Describe() Info { return noneInfo }
 
 // OnSYN implements Defense.
 func (noneDefense) OnSYN(ctx ServerCtx, syn tcpkit.Segment, mss uint16, wscale uint8) {

@@ -1,8 +1,6 @@
 package defense
 
 import (
-	"fmt"
-
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
@@ -23,16 +21,8 @@ var puzzlesInfo = Info{
 }
 
 func init() {
-	Register(puzzlesInfo, func(ctx ServerCtx) (Defense, error) {
-		if err := ctx.PuzzleParams().Validate(); err != nil {
-			return nil, fmt.Errorf("puzzle params: %w", err)
-		}
-		return puzzlesDefense{}, nil
-	})
+	Register(puzzlesInfo, func(ServerCtx) Defense { return puzzlesDefense{} })
 }
-
-// Describe implements Defense.
-func (puzzlesDefense) Describe() Info { return puzzlesInfo }
 
 // OnSYN implements Defense: the opportunistic controller (§5). Challenges
 // engage when a queue fills and latch until both queues drain below the

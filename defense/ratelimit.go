@@ -21,11 +21,8 @@ var rateLimitInfo = Info{
 }
 
 func init() {
-	Register(rateLimitInfo, func(ServerCtx) (Defense, error) { return rateLimitDefense{}, nil })
+	Register(rateLimitInfo, func(ServerCtx) Defense { return rateLimitDefense{} })
 }
-
-// Describe implements Defense.
-func (rateLimitDefense) Describe() Info { return rateLimitInfo }
 
 // OnSYN implements Defense.
 func (rateLimitDefense) OnSYN(ctx ServerCtx, syn tcpkit.Segment, mss uint16, wscale uint8) {

@@ -7,43 +7,6 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
 
-func mustPanic(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", name)
-		}
-	}()
-	fn()
-}
-
-func TestRegisterRejectsBadRegistrations(t *testing.T) {
-	dummy := func(ServerCtx) (Defense, error) { return noneDefense{}, nil }
-	mustPanic(t, "duplicate name", func() {
-		Register(Info{Name: sweep.DefenseNone, Summary: "dup"}, dummy)
-	})
-	mustPanic(t, "empty name", func() {
-		Register(Info{Summary: "anonymous"}, dummy)
-	})
-	mustPanic(t, "nil factory", func() {
-		Register(Info{Name: "test-nil-factory"}, nil)
-	})
-}
-
-func TestNewUnknownDefenseErrors(t *testing.T) {
-	_, err := New("voodoo", nil)
-	if err == nil {
-		t.Fatal("unknown defense instantiated")
-	}
-	if !strings.Contains(err.Error(), "voodoo") {
-		t.Errorf("error does not name the unknown defense: %v", err)
-	}
-	// The error must teach the caller what exists.
-	if !strings.Contains(err.Error(), string(sweep.DefensePuzzles)) {
-		t.Errorf("error does not list registered defenses: %v", err)
-	}
-}
-
 // TestRegistryCompleteness is the CI contract: every sweep.Defense enum
 // value resolves to a registered plugin, and every registered plugin is a
 // declared enum value — the grid vocabulary and the registry can never
@@ -52,8 +15,8 @@ func TestRegistryCompleteness(t *testing.T) {
 	known := map[sweep.Defense]bool{}
 	for _, name := range sweep.KnownDefenses() {
 		known[name] = true
-		info, ok := Lookup(name)
-		if !ok {
+		info, _, err := Lookup(name)
+		if err != nil {
 			t.Errorf("sweep defense %q has no registered plugin", name)
 			continue
 		}
@@ -67,6 +30,51 @@ func TestRegistryCompleteness(t *testing.T) {
 	for _, info := range Infos() {
 		if !known[info.Name] {
 			t.Errorf("registered defense %q is not a sweep.KnownDefenses value", info.Name)
+		}
+	}
+}
+
+// TestRegisterRejectsBadRegistrations: Register keys the package's
+// registry by Info.Name, so a second plugin under a built-in name, a
+// nameless plugin and a nil factory panic at init time.
+func TestRegisterRejectsBadRegistrations(t *testing.T) {
+	factory := func(ServerCtx) Defense { return noneDefense{} }
+	for _, tc := range []struct {
+		name, want string
+		info       Info
+		factory    Factory
+	}{
+		{"duplicate-name", `defense: duplicate registration of "none"`, Info{Name: sweep.DefenseNone, Summary: "dup"}, factory},
+		{"empty-name", "defense: Register with empty name", Info{Summary: "anonymous"}, factory},
+		{"nil-factory", `defense: Register("test-nil-factory") with nil factory`, Info{Name: "test-nil-factory"}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("panic %v, want %q", got, tc.want)
+				}
+			}()
+			Register(tc.info, tc.factory)
+		})
+	}
+}
+
+// TestLookupUnknownDefenseErrors: an unknown name errors, naming itself and
+// every registered defense, so the caller learns what exists.
+func TestLookupUnknownDefenseErrors(t *testing.T) {
+	_, factory, err := Lookup("voodoo")
+	if err == nil || factory != nil {
+		t.Fatal("unknown defense resolved")
+	}
+	if !strings.Contains(err.Error(), `"voodoo"`) {
+		t.Errorf("error does not name the unknown defense: %v", err)
+	}
+	if !strings.Contains(err.Error(), string(sweep.DefensePuzzles)) {
+		t.Errorf("error does not list registered defenses: %v", err)
+	}
+	for _, info := range Infos() {
+		if !strings.Contains(err.Error(), string(info.Name)) {
+			t.Errorf("error does not list %q: %v", info.Name, err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package defense
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/sweep"
@@ -37,16 +36,8 @@ var steppedPuzzlesInfo = Info{
 }
 
 func init() {
-	Register(steppedPuzzlesInfo, func(ctx ServerCtx) (Defense, error) {
-		if err := ctx.PuzzleParams().Validate(); err != nil {
-			return nil, fmt.Errorf("puzzle params: %w", err)
-		}
-		return steppedPuzzles{}, nil
-	})
+	Register(steppedPuzzlesInfo, func(ServerCtx) Defense { return steppedPuzzles{} })
 }
-
-// Describe implements Defense.
-func (steppedPuzzles) Describe() Info { return steppedPuzzlesInfo }
 
 // OnTick implements Defense: one step, on steppedInterval boundaries only.
 func (steppedPuzzles) OnTick(ctx ServerCtx) {

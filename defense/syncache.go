@@ -16,11 +16,8 @@ var syncacheInfo = Info{
 }
 
 func init() {
-	Register(syncacheInfo, func(ServerCtx) (Defense, error) { return syncacheDefense{}, nil })
+	Register(syncacheInfo, func(ServerCtx) Defense { return syncacheDefense{} })
 }
-
-// Describe implements Defense.
-func (syncacheDefense) Describe() Info { return syncacheInfo }
 
 // OnSYN implements Defense.
 func (syncacheDefense) OnSYN(ctx ServerCtx, syn tcpkit.Segment, mss uint16, wscale uint8) {

@@ -137,22 +137,9 @@ func (g FiniteGame) OptimalYBar() (float64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
-	const phi = 1.618033988749894848
 	n := float64(g.N())
 	eps := 1e-9 * g.Mu
-	a, b := n+eps, n+g.Mu-eps
-	c := b - (b-a)/phi
-	d := a + (b-a)/phi
-	for i := 0; i < 300 && b-a > 1e-12*(n+g.Mu); i++ {
-		if g.providerObjective(c) > g.providerObjective(d) {
-			b = d
-		} else {
-			a = c
-		}
-		c = b - (b-a)/phi
-		d = a + (b-a)/phi
-	}
-	return (a + b) / 2, nil
+	return goldenMax(g.providerObjective, n+eps, n+g.Mu-eps, 1e-12*(n+g.Mu), 300), nil
 }
 
 // OptimalDifficulty returns the provider's Stackelberg-optimal work level

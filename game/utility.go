@@ -39,16 +39,27 @@ func BestResponse(w, xOthers, l, mu float64) float64 {
 	if xOthers >= mu {
 		return 0
 	}
-	const phi = 1.618033988749894848
-	a, b := 0.0, mu-xOthers-1e-12*mu
-	if b <= a {
+	b := mu - xOthers - 1e-12*mu
+	if b <= 0 {
 		return 0
 	}
 	u := func(x float64) float64 { return Utility(w, x, xOthers+x, l, mu) }
+	x := goldenMax(u, 0, b, 1e-12*mu, 200)
+	if u(x) < u(0) {
+		return 0
+	}
+	return x
+}
+
+// goldenMax maximises a strictly concave f on [a, b] by golden-section
+// search: it narrows the bracket until it is at most tol wide or maxIter
+// steps have run, and returns the bracket's midpoint.
+func goldenMax(f func(float64) float64, a, b, tol float64, maxIter int) float64 {
+	const phi = 1.618033988749894848
 	c := b - (b-a)/phi
 	d := a + (b-a)/phi
-	for i := 0; i < 200 && b-a > 1e-12*mu; i++ {
-		if u(c) > u(d) {
+	for i := 0; i < maxIter && b-a > tol; i++ {
+		if f(c) > f(d) {
 			b = d
 		} else {
 			a = c
@@ -56,9 +67,5 @@ func BestResponse(w, xOthers, l, mu float64) float64 {
 		c = b - (b-a)/phi
 		d = a + (b-a)/phi
 	}
-	x := (a + b) / 2
-	if u(x) < u(0) {
-		return 0
-	}
-	return x
+	return (a + b) / 2
 }

@@ -134,6 +134,8 @@ type MacroFleet struct {
 	// (stateful) strategies get a lazily filled per-source slice instead.
 	shared     attack.Strategy
 	strategies []attack.Strategy
+	// newStrategy builds each stateful source's instance.
+	newStrategy attack.Factory
 
 	// Lazily allocated per-source state, only paid for by strategies
 	// that use it.
@@ -189,14 +191,16 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 	f.isns = tcpkit.NewISNSourceFrom(f.isnSrc)
 	f.ctx.f = f
 
-	// Resolve the strategy once to validate the name and decide the
+	// Resolve the factory once, and let one probe instance decide the
 	// instance policy: a value instance is stateless, shared by every
 	// source and batched; a pointer instance is per-source state, gets a
 	// slot slice and one slot per event.
-	probe, err := attack.New(cfg.Attack, &f.ctx)
+	_, newStrategy, err := attack.Lookup(cfg.Attack)
 	if err != nil {
 		return nil, fmt.Errorf("attacksim: %w", err)
 	}
+	f.newStrategy = newStrategy
+	probe := newStrategy(&f.ctx)
 	if reflect.TypeOf(probe).Kind() == reflect.Ptr {
 		f.strategies = make([]attack.Strategy, cfg.Sources)
 	} else {
@@ -365,8 +369,7 @@ func (f *MacroFleet) strategyFor(slot int32) attack.Strategy {
 	}
 	s := f.strategies[slot]
 	if s == nil {
-		// The probe validated the name; a second New cannot fail.
-		s, _ = attack.New(f.cfg.Attack, &f.ctx)
+		s = f.newStrategy(&f.ctx)
 		f.strategies[slot] = s
 	}
 	return s

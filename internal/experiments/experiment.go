@@ -317,7 +317,7 @@ func planGroups(exps []Experiment, cells []planCell) [][]int {
 // cell that carries them, in the server's issuer.
 func simKey(sc Scenario) Scenario {
 	sc.Label, sc.Shards = "", 0
-	if info, ok := defense.Lookup(sc.Defense); ok && !info.Puzzles && sc.Params.Validate() == nil {
+	if info, _, err := defense.Lookup(sc.Defense); err == nil && !info.Puzzles && sc.Params.Validate() == nil {
 		sc.Params = puzzle.Params{}
 	}
 	return sc

@@ -234,6 +234,7 @@ var deterministicPkgs = []string{
 	modulePath + "/internal/clientsim",
 	modulePath + "/internal/serversim",
 	modulePath + "/internal/experiments",
+	modulePath + "/internal/registry",
 	modulePath + "/sweep",
 	modulePath + "/defense",
 	modulePath + "/attack",

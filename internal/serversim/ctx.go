@@ -36,9 +36,6 @@ func (c serverCtx) Rand() *rand.Rand { return c.s.rnd }
 // Backlog implements defense.ServerCtx.
 func (c serverCtx) Backlog() int { return c.s.cfg.Backlog }
 
-// AcceptBacklog implements defense.ServerCtx.
-func (c serverCtx) AcceptBacklog() int { return c.s.cfg.AcceptBacklog }
-
 // SynAckTimeout implements defense.ServerCtx.
 func (c serverCtx) SynAckTimeout() time.Duration { return c.s.cfg.SynAckTimeout }
 

@@ -120,13 +120,12 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 	s.acceptQ = tcpkit.NewAcceptQueue(cfg.AcceptBacklog, func(n int) {
 		s.metrics.AcceptLen.Set(eng.Now(), float64(n))
 	})
-	info, _ := defense.Lookup(cfg.Defense)
-	s.puzzles = info.Puzzles
-	d, err := defense.New(cfg.Defense, s.ctx())
+	info, newDefense, err := defense.Lookup(cfg.Defense)
 	if err != nil {
 		return nil, fmt.Errorf("serversim: %w", err)
 	}
-	s.defense = d
+	s.puzzles = info.Puzzles
+	s.defense = newDefense(s.ctx())
 	if err := network.Attach(s, link); err != nil {
 		return nil, fmt.Errorf("serversim: %w", err)
 	}

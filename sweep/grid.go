@@ -35,95 +35,52 @@ type Point struct {
 	Set   func(*Scenario)
 }
 
-// Ks sweeps the puzzle difficulty k (solutions required).
-func Ks(vals ...uint8) Axis {
-	ax := Axis{Name: "k"}
+// axis builds a one-field axis: each value is labelled by format and
+// written into the cell's scenario by set.
+func axis[T any](name, format string, set func(*Scenario, T), vals []T) Axis {
+	ax := Axis{Name: name}
 	for _, v := range vals {
-		v := v
 		ax.Points = append(ax.Points, Point{
-			Label: fmt.Sprintf("k=%d", v),
-			Set:   func(sc *Scenario) { sc.Params.K = v },
+			Label: fmt.Sprintf(format, v),
+			Set:   func(sc *Scenario) { set(sc, v) },
 		})
 	}
 	return ax
+}
+
+// Ks sweeps the puzzle difficulty k (solutions required).
+func Ks(vals ...uint8) Axis {
+	return axis("k", "k=%d", func(sc *Scenario, v uint8) { sc.Params.K = v }, vals)
 }
 
 // Ms sweeps the puzzle difficulty m (bits per solution).
 func Ms(vals ...uint8) Axis {
-	ax := Axis{Name: "m"}
-	for _, v := range vals {
-		v := v
-		ax.Points = append(ax.Points, Point{
-			Label: fmt.Sprintf("m=%d", v),
-			Set:   func(sc *Scenario) { sc.Params.M = v },
-		})
-	}
-	return ax
+	return axis("m", "m=%d", func(sc *Scenario, v uint8) { sc.Params.M = v }, vals)
 }
 
 // Defenses sweeps the server protection.
 func Defenses(vals ...Defense) Axis {
-	ax := Axis{Name: "defense"}
-	for _, v := range vals {
-		v := v
-		ax.Points = append(ax.Points, Point{
-			Label: fmt.Sprintf("defense=%s", v),
-			Set:   func(sc *Scenario) { sc.Defense = v },
-		})
-	}
-	return ax
+	return axis("defense", "defense=%s", func(sc *Scenario, v Defense) { sc.Defense = v }, vals)
 }
 
 // Attacks sweeps the botnet behaviour.
 func Attacks(vals ...Attack) Axis {
-	ax := Axis{Name: "attack"}
-	for _, v := range vals {
-		v := v
-		ax.Points = append(ax.Points, Point{
-			Label: fmt.Sprintf("attack=%s", v),
-			Set:   func(sc *Scenario) { sc.Attack = v },
-		})
-	}
-	return ax
+	return axis("attack", "attack=%s", func(sc *Scenario, v Attack) { sc.Attack = v }, vals)
 }
 
 // BotCounts sweeps the botnet size.
 func BotCounts(vals ...int) Axis {
-	ax := Axis{Name: "bots"}
-	for _, v := range vals {
-		v := v
-		ax.Points = append(ax.Points, Point{
-			Label: fmt.Sprintf("bots=%d", v),
-			Set:   func(sc *Scenario) { sc.BotCount = v },
-		})
-	}
-	return ax
+	return axis("bots", "bots=%d", func(sc *Scenario, v int) { sc.BotCount = v }, vals)
 }
 
 // PerBotRates sweeps the per-bot attack rate (packets/second).
 func PerBotRates(vals ...float64) Axis {
-	ax := Axis{Name: "rate"}
-	for _, v := range vals {
-		v := v
-		ax.Points = append(ax.Points, Point{
-			Label: fmt.Sprintf("rate=%g", v),
-			Set:   func(sc *Scenario) { sc.PerBotRate = v },
-		})
-	}
-	return ax
+	return axis("rate", "rate=%g", func(sc *Scenario, v float64) { sc.PerBotRate = v }, vals)
 }
 
 // Seeds sweeps the scenario seed, for replicated designs.
 func Seeds(vals ...int64) Axis {
-	ax := Axis{Name: "seed"}
-	for _, v := range vals {
-		v := v
-		ax.Points = append(ax.Points, Point{
-			Label: fmt.Sprintf("seed=%d", v),
-			Set:   func(sc *Scenario) { sc.Seed = v },
-		})
-	}
-	return ax
+	return axis("seed", "seed=%d", func(sc *Scenario, v int64) { sc.Seed = v }, vals)
 }
 
 // Variants is a free-form axis for dimensions that change several fields
