@@ -6,7 +6,7 @@ GO ?= go
 # samples to test significance on (benchstat wants >= 10 for tight CIs).
 COUNT ?= 10
 
-.PHONY: build test race lint shim-guard bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid fuzz-smoke load-smoke
+.PHONY: build test race lint fmt-check shim-guard bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid fuzz-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -21,16 +21,22 @@ race:
 # allowcheck) over every package of the module. Exits nonzero
 # on any diagnostic; see docs/DETERMINISM.md for the rules and the
 # //tcpz:allow suppression syntax.
-lint: shim-guard
+lint: fmt-check shim-guard
 	$(GO) run ./cmd/tcpz-vet ./...
 
-# bench/ compiles against a few deprecated shims until ROADMAP item 3
-# retargets it (attacksim.New/Config, FloodRun.Botnet, netsim.NewSharded,
-# ShardStats). Fail if any Go file outside bench/ calls one.
+# Every Go file, bench/ included, is gofmt-formatted: gofmt -l lists none.
+fmt-check:
+	@files=$$(gofmt -l .); test -z "$$files" \
+		|| { echo "$$files"; echo 'gofmt -l lists the files above; run gofmt -w on them'; exit 1; }
+
+# bench/ compiles against a few deprecated shims until the next benchmark
+# revision retargets it (attacksim.New/Config, FloodRun.Botnet,
+# netsim.NewSharded, ShardStats). Fail if any Go file outside bench/ calls
+# one.
 shim-guard:
 	@! grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
 		'attacksim\.New\(|attacksim\.Config\{|\.Botnet\b|netsim\.NewSharded|\.ShardStats\(' . \
-		|| { echo 'deprecated shim called outside bench/ (see ROADMAP item 3)'; exit 1; }
+		|| { echo 'deprecated shim called outside bench/ (the next benchmark revision removes them)'; exit 1; }
 
 # Full microbench sweep, benchstat-ready:
 #   make bench > new.txt            # on your branch

@@ -12,7 +12,7 @@ import "fmt"
 // 10% baseline of the payoff spread (the affine shift leaves the dynamics'
 // fixed points unchanged but keeps the discrete map well defined for
 // negative or zero payoffs). A floor ∈ [0, 1/n) then mixes the result with
-// the uniform distribution, xᵢ'' = floor + (1 − n·floor)·xᵢ', guaranteeing
+// the uniform distribution, xᵢ″ = floor + (1 − n·floor)·xᵢ', guaranteeing
 // every strategy keeps at least the floor share — the exploration mass an
 // online learner needs so a temporarily useless arm can recover.
 //

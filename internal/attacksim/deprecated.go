@@ -7,7 +7,7 @@ import (
 
 // Config describes one attacking host.
 //
-// Deprecated: kept only so bench/ compiles; ROADMAP item 3 removes it.
+// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 type Config struct {
 	Addr, ServerAddr [4]byte
 	Attack           sweep.Attack
@@ -20,7 +20,7 @@ type Config struct {
 // New attaches a one-source fleet configured by cfg to network, which
 // must run on eng.
 //
-// Deprecated: kept only so bench/ compiles; ROADMAP item 3 removes it.
+// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cfg Config) (*MacroFleet, error) {
 	return NewMacroFleet(network, MacroConfig{
 		Sources: 1, BaseAddr: cfg.Addr, ServerAddr: cfg.ServerAddr,

@@ -199,13 +199,14 @@ func runPlan(exps []Experiment, grids [][]Scenario, exec Exec) ([][]sweep.Result
 		}
 		for _, c := range groups[g] {
 			id, sc := exps[cells[c].exp].ID, cells[c].sc
+			canon := sweep.Canon(sc) // the cache key's and the NDJSON record's bytes
 			var (
 				metrics []sweep.Metric
 				series  []sweep.Series
 				cached  bool
 			)
 			if exec.Cache != nil {
-				metrics, series, cached = exec.Cache.Get(id, sc)
+				metrics, series, cached = exec.Cache.GetCanonical(id, canon)
 			}
 			if !cached {
 				var err error
@@ -228,7 +229,7 @@ func runPlan(exps []Experiment, grids [][]Scenario, exec Exec) ([][]sweep.Result
 					debugf(c, "heap-alloc=%dMiB heap-sys=%dMiB", ms.HeapAlloc>>20, ms.HeapSys>>20)
 				}
 				if exec.Cache != nil {
-					if err := exec.Cache.Put(id, sc, metrics, series); err != nil {
+					if err := exec.Cache.PutCanonical(id, canon, metrics, series); err != nil {
 						return fmt.Errorf("experiments: %s: %w", id, err)
 					}
 				}
@@ -237,7 +238,7 @@ func runPlan(exps []Experiment, grids [][]Scenario, exec Exec) ([][]sweep.Result
 				Experiment: id, Scenario: sc,
 				Metrics: metrics, Series: series,
 			}
-			if err := stream.Emit(c, results[c]); err != nil {
+			if err := stream.Emit(c, results[c], canon); err != nil {
 				return fmt.Errorf("experiments: %s: %w", id, err)
 			}
 		}

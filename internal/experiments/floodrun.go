@@ -23,7 +23,7 @@ type FloodRun struct {
 	Macro *attacksim.MacroFleet
 	// Botnet is always nil: Macro holds every population.
 	//
-	// Deprecated: kept only so bench/ compiles; ROADMAP item 3 removes it.
+	// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 	Botnet *attacksim.MacroFleet
 }
 

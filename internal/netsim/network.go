@@ -177,7 +177,7 @@ type Network struct {
 
 // ShardStats is what Network.ShardStats reports.
 //
-// Deprecated: kept only so bench/ compiles; ROADMAP item 3's benchmark revision removes it.
+// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 type ShardStats struct {
 	Events        []uint64
 	Windows       int
@@ -188,7 +188,7 @@ type ShardStats struct {
 // ShardStats reports the engine's fired-event count as a one-element
 // Events.
 //
-// Deprecated: kept only so bench/ compiles; ROADMAP item 3's benchmark revision removes it.
+// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 func (n *Network) ShardStats() ShardStats {
 	return ShardStats{Events: []uint64{n.Eng.Fired()}}
 }
@@ -202,7 +202,7 @@ func NewNetwork(eng *Engine) *Network {
 
 // NewSharded returns NewNetwork(NewEngine()); the shard count is ignored.
 //
-// Deprecated: kept only so bench/ compiles; ROADMAP item 3's benchmark revision removes it.
+// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 func NewSharded(int) *Network { return NewNetwork(NewEngine()) }
 
 // Run executes the simulation until the given time (see Engine.Run).

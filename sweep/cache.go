@@ -35,26 +35,46 @@ func digest(b []byte) string {
 
 // Hash returns the content address of one experiment cell: a SHA-256 over
 // the output ledger's digest, the experiment name, and the canonical
-// (post-Defaults) Scenario serialised as JSON. Every Scenario field —
+// (post-Defaults) Scenario's one encoding (Canon). Every Scenario field —
 // including Label and the defense and attack names — feeds the hash, so
 // two cells collide only when they would simulate identically and report
 // identically. Adding a field to Scenario changes every hash, which
 // safely turns old cache entries into misses (wipe the cache directory to
-// reclaim the space). Fields tagged json:"-" stay out of the key (see
-// scenarioHashExclusions).
+// reclaim the space). Fields tagged json:"-" stay out of the key (the
+// tests pin each in scenarioHashExclusions, with its reason).
 func Hash(experiment string, sc Scenario) string {
 	return hashAt(ledgerDigest, experiment, sc)
 }
 
 // hashAt is Hash under an explicit version line.
 func hashAt(version, experiment string, sc Scenario) string {
-	canonicalScenario := sc.Defaults()
-	canonical, err := json.Marshal(canonicalScenario)
-	if err != nil {
-		// Marshal fails only on non-finite floats (NaN/Inf rates). Fall
+	return Canon(sc).hash(version, experiment)
+}
+
+// Canonical is a canonical scenario with its one encoding, which a cell's
+// cache key hashes and its NDJSON record carries (Stream.Emit).
+type Canonical struct {
+	sc   Scenario
+	json []byte // nil when sc does not encode
+}
+
+// Canon returns sc's canonical form and its encoding.
+func Canon(sc Scenario) Canonical {
+	sc = sc.Defaults()
+	b, _ := encodeScenario(sc)
+	return Canonical{sc, b}
+}
+
+// encodeScenario is the one function that encodes a Scenario.
+func encodeScenario(sc Scenario) ([]byte, error) { return json.Marshal(sc) }
+
+func (c Canonical) hash(version, experiment string) string {
+	canonical := c.json
+	if canonical == nil {
+		// Encoding fails only on non-finite floats (NaN/Inf rates). Fall
 		// back to the fmt representation, which formats those fine and
 		// still distinguishes scenarios, so no two cells share a key.
-		canonical = []byte(fmt.Sprintf("%#v", canonicalScenario))
+		canonical = []byte(fmt.Sprintf("%#v", c.sc))
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n%s\n", version, experiment)
@@ -119,14 +139,19 @@ func (c *Cache) Dir() string { return c.dir }
 // read nor counted against the size budget.
 const entrySuffix = ".entry"
 
-func (c *Cache) path(experiment string, sc Scenario) string {
-	return filepath.Join(c.dir, experiment+"-"+Hash(experiment, sc)+entrySuffix)
+func (c *Cache) path(experiment string, sc Canonical) string {
+	return filepath.Join(c.dir, experiment+"-"+sc.hash(ledgerDigest, experiment)+entrySuffix)
 }
 
 // Get returns the stored metrics and series for the cell, if present.
 // Unreadable, truncated or corrupt entries count as misses. Hits refresh
 // the entry's recency for LRU eviction.
 func (c *Cache) Get(experiment string, sc Scenario) ([]Metric, []Series, bool) {
+	return c.GetCanonical(experiment, Canon(sc))
+}
+
+// GetCanonical is Get keyed by a cell's one encoding.
+func (c *Cache) GetCanonical(experiment string, sc Canonical) ([]Metric, []Series, bool) {
 	path := c.path(experiment, sc)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -153,6 +178,11 @@ func (c *Cache) Get(experiment string, sc Scenario) ([]Metric, []Series, bool) {
 // a size budget is set, least-recently-used entries are evicted to fit.
 // A NaN or infinite value is an error naming its metric or series.
 func (c *Cache) Put(experiment string, sc Scenario, metrics []Metric, series []Series) error {
+	return c.PutCanonical(experiment, Canon(sc), metrics, series)
+}
+
+// PutCanonical is Put keyed by a cell's one encoding.
+func (c *Cache) PutCanonical(experiment string, sc Canonical, metrics []Metric, series []Series) error {
 	data, err := encodeEntry(metrics, series)
 	if err != nil {
 		return fmt.Errorf("sweep: cache: %w", err)

@@ -79,7 +79,7 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	if err := cache.Put("fig9", sc, []Metric{{Name: "a", Value: 1}}, series); err != nil {
 		t.Fatal(err)
 	}
-	path := cache.path("fig9", sc)
+	path := cache.path("fig9", Canon(sc))
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func evictionEntrySize(t *testing.T) int64 {
 	if err := cache.Put("exp", sc, []Metric{{Name: "v", Value: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(cache.path("exp", sc))
+	info, err := os.Stat(cache.path("exp", Canon(sc)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func evictionCache(t *testing.T, dir string, maxBytes int64, n int) (*Cache, []S
 			t.Fatal(err)
 		}
 		at := time.Unix(1_700_000_000+int64(i)*10, 0)
-		if err := os.Chtimes(cache.path("exp", scs[i]), at, at); err != nil {
+		if err := os.Chtimes(cache.path("exp", Canon(scs[i])), at, at); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -32,10 +32,10 @@
 //     under Stream's lock they are only written.
 //
 //   - Cache is a content-addressed result store keyed by Hash — a stable
-//     SHA-256 of the canonical (post-Defaults) Scenario plus the
-//     experiment name, under the digest of the output ledger this
-//     package embeds (testdata/experiments.golden) — so regenerating a
-//     figure skips every already-computed cell, and re-blessing the
+//     SHA-256 of the canonical Scenario's one encoding (Canon), which the
+//     NDJSON record carries too, plus the experiment name, under the
+//     digest of the output ledger this package embeds — so regenerating
+//     a figure skips every already-computed cell, and re-blessing the
 //     ledger re-keys them all. Hits and Misses counters make the skip
 //     observable.
 //

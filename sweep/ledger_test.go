@@ -76,6 +76,58 @@ func TestExperimentLedger(t *testing.T) {
 	}
 }
 
+// TestPlanRecordScenarioIsKeyed: for every cell of the tiny "all" plan,
+// the NDJSON record's "scenario" bytes are the very bytes its cache key
+// hashes. Each record names a cache entry, SHA-256 over the ledger's
+// digest, the experiment and those bytes, and the cache holds exactly the
+// entries the records name.
+func TestPlanRecordScenarioIsKeyed(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nd := runLedger(t, "all", []sim.RunOption{sim.WithCache(cache)})
+	raw, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := sha256.Sum256(raw)
+	named := map[string]bool{}
+	for _, line := range bytes.SplitAfter(nd, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec struct {
+			Experiment string          `json:"experiment"`
+			Scenario   json.RawMessage `json:"scenario"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("NDJSON record: %v", err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%s\n%s\n", hex.EncodeToString(version[:]), rec.Experiment)
+		h.Write(rec.Scenario)
+		named[rec.Experiment+"-"+hex.EncodeToString(h.Sum(nil))+".entry"] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !named[e.Name()] {
+			t.Errorf("cache entry %s is named by no record's scenario bytes", e.Name())
+		}
+		delete(named, e.Name())
+	}
+	for name := range named {
+		t.Errorf("a record's scenario bytes name %s, which the cache does not hold", name)
+	}
+	if len(entries) == 0 {
+		t.Fatal("the plan cached nothing")
+	}
+}
+
 // ledger runs every registered experiment at ScaleTiny with opts, one
 // RunExperiment call each, and renders the ledger text.
 func ledger(t *testing.T, opts ...sim.RunOption) string {

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 )
@@ -38,10 +37,10 @@ func FoldSeeds(results []Result) []Result {
 		sc := r.Scenario
 		sc.Seed = 0
 		sc.Label = stripSeedLabel(sc.Label)
-		keyBytes, err := json.Marshal(sc)
+		keyBytes, err := encodeScenario(sc)
 		if err != nil {
-			// Scenario is a plain struct; Marshal cannot fail. Group by
-			// label if it ever does rather than dropping the result.
+			// A non-finite rate does not encode. Group by label rather
+			// than dropping the result.
 			keyBytes = []byte(sc.Label)
 		}
 		key := r.Experiment + "\x00" + string(keyBytes)

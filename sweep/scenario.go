@@ -140,7 +140,7 @@ type Scenario struct {
 	// size. Zero, the default, keeps every pre-existing cache hash via
 	// omitempty.
 	//
-	// Deprecated: kept only so bench/ compiles; ROADMAP item 3 removes it.
+	// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 	// Set BotCount instead: it runs the same population.
 	MacroSources int `json:",omitempty"`
 
@@ -151,7 +151,7 @@ type Scenario struct {
 
 	// Shards is read by nothing: every scenario runs on one event engine.
 	//
-	// Deprecated: kept only so bench/ compiles; ROADMAP item 3's benchmark revision removes it.
+	// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 	Shards int `json:"-"`
 }
 

@@ -24,11 +24,11 @@ type Sink interface {
 }
 
 // encoder is a Sink whose records Stream builds off its lock: encode is
-// a pure function of the Result, safe to call from any goroutine, and
+// a pure function of its arguments, safe to call from any goroutine, and
 // writeEncoded writes finished records in the order it is handed them.
 // Write is encode then writeEncoded, so each format has one encoder.
 type encoder interface {
-	encode(Result) ([]byte, error)
+	encode(Result, Canonical) ([]byte, error)
 	writeEncoded([]byte) error
 }
 
@@ -55,7 +55,7 @@ func NewCSV(w io.Writer) *CSVSink {
 // Write emits one row per scalar metric of the result in one write to the
 // underlying writer, so rows are visible as cells complete.
 func (s *CSVSink) Write(r Result) error {
-	b, err := s.encode(r)
+	b, err := s.encode(r, Canonical{})
 	if err != nil {
 		return err
 	}
@@ -64,7 +64,7 @@ func (s *CSVSink) Write(r Result) error {
 
 // encode renders the result's rows. The ten scenario fields are the same
 // on every row, so they are quoted once.
-func (s *CSVSink) encode(r Result) ([]byte, error) {
+func (s *CSVSink) encode(r Result, _ Canonical) ([]byte, error) {
 	sc := r.Scenario
 	var prefix []byte
 	for _, f := range [...]string{r.Experiment, sc.Label, string(sc.Defense), string(sc.Attack)} {
@@ -157,7 +157,7 @@ func NewNDJSON(w io.Writer) *NDJSONSink {
 // Write encodes the result followed by a newline, in one write to the
 // underlying writer; a result that does not encode writes nothing.
 func (s *NDJSONSink) Write(r Result) error {
-	b, err := s.encode(r)
+	b, err := s.encode(r, Canonical{})
 	if err != nil {
 		return err
 	}
@@ -166,12 +166,15 @@ func (s *NDJSONSink) Write(r Result) error {
 
 // encode renders the result exactly as json.Encoder does (HTML-escaped,
 // one trailing newline, the first unsupported value an error). The
-// scenario goes through encoding/json; the metric and series arrays,
-// which hold most of a record's numbers, are appended directly.
-func (s *NDJSONSink) encode(r Result) ([]byte, error) {
-	sc, err := json.Marshal(r.Scenario)
-	if err != nil {
-		return nil, err
+// scenario is c's encoding if c holds exactly r.Scenario, else r's own;
+// the metric and series arrays, which hold most of a record's numbers, are
+// appended directly.
+func (s *NDJSONSink) encode(r Result, c Canonical) ([]byte, error) {
+	sc, err := c.json, error(nil)
+	if sc == nil || c.sc != r.Scenario {
+		if sc, err = encodeScenario(r.Scenario); err != nil {
+			return nil, err
+		}
 	}
 	n := len(sc) + 64 + 40*len(r.Metrics)
 	for _, se := range r.Series {
@@ -250,8 +253,26 @@ func appendJSONString(b []byte, s string) []byte {
 // appendJSONFloat appends v as encoding/json writes a float64: the
 // shortest form, in exponent form below 1e-6 or from 1e21 in magnitude
 // with the exponent unpadded. NaN and ±Inf are json's
-// UnsupportedValueError.
+// UnsupportedValueError. Two fast paths skip strconv's search for the
+// shortest digits: AppendInt writes integers below 2^53 but -0, and a
+// value of at most six decimals and 15 significant digits, the only such
+// decimal that rounds to it, is round(v·10⁶) with the point put back.
 func appendJSONFloat(b []byte, v float64) ([]byte, error) {
+	if math.Trunc(v) == v {
+		if math.Abs(v) < 1<<53 && (v != 0 || !math.Signbit(v)) {
+			return strconv.AppendInt(b, int64(v), 10), nil
+		}
+	} else if n := math.Round(v * 1e6); n/1e6 == v && math.Abs(n) < 1e15 {
+		i := int64(n)
+		if i < 0 {
+			b, i = append(b, '-'), -i
+		}
+		b = append(strconv.AppendInt(b, i/1e6, 10), '.')
+		for d, frac := int64(1e5), i%1e6; frac > 0; d /= 10 {
+			b, frac = append(b, byte('0'+frac/d)), frac%d
+		}
+		return b, nil
+	}
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: formatFloat(v)}
 	}
@@ -349,17 +370,18 @@ func NewStream(sinks ...Sink) *Stream {
 	return &Stream{sinks: sinks, pending: map[int]cell{}}
 }
 
-// Emit hands cell index's result to the stream. Safe for concurrent use.
-// The first sink error is returned (and re-returned by later Emits), so a
-// failing sink aborts the grid instead of silently truncating output.
-func (s *Stream) Emit(index int, r Result) error {
+// Emit hands cell index's result and its Canonical (or a zero one) to the
+// stream. Safe for concurrent use. The first sink error is returned (and
+// re-returned by later Emits), so a failing sink aborts the grid instead
+// of silently truncating output.
+func (s *Stream) Emit(index int, r Result, sc Canonical) error {
 	if len(s.sinks) == 0 {
 		return nil
 	}
 	var c cell
 	for _, sink := range s.sinks {
 		if enc, ok := sink.(encoder); ok {
-			b, err := enc.encode(r)
+			b, err := enc.encode(r, sc)
 			c.recs = append(c.recs, record{b, err})
 		} else {
 			c.r = r

@@ -137,7 +137,7 @@ func TestStreamReordersToGridOrder(t *testing.T) {
 		var got bytes.Buffer
 		stream := NewStream(NewCSV(&got))
 		for _, i := range rng.Perm(len(results)) {
-			if err := stream.Emit(i, results[i]); err != nil {
+			if err := stream.Emit(i, results[i], Canon(results[i].Scenario)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -161,14 +161,14 @@ func (f *failingSink) Flush() error { return nil }
 func TestStreamPropagatesSinkError(t *testing.T) {
 	results := goldenResults()
 	stream := NewStream(&failingSink{})
-	if err := stream.Emit(0, results[0]); err != nil {
+	if err := stream.Emit(0, results[0], Canonical{}); err != nil {
 		t.Fatalf("first write failed: %v", err)
 	}
-	if err := stream.Emit(1, results[1]); err == nil {
+	if err := stream.Emit(1, results[1], Canonical{}); err == nil {
 		t.Fatal("sink error swallowed")
 	}
 	// The error is sticky.
-	if err := stream.Emit(2, results[2]); err == nil {
+	if err := stream.Emit(2, results[2], Canonical{}); err == nil {
 		t.Fatal("stream forgot the sink error")
 	}
 }
@@ -269,16 +269,33 @@ func TestCSVSinkMatchesEncodingCSV(t *testing.T) {
 }
 
 // TestNDJSONSinkMatchesEncoder pins the NDJSON record to json.Encoder's,
-// on the edge cases and on random float bit patterns.
+// on the edge cases, on values either side of appendJSONFloat's fast
+// paths (integers below 2^53 but -0; six decimals and 15 significant
+// digits), and on random float bit patterns and random decimals.
 func TestNDJSONSinkMatchesEncoder(t *testing.T) {
 	results := append(goldenResults(), oddResults()...)
+	edges := []float64{0, math.Copysign(0, -1), 1, -1, 2, -7, 100, -4096, 1 << 52,
+		1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 2, 1e15, -1e15, 1e20, 1e21, -1e21, 1e300,
+		1e-6, -1e-6, 5e-6, 9.99e-7, 0.000123, 0.1, 0.1 + 0.2, 1.5, -2.25, 0.0000015, 123456789.123456,
+		999999999.999999, -999999999.999999, 999999999.9999995, 1e9 + 0.5, 7.394032000000001}
+	for _, v := range edges {
+		results = append(results, Result{Experiment: "integral", Metrics: []Metric{{Name: "v", Value: v}},
+			Series: []Series{{Name: "v", Values: []float64{v, -v, v / 2}}}})
+	}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 1000; i++ {
 		vals := make([]float64, 50)
 		for j := range vals {
 			v := math.Float64frombits(rng.Uint64())
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				v = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+			}
+			switch j % 5 {
+			case 0: // an integer of any magnitude up to 2^54
+				v = math.Copysign(math.Trunc(math.Ldexp(rng.Float64(), rng.Intn(55))), v)
+			case 1: // a decimal of up to 8 places and 16 digits, or a neighbour
+				v = float64(rng.Int63n(1e16)-5e15) / math.Pow10(rng.Intn(9))
+				v = math.Nextafter(v, v+float64(rng.Intn(3)-1))
 			}
 			vals[j] = v
 		}
@@ -330,7 +347,7 @@ func TestStreamParksEncodingError(t *testing.T) {
 			stream := NewStream(sinks...)
 			released := false
 			for _, i := range rng.Perm(len(results)) {
-				err := stream.Emit(i, results[i])
+				err := stream.Emit(i, results[i], Canon(results[i].Scenario))
 				if released && (err == nil || err.Error() != wantErr.Error()) {
 					t.Fatalf("Emit(%d) after the failure: %v, want %v", i, err, wantErr)
 				}
@@ -380,7 +397,14 @@ func TestStreamConcurrentEmit(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := len(results) - 1 - w; i >= 0; i -= workers {
-					if err := stream.Emit(i, results[i]); err != nil {
+					// Odd cells pass no Canonical. An even cell's Canon
+					// holds its Defaults(), which the oddResults' own
+					// scenarios are not: those must still encode their own.
+					var sc Canonical
+					if i%2 == 0 {
+						sc = Canon(results[i].Scenario)
+					}
+					if err := stream.Emit(i, results[i], sc); err != nil {
 						t.Error(err)
 						return
 					}
