@@ -1,8 +1,9 @@
 // Command tcpz-exp runs the paper's experiments and emits their results.
 // The selected experiments run as one plan: every grid's cells fan out
-// across one work-stealing runner pool, and a deployment several
-// experiments read (-exp all) is simulated once; -workers bounds the pool
-// (0 = all cores). Results are identical at every worker count.
+// across one runner pool, whose workers claim them in plan order from one
+// shared counter, and a deployment several experiments read (-exp all) is
+// simulated once; -workers bounds the pool (0 = all cores). Results are
+// identical at every worker count.
 //
 // Besides the default pretty tables, -format csv|json streams every grid
 // cell's structured result (long-format CSV rows, or NDJSON including the
@@ -17,8 +18,8 @@
 // sweep simulates cells that differ only in puzzle parameters under any
 // other defense once). -verbose narrates execution on stderr: per-cell event
 // counts and heap usage, and one runner line per invocation with the
-// pool's backpressure and the plan's peak heap — the memory headroom
-// signal for macro-source scale runs.
+// pool's width, the jobs it claimed and the plan's peak heap — the memory
+// headroom signal for macro-source scale runs.
 //
 // Usage:
 //
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -61,7 +63,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	foldSeeds := fs.Bool("fold-seeds", false, "fold replicated cells (Seeds axes) into mean/stddev rows (csv or json format)")
 	cacheDir := fs.String("cache-dir", "", "cache completed cells here; repeated runs skip identical scenarios")
 	cacheMax := fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this total size (0 = unlimited; requires -cache-dir)")
-	verbose := fs.Bool("verbose", false, "narrate execution on stderr: per-cell events and heap, and runner backpressure")
+	verbose := fs.Bool("verbose", false, "narrate execution on stderr: per-cell events and heap, and one runner line")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	listDefenses := fs.Bool("list-defenses", false, "list registered defense plugins and exit")
 	listAttacks := fs.Bool("list-attacks", false, "list registered attack plugins and exit")
@@ -99,6 +101,25 @@ func run(args []string, stdout io.Writer) (err error) {
 		return tw.Flush()
 	}
 
+	// Every usage error is reported before -out is opened, so a mistyped
+	// command never truncates an existing output file.
+	switch *format {
+	case "table", "csv", "json":
+	default:
+		return fmt.Errorf("unknown format %q (want table, csv or json)", *format)
+	}
+	if *foldSeeds && *format == "table" {
+		return fmt.Errorf("-fold-seeds requires -format csv or json")
+	}
+	if ids, name := sim.ExperimentIDs(), strings.ToLower(*exp); name != "all" && !slices.Contains(ids, name) {
+		return fmt.Errorf("unknown experiment %q (known: %s, or all)", *exp, strings.Join(ids, ", "))
+	}
+	switch sim.Scale(*scale) {
+	case sim.ScaleTiny, sim.ScaleQuick, sim.ScalePaper:
+	default:
+		return fmt.Errorf("unknown scale %q (want tiny, quick or paper)", *scale)
+	}
+
 	opts := []sim.RunOption{sim.WithWorkers(*workers)}
 	if *verbose {
 		opts = append(opts, sim.WithDebug(os.Stderr))
@@ -112,11 +133,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		opts = append(opts, sim.WithCache(cache))
 	}
 
-	switch *format {
-	case "table", "csv", "json":
-	default:
-		return fmt.Errorf("unknown format %q (want table, csv or json)", *format)
-	}
 	w := stdout
 	if *out != "" {
 		f, createErr := os.Create(*out)
@@ -140,9 +156,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		sink = sweep.NewNDJSON(w)
 	}
 	if *foldSeeds {
-		if sink == nil {
-			return fmt.Errorf("-fold-seeds requires -format csv or json")
-		}
 		sink = sweep.NewReplicate(sink)
 	}
 	if sink != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,6 +22,32 @@ func TestCacheMaxBytesNeedsValidCacheDir(t *testing.T) {
 		err := run(c.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("run(%q) = %v, want an error containing %q", c.args, err, c.want)
+		}
+	}
+}
+
+// A usage error fails the run before -out is opened: an existing output
+// file keeps its bytes.
+func TestUsageErrorKeepsOutFile(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "nash", "-fold-seeds"}, "-fold-seeds requires"},
+		{[]string{"-exp", "nosuch", "-format", "csv"}, "unknown experiment"},
+		{[]string{"-scale", "huge", "-format", "csv"}, "unknown scale"},
+	} {
+		out := filepath.Join(t.TempDir(), "f.csv")
+		const kept = "earlier results\n"
+		if err := os.WriteFile(out, []byte(kept), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := append(c.args, "-out", out)
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%q) = %v, want an error containing %q", args, err, c.want)
+		}
+		if got, err := os.ReadFile(out); err != nil || string(got) != kept {
+			t.Errorf("run(%q) left -out holding %q (%v), want %q", args, got, err, kept)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func run(args []string) error {
 	if *cores > 1 {
 		// The aggregate rate bounds what a multi-core flooder on this
 		// machine could solve; one measurement job per core on the
-		// work-stealing runner.
+		// runner pool.
 		rates, err := runner.Map(*cores, *cores, func(int) (float64, error) {
 			return measureHashRate(*duration), nil
 		})

@@ -252,19 +252,14 @@ func runPlan(exps []Experiment, grids [][]Scenario, exec Exec) ([][]sweep.Result
 		}
 		return nil, err
 	}
-	// Attach the pool's backpressure stats (shared across the plan) and
-	// narrate them when debugging. Exec is json-skipped and uncached, so
-	// sink bytes and determinism comparisons never see it. Jobs counts
-	// groups, not cells.
+	// Attach the pool's stats (shared across the plan) and narrate them
+	// when debugging. Exec is json-skipped and uncached, so sink bytes and
+	// determinism comparisons never see it. Jobs counts groups, not cells.
 	pool := &sweep.ExecStats{
-		Workers:          stats.Workers,
-		Jobs:             stats.Jobs,
-		LocalClaims:      stats.LocalClaims,
-		Steals:           stats.Steals,
-		FailedStealScans: stats.FailedStealScans,
-		MeanQueueDepth:   stats.MeanQueueDepth,
-		PeakHeapAlloc:    peakHeapAlloc,
-		PeakHeapSys:      peakHeapSys,
+		Workers:       stats.Workers,
+		Jobs:          stats.Jobs,
+		PeakHeapAlloc: peakHeapAlloc,
+		PeakHeapSys:   peakHeapSys,
 	}
 	for i := range results {
 		results[i].Exec = pool
@@ -275,10 +270,8 @@ func runPlan(exps []Experiment, grids [][]Scenario, exec Exec) ([][]sweep.Result
 			name = exps[0].ID
 		}
 		fmt.Fprintf(exec.Debug,
-			"[%s] runner: workers=%d jobs=%d local=%d steals=%d failed-scans=%d mean-queue-depth=%.1f peak-heap-alloc=%dMiB peak-heap-sys=%dMiB\n",
-			name, pool.Workers, pool.Jobs, pool.LocalClaims, pool.Steals,
-			pool.FailedStealScans, pool.MeanQueueDepth,
-			pool.PeakHeapAlloc>>20, pool.PeakHeapSys>>20)
+			"[%s] runner: workers=%d jobs=%d peak-heap-alloc=%dMiB peak-heap-sys=%dMiB\n",
+			name, pool.Workers, pool.Jobs, pool.PeakHeapAlloc>>20, pool.PeakHeapSys>>20)
 	}
 	out := make([][]sweep.Result, len(exps))
 	for k, grid := range grids {

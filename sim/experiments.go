@@ -70,10 +70,9 @@ func WithCache(c *sweep.Cache) RunOption {
 }
 
 // WithDebug streams execution observability to w as cells complete:
-// per-cell event counts, event-queue counters and heap, and per-grid
-// runner-pool backpressure (local claims, steals, failed steal scans,
-// mean queue depth). Purely observational — results, sinks, and the
-// cache never see it.
+// per-cell event counts, event-queue counters and heap, and one runner
+// line per plan (pool width, jobs claimed, peak heap). Purely
+// observational — results, sinks, and the cache never see it.
 func WithDebug(w io.Writer) RunOption {
 	return func(e *sweep.Exec) { e.Debug = w }
 }

@@ -8,8 +8,9 @@
 // Run and RunAll execute scenarios, RunSweep a factorial design declared
 // as a sweep.Grid, and RunExperiment a named figure or table of §6 (see
 // ExperimentIDs). All four share one executor: cells fan out across the
-// work-stealing pool in sim/runner, stream to WithSinks sinks, and are
-// cached under WithCache.
+// pool in sim/runner, whose workers claim them in grid order from one
+// shared counter, stream to WithSinks sinks, and are cached under
+// WithCache.
 package sim
 
 import (
@@ -66,7 +67,7 @@ func Run(sc Scenario, opts ...RunOption) (sweep.Result, error) {
 	return results[0], nil
 }
 
-// RunAll executes independent scenarios on the work-stealing runner
+// RunAll executes independent scenarios on the runner pool
 // (WithWorkers bounds it) and returns one Result per input, in input
 // order; simulations may be shared among scenarios that simulate alike
 // (see RunSweep). Results are bit-for-bit identical at every worker

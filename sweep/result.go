@@ -18,18 +18,21 @@ type Series struct {
 }
 
 // ExecStats describes how the runner pool executed the grid a Result
-// belongs to (worker-pool backpressure: claim/steal counts and mean queue
-// depth). It is per-process observability only: excluded from
-// serialisation, the result cache, and determinism comparisons, because
-// goroutine scheduling makes it vary run to run while the Result's
-// metrics and series never do.
+// belongs to (pool width and jobs claimed) and the grid's peak heap. It
+// is per-process observability only: excluded from serialisation, the
+// result cache, and determinism comparisons, because goroutine scheduling
+// makes it vary run to run while the Result's metrics and series never do.
 type ExecStats struct {
-	Workers          int
-	Jobs             int64
-	LocalClaims      int64
-	Steals           int64
-	FailedStealScans int64
-	MeanQueueDepth   float64
+	Workers int
+	Jobs    int64
+	// Steals is never written and reads 0.
+	//
+	// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
+	Steals int64
+	// MeanQueueDepth is never written and reads 0.
+	//
+	// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
+	MeanQueueDepth float64
 	// PeakHeapAlloc and PeakHeapSys are the largest live-heap and
 	// OS-reserved-heap sizes (bytes) sampled after any cell of the grid
 	// completed — the memory headroom signal for scale runs. Sampled

@@ -249,9 +249,9 @@ type Exec struct {
 	// stored. Nil disables caching.
 	Cache *Cache
 	// Debug, when non-nil, receives execution observability lines as
-	// cells complete: per-cell event and event-queue counters and per-grid
-	// runner-pool backpressure (steal counts, queue
-	// depth). Purely observational — never written to sinks or cache.
+	// cells complete: per-cell event and event-queue counters and one
+	// runner line per plan (pool width, jobs claimed, peak heap). Purely
+	// observational — never written to sinks or cache.
 	Debug io.Writer
 }
 
