@@ -31,11 +31,12 @@ fmt-check:
 
 # bench/ compiles against a few deprecated shims until the next benchmark
 # revision retargets it (attacksim.New/Config, FloodRun.Botnet,
-# netsim.NewSharded, ShardStats, ExecStats.Steals/MeanQueueDepth). Fail if
-# any Go file outside bench/ uses one.
+# netsim.NewSharded, ShardStats, ExecStats.Steals/MeanQueueDepth, and the
+# SimulatedCrypto fields of the sims' configs). Fail if any Go file
+# outside bench/ uses one.
 shim-guard:
 	@! grep -rnE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
-		'attacksim\.New\(|attacksim\.Config\{|\.Botnet\b|netsim\.NewSharded|\.ShardStats\(|\.Steals\b|\.MeanQueueDepth\b' . \
+		'attacksim\.New\(|attacksim\.Config\{|\.Botnet\b|netsim\.NewSharded|\.ShardStats\(|\.Steals\b|\.MeanQueueDepth\b|SimulatedCrypto:|\.SimulatedCrypto\b' . \
 		|| { echo 'deprecated shim called outside bench/ (the next benchmark revision removes them)'; exit 1; }
 
 # Full microbench sweep, benchstat-ready:

@@ -78,8 +78,6 @@ type BotCtx interface {
 	// Solves reports whether the bot runs the patched kernel and genuinely
 	// solves challenges.
 	Solves() bool
-	// SimulatedCrypto pairs with the server's simulated puzzle engine.
-	SimulatedCrypto() bool
 	// MaxSolveBacklog is the "smart" solver's freshness bound (zero =
 	// greedy).
 	MaxSolveBacklog() time.Duration

@@ -43,20 +43,6 @@ func sampleSolveHashes(ctx BotCtx, blk tcpopt.ChallengeBlock) uint64 {
 	return puzzle.SampleSolveHashes(ctx.Rand(), blk.Challenge.Params)
 }
 
-// solveChallenge produces the solution for a challenge: canonical
-// simulated bits when the deployment runs the simulated engine, genuine
-// brute force otherwise. The caller charges sampleSolveHashes to the CPU.
-func solveChallenge(ctx BotCtx, blk tcpopt.ChallengeBlock) puzzle.Solution {
-	if ctx.SimulatedCrypto() {
-		return pzengine.SimSolution(blk.Challenge)
-	}
-	s, _, err := puzzle.Solve(blk.Challenge)
-	if err != nil {
-		return puzzle.Solution{Params: blk.Challenge.Params, Timestamp: blk.Challenge.Timestamp}
-	}
-	return s
-}
-
 // noSolves is embedded by strategies that never call BotCtx.Solve.
 type noSolves struct{}
 
@@ -65,27 +51,17 @@ func (noSolves) OnSolved(BotCtx, SynAck) {}
 
 // solvedOptions is the completion step the solving strategies share:
 // account the solve, recover the challenge from the SYN-ACK that carried
-// it (validated before it was queued) and marshal its solution into ACK
-// options.
+// it (validated before it was queued) and marshal its canonical simulated
+// solution into ACK options. The caller charged sampleSolveHashes to the
+// CPU when it queued the solve.
 func solvedOptions(ctx BotCtx, sa SynAck) ([]byte, bool) {
 	blk, err := tcpopt.ParseChallenge(sa.Challenge)
 	if err != nil {
 		return nil, false
 	}
 	ctx.Metrics().SolvesCompleted++
-	raw, err := encodeSolutionOptions(solveChallenge(ctx, blk))
+	raw, err := pzengine.AckOptions(pzengine.SimSolution(blk.Challenge))
 	return raw, err == nil
-}
-
-// encodeSolutionOptions marshals a solved challenge into ACK options.
-func encodeSolutionOptions(sol puzzle.Solution) ([]byte, error) {
-	opt, err := tcpopt.EncodeSolution(tcpopt.SolutionBlock{
-		MSS: 1460, WScale: 7, HasTimestamp: true, Solution: sol,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tcpopt.MarshalOptions([]tcpopt.Option{opt})
 }
 
 // paramsGuess is the difficulty a solution flooder fabricates blocks

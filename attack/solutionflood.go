@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"github.com/tcppuzzles/tcppuzzles/internal/pzengine"
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
 	"github.com/tcppuzzles/tcppuzzles/sweep"
 )
@@ -23,7 +24,7 @@ func init() {
 func (solutionFlood) Tick(ctx BotCtx) {
 	rnd := ctx.Rand()
 	sol := fabricateSolution(rnd, paramsGuess())
-	opts, err := encodeSolutionOptions(sol)
+	opts, err := pzengine.AckOptions(sol)
 	if err != nil {
 		return
 	}

@@ -125,7 +125,7 @@ type ServerCtx interface {
 	Jar() *syncookie.Jar
 	// Puzzles is the server's puzzle engine (issue/verify, retunable).
 	// Only a defense registered with Info.Puzzles may call it.
-	Puzzles() pzengine.Engine
+	Puzzles() pzengine.Sim
 	// SynCache is the server's bounded half-open overflow cache.
 	SynCache() *syncache.Cache
 

@@ -23,7 +23,7 @@ func TestAllocBudgetChallengedSynAck(t *testing.T) {
 	server := netsim.Addr{10, 0, 0, 1}
 	fleet, err := NewMacroFleet(netsim.NewNetwork(netsim.NewEngine()), MacroConfig{
 		Sources: 1, BaseAddr: [4]byte{10, 0, 2, 1}, ServerAddr: server, Attack: sweep.AttackConnFlood,
-		Solves: true, SimulatedCrypto: true, Seed: 1,
+		Solves: true, Seed: 1,
 	})
 	if err != nil {
 		t.Fatalf("NewMacroFleet: %v", err)

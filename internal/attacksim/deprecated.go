@@ -25,7 +25,6 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 	return NewMacroFleet(network, MacroConfig{
 		Sources: 1, BaseAddr: cfg.Addr, ServerAddr: cfg.ServerAddr,
 		Attack: cfg.Attack, PerSourceRate: cfg.Rate,
-		Solves: cfg.Solves, SimulatedCrypto: cfg.SimulatedCrypto,
-		Link: link, Seed: cfg.Seed,
+		Solves: cfg.Solves, Link: link, Seed: cfg.Seed,
 	})
 }

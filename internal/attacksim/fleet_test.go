@@ -97,15 +97,14 @@ func TestConnFloodFillsAcceptQueueWithoutPuzzles(t *testing.T) {
 
 func TestConnFloodNonSolvingBlockedByPuzzles(t *testing.T) {
 	w := newWorld(t, serversim.Config{
-		Defense:         sweep.DefensePuzzles,
-		Backlog:         8,
-		AcceptBacklog:   32,
-		Workers:         -1,
-		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
-		SimulatedCrypto: true,
+		Defense:       sweep.DefensePuzzles,
+		Backlog:       8,
+		AcceptBacklog: 32,
+		Workers:       -1,
+		PuzzleParams:  puzzle.Params{K: 2, M: 17, L: 32},
 	})
 	bot := w.fleet(t, MacroConfig{Attack: sweep.AttackConnFlood, PerSourceRate: 200, Solves: false,
-		SimulatedCrypto: true, Seed: 4, StopAt: 30 * time.Second})
+		Seed: 4, StopAt: 30 * time.Second})
 	w.eng.Run(10 * time.Second)
 	// The controller engages at its watermark, after which every SYN is
 	// challenged and the bot's plain ACKs are ignored: of ~2000 attempts
@@ -129,10 +128,9 @@ func TestSolvingBotIsCPURateLimited(t *testing.T) {
 		Workers:         -1,
 		AlwaysChallenge: true,
 		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
-		SimulatedCrypto: true,
 	})
 	bot := w.fleet(t, MacroConfig{Attack: sweep.AttackConnFlood, PerSourceRate: 500, Solves: true,
-		SimulatedCrypto: true,            // source 0 runs on cpumodel.CPU1
+		// source 0 runs on cpumodel.CPU1
 		MaxSolveBacklog: 2 * time.Second, // "smart" variant keeps solutions fresh
 		Seed:            5, StopAt: 60 * time.Second})
 	w.eng.Run(30 * time.Second)
@@ -153,11 +151,10 @@ func TestSolvingBotIsCPURateLimited(t *testing.T) {
 
 func TestSolutionFloodBurnsBoundedServerWork(t *testing.T) {
 	w := newWorld(t, serversim.Config{
-		Defense:         sweep.DefensePuzzles,
-		Backlog:         4,
-		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
-		SimulatedCrypto: true,
-		Workers:         -1,
+		Defense:      sweep.DefensePuzzles,
+		Backlog:      4,
+		PuzzleParams: puzzle.Params{K: 2, M: 17, L: 32},
+		Workers:      -1,
 	})
 	w.fleet(t, MacroConfig{Attack: sweep.AttackSolutionFlood, PerSourceRate: 1000, Seed: 6, StopAt: 20 * time.Second})
 	w.eng.Run(10 * time.Second)
@@ -212,13 +209,12 @@ func TestBotnetMeanCPU(t *testing.T) {
 		Backlog:         2,
 		AlwaysChallenge: true,
 		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
-		SimulatedCrypto: true,
 		Workers:         -1,
 	})
 	bn := w.fleet(t, MacroConfig{
 		Sources: 3, BaseAddr: [4]byte{10, 0, 4, 1},
 		Attack: sweep.AttackConnFlood, PerSourceRate: 100,
-		Solves: true, SimulatedCrypto: true,
+		Solves: true,
 		StopAt: 20 * time.Second, Seed: 8,
 	})
 	w.eng.Run(10 * time.Second)
@@ -244,10 +240,9 @@ func TestReplayFloodBoundedToOneSlot(t *testing.T) {
 		AlwaysChallenge: true,
 		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
 		PuzzleMaxAge:    10 * time.Second,
-		SimulatedCrypto: true,
 	})
 	bot := w.fleet(t, MacroConfig{Attack: sweep.AttackReplayFlood, PerSourceRate: 200, Solves: true,
-		SimulatedCrypto: true, Seed: 9, StopAt: 60 * time.Second})
+		Seed: 9, StopAt: 60 * time.Second})
 	w.eng.Run(30 * time.Second)
 
 	m := w.server.Metrics()
@@ -273,10 +268,9 @@ func TestReplayExpiresWithWindow(t *testing.T) {
 		AlwaysChallenge: true,
 		PuzzleParams:    puzzle.Params{K: 2, M: 17, L: 32},
 		PuzzleMaxAge:    5 * time.Second,
-		SimulatedCrypto: true,
 	})
 	w.fleet(t, MacroConfig{Attack: sweep.AttackReplayFlood, PerSourceRate: 100, Solves: true,
-		SimulatedCrypto: true, Seed: 10, StopAt: 60 * time.Second})
+		Seed: 10, StopAt: 60 * time.Second})
 	w.eng.Run(40 * time.Second)
 	m := w.server.Metrics()
 	// With default workers the original connection is served and closed;

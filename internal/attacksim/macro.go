@@ -51,11 +51,15 @@ type MacroConfig struct {
 	// in attempts per second. Solves makes connection-flood sources run
 	// the patched kernel and solve challenges, rate limited by their
 	// CPUs: source i gets cpumodel.ClientCPUs()[i % n], the paper's
-	// "similar or better" provisioning. SimulatedCrypto pairs with the
-	// server's simulated engine.
-	Attack          sweep.Attack
-	PerSourceRate   float64
-	Solves          bool
+	// "similar or better" provisioning, and answers each challenge with
+	// its canonical simulated solution (see internal/pzengine).
+	Attack        sweep.Attack
+	PerSourceRate float64
+	Solves        bool
+	// SimulatedCrypto is read by nothing: solving sources always send
+	// simulated solutions.
+	//
+	// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 	SimulatedCrypto bool
 	// MaxSolveBacklog, when positive, makes a source discard challenges
 	// once its CPU is committed further than this into the future — a
@@ -160,6 +164,14 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 	if cfg.Sources <= 0 {
 		return nil, fmt.Errorf("attacksim: macro fleet size %d", cfg.Sources)
 	}
+	var period time.Duration
+	if cfg.PerSourceRate > 0 {
+		period = time.Duration(float64(time.Second) / cfg.PerSourceRate)
+		if period == 0 {
+			// Every batch round would re-fire at the instant it ran.
+			return nil, fmt.Errorf("attacksim: per-source rate %v/s ticks more than once per nanosecond", cfg.PerSourceRate)
+		}
+	}
 	if cfg.ServerPort == 0 {
 		cfg.ServerPort = 80
 	}
@@ -178,6 +190,7 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 	}
 	f := &MacroFleet{
 		cfg:      cfg,
+		period:   period,
 		devices:  cpumodel.ClientCPUs(),
 		rngSrc:   xrand.New(0),
 		isnSrc:   xrand.New(0),
@@ -220,8 +233,7 @@ func NewMacroFleet(network *netsim.Network, cfg MacroConfig) (*MacroFleet, error
 	f.store = store
 	f.eng = network.Eng
 
-	if cfg.PerSourceRate > 0 {
-		f.period = time.Duration(float64(time.Second) / cfg.PerSourceRate)
+	if period > 0 {
 		if err := f.order(); err != nil {
 			return nil, fmt.Errorf("attacksim: %w", err)
 		}
@@ -568,9 +580,6 @@ func (c *macroCtx) AttackWindow() (start, stop time.Duration) {
 
 // Solves implements attack.BotCtx.
 func (c *macroCtx) Solves() bool { return c.f.cfg.Solves }
-
-// SimulatedCrypto implements attack.BotCtx.
-func (c *macroCtx) SimulatedCrypto() bool { return c.f.cfg.SimulatedCrypto }
 
 // MaxSolveBacklog implements attack.BotCtx.
 func (c *macroCtx) MaxSolveBacklog() time.Duration { return c.f.cfg.MaxSolveBacklog }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -161,5 +162,43 @@ func TestFirstTickOrder(t *testing.T) {
 		if !slices.Equal(keys, want) {
 			t.Fatalf("trial %d (%d sources): radix order differs from the stable sort", trial, len(keys))
 		}
+	}
+}
+
+// NewMacroFleet refuses a per-source rate whose period truncates to zero
+// nanoseconds, naming it, before it attaches the sources: the address range
+// stays free for a valid fleet. One tick per nanosecond still builds.
+func TestNewMacroFleetRejectsZeroPeriod(t *testing.T) {
+	cases := []struct {
+		name   string
+		rate   float64
+		reject string // the rate as the error names it; "" when accepted
+	}{
+		{"+Inf", math.Inf(1), "+Inf"},
+		{"2e9", 2e9, "2e+09"},
+		{"1e9", 1e9, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			network := netsim.NewNetwork(netsim.NewEngine())
+			cfg := MacroConfig{
+				Sources: 4, BaseAddr: [4]byte{10, 2, 0, 1}, ServerAddr: netsim.Addr{10, 0, 0, 1},
+				Attack: "synflood", PerSourceRate: tc.rate, StopAt: time.Second, Seed: 5,
+			}
+			_, err := NewMacroFleet(network, cfg)
+			if tc.reject == "" {
+				if err != nil {
+					t.Fatalf("NewMacroFleet(rate %v) = %v, want a fleet", tc.rate, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.reject) {
+				t.Fatalf("NewMacroFleet(rate %v) error = %v, want one naming the rate %s", tc.rate, err, tc.reject)
+			}
+			cfg.PerSourceRate = 20
+			if _, err := NewMacroFleet(network, cfg); err != nil {
+				t.Errorf("a valid fleet over the rejected one's addresses: %v", err)
+			}
+		})
 	}
 }

@@ -38,9 +38,11 @@ type Config struct {
 
 	// Solves selects the patched kernel that solves puzzle challenges.
 	Solves bool
-	// SimulatedCrypto derives canonical simulated solution bits instead of
-	// brute forcing on the host; the hash cost charged to the modelled CPU
-	// is identical. Pair with the server's SimulatedCrypto.
+	// SimulatedCrypto is read by nothing: a solving client always sends
+	// the canonical simulated solution (pzengine.SimSolution) after its
+	// CPU model has been charged the brute-force hash count.
+	//
+	// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 	SimulatedCrypto bool
 	// Device models the client CPU.
 	Device cpumodel.Device
@@ -179,8 +181,16 @@ type solveJob struct {
 	challenge puzzle.Challenge
 }
 
+// maxRate is the fastest Poisson rate New accepts: one arrival per
+// nanosecond, the engine's resolution. Above it most gaps round to zero
+// and the arrival process never leaves the instant it started at.
+const maxRate = 1e9
+
 // New builds a client and attaches it to the network.
 func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cfg Config) (*Client, error) {
+	if !(cfg.Rate <= maxRate) {
+		return nil, fmt.Errorf("clientsim: rate %v requests/s is NaN or above %v", cfg.Rate, maxRate)
+	}
 	cfg.fillDefaults()
 	c := &Client{
 		cfg:      cfg,
@@ -405,12 +415,10 @@ const requestPayloadLen = 200
 func (c *Client) finishHandshake(cc *cconn, serverISN uint32, ch *puzzle.Challenge) {
 	var opts []byte
 	if ch != nil {
-		sol := c.solutionFor(*ch)
-		blk := tcpopt.SolutionBlock{MSS: 1460, WScale: 7, HasTimestamp: true, Solution: sol}
-		if opt, err := tcpopt.EncodeSolution(blk); err == nil {
-			if marshalled, err := tcpopt.MarshalOptions([]tcpopt.Option{opt}); err == nil {
-				opts = marshalled
-			}
+		// The hash count was charged to the CPU model before the solve
+		// completed; the bits are the canonical simulated solution.
+		if raw, err := pzengine.AckOptions(pzengine.SimSolution(*ch)); err == nil {
+			opts = raw
 		}
 	}
 	now := c.eng.Now()
@@ -435,24 +443,6 @@ func (c *Client) finishHandshake(cc *cconn, serverISN uint32, ch *puzzle.Challen
 		Meta:       cc.wantBytes,
 	})
 	cc.timer = c.eng.Schedule(c.cfg.ResponseTimeout, cc.timerFn)
-}
-
-// solutionFor produces the wire solution for a challenge. The hash *count*
-// was already charged to the CPU model; under SimulatedCrypto the bits are
-// derived canonically from the preimage (see internal/pzengine) instead of
-// brute forced, and the paired server engine accepts them. With real crypto
-// the genuine search runs on the host — use small difficulties.
-func (c *Client) solutionFor(ch puzzle.Challenge) puzzle.Solution {
-	if c.cfg.SimulatedCrypto {
-		return pzengine.SimSolution(ch)
-	}
-	sol, _, err := puzzle.Solve(ch)
-	if err != nil {
-		// Unsolvable parameters; return an empty (invalid) solution so the
-		// server rejects it rather than wedging the client.
-		return puzzle.Solution{Params: ch.Params, Timestamp: ch.Timestamp}
-	}
-	return sol
 }
 
 // HandleAt implements netsim.DeferNode: a response segment before its

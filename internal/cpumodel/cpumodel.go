@@ -134,26 +134,6 @@ func (c *CPU) Utilisation(until time.Duration) []float64 {
 	return out
 }
 
-// Profile is one row of Table 1 / one curve of Fig. 3a.
-type Profile struct {
-	Device          Device
-	HashesIn400ms   float64
-	HashesPerSecond float64
-}
-
-// ProfileDevices evaluates the Table 1 metrics for a device fleet.
-func ProfileDevices(devs []Device, budget time.Duration) []Profile {
-	out := make([]Profile, 0, len(devs))
-	for _, d := range devs {
-		out = append(out, Profile{
-			Device:          d,
-			HashesIn400ms:   d.HashesIn(budget),
-			HashesPerSecond: d.HashRate,
-		})
-	}
-	return out
-}
-
 // HashCurve returns the Fig. 3a curve for a device: cumulative hashes at
 // each sample step up to horizon.
 func HashCurve(dev Device, step, horizon time.Duration) []float64 {

@@ -20,13 +20,12 @@ func TestFleetWavMatchesPaper(t *testing.T) {
 
 func TestTable1Profiles(t *testing.T) {
 	wantIn400 := map[string]float64{"D1": 19901, "D2": 26563, "D3": 27987, "D4": 29732}
-	profiles := ProfileDevices(IoTDevices(), 400*time.Millisecond)
-	for _, p := range profiles {
-		want := wantIn400[p.Device.Name]
+	for _, d := range IoTDevices() {
+		want := wantIn400[d.Name]
 		// The paper's own columns disagree by a few percent (rate·0.4 vs
 		// measured); accept 8%.
-		if math.Abs(p.HashesIn400ms-want)/want > 0.08 {
-			t.Errorf("%s hashes in 400ms = %v, want ≈ %v", p.Device.Name, p.HashesIn400ms, want)
+		if got := d.HashesIn(400 * time.Millisecond); math.Abs(got-want)/want > 0.08 {
+			t.Errorf("%s hashes in 400ms = %v, want ≈ %v", d.Name, got, want)
 		}
 	}
 }

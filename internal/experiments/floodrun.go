@@ -52,7 +52,6 @@ func buildFlood(sc Scenario) (*FloodRun, error) {
 		Defense:         sc.Defense,
 		PuzzleParams:    sc.Params,
 		AlwaysChallenge: sc.AlwaysChallenge,
-		SimulatedCrypto: true,
 		Workers:         sc.Workers,
 		Backlog:         sc.Backlog,
 		AcceptBacklog:   sc.AcceptBacklog,
@@ -68,16 +67,15 @@ func buildFlood(sc Scenario) (*FloodRun, error) {
 	for i := 0; i < sc.NumClients; i++ {
 		addr := netsim.Addr{10, 1, byte(i / 250), byte(1 + i%250)}
 		client, err := clientsim.New(eng, network, netsim.DefaultHostLink(), clientsim.Config{
-			Addr:            addr,
-			ServerAddr:      srv.Addr(),
-			Rate:            sc.ClientRate,
-			StopAt:          sc.Duration,
-			RequestBytes:    sc.RequestBytes,
-			Solves:          sc.ClientsSolve,
-			SimulatedCrypto: true,
-			Device:          devices[i%len(devices)],
-			Seed:            sc.Seed + int64(i)*17,
-			MetricBucket:    sc.Bucket,
+			Addr:         addr,
+			ServerAddr:   srv.Addr(),
+			Rate:         sc.ClientRate,
+			StopAt:       sc.Duration,
+			RequestBytes: sc.RequestBytes,
+			Solves:       sc.ClientsSolve,
+			Device:       devices[i%len(devices)],
+			Seed:         sc.Seed + int64(i)*17,
+			MetricBucket: sc.Bucket,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: client %d: %w", i, err)
@@ -97,7 +95,6 @@ func buildFlood(sc Scenario) (*FloodRun, error) {
 			Attack:          sc.Attack,
 			PerSourceRate:   sc.PerBotRate,
 			Solves:          sc.BotsSolve,
-			SimulatedCrypto: true,
 			MaxSolveBacklog: sc.BotMaxSolveBacklog,
 			StartAt:         sc.AttackStart,
 			StopAt:          sc.AttackStop,

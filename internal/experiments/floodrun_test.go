@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -122,5 +123,49 @@ func TestEngineStatsPinned(t *testing.T) {
 	}
 	if out.Len() == 0 || strings.Contains(out.String(), "in-place") {
 		t.Errorf("sink output is empty or carries queue counters:\n%s", out.String())
+	}
+}
+
+// A rate the simulator cannot space out — infinite, or one above one
+// arrival or tick per nanosecond — made RunFlood spin at one instant
+// forever. Each must fail fast with an error instead. The wall-clock
+// guard turns a regression into a failure rather than a hung test, and
+// the test runs under -short, so the race job runs it too.
+func TestRunFloodRejectsRatesThatStallTime(t *testing.T) {
+	base := Scenario{
+		Label:    "stalling-rate",
+		Duration: 10 * time.Second, AttackStart: time.Second, AttackStop: 9 * time.Second,
+		NumClients: 1, BotCount: 1, Seed: 1,
+	}
+	cases := []struct {
+		name string
+		set  func(*Scenario)
+		rate string // as the error names it
+	}{
+		{"ClientRate=+Inf", func(sc *Scenario) { sc.ClientRate = math.Inf(1) }, "+Inf"},
+		{"PerBotRate=+Inf", func(sc *Scenario) { sc.PerBotRate = math.Inf(1) }, "+Inf"},
+		{"PerBotRate=2e9", func(sc *Scenario) { sc.PerBotRate = 2e9 }, "2e+09"},
+	}
+	done := make(chan string, len(cases))
+	pending := map[string]bool{}
+	for _, tc := range cases {
+		pending[tc.name] = true
+		sc := base
+		tc.set(&sc)
+		go func() {
+			if _, err := RunFlood(sc); err == nil || !strings.Contains(err.Error(), tc.rate) {
+				t.Errorf("%s: RunFlood error = %v, want one naming the rate %s", tc.name, err, tc.rate)
+			}
+			done <- tc.name
+		}()
+	}
+	guard := time.After(10 * time.Second)
+	for range cases {
+		select {
+		case name := <-done:
+			delete(pending, name)
+		case <-guard:
+			t.Fatalf("RunFlood still running after 10 s of wall time: %v", pending)
+		}
 	}
 }

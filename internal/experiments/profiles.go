@@ -173,7 +173,6 @@ func fig6Cell(_ int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
 		Defense:         DefensePuzzles,
 		AlwaysChallenge: true,
 		PuzzleParams:    params,
-		SimulatedCrypto: true,
 		Seed:            sc.Seed,
 	})
 	if err != nil {
@@ -183,7 +182,6 @@ func fig6Cell(_ int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
 		Addr:            [4]byte{10, 1, 0, 1},
 		ServerAddr:      srv.Addr(),
 		Solves:          true,
-		SimulatedCrypto: true,
 		RequestBytes:    sc.RequestBytes,
 		Device:          cpumodel.CPU1,
 		MaxSolveBacklog: time.Hour, // sequential connects; never abandon

@@ -47,8 +47,8 @@ func TestRepoIsLintClean(t *testing.T) {
 // TestSimulatedPrimitivesStayInTheSimulator walks every Go file of the
 // repository (the nested bench module included) for the two options that
 // swap SHA-256 for a keyed mix. They may be named by the packages that
-// define them, by internal/serversim — the one place that sets them, under
-// Config.SimulatedCrypto — and by tests; a reference from puzzlenet or
+// define them, by internal/serversim — the one place that sets them, on
+// every simulated server — and by tests; a reference from puzzlenet or
 // cmd/ would put a forgeable hash on a real network.
 func TestSimulatedPrimitivesStayInTheSimulator(t *testing.T) {
 	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()

@@ -1,10 +1,11 @@
-// Package pzengine abstracts puzzle issue/verify behind an interface so the
-// simulator can swap real SHA-256 brute forcing for a cost-equivalent
-// simulated search. The Sim engine charges identical hash *counts* to the
-// CPU models while deriving solution bits deterministically from the
-// preimage, so experiments with 17-bit difficulties don't burn host cycles;
-// the Real engine performs the genuine cryptographic protocol and is used by
-// integration tests (at small difficulties) and by package puzzlenet.
+// Package pzengine is the simulator's puzzle engine. Sim issues and
+// verifies challenges over a puzzle.Issuer, and accepts canonical simulated
+// solutions (SimSolution) beside genuine ones: the modelled CPUs are
+// charged the brute-force hash counts, while the solution bits derive
+// deterministically from the preimage, so experiments at 17-bit
+// difficulties burn no host cycles. Real verifies the genuine
+// Juels–Brainard protocol only; it is the reference Sim is tested against.
+// AckOptions builds the ACK option area that carries a solution.
 package pzengine
 
 import (
@@ -13,37 +14,15 @@ import (
 	"fmt"
 
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
+	"github.com/tcppuzzles/tcppuzzles/tcpopt"
 )
 
-// Engine issues and verifies puzzle challenges.
-type Engine interface {
-	// Params returns the current difficulty.
-	Params() puzzle.Params
-	// SetParams retunes the difficulty at runtime.
-	SetParams(puzzle.Params) error
-	// Issue creates a challenge bound to the flow.
-	Issue(flow puzzle.FlowID) puzzle.Challenge
-	// Verify checks a solution, returning hash accounting.
-	Verify(flow puzzle.FlowID, sol puzzle.Solution) (puzzle.VerifyInfo, error)
-}
-
-// Real performs the genuine Juels–Brainard protocol.
+// Real verifies solutions by the genuine Juels–Brainard protocol.
 type Real struct {
 	Is *puzzle.Issuer
 }
 
-var _ Engine = Real{}
-
-// Params implements Engine.
-func (r Real) Params() puzzle.Params { return r.Is.Params() }
-
-// SetParams implements Engine.
-func (r Real) SetParams(p puzzle.Params) error { return r.Is.SetParams(p) }
-
-// Issue implements Engine.
-func (r Real) Issue(flow puzzle.FlowID) puzzle.Challenge { return r.Is.Issue(flow) }
-
-// Verify implements Engine.
+// Verify checks a genuine solution, returning hash accounting.
 func (r Real) Verify(flow puzzle.FlowID, sol puzzle.Solution) (puzzle.VerifyInfo, error) {
 	return r.Is.VerifyDetailed(flow, sol)
 }
@@ -58,18 +37,16 @@ type Sim struct {
 	Is *puzzle.Issuer
 }
 
-var _ Engine = Sim{}
-
-// Params implements Engine.
+// Params returns the current difficulty.
 func (s Sim) Params() puzzle.Params { return s.Is.Params() }
 
-// SetParams implements Engine.
+// SetParams retunes the difficulty at runtime.
 func (s Sim) SetParams(p puzzle.Params) error { return s.Is.SetParams(p) }
 
-// Issue implements Engine.
+// Issue creates a challenge bound to the flow.
 func (s Sim) Issue(flow puzzle.FlowID) puzzle.Challenge { return s.Is.Issue(flow) }
 
-// Verify implements Engine.
+// Verify checks a solution, returning hash accounting.
 func (s Sim) Verify(flow puzzle.FlowID, sol puzzle.Solution) (puzzle.VerifyInfo, error) {
 	params := s.Is.Params()
 	var info puzzle.VerifyInfo
@@ -134,4 +111,16 @@ func SimSolution(ch puzzle.Challenge) puzzle.Solution {
 		sol.Solutions[i] = SimSolutionBits(ch.Preimage, ch.Params, uint8(i+1))
 	}
 	return sol
+}
+
+// AckOptions marshals a solution into the option area of a handshake's
+// final ACK: MSS 1460, window scale 7 and the timestamped solution block.
+func AckOptions(sol puzzle.Solution) ([]byte, error) {
+	opt, err := tcpopt.EncodeSolution(tcpopt.SolutionBlock{
+		MSS: 1460, WScale: 7, HasTimestamp: true, Solution: sol,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tcpopt.MarshalOptions([]tcpopt.Option{opt})
 }

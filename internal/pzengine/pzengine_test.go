@@ -2,10 +2,12 @@ package pzengine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
+	"github.com/tcppuzzles/tcppuzzles/tcpopt"
 )
 
 func testIssuer(t *testing.T, p puzzle.Params) *puzzle.Issuer {
@@ -119,8 +121,9 @@ func TestSimRejectsWrongCountAndLength(t *testing.T) {
 
 func TestRealEngineRoundTrip(t *testing.T) {
 	p := puzzle.Params{K: 1, M: 16, L: 32}
-	eng := Real{Is: testIssuer(t, p)}
-	ch := eng.Issue(flow())
+	is := testIssuer(t, p)
+	eng := Real{Is: is}
+	ch := is.Issue(flow())
 	sol, _, err := puzzle.Solve(ch)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -153,9 +156,10 @@ func TestSimSolutionBitsDeterministic(t *testing.T) {
 
 // The simulated engine over the simulator's keyed-mix issuer must decide
 // every ACK the way the genuine protocol over SHA-256 does — same error
-// class, same hash count charged to the server CPU — so that only host
-// time separates a SimulatedCrypto cell from a real one. All four
-// engine × issuer pairings are held to one expectation per case. (Replay
+// class, same hash count charged to the server CPU — so that the
+// simulator's one engine stands in for the genuine protocol. Real is the
+// reference; the simulator never runs it. All four engine × issuer
+// pairings are held to one expectation per case. (Replay
 // is stateless here by design: the engine accepts the same ACK twice and
 // the defense's accept-queue lookup blocks the second, see
 // defense.completeSolution.)
@@ -210,7 +214,9 @@ func TestSimAndRealDecideAlike(t *testing.T) {
 			t.Fatalf("NewIssuer: %v", err)
 		}
 		engines := map[string]struct {
-			eng   Engine
+			eng interface {
+				Verify(puzzle.FlowID, puzzle.Solution) (puzzle.VerifyInfo, error)
+			}
 			solve func(puzzle.Challenge) puzzle.Solution
 		}{
 			"Real": {Real{Is: is}, func(ch puzzle.Challenge) puzzle.Solution {
@@ -226,7 +232,7 @@ func TestSimAndRealDecideAlike(t *testing.T) {
 			for _, tc := range cases {
 				t.Run(engineName+" over "+issuerName+"/"+tc.name, func(t *testing.T) {
 					f := flow()
-					ch := e.eng.Issue(f)
+					ch := is.Issue(f)
 					sol := e.solve(ch)
 					genuine, _, err := puzzle.Solve(ch)
 					if err != nil {
@@ -243,5 +249,45 @@ func TestSimAndRealDecideAlike(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// AckOptions puts the whole option area of the final ACK into one
+// solution option: MSS 1460, window scale 7 and the timestamped
+// solution, which parses back under the issuer's parameters and verifies.
+func TestAckOptionsCarrySolution(t *testing.T) {
+	p := puzzle.Params{K: 2, M: 17, L: 32}
+	eng := Sim{Is: testIssuer(t, p)}
+	sol := SimSolution(eng.Issue(flow()))
+	raw, err := AckOptions(sol)
+	if err != nil {
+		t.Fatalf("AckOptions: %v", err)
+	}
+	opts, err := tcpopt.ParseOptions(raw)
+	if err != nil || len(opts) != 1 || opts[0].Kind != tcpopt.KindSolution {
+		t.Fatalf("ParseOptions = %+v, %v; want one solution option", opts, err)
+	}
+	blk, err := tcpopt.ParseSolution(opts[0], eng.Params())
+	if err != nil {
+		t.Fatalf("ParseSolution: %v", err)
+	}
+	if blk.MSS != 1460 || blk.WScale != 7 || !blk.HasTimestamp {
+		t.Errorf("block MSS %d, WScale %d, timestamped %v; want 1460, 7, true", blk.MSS, blk.WScale, blk.HasTimestamp)
+	}
+	if blk.Solution.Timestamp != sol.Timestamp || !reflect.DeepEqual(blk.Solution.Solutions, sol.Solutions) {
+		t.Errorf("parsed solution %+v, sent %+v", blk.Solution, sol)
+	}
+	if _, err := eng.Verify(flow(), blk.Solution); err != nil {
+		t.Errorf("Verify(parsed solution): %v", err)
+	}
+}
+
+// A solution that cannot be encoded is an error, not an empty option area.
+func TestAckOptionsRejectsMalformedSolution(t *testing.T) {
+	p := puzzle.Params{K: 2, M: 17, L: 32}
+	sol := SimSolution(Sim{Is: testIssuer(t, p)}.Issue(flow()))
+	sol.Solutions = sol.Solutions[:1]
+	if raw, err := AckOptions(sol); !errors.Is(err, tcpopt.ErrSolutionMalformed) {
+		t.Errorf("AckOptions(one of two solutions) = %x, %v; want ErrSolutionMalformed", raw, err)
 	}
 }

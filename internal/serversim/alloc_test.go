@@ -32,7 +32,7 @@ func TestAllocBudgetChallengedSYN(t *testing.T) {
 	} {
 		eng := netsim.NewEngine()
 		srv, err := New(eng, netsim.NewNetwork(eng), netsim.DefaultServerLink(), Config{
-			Addr: [4]byte{10, 0, 0, 1}, Defense: tc.defense, AlwaysChallenge: true, SimulatedCrypto: true,
+			Addr: [4]byte{10, 0, 0, 1}, Defense: tc.defense, AlwaysChallenge: true,
 			Backlog: 512, AcceptBacklog: 512, Workers: -1, Seed: 1,
 		})
 		if err != nil {

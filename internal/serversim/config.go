@@ -25,13 +25,11 @@ type Config struct {
 	// the overload signal permanently — the ablation of §5's design
 	// choice (the puzzles defense then challenges every SYN).
 	AlwaysChallenge bool
-	// SimulatedCrypto swaps genuine SHA-256 verification for the
-	// cost-equivalent simulated engine (see internal/pzengine), letting
-	// experiments run 17-bit difficulties without burning host cycles,
-	// and derives challenge preimages and cookie hash bits from a keyed
-	// mix instead of SHA-256 (puzzle.WithSimulatedPreimage,
-	// syncookie.WithSimulatedHash). The modelled CPU is charged the same
-	// hash counts either way.
+	// SimulatedCrypto is read by nothing: the server always runs the
+	// simulated engine (see internal/pzengine), which charges the modelled
+	// CPU the protocol's hash counts and computes no SHA-256 on the host.
+	//
+	// Deprecated: kept only so bench/ compiles; the next benchmark revision removes it.
 	SimulatedCrypto bool
 
 	// Backlog bounds the listen queue (half-open connections).

@@ -121,11 +121,11 @@ func (c serverCtx) ChargeHashes(n float64) { c.s.chargeHashes(n) }
 func (c serverCtx) Jar() *syncookie.Jar { return c.s.jar }
 
 // Puzzles implements defense.ServerCtx.
-func (c serverCtx) Puzzles() pzengine.Engine {
+func (c serverCtx) Puzzles() pzengine.Sim {
 	if !c.s.puzzles {
 		c.s.noPuzzles("Puzzles")
 	}
-	return c.s.engine
+	return pzengine.Sim{Is: c.s.issuer}
 }
 
 // noPuzzles enforces defense.Info.Puzzles: a defense registered without

@@ -9,7 +9,6 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/defense"
 	"github.com/tcppuzzles/tcppuzzles/internal/cpumodel"
 	"github.com/tcppuzzles/tcppuzzles/internal/netsim"
-	"github.com/tcppuzzles/tcppuzzles/internal/pzengine"
 	"github.com/tcppuzzles/tcppuzzles/internal/srvmetrics"
 	"github.com/tcppuzzles/tcppuzzles/internal/syncache"
 	"github.com/tcppuzzles/tcppuzzles/internal/tcpkit"
@@ -47,7 +46,6 @@ type Server struct {
 	rnd *rand.Rand
 
 	issuer  *puzzle.Issuer
-	engine  pzengine.Engine
 	jar     *syncookie.Jar
 	cache   *syncache.Cache // built on first use; nil for most defenses
 	defense defense.Defense
@@ -91,29 +89,20 @@ func New(eng *netsim.Engine, network *netsim.Network, link netsim.LinkConfig, cf
 	// preimage bits on the wire repeat run to run.
 	var secret [puzzle.SecretLen]byte
 	binary.BigEndian.PutUint64(secret[:], uint64(cfg.Seed))
-	issuerOpts := []puzzle.IssuerOption{
+	// The CPU model is charged the hash counts; the host computes none:
+	// preimages and cookie bits come from a keyed mix, not SHA-256.
+	issuer, err := puzzle.NewIssuer(
 		puzzle.WithParams(cfg.PuzzleParams),
 		puzzle.WithMaxAge(cfg.PuzzleMaxAge),
 		puzzle.WithClock(simClock),
 		puzzle.WithSecret(secret[:]),
-	}
-	jarOpts := []syncookie.Option{syncookie.WithClock(simClock)}
-	if cfg.SimulatedCrypto {
-		// The CPU model is charged the hash counts; the host computes none.
-		issuerOpts = append(issuerOpts, puzzle.WithSimulatedPreimage(s.carve))
-		jarOpts = append(jarOpts, syncookie.WithSimulatedHash())
-	}
-	issuer, err := puzzle.NewIssuer(issuerOpts...)
+		puzzle.WithSimulatedPreimage(s.carve),
+	)
 	if err != nil {
 		return nil, fmt.Errorf("serversim: issuer: %w", err)
 	}
 	s.issuer = issuer
-	if cfg.SimulatedCrypto {
-		s.engine = pzengine.Sim{Is: issuer}
-	} else {
-		s.engine = pzengine.Real{Is: issuer}
-	}
-	s.jar = syncookie.New([]byte{byte(cfg.Seed)}, jarOpts...)
+	s.jar = syncookie.New([]byte{byte(cfg.Seed)}, syncookie.WithClock(simClock), syncookie.WithSimulatedHash())
 	s.listenQ = tcpkit.NewListenQueue(cfg.Backlog, func(n int) {
 		s.metrics.ListenLen.Set(eng.Now(), float64(n))
 	})

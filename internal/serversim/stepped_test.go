@@ -52,7 +52,7 @@ func TestSteppedPuzzlesController(t *testing.T) {
 				for f.eng.Now() < until {
 					f.run(250 * time.Millisecond)
 					now := f.eng.Now()
-					if got, w := f.server.engine.Params().M, want(now); got != w {
+					if got, w := f.server.Issuer().Params().M, want(now); got != w {
 						t.Fatalf("at %v: m = %d, want %d", now, got, w)
 					}
 				}
@@ -65,7 +65,7 @@ func TestSteppedPuzzlesController(t *testing.T) {
 			sample(31*time.Second, func(now time.Duration) uint8 {
 				return min(base+boundaries(now), maxM)
 			})
-			peak := f.server.engine.Params().M
+			peak := f.server.Issuer().Params().M
 			if peak != maxM {
 				t.Fatalf("m peaked at %d, want the cap %d", peak, maxM)
 			}

@@ -102,10 +102,7 @@ func (q *ListenQueue) notify() {
 // accept(2).
 type Established struct {
 	Peer         PeerKey
-	ClientISN    uint32
-	ServerISN    uint32
 	MSS          uint16
-	WScale       uint8
 	SolvedPuzzle bool
 	CreatedAt    time.Duration
 }
