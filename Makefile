@@ -6,10 +6,16 @@ GO ?= go
 # samples to test significance on (benchstat wants >= 10 for tight CIs).
 COUNT ?= 10
 
-.PHONY: build test race lint fmt-check shim-guard bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid fuzz-smoke load-smoke
+.PHONY: build cross test race lint fmt-check shim-guard bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid fuzz-smoke load-smoke
 
 build:
 	$(GO) build ./...
+
+# The cache reads its entries with raw system calls on unix and with
+# os.ReadFile elsewhere (sweep/readfile_*.go): build both sides.
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 test:
 	$(GO) test ./...

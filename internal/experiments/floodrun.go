@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/attacksim"
 	"github.com/tcppuzzles/tcppuzzles/internal/clientsim"
@@ -86,6 +87,9 @@ func buildFlood(sc Scenario) (*FloodRun, error) {
 	sources := sc.BotCount
 	if sc.MacroSources > 0 {
 		sources = sc.MacroSources
+	}
+	if sources > 0 && math.IsNaN(sc.PerBotRate) {
+		return nil, fmt.Errorf("experiments: botnet: per-bot rate %v/s is not a number", sc.PerBotRate)
 	}
 	if sources > 0 && sc.PerBotRate > 0 {
 		fleet, err := attacksim.NewMacroFleet(network, attacksim.MacroConfig{

@@ -128,9 +128,11 @@ func TestEngineStatsPinned(t *testing.T) {
 
 // A rate the simulator cannot space out — infinite, or one above one
 // arrival or tick per nanosecond — made RunFlood spin at one instant
-// forever. Each must fail fast with an error instead. The wall-clock
-// guard turns a regression into a failure rather than a hung test, and
-// the test runs under -short, so the race job runs it too.
+// forever, and a NaN PerBotRate ran the cell without its botnet while the
+// recorded scenario still counted the bots. Each must fail fast with an
+// error naming the rate instead. The wall-clock guard turns a regression
+// into a failure rather than a hung test, and the test runs under -short,
+// so the race job runs it too.
 func TestRunFloodRejectsRatesThatStallTime(t *testing.T) {
 	base := Scenario{
 		Label:    "stalling-rate",
@@ -145,6 +147,7 @@ func TestRunFloodRejectsRatesThatStallTime(t *testing.T) {
 		{"ClientRate=+Inf", func(sc *Scenario) { sc.ClientRate = math.Inf(1) }, "+Inf"},
 		{"PerBotRate=+Inf", func(sc *Scenario) { sc.PerBotRate = math.Inf(1) }, "+Inf"},
 		{"PerBotRate=2e9", func(sc *Scenario) { sc.PerBotRate = 2e9 }, "2e+09"},
+		{"PerBotRate=NaN", func(sc *Scenario) { sc.PerBotRate = math.NaN() }, "NaN"},
 	}
 	done := make(chan string, len(cases))
 	pending := map[string]bool{}

@@ -1,14 +1,15 @@
 package sweep
 
 import (
+	"cmp"
 	"crypto/sha256"
 	_ "embed"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,8 +66,42 @@ func Canon(sc Scenario) Canonical {
 	return Canonical{sc, b}
 }
 
-// encodeScenario is the one function that encodes a Scenario.
-func encodeScenario(sc Scenario) ([]byte, error) { return json.Marshal(sc) }
+// encodeScenario is the one function that encodes a Scenario. Its
+// specification is json.Marshal(sc), bytes and error (a NaN or infinite
+// rate), which TestEncodeScenarioMatchesJSON holds it to; it appends the
+// fields itself so that a warm cell's cache key costs no reflection.
+func encodeScenario(sc Scenario) ([]byte, error) {
+	b := appendJSONString(append(make([]byte, 0, 512), `{"Label":`...), sc.Label)
+	b = strconv.AppendInt(append(b, `,"Duration":`...), int64(sc.Duration), 10)
+	b = strconv.AppendInt(append(b, `,"AttackStart":`...), int64(sc.AttackStart), 10)
+	b = strconv.AppendInt(append(b, `,"AttackStop":`...), int64(sc.AttackStop), 10)
+	b = strconv.AppendInt(append(b, `,"Bucket":`...), int64(sc.Bucket), 10)
+	b = strconv.AppendInt(append(b, `,"NumClients":`...), int64(sc.NumClients), 10)
+	b, err := appendJSONFloat(append(b, `,"ClientRate":`...), sc.ClientRate)
+	b = strconv.AppendInt(append(b, `,"RequestBytes":`...), int64(sc.RequestBytes), 10)
+	b = strconv.AppendBool(append(b, `,"ClientsSolve":`...), sc.ClientsSolve)
+	b = appendJSONString(append(b, `,"Defense":`...), string(sc.Defense))
+	b = strconv.AppendUint(append(b, `,"Params":{"K":`...), uint64(sc.Params.K), 10)
+	b = strconv.AppendUint(append(b, `,"M":`...), uint64(sc.Params.M), 10)
+	b = strconv.AppendUint(append(b, `,"L":`...), uint64(sc.Params.L), 10)
+	b = strconv.AppendBool(append(b, `},"AlwaysChallenge":`...), sc.AlwaysChallenge)
+	b = strconv.AppendInt(append(b, `,"Workers":`...), int64(sc.Workers), 10)
+	b = strconv.AppendInt(append(b, `,"Backlog":`...), int64(sc.Backlog), 10)
+	b = strconv.AppendInt(append(b, `,"AcceptBacklog":`...), int64(sc.AcceptBacklog), 10)
+	b = appendJSONString(append(b, `,"Attack":`...), string(sc.Attack))
+	b = strconv.AppendInt(append(b, `,"BotCount":`...), int64(sc.BotCount), 10)
+	b, botErr := appendJSONFloat(append(b, `,"PerBotRate":`...), sc.PerBotRate)
+	b = strconv.AppendBool(append(b, `,"BotsSolve":`...), sc.BotsSolve)
+	b = strconv.AppendInt(append(b, `,"BotMaxSolveBacklog":`...), int64(sc.BotMaxSolveBacklog), 10)
+	if sc.MacroSources != 0 {
+		b = strconv.AppendInt(append(b, `,"MacroSources":`...), int64(sc.MacroSources), 10)
+	}
+	b = strconv.AppendInt(append(b, `,"Seed":`...), sc.Seed, 10)
+	if err = cmp.Or(err, botErr); err != nil { // the first, as json reports
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
 
 func (c Canonical) hash(version, experiment string) string {
 	canonical := c.json
@@ -76,10 +111,13 @@ func (c Canonical) hash(version, experiment string) string {
 		// still distinguishes scenarios, so no two cells share a key.
 		canonical = []byte(fmt.Sprintf("%#v", c.sc))
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n", version, experiment)
-	h.Write(canonical)
-	return hex.EncodeToString(h.Sum(nil))
+	// The version line, the experiment line and the encoding, on the stack.
+	var buf [1024]byte
+	b := append(append(append(append(buf[:0], version...), '\n'), experiment...), '\n')
+	sum := sha256.Sum256(append(b, canonical...))
+	var hexed [2 * sha256.Size]byte
+	hex.Encode(hexed[:], sum[:])
+	return string(hexed[:])
 }
 
 // Cache is a disk-backed, content-addressed store of completed cell
@@ -88,6 +126,10 @@ func (c Canonical) hash(version, experiment string) string {
 // concurrent writers never contend, a hit parses no text, and a cache
 // directory can be shared between figure regenerations: any cell whose
 // canonical scenario already ran is skipped entirely.
+//
+// A hit hashes the cell's encoding to its file name, reads the file into a
+// pooled buffer with one open, one read and one close on unix (os.ReadFile
+// elsewhere), and decodes it, names from a table of those read before.
 //
 // With WithMaxBytes the cache maintains itself: it accounts entry sizes
 // and evicts least-recently-used entries (hits refresh recency) whenever
@@ -103,7 +145,15 @@ type Cache struct {
 	// mu guards size accounting and eviction sweeps.
 	mu   sync.Mutex
 	size int64
+
+	names nameTable
 }
+
+// entryBufs holds the buffers hits read entries into. A buffer grown past
+// maxPooledEntry by an unusually large entry is dropped, not kept.
+var entryBufs = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
+
+const maxPooledEntry = 256 << 10
 
 // CacheOption tunes a Cache at open time.
 type CacheOption func(*Cache)
@@ -153,12 +203,13 @@ func (c *Cache) Get(experiment string, sc Scenario) ([]Metric, []Series, bool) {
 // GetCanonical is Get keyed by a cell's one encoding.
 func (c *Cache) GetCanonical(experiment string, sc Canonical) ([]Metric, []Series, bool) {
 	path := c.path(experiment, sc)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		c.misses.Add(1)
-		return nil, nil, false
+	buf := entryBufs.Get().(*[]byte)
+	data, err := readFile(path, (*buf)[:0])
+	metrics, series, ok := decodeEntry(data, &c.names) // nil data: a miss
+	if err == nil && cap(data) <= maxPooledEntry {
+		*buf = data
 	}
-	metrics, series, ok := decodeEntry(data)
+	entryBufs.Put(buf)
 	if !ok {
 		c.misses.Add(1)
 		return nil, nil, false

@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCacheRoundTrip(t *testing.T) {
@@ -136,6 +138,52 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 	if _, err := os.Stat(legacy); err != nil {
 		t.Errorf("legacy file touched: %v", err)
+	}
+}
+
+// TestCacheReadsWholeEntries round-trips an entry larger than any pooled
+// read buffer, so a hit that stopped at a full buffer would miss, and
+// checks that a directory at an entry's path is a miss. Two
+// hits share their names' bytes: the cache interns them.
+func TestCacheReadsWholeEntries(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Label: "large"}
+	values := make([]float64, maxPooledEntry/floatBytes+1)
+	for i := range values {
+		values[i] = float64(i) / 7
+	}
+	series := []Series{{Name: "trace", Values: values}}
+	if err := cache.Put("fig9", sc, nil, series); err != nil {
+		t.Fatal(err)
+	}
+	var names [2]*byte
+	for hit := range names {
+		_, got, ok := cache.Get("fig9", sc)
+		if !ok {
+			t.Fatalf("hit %d: a %d-value entry missed", hit, len(values))
+		}
+		if len(got) != 1 || got[0].Name != "trace" || !slices.Equal(got[0].Values, values) {
+			t.Fatalf("hit %d: read back %d series, the first %d values", hit, len(got), len(got[0].Values))
+		}
+		names[hit] = unsafe.StringData(got[0].Name)
+	}
+	if names[0] != names[1] {
+		t.Error("two hits allocated the series name twice")
+	}
+
+	dirCell := Scenario{Label: "dir"}
+	if err := os.Mkdir(cache.path("fig9", Canon(dirCell)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	misses := cache.Misses()
+	if _, _, ok := cache.Get("fig9", dirCell); ok {
+		t.Error("a directory at the entry's path is a hit")
+	}
+	if cache.Misses() != misses+1 {
+		t.Error("a directory at the entry's path is not counted as a miss")
 	}
 }
 

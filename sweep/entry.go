@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync/atomic"
 )
 
 // A cache entry is one binary record holding a cell's metrics and series.
@@ -77,10 +78,11 @@ func appendName(buf []byte, name string) []byte {
 	return append(buf, name...)
 }
 
-// decodeEntry parses a record written by encodeEntry. It reports false for
-// a wrong magic, a checksum mismatch, a count or length that runs past the
-// end of the record, or bytes left over after the series.
-func decodeEntry(data []byte) ([]Metric, []Series, bool) {
+// decodeEntry parses a record written by encodeEntry, taking names from
+// names. It reports false for a wrong magic, a checksum mismatch, a count
+// or length that runs past the end of the record, or bytes left over after
+// the series. Nothing it returns refers to data.
+func decodeEntry(data []byte, names *nameTable) ([]Metric, []Series, bool) {
 	if len(data) < len(entryMagic)+crc32.Size || string(data[:len(entryMagic)]) != entryMagic {
 		return nil, nil, false
 	}
@@ -88,7 +90,7 @@ func decodeEntry(data []byte) ([]Metric, []Series, bool) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return nil, nil, false
 	}
-	r := entryReader{rest: body[len(entryMagic):]}
+	r := entryReader{rest: body[len(entryMagic):], names: names}
 	var metrics []Metric
 	if n, isNil := r.count(minMetricBytes); !isNil {
 		metrics = make([]Metric, n)
@@ -120,8 +122,9 @@ func decodeEntry(data []byte) ([]Metric, []Series, bool) {
 // after which every read returns zero values without consuming input, so
 // decodeEntry checks bad once at the end.
 type entryReader struct {
-	rest []byte
-	bad  bool
+	rest  []byte
+	bad   bool
+	names *nameTable
 }
 
 func (r *entryReader) uvarint() uint64 {
@@ -155,9 +158,25 @@ func (r *entryReader) name() string {
 		r.bad = true
 		return ""
 	}
-	name := string(r.rest[:n])
+	name := r.names.intern(r.rest[:n])
 	r.rest = r.rest[n:]
 	return name
+}
+
+// nameTable interns the metric and series names a cache reads, which
+// repeat across a grid's cells. Each slot holds the last name read whose
+// checksum picks it, so it holds at most len(nameTable) names whatever it
+// is fed, and goroutines share it without a lock.
+type nameTable [256]atomic.Pointer[string]
+
+func (t *nameTable) intern(b []byte) string {
+	slot := &t[crc32.Checksum(b, castagnoli)%uint32(len(t))]
+	if p := slot.Load(); p != nil && *p == string(b) {
+		return *p
+	}
+	s := string(b)
+	slot.Store(&s)
+	return s
 }
 
 func (r *entryReader) float() float64 {

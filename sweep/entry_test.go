@@ -64,13 +64,15 @@ func checkDecodeAllocs(t *testing.T, data []byte) {
 	t.Fatalf("decoding %d bytes allocated %d bytes", len(data), got)
 }
 
-// decodeAllocBytes reads the heap's allocation counter around one decode.
-// Unlike runtime.ReadMemStats it does not stop the world.
+// decodeAllocBytes reads the heap's allocation counter around one decode
+// with a fresh name table, as a cache's first hit decodes. Unlike
+// runtime.ReadMemStats it does not stop the world.
 func decodeAllocBytes(data []byte) uint64 {
+	names := new(nameTable)
 	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	metrics.Read(sample)
 	before := sample[0].Value.Uint64()
-	decodeEntry(data)
+	decodeEntry(data, names)
 	metrics.Read(sample)
 	return sample[0].Value.Uint64() - before
 }
@@ -86,7 +88,8 @@ func checkEntryRoundTrip(t *testing.T, metrics []Metric, series []Series) {
 	if err != nil {
 		return
 	}
-	gotMetrics, gotSeries, ok := decodeEntry(data)
+	names := new(nameTable)
+	gotMetrics, gotSeries, ok := decodeEntry(data, names)
 	if !ok {
 		t.Fatal("a freshly encoded entry does not decode")
 	}
@@ -114,7 +117,7 @@ func checkEntryRoundTrip(t *testing.T, metrics []Metric, series []Series) {
 	}
 	for i := range data {
 		data[i] ^= 0xff
-		if _, _, ok := decodeEntry(data); ok {
+		if _, _, ok := decodeEntry(data, names); ok {
 			t.Fatalf("entry with byte %d of %d flipped still decodes", i, len(data))
 		}
 		data[i] ^= 0xff
