@@ -65,7 +65,7 @@ bench-engine:
 # job does not) and the packet heap's budget per flood-cell packet leg.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-	$(GO) test -run 'TestAllocBudget|TestHeapBudget' -count=1 ./internal/serversim ./internal/attacksim ./internal/clientsim ./internal/experiments
+	$(GO) test -run 'TestAllocBudget|TestHeapBudget' -count=1 ./internal/serversim ./internal/attacksim ./internal/clientsim ./internal/experiments ./sweep
 
 # The macro-source scale wall and curve: the 100k-source bounded-memory
 # test (skipped under -short, so `make race`/CI's -short test job never

@@ -106,10 +106,12 @@ type ServerCtx interface {
 	// SynAck builds and transmits a SYN-ACK for the given SYN; nil opts
 	// selects the default MSS/WScale advertisement.
 	SynAck(syn tcpkit.Segment, serverISN uint32, opts []byte)
-	// SynAckChallenge transmits a SYN-ACK for the given SYN carrying ch in
-	// a 0xfc challenge option, timestamp embedded. An error means ch does
-	// not encode (difficulty misconfiguration) and nothing was sent.
-	SynAckChallenge(syn tcpkit.Segment, serverISN uint32, ch puzzle.Challenge) error
+	// SendChallenge answers syn with a stateless SYN-ACK carrying a puzzle
+	// issued to its flow (0xfc option, timestamp embedded, cookie-jar ISN)
+	// and charges the issue's hashes. An error means the difficulty does
+	// not encode and nothing was sent. A SYN-ACK nothing can read (to an
+	// unroutable source, with no tap) may be sized rather than built.
+	SendChallenge(syn tcpkit.Segment) error
 	// SendRST signals that no connection exists.
 	SendRST(seg tcpkit.Segment)
 	// Establish records a completed handshake on the accept queue and

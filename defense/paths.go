@@ -16,12 +16,9 @@ import (
 // sent even when the accept queue overflows (the paper's modified
 // behaviour), so that solving clients can claim slots the moment they open.
 func sendChallenge(ctx ServerCtx, syn tcpkit.Segment) {
-	flow := syn.Flow()
-	ch := ctx.Puzzles().Issue(flow)
-	ctx.ChargeHashes(ch.Params.GenerateHashes())
 	// The SYN-ACK is stateless: the ISN is reconstructed at ACK time from
 	// the cookie jar so a bare ACK cannot collide with a real half-open.
-	if err := ctx.SynAckChallenge(syn, ctx.Jar().Encode(flow, 0), ch); err != nil {
+	if err := ctx.SendChallenge(syn); err != nil {
 		// Difficulty misconfiguration; account and drop.
 		ctx.Metrics().EncodeFailures++
 		return

@@ -624,12 +624,20 @@ func (c *macroCtx) ExpectSynAck(port uint16, isn uint32) {
 	c.f.awaiting[awaitKey(c.slot, port)] = isn
 }
 
-// EmitAttack implements attack.BotCtx: SendAt transmits through the
-// slot's own uplink whatever source seg claims.
+// EmitAttack implements attack.BotCtx: the store transmits through the
+// slot's own uplink whatever source seg claims. Between its ticks a slot
+// sends only from OnSynAck, for an awaited handshake, or OnSolved, for a
+// queued solve; with neither in motion no slot can send before this
+// tick's instant, so the store may send it ahead (SourceStore.SendAhead).
 func (c *macroCtx) EmitAttack(seg tcpkit.Segment) {
+	f := c.f
 	now := c.Now()
-	c.f.metrics.Sent.Add(now, 1)
-	c.f.store.SendAt(c.slot, now, seg)
+	f.metrics.Sent.Add(now, 1)
+	if len(f.awaiting) == 0 && f.solves == nil {
+		f.store.SendAhead(c.slot, now, seg)
+		return
+	}
+	f.store.SendAt(c.slot, now, seg)
 }
 
 // SendHandshakeAck implements attack.BotCtx.

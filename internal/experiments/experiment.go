@@ -184,10 +184,10 @@ func runPlan(exps []Experiment, grids [][]Scenario, exec Exec) ([][]sweep.Result
 					// and packet legs fired, deliver legs and train arrivals
 					// fired in place, deliver legs queued behind a downlink
 					// FIFO's head, train legs deferred instead of fired,
-					// cancelled timers, peak lengths.
+					// cancelled timers, peak lengths, sends ahead of the clock.
 					q := run.Eng.Stats()
-					debugf(c, "events=%d timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d deferred=%d cancelled=%d peak-timers=%d peak-packets=%d",
-						run.Eng.Fired(), q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Deferred, q.Discarded, q.PeakTimers, q.PeakPackets)
+					debugf(c, "events=%d timers=%d packet-legs=%d in-place=%d arrivals-in-place=%d delivers-queued=%d deferred=%d cancelled=%d peak-timers=%d peak-packets=%d sent-ahead=%d",
+						run.Eng.Fired(), q.TimersFired, q.PacketLegsFired, q.InPlace, q.ArrivalsInPlace, q.DeliversQueued, q.Deferred, q.Discarded, q.PeakTimers, q.PeakPackets, q.SentAhead)
 				}
 			} else if exec.Debug != nil {
 				src := &cells[from]

@@ -214,8 +214,9 @@ func smartBots(sc Scenario) Scenario {
 
 // fig12Grid declares Experiment 3's (k, m) difficulty product over the
 // smart-bot connection flood: the paper's {1..4} × {12,15,16,17,18,20},
-// or {1,2} × {12,16,17,20} at reduced scales. The Nash cell (2,17) should
-// show the most stable (lowest-variance) client throughput.
+// or {1,2} × {12,16,17,20} at reduced scales. The clients' own solving
+// bounds the m ≥ 15 rows, so (1,15), not the Nash cell (2,17), is the
+// most stable (docs/EXPERIMENTS.md, "Known modelling deviations").
 func fig12Grid(s Scale) sweep.Grid {
 	if reduced(s) {
 		return difficultyFloodGrid(s, []uint8{1, 2}, []uint8{12, 16, 17, 20})

@@ -31,7 +31,7 @@ var Maporder = &Analyzer{
 // observable: event scheduling, packet emission, and stream output.
 var orderSensitiveCalls = map[string]bool{
 	"Schedule": true, "ScheduleAt": true,
-	"SendFrom": true, "SendAt": true, "Send": true, "SendTrain": true, "Deliver": true,
+	"SendFrom": true, "SendAt": true, "SendAhead": true, "Send": true, "SendRoute": true, "SendTrain": true, "Deliver": true,
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
 	"Fprintf": true, "Fprintln": true, "Fprint": true,
 	"Printf": true, "Println": true, "Print": true,

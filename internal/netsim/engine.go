@@ -440,7 +440,7 @@ func (e *Engine) fire(ev *Event) {
 	case kindSend:
 		e.stats.TimersFired++
 		p := &ev.pkt
-		p.dst.store.transmit(p.slot, &p.seg)
+		p.dst.store.transmit(p.slot, e.now, &p.seg)
 		e.recycle(ev)
 	}
 }
@@ -572,7 +572,10 @@ type EngineStats struct {
 	// event fired: middle segments offered to the downlink lazily, and
 	// deliver legs handed to HandleAt. PacketLegsFired + Deferred is what
 	// one event per leg would have fired.
-	Deferred   uint64
+	Deferred uint64
+	// SentAhead counts SourceStore.SendAhead's sends ahead of the clock:
+	// TimersFired + SentAhead is what a timer per future send would fire.
+	SentAhead  uint64
 	Discarded  uint64 // cancelled events dropped on reaching the front
 	PeakTimers int    // longest the timer heap has been
 	// PeakPackets is the longest the packet heap has been. It is not the

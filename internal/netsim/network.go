@@ -173,6 +173,8 @@ type Network struct {
 	// unroutable counts packets addressed to unknown nodes (e.g. SYN-ACKs
 	// to spoofed sources) or sent from unattached origins.
 	unroutable uint64
+	// ahead is the latest instant a SourceStore.SendAhead transmitted at.
+	ahead time.Duration
 }
 
 // ShardStats is what Network.ShardStats reports.
@@ -234,14 +236,18 @@ func (n *Network) Attach(node Node, link LinkConfig) error {
 	return nil
 }
 
-// RegisterTap adds a packet observer. A tap turns train deferral off (see
-// DeferNode); it panics if a deferred train is still in flight, whose
+// RegisterTap adds a packet observer. A tap turns train deferral and
+// SourceStore.SendAhead off; it panics if a deferred train is still in
+// flight, or a packet sent ahead is still ahead of the clock, whose
 // segments the tap could no longer see at their instants.
 func (n *Network) RegisterTap(t Tap) {
 	for _, p := range n.deferring {
 		if p.dq.pending() {
 			panic("netsim: RegisterTap while a deferred train is in flight")
 		}
+	}
+	if n.ahead > n.Eng.now {
+		panic("netsim: RegisterTap while a packet sent ahead is ahead of the clock")
 	}
 	n.taps = append(n.taps, t)
 }
@@ -265,11 +271,31 @@ func (n *Network) Send(seg tcpkit.Segment) {
 	n.SendFrom(seg.Src, seg)
 }
 
+// Route is where segments to one address go: a port, a store slot, or none.
+type Route struct {
+	dst  *port
+	slot int32
+}
+
+// Route resolves addr for SendRoute and reports whether a segment sent
+// to it now would be read by anything: a node or source holding addr,
+// or a tap. A segment nothing reads counts only by its size, so its
+// sender need not write its bytes.
+func (n *Network) Route(addr Addr) (Route, bool) {
+	r := n.route(addr)
+	return r, r.dst != nil || len(n.taps) > 0
+}
+
+// SendRoute is Send for a segment whose destination Route resolved to r.
+func (n *Network) SendRoute(seg tcpkit.Segment, r Route) {
+	n.sendFrom(seg.Src, &seg, 1, seg.PayloadLen, r)
+}
+
 // SendFrom injects a segment through origin's uplink regardless of the
 // segment's source address — the spoofing primitive SYN flooders use.
 // Replies to the spoofed source become unroutable.
 func (n *Network) SendFrom(origin Addr, seg tcpkit.Segment) {
-	n.sendFrom(origin, &seg, 1, seg.PayloadLen)
+	n.sendFrom(origin, &seg, 1, seg.PayloadLen, n.route(seg.Dst))
 }
 
 // SendTrain sends count segments back to back from seg.Src: count−1 copies
@@ -279,14 +305,14 @@ func (n *Network) SendFrom(origin Addr, seg tcpkit.Segment) {
 // deliveries), carried through the engine as one event that the
 // destination expands a segment at a time.
 func (n *Network) SendTrain(seg tcpkit.Segment, count, lastLen int) {
-	n.sendFrom(seg.Src, &seg, count, lastLen)
+	n.sendFrom(seg.Src, &seg, count, lastLen, n.route(seg.Dst))
 }
 
 // sendFrom resolves an attached origin's port for send. seg is the
 // caller's copy, which send may rewrite.
-func (n *Network) sendFrom(origin Addr, seg *tcpkit.Segment, count, lastLen int) {
+func (n *Network) sendFrom(origin Addr, seg *tcpkit.Segment, count, lastLen int, r Route) {
 	if src, ok := n.ports[origin]; ok && count > 0 {
-		n.send(&src.up, origin, seg, count, lastLen)
+		n.send(&src.up, origin, seg, count, lastLen, n.Eng.now, r)
 	} else if count > 0 {
 		// Origins must be attached; treat as misconfiguration drop,
 		// counted but not tapped.
@@ -294,15 +320,14 @@ func (n *Network) sendFrom(origin Addr, seg *tcpkit.Segment, count, lastLen int)
 	}
 }
 
-// send is the one send path, behind SendFrom, SendTrain and
+// send is the one send path, behind SendFrom, SendTrain, SendRoute and
 // SourceStore.SendAt: count segments (the last with PayloadLen lastLen)
-// from origin through the uplink up; seg is a scratch copy, rewritten on
-// the way. Each segment is tapped and transmitted in turn, and may be
-// dropped; the ones that were not are a prefix of the burst (see
-// transmit) and travel on as one train. Unroutable segments still consume
-// uplink bandwidth and count one each.
-func (n *Network) send(up *xmitter, origin Addr, seg *tcpkit.Segment, count, lastLen int) {
-	now := n.Eng.Now()
+// from origin through the uplink up at instant now, to the destination
+// r; seg is a scratch copy, rewritten on the way. Each segment is tapped
+// and transmitted in turn, and may be dropped; the ones that were not
+// are a prefix of the burst (see transmit) and travel on as one train.
+// Unroutable segments still consume uplink bandwidth and count one each.
+func (n *Network) send(up *xmitter, origin Addr, seg *tcpkit.Segment, count, lastLen int, now time.Duration, r Route) {
 	full := seg.PayloadLen
 	var depart time.Duration // the first segment's
 	sent := 0
@@ -326,7 +351,7 @@ func (n *Network) send(up *xmitter, origin Addr, seg *tcpkit.Segment, count, las
 	if sent == 0 {
 		return
 	}
-	dst, dslot := n.lookup(seg.Dst)
+	dst := r.dst
 	if dst == nil {
 		n.unroutable += uint64(sent)
 		return
@@ -344,7 +369,7 @@ func (n *Network) send(up *xmitter, origin Addr, seg *tcpkit.Segment, count, las
 	// After the uplink serialisation and both propagation legs, the first
 	// segment reaches the destination's downlink.
 	n.Eng.scheduleArrival(depart+up.cfg.Latency+dst.downLatency(), addrKey(origin), n.seq, &packet{
-		dst: dst, seg: *seg, size: int32(seg.WireSize()), slot: dslot,
+		dst: dst, seg: *seg, size: int32(seg.WireSize()), slot: r.slot,
 		left: int32(sent - 1), lastLen: int32(lastLen), rate: up.cfg.RateBps,
 	})
 	n.seq += uint64(sent)
@@ -451,20 +476,17 @@ func (n *Network) runDeliver(e *Engine, p packet) {
 	p.dst.node.Handle(p.seg)
 }
 
-// lookup resolves a destination address to its port — a real attached
+// route resolves a destination address to its port — a real attached
 // port (slot -1) or a source store's virtual port plus slot index.
-func (n *Network) lookup(addr Addr) (*port, int32) {
+func (n *Network) route(addr Addr) Route {
 	// Ports and stores never overlap, so the order is free: stores first,
 	// because a range check is cheaper than the map miss it saves.
 	for _, s := range n.stores {
 		if slot, ok := s.slotOf(addr); ok {
-			return s.vport, slot
+			return Route{s.vport, slot}
 		}
 	}
-	if p, ok := n.ports[addr]; ok {
-		return p, -1
-	}
-	return nil, -1
+	return Route{n.ports[addr], -1}
 }
 
 // Unroutable returns how many packets were addressed to unknown nodes

@@ -201,13 +201,28 @@ func (s *SourceStore) SendAt(slot int32, at time.Duration, seg tcpkit.Segment) {
 		eng.scheduleSend(at, s.vport, slot, &seg)
 		return
 	}
-	s.transmit(slot, &seg)
+	s.transmit(slot, s.n.Eng.now, &seg)
 }
 
-// transmit sends seg through slot's uplink now; seg is a scratch copy.
-func (s *SourceStore) transmit(slot int32, seg *tcpkit.Segment) {
+// SendAhead is SendAt from a caller that knows nothing in motion can make
+// slot send before at: the uplink transmits at instant at now, without a
+// timer (exact, see docs/DETERMINISM.md). Under a tap, or for an at
+// outside the Run in progress, it is SendAt.
+func (s *SourceStore) SendAhead(slot int32, at time.Duration, seg tcpkit.Segment) {
+	if n := s.n; at > n.Eng.now && at < n.Eng.limit && len(n.taps) == 0 {
+		n.Eng.stats.SentAhead++
+		n.ahead = max(n.ahead, at)
+		s.transmit(slot, at, &seg)
+		return
+	}
+	s.SendAt(slot, at, seg)
+}
+
+// transmit sends seg through slot's uplink at instant now; seg is a
+// scratch copy.
+func (s *SourceStore) transmit(slot int32, now time.Duration, seg *tcpkit.Segment) {
 	up := xmitter{cfg: s.link, busyUntil: s.upBusy[slot]}
-	s.n.send(&up, s.Addr(slot), seg, 1, seg.PayloadLen)
+	s.n.send(&up, s.Addr(slot), seg, 1, seg.PayloadLen, now, s.n.route(seg.Dst))
 	s.upBusy[slot] = up.busyUntil
 	s.upStats.add(up.stats)
 }

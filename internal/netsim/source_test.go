@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -234,5 +235,89 @@ func TestStoreInboundStateOnFirstDelivery(t *testing.T) {
 	}
 	if _, down := store.Stats(); down.SentPackets != 1 {
 		t.Errorf("store downlink packets = %d, want 1", down.SentPackets)
+	}
+}
+
+// SendAhead transmits at a future instant without a timer, inside the Run
+// in progress and while no tap is registered, and is then SendAt to the
+// byte: the same arrivals at the same times and the same link counters,
+// with each send counted in SentAhead instead of TimersFired. A tap
+// cannot be registered while a packet sent ahead is still ahead of the
+// clock; once one is, and outside a Run's bound, SendAhead takes a timer.
+func TestSendAhead(t *testing.T) {
+	type outcome struct {
+		at          []time.Duration
+		up          LinkStats
+		timers      uint64
+		sentAhead   uint64
+		tapPanicked bool
+	}
+	run := func(ahead bool) outcome {
+		eng := NewEngine()
+		n := NewNetwork(eng)
+		sink := &sinkNode{addr: Addr{10, 0, 0, 1}, eng: eng}
+		if err := n.Attach(sink, DefaultServerLink()); err != nil {
+			t.Fatal(err)
+		}
+		store, err := n.AttachSources(3, Addr{20, 2, 0, 1}, DefaultHostLink(), func(int32, tcpkit.Segment) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		send := store.SendAt
+		if ahead {
+			send = store.SendAhead
+		}
+		var o outcome
+		eng.Schedule(time.Millisecond, func() {
+			for i, at := range []time.Duration{5, 5, 7, 2000} {
+				slot := int32(i % 3)
+				send(slot, at*time.Millisecond, tcpkit.Segment{Src: store.Addr(slot), Dst: sink.addr, SrcPort: uint16(i), DstPort: 80, Flags: tcpkit.FlagSYN})
+			}
+			func() {
+				defer func() { o.tapPanicked = recover() != nil }()
+				n.RegisterTap(func(time.Duration, TapDir, tcpkit.Segment) {})
+			}()
+		})
+		eng.Run(time.Second)
+		eng.Run(3 * time.Second)
+		o.at, o.timers, o.sentAhead = sink.at, eng.Stats().TimersFired, eng.Stats().SentAhead
+		o.up, _ = store.Stats()
+		return o
+	}
+	ref, got := run(false), run(true)
+	if ref.tapPanicked || !got.tapPanicked {
+		t.Errorf("RegisterTap panicked %v with sends via timers, %v with sends ahead of the clock; want false, true", ref.tapPanicked, got.tapPanicked)
+	}
+	if len(got.at) != 4 || !slices.Equal(got.at, ref.at) || got.up != ref.up {
+		t.Errorf("sent ahead: arrivals %v, uplink %+v; via timers: %v, %+v", got.at, got.up, ref.at, ref.up)
+	}
+	// The 2 s send is past the first Run's bound and takes a timer.
+	if got.sentAhead != 3 || got.timers+got.sentAhead != ref.timers || ref.sentAhead != 0 {
+		t.Errorf("sent ahead %d with %d timers, via timers %d with %d; want 3 and a timer for each other", got.sentAhead, got.timers, ref.sentAhead, ref.timers)
+	}
+
+	// Under a tap, and outside a Run (Step has no bound), SendAhead is SendAt.
+	for _, tapped := range []bool{true, false} {
+		eng := NewEngine()
+		n := NewNetwork(eng)
+		store, err := n.AttachSources(1, Addr{20, 2, 0, 1}, DefaultHostLink(), func(int32, tcpkit.Segment) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tapped {
+			n.RegisterTap(func(time.Duration, TapDir, tcpkit.Segment) {})
+		}
+		eng.Schedule(0, func() {
+			store.SendAhead(0, time.Millisecond, tcpkit.Segment{Src: store.Addr(0), Dst: Addr{10, 0, 0, 1}})
+		})
+		if tapped {
+			eng.Run(time.Second)
+		} else {
+			for eng.Step() {
+			}
+		}
+		if st := eng.Stats(); st.SentAhead != 0 || st.TimersFired != 2 {
+			t.Errorf("tapped %v: %d sent ahead, %d timers fired; want 0 and 2", tapped, st.SentAhead, st.TimersFired)
+		}
 	}
 }

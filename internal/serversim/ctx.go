@@ -87,17 +87,36 @@ func (c serverCtx) SynAck(syn tcpkit.Segment, serverISN uint32, opts []byte) {
 	c.s.send(c.s.synAck(syn, serverISN, opts))
 }
 
-// SynAckChallenge implements defense.ServerCtx. The option bytes come from
-// the server's bump buffer, so a challenge costs no heap object.
-func (c serverCtx) SynAckChallenge(syn tcpkit.Segment, serverISN uint32, ch puzzle.Challenge) error {
-	s := c.s
-	opts, err := tcpopt.AppendChallenge(s.carve(tcpopt.ChallengeWireSize(ch.Params, true))[:0], ch, true)
+// SendChallenge implements defense.ServerCtx. The option bytes come from
+// the server's bump buffer, so a challenge costs no heap object; one
+// nothing can read is sized, not built: options of the same size from
+// unread and ISN zero load the link, CPU and BytesOut as it would.
+func (c serverCtx) SendChallenge(syn tcpkit.Segment) error {
+	s, pz := c.s, c.Puzzles()
+	r, read := s.net.Route(syn.Src)
+	ch, flow := puzzle.Challenge{}, syn.Flow()
+	if read {
+		ch = pz.Issue(flow)
+	} else {
+		ch.Params = pz.Params()
+	}
+	s.chargeHashes(ch.Params.GenerateHashes())
+	n, err := tcpopt.SizeChallenge(ch.Params, true)
 	if err != nil {
 		return err
 	}
-	s.send(s.synAck(syn, serverISN, opts))
+	opts, isn := unread[:n], uint32(0)
+	if read {
+		// Sized above, and Issue's preimage is well formed: no error.
+		opts, _ = tcpopt.AppendChallenge(s.carve(n)[:0], ch, true)
+		isn = s.jar.Encode(flow, 0)
+	}
+	s.sendRoute(s.synAck(syn, isn, opts), r)
 	return nil
 }
+
+// unread is every sized challenge's option area; nothing writes it.
+var unread [tcpopt.MaxOptionsLen]byte
 
 // SendRST implements defense.ServerCtx.
 func (c serverCtx) SendRST(seg tcpkit.Segment) { c.s.sendRST(seg) }

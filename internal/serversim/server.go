@@ -177,8 +177,14 @@ func (s *Server) Handle(seg tcpkit.Segment) {
 
 // send transmits a segment from the server, accounting outgoing bytes.
 func (s *Server) send(seg tcpkit.Segment) {
+	r, _ := s.net.Route(seg.Dst)
+	s.sendRoute(seg, r)
+}
+
+// sendRoute is send for a segment whose destination resolved to r.
+func (s *Server) sendRoute(seg tcpkit.Segment, r netsim.Route) {
 	s.metrics.BytesOut.Add(s.eng.Now(), float64(seg.WireSize()))
-	s.net.Send(seg)
+	s.net.SendRoute(seg, r)
 }
 
 // carve returns n fresh bytes of the server's bump buffer: 4 KiB chunks,

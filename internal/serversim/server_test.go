@@ -737,3 +737,38 @@ func TestResetDuringServiceKeepsRecord(t *testing.T) {
 		t.Errorf("free list = %v, want just the reset record", f.server.freeConns)
 	}
 }
+
+// A challenge to a source nothing can read is sized, not built, and for
+// every valid (k, m, l) it loads the server's uplink and BytesOut with
+// the bytes of the built SYN-ACK a routable peer gets.
+func TestSizedChallengeMatchesBuilt(t *testing.T) {
+	f := newFixture(t, Config{Defense: sweep.DefensePuzzles, AlwaysChallenge: true, Backlog: 512, AcceptBacklog: 512})
+	srv := f.server
+	sent := func(src netsim.Addr) (link, bytesOut float64) {
+		up0, _, _ := f.net.Stats(srv.Addr())
+		out0 := srv.Metrics().BytesOut.Sum()
+		srv.Handle(tcpkit.Segment{Src: src, Dst: srv.Addr(), SrcPort: 5000, DstPort: 80, Flags: tcpkit.FlagSYN})
+		up, _, _ := f.net.Stats(srv.Addr())
+		return float64(up.SentBytes - up0.SentBytes), srv.Metrics().BytesOut.Sum() - out0
+	}
+	for l := puzzle.MinPreimageBits; l <= puzzle.MaxPreimageBits; l += 8 {
+		for m := puzzle.MinDifficultyBits; m <= min(l, puzzle.MaxDifficultyBits); m++ {
+			for k := 1; k <= 255; k++ {
+				p := puzzle.Params{K: uint8(k), M: uint8(m), L: uint8(l)}
+				if err := srv.Issuer().SetParams(p); err != nil {
+					t.Fatal(err)
+				}
+				builtLink, builtOut := sent(f.peer.addr)
+				sizedLink, sizedOut := sent(netsim.Addr{100, 1, 2, 3})
+				f.run(10 * time.Microsecond) // drain the uplink
+				want := float64((tcpkit.Segment{Options: make([]byte, tcpopt.ChallengeWireSize(p, true))}).WireSize())
+				if builtLink != want || sizedLink != want || builtOut != want || sizedOut != want {
+					t.Fatalf("%v: built SYN-ACK %v link bytes, %v BytesOut; sized %v, %v; want %v", p, builtLink, builtOut, sizedLink, sizedOut, want)
+				}
+			}
+		}
+	}
+	if got, want := srv.Metrics().ChallengesSent.Sum(), float64(2*255*1760); got != want || srv.Metrics().EncodeFailures != 0 {
+		t.Errorf("%v challenges sent, %d encode failures; want %v and 0", got, srv.Metrics().EncodeFailures, want)
+	}
+}

@@ -49,7 +49,7 @@ func Hash(experiment string, sc Scenario) string {
 
 // hashAt is Hash under an explicit version line.
 func hashAt(version, experiment string, sc Scenario) string {
-	return Canon(sc).hash(version, experiment)
+	return string(Canon(sc).appendHash(nil, version, experiment))
 }
 
 // Canonical is a canonical scenario with its one encoding, which a cell's
@@ -103,7 +103,7 @@ func encodeScenario(sc Scenario) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-func (c Canonical) hash(version, experiment string) string {
+func (c Canonical) appendHash(dst []byte, version, experiment string) []byte {
 	canonical := c.json
 	if canonical == nil {
 		// Encoding fails only on non-finite floats (NaN/Inf rates). Fall
@@ -115,9 +115,7 @@ func (c Canonical) hash(version, experiment string) string {
 	var buf [1024]byte
 	b := append(append(append(append(buf[:0], version...), '\n'), experiment...), '\n')
 	sum := sha256.Sum256(append(b, canonical...))
-	var hexed [2 * sha256.Size]byte
-	hex.Encode(hexed[:], sum[:])
-	return string(hexed[:])
+	return hex.AppendEncode(dst, sum[:])
 }
 
 // Cache is a disk-backed, content-addressed store of completed cell
@@ -137,7 +135,8 @@ func (c Canonical) hash(version, experiment string) string {
 // effort — concurrent processes sharing a directory may transiently
 // overshoot the budget until the next Put rescans.
 type Cache struct {
-	dir          string
+	// dir is as OpenCache cleaned it, prefix dir and a separator.
+	dir, prefix  string
 	maxBytes     int64
 	hits, misses atomic.Int64
 	evictions    atomic.Int64
@@ -169,7 +168,8 @@ func OpenCache(dir string, opts ...CacheOption) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: cache: %w", err)
 	}
-	c := &Cache{dir: dir}
+	c := &Cache{dir: filepath.Clean(dir)}
+	c.prefix = strings.TrimSuffix(c.dir, string(filepath.Separator)) + string(filepath.Separator)
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -189,8 +189,13 @@ func (c *Cache) Dir() string { return c.dir }
 // read nor counted against the size budget.
 const entrySuffix = ".entry"
 
+// path names the cell's entry file, <experiment>-<hash>.entry under
+// prefix, in one string: what filepath.Join makes of the cleaned
+// directory and a name that holds no separator.
 func (c *Cache) path(experiment string, sc Canonical) string {
-	return filepath.Join(c.dir, experiment+"-"+sc.hash(ledgerDigest, experiment)+entrySuffix)
+	var buf [512]byte
+	b := append(append(append(buf[:0], c.prefix...), experiment...), '-')
+	return string(append(sc.appendHash(b, ledgerDigest, experiment), entrySuffix...))
 }
 
 // Get returns the stored metrics and series for the cell, if present.
@@ -321,7 +326,7 @@ func (c *Cache) evictLocked(files []cacheFile) {
 		if c.size <= c.maxBytes {
 			break
 		}
-		if err := os.Remove(filepath.Join(c.dir, f.name)); err != nil {
+		if err := os.Remove(c.prefix + f.name); err != nil {
 			continue
 		}
 		c.size -= f.size

@@ -61,7 +61,8 @@ func MarshalChallenge(ch puzzle.Challenge, embedTS bool) ([]byte, error) {
 // allocates only when dst lacks the capacity (ChallengeWireSize). On
 // error dst is returned unchanged.
 func AppendChallenge(dst []byte, ch puzzle.Challenge, embedTS bool) ([]byte, error) {
-	if err := ch.Params.Validate(); err != nil {
+	size, err := SizeChallenge(ch.Params, embedTS)
+	if err != nil {
 		return dst, err
 	}
 	if len(ch.Preimage) != ch.Params.SolutionBytes() {
@@ -72,10 +73,7 @@ func AppendChallenge(dst []byte, ch puzzle.Challenge, embedTS bool) ([]byte, err
 	if embedTS {
 		n += 4
 	}
-	if n > MaxOptionsLen {
-		return dst, fmt.Errorf("tcpopt: challenge block %d bytes: %w", n, ErrTooLarge)
-	}
-	dst = slices.Grow(dst, align4(n))
+	dst = slices.Grow(dst, size)
 	dst = append(dst, KindChallenge, uint8(n), ch.Params.K, ch.Params.M, ch.Params.L)
 	dst = append(dst, ch.Preimage...)
 	if embedTS {
@@ -183,6 +181,20 @@ func ParseSolution(o Option, params puzzle.Params) (SolutionBlock, error) {
 		blk.Solution.Solutions[i] = append([]byte(nil), rest[i*sb:(i+1)*sb]...)
 	}
 	return blk, nil
+}
+
+// SizeChallenge is AppendChallenge without the bytes: the size it
+// appends for a challenge under p, or the error it returns for one whose
+// preimage is well formed.
+func SizeChallenge(p puzzle.Params, embedTS bool) (int, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	n := ChallengeWireSize(p, embedTS)
+	if n > MaxOptionsLen {
+		return 0, fmt.Errorf("tcpopt: challenge block %d bytes: %w", n, ErrTooLarge)
+	}
+	return n, nil
 }
 
 // ChallengeWireSize returns the encoded (padded) size in bytes of a

@@ -3,6 +3,7 @@ package tcpopt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -261,6 +262,9 @@ func TestAppendChallengeEveryParams(t *testing.T) {
 					if got := ChallengeWireSize(p, embedTS); got != len(want) {
 						t.Fatalf("ChallengeWireSize(%v, %v) = %d, encoded length %d", p, embedTS, got, len(want))
 					}
+					if got, err := SizeChallenge(p, embedTS); got != len(want) || err != nil {
+						t.Fatalf("SizeChallenge(%v, %v) = %d, %v; encoded length %d", p, embedTS, got, err, len(want))
+					}
 					raw, err := MarshalChallenge(ch, embedTS)
 					if err != nil || !bytes.Equal(raw, want) {
 						t.Fatalf("MarshalChallenge(%v, %v) = %x, %v; want %x", p, embedTS, raw, err, want)
@@ -272,6 +276,30 @@ func TestAppendChallengeEveryParams(t *testing.T) {
 					got, err = AppendChallenge(roomy, ch, embedTS)
 					if err != nil || &got[0] != &roomy[0] || !bytes.Equal(got[len(prefix):], want) {
 						t.Fatalf("AppendChallenge(roomy, %v, %v) = %x, %v; want %x written in place", p, embedTS, got, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// SizeChallenge is AppendChallenge without the bytes, errors included:
+// over every (m, l) byte pair at k = 0, 1 and 255, valid or not, it
+// returns the size AppendChallenge appends for a challenge with a well
+// formed preimage, or the same error. No valid parameters overflow the
+// options area (l = 248 with the timestamp fills it exactly), so the
+// ErrTooLarge branch both share is unreachable from here.
+func TestSizeChallengeMatchesAppend(t *testing.T) {
+	pre := make([]byte, 255/8)
+	for _, k := range []uint8{0, 1, 255} {
+		for m := range 256 {
+			for l := range 256 {
+				for _, embedTS := range []bool{true, false} {
+					p := puzzle.Params{K: k, M: uint8(m), L: uint8(l)}
+					raw, appendErr := AppendChallenge(nil, puzzle.Challenge{Params: p, Preimage: pre[:l/8]}, embedTS)
+					n, sizeErr := SizeChallenge(p, embedTS)
+					if n != len(raw) || fmt.Sprint(sizeErr) != fmt.Sprint(appendErr) {
+						t.Fatalf("SizeChallenge(%v, %v) = %d, %v; AppendChallenge gave %d bytes, %v", p, embedTS, n, sizeErr, len(raw), appendErr)
 					}
 				}
 			}
