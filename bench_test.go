@@ -86,8 +86,12 @@ func BenchmarkPuzzleSolveM12(b *testing.B) {
 	}
 }
 
+// memboundLogSize sizes the membound benchmarks' table: 2^20 entries, a
+// 4 MiB working set.
+const memboundLogSize = 20
+
 func BenchmarkMemboundSolve(b *testing.B) {
-	tbl, err := membound.NewTable([]byte("bench"), membound.DefaultLogSize)
+	tbl, err := membound.NewTable([]byte("bench"), memboundLogSize)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +111,7 @@ func BenchmarkMemboundSolve(b *testing.B) {
 }
 
 func BenchmarkMemboundVerify(b *testing.B) {
-	tbl, err := membound.NewTable([]byte("bench"), membound.DefaultLogSize)
+	tbl, err := membound.NewTable([]byte("bench"), memboundLogSize)
 	if err != nil {
 		b.Fatal(err)
 	}

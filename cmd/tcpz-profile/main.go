@@ -41,7 +41,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("tcpz-profile", flag.ContinueOnError)
 	duration := fs.Duration("duration", 2*time.Second, "measurement length")
-	budget := fs.Duration("budget", 400*time.Millisecond, "handshake usability budget")
+	budget := fs.Duration("budget", game.DefaultHandshakeBudget, "handshake usability budget")
 	alpha := fs.Float64("alpha", 1.1, "server service parameter α (from a stress test)")
 	cores := fs.Int("cores", 1, "measure this many cores in parallel (a solver uses one)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")

@@ -108,10 +108,10 @@ type ServerCtx interface {
 	SynAck(syn tcpkit.Segment, serverISN uint32, opts []byte)
 	// SendChallenge answers syn with a stateless SYN-ACK carrying a puzzle
 	// issued to its flow (0xfc option, timestamp embedded, cookie-jar ISN)
-	// and charges the issue's hashes. An error means the difficulty does
-	// not encode and nothing was sent. A SYN-ACK nothing can read (to an
-	// unroutable source, with no tap) may be sized rather than built.
-	SendChallenge(syn tcpkit.Segment) error
+	// and charges the issue's hashes. Every difficulty the issuer accepts
+	// encodes. A SYN-ACK nothing can read (to an unroutable source, with
+	// no tap) may be sized rather than built.
+	SendChallenge(syn tcpkit.Segment)
 	// SendRST signals that no connection exists.
 	SendRST(seg tcpkit.Segment)
 	// Establish records a completed handshake on the accept queue and

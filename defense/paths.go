@@ -18,11 +18,7 @@ import (
 func sendChallenge(ctx ServerCtx, syn tcpkit.Segment) {
 	// The SYN-ACK is stateless: the ISN is reconstructed at ACK time from
 	// the cookie jar so a bare ACK cannot collide with a real half-open.
-	if err := ctx.SendChallenge(syn); err != nil {
-		// Difficulty misconfiguration; account and drop.
-		ctx.Metrics().EncodeFailures++
-		return
-	}
+	ctx.SendChallenge(syn)
 	ctx.Metrics().ChallengesSent.Add(ctx.Now(), 1)
 }
 

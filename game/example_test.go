@@ -2,7 +2,6 @@ package game_test
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/game"
 )
@@ -41,7 +40,7 @@ func ExampleSelectParams_hardware() {
 	}
 	fmt.Printf("%-14s %8s  %-9s %-9s %s\n", "client", "w", "α=0.5", "α=1.1", "α=4.0")
 	for _, dev := range devices {
-		wav := game.WavFromHashRate(dev.rate, 400*time.Millisecond)
+		wav := game.WavFromHashRate(dev.rate, game.DefaultHandshakeBudget)
 		fmt.Printf("%-14s %8.0f", dev.name, wav)
 		for _, alpha := range []float64{0.5, 1.1, 4.0} {
 			p, err := game.SelectParams(wav, alpha, game.SelectionConfig{})
@@ -65,7 +64,7 @@ func ExampleSelectParams_hardware() {
 func ExampleWavFromHashRate() {
 	// A machine hashing at 351,575 SHA-256/s affords this much work within
 	// the 400 ms handshake budget.
-	w := game.WavFromHashRate(351575, 400*time.Millisecond)
+	w := game.WavFromHashRate(351575, game.DefaultHandshakeBudget)
 	fmt.Printf("w = %.0f hashes\n", w)
 	// Output:
 	// w = 140630 hashes

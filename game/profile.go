@@ -7,9 +7,14 @@ import (
 	"time"
 )
 
+// DefaultHandshakeBudget is the usability budget for completing a handshake
+// under attack: 400 ms does not interrupt a user's flow of thought
+// (paper §4.3, citing Nielsen).
+const DefaultHandshakeBudget = 400 * time.Millisecond
+
 // WavFromHashRate converts a device's hash rate (hashes/second) into a
 // client valuation w: the hashes the device can spend within the handshake
-// usability budget (paper §4.3; 400 ms by default).
+// usability budget (paper §4.3; DefaultHandshakeBudget).
 func WavFromHashRate(hashesPerSecond float64, budget time.Duration) float64 {
 	return hashesPerSecond * budget.Seconds()
 }
@@ -59,21 +64,4 @@ func AlphaFromStress(points []StressPoint) (float64, error) {
 	copy(sorted, points)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Concurrent < sorted[j].Concurrent })
 	return Alpha(sorted[len(sorted)-1])
-}
-
-// ModelInputs bundles the measured parameters of §4.3/§4.4.
-type ModelInputs struct {
-	// Wav is the average client valuation in hashes per connection.
-	Wav float64
-	// Alpha is the server's asymptotic service parameter.
-	Alpha float64
-	// Mu is the sustained service rate (used only by finite-N analysis).
-	Mu float64
-}
-
-// PaperExample returns the measured inputs of the paper's worked example
-// (§4.4): w_av = 140630 hashes, α = 1.1, µ ≈ 1100 requests/second, which
-// yield the Nash difficulty (k, m) = (2, 17).
-func PaperExample() ModelInputs {
-	return ModelInputs{Wav: 140630, Alpha: 1.1, Mu: 1100}
 }

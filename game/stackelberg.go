@@ -18,11 +18,6 @@ var (
 	ErrUnattainable = errors.New("game: target difficulty unattainable")
 )
 
-// DefaultHandshakeBudget is the usability budget for completing a handshake
-// under attack: 400 ms does not interrupt a user's flow of thought
-// (paper §4.3, citing Nielsen).
-const DefaultHandshakeBudget = 0.400 // seconds
-
 // LStar returns the asymptotic Nash-equilibrium work level
 // ℓ* = w_av / (α + 1) in expected hash operations per connection (Eq. 18).
 func LStar(wav, alpha float64) (float64, error) {

@@ -39,8 +39,7 @@ func TestLStarRejectsBadInputs(t *testing.T) {
 
 // The paper's worked example (§4.4): w_av = 140630, α = 1.1 ⇒ (k, m) = (2, 17).
 func TestPaperExampleReproducesKM(t *testing.T) {
-	in := PaperExample()
-	p, err := SelectParams(in.Wav, in.Alpha, SelectionConfig{})
+	p, err := SelectParams(140630, 1.1, SelectionConfig{})
 	if err != nil {
 		t.Fatalf("SelectParams: %v", err)
 	}
@@ -117,8 +116,7 @@ func TestParamsForRespectsPreimage(t *testing.T) {
 func TestSelectParamsGuessBound(t *testing.T) {
 	// A very loose guess bound admits k=1; the default bound forces k=2
 	// for the paper example.
-	in := PaperExample()
-	p, err := SelectParams(in.Wav, in.Alpha, SelectionConfig{MaxGuessProbability: 1})
+	p, err := SelectParams(140630, 1.1, SelectionConfig{MaxGuessProbability: 1})
 	if err != nil {
 		t.Fatalf("SelectParams: %v", err)
 	}
@@ -176,7 +174,7 @@ func TestLStarMonotonicityProperty(t *testing.T) {
 
 func TestWavProfiles(t *testing.T) {
 	// A device hashing at 351575 h/s affords 140630 hashes in 400 ms.
-	got := WavFromHashRate(351575, 400*time.Millisecond)
+	got := WavFromHashRate(351575, DefaultHandshakeBudget)
 	if math.Abs(got-140630) > 0.5 {
 		t.Errorf("WavFromHashRate = %v, want 140630", got)
 	}

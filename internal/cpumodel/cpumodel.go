@@ -5,7 +5,6 @@
 package cpumodel
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/stats"
@@ -142,17 +141,4 @@ func HashCurve(dev Device, step, horizon time.Duration) []float64 {
 		out = append(out, dev.HashesIn(t))
 	}
 	return out
-}
-
-// FleetWav returns the fleet-average hashes available within the budget
-// (the paper's w_av).
-func FleetWav(devs []Device, budget time.Duration) (float64, error) {
-	if len(devs) == 0 {
-		return 0, fmt.Errorf("cpumodel: empty fleet")
-	}
-	var sum float64
-	for _, d := range devs {
-		sum += d.HashesIn(budget)
-	}
-	return sum / float64(len(devs)), nil
 }

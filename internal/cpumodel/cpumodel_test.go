@@ -4,17 +4,46 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"github.com/tcppuzzles/tcppuzzles/game"
 )
 
 func TestFleetWavMatchesPaper(t *testing.T) {
-	wav, err := FleetWav(ClientCPUs(), 400*time.Millisecond)
+	var rates []float64
+	for _, d := range ClientCPUs() {
+		rates = append(rates, d.HashRate)
+	}
+	wav, err := game.WavAverage(rates, game.DefaultHandshakeBudget)
 	if err != nil {
-		t.Fatalf("FleetWav: %v", err)
+		t.Fatalf("WavAverage: %v", err)
 	}
 	// The paper measures w_av = 140630; the calibrated profiles must land
 	// within 1%.
 	if math.Abs(wav-140630)/140630 > 0.01 {
 		t.Errorf("fleet w_av = %v, want ≈ 140630", wav)
+	}
+}
+
+// Table 1 prints each client's hashes within the budget (Device.HashesIn),
+// and the Nash cell averages game.WavFromHashRate over the same fleet: the
+// two must be one valuation, so w_av is the mean of the printed column.
+func TestFleetWavIsMeanOfHashesIn(t *testing.T) {
+	var rates []float64
+	var sum float64
+	for _, d := range ClientCPUs() {
+		rates = append(rates, d.HashRate)
+		in := d.HashesIn(game.DefaultHandshakeBudget)
+		if w := game.WavFromHashRate(d.HashRate, game.DefaultHandshakeBudget); w != in {
+			t.Errorf("%s: HashesIn = %v, WavFromHashRate = %v", d.Name, in, w)
+		}
+		sum += in
+	}
+	wav, err := game.WavAverage(rates, game.DefaultHandshakeBudget)
+	if err != nil {
+		t.Fatalf("WavAverage: %v", err)
+	}
+	if want := sum / float64(len(rates)); math.Abs(wav-want) > 1e-9*want {
+		t.Errorf("WavAverage = %v, mean of HashesIn = %v", wav, want)
 	}
 }
 
@@ -24,7 +53,7 @@ func TestTable1Profiles(t *testing.T) {
 		want := wantIn400[d.Name]
 		// The paper's own columns disagree by a few percent (rate·0.4 vs
 		// measured); accept 8%.
-		if got := d.HashesIn(400 * time.Millisecond); math.Abs(got-want)/want > 0.08 {
+		if got := d.HashesIn(game.DefaultHandshakeBudget); math.Abs(got-want)/want > 0.08 {
 			t.Errorf("%s hashes in 400ms = %v, want ≈ %v", d.Name, got, want)
 		}
 	}
@@ -105,11 +134,5 @@ func TestServerVerificationHeadroom(t *testing.T) {
 	pktRate := Server.HashRate / perVerify
 	if math.Abs(pktRate-5_400_000) > 1 {
 		t.Errorf("saturating packet rate = %v, want 5.4e6", pktRate)
-	}
-}
-
-func TestFleetWavEmpty(t *testing.T) {
-	if _, err := FleetWav(nil, time.Second); err == nil {
-		t.Error("FleetWav(nil) succeeded")
 	}
 }

@@ -48,25 +48,28 @@ func fig3aCell(i int, _ Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	dev := cpumodel.ClientCPUs()[i]
 	return []sweep.Metric{
 			{Name: "hash_rate", Value: dev.HashRate},
-			{Name: "hashes_in_400ms", Value: dev.HashesIn(400 * time.Millisecond)},
+			{Name: "hashes_in_400ms", Value: dev.HashesIn(game.DefaultHandshakeBudget)},
 		},
 		[]sweep.Series{{Name: "cumulative_hashes", Values: cpumodel.HashCurve(dev, fig3aStep, time.Second)}}, nil
 }
 
 // fig3aTable renders the client performance profile of Fig. 3a:
 // cumulative hashes over time per CPU, and the fleet w_av — the mean
-// hashes a client computes in the 400 ms budget.
+// hashes a client computes in the 400 ms budget (game.WavAverage).
 func fig3aTable(results []sweep.Result) sweep.Table {
 	t := sweep.Table{
 		Title:  "Fig 3a — client hash profiles (cumulative hashes)",
 		Header: []string{"t(ms)"},
 	}
-	var wav float64
-	for _, r := range results {
+	rates := make([]float64, len(results))
+	for i, r := range results {
 		t.Header = append(t.Header, r.Scenario.Label)
-		wav += r.Metric("hashes_in_400ms")
+		rates[i] = r.Metric("hash_rate")
 	}
-	wav /= float64(len(results))
+	wav, err := game.WavAverage(rates, game.DefaultHandshakeBudget)
+	if err != nil {
+		panic(err) // fig3aCell reports the positive rates of ClientCPUs
+	}
 	for i := range results[0].SeriesValues("cumulative_hashes") {
 		row := []string{f1(float64((time.Duration(i+1) * fig3aStep).Milliseconds()))}
 		for _, r := range results {
@@ -241,7 +244,7 @@ func table1Cell(i int, _ Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	solveHashes := nashParams.ExpectedSolveHashes()
 	return []sweep.Metric{
 		{Name: "hash_rate", Value: dev.HashRate},
-		{Name: "hashes_in_400ms", Value: dev.HashesIn(400 * time.Millisecond)},
+		{Name: "hashes_in_400ms", Value: dev.HashesIn(game.DefaultHandshakeBudget)},
 		{Name: "nash_solve_time_ms", Value: float64(dev.TimeFor(solveHashes)) / float64(time.Millisecond)},
 		{Name: "max_flood_cps", Value: dev.HashRate / solveHashes},
 	}, nil, nil
@@ -274,7 +277,11 @@ func nashGrid(Scale) sweep.Grid {
 // selection procedure, and a finite-N numeric optimum for
 // cross-validation.
 func nashCell(int, Scenario) ([]sweep.Metric, []sweep.Series, error) {
-	wav, err := cpumodel.FleetWav(cpumodel.ClientCPUs(), 400*time.Millisecond)
+	var rates []float64
+	for _, dev := range cpumodel.ClientCPUs() {
+		rates = append(rates, dev.HashRate)
+	}
+	wav, err := game.WavAverage(rates, game.DefaultHandshakeBudget)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/lint"
-	"github.com/tcppuzzles/tcppuzzles/internal/lint/linttest"
 )
 
 // The allowcheck fixture runs with nodeterm active so it can show both
@@ -12,6 +11,6 @@ import (
 // target (leaving only the allowcheck diagnostic), while an annotation
 // naming an unknown analyzer suppresses nothing.
 func TestAllowcheck(t *testing.T) {
-	linttest.Run(t, "testdata/src/allowcheck/allow", module+"/internal/netsim",
+	runFixture(t, "testdata/src/allowcheck/allow", module+"/internal/netsim",
 		lint.Nodeterm, lint.Allowcheck)
 }

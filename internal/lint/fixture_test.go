@@ -1,11 +1,12 @@
-// Package linttest is an analysistest-style fixture harness for the
-// internal/lint analyzers, built on the standard library's source
-// importer. A fixture is a directory of Go files type-checked as a single
-// package under a caller-chosen import path (so package-scoped analyzers
-// see realistic paths); expectations are `// want "regexp"` comments: each
-// diagnostic an analyzer reports must be matched by a want on its line,
-// and every want must be matched by a diagnostic.
-package linttest
+package lint_test
+
+// This file is an analysistest-style fixture harness for the analyzers,
+// built on the standard library's source importer. A fixture is a
+// directory of Go files type-checked as a single package under a
+// caller-chosen import path (so package-scoped analyzers see realistic
+// paths); expectations are `// want "regexp"` comments: each diagnostic
+// an analyzer reports must be matched by a want on its line, and every
+// want must be matched by a diagnostic.
 
 import (
 	"go/ast"
@@ -24,9 +25,9 @@ import (
 	"github.com/tcppuzzles/tcppuzzles/internal/lint"
 )
 
-// Run type-checks the fixture directory as importPath and checks the
-// analyzers' diagnostics against the fixture's want comments.
-func Run(t *testing.T, dir, importPath string, analyzers ...*lint.Analyzer) {
+// runFixture type-checks the fixture directory as importPath and checks
+// the analyzers' diagnostics against the fixture's want comments.
+func runFixture(t *testing.T, dir, importPath string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	pkg := load(t, dir, importPath)
 	diags, err := lint.Check(pkg, analyzers)

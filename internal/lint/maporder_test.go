@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/lint"
-	"github.com/tcppuzzles/tcppuzzles/internal/lint/linttest"
 )
 
 func TestMaporder(t *testing.T) {
-	linttest.Run(t, "testdata/src/maporder/maps", module+"/internal/netsim", lint.Maporder)
+	runFixture(t, "testdata/src/maporder/maps", module+"/internal/netsim", lint.Maporder)
 }

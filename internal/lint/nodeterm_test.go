@@ -4,19 +4,18 @@ import (
 	"testing"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/lint"
-	"github.com/tcppuzzles/tcppuzzles/internal/lint/linttest"
 )
 
 const module = "github.com/tcppuzzles/tcppuzzles"
 
 func TestNodetermInDeterministicPackage(t *testing.T) {
-	linttest.Run(t, "testdata/src/nodeterm/determ", module+"/internal/netsim", lint.Nodeterm)
+	runFixture(t, "testdata/src/nodeterm/determ", module+"/internal/netsim", lint.Nodeterm)
 }
 
 func TestNodetermSilentOutsideContract(t *testing.T) {
-	linttest.Run(t, "testdata/src/nodeterm/outside", module+"/puzzlenet", lint.Nodeterm)
+	runFixture(t, "testdata/src/nodeterm/outside", module+"/puzzlenet", lint.Nodeterm)
 }
 
 func TestNodetermRunnerMayStartGoroutines(t *testing.T) {
-	linttest.Run(t, "testdata/src/nodeterm/runner", module+"/sim/runner", lint.Nodeterm)
+	runFixture(t, "testdata/src/nodeterm/runner", module+"/sim/runner", lint.Nodeterm)
 }

@@ -1,14 +1,12 @@
 // Package mm1 provides the M/M/1 service abstraction of paper §4.1 — the
-// analytic sojourn time S(x̄) = 1/(µ−x̄) — together with a discrete-event
-// simulation of the queue and the closed-loop stress-test harness used to
-// estimate the server's service parameter α (Fig. 3b).
+// analytic sojourn time S(x̄) = 1/(µ−x̄) and queue length — together with
+// the closed-loop stress-test harness used to estimate the server's
+// service parameter α (Fig. 3b).
 package mm1
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 
 	"github.com/tcppuzzles/tcppuzzles/game"
 )
@@ -31,44 +29,6 @@ func QueueLength(mu, lambda float64) (float64, error) {
 	}
 	rho := lambda / mu
 	return rho / (1 - rho), nil
-}
-
-// SimResult summarises a queue simulation.
-type SimResult struct {
-	// MeanSojourn is the average time in system per job.
-	MeanSojourn float64
-	// Utilisation is the fraction of time the server was busy.
-	Utilisation float64
-	// Completed is the number of jobs served.
-	Completed int
-}
-
-// Simulate runs an open M/M/1 queue with Poisson arrivals at rate lambda and
-// exponential service at rate mu for n jobs.
-func Simulate(mu, lambda float64, n int, seed int64) (SimResult, error) {
-	if mu <= 0 || lambda <= 0 || n <= 0 {
-		return SimResult{}, fmt.Errorf("mm1: mu=%v lambda=%v n=%d invalid", mu, lambda, n)
-	}
-	rnd := rand.New(rand.NewSource(seed))
-	var (
-		clock      float64
-		serverFree float64
-		busy       float64
-		totalSoj   float64
-	)
-	for i := 0; i < n; i++ {
-		clock += rnd.ExpFloat64() / lambda
-		start := math.Max(clock, serverFree)
-		service := rnd.ExpFloat64() / mu
-		serverFree = start + service
-		busy += service
-		totalSoj += serverFree - clock
-	}
-	return SimResult{
-		MeanSojourn: totalSoj / float64(n),
-		Utilisation: busy / serverFree,
-		Completed:   n,
-	}, nil
 }
 
 // StressConfig describes the closed-loop stress test of §4.3: n concurrent

@@ -34,36 +34,30 @@ func TestQueueLength(t *testing.T) {
 	}
 }
 
-func TestSimulateMatchesAnalytic(t *testing.T) {
-	const (
-		mu     = 100.0
-		lambda = 50.0
-	)
-	res, err := Simulate(mu, lambda, 200000, 42)
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+// Little's law ties the two analytic quantities: L = λ·S for every stable
+// queue, and both refuse the same unstable ones.
+func TestLittlesLaw(t *testing.T) {
+	for _, c := range []struct{ mu, lambda float64 }{
+		{10, 5}, {100, 1}, {1100, 1099}, {1, 0.25}, {1e6, 3e5},
+	} {
+		s, err := SojournTime(c.mu, c.lambda)
+		if err != nil {
+			t.Fatalf("SojournTime(%v, %v): %v", c.mu, c.lambda, err)
+		}
+		l, err := QueueLength(c.mu, c.lambda)
+		if err != nil {
+			t.Fatalf("QueueLength(%v, %v): %v", c.mu, c.lambda, err)
+		}
+		if math.Abs(l-c.lambda*s) > 1e-9*l {
+			t.Errorf("µ=%v λ=%v: L = %v, λ·S = %v", c.mu, c.lambda, l, c.lambda*s)
+		}
 	}
-	want, err := SojournTime(mu, lambda)
-	if err != nil {
-		t.Fatalf("SojournTime: %v", err)
-	}
-	if math.Abs(res.MeanSojourn-want)/want > 0.05 {
-		t.Errorf("simulated sojourn %v, analytic %v", res.MeanSojourn, want)
-	}
-	if math.Abs(res.Utilisation-0.5) > 0.05 {
-		t.Errorf("utilisation = %v, want ≈ 0.5", res.Utilisation)
-	}
-}
-
-func TestSimulateRejectsBadInputs(t *testing.T) {
-	if _, err := Simulate(0, 1, 10, 1); err == nil {
-		t.Error("Simulate(mu=0) succeeded")
-	}
-	if _, err := Simulate(1, 0, 10, 1); err == nil {
-		t.Error("Simulate(lambda=0) succeeded")
-	}
-	if _, err := Simulate(1, 1, 0, 1); err == nil {
-		t.Error("Simulate(n=0) succeeded")
+	for _, lambda := range []float64{10, 11} {
+		_, errS := SojournTime(10, lambda)
+		_, errL := QueueLength(10, lambda)
+		if !errors.Is(errS, ErrUnstable) || !errors.Is(errL, ErrUnstable) {
+			t.Errorf("λ=%v µ=10: SojournTime error %v, QueueLength error %v; want ErrUnstable", lambda, errS, errL)
+		}
 	}
 }
 

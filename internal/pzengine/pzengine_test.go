@@ -263,11 +263,11 @@ func TestAckOptionsCarrySolution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AckOptions: %v", err)
 	}
-	opts, err := tcpopt.ParseOptions(raw)
-	if err != nil || len(opts) != 1 || opts[0].Kind != tcpopt.KindSolution {
-		t.Fatalf("ParseOptions = %+v, %v; want one solution option", opts, err)
+	opt, ok, err := tcpopt.Lookup(raw, tcpopt.KindSolution)
+	if err != nil || !ok || len(raw) != (2+len(opt.Data)+3)&^3 {
+		t.Fatalf("Lookup(%x) = %+v, %v, %v; want one solution option", raw, opt, ok, err)
 	}
-	blk, err := tcpopt.ParseSolution(opts[0], eng.Params())
+	blk, err := tcpopt.ParseSolution(opt, eng.Params())
 	if err != nil {
 		t.Fatalf("ParseSolution: %v", err)
 	}

@@ -91,7 +91,7 @@ func (c serverCtx) SynAck(syn tcpkit.Segment, serverISN uint32, opts []byte) {
 // the server's bump buffer, so a challenge costs no heap object; one
 // nothing can read is sized, not built: options of the same size from
 // unread and ISN zero load the link, CPU and BytesOut as it would.
-func (c serverCtx) SendChallenge(syn tcpkit.Segment) error {
+func (c serverCtx) SendChallenge(syn tcpkit.Segment) {
 	s, pz := c.s, c.Puzzles()
 	r, read := s.net.Route(syn.Src)
 	ch, flow := puzzle.Challenge{}, syn.Flow()
@@ -103,7 +103,9 @@ func (c serverCtx) SendChallenge(syn tcpkit.Segment) error {
 	s.chargeHashes(ch.Params.GenerateHashes())
 	n, err := tcpopt.SizeChallenge(ch.Params, true)
 	if err != nil {
-		return err
+		// The issuer validated these parameters, and every valid (k, m, l)
+		// fits the options area.
+		panic(fmt.Sprintf("serversim: issuer parameters %v do not encode: %v", ch.Params, err))
 	}
 	opts, isn := unread[:n], uint32(0)
 	if read {
@@ -112,7 +114,6 @@ func (c serverCtx) SendChallenge(syn tcpkit.Segment) error {
 		isn = s.jar.Encode(flow, 0)
 	}
 	s.sendRoute(s.synAck(syn, isn, opts), r)
-	return nil
 }
 
 // unread is every sized challenge's option area; nothing writes it.

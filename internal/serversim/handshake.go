@@ -24,8 +24,9 @@ func (s *Server) onSYN(seg tcpkit.Segment) {
 // the kernel implementation equivalent stickiness comes from the flood
 // keeping the listen queue saturated with half-open state for the SYN-ACK
 // retransmission lifetime (Fig. 10); the release window reproduces the
-// ~30 s post-attack recovery the paper measures. See DESIGN.md for the
-// substitution rationale.
+// ~30 s post-attack recovery the paper measures. docs/EXPERIMENTS.md
+// ("Model constants", the overload latch row) lists it with the
+// simulator's other constants.
 func (s *Server) overloadActive() bool {
 	if s.cfg.AlwaysChallenge {
 		return true

@@ -227,11 +227,7 @@ func TestPuzzleOpportunisticController(t *testing.T) {
 	f.syn(9000, 5)
 	f.run(50 * time.Millisecond)
 	sa := f.peer.lastSynAck(t)
-	opts, err := tcpopt.ParseOptions(sa.Options)
-	if err != nil {
-		t.Fatalf("ParseOptions: %v", err)
-	}
-	if _, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge); ok {
+	if _, ok, err := tcpopt.Lookup(sa.Options, tcpopt.KindChallenge); err != nil || ok {
 		t.Error("challenge issued while queues empty (controller not opportunistic)")
 	}
 	// Queue is now full (backlog 1) → next SYN must be challenged.
@@ -241,11 +237,7 @@ func TestPuzzleOpportunisticController(t *testing.T) {
 	if sa2.DstPort != 9001 {
 		t.Fatalf("SYN-ACK for port %d, want 9001", sa2.DstPort)
 	}
-	opts2, err := tcpopt.ParseOptions(sa2.Options)
-	if err != nil {
-		t.Fatalf("ParseOptions: %v", err)
-	}
-	if _, ok := tcpopt.FindOption(opts2, tcpopt.KindChallenge); !ok {
+	if _, ok, err := tcpopt.Lookup(sa2.Options, tcpopt.KindChallenge); err != nil || !ok {
 		t.Error("no challenge issued while listen queue full")
 	}
 	if f.server.ListenLen() != 1 {
@@ -257,11 +249,10 @@ func TestPuzzleOpportunisticController(t *testing.T) {
 // simulated engine accepts genuine solutions beside its canonical ones.
 func solveAndAck(t *testing.T, f *fixture, sa tcpkit.Segment, isn uint32) {
 	t.Helper()
-	opts, err := tcpopt.ParseOptions(sa.Options)
+	chOpt, ok, err := tcpopt.Lookup(sa.Options, tcpopt.KindChallenge)
 	if err != nil {
-		t.Fatalf("ParseOptions: %v", err)
+		t.Fatalf("Lookup: %v", err)
 	}
-	chOpt, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge)
 	if !ok {
 		t.Fatal("no challenge option")
 	}
@@ -411,8 +402,7 @@ func TestPuzzleChallengeSentEvenWhenAcceptQueueFull(t *testing.T) {
 	if sa.DstPort != 9101 {
 		t.Fatal("no SYN-ACK for new SYN while accept queue full")
 	}
-	opts, _ := tcpopt.ParseOptions(sa.Options)
-	if _, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge); !ok {
+	if _, ok, _ := tcpopt.Lookup(sa.Options, tcpopt.KindChallenge); !ok {
 		t.Error("SYN while accept queue full not challenged")
 	}
 }
@@ -482,8 +472,7 @@ func TestSimEngineAcceptsSimSolutions(t *testing.T) {
 	f.syn(9001, 6)
 	f.run(50 * time.Millisecond)
 	sa := f.peer.lastSynAck(t)
-	opts, _ := tcpopt.ParseOptions(sa.Options)
-	chOpt, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	chOpt, ok, _ := tcpopt.Lookup(sa.Options, tcpopt.KindChallenge)
 	if !ok {
 		t.Fatal("no challenge")
 	}
@@ -537,8 +526,7 @@ func TestSysctlRetuning(t *testing.T) {
 	f.syn(9001, 6)
 	f.run(50 * time.Millisecond)
 	sa := f.peer.lastSynAck(t)
-	opts, _ := tcpopt.ParseOptions(sa.Options)
-	chOpt, ok := tcpopt.FindOption(opts, tcpopt.KindChallenge)
+	chOpt, ok, _ := tcpopt.Lookup(sa.Options, tcpopt.KindChallenge)
 	if !ok {
 		t.Fatal("no challenge")
 	}
@@ -768,7 +756,7 @@ func TestSizedChallengeMatchesBuilt(t *testing.T) {
 			}
 		}
 	}
-	if got, want := srv.Metrics().ChallengesSent.Sum(), float64(2*255*1760); got != want || srv.Metrics().EncodeFailures != 0 {
-		t.Errorf("%v challenges sent, %d encode failures; want %v and 0", got, srv.Metrics().EncodeFailures, want)
+	if got, want := srv.Metrics().ChallengesSent.Sum(), float64(2*255*1760); got != want {
+		t.Errorf("%v challenges sent; want %v", got, want)
 	}
 }

@@ -46,7 +46,6 @@ type Metrics struct {
 	AcksWithoutSolution uint64
 	DeceptionIgnored    uint64
 	ReplaysBlocked      uint64
-	EncodeFailures      uint64
 	RSTsSent            uint64
 	RequestsServed      uint64
 	IdleTimeouts        uint64

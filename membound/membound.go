@@ -80,8 +80,6 @@ type Table struct {
 const (
 	MinLogSize = 10
 	MaxLogSize = 26
-	// DefaultLogSize gives a 4 MiB working set.
-	DefaultLogSize = 20
 )
 
 // NewTable builds the table of 2^logSize uint32 entries from a public seed.

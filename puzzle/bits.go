@@ -19,24 +19,3 @@ func leadingBitsEqual(a, b []byte, n int) bool {
 	mask := byte(0xff) << (8 - rem)
 	return a[full]&mask == b[full]&mask
 }
-
-// CountLeadingMatchingBits returns the number of leading bits on which a and
-// b agree, up to 8·min(len(a), len(b)).
-func CountLeadingMatchingBits(a, b []byte) int {
-	n := min(len(a), len(b))
-	bits := 0
-	for i := 0; i < n; i++ {
-		if a[i] == b[i] {
-			bits += 8
-			continue
-		}
-		x := a[i] ^ b[i]
-		for mask := byte(0x80); mask != 0; mask >>= 1 {
-			if x&mask != 0 {
-				return bits
-			}
-			bits++
-		}
-	}
-	return bits
-}

@@ -43,19 +43,19 @@ func TestCountLeadingMatchingBits(t *testing.T) {
 		{[]byte{}, []byte{0xff}, 0},
 	}
 	for _, tt := range tests {
-		if got := CountLeadingMatchingBits(tt.a, tt.b); got != tt.want {
-			t.Errorf("CountLeadingMatchingBits(%x, %x) = %d, want %d", tt.a, tt.b, got, tt.want)
+		if got := countLeadingMatchingBits(tt.a, tt.b); got != tt.want {
+			t.Errorf("countLeadingMatchingBits(%x, %x) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
 	}
 }
 
-// Property: leadingBitsEqual(a, b, n) holds iff CountLeadingMatchingBits is
+// Property: leadingBitsEqual(a, b, n) holds iff countLeadingMatchingBits is
 // at least n (for n within the shorter slice).
 func TestLeadingBitsAgreement(t *testing.T) {
 	f := func(a, b [4]byte, n uint8) bool {
 		bits := int(n) % 33
 		eq := leadingBitsEqual(a[:], b[:], bits)
-		return eq == (CountLeadingMatchingBits(a[:], b[:]) >= bits)
+		return eq == (countLeadingMatchingBits(a[:], b[:]) >= bits)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -74,4 +74,26 @@ func TestLeadingBitsSymmetry(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// countLeadingMatchingBits returns the number of leading bits on which a and
+// b agree, up to 8·min(len(a), len(b)): the reference leadingBitsEqual is
+// checked against.
+func countLeadingMatchingBits(a, b []byte) int {
+	n := min(len(a), len(b))
+	bits := 0
+	for i := 0; i < n; i++ {
+		if a[i] == b[i] {
+			bits += 8
+			continue
+		}
+		x := a[i] ^ b[i]
+		for mask := byte(0x80); mask != 0; mask >>= 1 {
+			if x&mask != 0 {
+				return bits
+			}
+			bits++
+		}
+	}
+	return bits
 }

@@ -18,9 +18,9 @@ const SecretLen = 32
 // rejected (tunable via the kernel's sysctl interface in the paper).
 const DefaultMaxAge = 30 * time.Second
 
-// DefaultMaxSkew is the default tolerated clock skew for timestamps that
+// MaxSkew is the tolerated clock skew for timestamps that
 // appear to come from the future.
-const DefaultMaxSkew = 2 * time.Second
+const MaxSkew = 2 * time.Second
 
 // Challenge is a puzzle challenge as carried in a SYN-ACK's option block.
 type Challenge struct {
@@ -59,12 +59,11 @@ type VerifyInfo struct {
 // safe for concurrent use; difficulty parameters may be retuned at runtime
 // with SetParams, mirroring the sysctl interface of the kernel patch.
 type Issuer struct {
-	mu      sync.RWMutex
-	secret  [SecretLen]byte
-	params  Params
-	maxAge  time.Duration
-	maxSkew time.Duration
-	now     func() time.Time
+	mu     sync.RWMutex
+	secret [SecretLen]byte
+	params Params
+	maxAge time.Duration
+	now    func() time.Time
 
 	// simulated selects the keyed-mix preimage of WithSimulatedPreimage,
 	// simKey is the secret folded to its key, and carve (may be nil) is
@@ -91,11 +90,6 @@ func WithSecret(secret []byte) IssuerOption {
 // WithMaxAge sets the replay window after which challenges expire.
 func WithMaxAge(d time.Duration) IssuerOption {
 	return func(is *Issuer) { is.maxAge = d }
-}
-
-// WithMaxSkew sets the tolerated forward clock skew.
-func WithMaxSkew(d time.Duration) IssuerOption {
-	return func(is *Issuer) { is.maxSkew = d }
 }
 
 // WithClock overrides the time source (used by tests and the simulator).
@@ -125,9 +119,8 @@ func WithSimulatedPreimage(carve func(n int) []byte) IssuerOption {
 // default difficulty, and the default replay window.
 func NewIssuer(opts ...IssuerOption) (*Issuer, error) {
 	is := &Issuer{
-		params:  DefaultParams(),
-		maxAge:  DefaultMaxAge,
-		maxSkew: DefaultMaxSkew,
+		params: DefaultParams(),
+		maxAge: DefaultMaxAge,
 		//tcpz:allow nodeterm — default for real-protocol callers (puzzlenet) only; internal/serversim always overrides it with the engine clock via WithClock
 		now: time.Now,
 	}
@@ -236,14 +229,13 @@ func (is *Issuer) PreimageFor(flow FlowID, ts uint32) []byte {
 func (is *Issuer) ValidateTimestamp(ts uint32) error {
 	is.mu.RLock()
 	maxAge := is.maxAge
-	maxSkew := is.maxSkew
 	now := is.now()
 	is.mu.RUnlock()
 	issued := time.Unix(int64(ts), 0)
 	if age := now.Sub(issued); age > maxAge {
 		return fmt.Errorf("puzzle: solution age %v exceeds %v: %w", age, maxAge, ErrExpired)
 	}
-	if ahead := issued.Sub(now); ahead > maxSkew {
+	if ahead := issued.Sub(now); ahead > MaxSkew {
 		return fmt.Errorf("puzzle: timestamp %v ahead of clock: %w", ahead, ErrFutureTimestamp)
 	}
 	return nil
@@ -263,7 +255,6 @@ func (is *Issuer) VerifyDetailed(flow FlowID, sol Solution) (VerifyInfo, error) 
 	is.mu.RLock()
 	params := is.params
 	maxAge := is.maxAge
-	maxSkew := is.maxSkew
 	now := is.now()
 	is.mu.RUnlock()
 
@@ -276,7 +267,7 @@ func (is *Issuer) VerifyDetailed(flow FlowID, sol Solution) (VerifyInfo, error) 
 	if age := now.Sub(issued); age > maxAge {
 		return info, fmt.Errorf("puzzle: solution age %v exceeds %v: %w", age, maxAge, ErrExpired)
 	}
-	if ahead := issued.Sub(now); ahead > maxSkew {
+	if ahead := issued.Sub(now); ahead > MaxSkew {
 		return info, fmt.Errorf("puzzle: timestamp %v ahead of clock: %w", ahead, ErrFutureTimestamp)
 	}
 	var buf [MaxPreimageBits / 8]byte

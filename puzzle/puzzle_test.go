@@ -208,7 +208,7 @@ func TestVerifyExpiry(t *testing.T) {
 
 func TestVerifyFutureTimestamp(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	is := testIssuer(t, WithClock(func() time.Time { return now }), WithMaxSkew(time.Second))
+	is := testIssuer(t, WithClock(func() time.Time { return now }))
 	flow := testFlow()
 	ch := is.IssueAt(flow, uint32(now.Unix())+120)
 	sol, _, err := Solve(ch)

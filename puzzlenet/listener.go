@@ -28,12 +28,6 @@ type PolicyAlways struct{}
 // Challenge implements ChallengePolicy.
 func (PolicyAlways) Challenge(int) bool { return true }
 
-// PolicyNever disables challenges (plain pass-through).
-type PolicyNever struct{}
-
-// Challenge implements ChallengePolicy.
-func (PolicyNever) Challenge(int) bool { return false }
-
 // PolicyPending mirrors the kernel's opportunistic controller: challenge
 // once the number of connections awaiting verification reaches Threshold.
 type PolicyPending struct {

@@ -149,8 +149,13 @@ func TestBogusSolutionRejected(t *testing.T) {
 	}
 }
 
+// policyNever disables challenges (plain pass-through).
+type policyNever struct{}
+
+func (policyNever) Challenge(int) bool { return false }
+
 func TestPolicyNeverWelcomesImmediately(t *testing.T) {
-	l, _ := newTestListener(t, WithPolicy(PolicyNever{}))
+	l, _ := newTestListener(t, WithPolicy(policyNever{}))
 	echoAccepted(t, l)
 	d := &Dialer{}
 	conn, err := d.Dial("tcp", l.Addr().String())

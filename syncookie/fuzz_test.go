@@ -31,7 +31,7 @@ func FuzzCookieRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fresh cookie rejected: %v", err)
 		}
-		if want := QuantisedMSS(mss); got != want {
+		if want := quantisedMSS(mss); got != want {
 			t.Fatalf("decoded MSS %d, want quantised %d (announced %d)", got, want, mss)
 		}
 
@@ -39,7 +39,7 @@ func FuzzCookieRoundTrip(f *testing.F) {
 		// quantised MSS — never an out-of-table value).
 		if corrupt != 0 {
 			if m, err := jar.Decode(flow, cookie^corrupt); err == nil {
-				if m != QuantisedMSS(m) {
+				if m != quantisedMSS(m) {
 					t.Fatalf("corrupt cookie decoded to unquantised MSS %d", m)
 				}
 			}

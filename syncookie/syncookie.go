@@ -49,14 +49,16 @@ var (
 // SecretLen is the length of the cookie secret in bytes.
 const SecretLen = 32
 
+// maxTicks is the validation window in counter ticks (inclusive): two
+// ticks (128 s), matching common implementations.
+const maxTicks = 2
+
 // Jar issues and validates SYN cookies. The zero value is unusable; create
 // one with New. A Jar is safe for concurrent use (it is immutable after
 // construction except for the injected clock).
 type Jar struct {
 	secret [SecretLen]byte
 	now    func() time.Time
-	// maxAge is the validation window in counter ticks (inclusive).
-	maxTicks uint32
 	// simulated selects the keyed-mix hash of WithSimulatedHash; simKey
 	// is the secret folded to its key.
 	simulated bool
@@ -69,23 +71,6 @@ type Option func(*Jar)
 // WithClock overrides the time source.
 func WithClock(now func() time.Time) Option {
 	return func(j *Jar) { j.now = now }
-}
-
-// WithMaxAge sets the validation window. It is rounded up to whole counter
-// ticks; the default is two ticks (128 s), matching common implementations.
-func WithMaxAge(d time.Duration) Option {
-	return func(j *Jar) {
-		ticks := uint32((d + CounterGranularity - 1) / CounterGranularity)
-		if ticks == 0 {
-			ticks = 1
-		}
-		j.maxTicks = ticks
-	}
-}
-
-// WithSecret sets the cookie secret (copied; must be SecretLen bytes).
-func WithSecret(secret []byte) Option {
-	return func(j *Jar) { copy(j.secret[:], secret) }
 }
 
 // WithSimulatedHash makes the jar SIMULATE the cookie hash instead of
@@ -103,7 +88,7 @@ func WithSimulatedHash() Option {
 // New returns a Jar with a secret derived from the provided seed bytes, or
 // random when seed is nil.
 func New(seed []byte, opts ...Option) *Jar {
-	j := &Jar{now: time.Now, maxTicks: 2}
+	j := &Jar{now: time.Now}
 	if seed == nil {
 		seed = binary.BigEndian.AppendUint64(nil, uint64(time.Now().UnixNano()))
 	}
@@ -143,7 +128,7 @@ func (j *Jar) Decode(flow puzzle.FlowID, cookie uint32) (mss uint16, err error) 
 	default:
 		t = now - (now & 0x1f) - 32 + tBits
 	}
-	if now-t > j.maxTicks {
+	if now-t > maxTicks {
 		return 0, fmt.Errorf("syncookie: cookie %d ticks old: %w", now-t, ErrStale)
 	}
 	if j.hash(flow, t, idx) != hash {
@@ -193,7 +178,3 @@ func encodeMSS(mss uint16) uint8 {
 	}
 	return uint8(best)
 }
-
-// QuantisedMSS returns the MSS a cookie would preserve for an announced
-// value — used to measure cookie-induced MSS degradation.
-func QuantisedMSS(mss uint16) uint16 { return mssTable[encodeMSS(mss)] }

@@ -60,8 +60,8 @@ func TestMSSQuantisation(t *testing.T) {
 		{9000, 1460},
 	}
 	for _, tt := range tests {
-		if got := QuantisedMSS(tt.in); got != tt.want {
-			t.Errorf("QuantisedMSS(%d) = %d, want %d", tt.in, got, tt.want)
+		if got := quantisedMSS(tt.in); got != tt.want {
+			t.Errorf("quantisedMSS(%d) = %d, want %d", tt.in, got, tt.want)
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestRoundTripProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			return got == QuantisedMSS(mss)
+			return got == quantisedMSS(mss)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 			t.Error(err)
@@ -195,3 +195,7 @@ func TestSimulatedHashIsItsOwnHash(t *testing.T) {
 		t.Errorf("simulated jar with another secret: %v, want ErrBadCookie", err)
 	}
 }
+
+// quantisedMSS returns the MSS a cookie preserves for an announced value:
+// the reference Decode's MSS is checked against.
+func quantisedMSS(mss uint16) uint16 { return mssTable[encodeMSS(mss)] }

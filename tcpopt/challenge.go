@@ -208,14 +208,4 @@ func ChallengeWireSize(p puzzle.Params, embedTS bool) int {
 	return align4(n)
 }
 
-// SolutionWireSize returns the encoded (padded) size in bytes of a solution
-// option for the given parameters.
-func SolutionWireSize(p puzzle.Params, embedTS bool) int {
-	n := 2 + 3 + int(p.K)*p.SolutionBytes()
-	if embedTS {
-		n += 4
-	}
-	return align4(n)
-}
-
 func align4(n int) int { return (n + 3) &^ 3 }

@@ -307,7 +307,7 @@ func TestSizeChallengeMatchesAppend(t *testing.T) {
 	}
 }
 
-// SolutionWireSize is the encoded length of every solution block that
+// solutionWireSize is the encoded length of every solution block that
 // fits the 40-byte options area, and exceeds it exactly when the codec
 // refuses the block.
 func TestSolutionWireSizeEveryParams(t *testing.T) {
@@ -319,7 +319,7 @@ func TestSolutionWireSizeEveryParams(t *testing.T) {
 				for i := range sol.Solutions {
 					sol.Solutions[i] = make([]byte, l/8)
 				}
-				size := SolutionWireSize(p, embedTS)
+				size := solutionWireSize(p, embedTS)
 				opt, err := EncodeSolution(SolutionBlock{HasTimestamp: embedTS, Solution: sol})
 				if size > MaxOptionsLen {
 					if !errors.Is(err, ErrTooLarge) {
@@ -332,7 +332,7 @@ func TestSolutionWireSizeEveryParams(t *testing.T) {
 				}
 				raw, err := MarshalOptions([]Option{opt})
 				if err != nil || len(raw) != size {
-					t.Fatalf("SolutionWireSize(%v, %v) = %d, encoded length %d (%v)", p, embedTS, size, len(raw), err)
+					t.Fatalf("solutionWireSize(%v, %v) = %d, encoded length %d (%v)", p, embedTS, size, len(raw), err)
 				}
 			}
 		}
@@ -386,12 +386,12 @@ func TestWireSizes(t *testing.T) {
 		if got := ChallengeWireSize(tt.p, tt.embedTS); got != tt.wantCh {
 			t.Errorf("ChallengeWireSize(%v, %v) = %d, want %d", tt.p, tt.embedTS, got, tt.wantCh)
 		}
-		got := SolutionWireSize(tt.p, tt.embedTS)
+		got := solutionWireSize(tt.p, tt.embedTS)
 		if got != tt.wantSol {
-			t.Errorf("SolutionWireSize(%v, %v) = %d, want %d", tt.p, tt.embedTS, got, tt.wantSol)
+			t.Errorf("solutionWireSize(%v, %v) = %d, want %d", tt.p, tt.embedTS, got, tt.wantSol)
 		}
 		if tt.fitsHeader != (got <= MaxOptionsLen) {
-			t.Errorf("SolutionWireSize(%v) fit = %v, want %v", tt.p, got <= MaxOptionsLen, tt.fitsHeader)
+			t.Errorf("solutionWireSize(%v) fit = %v, want %v", tt.p, got <= MaxOptionsLen, tt.fitsHeader)
 		}
 	}
 }
@@ -419,4 +419,15 @@ func TestChallengeRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// solutionWireSize returns the encoded (padded) size in bytes of a
+// solution option for the given parameters: the reference EncodeSolution
+// is checked against.
+func solutionWireSize(p puzzle.Params, embedTS bool) int {
+	n := 2 + 3 + int(p.K)*p.SolutionBytes()
+	if embedTS {
+		n += 4
+	}
+	return align4(n)
 }

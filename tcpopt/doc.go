@@ -1,6 +1,6 @@
 // Package tcpopt encodes and decodes the TCP option blocks of the client
 // puzzles extension (paper §5, Figures 4 and 5) together with the standard
-// TCP options the extension interacts with (MSS, window scale, timestamps).
+// TCP options the extension interacts with (MSS and window scale).
 //
 // The challenge option (kind 0xfc) rides on the SYN-ACK:
 //

@@ -8,12 +8,10 @@ import (
 
 // TCP option kinds handled by this package.
 const (
-	KindEOL           = 0x00
-	KindNOP           = 0x01
-	KindMSS           = 0x02
-	KindWScale        = 0x03
-	KindSACKPermitted = 0x04
-	KindTimestamps    = 0x08
+	KindEOL    = 0x00
+	KindNOP    = 0x01
+	KindMSS    = 0x02
+	KindWScale = 0x03
 	// KindChallenge is the unallocated opcode the paper assigns to the
 	// puzzle challenge option.
 	KindChallenge = 0xfc
@@ -31,38 +29,20 @@ var (
 	ErrOptionsMalformed = errors.New("tcpopt: malformed options")
 	// ErrOptionsTooLong reports an options area exceeding MaxOptionsLen.
 	ErrOptionsTooLong = errors.New("tcpopt: options exceed 40 bytes")
-	// ErrOptionNotFound reports a missing option kind.
-	ErrOptionNotFound = errors.New("tcpopt: option not found")
 )
 
 // Option is a single decoded TCP option. NOP and EOL are consumed during
-// parsing and never appear in the result.
+// parsing and never appear as one.
 type Option struct {
 	Kind uint8
 	Data []byte
 }
 
-// ParseOptions decodes a TCP options area. It tolerates NOP padding and
-// stops at EOL, per RFC 793.
-func ParseOptions(b []byte) ([]Option, error) {
-	var opts []Option
-	// KindEOL ends the walk before it can match: collect only.
-	if _, _, err := scan(b, KindEOL, &opts); err != nil {
-		return nil, err
-	}
-	return opts, nil
-}
-
 // Lookup returns the first option of the given kind in a raw options
-// area without building the option list: ParseOptions then FindOption,
-// including the error for an area malformed anywhere before its end.
-func Lookup(b []byte, kind uint8) (Option, bool, error) {
-	return scan(b, kind, nil)
-}
-
-// scan walks an options area to its end, appending every option to *all
-// (when non-nil) and returning the first one of the given kind.
-func scan(b []byte, want uint8, all *[]Option) (found Option, ok bool, err error) {
+// area. It tolerates NOP padding and stops at EOL, per RFC 793, and it
+// walks the area to its end, so an area malformed anywhere before EOL is
+// an error even after the option is found.
+func Lookup(b []byte, want uint8) (found Option, ok bool, err error) {
 	i := 0
 	for i < len(b) {
 		kind := b[i]
@@ -82,12 +62,8 @@ func scan(b []byte, want uint8, all *[]Option) (found Option, ok bool, err error
 			return Option{}, false, fmt.Errorf("tcpopt: option 0x%02x has bad length %d: %w",
 				kind, length, ErrOptionsMalformed)
 		}
-		o := Option{Kind: kind, Data: b[i+2 : i+length]}
-		if all != nil {
-			*all = append(*all, o)
-		}
 		if !ok && kind == want {
-			found, ok = o, true
+			found, ok = Option{Kind: kind, Data: b[i+2 : i+length]}, true
 		}
 		i += length
 	}
@@ -122,16 +98,6 @@ func MarshalOptions(opts []Option) ([]byte, error) {
 	return out, nil
 }
 
-// FindOption returns the first option of the given kind.
-func FindOption(opts []Option, kind uint8) (Option, bool) {
-	for _, o := range opts {
-		if o.Kind == kind {
-			return o, true
-		}
-	}
-	return Option{}, false
-}
-
 // MSSOption builds a standard Maximum Segment Size option.
 func MSSOption(mss uint16) Option {
 	return Option{Kind: KindMSS, Data: binary.BigEndian.AppendUint16(nil, mss)}
@@ -156,19 +122,4 @@ func ParseWScale(o Option) (uint8, error) {
 		return 0, fmt.Errorf("tcpopt: bad WScale option: %w", ErrOptionsMalformed)
 	}
 	return o.Data[0], nil
-}
-
-// TimestampsOption builds a standard TCP timestamps option (TSval, TSecr).
-func TimestampsOption(tsVal, tsEcr uint32) Option {
-	data := binary.BigEndian.AppendUint32(nil, tsVal)
-	data = binary.BigEndian.AppendUint32(data, tsEcr)
-	return Option{Kind: KindTimestamps, Data: data}
-}
-
-// ParseTimestamps extracts (TSval, TSecr) from a timestamps option.
-func ParseTimestamps(o Option) (tsVal, tsEcr uint32, err error) {
-	if o.Kind != KindTimestamps || len(o.Data) != 8 {
-		return 0, 0, fmt.Errorf("tcpopt: bad timestamps option: %w", ErrOptionsMalformed)
-	}
-	return binary.BigEndian.Uint32(o.Data), binary.BigEndian.Uint32(o.Data[4:]), nil
 }

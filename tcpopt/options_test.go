@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 )
 
-func TestMarshalParseRoundTrip(t *testing.T) {
+func TestMarshalLookupRoundTrip(t *testing.T) {
 	opts := []Option{
 		MSSOption(1460),
 		WScaleOption(7),
-		TimestampsOption(12345, 678),
+		{Kind: 0x08, Data: []byte{0, 0, 0x30, 0x39, 0, 0, 0x02, 0xa6}}, // timestamps
 	}
 	b, err := MarshalOptions(opts)
 	if err != nil {
@@ -20,36 +20,54 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	if len(b)%4 != 0 {
 		t.Errorf("options area %d bytes, not 32-bit aligned", len(b))
 	}
-	got, err := ParseOptions(b)
+	for _, want := range opts {
+		got, ok, err := Lookup(b, want.Kind)
+		if err != nil || !ok || !bytes.Equal(got.Data, want.Data) {
+			t.Errorf("Lookup(0x%02x) = %+v, %v, %v; want %+v", want.Kind, got, ok, err, want)
+		}
+	}
+	if _, ok, err := Lookup(b, KindChallenge); ok || err != nil {
+		t.Errorf("Lookup found a challenge in plain options (err %v)", err)
+	}
+}
+
+func TestLookupHandlesNOPAndEOL(t *testing.T) {
+	b := []byte{KindNOP, KindNOP, KindMSS, 4, 0x05, 0xb4, KindEOL, KindWScale, 3, 7}
+	o, ok, err := Lookup(b, KindMSS)
+	if err != nil || !ok {
+		t.Fatalf("Lookup(MSS) = %+v, %v, %v", o, ok, err)
+	}
+	mss, err := ParseMSS(o)
+	if err != nil || mss != 1460 {
+		t.Errorf("ParseMSS = %d, %v; want 1460", mss, err)
+	}
+	if _, ok, err := Lookup(b, KindWScale); ok || err != nil {
+		t.Errorf("Lookup read past EOL: %v, %v", ok, err)
+	}
+}
+
+// Lookup returns the first option of a kind, and an empty area or one
+// without the kind is a clean miss.
+func TestLookupReturnsFirstMatch(t *testing.T) {
+	b, err := MarshalOptions([]Option{MSSOption(100), WScaleOption(2), WScaleOption(9)})
 	if err != nil {
-		t.Fatalf("ParseOptions: %v", err)
+		t.Fatalf("MarshalOptions: %v", err)
 	}
-	if len(got) != len(opts) {
-		t.Fatalf("parsed %d options, want %d", len(got), len(opts))
+	o, ok, err := Lookup(b, KindWScale)
+	if err != nil || !ok {
+		t.Fatalf("Lookup(WScale) = %+v, %v, %v", o, ok, err)
 	}
-	for i := range opts {
-		if got[i].Kind != opts[i].Kind || !bytes.Equal(got[i].Data, opts[i].Data) {
-			t.Errorf("option %d = %+v, want %+v", i, got[i], opts[i])
+	if ws, err := ParseWScale(o); err != nil || ws != 2 {
+		t.Errorf("first WScale = %d, %v; want 2", ws, err)
+	}
+	for _, area := range [][]byte{nil, {}, {KindNOP, KindEOL}, b} {
+		if _, ok, err := Lookup(area, KindChallenge); ok || err != nil {
+			t.Errorf("Lookup(%x, challenge) = %v, %v; want a clean miss", area, ok, err)
 		}
 	}
 }
 
-func TestParseOptionsHandlesNOPAndEOL(t *testing.T) {
-	b := []byte{KindNOP, KindNOP, KindMSS, 4, 0x05, 0xb4, KindEOL, 0xff}
-	got, err := ParseOptions(b)
-	if err != nil {
-		t.Fatalf("ParseOptions: %v", err)
-	}
-	if len(got) != 1 || got[0].Kind != KindMSS {
-		t.Fatalf("parsed %+v, want one MSS option", got)
-	}
-	mss, err := ParseMSS(got[0])
-	if err != nil || mss != 1460 {
-		t.Errorf("ParseMSS = %d, %v; want 1460", mss, err)
-	}
-}
-
-func TestParseOptionsMalformed(t *testing.T) {
+func TestLookupMalformed(t *testing.T) {
 	tests := []struct {
 		name string
 		b    []byte
@@ -57,11 +75,12 @@ func TestParseOptionsMalformed(t *testing.T) {
 		{"truncated length", []byte{KindMSS}},
 		{"length too small", []byte{KindMSS, 1}},
 		{"length overruns", []byte{KindMSS, 10, 0, 0}},
+		{"malformed after the match", []byte{KindMSS, 4, 0x05, 0xb4, KindWScale}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseOptions(tt.b); !errors.Is(err, ErrOptionsMalformed) {
-				t.Errorf("ParseOptions(%x) error = %v, want ErrOptionsMalformed", tt.b, err)
+			if _, ok, err := Lookup(tt.b, KindMSS); ok || !errors.Is(err, ErrOptionsMalformed) {
+				t.Errorf("Lookup(%x) = %v, %v; want ErrOptionsMalformed", tt.b, ok, err)
 			}
 		})
 	}
@@ -82,28 +101,14 @@ func TestStandardOptionAccessors(t *testing.T) {
 	if err != nil || ws != 9 {
 		t.Errorf("ParseWScale = %d, %v", ws, err)
 	}
-	tsVal, tsEcr, err := ParseTimestamps(TimestampsOption(7, 8))
-	if err != nil || tsVal != 7 || tsEcr != 8 {
-		t.Errorf("ParseTimestamps = %d, %d, %v", tsVal, tsEcr, err)
-	}
-	if _, _, err := ParseTimestamps(MSSOption(1)); err == nil {
-		t.Error("ParseTimestamps accepted an MSS option")
+	if _, err := ParseWScale(MSSOption(1)); err == nil {
+		t.Error("ParseWScale accepted an MSS option")
 	}
 }
 
-func TestFindOption(t *testing.T) {
-	opts := []Option{MSSOption(100), WScaleOption(2)}
-	if o, ok := FindOption(opts, KindWScale); !ok || o.Data[0] != 2 {
-		t.Errorf("FindOption(WScale) = %+v, %v", o, ok)
-	}
-	if _, ok := FindOption(opts, KindChallenge); ok {
-		t.Error("FindOption found a challenge in plain options")
-	}
-}
-
-// Property: marshal→parse round-trips arbitrary small option payloads and
+// Property: marshal→lookup round-trips arbitrary small option payloads and
 // the marshalled area is always 32-bit aligned.
-func TestMarshalParseProperty(t *testing.T) {
+func TestMarshalLookupProperty(t *testing.T) {
 	f := func(kind uint8, data []byte) bool {
 		if kind == KindEOL || kind == KindNOP {
 			kind = KindMSS
@@ -118,11 +123,8 @@ func TestMarshalParseProperty(t *testing.T) {
 		if len(b)%4 != 0 {
 			return false
 		}
-		got, err := ParseOptions(b)
-		if err != nil || len(got) != 1 {
-			return false
-		}
-		return got[0].Kind == kind && bytes.Equal(got[0].Data, data)
+		got, ok, err := Lookup(b, kind)
+		return err == nil && ok && got.Kind == kind && bytes.Equal(got.Data, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

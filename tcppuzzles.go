@@ -28,17 +28,14 @@
 //	sol, _, _ := puzzle.Solve(ch)
 //	err := issuer.Verify(flow, sol)
 //
-// See README.md for the architecture overview, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for the architecture overview and docs/EXPERIMENTS.md for
+// paper-vs-measured results.
 package tcppuzzles
 
 import (
 	"github.com/tcppuzzles/tcppuzzles/game"
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
 )
-
-// Version identifies the library release.
-const Version = "1.0.0"
 
 // NashParams computes the paper's Nash-equilibrium puzzle difficulty from
 // the two measured model parameters: w_av, the average number of hashes a
