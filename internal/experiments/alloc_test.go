@@ -94,6 +94,25 @@ func TestHeapBudgetFloodCell(t *testing.T) {
 	}
 }
 
+// TestHeapBudgetMacroCell is the same peak gate on the 10,000-source
+// spoofed cell of TestMacroEngineStatsPinned, whose SYNs are almost all
+// sent ahead of the clock: their arrivals wait in one FIFO, of which only
+// the head is in the packet heap, and the heap peaks at 5. While each
+// arrival sent ahead waited in the heap it peaked at 1,224, and the
+// ceiling of 16 catches that coming back.
+func TestHeapBudgetMacroCell(t *testing.T) {
+	sc := macroFlood100k()
+	sc.MacroSources, sc.Seed = 10_000, 1
+	run, err := RunFlood(sc)
+	if err != nil {
+		t.Fatalf("RunFlood: %v", err)
+	}
+	const peakCeiling = 16
+	if st := run.Eng.Stats(); st.PeakPackets > peakCeiling {
+		t.Errorf("10,000-source macro cell: packet heap peaked at %d events, ceiling %d", st.PeakPackets, peakCeiling)
+	}
+}
+
 // TestAllocBudgetGridCells gates two cells of the benchmark's figure grid
 // (20 s, 8 solving clients, 6 solving bots, m = 17, seed 1) on objects and
 // bytes allocated per RunFlood: the none × synflood cell, where every

@@ -34,9 +34,13 @@
 //
 // A downlink serialises what it accepts in order, so a real port's pending
 // deliver legs wait in a FIFO of their own, linked through the events, and
-// only its head waits in the packet heap: the packet heap holds trains and
-// one leg per busy downlink, not every segment a slower downlink has yet
-// to serialise. See docs/PERFORMANCE.md "Deliver FIFOs".
+// only its head waits in the packet heap. The arrivals of packets a source
+// store sent ahead of the clock (SourceStore.SendAhead) wait the same way
+// in one FIFO while their keys ascend. So the packet heap holds trains, one
+// leg per busy downlink, the head of the sends ahead and those that order
+// before its tail, not every segment a slower downlink has yet to
+// serialise nor every SYN a macro batch sent ahead. See docs/PERFORMANCE.md
+// "Deliver FIFOs" and "Sends ahead wait in one FIFO".
 //
 // A node that does nothing with a train's segments but the last except
 // count them — the benign client, whose 100 kB responses are most of a
@@ -104,7 +108,8 @@ type Event struct {
 	fn  func() // kindFunc payload
 	pkt packet // kindArrival / kindDeliver / kindSend payload
 	// next links a kindDeliver leg to the one behind it in its downlink's
-	// FIFO (see Engine.deliver).
+	// FIFO (see Engine.deliver), and an arrival sent ahead of the clock to
+	// the one behind it in the engine's FIFO of them (see scheduleArrival).
 	next *Event
 }
 
@@ -168,13 +173,15 @@ type Engine struct {
 	// The pending queue: kindFunc and kindSend events wait in timers,
 	// kindArrival and kindDeliver events in packets, and the next event to
 	// fire is the smaller of the two heads under less. A real port's
-	// deliver legs wait in its downlink FIFO, of which only the head is in
-	// packets; held counts the legs behind the heads.
-	timers  eventHeap
-	packets eventHeap
-	held    int
-	seq     uint64
-	fired   uint64
+	// deliver legs wait in its downlink FIFO, and arrivals sent ahead of
+	// the clock in the FIFO from aheadHead to aheadTail; of each FIFO only
+	// the head is in packets, and held counts the events behind the heads.
+	timers               eventHeap
+	packets              eventHeap
+	held                 int
+	aheadHead, aheadTail *Event
+	seq                  uint64
+	fired                uint64
 	// limit is the exclusive time bound of the Run in progress, zero
 	// outside one: the licence runArrival needs to fire a leg in place.
 	limit time.Duration
@@ -396,13 +403,27 @@ func (e *Engine) scheduleSend(at time.Duration, store *port, slot int32, seg *tc
 // among themselves by (src, seq): the sender's address, then the packet's
 // number on Network.seq, which rises in each sender's send order. The
 // (src, seq) pair must be unique per pending arrival.
-func (e *Engine) scheduleArrival(at time.Duration, src, seq uint64, pkt *packet) {
+//
+// The arrival of a packet sent ahead of the clock joins the FIFO of them
+// when it orders after its tail, and fire arms each next member when its
+// predecessor fires: the RunQueue argument, since the FIFO's keys only
+// ascend. One that orders before the tail goes to the heap.
+func (e *Engine) scheduleArrival(at time.Duration, src, seq uint64, pkt *packet, ahead bool) {
 	ev := e.alloc()
 	ev.at = at
 	ev.seq = seq
 	ev.kind = kindArrival
 	ev.src = src
 	ev.pkt = *pkt
+	if ahead {
+		if t := e.aheadTail; t == nil {
+			e.aheadHead, e.aheadTail = ev, ev
+		} else if less(t, ev) {
+			t.next, e.aheadTail = ev, ev
+			e.held++
+			return
+		}
+	}
 	e.pushPacket(ev)
 }
 
@@ -418,6 +439,17 @@ func (e *Engine) fire(ev *Event) {
 		e.recycle(ev)
 		fn()
 	case kindArrival:
+		if ev == e.aheadHead {
+			// Arm the next arrival sent ahead before anything can fire in
+			// place past it.
+			e.aheadHead, ev.next = ev.next, nil
+			if e.aheadHead == nil {
+				e.aheadTail = nil
+			} else {
+				e.held--
+				e.pushPacket(e.aheadHead)
+			}
+		}
 		// The network re-queues ev as the train's next arrival, re-stamps
 		// it as the last segment's kindDeliver leg, or recycles it (the
 		// last segment dropped).
@@ -545,7 +577,8 @@ func exclusive(until time.Duration) time.Duration {
 
 // Pending returns the number of events yet to fire, possibly cancelled:
 // both heaps together, the deliver legs waiting behind the heads of the
-// downlink FIFOs, and the deferred deliver legs not yet due (see
+// downlink FIFOs, the arrivals sent ahead of the clock waiting behind the
+// head of theirs, and the deferred deliver legs not yet due (see
 // DeferNode).
 func (e *Engine) Pending() int {
 	n := len(e.timers) + len(e.packets) + e.held
@@ -580,8 +613,9 @@ type EngineStats struct {
 	PeakTimers int    // longest the timer heap has been
 	// PeakPackets is the longest the packet heap has been. It is not the
 	// most packets in flight: a train waits in the heap as one event
-	// however many of its segments are still to arrive, and a downlink as
-	// one deliver leg however many are queued on it.
+	// however many of its segments are still to arrive, a downlink as one
+	// deliver leg however many are queued on it, and the FIFO of arrivals
+	// sent ahead of the clock as its head.
 	PeakPackets int
 }
 

@@ -204,15 +204,17 @@ type funcNode struct {
 func (n funcNode) Addr() Addr                { return n.addr }
 func (n funcNode) Handle(seg tcpkit.Segment) { n.handle(seg) }
 
-// TestTwoHeapsPopLikeOneOrder: the timer heap, the packet heap and the
-// downlink FIFOs together fire exactly what one queue sorted by less
-// would. Randomised rounds mix near timers, timers far ahead, cancels, and
-// arrivals at two slow real ports on a coarse time grid, so that timers
-// tie with arrivals and arrivals with each other (same source, and across
-// sources) on the same nanosecond, deliver legs queue behind each other in
-// both downlinks' FIFOs, and some arrivals are dropped. Between rounds
-// only part of the queue is fired, so late pushes land among events that
-// have been waiting. Events fire as they would inside Run, so a deliver
+// TestTwoHeapsPopLikeOneOrder: the timer heap, the packet heap, the
+// downlink FIFOs and the FIFO of arrivals sent ahead together fire exactly
+// what one queue sorted by less would. Randomised rounds mix near timers,
+// timers far ahead, cancels, and arrivals at two slow real ports on a
+// coarse time grid, so that timers tie with arrivals and arrivals with
+// each other (same source, and across sources) on the same nanosecond,
+// deliver legs queue behind each other in both downlinks' FIFOs, half the
+// arrivals are queued as sent ahead of the clock — joining that FIFO or,
+// ordering before its tail, the heap — and some arrivals are dropped.
+// Between rounds only part of the queue is fired, so late pushes land
+// among events that have been waiting. Events fire as they would inside Run, so a deliver
 // leg may also fire in place. The model is a plain slice: the next event
 // is its minimum under less, cancelled ones left out, and an arrival it
 // fires adds the deliver leg a FIFO downlink gives it — at the time its
@@ -236,7 +238,8 @@ func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 		}
 		return rec{ev.at, ev.kind, uint64(ev.pkt.seg.Seq)}
 	}
-	var inPlace, queued uint64 // over all seeds
+	var inPlace, queued uint64       // over all seeds
+	var aheadJoined, aheadHeaped int // arrivals sent ahead, by where they went
 	drops := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -285,7 +288,14 @@ func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 				ids++
 				sg := tcpkit.Segment{Seq: ids, PayloadLen: 100*(1+rnd.Intn(5)) - 40}
 				pkt := packet{dst: ports[rnd.Intn(2)], seg: sg, size: int32(sg.WireSize()), slot: -1}
-				e.scheduleArrival(at, src, srcSeq[src], &pkt)
+				ahead, held := rnd.Intn(2) == 0, e.held
+				e.scheduleArrival(at, src, srcSeq[src], &pkt, ahead)
+				switch {
+				case e.held > held:
+					aheadJoined++
+				case ahead:
+					aheadHeaped++
+				}
 				model = append(model, Event{at: at, seq: srcSeq[src], kind: kindArrival, src: src, pkt: pkt})
 				srcSeq[src]++
 			}
@@ -377,8 +387,8 @@ func TestTwoHeapsPopLikeOneOrder(t *testing.T) {
 		}
 		inPlace, queued = inPlace+st.InPlace, queued+st.DeliversQueued
 	}
-	if inPlace == 0 || queued == 0 || drops == 0 {
-		t.Fatalf("fixture fired %d deliver legs in place, queued %d behind a FIFO head and dropped %d arrivals; want each",
-			inPlace, queued, drops)
+	if inPlace == 0 || queued == 0 || drops == 0 || aheadJoined == 0 || aheadHeaped == 0 {
+		t.Fatalf("fixture fired %d deliver legs in place, queued %d behind a FIFO head, dropped %d arrivals, and queued %d sent ahead in their FIFO and %d in the heap; want each",
+			inPlace, queued, drops, aheadJoined, aheadHeaped)
 	}
 }

@@ -367,11 +367,12 @@ func (n *Network) send(up *xmitter, origin Addr, seg *tcpkit.Segment, count, las
 		seg.PayloadLen = first
 	}
 	// After the uplink serialisation and both propagation legs, the first
-	// segment reaches the destination's downlink.
+	// segment reaches the destination's downlink. Only SourceStore.SendAhead
+	// sends at an instant past the clock.
 	n.Eng.scheduleArrival(depart+up.cfg.Latency+dst.downLatency(), addrKey(origin), n.seq, &packet{
 		dst: dst, seg: *seg, size: int32(seg.WireSize()), slot: r.slot,
 		left: int32(sent - 1), lastLen: int32(lastLen), rate: up.cfg.RateBps,
-	})
+	}, now > n.Eng.now)
 	n.seq += uint64(sent)
 }
 

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -319,5 +321,126 @@ func TestSendAhead(t *testing.T) {
 		if st := eng.Stats(); st.SentAhead != 0 || st.TimersFired != 2 {
 			t.Errorf("tapped %v: %d sent ahead, %d timers fired; want 0 and 2", tapped, st.SentAhead, st.TimersFired)
 		}
+	}
+}
+
+// TestSendAheadFIFOMatchesTapped: arrivals sent ahead of the clock, which
+// wait in one FIFO while their keys ascend and in the packet heap when one
+// orders before the FIFO's tail, make the same (segment, time)
+// deliveries per node, with the same pending count at each, as the
+// tapped run, where every future send takes a timer; so are the link
+// counters and the pending count at the end of every Run. Every
+// millisecond a batch event sends ahead from two stores whose links'
+// latencies differ by 3 ms: the first store's slots in ascending virtual
+// time, which join the FIFO; the second's, then the first's a little
+// later, which arrive earlier and go to the heap; and three of the first
+// store's slots again, at one instant after their first sends, in
+// descending address order, so that all but the first order before the
+// tail. A batch's sends all fall before the next batch, so no slot sends
+// at an instant before one it has sent at: SendAhead's contract. Half the traffic goes to a 10 Mbps
+// sink, so deliver legs queue there too. Runs of 1.3 ms end while
+// arrivals sent ahead are pending; bare Steps fire the rest.
+func TestSendAheadFIFOMatchesTapped(t *testing.T) {
+	type outcome struct {
+		log, ends           []string
+		joined, heaped      int
+		sentAhead, timers   uint64
+		packetLegs, maxHeld int
+	}
+	run := func(tapped bool) outcome {
+		var o outcome
+		e := NewEngine()
+		n := NewNetwork(e)
+		var sinks []Addr
+		for i, link := range []LinkConfig{DefaultServerLink(), {RateBps: 10e6, Latency: time.Millisecond, MaxBacklog: 100 * time.Millisecond}} {
+			addr := Addr{10, 0, 0, byte(1 + i)}
+			node := funcNode{addr: addr, handle: func(seg tcpkit.Segment) {
+				o.log = append(o.log, fmt.Sprintf("%v %v %v:%d pending=%d", addr, e.Now(), seg.Src, seg.SrcPort, e.Pending()))
+			}}
+			if err := n.Attach(node, link); err != nil {
+				t.Fatal(err)
+			}
+			sinks = append(sinks, addr)
+		}
+		var stores []*SourceStore
+		for i, latency := range []time.Duration{2 * time.Millisecond, 5 * time.Millisecond} {
+			link := LinkConfig{RateBps: 100e6, Latency: latency, MaxBacklog: 100 * time.Millisecond}
+			s, err := n.AttachSources(8, Addr{byte(20 + 10*i), 0, 0, 1}, link, func(int32, tcpkit.Segment) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores = append(stores, s)
+		}
+		if tapped {
+			n.RegisterTap(func(time.Duration, TapDir, tcpkit.Segment) {})
+		}
+		var id uint16
+		send := func(s *SourceStore, slot int32, at time.Duration) {
+			id++
+			tail, ahead := e.aheadTail, e.stats.SentAhead
+			s.SendAhead(slot, at, tcpkit.Segment{Src: s.Addr(slot), Dst: sinks[id%2], SrcPort: id, DstPort: 80, Flags: tcpkit.FlagSYN})
+			switch {
+			case e.stats.SentAhead == ahead:
+			case e.aheadTail != tail:
+				o.joined++
+			default:
+				o.heaped++
+			}
+		}
+		for b := time.Duration(0); b < 30; b++ {
+			e.ScheduleAt(b*time.Millisecond, func() {
+				now := e.Now()
+				for slot := int32(0); slot < 8; slot++ {
+					send(stores[0], slot, now+time.Duration(slot)*120*time.Microsecond)
+				}
+				for slot := int32(0); slot < 4; slot++ {
+					send(stores[1], slot, now+300*time.Microsecond)
+				}
+				send(stores[0], 0, now+400*time.Microsecond)
+				for slot := int32(4); slot >= 2; slot-- {
+					send(stores[0], slot, now+900*time.Microsecond)
+				}
+			})
+		}
+		end := func(label string) {
+			line := fmt.Sprintf("%s pending=%d", label, e.Pending())
+			for _, a := range sinks {
+				up, down, _ := n.Stats(a)
+				line += fmt.Sprintf(" %v %+v %+v", a, up, down)
+			}
+			for _, s := range stores {
+				up, down := s.Stats()
+				line += fmt.Sprintf(" %v %+v %+v", s.base, up, down)
+			}
+			o.ends = append(o.ends, line)
+			o.maxHeld = max(o.maxHeld, e.held)
+		}
+		for until := time.Duration(0); until < 20*time.Millisecond; until += 1300 * time.Microsecond {
+			e.Run(until)
+			end(until.String())
+		}
+		for e.Step() {
+		}
+		end("drained")
+		st := e.Stats()
+		o.sentAhead, o.timers, o.packetLegs = st.SentAhead, st.TimersFired, int(st.PacketLegsFired)
+		return o
+	}
+	got, ref := run(false), run(true)
+	if g, r := strings.Join(got.log, "\n"), strings.Join(ref.log, "\n"); g != r {
+		t.Errorf("deliveries differ:\nsent ahead:\n%s\ntapped:\n%s", g, r)
+	}
+	if g, r := strings.Join(got.ends, "\n"), strings.Join(ref.ends, "\n"); g != r {
+		t.Errorf("state at the ends of the Runs differs:\nsent ahead:\n%s\ntapped:\n%s", g, r)
+	}
+	if got.timers+got.sentAhead != ref.timers || got.packetLegs != ref.packetLegs || ref.sentAhead != 0 {
+		t.Errorf("sent ahead: %d timers, %d sends ahead, %d packet legs; tapped: %d, %d, %d",
+			got.timers, got.sentAhead, got.packetLegs, ref.timers, ref.sentAhead, ref.packetLegs)
+	}
+	// The fixture reaches both branches, and a Run ends with members
+	// waiting behind the FIFO's head.
+	if got.joined == 0 || got.heaped == 0 || got.maxHeld == 0 || len(got.log) != 30*16 {
+		t.Errorf("%d sends ahead joined the FIFO, %d went to the heap, at most %d waited behind a head at a Run's end, %d delivered; want each nonzero and 480 delivered",
+			got.joined, got.heaped, got.maxHeld, len(got.log))
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/xrand"
@@ -59,9 +59,11 @@ type VerifyInfo struct {
 // safe for concurrent use; difficulty parameters may be retuned at runtime
 // with SetParams, mirroring the sysctl interface of the kernel patch.
 type Issuer struct {
-	mu     sync.RWMutex
 	secret [SecretLen]byte
-	params Params
+	// params is the current difficulty packed into one word (see pack),
+	// the issuer's only mutable state: a reader loads it once and sees one
+	// SetParams whole, without a lock.
+	params atomic.Uint32
 	maxAge time.Duration
 	now    func() time.Time
 
@@ -78,8 +80,13 @@ type IssuerOption func(*Issuer)
 
 // WithParams sets the initial difficulty parameters.
 func WithParams(p Params) IssuerOption {
-	return func(is *Issuer) { is.params = p }
+	return func(is *Issuer) { is.params.Store(pack(p)) }
 }
+
+// pack folds p into the word Issuer.params holds; unpack inverts it.
+func pack(p Params) uint32 { return uint32(p.K)<<16 | uint32(p.M)<<8 | uint32(p.L) }
+
+func unpack(w uint32) Params { return Params{K: uint8(w >> 16), M: uint8(w >> 8), L: uint8(w)} }
 
 // WithSecret sets the server secret. The secret must be SecretLen bytes; it
 // is copied.
@@ -109,8 +116,7 @@ func WithClock(now func() time.Time) IssuerOption {
 // carve, when non-nil, supplies the memory of each preimage Issue and
 // IssueAt hand out (n bytes per call, never reused by the issuer), so a
 // caller issuing from one goroutine can carve them from a buffer it owns
-// instead of paying a heap object per challenge. It is called outside the
-// issuer's lock.
+// instead of paying a heap object per challenge.
 func WithSimulatedPreimage(carve func(n int) []byte) IssuerOption {
 	return func(is *Issuer) { is.simulated, is.carve = true, carve }
 }
@@ -119,7 +125,6 @@ func WithSimulatedPreimage(carve func(n int) []byte) IssuerOption {
 // default difficulty, and the default replay window.
 func NewIssuer(opts ...IssuerOption) (*Issuer, error) {
 	is := &Issuer{
-		params: DefaultParams(),
 		maxAge: DefaultMaxAge,
 		//tcpz:allow nodeterm — default for real-protocol callers (puzzlenet) only; internal/serversim always overrides it with the engine clock via WithClock
 		now: time.Now,
@@ -128,24 +133,21 @@ func NewIssuer(opts ...IssuerOption) (*Issuer, error) {
 	if _, err := rand.Read(is.secret[:]); err != nil {
 		return nil, fmt.Errorf("puzzle: generate secret: %w", err)
 	}
+	is.params.Store(pack(DefaultParams()))
 	for _, opt := range opts {
 		opt(is)
 	}
 	is.simKey = xrand.Mix(0,
 		binary.BigEndian.Uint64(is.secret[0:]), binary.BigEndian.Uint64(is.secret[8:]),
 		binary.BigEndian.Uint64(is.secret[16:]), binary.BigEndian.Uint64(is.secret[24:]))
-	if err := is.params.Validate(); err != nil {
+	if err := is.Params().Validate(); err != nil {
 		return nil, err
 	}
 	return is, nil
 }
 
 // Params returns the current difficulty parameters.
-func (is *Issuer) Params() Params {
-	is.mu.RLock()
-	defer is.mu.RUnlock()
-	return is.params
-}
+func (is *Issuer) Params() Params { return unpack(is.params.Load()) }
 
 // SetParams retunes the difficulty at runtime. Outstanding challenges issued
 // under the previous parameters will no longer verify (the server is
@@ -154,29 +156,20 @@ func (is *Issuer) SetParams(p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	is.mu.Lock()
-	defer is.mu.Unlock()
-	is.params = p
+	is.params.Store(pack(p))
 	return nil
 }
 
 // Issue creates a challenge bound to the given flow at the current time.
 // Issuing performs exactly one hash operation (g(p) = 1).
 func (is *Issuer) Issue(flow FlowID) Challenge {
-	is.mu.RLock()
-	params := is.params
-	now := is.now()
-	is.mu.RUnlock()
-	return is.issue(flow, uint32(now.Unix()), params)
+	return is.issue(flow, uint32(is.now().Unix()), is.Params())
 }
 
 // IssueAt creates a challenge with an explicit timestamp. It exists for the
 // simulator and for tests; production callers use Issue.
 func (is *Issuer) IssueAt(flow FlowID, ts uint32) Challenge {
-	is.mu.RLock()
-	params := is.params
-	is.mu.RUnlock()
-	return is.issue(flow, ts, params)
+	return is.issue(flow, ts, is.Params())
 }
 
 func (is *Issuer) issue(flow FlowID, ts uint32, params Params) Challenge {
@@ -218,22 +211,17 @@ func (is *Issuer) appendPreimage(dst []byte, flow FlowID, ts uint32, params Para
 // under the current parameters. It enables delegated or simulated
 // verification (e.g. a front-end proxy that shares the secret, paper §7).
 func (is *Issuer) PreimageFor(flow FlowID, ts uint32) []byte {
-	is.mu.RLock()
-	params := is.params
-	is.mu.RUnlock()
+	params := is.Params()
 	return is.appendPreimage(make([]byte, 0, params.SolutionBytes()), flow, ts, params)
 }
 
 // ValidateTimestamp checks a solution timestamp against the replay window
 // and clock-skew policy without verifying any solutions.
 func (is *Issuer) ValidateTimestamp(ts uint32) error {
-	is.mu.RLock()
-	maxAge := is.maxAge
 	now := is.now()
-	is.mu.RUnlock()
 	issued := time.Unix(int64(ts), 0)
-	if age := now.Sub(issued); age > maxAge {
-		return fmt.Errorf("puzzle: solution age %v exceeds %v: %w", age, maxAge, ErrExpired)
+	if age := now.Sub(issued); age > is.maxAge {
+		return fmt.Errorf("puzzle: solution age %v exceeds %v: %w", age, is.maxAge, ErrExpired)
 	}
 	if ahead := issued.Sub(now); ahead > MaxSkew {
 		return fmt.Errorf("puzzle: timestamp %v ahead of clock: %w", ahead, ErrFutureTimestamp)
@@ -252,23 +240,14 @@ func (is *Issuer) Verify(flow FlowID, sol Solution) error {
 // VerifyDetailed is Verify with hash-operation accounting, used by the
 // simulator's CPU model and by benchmarks.
 func (is *Issuer) VerifyDetailed(flow FlowID, sol Solution) (VerifyInfo, error) {
-	is.mu.RLock()
-	params := is.params
-	maxAge := is.maxAge
-	now := is.now()
-	is.mu.RUnlock()
-
+	params := is.Params()
 	var info VerifyInfo
 	if sol.Params != params {
 		return info, fmt.Errorf("puzzle: solution for %v, server at %v: %w",
 			sol.Params, params, ErrParamMismatch)
 	}
-	issued := time.Unix(int64(sol.Timestamp), 0)
-	if age := now.Sub(issued); age > maxAge {
-		return info, fmt.Errorf("puzzle: solution age %v exceeds %v: %w", age, maxAge, ErrExpired)
-	}
-	if ahead := issued.Sub(now); ahead > MaxSkew {
-		return info, fmt.Errorf("puzzle: timestamp %v ahead of clock: %w", ahead, ErrFutureTimestamp)
+	if err := is.ValidateTimestamp(sol.Timestamp); err != nil {
+		return info, err
 	}
 	var buf [MaxPreimageBits / 8]byte
 	pre := is.appendPreimage(buf[:0], flow, sol.Timestamp, params)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -182,6 +184,72 @@ func TestVerifyRejectsParamMismatch(t *testing.T) {
 	}
 	if err := is.Verify(flow, sol); !errors.Is(err, ErrParamMismatch) {
 		t.Errorf("Verify error = %v, want ErrParamMismatch", err)
+	}
+}
+
+// TestIssuerConcurrentSetParams: while one goroutine flips SetParams
+// between two parameter sets, every challenge issued concurrently carries
+// one of the two sets whole, with a preimage of that set's length, and a
+// solution to either set verifies or fails only on the parameter
+// mismatch. Run under -race, it is also the gate on the issuer's lock-free
+// parameter word.
+func TestIssuerConcurrentSetParams(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	sets := [2]Params{easyParams, {K: 3, M: 5, L: 128}}
+	is := testIssuer(t, WithClock(func() time.Time { return now }))
+	flow := testFlow()
+	var sols [2]Solution
+	for i, p := range sets {
+		if err := is.SetParams(p); err != nil {
+			t.Fatalf("SetParams(%v): %v", p, err)
+		}
+		sol, _, err := Solve(is.Issue(flow))
+		if err != nil {
+			t.Fatalf("Solve under %v: %v", p, err)
+		}
+		sols[i] = sol
+	}
+
+	stop, flipped := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 8)
+	go func() {
+		defer close(flipped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := is.SetParams(sets[i%2]); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for range 2000 {
+				ch := is.Issue(flow)
+				if (ch.Params != sets[0] && ch.Params != sets[1]) || len(ch.Preimage) != ch.Params.SolutionBytes() {
+					errs <- fmt.Errorf("challenge under %v with a %d-byte preimage", ch.Params, len(ch.Preimage))
+					return
+				}
+				if _, err := is.VerifyDetailed(flow, sols[g%2]); err != nil && !errors.Is(err, ErrParamMismatch) {
+					errs <- fmt.Errorf("verifying a solution under %v: %w", sols[g%2].Params, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-flipped
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
