@@ -304,13 +304,12 @@ func planGroups(exps []Experiment, cells []planCell) [][]int {
 	return out
 }
 
-// simKey is what RunFlood can read of a canonical scenario: all of it but
-// the Label and the unread Shards, and but Params under a defense
-// registered without defense.Info.Puzzles, whose server may not read them.
-// Params that do not validate stay in the key, so they still fail every
-// cell that carries them, in the server's issuer.
+// simKey is what RunFlood can read of a canonical scenario: its SimInputs
+// but Params under a defense without Info.Puzzles, whose server may not
+// read them. Params that do not validate stay in the key, so they still
+// fail every cell that carries them, in the server's issuer.
 func simKey(sc Scenario) Scenario {
-	sc.Label, sc.Shards = "", 0
+	sc = sc.SimInputs()
 	if info, _, err := defense.Lookup(sc.Defense); err == nil && !info.Puzzles && sc.Params.Validate() == nil {
 		sc.Params = puzzle.Params{}
 	}

@@ -10,18 +10,24 @@ import (
 )
 
 // identity says which identities of a canonical scenario a Scenario field
-// enters: the result-cache key (sweep.Hash), the simulation a cell shares
-// with others (simKey), the replicate group sweep.FoldSeeds folds it into,
-// and the NDJSON record.
-type identity struct{ cache, sim, group, output bool }
+// enters: the grid cell sweep.Grid.Expand dedupes by, the result-cache key
+// (sweep.Hash), the simulation a cell shares with others (simKey), the
+// replicate group sweep.FoldSeeds folds it into, and the NDJSON record.
+// reason says why a cached result stays valid without the field, and only
+// a field outside the cache key carries one: the bar is a field that
+// cannot change what a cell computes.
+type identity struct {
+	cell, cache, sim, group, output bool
+	reason                          string
+}
 
-var everywhere = identity{cache: true, sim: true, group: true, output: true}
+var everywhere = identity{cell: true, cache: true, sim: true, group: true, output: true}
 
 // scenarioIdentities classifies every Scenario field. A new field fails
 // TestScenarioIdentities until it is classified here.
 var scenarioIdentities = map[string]identity{
 	// Label is reported, not simulated; FoldSeeds strips its seed= parts.
-	"Label":              {cache: true, group: true, output: true},
+	"Label":              {cell: true, cache: true, group: true, output: true},
 	"Duration":           everywhere,
 	"AttackStart":        everywhere,
 	"AttackStop":         everywhere,
@@ -43,10 +49,9 @@ var scenarioIdentities = map[string]identity{
 	"BotMaxSolveBacklog": everywhere,
 	"MacroSources":       everywhere,
 	// Seed is what replicates differ in.
-	"Seed": {cache: true, sim: true, output: true},
-	// Shards is json:"-" (sweep's scenarioHashExclusions) and read by
-	// nothing.
-	"Shards": {},
+	"Seed": {cell: true, cache: true, sim: true, output: true},
+	"Shards": {reason: "deprecated shim read by nothing (every scenario runs on " +
+		"one event engine), so it cannot change what a cell computes"},
 }
 
 // perturb moves one field of a canonical scenario to another canonical
@@ -73,8 +78,9 @@ func perturb(v reflect.Value) {
 
 // TestScenarioIdentities holds the table to the code: every Scenario
 // field is classified, the json:"-" tags are exactly the fields outside
-// the cache key, and moving a field moves the cache key, simKey, the
-// FoldSeeds group and the NDJSON record exactly when the table says so.
+// the cache key, each of which says why, and moving a field moves the grid
+// cell, the cache key, simKey, the FoldSeeds group and the NDJSON record
+// exactly when the table says so.
 func TestScenarioIdentities(t *testing.T) {
 	base := sweep.Scenario{Label: "cell/seed=1", Seed: 1}.Defaults()
 	record := func(sc sweep.Scenario) string {
@@ -83,6 +89,9 @@ func TestScenarioIdentities(t *testing.T) {
 			t.Fatal(err)
 		}
 		return b.String()
+	}
+	point := func(sc sweep.Scenario) sweep.Point {
+		return sweep.Point{Label: sc.Label, Set: func(c *sweep.Scenario) { *c = sc }}
 	}
 	rt := reflect.TypeOf(base)
 	for i := 0; i < rt.NumField(); i++ {
@@ -95,14 +104,21 @@ func TestScenarioIdentities(t *testing.T) {
 		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); (name == "-") == want.cache {
 			t.Errorf("Scenario.%s: json tag %q, but the table has cache=%v", f.Name, name, want.cache)
 		}
+		if reason := strings.TrimSpace(want.reason); (reason == "") != want.cache {
+			t.Errorf("Scenario.%s: cache=%v with reason %q; exactly the fields outside the cache key give one",
+				f.Name, want.cache, reason)
+		}
 		moved := base
 		perturb(reflect.ValueOf(&moved).Elem().Field(i))
+		cells := sweep.Grid{Axes: []sweep.Axis{sweep.Variants("cell", point(base), point(moved))}}.Expand(nil)
 		folded := sweep.FoldSeeds([]sweep.Result{{Experiment: "exp", Scenario: base}, {Experiment: "exp", Scenario: moved}})
 		got := identity{
+			cell:   len(cells) == 2,
 			cache:  sweep.Hash("exp", moved) != sweep.Hash("exp", base),
 			sim:    simKey(moved) != simKey(base),
 			group:  len(folded) == 2,
 			output: record(moved) != record(base),
+			reason: want.reason,
 		}
 		if got != want {
 			t.Errorf("Scenario.%s enters %+v, the table says %+v", f.Name, got, want)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -353,6 +354,21 @@ func TestFailuresNameExperimentAndCell(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want prefix %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// Two +Inf-rate points compare equal, so the grid holds one cell, and
+// RunSweep still rejects that cell with an error naming it and the rate.
+func TestRunSweepRejectsDedupedInfRate(t *testing.T) {
+	inf := sweep.Point{Label: "inf", Set: func(sc *Scenario) { sc.PerBotRate = math.Inf(1) }}
+	grid := tinySweepGrid()
+	grid.Axes = []sweep.Axis{sweep.Variants("rate", inf, inf)}
+	if cells := grid.Expand(nil); len(cells) != 1 {
+		t.Fatalf("grid expands to %d cells, want 1", len(cells))
+	}
+	_, err := RunSweep(Exec{}, grid)
+	if err == nil || !strings.HasPrefix(err.Error(), `experiments: sweep: scenario "inf": `) || !strings.Contains(err.Error(), "+Inf") {
+		t.Errorf("RunSweep error %v, want one naming cell \"inf\" and the rate +Inf", err)
 	}
 }
 

@@ -8,9 +8,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
 
 	"github.com/tcppuzzles/tcppuzzles/internal/lint"
 )
@@ -110,6 +112,122 @@ func TestSimulatedPrimitivesStayInTheSimulator(t *testing.T) {
 			t.Errorf("walk did not find %s", want)
 		}
 	}
+}
+
+// A citation names a section of a doc: docs/<FILE>.md, then "<Heading>"
+// after at most a backtick, a comma and an opening parenthesis, or a
+// markdown link to <file>.md#<anchor>.
+var (
+	citationRe  = regexp.MustCompile("docs/([A-Za-z_]+\\.md)`?,?\\s*\\(?\"([^\"]+)\"")
+	anchorRe    = regexp.MustCompile(`\]\(([\w./-]*\.md)#([\w-]+)\)`)
+	goCommentRe = regexp.MustCompile(`\n[ \t]*//[ \t]*`)
+)
+
+// TestDocCitationsNameHeadings walks every .go and .md file of the
+// repository for citations of a doc section and fails on one that names
+// no heading of that file, so a doc cut cannot orphan a citation. A quoted
+// heading may leave off the heading's trailing parenthetical; an anchor
+// is the heading's GitHub slug. A Go comment that wraps a citation is
+// read as one line.
+func TestDocCitationsNameHeadings(t *testing.T) {
+	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
+	if err != nil {
+		t.Fatalf("go list -m: %v", err)
+	}
+	root := strings.TrimSpace(string(out))
+	headings := map[string][]string{} // path → its headings, read once
+	headingsOf := func(path string) []string {
+		if hs, ok := headings[path]; ok {
+			return hs
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("%v", err)
+		}
+		var hs []string
+		fenced := false
+		for _, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			}
+			if !fenced && strings.HasPrefix(line, "#") {
+				hs = append(hs, strings.TrimSpace(strings.TrimLeft(line, "#")))
+			}
+		}
+		headings[path] = hs
+		return hs
+	}
+	cites := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		ext := filepath.Ext(path)
+		if ext != ".go" && ext != ".md" {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		text := string(src)
+		if ext == ".go" {
+			text = goCommentRe.ReplaceAllString(text, " ")
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, m := range citationRe.FindAllStringSubmatch(text, -1) {
+			cites++
+			cited := strings.Join(strings.Fields(m[2]), " ")
+			found := false
+			for _, h := range headingsOf(filepath.Join(root, "docs", m[1])) {
+				found = found || h == cited || strings.HasPrefix(h, cited+" (")
+			}
+			if !found {
+				t.Errorf("%s cites docs/%s %q, which is no heading of that file", rel, m[1], cited)
+			}
+		}
+		for _, m := range anchorRe.FindAllStringSubmatch(text, -1) {
+			if strings.Contains(m[1], "://") {
+				continue
+			}
+			cites++
+			found := false
+			for _, h := range headingsOf(filepath.Join(filepath.Dir(path), m[1])) {
+				found = found || slug(h) == m[2]
+			}
+			if !found {
+				t.Errorf("%s links %s#%s, which is no heading of that file", rel, m[1], m[2])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walk %s: %v", root, err)
+	}
+	if cites == 0 {
+		t.Fatal("the walk found no citation; it checks nothing")
+	}
+}
+
+// slug is a heading's GitHub anchor: lower case, with spaces as hyphens
+// and every rune but letters, digits, hyphens and underscores dropped.
+func slug(heading string) string {
+	var b strings.Builder
+	for _, r := range strings.ToLower(heading) {
+		switch {
+		case r == ' ':
+			b.WriteRune('-')
+		case r == '-' || r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r):
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }
 
 // surfaceKeep lists the exported package-level names that may have no use

@@ -41,8 +41,8 @@ func digest(b []byte) string {
 // two cells collide only when they would simulate identically and report
 // identically. Adding a field to Scenario changes every hash, which
 // safely turns old cache entries into misses (wipe the cache directory to
-// reclaim the space). Fields tagged json:"-" stay out of the key (the
-// tests pin each in scenarioHashExclusions, with its reason).
+// reclaim the space). Fields tagged json:"-" stay out of the key, each
+// with the reason TestScenarioIdentities holds it to.
 func Hash(experiment string, sc Scenario) string {
 	return hashAt(ledgerDigest, experiment, sc)
 }

@@ -1,10 +1,6 @@
 package sweep
 
-import (
-	"fmt"
-	"math"
-	"unicode/utf8"
-)
+import "fmt"
 
 // Grid declares a factorial experiment design as a literal: a base
 // Scenario plus product Axes. Expand crosses the axes in declaration
@@ -94,9 +90,8 @@ func Variants(name string, points ...Point) Axis {
 // row-major order (the last declared axis varies fastest). When scale is
 // non-nil it rescales the base deployment before the axes apply, so axis
 // coordinates always win over the scale's load shape. Cells whose
-// canonical (post-Defaults) scenarios — labels included — encode alike
-// are emitted once, keeping replicated axis points from re-running
-// identical simulations.
+// canonical scenarios, labels included, compare equal but for the unread
+// Shards are emitted once, so replicated axis points do not re-run.
 func (g Grid) Expand(scale *Scale) []Scenario {
 	base := g.Base
 	if scale != nil {
@@ -120,31 +115,16 @@ func (g Grid) Expand(scale *Scale) []Scenario {
 		}
 		cells = next
 	}
-	seen := make(map[any]bool, len(cells))
+	seen := make(map[Scenario]bool, len(cells))
 	out := cells[:0]
 	for _, c := range cells {
 		// One map operation per cell: the set grows only by a new key.
 		n := len(seen)
-		if seen[gridKey(c)] = true; len(seen) > n {
+		if seen[c.Defaults().cell()] = true; len(seen) > n {
 			out = append(out, c)
 		}
 	}
 	return out
-}
-
-// gridKey is c's canonical form but the unencoded Shards, which compares as
-// its encoding does unless json is lossy (invalid UTF-8) or fails (±Inf).
-func gridKey(c Scenario) any {
-	sc := c.Defaults()
-	sc.Shards = 0
-	if !math.IsInf(sc.ClientRate, 0) && !math.IsInf(sc.PerBotRate, 0) && utf8.ValidString(sc.Label) &&
-		utf8.ValidString(string(sc.Defense)) && utf8.ValidString(string(sc.Attack)) {
-		return sc
-	}
-	if b, err := encodeScenario(sc); err == nil {
-		return string(b)
-	}
-	return math.NaN() // equal to no key, so the cell is kept as before
 }
 
 func joinLabel(base, part string) string {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -47,6 +48,28 @@ func TestExpandDeduplicatesIdenticalCells(t *testing.T) {
 	}
 	if cells[0].Seed != 1 || cells[1].Seed != 2 {
 		t.Errorf("dedup changed order: %+v", cells)
+	}
+}
+
+// Two labels that differ only in invalid UTF-8 bytes are two cells, though
+// json encodes each bad byte as U+FFFD and so gives both one cache key.
+func TestExpandKeepsInvalidUTF8LabelsApart(t *testing.T) {
+	cells := Grid{Axes: []Axis{Variants("label", Point{Label: "a\xff"}, Point{Label: "a\xfe"})}}.Expand(nil)
+	if len(cells) != 2 {
+		t.Fatalf("cells = %d, want 2: labels a\\xff and a\\xfe are distinct", len(cells))
+	}
+	if h0, h1 := Hash("exp", cells[0]), Hash("exp", cells[1]); h0 != h1 {
+		t.Errorf("cache keys %s and %s differ; json encodes both labels alike", h0, h1)
+	}
+}
+
+// Two cells whose canonical scenarios carry the same +Inf rate compare
+// equal, so they are one cell, though json cannot encode either.
+func TestExpandDedupesInfRate(t *testing.T) {
+	inf := Point{Set: func(c *Scenario) { c.PerBotRate = math.Inf(1) }}
+	cells := Grid{Axes: []Axis{Variants("inf", inf, inf)}}.Expand(nil)
+	if len(cells) != 1 || !math.IsInf(cells[0].PerBotRate, 1) {
+		t.Fatalf("cells = %+v, want one +Inf-rate cell", cells)
 	}
 }
 

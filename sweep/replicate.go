@@ -5,11 +5,11 @@ import (
 	"strings"
 )
 
-// FoldSeeds aggregates replicated designs: results whose canonical
-// scenarios are identical up to the Seed (and any "seed=…" label part the
-// Seeds axis appended) fold into one Result carrying, for every metric of
-// the replicates, its mean, sample standard deviation, and the half-width
-// of a two-sided Student-t 95% confidence interval on the mean
+// FoldSeeds aggregates replicated designs: results of one experiment whose
+// canonical scenarios compare equal up to the Seed (and any "seed=…" label
+// part the Seeds axis appended) fold into one Result carrying, for every
+// metric of the replicates, its mean, sample standard deviation, and the
+// half-width of a two-sided Student-t 95% confidence interval on the mean
 // (t · s/√n, n−1 degrees of freedom), plus a "replicates" count; series
 // fold into their pointwise mean. Groups keep first-appearance order and
 // unreplicated cells simply fold to themselves (stddev and ci95 0), so a
@@ -30,24 +30,20 @@ func FoldSeeds(results []Result) []Result {
 		seriesSum map[string][]float64
 		seriesN   map[string][]float64
 	}
-	var order []string
-	groups := map[string]*group{}
+	type key struct {
+		experiment string
+		sc         Scenario
+	}
+	// Groups keep first-seen order; a NaN-rate key matches none, not even itself.
+	var groups []*group
+	index := map[key]*group{}
 
 	for _, r := range results {
-		sc := r.Scenario
-		sc.Seed = 0
-		sc.Label = stripSeedLabel(sc.Label)
-		keyBytes, err := encodeScenario(sc)
-		if err != nil {
-			// A non-finite rate does not encode. Group by label rather
-			// than dropping the result.
-			keyBytes = []byte(sc.Label)
-		}
-		key := r.Experiment + "\x00" + string(keyBytes)
-		g, ok := groups[key]
+		k := key{r.Experiment, r.Scenario.replicate()}
+		g, ok := index[k]
 		if !ok {
 			g = &group{
-				out:       Result{Experiment: r.Experiment, Scenario: sc},
+				out:       Result{Experiment: r.Experiment, Scenario: k.sc},
 				sum:       map[string]float64{},
 				sumSq:     map[string]float64{},
 				seriesSum: map[string][]float64{},
@@ -60,8 +56,8 @@ func FoldSeeds(results []Result) []Result {
 			for _, s := range r.Series {
 				g.out.Series = append(g.out.Series, Series{Name: s.Name})
 			}
-			groups[key] = g
-			order = append(order, key)
+			index[k] = g
+			groups = append(groups, g)
 		}
 		g.n++
 		for _, m := range r.Metrics {
@@ -82,9 +78,8 @@ func FoldSeeds(results []Result) []Result {
 		}
 	}
 
-	out := make([]Result, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
+	out := make([]Result, 0, len(groups))
+	for _, g := range groups {
 		metrics := []Metric{{Name: "replicates", Value: g.n}}
 		for _, m := range g.out.Metrics {
 			mean := g.sum[m.Name] / g.n
@@ -146,9 +141,6 @@ func tCritical95(df int) float64 {
 // stripSeedLabel removes the "seed=…" parts a Seeds axis appends to cell
 // labels, so replicates share the folded label.
 func stripSeedLabel(label string) string {
-	if label == "" {
-		return ""
-	}
 	parts := strings.Split(label, "/")
 	kept := parts[:0]
 	for _, part := range parts {

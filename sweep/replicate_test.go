@@ -105,6 +105,39 @@ func TestFoldSeedsKeepsDistinctCellsApart(t *testing.T) {
 	}
 }
 
+// A NaN rate equals no rate, so replicates that carry one fold into one
+// group each, in order, and FoldSeeds does not look a group up by its key
+// again.
+func TestFoldSeedsNaNRateGroupsApart(t *testing.T) {
+	rs := replicateFixture()[:3]
+	for i := range rs {
+		rs[i].Scenario.PerBotRate = math.NaN()
+	}
+	folded := FoldSeeds(rs)
+	if len(folded) != 3 {
+		t.Fatalf("folded groups = %d, want 3: NaN-rate scenarios compare unequal", len(folded))
+	}
+	for i, r := range folded {
+		if got, want := r.Metric("m1_mean"), rs[i].Metric("m1"); r.Metric("replicates") != 1 || got != want {
+			t.Errorf("group %d: replicates %v, m1_mean %v, want 1 and %v", i, r.Metric("replicates"), got, want)
+		}
+	}
+}
+
+// An infinite rate does not encode, but it compares equal: +Inf-rate
+// replicates fold by their scenarios, not by their labels.
+func TestFoldSeedsInfRateFoldsByScenario(t *testing.T) {
+	rs := replicateFixture()[:3]
+	for i := range rs {
+		rs[i].Scenario.ClientRate = math.Inf(1)
+	}
+	rs[2].Scenario.BotCount++ // same label, another cell
+	folded := FoldSeeds(rs)
+	if len(folded) != 2 || folded[0].Metric("replicates") != 2 || folded[1].Metric("replicates") != 1 {
+		t.Fatalf("folded %d groups %+v, want replicates 2 then 1", len(folded), folded)
+	}
+}
+
 func TestReplicateSinkFoldsOnFlush(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewReplicate(NewCSV(&buf))

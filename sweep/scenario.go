@@ -155,6 +155,33 @@ type Scenario struct {
 	Shards int `json:"-"`
 }
 
+// A canonical (post-Defaults) Scenario has three identities, each a
+// projection below that clears the fields it ignores: two scenarios share
+// one exactly when their projections are ==, so a new field enters all
+// three until a projection clears it. The cache key is the encoding's.
+
+// cell is the grid-cell identity Expand dedupes by: all of sc but the
+// unread Shards.
+func (sc Scenario) cell() Scenario {
+	sc.Shards = 0
+	return sc
+}
+
+// SimInputs is what a simulation can read of sc: all of it but the
+// reported Label and the unread Shards.
+func (sc Scenario) SimInputs() Scenario {
+	sc.Label, sc.Shards = "", 0
+	return sc
+}
+
+// replicate is the replicate group FoldSeeds folds sc into: all of it but
+// the Seed, the unread Shards and the "seed=…" label parts a Seeds axis
+// appends.
+func (sc Scenario) replicate() Scenario {
+	sc.Label, sc.Seed, sc.Shards = stripSeedLabel(sc.Label), 0, 0
+	return sc
+}
+
 // Defaults returns a copy with the paper's §6 defaults applied to every
 // unset field: 15 clients at 20 req/s, a 10-bot botnet at 500 pps each,
 // attack over [120 s, 480 s) of a 600 s run, puzzles at the Nash
