@@ -21,6 +21,10 @@
 // pool's width, the jobs it claimed and the plan's peak heap — the memory
 // headroom signal for macro-source scale runs.
 //
+// After the run, stderr holds one verdict line per claim (an outcome the
+// paper reports) of the selected experiments: "claim <exp>/<name>: ok",
+// or "FAIL:" with the measured value and its bound.
+//
 // Usage:
 //
 //	tcpz-exp -exp fig8 -scale paper
@@ -163,7 +167,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	start := time.Now()
-	ts, err := sim.RunExperiment(*exp, sim.Scale(*scale), opts...)
+	ts, verdicts, err := sim.RunExperiment(*exp, sim.Scale(*scale), opts...)
 	if err != nil {
 		return err
 	}
@@ -181,6 +185,11 @@ func run(args []string, stdout io.Writer) (err error) {
 		if err := sink.Flush(); err != nil {
 			return err
 		}
+	}
+	// Verdicts go to stderr in every format, and a failing claim does not
+	// fail the run.
+	for _, v := range verdicts {
+		fmt.Fprintln(os.Stderr, v)
 	}
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d evictions (dir %s)\n",

@@ -119,7 +119,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("w (hashes in %v)    %.0f\n", *budget, wav)
 
-	params, err := game.SelectParams(wav, *alpha, game.SelectionConfig{})
+	params, err := game.SelectParams(wav, *alpha)
 	if err != nil {
 		return fmt.Errorf("select difficulty: %w", err)
 	}

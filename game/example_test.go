@@ -13,7 +13,7 @@ func ExampleSelectParams() {
 		wav   = 140630 // hashes a client affords in the 400 ms budget
 		alpha = 1.1    // server service parameter from the stress test
 	)
-	params, err := game.SelectParams(wav, alpha, game.SelectionConfig{})
+	params, err := game.SelectParams(wav, alpha)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -43,7 +43,7 @@ func ExampleSelectParams_hardware() {
 		wav := game.WavFromHashRate(dev.rate, game.DefaultHandshakeBudget)
 		fmt.Printf("%-14s %8.0f", dev.name, wav)
 		for _, alpha := range []float64{0.5, 1.1, 4.0} {
-			p, err := game.SelectParams(wav, alpha, game.SelectionConfig{})
+			p, err := game.SelectParams(wav, alpha)
 			if err != nil {
 				fmt.Print("  n/a     ")
 				continue

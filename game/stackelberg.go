@@ -57,59 +57,37 @@ func ParamsFor(lstar float64, k uint8, l uint8) (puzzle.Params, error) {
 	return p, nil
 }
 
-// SelectionConfig tunes SelectParams.
-type SelectionConfig struct {
-	// KCandidates are the solution counts to consider; defaults to 1..4.
-	KCandidates []uint8
-	// PreimageBits is the l to use; defaults to puzzle.DefaultPreimageBits.
-	PreimageBits uint8
-	// MaxGuessProbability bounds the chance an adversary blindly guesses a
-	// full solution set, 2^(-k·m); defaults to 2^-30. Small k trades
-	// verification cost against guessability (paper §4.3).
-	MaxGuessProbability float64
-}
-
-func (c *SelectionConfig) fill() {
-	if len(c.KCandidates) == 0 {
-		c.KCandidates = []uint8{1, 2, 3, 4}
-	}
-	if c.PreimageBits == 0 {
-		c.PreimageBits = puzzle.DefaultPreimageBits
-	}
-	if c.MaxGuessProbability == 0 {
-		c.MaxGuessProbability = math.Exp2(-30)
-	}
-}
+// maxGuessProbability bounds the chance an adversary blindly guesses a
+// full solution set, 2^(−k·m). Small k trades verification cost against
+// guessability (paper §4.3).
+const maxGuessProbability = 0x1p-30
 
 // SelectParams implements the practical method of §4.3/§4.4: given the
-// measured w_av and α it computes ℓ* and picks the smallest k whose guess
-// probability meets the bound (minimising the server's 1 + k/2 verify
-// cost), with m rounded up via ParamsFor.
+// measured w_av and α it computes ℓ* and picks the smallest k in 1…4
+// whose guess probability is at most 2^−30 (minimising the server's
+// 1 + k/2 verify cost), with m rounded up via ParamsFor and
+// l = puzzle.DefaultPreimageBits.
 //
 // With the paper's measurements (w_av = 140630, α = 1.1) it returns
 // (k, m) = (2, 17).
-func SelectParams(wav, alpha float64, cfg SelectionConfig) (puzzle.Params, error) {
-	cfg.fill()
+func SelectParams(wav, alpha float64) (puzzle.Params, error) {
 	lstar, err := LStar(wav, alpha)
 	if err != nil {
 		return puzzle.Params{}, err
 	}
 	var lastErr error
-	for _, k := range cfg.KCandidates {
-		p, err := ParamsFor(lstar, k, cfg.PreimageBits)
+	for k := uint8(1); k <= 4; k++ {
+		p, err := ParamsFor(lstar, k, puzzle.DefaultPreimageBits)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if p.GuessProbability() > cfg.MaxGuessProbability {
+		if p.GuessProbability() > maxGuessProbability {
 			lastErr = fmt.Errorf("game: k=%d m=%d guessable at %.3g: %w",
 				p.K, p.M, p.GuessProbability(), ErrUnattainable)
 			continue
 		}
 		return p, nil
-	}
-	if lastErr == nil {
-		lastErr = ErrUnattainable
 	}
 	return puzzle.Params{}, lastErr
 }

@@ -39,7 +39,7 @@ func TestLStarRejectsBadInputs(t *testing.T) {
 
 // The paper's worked example (§4.4): w_av = 140630, α = 1.1 ⇒ (k, m) = (2, 17).
 func TestPaperExampleReproducesKM(t *testing.T) {
-	p, err := SelectParams(140630, 1.1, SelectionConfig{})
+	p, err := SelectParams(140630, 1.1)
 	if err != nil {
 		t.Fatalf("SelectParams: %v", err)
 	}
@@ -114,23 +114,34 @@ func TestParamsForRespectsPreimage(t *testing.T) {
 }
 
 func TestSelectParamsGuessBound(t *testing.T) {
-	// A very loose guess bound admits k=1; the default bound forces k=2
-	// for the paper example.
-	p, err := SelectParams(140630, 1.1, SelectionConfig{MaxGuessProbability: 1})
+	// For the paper example one solution would do, but (1, m) is guessed
+	// with probability 2^−m, above the 2^−30 bound: the bound forces k=2.
+	lstar, err := LStar(140630, 1.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := ParamsFor(lstar, 1, puzzle.DefaultPreimageBits)
+	if err != nil {
+		t.Fatalf("ParamsFor(k=1): %v", err)
+	}
+	if one.GuessProbability() <= maxGuessProbability {
+		t.Fatalf("k=1 candidate %v guessable at %g, want above the bound", one, one.GuessProbability())
+	}
+	p, err := SelectParams(140630, 1.1)
 	if err != nil {
 		t.Fatalf("SelectParams: %v", err)
 	}
-	if p.K != 1 {
-		t.Errorf("loose bound K = %d, want 1", p.K)
+	if p.K != 2 || p.GuessProbability() > maxGuessProbability {
+		t.Errorf("SelectParams = %v (guessable at %g), want k=2 within the bound", p, p.GuessProbability())
 	}
 }
 
 func TestSelectParamsWellProvisionedIsEasier(t *testing.T) {
-	weak, err := SelectParams(140630, 0.5, SelectionConfig{})
+	weak, err := SelectParams(140630, 0.5)
 	if err != nil {
 		t.Fatalf("SelectParams(α=0.5): %v", err)
 	}
-	strong, err := SelectParams(140630, 8, SelectionConfig{})
+	strong, err := SelectParams(140630, 8)
 	if err != nil {
 		t.Fatalf("SelectParams(α=8): %v", err)
 	}

@@ -33,6 +33,10 @@ func opportunisticMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 	return phaseMetrics(run, "client_mbps", cli), []sweep.Series{{Name: "client_mbps", Values: cli}}
 }
 
+// §5: unlike always-on challenges, the opportunistic controller does not
+// tax clients before the attack.
+var opportunisticClaims = []Claim{above("peacetime-untaxed", "client_mbps_before", "opportunistic", "always-on")}
+
 // opportunisticTable contrasts peacetime and wartime client throughput.
 var opportunisticTable = perCell("Ablation — opportunistic vs always-on challenges",
 	[]string{"controller", "cli-before", "cli-during", "cli-after"},
@@ -66,6 +70,12 @@ func solutionFloodMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
 			{Name: "client_mbps_during", Value: phaseMean(run, run.ClientThroughputMbps(), phaseDuring)},
 		},
 		[]sweep.Series{{Name: "server_cpu_pct", Values: cpu}}
+}
+
+// §7: the server rejects the bogus solutions at little CPU cost.
+var solutionFloodClaims = []Claim{
+	within("rejects-bogus", "solution-flood", "solutions_rejected", 1, inf),
+	within("server-cpu-low", "solution-flood", "server_cpu_during", -inf, 5),
 }
 
 // solutionFloodTable reports server CPU and rejection counters.

@@ -21,7 +21,7 @@ func TestAllocBudgetFloodCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts are pinned without -short (and so without -race); CI runs this by name")
 	}
-	sc := tinyScale().Apply(Scenario{Label: "allocs", ClientsSolve: true, BotsSolve: true})
+	sc := TinyScale().Apply(Scenario{Label: "allocs", ClientsSolve: true, BotsSolve: true})
 	const ceiling = 10_500
 	got := testing.AllocsPerRun(1, func() {
 		if _, err := RunFlood(sc); err != nil {
@@ -77,7 +77,7 @@ func TestAllocBudgetMacroCell(t *testing.T) {
 // segment's leg waited in the heap, and the ceiling of 18 catches that
 // coming back.
 func TestHeapBudgetFloodCell(t *testing.T) {
-	sc := tinyScale().Apply(Scenario{Label: "heap", ClientsSolve: true, BotsSolve: true})
+	sc := TinyScale().Apply(Scenario{Label: "heap", ClientsSolve: true, BotsSolve: true})
 	run, err := RunFlood(sc)
 	if err != nil {
 		t.Fatalf("RunFlood: %v", err)

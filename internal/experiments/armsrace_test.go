@@ -217,7 +217,7 @@ func TestAdaptiveAttackReplicatorFixedPoint(t *testing.T) {
 // cells produce their convergence metrics and trajectory series, and the
 // table renders.
 func TestArmsRaceDriver(t *testing.T) {
-	results := runExp(t, "armsrace", tinyScale())
+	results := runExp(t, "armsrace", TinyScale())
 	if len(results) != 3 {
 		t.Fatalf("cells = %d, want 3", len(results))
 	}

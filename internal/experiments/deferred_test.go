@@ -23,7 +23,7 @@ func TestDeferredDeliveryMatchesTapped(t *testing.T) {
 	var cells []Scenario
 	for _, d := range defense.Infos() {
 		for _, a := range []Attack{AttackSYNFlood, AttackConnFlood} {
-			cells = append(cells, tinyScale().Apply(Scenario{Label: "deferred", Defense: d.Name, Attack: a, ClientsSolve: true, BotsSolve: true}))
+			cells = append(cells, TinyScale().Apply(Scenario{Label: "deferred", Defense: d.Name, Attack: a, ClientsSolve: true, BotsSolve: true}))
 		}
 	}
 	for _, d := range []Defense{DefenseNone, DefenseCookies, DefensePuzzles} {

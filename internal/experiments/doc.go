@@ -1,8 +1,9 @@
 // Package experiments reproduces the paper's evaluation (§6) on the
 // simulated DETER-like testbed. Each figure, table and ablation is one
 // Experiment value in the ordered Experiments table: a sweep.Grid at a
-// scale, a per-cell measurement, and a table rendered from the completed
-// cells' sweep.Results.
+// scale, a per-cell measurement, a table rendered from the completed
+// cells' sweep.Results, and the claims (the outcomes the paper reports)
+// checked on them.
 //
 // Every experiment runs through the one cache-aware executor, RunPlan,
 // which runs the experiments of one invocation as one plan: cells fan out

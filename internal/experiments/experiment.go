@@ -3,9 +3,12 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"github.com/tcppuzzles/tcppuzzles/defense"
 	"github.com/tcppuzzles/tcppuzzles/puzzle"
@@ -39,6 +42,85 @@ type Experiment struct {
 	// Render builds the table from the completed cells. It reads only
 	// the Results, so a fully cached run renders identically.
 	Render func([]sweep.Result) sweep.Table
+	// Claims are the outcomes the paper reports for this experiment,
+	// checked on the Results of its registered grid (see Check).
+	Claims []Claim
+}
+
+// A Claim is one outcome the evaluation expects of an experiment. Check
+// reads the Results of the experiment's grid at a scale and returns nil
+// when the outcome holds, or an error stating the measured value and the
+// bound. A claim failing at some scale is a reproduction finding
+// (docs/EXPERIMENTS.md "Claims"), not a bound to widen.
+type Claim struct {
+	Name  string
+	Check func(Scale, []sweep.Result) error
+}
+
+// A Verdict is one Claim's outcome on one run; Err is nil when it holds.
+type Verdict struct {
+	Experiment, Claim string
+	Err               error
+}
+
+// String is the verdict line tcpz-exp prints on stderr; the failures of
+// a claim that checks several cells are joined with "; ".
+func (v Verdict) String() string {
+	if v.Err != nil {
+		return fmt.Sprintf("claim %s/%s: FAIL: %s", v.Experiment, v.Claim, strings.ReplaceAll(v.Err.Error(), "\n", "; "))
+	}
+	return fmt.Sprintf("claim %s/%s: ok", v.Experiment, v.Claim)
+}
+
+// Check evaluates the experiment's claims, in order, on the Results its
+// grid gave at scale.
+func (e Experiment) Check(scale Scale, results []sweep.Result) []Verdict {
+	out := make([]Verdict, len(e.Claims))
+	for i, c := range e.Claims {
+		out[i] = Verdict{Experiment: e.ID, Claim: c.Name, Err: c.Check(scale, results)}
+	}
+	return out
+}
+
+// want returns nil when ok holds, or the error format describes; a NaN
+// (a cell or metric the Results lack, see cellMetric) fails ok.
+func want(ok bool, format string, args ...any) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// cellMetric returns the named metric of the cell labelled label, or NaN
+// when the Results hold no such cell or metric.
+func cellMetric(results []sweep.Result, label, name string) float64 {
+	for _, r := range results {
+		if r.Scenario.Label == label {
+			if v, ok := r.Lookup(name); ok {
+				return v
+			}
+		}
+	}
+	return math.NaN()
+}
+
+// inf is the open end of a within bound.
+var inf = math.Inf(1)
+
+// within claims the named metric of the cell labelled label is in [lo, hi].
+func within(name, label, metric string, lo, hi float64) Claim {
+	return Claim{name, func(_ Scale, rs []sweep.Result) error {
+		v := cellMetric(rs, label, metric)
+		return want(v >= lo && v <= hi, "%s: %s %.4g, want in [%g, %g]", label, metric, v, lo, hi)
+	}}
+}
+
+// above claims the named metric is higher in cell hi than in cell lo.
+func above(name, metric, hi, lo string) Claim {
+	return Claim{name, func(_ Scale, rs []sweep.Result) error {
+		h, l := cellMetric(rs, hi, metric), cellMetric(rs, lo, metric)
+		return want(h > l, "%s %.4g at %s, want above %.4g at %s", metric, h, hi, l, lo)
+	}}
 }
 
 // A Cell measures cell i of an expanded grid.
@@ -47,23 +129,23 @@ type Cell func(i int, sc Scenario) ([]sweep.Metric, []sweep.Series, error)
 // Experiments is the evaluation in display order: figures, tables, then
 // ablations.
 var Experiments = []Experiment{
-	{ID: "fig3a", Grid: fig3aGrid, Cell: fig3aCell, Render: fig3aTable},
-	{ID: "fig3b", Grid: fig3bGrid, Cell: fig3bCell, Render: fig3bTable},
-	{ID: "fig6", Grid: fig6Grid, Cell: fig6Cell, Render: fig6Table},
-	{ID: "fig7", Grid: fig7Grid, Flood: floodComparisonMetrics, Render: floodComparisonTable("Fig 7 — SYN flood: throughput (Mbps)")},
-	{ID: "fig8", Grid: fig8Grid, Flood: floodComparisonMetrics, Render: floodComparisonTable("Fig 8 — connection flood: throughput (Mbps)")},
-	{ID: "fig9", Grid: fig9Grid, Flood: fig9Metrics, Render: fig9Table},
-	{ID: "fig10", Grid: fig10Grid, Flood: queueAndRateMetrics, Render: fig10Table},
-	{ID: "fig11", Grid: fig10Grid, Flood: queueAndRateMetrics, Render: fig11Table},
-	{ID: "fig12", Grid: fig12Grid, Flood: fig12Metrics, Render: fig12Table},
-	{ID: "fig13", Grid: fig13Grid, Flood: botnetSweepMetrics, Render: botnetSweepTable("Fig 13 — rate sweep (5 bots)")},
-	{ID: "fig14", Grid: fig14Grid, Flood: botnetSweepMetrics, Render: botnetSweepTable("Fig 14 — botnet size sweep (5000 pps total)")},
-	{ID: "fig15", Grid: fig15Grid, Flood: fig15Metrics, Render: fig15Table},
-	{ID: "tab1", Grid: table1Grid, Cell: table1Cell, Render: table1Table},
-	{ID: "nash", Grid: nashGrid, Cell: nashCell, Render: nashTable},
-	{ID: "ablation-opportunistic", Grid: opportunisticGrid, Flood: opportunisticMetrics, Render: opportunisticTable},
-	{ID: "ablation-solutionflood", Grid: solutionFloodGrid, Flood: solutionFloodMetrics, Render: solutionFloodTable},
-	{ID: "ablation-membound", Grid: memboundGrid, Cell: memboundCell, Render: memboundTable},
+	{ID: "fig3a", Grid: fig3aGrid, Cell: fig3aCell, Render: fig3aTable, Claims: fig3aClaims},
+	{ID: "fig3b", Grid: fig3bGrid, Cell: fig3bCell, Render: fig3bTable, Claims: fig3bClaims},
+	{ID: "fig6", Grid: fig6Grid, Cell: fig6Cell, Render: fig6Table, Claims: fig6Claims},
+	{ID: "fig7", Grid: fig7Grid, Flood: floodComparisonMetrics, Render: floodComparisonTable("Fig 7 — SYN flood: throughput (Mbps)"), Claims: fig7Claims},
+	{ID: "fig8", Grid: fig8Grid, Flood: floodComparisonMetrics, Render: floodComparisonTable("Fig 8 — connection flood: throughput (Mbps)"), Claims: fig8Claims},
+	{ID: "fig9", Grid: fig9Grid, Flood: fig9Metrics, Render: fig9Table, Claims: fig9Claims},
+	{ID: "fig10", Grid: fig10Grid, Flood: queueAndRateMetrics, Render: fig10Table, Claims: fig10Claims},
+	{ID: "fig11", Grid: fig10Grid, Flood: queueAndRateMetrics, Render: fig11Table, Claims: fig11Claims},
+	{ID: "fig12", Grid: fig12Grid, Flood: fig12Metrics, Render: fig12Table, Claims: fig12Claims},
+	{ID: "fig13", Grid: fig13Grid, Flood: botnetSweepMetrics, Render: botnetSweepTable("Fig 13 — rate sweep (5 bots)"), Claims: fig13Claims},
+	{ID: "fig14", Grid: fig14Grid, Flood: botnetSweepMetrics, Render: botnetSweepTable("Fig 14 — botnet size sweep (5000 pps total)"), Claims: fig14Claims},
+	{ID: "fig15", Grid: fig15Grid, Flood: fig15Metrics, Render: fig15Table, Claims: fig15Claims},
+	{ID: "tab1", Grid: table1Grid, Cell: table1Cell, Render: table1Table, Claims: table1Claims},
+	{ID: "nash", Grid: nashGrid, Cell: nashCell, Render: nashTable, Claims: nashClaims},
+	{ID: "ablation-opportunistic", Grid: opportunisticGrid, Flood: opportunisticMetrics, Render: opportunisticTable, Claims: opportunisticClaims},
+	{ID: "ablation-solutionflood", Grid: solutionFloodGrid, Flood: solutionFloodMetrics, Render: solutionFloodTable, Claims: solutionFloodClaims},
+	{ID: "ablation-membound", Grid: memboundGrid, Cell: memboundCell, Render: memboundTable, Claims: memboundClaims},
 	{ID: "ablation-adaptive", Grid: adaptiveGrid, Flood: adaptiveMetrics, Render: adaptiveTable},
 	{ID: "armsrace", Grid: armsRaceGrid, Flood: armsRaceMetrics, Render: armsRaceTable},
 }
@@ -142,7 +224,13 @@ func runPlan(exps []Experiment, grids [][]Scenario, exec Exec) ([][]sweep.Result
 	cells := make([]planCell, 0, n)
 	for k, grid := range grids {
 		for i := range grid {
-			cells = append(cells, planCell{exp: k, i: i, sc: grid[i].Defaults()})
+			sc := grid[i].Defaults()
+			if !utf8.ValidString(sc.Label) {
+				// The record and the cache key would write each invalid byte
+				// as U+FFFD: labels that differ only there would share both.
+				return nil, fmt.Errorf("experiments: %s: scenario %q: label is not valid UTF-8", exps[k].ID, sc.Label)
+			}
+			cells = append(cells, planCell{exp: k, i: i, sc: sc})
 		}
 	}
 	groups := planGroups(exps, cells)

@@ -94,7 +94,7 @@ func TestFloodCellBoundedMemory(t *testing.T) {
 // place, 74,366 deliver legs queued); fired and deferred legs still add
 // up to that.
 func TestEngineStatsPinned(t *testing.T) {
-	base := tinyScale().Apply(Scenario{Label: "stats", ClientsSolve: true, BotsSolve: true})
+	base := TinyScale().Apply(Scenario{Label: "stats", ClientsSolve: true, BotsSolve: true})
 	want := netsim.EngineStats{TimersFired: 13229, PacketLegsFired: 50683, InPlace: 23772, ArrivalsInPlace: 840, DeliversQueued: 114, Deferred: 147404, Discarded: 2822, PeakTimers: 490, PeakPackets: 9}
 	run, err := RunFlood(base)
 	if err != nil {

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/tcppuzzles/tcppuzzles/game"
@@ -81,6 +83,20 @@ func fig3aTable(results []sweep.Result) sweep.Table {
 	return t
 }
 
+// Fig. 3a and §4.4: the three client CPUs give the paper's w_av.
+var fig3aClaims = []Claim{{"w_av", func(_ Scale, rs []sweep.Result) error {
+	rates := make([]float64, len(rs))
+	for i, r := range rs {
+		rates[i] = r.Metric("hash_rate")
+	}
+	wav, err := game.WavAverage(rates, game.DefaultHandshakeBudget)
+	if err != nil {
+		return err
+	}
+	return want(len(rs) == 3 && math.Abs(wav-140630)/140630 <= 0.01,
+		"w_av %.1f over %d CPUs, want 140,630 ± 1 %% over 3", wav, len(rs))
+}}}
+
 // fig3bLevels is the ab concurrency sweep of Fig. 3b.
 var fig3bLevels = []int{1, 5, 10, 25, 50, 100, 200, 400, 600, 800, 1000}
 
@@ -120,6 +136,12 @@ func fig3bTable(results []sweep.Result) sweep.Table {
 	return t
 }
 
+// Fig. 3b: µ plateaus at 1,100 requests/s and α converges to 1.1.
+var fig3bClaims = []Claim{
+	within("alpha-converges", "c=1000", "alpha", 1.1-0.02, 1.1+0.02),
+	within("service-rate-plateau", "c=1000", "service_rate", 1100-1, 1100+1),
+}
+
 // fig6ConnectionGap is the spacing between Fig. 6's sequential
 // handshakes; each cell's Scenario.Duration encodes its connection count
 // as (connections + 2) gaps, so the canonical scenario fully determines
@@ -128,19 +150,13 @@ const fig6ConnectionGap = 5 * time.Second
 
 // fig6Grid declares Experiment 1's (k, m) difficulty product: the
 // paper's {1,2,3,4} × {4,10,16,20} with 300 handshakes per cell, or
-// {1,2,4} × {4,10,16} with 100 at reduced scales. The scale sizes
-// nothing else; Fig. 6 has no flood.
+// {1,2,4} × {4,10,16} with 100 at reduced scales. A cell is one
+// always-challenged client's sequential handshakes, and no flood.
 func fig6Grid(s Scale) sweep.Grid {
+	ks, ms, connections := []uint8{1, 2, 3, 4}, []uint8{4, 10, 16, 20}, 300
 	if reduced(s) {
-		return connTimeGrid([]uint8{1, 2, 4}, []uint8{4, 10, 16}, 100, 1)
+		ks, ms, connections = []uint8{1, 2, 4}, []uint8{4, 10, 16}, 100
 	}
-	return connTimeGrid([]uint8{1, 2, 3, 4}, []uint8{4, 10, 16, 20}, 300, 1)
-}
-
-// connTimeGrid declares a (k, m) product of connection-time cells. Each
-// cell is a single always-challenged client performing sequential
-// handshakes; the duration encodes the connection count.
-func connTimeGrid(ks, ms []uint8, connections int, seed int64) sweep.Grid {
 	return sweep.Grid{
 		Base: Scenario{
 			Duration:        time.Duration(connections+2) * fig6ConnectionGap,
@@ -151,11 +167,18 @@ func connTimeGrid(ks, ms []uint8, connections int, seed int64) sweep.Grid {
 			AlwaysChallenge: true,
 			Attack:          AttackConnFlood, // canonical default; no botnet runs
 			BotCount:        NoBotnet,
-			Seed:            seed,
+			Seed:            1,
 		},
 		Axes: []sweep.Axis{sweep.Ks(ks...), sweep.Ms(ms...)},
 	}
 }
+
+// fig6Connections is the number of handshakes a Fig. 6 cell performs.
+func fig6Connections(sc Scenario) int { return int(sc.Duration/fig6ConnectionGap) - 2 }
+
+// fig6LAN is Fig. 6's link: negligible propagation so solve time
+// dominates, as in the paper's testbed measurements.
+var fig6LAN = netsim.LinkConfig{RateBps: 1e9, Latency: 10 * time.Microsecond, MaxBacklog: time.Second}
 
 // fig6Cell measures handshake completion times with challenges forced
 // on: sequential handshakes on a LAN, no attack, reporting the
@@ -165,13 +188,10 @@ func connTimeGrid(ks, ms []uint8, connections int, seed int64) sweep.Grid {
 // in m, linear growth in k — is preserved.
 func fig6Cell(_ int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	params := sc.Params
-	connections := int(sc.Duration/fig6ConnectionGap) - 2
+	connections := fig6Connections(sc)
 	eng := netsim.NewEngine()
 	network := netsim.NewNetwork(eng)
-	// LAN links: negligible propagation so solve time dominates, as in the
-	// paper's testbed measurements.
-	lan := netsim.LinkConfig{RateBps: 1e9, Latency: 10 * time.Microsecond, MaxBacklog: time.Second}
-	srv, err := serversim.New(eng, network, lan, serversim.Config{
+	srv, err := serversim.New(eng, network, fig6LAN, serversim.Config{
 		Addr:            [4]byte{10, 0, 0, 1},
 		Defense:         DefensePuzzles,
 		AlwaysChallenge: true,
@@ -181,7 +201,7 @@ func fig6Cell(_ int, sc Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	client, err := clientsim.New(eng, network, lan, clientsim.Config{
+	client, err := clientsim.New(eng, network, fig6LAN, clientsim.Config{
 		Addr:            [4]byte{10, 1, 0, 1},
 		ServerAddr:      srv.Addr(),
 		Solves:          true,
@@ -232,6 +252,46 @@ var fig6Table = perCell("Fig 6 — connection time vs difficulty (µs)",
 		return append(row, fmt.Sprintf("%d", int(r.Metric("samples"))))
 	})
 
+// Fig. 6: connection time grows exponentially in m and linearly in k.
+var fig6Claims = []Claim{
+	{"exponential-in-m", func(_ Scale, rs []sweep.Result) error {
+		m4, m10, m16 := fig6Mean(rs, 1, 4), fig6Mean(rs, 1, 10), fig6Mean(rs, 1, 16)
+		return want(m4 < m10 && m10 < m16 && m16 >= 8*m10,
+			"k=1 means %.1f, %.1f, %.1f µs at m = 4, 10, 16; want increasing, and m=16 ≥ 8 × m=10", m4, m10, m16)
+	}},
+	{"linear-in-k", func(_ Scale, rs []sweep.Result) error {
+		ratio := fig6Mean(rs, 2, 16) / fig6Mean(rs, 1, 16)
+		return want(ratio >= 1.4 && ratio <= 3, "mean at k=2 over k=1, m=16: %.2f, want 1.4–3", ratio)
+	}},
+	{"solve-law", fig6SolveLaw},
+}
+
+// fig6Mean is the mean connection time of Fig. 6's (k, m) cell in µs.
+func fig6Mean(rs []sweep.Result, k, m int) float64 {
+	return cellMetric(rs, fmt.Sprintf("k=%d/m=%d", k, m), "conn_time_mean_us")
+}
+
+// fig6SolveLaw claims every Fig. 6 row completes all its handshakes, and
+// its mean lies within 4 standard errors (a 6·10⁻⁵ chance under the law)
+// of the mean solve, k·2^m hashes at CPU1's rate, plus the round trip of
+// the SYN and the challenge, two LAN links each way; serialisation, under
+// 2 µs, stays inside the band. A solve is k geometric draws with success
+// probability 2^−m: its standard deviation is √(k(1−2^−m))·2^m hashes.
+func fig6SolveLaw(_ Scale, rs []sweep.Result) error {
+	rtt, usPerHash := float64(4*fig6LAN.Latency/time.Microsecond), 1e6/cpumodel.CPU1.HashRate
+	var errs []error
+	for _, r := range rs {
+		n, k, perSolution := fig6Connections(r.Scenario), float64(r.Scenario.Params.K), math.Exp2(float64(r.Scenario.Params.M))
+		solve, sd := k*perSolution*usPerHash, math.Sqrt(k*(1-1/perSolution))*perSolution*usPerHash
+		samples, mean := r.Metric("samples"), r.Metric("conn_time_mean_us")
+		z := (mean - solve - rtt) / (sd / math.Sqrt(float64(n)))
+		errs = append(errs, want(samples == float64(n) && math.Abs(z) <= 4,
+			"%s: %.0f of %d handshakes, mean %.1f µs = %.3g × the solve term %.1f µs, %+.1f SE from solve + round trip; want all, within ±4 SE",
+			r.Scenario.Label, samples, n, mean, mean/solve, solve, z))
+	}
+	return errors.Join(errs...)
+}
+
 // table1Grid declares one cell per embedded device of the paper's
 // Table 1.
 func table1Grid(Scale) sweep.Grid { return deviceGrid("device", cpumodel.IoTDevices()) }
@@ -261,6 +321,17 @@ var table1Table = perCell("Table 1 — embedded device profiles (+ derived flood
 			f2(r.Metric("max_flood_cps")),
 		}
 	})
+
+// Table 1 and Experiment 6: each of the four Pis solves the Nash puzzle
+// within 30 s, but completes under one solved connection a second.
+var table1Claims = []Claim{{"pis-connect-but-cannot-flood", func(_ Scale, rs []sweep.Result) error {
+	errs := []error{want(len(rs) == 4, "%d devices, want 4", len(rs))}
+	for _, r := range rs {
+		solve, cps := msDuration(r.Metric("nash_solve_time_ms")), r.Metric("max_flood_cps")
+		errs = append(errs, want(solve <= 30*time.Second && cps <= 1, "%s: Nash solve %v, flood rate %.3f cps; want ≤ 30s and ≤ 1", r.Scenario.Label, solve, cps))
+	}
+	return errors.Join(errs...)
+}}}
 
 // nashFiniteN is the population size of the finite-N numeric cross-check.
 const nashFiniteN = 2000
@@ -294,7 +365,7 @@ func nashCell(int, Scenario) ([]sweep.Metric, []sweep.Series, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	params, err := game.SelectParams(wav, alpha, game.SelectionConfig{})
+	params, err := game.SelectParams(wav, alpha)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -328,6 +399,18 @@ func nashTable(results []sweep.Result) sweep.Table {
 			{fmt.Sprintf("finite-N ℓ* (N=%d)", int(r.Metric("finite_n"))), f1(r.Metric("finite_l_star"))},
 		},
 	}
+}
+
+// §4.4: the worked example selects (2, 17) at α ≈ 1.1; the finite-N
+// optimum lies within 5 % of the asymptotic ℓ*.
+var nashClaims = []Claim{
+	within("k-star", "nash-equilibrium", "k_star", 2, 2),
+	within("m-star", "nash-equilibrium", "m_star", 17, 17),
+	within("alpha", "nash-equilibrium", "alpha", 1.1-0.02, 1.1+0.02),
+	{"finite-n-matches-l-star", func(_ Scale, rs []sweep.Result) error {
+		finite, lstar := cellMetric(rs, "nash-equilibrium", "finite_l_star"), cellMetric(rs, "nash-equilibrium", "l_star")
+		return want(math.Abs(finite-lstar)/lstar <= 0.05, "finite-N ℓ* %.1f, want within 5 %% of ℓ* %.1f", finite, lstar)
+	}},
 }
 
 // uniformityMemParams charges the Nash-equivalent expected work as
@@ -378,6 +461,21 @@ func uniformityCV(results []sweep.Result) (hashCV, memCV float64) {
 		memCV = ms / mm
 	}
 	return hashCV, memCV
+}
+
+// §7: memory-bound solve times are far more uniform across the seven
+// devices than hash-bound ones, and the slowest, the Pi D1, profits most.
+var memboundClaims = []Claim{
+	{"memory-bound-uniform", func(_ Scale, rs []sweep.Result) error {
+		hashCV, memCV := uniformityCV(rs)
+		return want(len(rs) == 7 && memCV < hashCV && hashCV >= 0.5 && memCV <= 0.35,
+			"CV %.3f memory-bound, %.3f hash over %d devices; want 7 devices, memory-bound ≤ 0.35 and below hash, hash ≥ 0.5",
+			memCV, hashCV, len(rs))
+	}},
+	{"pi-speeds-up", func(_ Scale, rs []sweep.Result) error {
+		mem, hash := cellMetric(rs, "D1", "mem_solve_ms"), cellMetric(rs, "D1", "hash_solve_ms")
+		return want(mem < hash, "D1 solves in %.1f ms memory-bound, want below %.1f ms hash", mem, hash)
+	}},
 }
 
 // memboundTable renders the uniformity study.

@@ -66,7 +66,7 @@ func TestSparkline(t *testing.T) {
 // Determinism at the experiment level: identical configs produce identical
 // series, bit for bit.
 func TestRunFloodDeterministic(t *testing.T) {
-	cfg := tinyScale().Apply(Scenario{
+	cfg := TinyScale().Apply(Scenario{
 		Defense:      DefenseCookies, // cheap, no solving
 		Attack:       AttackSYNFlood,
 		ClientsSolve: true,

@@ -51,7 +51,7 @@ func TestDefaultsPreserveExplicitChoices(t *testing.T) {
 
 // Apply must not resurrect what the scenario explicitly switched off.
 func TestScaleApplyPreservesSentinels(t *testing.T) {
-	sc := tinyScale().Apply(Scenario{BotCount: NoBotnet, Workers: -1})
+	sc := TinyScale().Apply(Scenario{BotCount: NoBotnet, Workers: -1})
 	if sc.BotCount != NoBotnet {
 		t.Errorf("Apply overwrote NoBotnet with %d", sc.BotCount)
 	}
@@ -64,14 +64,14 @@ func TestScaleApplyPreservesSentinels(t *testing.T) {
 		t.Errorf("Defaults after Apply lost sentinels: %+v", sc)
 	}
 	// Ordinary scenarios still take the scale's botnet shape.
-	sc = tinyScale().Apply(Scenario{})
-	if sc.BotCount != tinyScale().BotCount || sc.Workers != tinyScale().Workers {
+	sc = TinyScale().Apply(Scenario{})
+	if sc.BotCount != TinyScale().BotCount || sc.Workers != TinyScale().Workers {
 		t.Errorf("Apply did not apply scale: %+v", sc)
 	}
 }
 
 func TestRunFloodWithoutBotnet(t *testing.T) {
-	sc := tinyScale().Apply(Scenario{ClientsSolve: true, BotCount: NoBotnet})
+	sc := TinyScale().Apply(Scenario{ClientsSolve: true, BotCount: NoBotnet})
 	run, err := RunFlood(sc)
 	if err != nil {
 		t.Fatalf("RunFlood: %v", err)
@@ -89,12 +89,12 @@ func TestRunFloodWithoutBotnet(t *testing.T) {
 }
 
 func TestRunFloodRejectsUnknownEnums(t *testing.T) {
-	sc := tinyScale().Apply(Scenario{})
+	sc := TinyScale().Apply(Scenario{})
 	sc.Defense = "voodoo"
 	if _, err := RunFlood(sc); err == nil || !strings.Contains(err.Error(), "voodoo") {
 		t.Errorf("unknown defense accepted: %v", err)
 	}
-	sc = tinyScale().Apply(Scenario{})
+	sc = TinyScale().Apply(Scenario{})
 	sc.Attack = "tsunami"
 	if _, err := RunFlood(sc); err == nil || !strings.Contains(err.Error(), "tsunami") {
 		t.Errorf("unknown attack accepted: %v", err)
@@ -115,7 +115,7 @@ func TestRunScenariosPropagatesError(t *testing.T) {
 			ClientsSolve: true},
 	}
 	for i := range grid {
-		grid[i] = tinyScale().Apply(grid[i])
+		grid[i] = TinyScale().Apply(grid[i])
 	}
 	grid[2].Defense = "bogus"
 	_, err := RunCells(Exec{Parallelism: 4}, grid)
@@ -152,7 +152,7 @@ func seriesFingerprint(run *FloodRun) string {
 // Distinct seeds must produce distinct series: the seed really drives the
 // randomness, for every seed.
 func TestDistinctSeedsProduceDistinctSeries(t *testing.T) {
-	base := tinyScale().Apply(Scenario{ClientsSolve: true, BotsSolve: true})
+	base := TinyScale().Apply(Scenario{ClientsSolve: true, BotsSolve: true})
 	grid := make([]Scenario, 6)
 	for i := range grid {
 		grid[i] = base

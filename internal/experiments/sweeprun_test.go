@@ -347,8 +347,12 @@ func TestFailuresNameExperimentAndCell(t *testing.T) {
 			`experiments: errtest: scenario "seed=2": boom`},
 		{"RunSweep", func() ([]sweep.Result, error) { return RunSweep(Exec{}, bogus) },
 			`experiments: sweep: scenario "defense=bogus": experiments: server: serversim: defense: unknown defense "bogus"`},
-		{"registered", func() ([]sweep.Result, error) { return fig7.Run(tinyScale(), Exec{}) },
+		{"registered", func() ([]sweep.Result, error) { return fig7.Run(TinyScale(), Exec{}) },
 			`experiments: fig7: scenario "cookies": experiments: server: serversim: defense: unknown defense "bogus"`},
+		// Two labels that differ only in invalid bytes would share one
+		// record and one cache key, so such a label fails its cell.
+		{"invalid UTF-8 label", func() ([]sweep.Result, error) { return RunCells(Exec{}, []Scenario{{Label: "a\xff"}}) },
+			`experiments: sweep: scenario "a\xff": label is not valid UTF-8`},
 	} {
 		_, err := tc.run()
 		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {

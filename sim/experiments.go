@@ -12,6 +12,9 @@ import (
 // Table is a rendered experiment result.
 type Table = sweep.Table
 
+// Verdict is one claim's outcome on a run (see experiments.Claim).
+type Verdict = experiments.Verdict
+
 // Scale selects the experiment size.
 type Scale string
 
@@ -89,33 +92,37 @@ func ExperimentIDs() []string {
 
 // RunExperiment executes a named experiment, or "all" of them, at the
 // given scale and returns their result tables, one per experiment in
-// display order. "all" runs as one plan: deployments that several
+// display order, and the verdict of every claim of those experiments, in
+// the same order. "all" runs as one plan: deployments that several
 // experiments measure simulate once. WithSinks streams each grid cell's
 // structured Result as well, and WithCache skips cells already present in
 // a result cache.
-func RunExperiment(id string, scale Scale, opts ...RunOption) ([]Table, error) {
+func RunExperiment(id string, scale Scale, opts ...RunOption) ([]Table, []Verdict, error) {
 	deployment, ok := deployments[scale]
 	if !ok {
-		return nil, fmt.Errorf("sim: unknown scale %q", scale)
+		return nil, nil, fmt.Errorf("sim: unknown scale %q", scale)
 	}
 	exps := experiments.Experiments
 	if name := strings.ToLower(id); name != "all" {
 		e, ok := experiments.ByID(name)
 		if !ok {
-			return nil, fmt.Errorf("sim: unknown experiment %q (known: %s, or all)",
+			return nil, nil, fmt.Errorf("sim: unknown experiment %q (known: %s, or all)",
 				id, strings.Join(ExperimentIDs(), ", "))
 		}
 		exps = []experiments.Experiment{e}
 	}
-	results, err := experiments.RunPlan(exps, deployment(), execOf(opts))
+	s := deployment()
+	results, err := experiments.RunPlan(exps, s, execOf(opts))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tables := make([]Table, len(exps))
+	var verdicts []Verdict
 	for k, e := range exps {
 		tables[k] = e.Render(results[k])
+		verdicts = append(verdicts, e.Check(s, results[k])...)
 	}
-	return tables, nil
+	return tables, verdicts, nil
 }
 
 // RunSweep executes a user-declared factorial design: the grid expands to

@@ -208,11 +208,11 @@ func TestRunAllPropagatesError(t *testing.T) {
 func TestRunExperimentWithWorkers(t *testing.T) {
 	// The option must not change results, only execution width. fig9
 	// consumes Scale.Parallelism through the flood-scenario runner.
-	a, err := RunExperiment("fig9", ScaleQuick, WithWorkers(1))
+	a, _, err := RunExperiment("fig9", ScaleQuick, WithWorkers(1))
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
-	b, err := RunExperiment("fig9", ScaleQuick, WithWorkers(4))
+	b, _, err := RunExperiment("fig9", ScaleQuick, WithWorkers(4))
 	if err != nil {
 		t.Fatalf("workers=4: %v", err)
 	}
@@ -256,9 +256,10 @@ func TestExperimentIDsComplete(t *testing.T) {
 }
 
 func TestRunExperimentQuick(t *testing.T) {
-	// Smoke-run the cheap experiments end to end through the public API.
+	// Smoke-run the cheap experiments end to end through the public API;
+	// their claims read no flood, so they hold at every scale.
 	for _, id := range []string{"fig3a", "fig3b", "tab1", "nash"} {
-		tables, err := RunExperiment(id, ScaleQuick)
+		tables, verdicts, err := RunExperiment(id, ScaleQuick)
 		if err != nil {
 			t.Fatalf("RunExperiment(%s): %v", id, err)
 		}
@@ -269,14 +270,22 @@ func TestRunExperimentQuick(t *testing.T) {
 		if !strings.Contains(out, "==") {
 			t.Errorf("RunExperiment(%s) output missing title: %q", id, out)
 		}
+		if len(verdicts) == 0 {
+			t.Errorf("RunExperiment(%s): no verdicts", id)
+		}
+		for _, v := range verdicts {
+			if v.Err != nil {
+				t.Error(v)
+			}
+		}
 	}
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
-	if _, err := RunExperiment("fig99", ScaleQuick); err == nil {
+	if _, _, err := RunExperiment("fig99", ScaleQuick); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if _, err := RunExperiment("fig8", "mega"); err == nil {
+	if _, _, err := RunExperiment("fig8", "mega"); err == nil {
 		t.Error("unknown scale accepted")
 	}
 }

@@ -185,7 +185,7 @@ func runLedger(t *testing.T, id string, opts []sim.RunOption) ([]sim.Table, []by
 	t.Helper()
 	var nd bytes.Buffer
 	sink := sweep.NewNDJSON(&nd)
-	tables, err := sim.RunExperiment(id, sim.ScaleTiny, append(opts, sim.WithSinks(sink))...)
+	tables, _, err := sim.RunExperiment(id, sim.ScaleTiny, append(opts, sim.WithSinks(sink))...)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -42,5 +42,5 @@ import (
 // client can spend within the 400 ms handshake budget, and α, the server's
 // asymptotic per-user service parameter (§4.3–§4.4).
 func NashParams(wav, alpha float64) (puzzle.Params, error) {
-	return game.SelectParams(wav, alpha, game.SelectionConfig{})
+	return game.SelectParams(wav, alpha)
 }
