@@ -6,7 +6,7 @@ GO ?= go
 # samples to test significance on (benchstat wants >= 10 for tight CIs).
 COUNT ?= 10
 
-.PHONY: build cross test race lint fmt-check shim-guard bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid fuzz-smoke load-smoke
+.PHONY: build cross test race lint fmt-check shim-guard bench bench-smoke bench-engine bench-scale bench-check bench-flood bench-grid bench-pairs fuzz-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,17 @@ bench-flood:
 # path every figure regeneration takes.
 bench-grid:
 	bash bench/run.sh --workload fig_grid_cold --seed 1
+
+# End-to-end pairs: BASE (exported with git archive) against the working
+# tree, alternating which runs first; prints each pair's ratio of every
+# end-to-end metric and the medians (scripts/bench-pairs.sh). A claimed
+# gain is read from ten or more pairs. BENCH_PAIRS_DIR keeps the export.
+BASE ?= HEAD
+WORKLOAD ?= fig_grid_cold
+SEED ?= 1
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(SEED) $(PAIRS)
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzChallengeRoundTrip -fuzztime=10s ./tcpopt

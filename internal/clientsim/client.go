@@ -330,7 +330,7 @@ func (c *Client) timeout(cc *cconn) {
 		c.armRTO(cc)
 	case stateEstablished:
 		// Response bytes delivered before now count before the attempt
-		// fails; see HandleAt.
+		// fails; see HandleRun.
 		c.net.Flush(c.cfg.Addr)
 		c.fail(cc)
 	}
@@ -401,7 +401,7 @@ func (c *Client) solved() {
 		return
 	}
 	// The port may have had an earlier occupant whose response is still
-	// arriving; its bytes were not this attempt's (see HandleAt).
+	// arriving; its bytes were not this attempt's (see HandleRun).
 	c.net.Flush(c.cfg.Addr)
 	c.finishHandshake(job.cc, job.serverISN, &job.challenge)
 }
@@ -445,16 +445,18 @@ func (c *Client) finishHandshake(cc *cconn, serverISN uint32, ch *puzzle.Challen
 	cc.timer = c.eng.Schedule(c.cfg.ResponseTimeout, cc.timerFn)
 }
 
-// HandleAt implements netsim.DeferNode: a response segment before its
-// train's last, delivered at at and handed over later. It counts the
-// bytes as onData would. That is exact because what it changes — the
-// connection's byte count and BytesIn, which sums whole wire sizes, exact
-// in any order — is read only in Handle, and what it reads, the port's
-// connection and its state, changes outside Handle only after a Flush:
-// when the response timeout fails an attempt, and when a solve
-// establishes one. A segment that would complete a response is the
-// train's last, which netsim always delivers through Handle.
-func (c *Client) HandleAt(seg tcpkit.Segment, at time.Duration) {
+// HandleRun implements netsim.DeferNode: n response segments before
+// their train's last, delivered gap apart from at and handed over later.
+// It counts the bytes as n onData calls would, looking the connection up
+// once and adding to BytesIn once per bucket. That is exact because what
+// it changes — the connection's byte count and BytesIn, which sums whole
+// wire sizes, exact in any order and grouping — is read only in Handle,
+// and what it reads, the port's connection and its state, changes
+// outside Handle only after a Flush: when the response timeout fails an
+// attempt, and when a solve establishes one. A segment that would
+// complete a response is the train's last, which netsim always delivers
+// through Handle.
+func (c *Client) HandleRun(seg tcpkit.Segment, at, gap time.Duration, n int) {
 	cc := c.lookup(&seg)
 	switch {
 	case cc == nil:
@@ -464,11 +466,11 @@ func (c *Client) HandleAt(seg tcpkit.Segment, at time.Duration) {
 	case !seg.Flags.Has(tcpkit.FlagACK) || seg.PayloadLen == 0 || cc.state != stateEstablished:
 		return
 	}
-	cc.gotBytes += seg.PayloadLen
+	cc.gotBytes += n * seg.PayloadLen
 	if cc.gotBytes >= cc.wantBytes {
 		panic("clientsim: a deferred segment completed a response")
 	}
-	c.metrics.BytesIn.Add(at, float64(seg.WireSize()))
+	c.metrics.BytesIn.AddRun(at, gap, n, float64(seg.WireSize()))
 }
 
 func (c *Client) onData(cc *cconn, seg tcpkit.Segment) {

@@ -175,7 +175,7 @@ func BenchmarkEngineHold(b *testing.B) {
 // deferBenchSink is a benchSink that takes deferred train legs.
 type deferBenchSink struct{ benchSink }
 
-func (s *deferBenchSink) HandleAt(tcpkit.Segment, time.Duration) { s.got++ }
+func (s *deferBenchSink) HandleRun(_ tcpkit.Segment, _, _ time.Duration, n int) { s.got += n }
 
 // BenchmarkTrain measures the paper's response path: one 100 kB response
 // as 69 MSS segments over the 1 Gbps server link to a 100 Mbps client,

@@ -7,8 +7,8 @@ import (
 )
 
 // DeferNode is a Node that takes the deliveries of a packet train's
-// segments before its last one late, in one call each, instead of as an
-// engine event each. To such a destination a train's arrival event fires
+// segments before its last one late, a run of them per call, instead of
+// as an engine event each. To such a destination a train's arrival event fires
 // twice, at its first segment and at its last: the segments between are
 // offered to the downlink lazily, and every accepted segment but the last
 // is recorded on the port as a deferred leg — its delivery time and the
@@ -18,15 +18,15 @@ import (
 // The contract, which is what keeps a deferred run's output identical to
 // per-segment delivery:
 //
-//   - Each deferred leg is handed to HandleAt, with its own delivery time
+//   - Each deferred leg is handed to HandleRun, with its own delivery time
 //     and in delivery order, before the node's next real delivery (Handle),
 //     before a Flush of the node's address returns, and by the end of the
 //     Run in progress if it is due inside it.
-//   - HandleAt may change only state that nothing reads before the node's
+//   - HandleRun may change only state that nothing reads before the node's
 //     next real delivery or Flush, and must read only state that was the
 //     same at the leg's time: a node that changes such state outside
 //     Handle calls Flush first.
-//   - HandleAt never sends, schedules, cancels, reads the engine's clock
+//   - HandleRun never sends, schedules, cancels, reads the engine's clock
 //     or calls back into the network; it never completes a response either,
 //     which is what the train's last segment, a real delivery, is for.
 //   - Flush at T hands over the legs due strictly before T. A leg due at
@@ -39,8 +39,10 @@ import (
 // the reference the deferred one is tested against.
 type DeferNode interface {
 	Node
-	// HandleAt processes a segment delivered at time at.
-	HandleAt(seg tcpkit.Segment, at time.Duration)
+	// HandleRun processes n ≥ 1 copies of a segment, delivered at times
+	// at, at+gap, …, at+(n−1)·gap: n deliveries of one train's equal
+	// segments, in one call.
+	HandleRun(seg tcpkit.Segment, at, gap time.Duration, n int)
 }
 
 // deferQueue is a deferring port's open trains and deferred legs.
@@ -98,7 +100,7 @@ func (n *Network) deferTrain(ev *Event, depart time.Duration, ok bool) {
 		i := q.newTrain(&p.seg)
 		t := &q.trains[i]
 		if ok {
-			q.pushLeg(depart, i)
+			q.pushRun(depart, 0, 1, i)
 			t.refs++
 		}
 		if mid > 0 {
@@ -136,19 +138,22 @@ func (q *deferQueue) release(i int32) {
 	}
 }
 
-// pushLeg records train's deliver leg due at at: it extends the last run
-// when it is that train's and at is exactly one spacing on, and starts a
-// run otherwise. A buffer whose front has been handed over is compacted
+// pushRun records train's n deliver legs due at at, at+gap, …: it extends
+// the last run when that is the train's and the legs continue its
+// spacing — a run of one leg takes any spacing — and starts a run
+// otherwise. A buffer whose front has been handed over is compacted
 // before it would grow, so it stays as long as the most runs ever pending
 // at once.
-func (q *deferQueue) pushLeg(at time.Duration, train int32) {
+func (q *deferQueue) pushRun(at, gap time.Duration, n, train int32) {
 	if k := len(q.legs); k > q.head {
 		r := &q.legs[k-1]
-		if r.train == train && (r.n == 1 || at == r.at+time.Duration(r.n)*r.gap) {
-			if r.n == 1 {
-				r.gap = at - r.at
-			}
-			r.n++
+		g := r.gap
+		if r.n == 1 {
+			g = at - r.at
+		}
+		if r.train == train && at == r.at+time.Duration(r.n)*g && (n == 1 || gap == g) {
+			r.gap = g
+			r.n += n
 			return
 		}
 	}
@@ -156,18 +161,31 @@ func (q *deferQueue) pushLeg(at time.Duration, train int32) {
 		q.legs = q.legs[:copy(q.legs, q.legs[q.head:])]
 		q.head = 0
 	}
-	q.legs = append(q.legs, legRun{at: at, n: 1, train: train})
+	q.legs = append(q.legs, legRun{at: at, gap: gap, n: n, train: train})
+}
+
+// due returns how many of r's legs are due strictly before at.
+func (r *legRun) due(at time.Duration) int32 {
+	if r.at >= at {
+		return 0
+	}
+	if r.gap > 0 {
+		if k := (at-r.at-1)/r.gap + 1; k < time.Duration(r.n) {
+			return int32(k)
+		}
+	}
+	return r.n
 }
 
 // catchUp offers port p's downlink, in arrival-key order, every middle
 // segment of its open trains whose arrival orders before the arrival key
 // (at, src, seq) — exactly the arrivals per-segment delivery would have
-// fired by then. A bound (T, 0, 0) takes the arrivals before T.
+// fired by then. A bound (T, 0, 0) takes the arrivals before T. The
+// train with the earliest next arrival runs alone, a stretch at a time
+// (see offer), up to the bound and to the runner-up's next arrival.
 func (n *Network) catchUp(p *port, at time.Duration, src, seq uint64) {
 	q := &p.dq
 	for q.open > 0 {
-		// The open train with the earliest next arrival, and the runner-up,
-		// whose next arrival bounds how far the first may run alone.
 		best, second := -1, -1
 		for i := range q.trains {
 			t := &q.trains[i]
@@ -180,32 +198,67 @@ func (n *Network) catchUp(p *port, at time.Duration, src, seq uint64) {
 			}
 		}
 		t := &q.trains[best]
-		if !t.before(at, src, seq) {
+		m := t.due(at, src, seq)
+		if m == 0 {
 			return
 		}
-		for {
-			depart, ok := p.down.transmit(t.next, int(t.size))
-			if ok {
-				q.pushLeg(depart, int32(best))
+		if second >= 0 {
+			m = min(m, t.due(q.trains[second].key()))
+		}
+		n.offer(p, int32(best), m)
+		if t.left == 0 {
+			q.open--
+			q.release(int32(best))
+		}
+	}
+}
+
+// offer offers the next m segments of open train i, which arrive gap
+// apart, to p's downlink and records the legs it accepts. Unless one
+// would be dropped, that is arithmetic: from start = max(next arrival,
+// busyUntil) each segment departs svc after the previous one while the
+// link is still busy with it — the queued phase, whose waits change by
+// svc−gap a segment — and svc after its own arrival once the link has
+// drained, gap apart — the idle phase. A stretch whose first or last
+// wait exceeds the backlog is offered a segment at a time.
+func (n *Network) offer(p *port, i, m int32) {
+	q, x := &p.dq, &p.down
+	t := &q.trains[i]
+	svc := serialise(int(t.size), x.cfg.RateBps)
+	start := max(t.next, x.busyUntil)
+	wait := start - t.next
+	if max(wait, wait+time.Duration(m-1)*(svc-t.gap)) <= x.cfg.MaxBacklog {
+		queued := m
+		if svc < t.gap {
+			if k := wait / (t.gap - svc); k < time.Duration(m-1) {
+				queued = int32(k) + 1
+			}
+		}
+		q.pushRun(start+svc, svc, queued, i)
+		x.busyUntil = start + time.Duration(queued)*svc
+		if idle := m - queued; idle > 0 {
+			first := t.next + time.Duration(queued)*t.gap + svc
+			q.pushRun(first, t.gap, idle, i)
+			x.busyUntil = first + time.Duration(idle-1)*t.gap
+		}
+		x.stats.SentPackets += uint64(m)
+		x.stats.SentBytes += uint64(m) * uint64(t.size)
+		t.refs += m
+		t.next += time.Duration(m) * t.gap
+		t.seq += uint64(m)
+		t.left -= m
+	} else {
+		for k := int32(0); k < m; k++ {
+			if depart, ok := x.transmit(t.next, int(t.size)); ok {
+				q.pushRun(depart, 0, 1, i)
 				t.refs++
 			}
 			t.next += t.gap
 			t.seq++
 			t.left--
-			n.Eng.stats.Deferred++
-			if t.left == 0 {
-				q.open--
-				q.release(int32(best))
-				break
-			}
-			if second >= 0 && !t.before(q.trains[second].key()) {
-				break
-			}
-			if !t.before(at, src, seq) {
-				return
-			}
 		}
 	}
+	n.Eng.stats.Deferred += uint64(m)
 }
 
 // key returns the arrival key of t's next segment.
@@ -223,19 +276,47 @@ func (t *openTrain) before(at time.Duration, src, seq uint64) bool {
 	return t.seq < seq
 }
 
+// due returns how many of t's segments still to be offered arrive before
+// the arrival key (at, src, seq) under less: those strictly before at,
+// plus, when one arrives exactly at at, that one if (src, seq) breaks the
+// tie its way.
+func (t *openTrain) due(at time.Duration, src, seq uint64) int32 {
+	if t.next > at {
+		return 0
+	}
+	d := at - t.next
+	if t.gap <= 0 { // every segment arrives at next
+		switch {
+		case d > 0 || t.src < src:
+			return t.left
+		case t.src == src && seq > t.seq:
+			return int32(min(seq-t.seq, uint64(t.left)))
+		}
+		return 0
+	}
+	var k time.Duration // arrivals strictly before at
+	if d > 0 {
+		k = (d-1)/t.gap + 1
+	}
+	if k < time.Duration(t.left) && d%t.gap == 0 && (t.src < src || t.src == src && t.seq+uint64(k) < seq) {
+		k++ // segment k arrives at at and orders first
+	}
+	return int32(min(k, time.Duration(t.left)))
+}
+
 // drain hands port p's node the deferred legs due strictly before at, in
-// delivery order.
+// delivery order, a run at a time.
 func (n *Network) drain(p *port, at time.Duration) {
 	q := &p.dq
 	for q.head < len(q.legs) {
 		r := &q.legs[q.head]
-		t := &q.trains[r.train]
-		for r.n > 0 && r.at < at {
-			p.deferTo.HandleAt(t.seg, r.at)
-			n.Eng.stats.Deferred++
-			r.at += r.gap
-			r.n--
-			t.refs--
+		if k := r.due(at); k > 0 {
+			t := &q.trains[r.train]
+			p.deferTo.HandleRun(t.seg, r.at, r.gap, int(k))
+			n.Eng.stats.Deferred += uint64(k)
+			r.at += time.Duration(k) * r.gap
+			r.n -= k
+			t.refs -= k
 		}
 		if r.n > 0 {
 			break
@@ -269,7 +350,7 @@ func (n *Network) dropDeferred() {
 
 // Flush hands the node at addr, if it defers train deliveries, every leg
 // due strictly before now (see DeferNode). A node calls it before it
-// changes, outside Handle, state that HandleAt reads or writes.
+// changes, outside Handle, state that HandleRun reads or writes.
 func (n *Network) Flush(addr Addr) {
 	if p := n.ports[addr]; p != nil && p.dq.pending() {
 		now := n.Eng.now
@@ -297,6 +378,10 @@ func (e *Engine) horizon() (time.Duration, uint64, uint64) {
 func (n *Network) deferredPending() int {
 	e := n.Eng
 	at, src, seq := e.horizon()
+	done := at // the legs due before done have been delivered
+	if e.stepArr {
+		done = exclusive(at)
+	}
 	count := 0
 	for _, p := range n.deferring {
 		if !p.dq.pending() {
@@ -304,11 +389,7 @@ func (n *Network) deferredPending() int {
 		}
 		n.catchUp(p, at, src, seq)
 		for _, r := range p.dq.legs[p.dq.head:] {
-			for k := int32(0); k < r.n; k++ {
-				if due := r.at + time.Duration(k)*r.gap; due > at || due == at && !e.stepArr {
-					count++
-				}
-			}
+			count += int(r.n - r.due(done))
 		}
 	}
 	return count

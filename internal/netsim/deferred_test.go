@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,10 +21,12 @@ type deferSink struct {
 
 func (s *deferSink) Addr() Addr { return s.addr }
 
-func (s *deferSink) Handle(seg tcpkit.Segment) { s.HandleAt(seg, s.net.Eng.Now()) }
+func (s *deferSink) Handle(seg tcpkit.Segment) { s.HandleRun(seg, s.net.Eng.Now(), 0, 1) }
 
-func (s *deferSink) HandleAt(seg tcpkit.Segment, at time.Duration) {
-	s.log = append(s.log, fmt.Sprintf("%v %v seq=%d len=%d", at, seg.Src, seg.Seq, seg.PayloadLen))
+func (s *deferSink) HandleRun(seg tcpkit.Segment, at, gap time.Duration, n int) {
+	for k := 0; k < n; k++ {
+		s.log = append(s.log, fmt.Sprintf("%v %v seq=%d len=%d", at+time.Duration(k)*gap, seg.Src, seg.Seq, seg.PayloadLen))
+	}
 }
 
 // flush is a timer's Flush, logged with how many deliveries preceded it.
@@ -32,13 +35,13 @@ func (s *deferSink) flush() {
 	s.log = append(s.log, fmt.Sprintf("flush at %v after %d deliveries", s.net.Eng.Now(), len(s.log)))
 }
 
-// deferWorld is the fixture of TestDeferredMatchesTapped: two 1 Gbps
-// senders and two 100 Mbps deferring sinks, one with a 1 ms downlink
-// backlog.
+// deferWorld is the fixture of TestDeferredMatchesTapped: three 1 Gbps
+// senders and a 100 Mbps one, two 100 Mbps deferring sinks, one with a
+// 1 ms downlink backlog, and a 1 Gbps deferring sink.
 type deferWorld struct {
-	net          *Network
-	a, b         Addr
-	client, tiny *deferSink
+	net                *Network
+	a, b, c, d         Addr
+	client, tiny, fast *deferSink
 	// ends logs, after each piece of a Run, every sink's delivery count,
 	// its link counters, the engine's pending count and the packet legs
 	// fired or deferred so far.
@@ -52,25 +55,39 @@ type deferWorld struct {
 //     random length and last-segment size;
 //   - 300 µs in, sender b's single segment lands on the client's downlink
 //     while a's first train is still arriving;
-//   - at 20 ms, both senders send the shallow sink a 69-segment train, which
+//   - at 20 ms, a and b send the shallow sink a 69-segment train, which
 //     interleave on its downlink and overflow its backlog mid-train;
+//   - at 40 ms, b and c send the fast sink a 69-segment train each, whose
+//     arrivals tie on time segment for segment, and the 100 Mbps sender d
+//     one whose segments, 119 µs apart, wait on the backlog the two leave
+//     until it drains mid-train; at 47 ms d sends it a two- and a
+//     three-segment train;
+//   - at 50 ms, a alone sends the shallow sink a 69-segment train, which
+//     overflows its backlog with no other train in the way;
 //   - at flushAt the client flushes from a timer armed first of all.
 func newDeferWorld(t *testing.T, tapped bool, flushAt time.Duration) *deferWorld {
 	t.Helper()
 	n := NewNetwork(NewEngine())
-	w := &deferWorld{net: n, a: Addr{10, 0, 0, 1}, b: Addr{10, 0, 0, 2}}
+	w := &deferWorld{net: n, a: Addr{10, 0, 0, 1}, b: Addr{10, 0, 0, 2}, c: Addr{10, 0, 0, 3}, d: Addr{10, 0, 0, 4}}
 	w.client = &deferSink{addr: Addr{10, 0, 1, 1}, net: n}
 	w.tiny = &deferSink{addr: Addr{10, 0, 1, 2}, net: n}
+	w.fast = &deferSink{addr: Addr{10, 0, 1, 3}, net: n}
 	if tapped {
 		n.RegisterTap(func(time.Duration, TapDir, tcpkit.Segment) {})
 	}
 	if flushAt > 0 {
 		n.Eng.ScheduleAt(flushAt, w.client.flush)
 	}
-	for _, a := range []Addr{w.a, w.b} {
+	for _, a := range []Addr{w.a, w.b, w.c} {
 		if err := n.Attach(&deferSink{addr: a, net: n}, DefaultServerLink()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := n.Attach(&deferSink{addr: w.d, net: n}, DefaultHostLink()); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Attach(w.fast, DefaultServerLink()); err != nil {
+		t.Fatal(err)
 	}
 	if err := n.Attach(w.client, DefaultHostLink()); err != nil {
 		t.Fatal(err)
@@ -94,6 +111,16 @@ func newDeferWorld(t *testing.T, tapped bool, flushAt time.Duration) *deferWorld
 		n.SendTrain(data(w.a, w.tiny.addr, 200), 69, 1448)
 		n.SendTrain(data(w.b, w.tiny.addr, 201), 69, 1448)
 	})
+	n.Eng.ScheduleAt(40*time.Millisecond, func() {
+		n.SendTrain(data(w.d, w.fast.addr, 300), 69, 1448)
+		n.SendTrain(data(w.b, w.fast.addr, 301), 69, 1448)
+		n.SendTrain(data(w.c, w.fast.addr, 302), 69, 1448)
+	})
+	n.Eng.ScheduleAt(47*time.Millisecond, func() {
+		n.SendTrain(data(w.d, w.fast.addr, 303), 2, 100)
+		n.SendTrain(data(w.d, w.fast.addr, 304), 3, 1448)
+	})
+	n.Eng.ScheduleAt(50*time.Millisecond, func() { n.SendTrain(data(w.a, w.tiny.addr, 400), 69, 1448) })
 	return w
 }
 
@@ -105,13 +132,15 @@ func (w *deferWorld) run() {
 		e.Run(until)
 		st := e.Stats()
 		line := fmt.Sprintf("%v pending=%d legs=%d", until, e.Pending(), st.PacketLegsFired+st.Deferred)
-		for _, s := range []*deferSink{w.client, w.tiny} {
+		for _, s := range w.sinks() {
 			_, down, _ := w.net.Stats(s.addr)
 			line += fmt.Sprintf(" %v:%d %+v", s.addr, len(s.log), down)
 		}
 		w.ends = append(w.ends, line)
 	}
 }
+
+func (w *deferWorld) sinks() []*deferSink { return []*deferSink{w.client, w.tiny, w.fast} }
 
 // TestDeferredMatchesTapped: deliveries to a DeferNode are the same
 // (segment, time) deliveries, in the same per-node order, whether its
@@ -120,7 +149,12 @@ func (w *deferWorld) run() {
 // legs fired or deferred at the end of every Run. The fixture covers a
 // second sender's segment landing on the downlink mid-train, drop-tail
 // drops mid-train, a Flush from a timer at exactly a deferred leg's time,
-// and Runs that end mid-train.
+// and Runs that end mid-train. Those are also the boundaries of the
+// closed forms a train is offered and handed over in: a Run's end cuts a
+// stretch; a runner-up train's next arrival ties on time and is ordered
+// by sender; a backlog drains inside a stretch, whose legs then change
+// spacing; a drop inside a stretch sends it a segment at a time; and a
+// two-segment train has no middle.
 func TestDeferredMatchesTapped(t *testing.T) {
 	// A middle segment's delivery time, from a first tapped run.
 	probe := newDeferWorld(t, true, 0)
@@ -134,9 +168,9 @@ func TestDeferredMatchesTapped(t *testing.T) {
 	ref.run()
 	got := newDeferWorld(t, false, flushAt)
 	got.run()
-	for _, s := range [][2]*deferSink{{got.client, ref.client}, {got.tiny, ref.tiny}} {
-		if g, r := strings.Join(s[0].log, "\n"), strings.Join(s[1].log, "\n"); g != r {
-			t.Errorf("%v deliveries differ:\ndeferred:\n%s\ntapped:\n%s", s[0].addr, g, r)
+	for i, s := range got.sinks() {
+		if g, r := strings.Join(s.log, "\n"), strings.Join(ref.sinks()[i].log, "\n"); g != r {
+			t.Errorf("%v deliveries differ:\ndeferred:\n%s\ntapped:\n%s", s.addr, g, r)
 		}
 	}
 	if g, r := strings.Join(got.ends, "\n"), strings.Join(ref.ends, "\n"); g != r {
@@ -162,6 +196,50 @@ func TestDeferredMatchesTapped(t *testing.T) {
 	if !strings.Contains(strings.Join(got.client.log[1:69], "\n"), "[10 0 0 2] seq=100") {
 		t.Error("sender b's segment did not land inside a's first train")
 	}
+	if got := got.fast.delivered("seq=301", "seq=302"); got != strings.Repeat("[10 0 0 2][10 0 0 3]", 69) {
+		t.Errorf("b's and c's trains reached the fast sink as %s; want them alternating from b's", got)
+	}
+	svc, gap := serialise(1488, 1e9), serialise(1488, 100e6)
+	spacing := map[time.Duration]int{}
+	times := got.fast.times("seq=300")
+	for i := 1; i < len(times); i++ {
+		spacing[times[i]-times[i-1]]++
+	}
+	if len(times) != 69 || spacing[svc] == 0 || spacing[gap] == 0 {
+		t.Errorf("d's train reached the fast sink as %d segments spaced %v; want 69, some %v apart (queued) and some %v (idle)",
+			len(times), spacing, svc, gap)
+	}
+	if n2, n3 := len(got.fast.times("seq=303")), len(got.fast.times("seq=304")); n2 != 2 || n3 != 3 {
+		t.Errorf("the fast sink got %d and %d segments of the two- and three-segment trains; want 2 and 3", n2, n3)
+	}
+	if n := len(got.tiny.times("seq=400")); n <= 9 || n >= 69 {
+		t.Errorf("the shallow sink got %d segments of a's lone train; want drops and more than its backlog holds", n)
+	}
+}
+
+// times returns the delivery times of the segments whose log lines
+// contain seq, in order.
+func (s *deferSink) times(seq string) []time.Duration {
+	var out []time.Duration
+	for _, line := range s.log {
+		if f := strings.Fields(line); len(f) > 5 && f[5] == seq {
+			at, _ := time.ParseDuration(f[0])
+			out = append(out, at)
+		}
+	}
+	return out
+}
+
+// delivered returns the senders of the segments whose log lines contain
+// one of seqs, in order, concatenated.
+func (s *deferSink) delivered(seqs ...string) string {
+	var b strings.Builder
+	for _, line := range s.log {
+		if f := strings.Fields(line); len(f) > 5 && slices.Contains(seqs, f[5]) {
+			b.WriteString(strings.Join(f[1:5], " "))
+		}
+	}
+	return b.String()
 }
 
 // TestDeferredStepDrainsAll: an engine driven by bare Steps hands every
@@ -174,9 +252,9 @@ func TestDeferredStepDrainsAll(t *testing.T) {
 		for w.net.Eng.Step() {
 		}
 	}
-	for _, s := range [][2]*deferSink{{got.client, ref.client}, {got.tiny, ref.tiny}} {
-		if g, r := strings.Join(s[0].log, "\n"), strings.Join(s[1].log, "\n"); g != r {
-			t.Errorf("%v deliveries differ:\ndeferred:\n%s\ntapped:\n%s", s[0].addr, g, r)
+	for i, s := range got.sinks() {
+		if g, r := strings.Join(s.log, "\n"), strings.Join(ref.sinks()[i].log, "\n"); g != r {
+			t.Errorf("%v deliveries differ:\ndeferred:\n%s\ntapped:\n%s", s.addr, g, r)
 		}
 	}
 	if p := got.net.Eng.Pending(); p != 0 {

@@ -47,9 +47,10 @@
 // figure grid's packet legs — can implement DeferNode. Then a train fires
 // its arrival event twice, at its first segment and at its last; the
 // segments between are offered to the downlink lazily, in arrival-key
-// order, before anything could read that downlink, and their deliver legs
-// are recorded on the port and handed to HandleAt before the node's next
-// real delivery, a Flush or the end of the Run. Taps turn this off. See
+// order and a stretch at a time, before anything could read that
+// downlink, and their deliver legs are recorded on the port as runs and
+// handed to HandleRun, a run per call, before the node's next real
+// delivery, a Flush or the end of the Run. Taps turn this off. See
 // docs/PERFORMANCE.md "Deferred train delivery".
 package netsim
 
@@ -603,7 +604,7 @@ type EngineStats struct {
 	DeliversQueued uint64
 	// Deferred counts the packet legs of trains to DeferNodes that no
 	// event fired: middle segments offered to the downlink lazily, and
-	// deliver legs handed to HandleAt. PacketLegsFired + Deferred is what
+	// deliver legs handed to HandleRun. PacketLegsFired + Deferred is what
 	// one event per leg would have fired.
 	Deferred uint64
 	// SentAhead counts SourceStore.SendAhead's sends ahead of the clock:

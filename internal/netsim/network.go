@@ -57,21 +57,51 @@ func serialise(size int, rate float64) time.Duration {
 	return time.Duration(float64(size*8) / rate * float64(time.Second))
 }
 
-// transmit attempts to enqueue a packet of size bytes at time now and
-// returns the departure time (serialisation complete). A drop leaves
-// busyUntil alone, so of a burst sent at one instant, whose start times
-// only grow, every packet after a dropped one is dropped too.
+// transmit is burst for one packet of size bytes: it returns the
+// departure time (serialisation complete) and whether it was accepted.
 func (x *xmitter) transmit(now time.Duration, size int) (time.Duration, bool) {
+	sent, depart := x.burst(now, 1, size, size)
+	return depart, sent == 1
+}
+
+// burst enqueues count packets sent back to back at instant now, count−1
+// of size bytes and then one of lastSize, and returns how many were
+// accepted and the first one's departure. A packet is dropped when it
+// would wait longer than MaxBacklog to start. A drop leaves busyUntil
+// alone, so of packets sent at one instant, whose start times only grow,
+// every one after a dropped one is dropped too: the accepted ones are a
+// prefix. Packet k starts at start+k·s, s being one full packet's
+// serialisation, so the prefix and the counters are arithmetic, the same
+// as count transmits in a row.
+func (x *xmitter) burst(now time.Duration, count, size, lastSize int) (int, time.Duration) {
 	start := max(now, x.busyUntil)
-	if start-now > x.cfg.MaxBacklog {
-		x.stats.Dropped++
-		return 0, false
+	wait := start - now
+	if wait > x.cfg.MaxBacklog {
+		x.stats.Dropped += uint64(count)
+		return 0, 0
 	}
-	depart := start + serialise(size, x.cfg.RateBps)
-	x.busyUntil = depart
-	x.stats.SentPackets++
-	x.stats.SentBytes += uint64(size)
-	return depart, true
+	sent, full := count, count-1 // full counts the accepted packets of size bytes
+	var s time.Duration
+	if count > 1 {
+		s = serialise(size, x.cfg.RateBps)
+		if s > 0 {
+			if k := (x.cfg.MaxBacklog - wait) / s; k < time.Duration(full) {
+				sent, full = int(k)+1, int(k)+1
+			}
+		}
+	}
+	x.busyUntil = start + time.Duration(full)*s
+	x.stats.SentBytes += uint64(full * size)
+	if sent == count {
+		x.busyUntil += serialise(lastSize, x.cfg.RateBps)
+		x.stats.SentBytes += uint64(lastSize)
+	}
+	x.stats.SentPackets += uint64(sent)
+	x.stats.Dropped += uint64(count - sent)
+	if count == 1 {
+		return sent, x.busyUntil
+	}
+	return sent, start + s
 }
 
 // LinkStats summarises one link direction.
@@ -323,30 +353,26 @@ func (n *Network) sendFrom(origin Addr, seg *tcpkit.Segment, count, lastLen int,
 // send is the one send path, behind SendFrom, SendTrain, SendRoute and
 // SourceStore.SendAt: count segments (the last with PayloadLen lastLen)
 // from origin through the uplink up at instant now, to the destination
-// r; seg is a scratch copy, rewritten on the way. Each segment is tapped
-// and transmitted in turn, and may be dropped; the ones that were not
-// are a prefix of the burst (see transmit) and travel on as one train.
-// Unroutable segments still consume uplink bandwidth and count one each.
+// r; seg is a scratch copy, rewritten on the way. The uplink takes the
+// burst in one step (see burst); the ones it did not drop are a prefix
+// of the burst and travel on as one train. A tap sees each segment's send
+// and drop in turn. Unroutable segments still consume uplink bandwidth
+// and count one each.
 func (n *Network) send(up *xmitter, origin Addr, seg *tcpkit.Segment, count, lastLen int, now time.Duration, r Route) {
 	full := seg.PayloadLen
-	var depart time.Duration // the first segment's
-	sent := 0
-	// PayloadLen is stored only when it changes: copying seg right after a
-	// store into it stalls the copy, and a single send would pay that.
-	for k := 0; k < count; k++ {
-		if k == count-1 && seg.PayloadLen != lastLen {
-			seg.PayloadLen = lastLen
+	size := seg.WireSize()
+	// WireSize grows with PayloadLen byte for byte.
+	sent, depart := up.burst(now, count, size, size-full+lastLen)
+	if len(n.taps) > 0 {
+		for k := 0; k < count; k++ {
+			if k == count-1 {
+				seg.PayloadLen = lastLen
+			}
+			n.runTaps(now, TapSend, seg)
+			if k >= sent {
+				n.runTaps(now, TapDrop, seg)
+			}
 		}
-		n.tap(now, TapSend, seg)
-		d, ok := up.transmit(now, seg.WireSize())
-		if !ok {
-			n.tap(now, TapDrop, seg)
-			continue
-		}
-		if sent == 0 {
-			depart = d
-		}
-		sent++
 	}
 	if sent == 0 {
 		return

@@ -109,6 +109,44 @@ func (h *trainHost) tick() {
 	h.eng.Schedule(time.Duration(h.rnd.ExpFloat64()/300*float64(time.Second)), h.tick)
 }
 
+// edgeLen is the payload of a 1,250-byte segment, which a 50 Mbps link
+// serialises in exactly 200 µs: five of them fill a 1 ms backlog to the
+// nanosecond.
+const edgeLen = 1250 - tcpkit.IPHeaderLen - tcpkit.TCPHeaderLen
+
+// edgeBursts attaches a fifth station, on the shallow station's link,
+// that sends only the bursts below, to the store slot no other host
+// sends to, each from an idle uplink: the waits the uplink's accepted
+// prefix turns on land exactly on its backlog.
+func (w *trainWorld) edgeBursts(t *testing.T) {
+	t.Helper()
+	edge := &trainHost{w: w, addr: Addr{10, 0, 0, 5}, eng: w.net.Eng}
+	if err := w.net.Attach(edge, LinkConfig{RateBps: 50e6, Latency: 2 * time.Millisecond, MaxBacklog: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	w.hosts = append(w.hosts, edge)
+	for _, step := range []struct {
+		at     time.Duration
+		bursts [][2]int // count, lastLen
+	}{
+		// The sixth segment waits exactly 1 ms and is sent, the rest dropped.
+		{10 * time.Millisecond, [][2]int{{8, edgeLen}}},
+		// A two-segment train whose last waits exactly 1 ms, then one
+		// dropped whole behind it.
+		{20 * time.Millisecond, [][2]int{{4, edgeLen}, {2, 7}, {2, 100}}},
+		// A two-segment train sent whole behind a queue.
+		{30 * time.Millisecond, [][2]int{{3, edgeLen}, {2, 500}}},
+		// A train whose first segment waits exactly 1 ms.
+		{40 * time.Millisecond, [][2]int{{5, edgeLen}, {3, edgeLen}}},
+	} {
+		edge.eng.ScheduleAt(step.at, func() {
+			for _, b := range step.bursts {
+				edge.burst(tcpkit.Segment{Src: edge.addr, Dst: w.store.Addr(1), SrcPort: 80, DstPort: 1000, Seq: 7, PayloadLen: edgeLen}, b[0], b[1])
+			}
+		})
+	}
+}
+
 // Two 69-segment trains the two 1 Gbps hosts send the client at the same
 // instant, so that their segments interleave on its 100 Mbps downlink.
 const interleavedSeqA, interleavedSeqB = 900_001, 900_002
@@ -178,6 +216,7 @@ func runTrainWorld(t *testing.T, step, singles bool) *trainWorld {
 		h.peers = append(h.peers, w.store.Addr(0), w.store.Addr(2), trainUnroutable)
 		h.eng.Schedule(0, h.tick)
 	}
+	w.edgeBursts(t)
 	w.hosts[0].burst(tcpkit.Segment{Src: trainUnattached, Dst: addrs[0], PayloadLen: 9}, 3, 5)
 	if step {
 		for w.net.Eng.Step() {
@@ -245,8 +284,12 @@ func (w *trainWorld) checkDownlinks(t *testing.T, name string) {
 // same burst sent as per-segment Sends — the same taps in the same order
 // at the same times, the same deliveries, link counters, unroutable
 // count, events fired, deliver legs fired in place and cancelled timers
-// discarded — under Run and under bare Steps. The 1 Gbps → 100 Mbps path is what fails if a deliver leg
-// may fire in place without ordering before its train's next arrival:
+// discarded — under Run and under bare Steps. The edge station's bursts
+// are the boundaries of the uplink's closed form: a wait exactly on the
+// backlog at the first, a middle and the last segment of a train, and
+// two-segment trains. The 1 Gbps → 100 Mbps path is what fails if a
+// deliver leg may fire in place without ordering before its train's next
+// arrival:
 // each segment's downlink serialisation outlasts the gap to the next one.
 // There, and where two servers' trains interleave on the client's
 // downlink and the shallow downlink drops segments from the middle of a
@@ -292,6 +335,12 @@ func TestTrainMatchesSingles(t *testing.T) {
 	}
 	if empty == 0 || single == 0 || lastIsFull == 0 {
 		t.Errorf("bursts: %d empty, %d single, %d with lastLen == PayloadLen; want each", empty, single, lastIsFull)
+	}
+	if s := serialise(edgeLen+tcpkit.IPHeaderLen+tcpkit.TCPHeaderLen, 50e6); s != 200*time.Microsecond {
+		t.Errorf("a 1,250-byte segment takes %v at 50 Mb/s; want exactly 200µs", s)
+	}
+	if edgeUp, _, _ := w.net.Stats(w.hosts[4].addr); edgeUp.SentPackets != 23 || edgeUp.Dropped != 6 {
+		t.Errorf("edge uplink %+v: want 23 segments sent and 6 dropped", edgeUp)
 	}
 	shallowUp, shallowDown, _ := w.net.Stats(w.hosts[2].addr)
 	storeUp, storeDown := w.store.Stats()

@@ -41,6 +41,26 @@ func (s *Series) Add(at time.Duration, v float64) {
 	s.vals[idx] += v
 }
 
+// AddRun adds v at each of the n instants at, at+gap, …, at+(n−1)·gap,
+// for a gap ≥ 0: n calls of Add, with one addition per bucket. The
+// result is the same bit for bit when v is a whole number and every
+// bucket's total stays below 2^53, where float64 addition of whole
+// numbers is exact in any grouping.
+func (s *Series) AddRun(at, gap time.Duration, n int, v float64) {
+	for n > 0 {
+		k := n // instants in at's bucket
+		if gap > 0 {
+			// end closes at's bucket; for a negative at, every instant
+			// before end is clamped into bucket 0 too.
+			end := (at/s.bucket + 1) * s.bucket
+			k = min(n, int((end-at-1)/gap)+1)
+		}
+		s.Add(at, float64(k)*v)
+		at += time.Duration(k) * gap
+		n -= k
+	}
+}
+
 // AddSpan spreads v uniformly over [from, to) across the buckets it covers.
 // It is used for busy-time accounting (CPU utilisation).
 func (s *Series) AddSpan(from, to time.Duration, v float64) {

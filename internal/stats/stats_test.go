@@ -29,6 +29,51 @@ func TestSeriesAddAndValues(t *testing.T) {
 	}
 }
 
+// TestSeriesAddRun: a run add is n single Adds, bit for bit, for whole
+// values — on a bucket edge, across buckets, with a gap longer than a
+// bucket, for one instant, for negative times, and over random runs.
+func TestSeriesAddRun(t *testing.T) {
+	const ms = time.Millisecond
+	type run struct {
+		at, gap time.Duration
+		n       int
+		v       float64
+	}
+	check := func(name string, bucket time.Duration, runs ...run) {
+		t.Helper()
+		got, want := NewSeries(bucket), NewSeries(bucket)
+		for _, r := range runs {
+			got.AddRun(r.at, r.gap, r.n, r.v)
+			for k := 0; k < r.n; k++ {
+				want.Add(r.at+time.Duration(k)*r.gap, r.v)
+			}
+		}
+		if !slices.EqualFunc(got.vals, want.vals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("%s: AddRun gives %v, n Adds give %v", name, got.vals, want.vals)
+		}
+	}
+	check("a leg on a bucket edge", ms, run{999 * time.Microsecond, time.Microsecond, 3, 1488})
+	check("a run from a bucket edge", ms, run{2 * ms, 250 * time.Microsecond, 9, 1488})
+	check("a gap longer than a bucket", ms, run{300 * time.Microsecond, 2500 * time.Microsecond, 5, 1488})
+	check("one leg", ms, run{7 * ms, 0, 1, 1488})
+	check("one instant", ms, run{7 * ms, 0, 4, 1488})
+	check("negative times", ms, run{-1500 * time.Microsecond, ms, 4, 40})
+	check("a response", 100*ms, run{4 * ms, 11904, 40, 3}, run{99 * ms, 119040, 68, 1488})
+	rnd := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		runs := make([]run, 1+rnd.Intn(4))
+		for j := range runs {
+			runs[j] = run{
+				at:  time.Duration(rnd.Int63n(int64(50 * ms))),
+				gap: time.Duration(rnd.Int63n(int64(3 * ms))),
+				n:   1 + rnd.Intn(70),
+				v:   float64(rnd.Intn(1 << 20)),
+			}
+		}
+		check(fmt.Sprintf("random %d %+v", i, runs), time.Duration(1+rnd.Int63n(int64(5*ms))), runs...)
+	}
+}
+
 func TestSeriesRates(t *testing.T) {
 	s := NewSeries(500 * time.Millisecond)
 	s.Add(0, 100) // 100 in half a second → 200/s
