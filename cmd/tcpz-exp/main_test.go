@@ -84,7 +84,7 @@ func TestListDefensesAndAttacks(t *testing.T) {
 	for _, info := range sim.DefenseInfos() {
 		check(defenses, string(info.Name), info.Summary)
 	}
-	if want := []string{"adaptive-puzzles", "hybrid", "puzzles", "stepped-puzzles"}; !reflect.DeepEqual(tagged, want) {
+	if want := []string{"hybrid", "puzzles", "stepped-puzzles"}; !reflect.DeepEqual(tagged, want) {
 		t.Errorf("defenses tagged [puzzles]: %q, want %q", tagged, want)
 	}
 	for _, info := range sim.AttackInfos() {

@@ -22,7 +22,7 @@
 // compilation.
 //
 // Puzzle parameters: a defense that issues client puzzles registers with
-// Info.Puzzles (puzzles, hybrid, adaptive-puzzles, stepped-puzzles). Only
+// Info.Puzzles (puzzles, hybrid, stepped-puzzles). Only
 // such a defense may read ServerCtx.PuzzleParams or ServerCtx.Puzzles;
 // the server panics if any other does. So a run under any other defense
 // cannot depend on Scenario.Params, and the experiment executor simulates

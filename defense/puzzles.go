@@ -9,9 +9,9 @@ import (
 // opportunistic controller challenges every SYN while the overload latch
 // is engaged — even when the accept queue overflows, so solving clients
 // can claim slots the moment they open — and verifies solutions
-// statelessly on the returning ACK. The difficulty-retuning defenses
-// (adaptive-puzzles, stepped-puzzles) embed it, so all three share one
-// handshake path and differ only in OnTick.
+// statelessly on the returning ACK. The difficulty-retuning
+// stepped-puzzles defense embeds it, so the two share one handshake path
+// and differ only in OnTick.
 type puzzlesDefense struct{}
 
 var puzzlesInfo = Info{

@@ -74,11 +74,11 @@ func TestParamsFor(t *testing.T) {
 	}
 }
 
-// TestParamsForRoundTripProperty pins the bit-rounding envelope the
-// adaptive defender leans on: for any attainable target ℓ* ≥ k, the
-// deployed difficulty k·2^(m−1) is never easier than ℓ* and never more
-// than a factor of 2 harder (m rounds up to whole bits, so a controller
-// chasing ℓ* lands in [ℓ*, 2ℓ*)).
+// TestParamsForRoundTripProperty pins the bit-rounding envelope
+// SelectParams leans on: for any attainable target ℓ* ≥ k, the deployed
+// difficulty k·2^(m−1) is never easier than ℓ* and never more than a
+// factor of 2 harder (m rounds up to whole bits, so the parameters
+// chosen for ℓ* land in [ℓ*, 2ℓ*)).
 func TestParamsForRoundTripProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		// Deterministic spread over ℓ* ∈ [k, 2^30) and k ∈ {1..4}.

@@ -115,10 +115,29 @@ func adaptiveGrid(s Scale) sweep.Grid {
 	}
 }
 
-// adaptiveMetrics measures the attack's success and, for the adaptive
-// server, the difficulty trace with its peak and final m.
+// adaptiveClaims: the controller climbs above the m = 12 baseline under
+// attack and decays after it, and once it has climbed it throttles the
+// smart bots, which flood the fixed m = 12 server effectively, harder.
+var adaptiveClaims = []Claim{
+	{"rises-under-attack", func(_ Scale, rs []sweep.Result) error {
+		m := cellMetric(rs, "adaptive", "peak_m")
+		return want(m > 13, "adaptive: peak_m %.4g, want above 13", m)
+	}},
+	{"decays-after", func(_ Scale, rs []sweep.Result) error {
+		peak, final := cellMetric(rs, "adaptive", "peak_m"), cellMetric(rs, "adaptive", "final_m")
+		return want(final < peak, "adaptive: final_m %.4g, want below peak_m %.4g", final, peak)
+	}},
+	above("throttles-late-attack", "late_attack_cps", "fixed-m12", "adaptive"),
+}
+
+// adaptiveMetrics measures the attack's success, over the whole attack
+// and over its last third (late_attack_cps, once the controller has
+// climbed), and, for the adaptive server, the difficulty trace with its
+// peak and final m.
 func adaptiveMetrics(run *FloodRun) ([]sweep.Metric, []sweep.Series) {
-	metrics := duringMetrics(run)
+	start, stop := int(run.Cfg.AttackStart/run.Cfg.Bucket), int(run.Cfg.AttackStop/run.Cfg.Bucket)
+	late := windowMean(run.AttackerEstablishedRate(), stop-(stop-start)/3, stop)
+	metrics := append(duringMetrics(run), sweep.Metric{Name: "late_attack_cps", Value: late})
 	if run.Cfg.Defense != sweep.DefenseSteppedPuzzles {
 		return metrics, nil
 	}

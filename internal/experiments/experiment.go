@@ -146,8 +146,8 @@ var Experiments = []Experiment{
 	{ID: "ablation-opportunistic", Grid: opportunisticGrid, Flood: opportunisticMetrics, Render: opportunisticTable, Claims: opportunisticClaims},
 	{ID: "ablation-solutionflood", Grid: solutionFloodGrid, Flood: solutionFloodMetrics, Render: solutionFloodTable, Claims: solutionFloodClaims},
 	{ID: "ablation-membound", Grid: memboundGrid, Cell: memboundCell, Render: memboundTable, Claims: memboundClaims},
-	{ID: "ablation-adaptive", Grid: adaptiveGrid, Flood: adaptiveMetrics, Render: adaptiveTable},
-	{ID: "armsrace", Grid: armsRaceGrid, Flood: armsRaceMetrics, Render: armsRaceTable},
+	{ID: "ablation-adaptive", Grid: adaptiveGrid, Flood: adaptiveMetrics, Render: adaptiveTable, Claims: adaptiveClaims},
+	{ID: "armsrace", Grid: armsRaceGrid, Flood: armsRaceMetrics, Render: armsRaceTable, Claims: armsRaceClaims},
 }
 
 // ByID returns the registered experiment with the given id.

@@ -29,13 +29,12 @@ type (
 
 // Re-exported enum values and sentinels.
 const (
-	DefenseNone            = sweep.DefenseNone
-	DefenseCookies         = sweep.DefenseCookies
-	DefenseSYNCache        = sweep.DefenseSYNCache
-	DefensePuzzles         = sweep.DefensePuzzles
-	DefenseHybrid          = sweep.DefenseHybrid
-	DefenseRateLimit       = sweep.DefenseRateLimit
-	DefenseAdaptivePuzzles = sweep.DefenseAdaptivePuzzles
+	DefenseNone      = sweep.DefenseNone
+	DefenseCookies   = sweep.DefenseCookies
+	DefenseSYNCache  = sweep.DefenseSYNCache
+	DefensePuzzles   = sweep.DefensePuzzles
+	DefenseHybrid    = sweep.DefenseHybrid
+	DefenseRateLimit = sweep.DefenseRateLimit
 
 	AttackSYNFlood      = sweep.AttackSYNFlood
 	AttackConnFlood     = sweep.AttackConnFlood

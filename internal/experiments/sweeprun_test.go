@@ -262,8 +262,8 @@ func TestFig10And11ShareSimulation(t *testing.T) {
 }
 
 // One plan of every registered experiment simulates each distinct
-// deployment once: at tiny scale 40 flood cells are 33 simulations, the 35
-// model cells one job each, 68 jobs in all against 75 summed over plans of
+// deployment once: at tiny scale 38 flood cells are 31 simulations, the 35
+// model cells one job each, 66 jobs in all against 73 summed over plans of
 // one experiment.
 func TestPlanSimulatesEachDeploymentOnce(t *testing.T) {
 	jobs := func(exps []Experiment) (floodJobs, modelJobs int) {
@@ -288,8 +288,8 @@ func TestPlanSimulatesEachDeploymentOnce(t *testing.T) {
 		f, m := jobs([]Experiment{e})
 		separate += f + m
 	}
-	if flood != 33 || model != 35 || separate != 75 {
-		t.Errorf("plan of all: %d simulations + %d model cells, %d jobs summed over plans of one; want 33 + 35, 75", flood, model, separate)
+	if flood != 31 || model != 35 || separate != 73 {
+		t.Errorf("plan of all: %d simulations + %d model cells, %d jobs summed over plans of one; want 31 + 35, 73", flood, model, separate)
 	}
 	if testing.Short() {
 		t.Skip("runs every experiment at tiny scale")
@@ -299,11 +299,11 @@ func TestPlanSimulatesEachDeploymentOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := results[0][0].Exec.Jobs; got != 68 {
-		t.Errorf("plan ran %d jobs, want 68", got)
+	if got := results[0][0].Exec.Jobs; got != 66 {
+		t.Errorf("plan ran %d jobs, want 66", got)
 	}
-	if got := strings.Count(debug.String(), " events="); got != 33 {
-		t.Errorf("plan simulated %d times, want 33", got)
+	if got := strings.Count(debug.String(), " events="); got != 31 {
+		t.Errorf("plan simulated %d times, want 31", got)
 	}
 	if want := `[fig11] cell "challenges": measured from the run of fig8 cell 2 "challenges-m17"`; !strings.Contains(debug.String(), want) {
 		t.Errorf("debug output lacks %q", want)

@@ -36,11 +36,11 @@ func (s *deferSink) flush() {
 }
 
 // deferWorld is the fixture of TestDeferredMatchesTapped: three 1 Gbps
-// senders and a 100 Mbps one, two 100 Mbps deferring sinks, one with a
-// 1 ms downlink backlog, and a 1 Gbps deferring sink.
+// senders, a 100 Mbps one and a 50 Mbps one, two 100 Mbps deferring
+// sinks, one with a 1 ms downlink backlog, and a 1 Gbps deferring sink.
 type deferWorld struct {
 	net                *Network
-	a, b, c, d         Addr
+	a, b, c, d, e      Addr
 	client, tiny, fast *deferSink
 	// ends logs, after each piece of a Run, every sink's delivery count,
 	// its link counters, the engine's pending count and the packet legs
@@ -64,11 +64,18 @@ type deferWorld struct {
 //     three-segment train;
 //   - at 50 ms, a alone sends the shallow sink a 69-segment train, which
 //     overflows its backlog with no other train in the way;
+//   - at 50.4 ms, the 50 Mbps sender e sends the shallow sink a
+//     four-segment train whose first middle segment lands 55 µs after
+//     a's last segment, within one service time of the backlog a's train
+//     filled, and is dropped, while its second, a gap later, finds room:
+//     the two arrive inside one Run piece, so they are offered as one
+//     stretch whose first wait exceeds the backlog and whose last does
+//     not;
 //   - at flushAt the client flushes from a timer armed first of all.
 func newDeferWorld(t *testing.T, tapped bool, flushAt time.Duration) *deferWorld {
 	t.Helper()
 	n := NewNetwork(NewEngine())
-	w := &deferWorld{net: n, a: Addr{10, 0, 0, 1}, b: Addr{10, 0, 0, 2}, c: Addr{10, 0, 0, 3}, d: Addr{10, 0, 0, 4}}
+	w := &deferWorld{net: n, a: Addr{10, 0, 0, 1}, b: Addr{10, 0, 0, 2}, c: Addr{10, 0, 0, 3}, d: Addr{10, 0, 0, 4}, e: Addr{10, 0, 0, 5}}
 	w.client = &deferSink{addr: Addr{10, 0, 1, 1}, net: n}
 	w.tiny = &deferSink{addr: Addr{10, 0, 1, 2}, net: n}
 	w.fast = &deferSink{addr: Addr{10, 0, 1, 3}, net: n}
@@ -84,6 +91,9 @@ func newDeferWorld(t *testing.T, tapped bool, flushAt time.Duration) *deferWorld
 		}
 	}
 	if err := n.Attach(&deferSink{addr: w.d, net: n}, DefaultHostLink()); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Attach(&deferSink{addr: w.e, net: n}, LinkConfig{RateBps: 50e6, Latency: 2 * time.Millisecond, MaxBacklog: 100 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Attach(w.fast, DefaultServerLink()); err != nil {
@@ -121,6 +131,7 @@ func newDeferWorld(t *testing.T, tapped bool, flushAt time.Duration) *deferWorld
 		n.SendTrain(data(w.d, w.fast.addr, 304), 3, 1448)
 	})
 	n.Eng.ScheduleAt(50*time.Millisecond, func() { n.SendTrain(data(w.a, w.tiny.addr, 400), 69, 1448) })
+	n.Eng.ScheduleAt(50400*time.Microsecond, func() { n.SendTrain(data(w.e, w.tiny.addr, 401), 4, 1448) })
 	return w
 }
 
@@ -153,8 +164,9 @@ func (w *deferWorld) sinks() []*deferSink { return []*deferSink{w.client, w.tiny
 // closed forms a train is offered and handed over in: a Run's end cuts a
 // stretch; a runner-up train's next arrival ties on time and is ordered
 // by sender; a backlog drains inside a stretch, whose legs then change
-// spacing; a drop inside a stretch sends it a segment at a time; and a
-// two-segment train has no middle.
+// spacing; a drop inside a stretch sends it a segment at a time, also
+// when only its first wait exceeds the backlog; and a two-segment train
+// has no middle.
 func TestDeferredMatchesTapped(t *testing.T) {
 	// A middle segment's delivery time, from a first tapped run.
 	probe := newDeferWorld(t, true, 0)
@@ -214,6 +226,12 @@ func TestDeferredMatchesTapped(t *testing.T) {
 	}
 	if n := len(got.tiny.times("seq=400")); n <= 9 || n >= 69 {
 		t.Errorf("the shallow sink got %d segments of a's lone train; want drops and more than its backlog holds", n)
+	}
+	// e's first segment lands inside a's train and its first middle
+	// segment just after it: both find the backlog full. The second middle
+	// segment and the last find room.
+	if times := got.tiny.times("seq=401"); len(times) != 2 || times[1]-times[0] != serialise(1488, 100e6) {
+		t.Errorf("e's train reached the shallow sink at %v; want its last two segments, one service time apart", times)
 	}
 }
 

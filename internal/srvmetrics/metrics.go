@@ -24,7 +24,7 @@ type Metrics struct {
 	// once per metric bucket.
 	ListenLen *stats.Gauge
 	AcceptLen *stats.Gauge
-	// DifficultyM traces the adaptive controller's difficulty setting.
+	// DifficultyM traces the stepped controller's difficulty setting.
 	DifficultyM *stats.Gauge
 
 	// ChallengesSent / PlainSynAcks / CookieSynAcks reproduce the Fig. 8

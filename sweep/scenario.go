@@ -28,11 +28,6 @@ const (
 	// baseline: above the high watermark each SYN is dropped with a
 	// probability that rises linearly with listen-queue occupancy.
 	DefenseRateLimit Defense = "ratelimit"
-	// DefenseAdaptivePuzzles retunes puzzle difficulty during the run:
-	// each tick it estimates the attack rate from SYN-arrival metrics,
-	// solves the game-theoretic Stackelberg best response for the
-	// estimated model, and deploys the resulting (K, M) live.
-	DefenseAdaptivePuzzles Defense = "adaptive-puzzles"
 	// DefenseSteppedPuzzles is the §7 closed-loop step controller: while
 	// the overload latch holds and the accept queue stays above its
 	// high-water mark, m rises one bit per 5 s (up to 18), then decays back
@@ -46,7 +41,7 @@ const (
 func KnownDefenses() []Defense {
 	return []Defense{
 		DefenseNone, DefenseCookies, DefenseSYNCache, DefensePuzzles,
-		DefenseHybrid, DefenseRateLimit, DefenseAdaptivePuzzles, DefenseSteppedPuzzles,
+		DefenseHybrid, DefenseRateLimit, DefenseSteppedPuzzles,
 	}
 }
 
